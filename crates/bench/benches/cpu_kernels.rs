@@ -1,12 +1,16 @@
 //! Substrate microbenchmarks: the CPU reference kernels at stories15M
-//! dimensions — serial vs scoped-thread matvec, RMSNorm, softmax, RoPE —
-//! plus a full reference forward step.
+//! dimensions — serial vs scoped-thread matvec (f32, int8, int4), the
+//! batched matmul at the widths whose lane blocks are the 4/2/1 tails,
+//! RMSNorm, softmax, RoPE — plus a full reference forward step. Every
+//! weight-streaming row carries `gb_s`: weight bytes over median time.
 
 use speedllm_bench::harness::Runner;
 use speedllm_llama::config::ModelConfig;
 use speedllm_llama::forward::{MatVecStrategy, Transformer};
 use speedllm_llama::ops;
 use speedllm_llama::parallel::par_matvec;
+use speedllm_llama::qgemm::{qmatmul, qmatvec};
+use speedllm_llama::quant::{QuantKind, QuantMatrix};
 use speedllm_llama::rng::Xoshiro256;
 use speedllm_llama::weights::TransformerWeights;
 use std::hint::black_box;
@@ -21,6 +25,7 @@ fn bench_kernels(c: &mut Runner) {
     rng.fill_normal(&mut x, 1.0);
     let mut out = vec![0.0f32; rows];
 
+    c.set_bytes_per_iter(Some((rows * cols * 4) as u64));
     c.bench_function("cpu/matvec_serial_768x288", |b| {
         b.iter(|| {
             ops::matvec(black_box(&mut out), &w, &x, rows, cols);
@@ -34,11 +39,35 @@ fn bench_kernels(c: &mut Runner) {
         })
     });
 
+    // Widths 2/3/5/6 decompose into lane blocks of 2, 2+1, 4+1 and 4+2:
+    // the tail tiles a verify or mixed tick lands on.
+    let q8 = QuantMatrix::quantize_with(&w, rows, cols, QuantKind::Int8);
+    for width in [2usize, 3, 5, 6] {
+        let mut xs = vec![0.0f32; width * cols];
+        rng.fill_normal(&mut xs, 1.0);
+        let mut mout = vec![0.0f32; rows * width];
+        c.set_bytes_per_iter(Some((rows * cols * 4) as u64));
+        c.bench_function(&format!("cpu/matmul_w{width}_768x288"), |b| {
+            b.iter(|| {
+                ops::matmul(black_box(&mut mout), &w, &xs, rows, cols, width);
+                black_box(mout[0])
+            })
+        });
+        c.set_bytes_per_iter(Some(q8.bytes() as u64));
+        c.bench_function(&format!("cpu/qmatmul_int8_w{width}_768x288"), |b| {
+            b.iter(|| {
+                qmatmul(black_box(&mut mout), &q8, &xs, width);
+                black_box(mout[0])
+            })
+        });
+    }
+
     // Classifier-sized matvec is the big one: vocab x dim.
     let vrows = cfg.vocab_size;
     let mut wv = vec![0.0f32; vrows * cols];
     rng.fill_normal(&mut wv, 0.02);
     let mut vout = vec![0.0f32; vrows];
+    c.set_bytes_per_iter(Some((vrows * cols * 4) as u64));
     c.bench_function("cpu/matvec_serial_32000x288", |b| {
         b.iter(|| {
             ops::matvec(black_box(&mut vout), &wv, &x, vrows, cols);
@@ -52,6 +81,18 @@ fn bench_kernels(c: &mut Runner) {
             black_box(vout[0])
         })
     });
+
+    for kind in [QuantKind::Int8, QuantKind::Int4] {
+        let qv = QuantMatrix::quantize_with(&wv, vrows, cols, kind);
+        c.set_bytes_per_iter(Some(qv.bytes() as u64));
+        c.bench_function(&format!("cpu/qmatvec_{}_32000x288", kind.name()), |b| {
+            b.iter(|| {
+                qmatvec(black_box(&mut vout), &qv, &x);
+                black_box(vout[0])
+            })
+        });
+    }
+    c.set_bytes_per_iter(None);
 
     let gain = vec![1.0f32; cols];
     let mut nbuf = x.clone();

@@ -83,6 +83,7 @@ pub struct Runner {
     sample_size: usize,
     results: Vec<BenchResult>,
     meta: Vec<(String, String)>,
+    bytes_per_iter: Option<u64>,
 }
 
 impl Default for Runner {
@@ -93,6 +94,7 @@ impl Default for Runner {
             sample_size: 20,
             results: Vec::new(),
             meta: Vec::new(),
+            bytes_per_iter: None,
         }
     }
 }
@@ -141,6 +143,15 @@ impl Runner {
         self
     }
 
+    /// Declares how many bytes one iteration of every subsequent benchmark
+    /// streams (for a GEMV/GEMM kernel, its weight bytes); their rows are
+    /// then stamped with the achieved `gb_s` at the median. `None` stops
+    /// stamping.
+    pub fn set_bytes_per_iter(&mut self, bytes: Option<u64>) -> &mut Self {
+        self.bytes_per_iter = bytes;
+        self
+    }
+
     /// Runs one benchmark unless it is filtered out.
     pub fn bench_function(&mut self, name: &str, mut f: impl FnMut(&mut Bencher)) -> &mut Self {
         if let Some(filter) = &self.filter {
@@ -177,13 +188,22 @@ impl Runner {
         } else {
             None
         };
+        let median_ns = percentile_f64(&ns, 50.0);
+        let mut meta = self.meta.clone();
+        if let Some(bytes) = self.bytes_per_iter {
+            // Bytes per nanosecond is GB/s.
+            meta.push((
+                "gb_s".to_string(),
+                format!("{:.2}", bytes as f64 / median_ns),
+            ));
+        }
         let result = BenchResult {
             name: name.to_string(),
-            median_ns: percentile_f64(&ns, 50.0),
+            median_ns,
             p95_ns: percentile_f64(&ns, 95.0),
             samples: ns.len(),
             iters_per_sample: b.iters,
-            meta: self.meta.clone(),
+            meta,
             tiny: is_smoke(),
             metrics_json,
         };
@@ -391,6 +411,23 @@ mod tests {
         let j = res.json();
         assert!(j.contains("\"metrics\":{\"counters\":{\"c\":1}"));
         assert!(j.ends_with("}}"));
+    }
+
+    #[test]
+    fn bytes_per_iter_stamps_gb_s_until_cleared() {
+        let mut r = Runner {
+            smoke: true,
+            ..Runner::default()
+        };
+        r.set_bytes_per_iter(Some(4096));
+        r.bench_function("streams", |b| b.iter(|| ()));
+        r.set_bytes_per_iter(None);
+        r.bench_function("plain", |b| b.iter(|| ()));
+        let (key, gb_s) = &r.results[0].meta[0];
+        assert_eq!(key, "gb_s");
+        assert!(gb_s.parse::<f64>().unwrap() > 0.0);
+        assert!(r.results[0].json().contains("\"gb_s\":\""));
+        assert!(r.results[1].meta.is_empty());
     }
 
     #[test]

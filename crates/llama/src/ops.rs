@@ -1,12 +1,15 @@
 //! Scalar reference kernels for Llama-2 inference.
 //!
 //! Every kernel operates on plain `f32` slices so the same code backs both
-//! the CPU reference forward pass ([`crate::forward`]) and the tiled
-//! functional execution inside the accelerator engine. Keeping one set of
-//! kernels is what lets integration tests assert that the simulated
-//! accelerator is *functionally transparent*: fusion, memory planning, and
-//! pipelining may only change timing, never values (beyond float
-//! reassociation in tiled accumulation).
+//! the CPU reference forward pass ([`crate::forward`]) and the functional
+//! execution inside the accelerator engine. Keeping one set of kernels is
+//! what lets integration tests assert that the simulated accelerator is
+//! *functionally transparent*: fusion, memory planning, and pipelining may
+//! only change timing, never values.
+//!
+//! Every weight-streaming kernel sums each output element in [`dot`]'s
+//! order, so serial, batched, row-tiled and parallel results are
+//! bit-identical (see [`tile_accumulate`]).
 
 /// Default RoPE frequency base used by the llama2.c model family.
 pub const ROPE_THETA: f32 = 10000.0;
@@ -22,8 +25,8 @@ pub const RMS_EPS: f32 = 1e-5;
 #[must_use]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len(), "dot length mismatch");
-    // Accumulate in f32 like llama2.c; tiled variants reassociate, which is
-    // why equivalence tests use a tolerance.
+    // One f32 accumulator, increasing index, mul then add, like llama2.c.
+    // This is the reference order: every matvec/matmul element replays it.
     let mut acc = 0.0f32;
     for (&x, &y) in a.iter().zip(b) {
         acc += x * y;
@@ -73,14 +76,12 @@ pub fn softmax(x: &mut [f32]) {
 }
 
 /// Dense matrix–vector product: `out[r] = w[r, :] · x` for a row-major
-/// `rows × cols` matrix `w`.
+/// `rows × cols` matrix `w`. The `batch == 1` case of [`matmul_rows_xt`]
+/// (a single activation vector is its own batch-major transpose), so each
+/// `out[r]` is bit-identical to `dot(w[r, :], x)`.
 pub fn matvec(out: &mut [f32], w: &[f32], x: &[f32], rows: usize, cols: usize) {
-    debug_assert_eq!(out.len(), rows);
     debug_assert_eq!(w.len(), rows * cols);
-    debug_assert_eq!(x.len(), cols);
-    for (r, o) in out.iter_mut().enumerate() {
-        *o = dot(&w[r * cols..(r + 1) * cols], x);
-    }
+    matmul_rows_xt(out, w, x, 0..rows, cols, 1);
 }
 
 /// Transposes sequence-major activations (`xs[b * cols + c]`) into
@@ -99,32 +100,119 @@ pub fn transpose_batch_major(xs: &[f32], cols: usize, batch: usize) -> Vec<f32> 
     xt
 }
 
-/// One weight row against `L` batch lanes of batch-major activations:
-/// `acc[l] = Σ_c row[c] · xt[c * batch + b0 + l]`, accumulating in
-/// increasing `c` with a single f32 accumulator per lane — the exact
-/// mul-then-add sequence [`dot`] performs, so every lane is bit-identical
-/// to `dot(row, xs[b])`. The `L` chains are *independent output elements*;
-/// keeping them live together is what breaks the one-accumulator latency
-/// chain (and lets the compiler vectorize across lanes) without ever
-/// reassociating a single element's sum.
-#[inline]
-fn row_lanes<const L: usize>(row: &[f32], xt: &[f32], batch: usize, b0: usize) -> [f32; L] {
-    let mut acc = [0.0f32; L];
-    for (&wv, xc) in row.iter().zip(xt.chunks_exact(batch)) {
-        let x: &[f32; L] = xc[b0..b0 + L].try_into().expect("lane block in bounds");
-        for l in 0..L {
-            acc[l] += wv * x[l];
+/// Weight rows per register tile. Measured, not tunable: on the 32000×288
+/// classifier at width 1, 4 rows still leave the add chain exposed, 8
+/// reach the host's stream bandwidth, and 16 spill the accumulators and
+/// give the whole gain back; 8 is also the best or tied-best height for
+/// the 2-, 4- and 8-lane blocks.
+pub const ROW_TILE: usize = 8;
+
+/// Columns per interleaved block of the one-lane path of [`tile_accumulate`].
+const COL_BLOCK: usize = 8;
+
+/// The weight-streaming microkernel, an `R`-row × `L`-lane register tile:
+/// `acc[i][l] += Σ_c rows[i][c] · xt[c * batch + b0 + l]`. `xt` is
+/// batch-major and starts at the column `rows[i][0]` multiplies.
+///
+/// Order contract: each `acc[i][l]` is one f32 accumulator that takes its
+/// terms in increasing `c`, mul then add — exactly what [`dot`] does. The
+/// `R × L` accumulators are *independent output elements*; keeping them
+/// live together is what hides the add latency and lets the compiler
+/// vectorize, and no element's sum is ever split or reassociated. Callers
+/// may therefore cut a row into consecutive column spans (the quantized
+/// kernels pass one dequantized group at a time) without changing a bit.
+///
+/// With several lanes the compiler vectorizes across them. With one lane
+/// there is nothing to vectorize across but the rows, whose elements sit
+/// `cols` apart in memory, so that path first copies each
+/// `R × COL_BLOCK` block row-interleaved.
+#[inline(always)]
+pub(crate) fn tile_accumulate<const R: usize, const L: usize>(
+    acc: &mut [[f32; L]; R],
+    rows: [&[f32]; R],
+    xt: &[f32],
+    batch: usize,
+    b0: usize,
+) {
+    let cols = rows[0].len();
+    let mut c = 0;
+    if L == 1 {
+        while c + COL_BLOCK <= cols {
+            let mut block = [[0.0f32; R]; COL_BLOCK];
+            for (i, row) in rows.iter().enumerate() {
+                let seg: &[f32; COL_BLOCK] = row[c..c + COL_BLOCK]
+                    .try_into()
+                    .expect("column block in bounds");
+                for (j, &wv) in seg.iter().enumerate() {
+                    block[j][i] = wv;
+                }
+            }
+            for (j, wcol) in block.iter().enumerate() {
+                let x = xt[(c + j) * batch + b0];
+                for i in 0..R {
+                    acc[i][0] += wcol[i] * x;
+                }
+            }
+            c += COL_BLOCK;
         }
     }
-    acc
+    for c in c..cols {
+        let x: &[f32; L] = xt[c * batch + b0..][..L]
+            .try_into()
+            .expect("lane block in bounds");
+        for i in 0..R {
+            for l in 0..L {
+                acc[i][l] += rows[i][c] * x[l];
+            }
+        }
+    }
+}
+
+/// One `R`-row tile of [`matmul_rows_xt`]: `w` holds the tile's `R` rows,
+/// `out` its `R × batch` results. Lanes go in blocks of 8/4/2/1, so a tile
+/// is read from memory once and from L1 for every further block.
+fn matmul_tile<const R: usize>(out: &mut [f32], w: &[f32], xt: &[f32], cols: usize, batch: usize) {
+    fn lanes<const R: usize, const L: usize>(
+        out: &mut [f32],
+        rows: [&[f32]; R],
+        xt: &[f32],
+        batch: usize,
+        b0: usize,
+    ) {
+        let mut acc = [[0.0f32; L]; R];
+        tile_accumulate(&mut acc, rows, xt, batch, b0);
+        for (out_row, a) in out.chunks_exact_mut(batch).zip(&acc) {
+            out_row[b0..b0 + L].copy_from_slice(a);
+        }
+    }
+    let rows: [&[f32]; R] = std::array::from_fn(|i| &w[i * cols..(i + 1) * cols]);
+    let mut b0 = 0;
+    while b0 + 8 <= batch {
+        lanes::<R, 8>(out, rows, xt, batch, b0);
+        b0 += 8;
+    }
+    if b0 + 4 <= batch {
+        lanes::<R, 4>(out, rows, xt, batch, b0);
+        b0 += 4;
+    }
+    if b0 + 2 <= batch {
+        lanes::<R, 2>(out, rows, xt, batch, b0);
+        b0 += 2;
+    }
+    if b0 < batch {
+        lanes::<R, 1>(out, rows, xt, batch, b0);
+    }
 }
 
 /// Batched matmul inner kernel over pre-transposed (batch-major)
 /// activations: `out[(r - rows.start) * batch + b] = w[r, :] · x_b` for
-/// `r` in `rows`. Lanes are processed in blocks of 8/4/2/1, each block a
-/// [`row_lanes`] call, so each weight row is streamed once per row visit
-/// and reused across every batch lane. [`crate::parallel::par_matmul`]
-/// hands disjoint row ranges of this kernel to its workers.
+/// `r` in `rows`. Rows go in tiles of [`ROW_TILE`] (the last
+/// `rows.len() % ROW_TILE` one at a time), each tile a [`tile_accumulate`]
+/// per lane block, so every weight is streamed once and reused across
+/// every batch lane, and every element equals `dot(w[r, :], x_b)` bit for
+/// bit. [`matvec`] is the `batch == 1` case; the workers of
+/// [`crate::parallel::par_matvec`] and [`crate::parallel::par_matmul`] run
+/// disjoint row ranges of this same kernel.
 pub fn matmul_rows_xt(
     out: &mut [f32],
     w: &[f32],
@@ -136,24 +224,19 @@ pub fn matmul_rows_xt(
     debug_assert_eq!(out.len(), rows.len() * batch);
     debug_assert!(rows.end * cols <= w.len());
     debug_assert_eq!(xt.len(), cols * batch);
-    for (out_row, r) in out.chunks_exact_mut(batch).zip(rows) {
-        let row = &w[r * cols..(r + 1) * cols];
-        let mut b0 = 0;
-        while b0 + 8 <= batch {
-            out_row[b0..b0 + 8].copy_from_slice(&row_lanes::<8>(row, xt, batch, b0));
-            b0 += 8;
-        }
-        if b0 + 4 <= batch {
-            out_row[b0..b0 + 4].copy_from_slice(&row_lanes::<4>(row, xt, batch, b0));
-            b0 += 4;
-        }
-        if b0 + 2 <= batch {
-            out_row[b0..b0 + 2].copy_from_slice(&row_lanes::<2>(row, xt, batch, b0));
-            b0 += 2;
-        }
-        if b0 < batch {
-            out_row[b0] = row_lanes::<1>(row, xt, batch, b0)[0];
-        }
+    let tiled = rows.len() / ROW_TILE * ROW_TILE;
+    let (out_tiles, out_tail) = out.split_at_mut(tiled * batch);
+    for (o, r0) in out_tiles
+        .chunks_exact_mut(ROW_TILE * batch)
+        .zip(rows.clone().step_by(ROW_TILE))
+    {
+        matmul_tile::<ROW_TILE>(o, &w[r0 * cols..(r0 + ROW_TILE) * cols], xt, cols, batch);
+    }
+    for (o, r) in out_tail
+        .chunks_exact_mut(batch)
+        .zip(rows.start + tiled..rows.end)
+    {
+        matmul_tile::<1>(o, &w[r * cols..(r + 1) * cols], xt, cols, batch);
     }
 }
 
@@ -168,40 +251,16 @@ pub fn matmul_rows_xt(
 /// weight row exactly once and reuse it across the whole batch — a batch of
 /// B decode steps reads `rows × cols` weights once instead of B times. The
 /// activations are transposed to batch-major once (O(cols·batch), nothing
-/// next to the O(rows·cols·batch) GEMM) so the [`row_lanes`] kernel can
-/// keep up to 8 independent accumulator chains live per weight row; each
-/// chain replays [`dot`]'s exact accumulation order, so a batched result
-/// is **bit-identical** to `batch` independent [`matvec`] calls.
+/// next to the O(rows·cols·batch) GEMM) so [`matmul_rows_xt`] can read all
+/// lanes of a column with one contiguous load; each element replays
+/// [`dot`]'s exact accumulation order, so a batched result is
+/// **bit-identical** to `batch` independent [`matvec`] calls.
 pub fn matmul(out: &mut [f32], w: &[f32], xs: &[f32], rows: usize, cols: usize, batch: usize) {
     debug_assert_eq!(out.len(), rows * batch);
     debug_assert_eq!(w.len(), rows * cols);
     debug_assert_eq!(xs.len(), batch * cols);
-    if batch == 1 {
-        matvec(out, w, xs, rows, cols);
-        return;
-    }
     let xt = transpose_batch_major(xs, cols, batch);
     matmul_rows_xt(out, w, &xt, 0..rows, cols, batch);
-}
-
-/// Tiled partial matvec: accumulates `w[r, c0..c1] · x[c0..c1]` into
-/// `out[r - r0]` for rows `r0..r1`. Callers must zero `out` before the first
-/// column tile. This is the kernel the accelerator's MPE tiles map onto.
-pub fn matvec_tile_accumulate(
-    out: &mut [f32],
-    w: &[f32],
-    x: &[f32],
-    cols: usize,
-    rows: std::ops::Range<usize>,
-    col_tile: std::ops::Range<usize>,
-) {
-    debug_assert_eq!(out.len(), rows.len());
-    debug_assert!(col_tile.end <= cols);
-    debug_assert!(col_tile.end <= x.len());
-    for (o, r) in out.iter_mut().zip(rows) {
-        let row = &w[r * cols + col_tile.start..r * cols + col_tile.end];
-        *o += dot(row, &x[col_tile.clone()]);
-    }
 }
 
 /// SiLU (sigmoid-weighted linear unit): `x * σ(x)`.
@@ -397,32 +456,6 @@ mod tests {
         let mut mm = vec![0.0f32; rows];
         matmul(&mut mm, &w, &x, rows, cols, 1);
         assert_eq!(mv, mm);
-    }
-
-    #[test]
-    fn tiled_matvec_matches_dense() {
-        let rows = 7;
-        let cols = 13;
-        let w: Vec<f32> = (0..rows * cols)
-            .map(|i| ((i * 37 % 19) as f32) - 9.0)
-            .collect();
-        let x: Vec<f32> = (0..cols).map(|i| (i as f32 * 0.37).sin()).collect();
-        let mut dense = vec![0.0f32; rows];
-        matvec(&mut dense, &w, &x, rows, cols);
-
-        let mut tiled = vec![0.0f32; rows];
-        for r0 in (0..rows).step_by(3) {
-            let r1 = (r0 + 3).min(rows);
-            let mut acc = vec![0.0f32; r1 - r0];
-            for c0 in (0..cols).step_by(4) {
-                let c1 = (c0 + 4).min(cols);
-                matvec_tile_accumulate(&mut acc, &w, &x, cols, r0..r1, c0..c1);
-            }
-            tiled[r0..r1].copy_from_slice(&acc);
-        }
-        for (a, b) in dense.iter().zip(&tiled) {
-            assert_close(*a, *b, 1e-4);
-        }
     }
 
     #[test]

@@ -69,8 +69,11 @@ pub fn split_ranges(n: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
 }
 
 /// Parallel dense matvec: `out[r] = w[r, :] · x` with rows statically
-/// partitioned over `threads` workers. Falls back to the serial kernel when
-/// the work is too small to amortize thread wake-up.
+/// partitioned over `threads` workers. Every worker runs its row range
+/// through [`crate::ops::matmul_rows_xt`], the kernel behind the serial
+/// [`crate::ops::matvec`], so results are bit-identical regardless of
+/// thread count. Falls back to the serial kernel when the work is too
+/// small to amortize thread wake-up.
 pub fn par_matvec(out: &mut [f32], w: &[f32], x: &[f32], rows: usize, cols: usize, threads: usize) {
     assert_eq!(out.len(), rows);
     assert_eq!(w.len(), rows * cols);
@@ -89,9 +92,7 @@ pub fn par_matvec(out: &mut [f32], w: &[f32], x: &[f32], rows: usize, cols: usiz
             rest = tail;
             let range = range.clone();
             s.spawn(move || {
-                for (o, r) in chunk.iter_mut().zip(range) {
-                    *o = crate::ops::dot(&w[r * cols..(r + 1) * cols], x);
-                }
+                crate::ops::matmul_rows_xt(chunk, w, x, range, cols, 1);
             });
         }
     });

@@ -7,41 +7,28 @@
 //! batch column, so the compressed payload — not the f32 expansion — is
 //! what streams from memory per tick.
 //!
-//! Determinism contract: [`qmatvec`] accumulates each output element with a
-//! single f32 accumulator in increasing column order, and the batched
-//! [`qmatmul`] lanes replay exactly that mul-then-add sequence per lane
-//! (independent accumulator chains, never reassociated). A batched result
-//! is therefore **bit-identical** to `batch` independent [`qmatvec`] calls,
+//! Determinism contract: every output element is one f32 accumulator fed
+//! the dequantized weights in increasing column order, mul then add —
+//! [`crate::ops::dot`] over the dequantized row. Rows go through the same
+//! register tile as the f32 kernels ([`crate::ops::tile_accumulate`]: a
+//! tile's groups are dequantized, then applied), which keeps many such
+//! chains in flight without reassociating any. A batched result is
+//! therefore **bit-identical** to `batch` independent [`qmatvec`] calls,
 //! which is what keeps quantized serve reports byte-reproducible across
-//! batch compositions and double runs. [`crate::parallel::par_qmatmul`]
-//! hands disjoint row ranges of these kernels to its workers, preserving
-//! the same per-element order.
+//! batch compositions and double runs. [`crate::parallel::par_qmatvec`]
+//! and [`crate::parallel::par_qmatmul`] hand disjoint row ranges of the
+//! same kernel to their workers, preserving the same per-element order.
 
-use crate::ops::transpose_batch_major;
+use crate::ops::{tile_accumulate, transpose_batch_major, ROW_TILE};
 use crate::quant::{QuantMatrix, GROUP};
 use std::ops::Range;
 
 /// Fused dequant matvec over a row range: `out[r - rows.start] =
-/// Σ_c dequant(w[r, c]) · x[c]`, one f32 accumulator per row in increasing
-/// `c` — the reference accumulation order every batched lane replays.
+/// Σ_c dequant(w[r, c]) · x[c]` — the `batch == 1` case of
+/// [`qmatmul_rows_xt`] (a single activation vector is its own batch-major
+/// transpose).
 pub fn qmatvec_rows(out: &mut [f32], w: &QuantMatrix, rows: Range<usize>, x: &[f32]) {
-    debug_assert_eq!(out.len(), rows.len());
-    debug_assert!(rows.end <= w.rows());
-    debug_assert_eq!(x.len(), w.cols());
-    let cols = w.cols();
-    let mut wg = [0.0f32; GROUP];
-    for (o, r) in out.iter_mut().zip(rows) {
-        let mut acc = 0.0f32;
-        for g in 0..w.groups_per_row() {
-            w.dequant_group_into(r, g, &mut wg);
-            let c0 = g * GROUP;
-            let n = (cols - c0).min(GROUP);
-            for (&wv, &xv) in wg[..n].iter().zip(&x[c0..c0 + n]) {
-                acc += wv * xv;
-            }
-        }
-        *o = acc;
-    }
+    qmatmul_rows_xt(out, w, x, rows, 1);
 }
 
 /// Fused dequant matvec: `out[r] = dequant(w[r, :]) · x`.
@@ -50,42 +37,64 @@ pub fn qmatvec(out: &mut [f32], w: &QuantMatrix, x: &[f32]) {
     qmatvec_rows(out, w, 0..w.rows(), x);
 }
 
-/// One quantized weight row against `L` batch lanes of batch-major
-/// activations. The group is dequantized once into `wg` registers, then
-/// each expanded weight multiplies all `L` lanes — the weight-reuse core.
-/// Per lane this is [`qmatvec_rows`]'s exact accumulation sequence.
-#[inline]
-fn qrow_lanes<const L: usize>(
+/// One `R`-row tile of [`qmatmul_rows_xt`], rows `r0..r0 + R` of `w` into
+/// `out`'s `R × batch` results. Per lane block of 8/4/2/1, each group of
+/// the `R` rows is dequantized once and applied to every lane.
+fn qmatmul_tile<const R: usize>(
+    out: &mut [f32],
     w: &QuantMatrix,
-    r: usize,
+    r0: usize,
     xt: &[f32],
     batch: usize,
-    b0: usize,
-) -> [f32; L] {
-    let cols = w.cols();
-    let mut acc = [0.0f32; L];
-    let mut wg = [0.0f32; GROUP];
-    for g in 0..w.groups_per_row() {
-        w.dequant_group_into(r, g, &mut wg);
-        let c0 = g * GROUP;
-        let n = (cols - c0).min(GROUP);
-        for (i, &wv) in wg[..n].iter().enumerate() {
-            let xc = &xt[(c0 + i) * batch..];
-            let x: &[f32; L] = xc[b0..b0 + L].try_into().expect("lane block in bounds");
-            for l in 0..L {
-                acc[l] += wv * x[l];
+) {
+    fn lanes<const R: usize, const L: usize>(
+        out: &mut [f32],
+        w: &QuantMatrix,
+        r0: usize,
+        xt: &[f32],
+        batch: usize,
+        b0: usize,
+    ) {
+        let cols = w.cols();
+        let mut acc = [[0.0f32; L]; R];
+        let mut wg = [[0.0f32; GROUP]; R];
+        for g in 0..w.groups_per_row() {
+            for (i, block) in wg.iter_mut().enumerate() {
+                w.dequant_group_into(r0 + i, g, block);
             }
+            let c0 = g * GROUP;
+            let n = (cols - c0).min(GROUP);
+            let rows: [&[f32]; R] = std::array::from_fn(|i| &wg[i][..n]);
+            tile_accumulate(&mut acc, rows, &xt[c0 * batch..], batch, b0);
+        }
+        for (out_row, a) in out.chunks_exact_mut(batch).zip(&acc) {
+            out_row[b0..b0 + L].copy_from_slice(a);
         }
     }
-    acc
+    let mut b0 = 0;
+    while b0 + 8 <= batch {
+        lanes::<R, 8>(out, w, r0, xt, batch, b0);
+        b0 += 8;
+    }
+    if b0 + 4 <= batch {
+        lanes::<R, 4>(out, w, r0, xt, batch, b0);
+        b0 += 4;
+    }
+    if b0 + 2 <= batch {
+        lanes::<R, 2>(out, w, r0, xt, batch, b0);
+        b0 += 2;
+    }
+    if b0 < batch {
+        lanes::<R, 1>(out, w, r0, xt, batch, b0);
+    }
 }
 
 /// Batched fused dequant-GEMM inner kernel over pre-transposed
 /// (batch-major) activations: `out[(r - rows.start) * batch + b] =
-/// dequant(w[r, :]) · x_b` for `r` in `rows`. Lanes are processed in
-/// blocks of 8/4/2/1 exactly like [`crate::ops::matmul_rows_xt`], so each
-/// quantized row is streamed (and dequantized) once per row visit and
-/// reused across every batch lane.
+/// dequant(w[r, :]) · x_b` for `r` in `rows`. Rows go in tiles of
+/// [`ROW_TILE`] and lanes in blocks of 8/4/2/1 exactly like
+/// [`crate::ops::matmul_rows_xt`], so each quantized row is streamed once
+/// and reused across every batch lane.
 pub fn qmatmul_rows_xt(
     out: &mut [f32],
     w: &QuantMatrix,
@@ -96,23 +105,19 @@ pub fn qmatmul_rows_xt(
     debug_assert_eq!(out.len(), rows.len() * batch);
     debug_assert!(rows.end <= w.rows());
     debug_assert_eq!(xt.len(), w.cols() * batch);
-    for (out_row, r) in out.chunks_exact_mut(batch).zip(rows) {
-        let mut b0 = 0;
-        while b0 + 8 <= batch {
-            out_row[b0..b0 + 8].copy_from_slice(&qrow_lanes::<8>(w, r, xt, batch, b0));
-            b0 += 8;
-        }
-        if b0 + 4 <= batch {
-            out_row[b0..b0 + 4].copy_from_slice(&qrow_lanes::<4>(w, r, xt, batch, b0));
-            b0 += 4;
-        }
-        if b0 + 2 <= batch {
-            out_row[b0..b0 + 2].copy_from_slice(&qrow_lanes::<2>(w, r, xt, batch, b0));
-            b0 += 2;
-        }
-        if b0 < batch {
-            out_row[b0] = qrow_lanes::<1>(w, r, xt, batch, b0)[0];
-        }
+    let tiled = rows.len() / ROW_TILE * ROW_TILE;
+    let (out_tiles, out_tail) = out.split_at_mut(tiled * batch);
+    for (o, r0) in out_tiles
+        .chunks_exact_mut(ROW_TILE * batch)
+        .zip(rows.clone().step_by(ROW_TILE))
+    {
+        qmatmul_tile::<ROW_TILE>(o, w, r0, xt, batch);
+    }
+    for (o, r) in out_tail
+        .chunks_exact_mut(batch)
+        .zip(rows.start + tiled..rows.end)
+    {
+        qmatmul_tile::<1>(o, w, r, xt, batch);
     }
 }
 
@@ -124,10 +129,6 @@ pub fn qmatmul_rows_xt(
 pub fn qmatmul(out: &mut [f32], w: &QuantMatrix, xs: &[f32], batch: usize) {
     debug_assert_eq!(out.len(), w.rows() * batch);
     debug_assert_eq!(xs.len(), batch * w.cols());
-    if batch == 1 {
-        qmatvec(out, w, xs);
-        return;
-    }
     let xt = transpose_batch_major(xs, w.cols(), batch);
     qmatmul_rows_xt(out, w, &xt, 0..w.rows(), batch);
 }

@@ -154,7 +154,8 @@ impl PoolSlot for CpuSlot {
 }
 
 /// CPU reference backend: one [`Transformer`] (weights + scratch) shared
-/// across all sequences via [`Transformer::forward_with_kv`].
+/// across all sequences via [`Transformer::forward_runs_with_kv`] and its
+/// siblings.
 pub struct CpuBackend {
     model: Transformer,
     arena: Option<PagedKvArena>,
@@ -182,27 +183,6 @@ impl CpuBackend {
     pub fn model(&self) -> &Transformer {
         &self.model
     }
-
-    /// One sequential forward step. Returns a borrow of the model's logits
-    /// scratch — the caller decides when (and whether) to copy, so a
-    /// prefill chunk of N tokens no longer pays N `to_vec` allocations,
-    /// only the single copy of the last token's logits it actually keeps.
-    fn forward<'m>(
-        model: &'m mut Transformer,
-        arena: &mut Option<PagedKvArena>,
-        slot: &mut CpuSlot,
-        tok: u32,
-        pos: usize,
-    ) -> &'m [f32] {
-        match slot {
-            CpuSlot::Flat(kv) => model.forward_with_kv(kv, tok, pos),
-            CpuSlot::Paged(table) => {
-                let arena = arena.as_mut().expect("paged slot without an arena");
-                let mut view = arena.view(table);
-                model.forward_with_kv(&mut view, tok, pos)
-            }
-        }
-    }
 }
 
 impl Backend for CpuBackend {
@@ -219,6 +199,12 @@ impl Backend for CpuBackend {
         }
     }
 
+    /// One chunk as a single run through
+    /// [`Transformer::forward_runs_with_kv`]: every weight matrix is
+    /// streamed once for the whole chunk and only the last row is
+    /// classified (intermediate prompt logits are never observed), which
+    /// is bit-identical to the token-by-token walk (DESIGN.md §14). The
+    /// virtual-tick cost stays one per token.
     fn prefill(
         &mut self,
         slot: &mut Self::Slot,
@@ -226,18 +212,19 @@ impl Backend for CpuBackend {
         start_pos: usize,
     ) -> (Vec<f32>, u64) {
         assert!(!tokens.is_empty(), "empty chunk");
-        let (last, rest) = tokens.split_last().expect("non-empty chunk");
-        for (i, &tok) in rest.iter().enumerate() {
-            // Intermediate logits stay in the model's scratch, uncopied.
-            Self::forward(&mut self.model, &mut self.arena, slot, tok, start_pos + i);
-        }
-        let logits = Self::forward(
-            &mut self.model,
-            &mut self.arena,
-            slot,
-            *last,
-            start_pos + rest.len(),
-        );
+        let (counts, starts) = ([tokens.len()], [start_pos]);
+        let logits = match slot {
+            CpuSlot::Flat(kv) => {
+                self.model
+                    .forward_runs_with_kv([kv].as_mut_slice(), tokens, &counts, &starts)
+            }
+            CpuSlot::Paged(table) => {
+                let arena = self.arena.as_mut().expect("paged slot without an arena");
+                let mut batch = arena.batch_view(vec![table]);
+                self.model
+                    .forward_runs_with_kv(&mut batch, tokens, &counts, &starts)
+            }
+        };
         (logits.to_vec(), tokens.len() as u64)
     }
 

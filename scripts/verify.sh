@@ -80,6 +80,12 @@ echo "== batched-decode GEMM identity gate (release) =="
 # use (debug asserts off): flat + paged slots, serial + parallel kernels,
 # permuted batch order, on both backends.
 cargo test --release -q -p speedllm --test batched_decode_props
+# That gate compares one kernel path with another; this one pins the
+# kernels to the numbers — a single-accumulator loop written in the test,
+# and logits digests captured before the row-tiled kernels. Tier-1 ran it
+# at opt-level 2; the benchmark and the serve runs are release + thin
+# LTO, and the two vectorize differently.
+cargo test --release -q -p speedllm --test kernel_identity
 
 echo "== unified-batch smoke (mixed prefill+decode ticks, byte-identical reports) =="
 # The unified scheduler shares the virtual clock discipline: the same

@@ -1,0 +1,287 @@
+//! Pins the weight-streaming kernels to the numbers, not to each other.
+//!
+//! The repo's identity suites compare one kernel path with another
+//! (batched vs per-column, parallel vs serial), so a change that
+//! reassociates *every* path the same way would pass them all. These tests
+//! compare against things the kernels cannot drag along:
+//!
+//! * a property: every output element of the f32/int8/int4 GEMV/GEMM
+//!   kernels, serial and parallel, over row counts that straddle two row
+//!   tiles and column counts on and off the 8-column and `GROUP`
+//!   boundaries, bitwise equals a plain single-accumulator loop written
+//!   here;
+//! * golden digests: FNV-1a over the logits' bits of the tiny synthetic
+//!   model, captured before the row-tiled kernels existed.
+//!
+//! Runs are reproducible from a fixed seed (override with
+//! `TESTKIT_SEED=<u64>` to replay a failure).
+
+use speedllm_testkit::prelude::*;
+
+use speedllm::llama::config::ModelConfig;
+use speedllm::llama::forward::Transformer;
+use speedllm::llama::kv_cache::KvCache;
+use speedllm::llama::ops::{self, ROW_TILE};
+use speedllm::llama::parallel::{par_matmul, par_matvec, par_qmatmul, par_qmatvec};
+use speedllm::llama::qgemm::{qmatmul, qmatmul_rows_xt, qmatvec};
+use speedllm::llama::quant::{QuantKind, QuantMatrix, QuantMode, GROUP};
+use speedllm::llama::rng::Xoshiro256;
+use speedllm::llama::sampler::argmax;
+use speedllm::llama::weights::TransformerWeights;
+use speedllm::serve::{Backend, CpuBackend};
+
+fn random_vec(n: usize, seed: u64, sigma: f32) -> Vec<f32> {
+    let mut rng = Xoshiro256::seed_from_u64(seed);
+    let mut x = vec![0.0f32; n];
+    rng.fill_normal(&mut x, sigma);
+    x
+}
+
+/// The reference order: one f32 accumulator, increasing column, mul then
+/// add. Deliberately not `ops::dot`, so the oracle shares no code with the
+/// kernels under test.
+fn reference(w: &[f32], xs: &[f32], rows: usize, cols: usize, batch: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; rows * batch];
+    for r in 0..rows {
+        for b in 0..batch {
+            let mut acc = 0.0f32;
+            for c in 0..cols {
+                acc += w[r * cols + c] * xs[b * cols + c];
+            }
+            out[r * batch + b] = acc;
+        }
+    }
+    out
+}
+
+fn bits_equal(got: &[f32], want: &[f32]) -> bool {
+    got.len() == want.len()
+        && got
+            .iter()
+            .zip(want)
+            .all(|(a, b)| a.to_bits() == b.to_bits())
+}
+
+/// Runs `kernel` into a NaN-filled buffer of `len` elements.
+fn run(len: usize, kernel: impl FnOnce(&mut [f32])) -> Vec<f32> {
+    let mut out = vec![f32::NAN; len];
+    kernel(&mut out);
+    out
+}
+
+/// Runs every entry point over one `rows × cols` matrix at `batch` lanes
+/// and returns the name of the first whose output differs from the
+/// reference loop.
+fn first_mismatch(
+    rows: usize,
+    cols: usize,
+    batch: usize,
+    threads: usize,
+    seed: u64,
+) -> Option<String> {
+    let w = random_vec(rows * cols, seed, 0.3);
+    let xs = random_vec(batch * cols, seed ^ 0x51ed, 1.0);
+    let xt = ops::transpose_batch_major(&xs, cols, batch);
+    let n = rows * batch;
+    // A worker's view: the row-range kernel over a strict sub-range.
+    let sub = rows / 3..rows - rows / 4;
+    let sub_out = sub.start * batch..sub.end * batch;
+
+    // (entry point, its output, the reference for that output)
+    let mut cases: Vec<(String, Vec<f32>, Vec<f32>)> = Vec::new();
+
+    let want = reference(&w, &xs, rows, cols, batch);
+    let mut f32_case = |name: &str, got: Vec<f32>| {
+        cases.push((name.to_string(), got, want.clone()));
+    };
+    f32_case(
+        "ops::matmul",
+        run(n, |o| ops::matmul(o, &w, &xs, rows, cols, batch)),
+    );
+    f32_case(
+        "par_matmul",
+        run(n, |o| par_matmul(o, &w, &xs, rows, cols, batch, threads)),
+    );
+    if batch == 1 {
+        f32_case(
+            "ops::matvec",
+            run(n, |o| ops::matvec(o, &w, &xs, rows, cols)),
+        );
+        f32_case(
+            "par_matvec",
+            run(n, |o| par_matvec(o, &w, &xs, rows, cols, threads)),
+        );
+    }
+    cases.push((
+        "ops::matmul_rows_xt".to_string(),
+        run(sub_out.len(), |o| {
+            ops::matmul_rows_xt(o, &w, &xt, sub.clone(), cols, batch)
+        }),
+        want[sub_out.clone()].to_vec(),
+    ));
+
+    for kind in [QuantKind::Int8, QuantKind::Int4] {
+        let qm = QuantMatrix::quantize_with(&w, rows, cols, kind);
+        let want = reference(&qm.dequantize(), &xs, rows, cols, batch);
+        let mut q_case = |name: &str, got: Vec<f32>| {
+            cases.push((format!("{kind:?} {name}"), got, want.clone()));
+        };
+        q_case("qmatmul", run(n, |o| qmatmul(o, &qm, &xs, batch)));
+        q_case(
+            "par_qmatmul",
+            run(n, |o| par_qmatmul(o, &qm, &xs, batch, threads)),
+        );
+        if batch == 1 {
+            q_case("qmatvec", run(n, |o| qmatvec(o, &qm, &xs)));
+            q_case("par_qmatvec", run(n, |o| par_qmatvec(o, &qm, &xs, threads)));
+        }
+        cases.push((
+            format!("{kind:?} qmatmul_rows_xt"),
+            run(sub_out.len(), |o| {
+                qmatmul_rows_xt(o, &qm, &xt, sub.clone(), batch)
+            }),
+            want[sub_out.clone()].to_vec(),
+        ));
+    }
+
+    cases
+        .into_iter()
+        .find(|(_, got, want)| !bits_equal(got, want))
+        .map(|(name, ..)| name)
+}
+
+props! {
+    #![config(cases = 24)]
+
+    fn every_element_replays_the_single_accumulator_order(
+        alignment in 0usize..3,
+        n in 1usize..12,
+        threads in 2usize..5,
+        seed in any_u64(),
+    ) {
+        // Whole groups; whole 8-column blocks; neither.
+        let cols = match alignment {
+            0 => n * GROUP,
+            1 => n * 8,
+            _ => n * 8 + 1 + (seed % 7) as usize,
+        };
+        for rows in 0..=2 * ROW_TILE + 1 {
+            for batch in 1..=11 {
+                let bad = first_mismatch(rows, cols, batch, threads, seed);
+                prop_assert!(
+                    bad.is_none(),
+                    "{} differs at rows {} cols {} batch {}",
+                    bad.unwrap_or_default(), rows, cols, batch
+                );
+            }
+        }
+    }
+}
+
+/// The property's shapes sit below `par_*`'s serial-fallback threshold, so
+/// there its `par_*` calls prove the fallback. These are wide enough that
+/// the scoped workers really run, each on a row range that is not a whole
+/// number of tiles.
+#[test]
+fn parallel_workers_replay_the_single_accumulator_order() {
+    let rows = 2 * ROW_TILE + 1;
+    for cols in [8192, 8192 + GROUP + 5] {
+        for batch in [1, 5] {
+            for threads in [2, 3, 4] {
+                let bad = first_mismatch(rows, cols, batch, threads, 17);
+                assert!(
+                    bad.is_none(),
+                    "{bad:?} differs at cols {cols} batch {batch} threads {threads}"
+                );
+            }
+        }
+    }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+fn fnv1a_logits(mut hash: u64, logits: &[f32]) -> u64 {
+    for v in logits {
+        for byte in v.to_bits().to_le_bytes() {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+        }
+    }
+    hash
+}
+
+const PROMPT: [u32; 9] = [1, 17, 42, 5, 63, 8, 29, 0, 33];
+const DECODE_STEPS: usize = 8;
+
+fn tiny_model(mode: QuantMode) -> Transformer {
+    let weights = TransformerWeights::synthetic(ModelConfig::test_tiny(), 42);
+    let mut model = Transformer::new(weights);
+    model.set_quant_mode(mode);
+    model
+}
+
+/// Digest of the logits after the prompt's last token and after each of
+/// eight greedy decode steps, token by token through `forward_with_kv`.
+fn digest_sequential(mode: QuantMode) -> u64 {
+    let mut model = tiny_model(mode);
+    let mut kv = KvCache::new(&ModelConfig::test_tiny());
+    let mut hash = FNV_OFFSET;
+    let mut next = 0u32;
+    for (pos, &tok) in PROMPT.iter().enumerate() {
+        let logits = model.forward_with_kv(&mut kv, tok, pos);
+        if pos + 1 == PROMPT.len() {
+            hash = fnv1a_logits(hash, logits);
+            next = argmax(logits);
+        }
+    }
+    for step in 0..DECODE_STEPS {
+        let logits = model.forward_with_kv(&mut kv, next, PROMPT.len() + step);
+        hash = fnv1a_logits(hash, logits);
+        next = argmax(logits);
+    }
+    hash
+}
+
+/// The same nine logit vectors through the serve backend's verbs.
+fn digest_backend(mode: QuantMode) -> u64 {
+    let mut backend = CpuBackend::new(tiny_model(mode));
+    let mut slot = backend.new_slot();
+    let (logits, _) = backend.prefill(&mut slot, &PROMPT, 0);
+    let mut hash = fnv1a_logits(FNV_OFFSET, &logits);
+    let mut next = argmax(&logits);
+    for _ in 0..DECODE_STEPS {
+        let (logits, _) = backend.decode(&mut [&mut slot], &[next]);
+        hash = fnv1a_logits(hash, &logits[0]);
+        next = argmax(&logits[0]);
+    }
+    hash
+}
+
+/// Captured on the commit before the row-tiled kernels (PR 11, `79b6f28`),
+/// where `matvec` was a per-row `dot` loop and `prefill` ran token by
+/// token. Any reassociation of any GEMM element changes them.
+#[test]
+fn tiny_model_logits_match_the_pre_tiling_digests() {
+    for (mode, golden) in [
+        (QuantMode::F32, GOLDEN_F32),
+        (QuantMode::Int8, GOLDEN_INT8),
+        (QuantMode::Int4, GOLDEN_INT4),
+    ] {
+        assert_eq!(
+            digest_sequential(mode),
+            golden,
+            "{mode:?}: forward_with_kv logits moved ({:#018x})",
+            digest_sequential(mode)
+        );
+        assert_eq!(
+            digest_backend(mode),
+            golden,
+            "{mode:?}: CpuBackend prefill/decode logits moved ({:#018x})",
+            digest_backend(mode)
+        );
+    }
+}
+
+const GOLDEN_F32: u64 = 0x8dc0_4624_3471_f2d6;
+const GOLDEN_INT8: u64 = 0x9aad_e2b8_3af6_e5f5;
+const GOLDEN_INT4: u64 = 0x4bc9_433e_c1db_6b98;
