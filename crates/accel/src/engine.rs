@@ -1,7 +1,8 @@
 //! The accelerator engine: executes the decode graph on the device model.
 //!
-//! Each [`Engine::decode_step`] does two things in lock-step, kernel by
-//! kernel:
+//! Each device pass ([`Engine::forward_runs`]; [`Engine::decode_step`] and
+//! [`Engine::prefill_chunk`] are its default-sequence shorthands) does two
+//! things in lock-step, kernel by kernel:
 //!
 //! * **Functional execution** — the same scalar kernels as the CPU
 //!   reference run over an SSA value store, so the engine produces real
@@ -32,6 +33,7 @@ use speedllm_fpga_sim::resources::{
 use speedllm_fpga_sim::sfu::{Sfu, SfuKind};
 use speedllm_fpga_sim::stats::SimStats;
 use speedllm_fpga_sim::trace::TraceBuffer;
+use speedllm_llama::forward::LogitRows;
 use speedllm_llama::kv_cache::KvCache;
 use speedllm_llama::ops;
 use speedllm_llama::quant::{QuantKind, QuantMatrix};
@@ -206,7 +208,7 @@ pub enum SeqKv {
 /// Per-sequence functional state: the KV storage and the SSA value store.
 /// One [`Engine`] owns a default sequence (used by [`Engine::decode_step`]);
 /// additional sequences can be created for batched serving via
-/// [`Engine::new_sequence`] + [`Engine::decode_batch`].
+/// [`Engine::new_sequence`] + [`Engine::forward_runs`].
 pub struct SequenceState {
     kv: SeqKv,
     values: Vec<Option<Vec<f32>>>,
@@ -382,8 +384,9 @@ pub struct Engine {
     dma_wr: DmaEngine,
     launches: u64,
     stalls: u64,
-    // Functional state of the default (single-session) sequence.
-    seq: SequenceState,
+    /// Functional state of the default (single-session) sequence; `None`
+    /// only while [`Engine::prefill_chunk`] has it lent to a pass.
+    seq: Option<SequenceState>,
     /// Shared physical KV store for paged sequences; `None` until
     /// [`Engine::enable_paged_kv`]. The default sequence stays flat.
     paged: Option<PagedKvArena>,
@@ -421,7 +424,7 @@ impl Engine {
             tel::metrics::gauge_set("accel.memplan_ocm_values", plan.ocm_values() as f64);
             tel::metrics::gauge_set("accel.memplan_hbm_values", plan.hbm_values() as f64);
         }
-        let seq = SequenceState::new(&weights.config, graph.values.len());
+        let seq = Some(SequenceState::new(&weights.config, graph.values.len()));
         Ok(Self {
             weights,
             opt,
@@ -492,13 +495,16 @@ impl Engine {
 
     /// Clears the default sequence's KV cache.
     pub fn reset(&mut self) {
-        self.seq.reset();
+        self.seq.as_mut().expect("default sequence present").reset();
     }
 
     /// Context length of the default sequence.
     #[must_use]
     pub fn context_len(&self) -> usize {
-        self.seq.context_len()
+        self.seq
+            .as_ref()
+            .expect("default sequence present")
+            .context_len()
     }
 
     /// Creates an empty sequence for batched serving: paged when
@@ -916,18 +922,31 @@ impl Engine {
         }
     }
 
-    /// Runs one decode step for `token` at `pos`.
+    /// Runs one decode step for `token` at `pos` on the default sequence.
     pub fn decode_step(&mut self, token: u32, pos: usize) -> StepResult {
-        self.run_chunk(&[token], pos)
+        self.prefill_chunk(&[token], pos)
     }
 
     /// Processes a chunk of consecutive prompt tokens starting at
-    /// `start_pos` in one device pass (chunked prefill — an extension
-    /// beyond the paper; see DESIGN.md). Weight streams are amortized over
-    /// the chunk, so prefill cost grows sub-linearly in chunk length.
+    /// `start_pos` on the default sequence in one device pass (chunked
+    /// prefill — an extension beyond the paper; see DESIGN.md): the
+    /// single-run [`LogitRows::Last`] call of [`Engine::forward_runs`].
     /// Returns the logits after the **last** token of the chunk.
+    ///
+    /// # Panics
+    /// Panics if `start_pos` is not the default sequence's context length
+    /// (the chunk must extend it contiguously), and wherever
+    /// [`Engine::forward_runs`] does.
     pub fn prefill_chunk(&mut self, tokens: &[u32], start_pos: usize) -> StepResult {
-        self.run_chunk(tokens, start_pos)
+        assert_eq!(
+            self.context_len(),
+            start_pos,
+            "chunk must extend the sequence contiguously"
+        );
+        let mut seq = self.seq.take().expect("default sequence present");
+        let (_, step) = self.forward_runs(&mut [&mut seq], &[tokens], LogitRows::Last);
+        self.seq = Some(seq);
+        step
     }
 
     /// Schedules every kernel for a pass over `positions` (a contiguous
@@ -1102,100 +1121,40 @@ impl Engine {
         }
     }
 
-    /// Decodes one token for each of several **independent sequences** in a
-    /// single device pass (batched serving — an extension beyond the
-    /// paper). Weight streams are shared across the batch exactly as in
-    /// chunked prefill; each sequence attends to its own context. Returns
-    /// one logit vector per sequence, in order.
+    /// **The** device pass: each of several independent sequences
+    /// contributes a *run* of one or more consecutive tokens extending it
+    /// at its current context length. A decode step is a run of length 1,
+    /// a prefill chunk a run of its chunk length, a speculative verify a
+    /// run scored with [`LogitRows::All`]; one tick may mix them (batched
+    /// serving, chunked prefill, Sarathi-style unified batching and
+    /// one-pass verification — extensions beyond the paper, DESIGN.md
+    /// §13/§14/§16).
+    ///
+    /// The functional pass is token-sequential per sequence (causally
+    /// exact: within a run later tokens attend to earlier ones through
+    /// the KV cache, which KvAppend updates in program order), so logits
+    /// are bit-identical however the same tokens are cut into runs and
+    /// ticks. The timing model runs **one** [`Engine::timing_pass`] over
+    /// every row: matrix weights stream from HBM once per pass and are
+    /// applied to every row, which is where chunking, batching and
+    /// verification win — a verify pass over a pending token plus K draft
+    /// rows streams the dense weights once where K+1 decode steps would
+    /// stream them K+1 times.
+    ///
+    /// Returns one entry per sequence, in order — the logits after its
+    /// run's last token, or with [`LogitRows::All`] those of every run
+    /// token, row-major `[runs[i].len() * vocab]` — plus the pass's
+    /// [`StepResult`] (whose `logits` are the final row's).
     ///
     /// # Panics
-    /// Panics on an empty batch, a batch larger than the staging limit
-    /// (64), mismatched lengths, or any sequence at its context limit.
-    pub fn decode_batch(
-        &mut self,
-        seqs: &mut [&mut SequenceState],
-        tokens: &[u32],
-    ) -> (Vec<Vec<f32>>, StepResult) {
-        let c = self.graph.config;
-        assert!(!seqs.is_empty(), "empty batch");
-        assert_eq!(seqs.len(), tokens.len(), "one token per sequence");
-        assert!(
-            seqs.len() <= 64,
-            "batch of {} exceeds the staging limit (64)",
-            seqs.len()
-        );
-        let positions: Vec<usize> = seqs.iter().map(|s| s.context_len()).collect();
-        for (&pos, &tok) in positions.iter().zip(tokens) {
-            assert!(pos < c.seq_len, "sequence at context limit {pos}");
-            assert!((tok as usize) < c.vocab_size, "token {tok} out of vocab");
-        }
-        let before = self.counters_snapshot();
-
-        // Functional pass, sequence by sequence.
-        let mut all_logits = Vec::with_capacity(seqs.len());
-        for (i, seq) in seqs.iter_mut().enumerate() {
-            for v in &mut seq.values {
-                *v = None;
-            }
-            for oi in 0..self.graph.ops.len() {
-                Self::exec_op(
-                    &self.graph,
-                    &self.weights,
-                    &mut self.quant,
-                    &self.cfg,
-                    &self.opt,
-                    seq,
-                    self.paged.as_mut(),
-                    oi,
-                    tokens[i],
-                    positions[i],
-                );
-            }
-            all_logits.push(seq.value(self.graph.output()).to_vec());
-        }
-
-        // Timing pass over the whole batch (weights streamed once).
-        let (cycles, ocm_read, ocm_write) = self.timing_pass(&positions);
-        let stats = self.step_stats(&before, cycles, ocm_read, ocm_write);
-        if tel::enabled() {
-            // Same batched-GEMM accounting as the CPU path (`cpu.gemm_*`):
-            // one device pass streams the dense weights once for the whole
-            // batch, so bytes-per-token falls with the batch width.
-            tel::metrics::counter_add("accel.gemm_weight_bytes", self.gemm_stream_bytes());
-            tel::metrics::counter_add("accel.gemm_tokens", seqs.len() as u64);
-            tel::metrics::gauge_set("accel.gemm_batch_width", seqs.len() as f64);
-        }
-        let logits = all_logits.last().cloned().unwrap_or_default();
-        (
-            all_logits,
-            StepResult {
-                logits,
-                cycles,
-                stats,
-            },
-        )
-    }
-
-    /// One **mixed** device pass over several independent sequences, each
-    /// contributing a *run* of one or more consecutive tokens: a decode
-    /// step is a run of length 1, a prefill chunk a run of its chunk
-    /// length (Sarathi-style unified batching — see DESIGN.md §14).
-    /// Weight streams are shared across every row of every run in the
-    /// timing model, exactly as in [`Engine::decode_batch`]; the
-    /// functional pass stays token-sequential per sequence, so logits are
-    /// bit-identical to running each run through
-    /// [`Engine::prefill_chunk_seq`] / [`Engine::decode_batch`] alone.
-    /// Returns the logits after the **last** token of each run, in order.
-    ///
-    /// # Panics
-    /// Panics on an empty batch, an empty run, total rows above the
-    /// staging limit (64), a run that does not extend its sequence
-    /// contiguously, positions outside the context window, or tokens out
-    /// of vocabulary.
-    pub fn forward_mixed(
+    /// Panics on an empty batch, an empty run, mismatched lengths, total
+    /// rows above the on-chip staging limit (64), positions outside the
+    /// context window, or tokens out of vocabulary.
+    pub fn forward_runs(
         &mut self,
         seqs: &mut [&mut SequenceState],
         runs: &[&[u32]],
+        logit_rows: LogitRows,
     ) -> (Vec<Vec<f32>>, StepResult) {
         let c = self.graph.config;
         assert!(!seqs.is_empty(), "empty batch");
@@ -1203,7 +1162,7 @@ impl Engine {
         let rows: usize = runs.iter().map(|r| r.len()).sum();
         assert!(
             rows <= 64,
-            "mixed batch of {rows} rows exceeds the staging limit (64)"
+            "{rows} rows exceed the on-chip staging limit (64)"
         );
         let mut positions = Vec::with_capacity(rows);
         for (seq, run) in seqs.iter().zip(runs) {
@@ -1222,96 +1181,11 @@ impl Engine {
         }
         let before = self.counters_snapshot();
 
-        // Functional pass, sequence by sequence, token-sequential inside
-        // each run (causally exact through KvAppend program order).
+        // Functional pass, sequence by sequence, token by token.
         let mut all_logits = Vec::with_capacity(seqs.len());
         for (seq, run) in seqs.iter_mut().zip(runs) {
             let start = seq.context_len();
-            all_logits.push(Self::exec_chunk(
-                &self.graph,
-                &self.weights,
-                &mut self.quant,
-                &self.cfg,
-                &self.opt,
-                seq,
-                self.paged.as_mut(),
-                run,
-                start,
-            ));
-        }
-
-        // One timing pass over every row of every run: the device streams
-        // the dense weights once for the whole mixed tick.
-        let (cycles, ocm_read, ocm_write) = self.timing_pass(&positions);
-        let stats = self.step_stats(&before, cycles, ocm_read, ocm_write);
-        if tel::enabled() {
-            tel::metrics::counter_add("accel.gemm_weight_bytes", self.gemm_stream_bytes());
-            tel::metrics::counter_add("accel.gemm_tokens", rows as u64);
-            tel::metrics::gauge_set("accel.gemm_batch_width", rows as f64);
-        }
-        let logits = all_logits.last().cloned().unwrap_or_default();
-        (
-            all_logits,
-            StepResult {
-                logits,
-                cycles,
-                stats,
-            },
-        )
-    }
-
-    /// The speculative **verification** pass: like
-    /// [`Engine::forward_mixed`], one device pass carries every run row,
-    /// but the logits of **every** token are collected — sequence `i`'s
-    /// entry is row-major `[runs[i].len() * vocab]`. One verify pass over
-    /// a pending token plus K draft proposals streams the dense weights
-    /// once where K+1 sequential decode steps would stream them K+1
-    /// times; the single [`Engine::timing_pass`] over all rows is what
-    /// models that ~K× weight-traffic cut per accepted run.
-    ///
-    /// Functionally token-sequential per sequence, so each row's logits
-    /// are bit-identical to decoding that prefix through
-    /// [`Engine::decode_batch`] — the property the speculative
-    /// equivalence suite pins.
-    ///
-    /// # Panics
-    /// Same conditions as [`Engine::forward_mixed`].
-    pub fn verify_batch(
-        &mut self,
-        seqs: &mut [&mut SequenceState],
-        runs: &[&[u32]],
-    ) -> (Vec<Vec<f32>>, StepResult) {
-        let c = self.graph.config;
-        assert!(!seqs.is_empty(), "empty batch");
-        assert_eq!(seqs.len(), runs.len(), "one token run per sequence");
-        let rows: usize = runs.iter().map(|r| r.len()).sum();
-        assert!(
-            rows <= 64,
-            "mixed batch of {rows} rows exceeds the staging limit (64)"
-        );
-        let mut positions = Vec::with_capacity(rows);
-        for (seq, run) in seqs.iter().zip(runs) {
-            assert!(!run.is_empty(), "empty run");
-            let start = seq.context_len();
-            let last = start + run.len() - 1;
-            assert!(
-                last < c.seq_len,
-                "pos {last} outside context window {}",
-                c.seq_len
-            );
-            for &t in *run {
-                assert!((t as usize) < c.vocab_size, "token {t} out of vocab");
-            }
-            positions.extend(start..=last);
-        }
-        let before = self.counters_snapshot();
-
-        // Functional pass: token-sequential per sequence (causally exact
-        // through KvAppend program order), keeping every row's logits.
-        let mut all_logits = Vec::with_capacity(seqs.len());
-        for (seq, run) in seqs.iter_mut().zip(runs) {
-            let start = seq.context_len();
-            let mut seq_logits = Vec::with_capacity(run.len() * c.vocab_size);
+            let mut seq_logits = Vec::new();
             for (i, &tok) in run.iter().enumerate() {
                 for v in &mut seq.values {
                     *v = None;
@@ -1330,16 +1204,19 @@ impl Engine {
                         start + i,
                     );
                 }
-                seq_logits.extend_from_slice(seq.value(self.graph.output()));
+                if logit_rows == LogitRows::All || i + 1 == run.len() {
+                    seq_logits.extend_from_slice(seq.value(self.graph.output()));
+                }
             }
             all_logits.push(seq_logits);
         }
 
-        // One timing pass over every row: the device streams the dense
-        // weights once for the whole verify tick.
         let (cycles, ocm_read, ocm_write) = self.timing_pass(&positions);
         let stats = self.step_stats(&before, cycles, ocm_read, ocm_write);
         if tel::enabled() {
+            // Same accounting as the CPU path (`cpu.gemm_*`): one device
+            // pass streams the dense weights once for all its rows, so
+            // bytes-per-token falls with the rows a pass carries.
             tel::metrics::counter_add("accel.gemm_weight_bytes", self.gemm_stream_bytes());
             tel::metrics::counter_add("accel.gemm_tokens", rows as u64);
             tel::metrics::gauge_set("accel.gemm_batch_width", rows as f64);
@@ -1356,137 +1233,6 @@ impl Engine {
                 stats,
             },
         )
-    }
-
-    /// Validates a chunk against the staging limit, context window, and
-    /// vocabulary; returns the positions the chunk occupies.
-    fn check_chunk(
-        c: &speedllm_llama::config::ModelConfig,
-        tokens: &[u32],
-        start_pos: usize,
-    ) -> Vec<usize> {
-        assert!(!tokens.is_empty(), "empty chunk");
-        assert!(
-            tokens.len() <= 64,
-            "chunk of {} exceeds the on-chip staging limit (64)",
-            tokens.len()
-        );
-        let last_pos = start_pos + tokens.len() - 1;
-        assert!(
-            last_pos < c.seq_len,
-            "pos {last_pos} outside context window {}",
-            c.seq_len
-        );
-        for &t in tokens {
-            assert!((t as usize) < c.vocab_size, "token {t} out of vocab");
-        }
-        (start_pos..=last_pos).collect()
-    }
-
-    /// Functional pass over a chunk: token-sequential, op order (causally
-    /// exact; within a chunk later tokens attend to earlier ones through
-    /// the KV cache, which KvAppend updates in program order). Returns the
-    /// logits after the last token.
-    #[allow(clippy::too_many_arguments)]
-    fn exec_chunk(
-        graph: &Graph,
-        weights: &TransformerWeights,
-        quant: &mut HashMap<WeightRef, QuantMatrix>,
-        cfg: &AccelConfig,
-        opt: &OptConfig,
-        seq: &mut SequenceState,
-        mut arena: Option<&mut PagedKvArena>,
-        tokens: &[u32],
-        start_pos: usize,
-    ) -> Vec<f32> {
-        for (i, &tok) in tokens.iter().enumerate() {
-            for v in &mut seq.values {
-                *v = None;
-            }
-            for oi in 0..graph.ops.len() {
-                Self::exec_op(
-                    graph,
-                    weights,
-                    quant,
-                    cfg,
-                    opt,
-                    seq,
-                    arena.as_deref_mut(),
-                    oi,
-                    tok,
-                    start_pos + i,
-                );
-            }
-        }
-        seq.value(graph.output()).to_vec()
-    }
-
-    /// [`Engine::prefill_chunk`] against an **external** sequence — the
-    /// batched-serving entry point. A scheduler that owns a pool of
-    /// [`SequenceState`]s prefills each newly admitted request through
-    /// here, then interleaves them with [`Engine::decode_batch`]. The
-    /// functional pass is identical to the default-sequence path, so the
-    /// logits (and any tokens sampled from them) match a single-tenant run
-    /// exactly.
-    ///
-    /// # Panics
-    /// Same conditions as [`Engine::prefill_chunk`], plus a sequence whose
-    /// context length does not equal `start_pos` (the chunk must extend the
-    /// sequence contiguously).
-    pub fn prefill_chunk_seq(
-        &mut self,
-        seq: &mut SequenceState,
-        tokens: &[u32],
-        start_pos: usize,
-    ) -> StepResult {
-        assert_eq!(
-            seq.context_len(),
-            start_pos,
-            "chunk must extend the sequence contiguously"
-        );
-        let positions = Self::check_chunk(&self.graph.config, tokens, start_pos);
-        let before = self.counters_snapshot();
-        let logits = Self::exec_chunk(
-            &self.graph,
-            &self.weights,
-            &mut self.quant,
-            &self.cfg,
-            &self.opt,
-            seq,
-            self.paged.as_mut(),
-            tokens,
-            start_pos,
-        );
-        let (cycles, ocm_read, ocm_write) = self.timing_pass(&positions);
-        let stats = self.step_stats(&before, cycles, ocm_read, ocm_write);
-        StepResult {
-            logits,
-            cycles,
-            stats,
-        }
-    }
-
-    fn run_chunk(&mut self, tokens: &[u32], start_pos: usize) -> StepResult {
-        let positions = Self::check_chunk(&self.graph.config, tokens, start_pos);
-        let before = self.counters_snapshot();
-        let logits = Self::exec_chunk(
-            &self.graph,
-            &self.weights,
-            &mut self.quant,
-            &self.cfg,
-            &self.opt,
-            &mut self.seq,
-            self.paged.as_mut(),
-            tokens,
-            start_pos,
-        );
-        let (cycles, ocm_read, ocm_write) = self.timing_pass(&positions);
-        let stats = self.step_stats(&before, cycles, ocm_read, ocm_write);
-        StepResult {
-            logits,
-            cycles,
-            stats,
-        }
     }
 }
 
@@ -1687,7 +1433,9 @@ mod tests {
     #[should_panic(expected = "outside context window")]
     fn pos_overflow_panics() {
         let mut e = engine(OptConfig::full());
-        e.decode_step(0, 1000);
+        let window = e.graph().config.seq_len;
+        e.prefill_chunk(&vec![1; window], 0);
+        e.decode_step(0, window);
     }
 
     #[test]
@@ -1742,7 +1490,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "empty chunk")]
+    #[should_panic(expected = "empty run")]
     fn empty_chunk_panics() {
         let mut e = engine(OptConfig::full());
         e.prefill_chunk(&[], 0);
@@ -1763,8 +1511,18 @@ mod tests {
         }
     }
 
+    /// One decode tick on external sequences.
+    fn decode_tick(
+        e: &mut Engine,
+        seqs: &mut [&mut SequenceState],
+        tokens: &[u32],
+    ) -> (Vec<Vec<f32>>, StepResult) {
+        let runs: Vec<&[u32]> = tokens.iter().map(std::slice::from_ref).collect();
+        e.forward_runs(seqs, &runs, LogitRows::Last)
+    }
+
     #[test]
-    fn decode_batch_matches_independent_sequences() {
+    fn batched_decode_tick_matches_independent_sequences() {
         let weights = Arc::new(TransformerWeights::synthetic(ModelConfig::test_tiny(), 42));
         // Reference: three independent engines decoding different histories.
         let mut refs: Vec<Engine> = (0..3)
@@ -1794,17 +1552,15 @@ mod tests {
                 (&mut s2, histories[2]),
             ];
             for (seq, h) in seqs.iter_mut() {
-                for (pos, &t) in h[..h.len() - 1].iter().enumerate() {
-                    let mut solo = [&mut **seq];
-                    batch_engine.decode_batch(&mut solo, &[t]);
-                    let _ = pos;
+                for &t in &h[..h.len() - 1] {
+                    decode_tick(&mut batch_engine, &mut [&mut **seq], &[t]);
                 }
             }
         }
         // Final tokens together, as one batch.
         let finals = [histories[0][1], histories[1][0], histories[2][2]];
         let mut seqs = [&mut s0, &mut s1, &mut s2];
-        let (logits, step) = batch_engine.decode_batch(&mut seqs, &finals);
+        let (logits, step) = decode_tick(&mut batch_engine, &mut seqs, &finals);
         assert_eq!(logits.len(), 3);
         for (want, got) in expected.iter().zip(&logits) {
             let d = want
@@ -1817,22 +1573,21 @@ mod tests {
     }
 
     #[test]
-    fn decode_batch_amortizes_weight_reads() {
+    fn batched_decode_tick_amortizes_weight_reads() {
         let weights = Arc::new(TransformerWeights::synthetic(ModelConfig::stories260k(), 7));
         let mut e = Engine::new(weights, OptConfig::full()).unwrap();
         // Eight fresh sequences, one decode each — batched.
         let mut seqs: Vec<SequenceState> = (0..8).map(|_| e.new_sequence()).collect();
         let mut refs: Vec<&mut SequenceState> = seqs.iter_mut().collect();
         let tokens = [1u32, 2, 3, 4, 5, 6, 7, 8];
-        let (_, batched) = e.decode_batch(&mut refs, &tokens);
+        let (_, batched) = decode_tick(&mut e, &mut refs, &tokens);
 
         // Same eight decodes, one at a time.
         let mut single_cycles = 0u64;
         let mut single_reads = 0u64;
         for &t in &tokens {
             let mut seq = e.new_sequence();
-            let mut solo = [&mut seq];
-            let (_, r) = e.decode_batch(&mut solo, &[t]);
+            let (_, r) = decode_tick(&mut e, &mut [&mut seq], &[t]);
             single_cycles += r.cycles.0;
             single_reads += r.stats.hbm.read_bytes;
         }
@@ -1896,31 +1651,9 @@ mod tests {
     }
 
     #[test]
-    fn prefill_chunk_seq_matches_default_sequence() {
-        let weights = Arc::new(TransformerWeights::synthetic(ModelConfig::test_tiny(), 42));
-        let tokens: Vec<u32> = vec![3, 9, 14, 27, 5];
-        let mut a = Engine::new(Arc::clone(&weights), OptConfig::full()).unwrap();
-        let ra = a.prefill_chunk(&tokens, 0);
-        let mut b = Engine::new(weights, OptConfig::full()).unwrap();
-        let mut seq = b.new_sequence();
-        let rb = b.prefill_chunk_seq(&mut seq, &tokens, 0);
-        assert_eq!(ra.logits, rb.logits, "external-sequence prefill diverged");
-        assert_eq!(
-            ra.cycles, rb.cycles,
-            "timing model must not care whose KV it is"
-        );
-        assert_eq!(seq.context_len(), tokens.len());
-        // And the engine's own default sequence was not disturbed.
-        assert_eq!(b.context_len(), 0);
-    }
-
-    #[test]
     #[should_panic(expected = "contiguously")]
-    fn prefill_chunk_seq_rejects_position_gap() {
-        let weights = Arc::new(TransformerWeights::synthetic(ModelConfig::test_tiny(), 42));
-        let mut e = Engine::new(weights, OptConfig::full()).unwrap();
-        let mut seq = e.new_sequence();
-        e.prefill_chunk_seq(&mut seq, &[1, 2], 3);
+    fn prefill_chunk_rejects_position_gap() {
+        engine(OptConfig::full()).prefill_chunk(&[1, 2], 3);
     }
 
     #[test]
@@ -1930,14 +1663,16 @@ mod tests {
         let mut e = Engine::new(Arc::clone(&weights), OptConfig::full()).unwrap();
         let mut pool = KvCachePool::new(2, || e.new_sequence());
         let mut slot = pool.acquire().expect("slot free");
-        e.prefill_chunk_seq(slot.state_mut(), &[3, 9], 0);
+        let chunk: &[u32] = &[3, 9];
+        e.forward_runs(&mut [slot.state_mut()], &[chunk], LogitRows::Last);
         assert_eq!(slot.state().slot_len(), 2);
+        assert_eq!(e.context_len(), 0, "default sequence must stay untouched");
         pool.release(slot);
         // Reused slot must behave exactly like a fresh sequence.
         let mut again = pool.acquire().expect("slot free");
         assert_eq!(again.state().slot_len(), 0);
-        let r = e.prefill_chunk_seq(again.state_mut(), &[3, 9], 0);
-        let fresh = e.prefill_chunk_seq(&mut e.new_sequence(), &[3, 9], 0);
+        let (_, r) = e.forward_runs(&mut [again.state_mut()], &[chunk], LogitRows::Last);
+        let (_, fresh) = e.forward_runs(&mut [&mut e.new_sequence()], &[chunk], LogitRows::Last);
         assert_eq!(r.logits, fresh.logits, "recycled slot leaked state");
         pool.release(again);
         assert!(pool.all_free());
@@ -1954,10 +1689,10 @@ mod tests {
         // Flat reference.
         let mut flat = Engine::new(Arc::clone(&weights), OptConfig::full()).unwrap();
         let mut fseq = flat.new_sequence();
-        let mut flat_logits = vec![flat.prefill_chunk_seq(&mut fseq, &prompt, 0).logits];
-        for &t in &decode {
-            let (l, _) = flat.decode_batch(&mut [&mut fseq], &[t]);
-            flat_logits.push(l.into_iter().next().unwrap());
+        let mut flat_logits = Vec::new();
+        for run in std::iter::once(&prompt[..]).chain(decode.chunks(1)) {
+            let (_, r) = flat.forward_runs(&mut [&mut fseq], &[run], LogitRows::Last);
+            flat_logits.push(r.logits);
         }
 
         // Paged twin: same weights, block-table indirection.
@@ -1977,10 +1712,10 @@ mod tests {
                 table.push_block(alloc.alloc().unwrap());
             }
         }
-        let mut paged_logits = vec![paged.prefill_chunk_seq(&mut pseq, &prompt, 0).logits];
-        for &t in &decode {
-            let (l, _) = paged.decode_batch(&mut [&mut pseq], &[t]);
-            paged_logits.push(l.into_iter().next().unwrap());
+        let mut paged_logits = Vec::new();
+        for run in std::iter::once(&prompt[..]).chain(decode.chunks(1)) {
+            let (_, r) = paged.forward_runs(&mut [&mut pseq], &[run], LogitRows::Last);
+            paged_logits.push(r.logits);
         }
         assert_eq!(paged_logits, flat_logits, "block indirection changed math");
         assert_eq!(pseq.context_len(), prompt.len() + decode.len());
@@ -1992,7 +1727,7 @@ mod tests {
         let mut full2: Vec<u32> = prompt[..shared_tokens].to_vec();
         full2.extend(&tail);
         let mut f2 = flat.new_sequence();
-        let flat2 = flat.prefill_chunk_seq(&mut f2, &full2, 0).logits;
+        let (_, flat2) = flat.forward_runs(&mut [&mut f2], &[&full2], LogitRows::Last);
 
         let mut p2 = paged.new_sequence();
         {
@@ -2004,20 +1739,17 @@ mod tests {
             table.set_len(shared_tokens); // prefix-hit credit
         }
         assert_eq!(p2.context_len(), shared_tokens);
-        let paged2 = paged
-            .prefill_chunk_seq(&mut p2, &full2[shared_tokens..], shared_tokens)
-            .logits;
-        assert_eq!(paged2, flat2, "prefix sharing changed math");
+        let (_, paged2) =
+            paged.forward_runs(&mut [&mut p2], &[&full2[shared_tokens..]], LogitRows::Last);
+        assert_eq!(paged2.logits, flat2.logits, "prefix sharing changed math");
     }
 
     #[test]
-    #[should_panic(expected = "one token per sequence")]
-    fn decode_batch_length_mismatch_panics() {
-        let weights = Arc::new(TransformerWeights::synthetic(ModelConfig::test_tiny(), 1));
-        let mut e = Engine::new(weights, OptConfig::full()).unwrap();
+    #[should_panic(expected = "one token run per sequence")]
+    fn run_count_mismatch_panics() {
+        let mut e = engine(OptConfig::full());
         let mut s0 = e.new_sequence();
-        let mut seqs = [&mut s0];
-        e.decode_batch(&mut seqs, &[1, 2]);
+        e.forward_runs(&mut [&mut s0], &[&[1], &[2]], LogitRows::Last);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Speculative-decoding verification on the simulated accelerator: an
-//! [`AccelVerifier`] adapts [`Engine::verify_batch`] to the
+//! [`AccelVerifier`] adapts [`Engine::forward_runs`] (all rows scored) to the
 //! [`VerifyTarget`] trait, so the same `llama::speculative::SpecSession`
 //! that drives the CPU reference drives the device sim — and the
 //! equivalence suite can assert both backends emit the identical stream.
@@ -11,6 +11,7 @@
 //! accepted tokens per cycle into the speculative speedup.
 
 use speedllm_llama::config::ModelConfig;
+use speedllm_llama::forward::LogitRows;
 use speedllm_llama::speculative::VerifyTarget;
 use speedllm_pagedkv::BlockAllocator;
 
@@ -89,8 +90,9 @@ impl VerifyTarget for AccelVerifier<'_> {
 
     fn verify_into(&mut self, tokens: &[u32], start: usize, out: &mut Vec<f32>) {
         debug_assert_eq!(self.seq.context_len(), start, "run must extend context");
-        let mut seqs = [&mut *self.seq];
-        let (mut all, step) = self.engine.verify_batch(&mut seqs, &[tokens]);
+        let (mut all, step) =
+            self.engine
+                .forward_runs(&mut [&mut *self.seq], &[tokens], LogitRows::All);
         self.cycles += step.cycles.0;
         self.passes += 1;
         out.clear();

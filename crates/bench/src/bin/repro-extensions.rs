@@ -12,6 +12,7 @@ use speedllm_accel::opt::OptConfig;
 use speedllm_bench::Table;
 use speedllm_fpga_sim::cycles::{ClockDomain, Cycles};
 use speedllm_fpga_sim::mpe::Precision;
+use speedllm_llama::forward::LogitRows;
 use speedllm_llama::weights::TransformerWeights;
 
 fn main() {
@@ -62,7 +63,8 @@ fn main() {
             let mut seqs: Vec<_> = (0..batch).map(|_| engine.new_sequence()).collect();
             let toks: Vec<u32> = (0..batch as u32).map(|i| i + 1).collect();
             let mut refs: Vec<&mut _> = seqs.iter_mut().collect();
-            let (_, r) = engine.decode_batch(&mut refs, &toks);
+            let runs: Vec<&[u32]> = toks.iter().map(std::slice::from_ref).collect();
+            let (_, r) = engine.forward_runs(&mut refs, &runs, LogitRows::Last);
             let secs = clock.to_seconds(r.cycles);
             table.row(vec![
                 name.into(),

@@ -1,6 +1,11 @@
 //! Reference transformer forward pass (the CPU implementation of
 //! llama2.c's `forward()`), used both as the correctness oracle for the
 //! simulated accelerator and as the CPU baseline in examples.
+//!
+//! There is one layer walk, [`Transformer::forward_runs`]; a decode step,
+//! a batched decode tick, a prefill chunk, a mixed tick and a speculative
+//! verify are run shapes of it (DESIGN.md §13), bit-identical to feeding
+//! the same tokens one one-row call at a time.
 
 use speedllm_telemetry as tel;
 
@@ -10,65 +15,49 @@ use crate::ops;
 use crate::quant::{QuantKind, QuantMatrix, QuantMode, QuantWeights};
 use crate::weights::TransformerWeights;
 
-/// How dense matvecs are executed.
+/// How the dense GEMMs are executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MatVecStrategy {
     /// Single-threaded kernels — bit-deterministic, the correctness oracle.
     Serial,
-    /// Row-partitioned scoped threads ([`crate::parallel::par_matvec`]).
+    /// Row-partitioned scoped threads ([`crate::parallel::par_matmul`]).
     Parallel {
         /// Worker count; clamped to at least 1.
         threads: usize,
     },
 }
 
-/// Scratch buffers reused across forward calls (llama2.c's `RunState`).
-#[derive(Debug, Clone)]
-struct RunState {
-    /// Residual stream, `[dim]`.
-    x: Vec<f32>,
-    /// Normed input / attention output scratch, `[dim]`.
-    xb: Vec<f32>,
-    /// Second `[dim]` scratch (projection results).
-    xb2: Vec<f32>,
-    /// FFN gate activations, `[hidden_dim]`.
-    hb: Vec<f32>,
-    /// FFN up activations, `[hidden_dim]`.
-    hb2: Vec<f32>,
-    /// Query vector, `[dim]`.
-    q: Vec<f32>,
-    /// Key scratch for the current position, `[kv_dim]`.
-    k: Vec<f32>,
-    /// Value scratch for the current position, `[kv_dim]`.
-    v: Vec<f32>,
-    /// Attention scores for one head, `[seq_len]`.
-    att: Vec<f32>,
-    /// Output logits, `[vocab_size]`.
-    logits: Vec<f32>,
+/// Which token rows of a runs call the classifier scores. The caller's
+/// verb decides, never a user: decode, prefill and mixed ticks observe only
+/// each run's last row; speculative verification scores every row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LogitRows {
+    /// Each sequence's **last** run row, sequence-major: sequence `i`'s
+    /// logits are `out[i * vocab..(i + 1) * vocab]`. Intermediate prefill
+    /// rows are never classified, which cannot change an observed value.
+    Last,
+    /// **Every** row, row-major: `out[r * vocab..(r + 1) * vocab]` is the
+    /// distribution after row `r` of `tokens`.
+    All,
 }
 
-impl RunState {
-    fn new(c: &ModelConfig) -> Self {
-        Self {
-            x: vec![0.0; c.dim],
-            xb: vec![0.0; c.dim],
-            xb2: vec![0.0; c.dim],
-            hb: vec![0.0; c.hidden_dim],
-            hb2: vec![0.0; c.hidden_dim],
-            q: vec![0.0; c.dim],
-            k: vec![0.0; c.kv_dim()],
-            v: vec![0.0; c.kv_dim()],
-            att: vec![0.0; c.seq_len],
-            logits: vec![0.0; c.vocab_size],
+impl LogitRows {
+    /// How many of a `count`-row run's rows — its trailing ones — are
+    /// scored.
+    #[must_use]
+    pub fn of_run(self, count: usize) -> usize {
+        match self {
+            Self::Last => 1,
+            Self::All => count,
         }
     }
 }
 
-/// Scratch buffers for the batched pass, token-row-major: row `r` of an
-/// `[rows * width]` buffer is `[r * width..(r + 1) * width]`, the same
-/// per-token layout as [`RunState`], so every per-token kernel (rmsnorm,
-/// RoPE, attention, swiglu) runs on exactly the operands it would see in
-/// the sequential path. A *row* is one token of one sequence: a decode
+/// Scratch buffers of the layer walk (what llama2.c keeps per token, one copy
+/// per token row), token-row-major: row `r` of an `[rows * width]` buffer is
+/// `[r * width..(r + 1) * width]`, so every per-token kernel (rmsnorm,
+/// RoPE, attention, swiglu) runs on the same operands whatever else shares
+/// the pass. A *row* is one token of one sequence: a decode
 /// step contributes one row, a prefill chunk contributes one row per
 /// chunk token, and rows of the same sequence are contiguous and
 /// position-ordered. Only the GEMM staging buffer is row-major in the
@@ -96,8 +85,8 @@ struct BatchState {
     v: Vec<f32>,
     /// Attention scores for one head of one row, `[seq_len]`.
     att: Vec<f32>,
-    /// Output logits, `[capacity * vocab_size]`, sequence-major (one
-    /// vector per *sequence*, for its last row).
+    /// Output logits, `[capacity * vocab_size]`, one vector per scored
+    /// row (see [`LogitRows`]).
     logits: Vec<f32>,
     /// Row-major GEMM staging, `[max(dim, hidden_dim, vocab) * capacity]`.
     gemm: Vec<f32>,
@@ -216,34 +205,6 @@ fn matw<'a>(q: Option<&'a QuantMatrix>, f: &'a [f32]) -> MatW<'a> {
     }
 }
 
-/// Dispatches a dense matvec according to the chosen strategy.
-fn run_matvec(
-    strategy: MatVecStrategy,
-    out: &mut [f32],
-    w: MatW<'_>,
-    x: &[f32],
-    rows: usize,
-    cols: usize,
-) {
-    match w {
-        MatW::F32(w) => match strategy {
-            MatVecStrategy::Serial => ops::matvec(out, w, x, rows, cols),
-            MatVecStrategy::Parallel { threads } => {
-                crate::parallel::par_matvec(out, w, x, rows, cols, threads.max(1));
-            }
-        },
-        MatW::Quant(qm) => {
-            debug_assert_eq!((qm.rows(), qm.cols()), (rows, cols));
-            match strategy {
-                MatVecStrategy::Serial => crate::qgemm::qmatvec(out, qm, x),
-                MatVecStrategy::Parallel { threads } => {
-                    crate::parallel::par_qmatvec(out, qm, x, threads.max(1));
-                }
-            }
-        }
-    }
-}
-
 /// Dispatches a batched dense matmul according to the chosen strategy.
 /// Serial and parallel kernels compute every element with the same
 /// accumulation order (f32 [`ops::dot`], or its fused-dequant twin in
@@ -283,9 +244,8 @@ pub struct Transformer {
     /// Which weight stream the dense projections read; f32 until
     /// [`Transformer::set_quant_mode`] selects a quantized kind.
     store: WeightStore,
-    state: RunState,
-    /// Batched-decode scratch, allocated on first batched call and grown
-    /// to the largest batch width seen since.
+    /// Layer-walk scratch, allocated on the first forward call and grown
+    /// to the largest row count seen since.
     batch: Option<BatchState>,
     kv: KvCache,
     strategy: MatVecStrategy,
@@ -295,12 +255,10 @@ impl Transformer {
     /// Wraps loaded or synthetic weights.
     #[must_use]
     pub fn new(weights: TransformerWeights) -> Self {
-        let state = RunState::new(&weights.config);
         let kv = KvCache::new(&weights.config);
         Self {
             weights,
             store: WeightStore::F32,
-            state,
             batch: None,
             kv,
             strategy: MatVecStrategy::Serial,
@@ -314,10 +272,9 @@ impl Transformer {
 
     /// Selects the weight precision for every dense projection. A
     /// quantized mode builds the compressed [`WeightStore`] once
-    /// (deterministically — same weights, same payload) and all forward
-    /// entry points, sequential and batched alike, then stream it through
-    /// the fused dequant-GEMM kernels. `QuantMode::F32` restores the
-    /// original tensors.
+    /// (deterministically — same weights, same payload) and every forward
+    /// entry point then streams it through the fused dequant-GEMM kernels.
+    /// `QuantMode::F32` restores the original tensors.
     pub fn set_quant_mode(&mut self, mode: QuantMode) {
         if self.store.mode() != mode {
             self.store = WeightStore::for_mode(&self.weights, mode);
@@ -360,102 +317,54 @@ impl Transformer {
         self.kv.reset();
     }
 
-    /// Rolls the internal KV cache back to `len` positions (no-op if it is
-    /// already at or below `len`). Speculative decoding uses this to
-    /// discard a draft model's rejected continuations.
-    pub fn truncate_kv(&mut self, len: usize) {
-        self.kv.truncate(len);
-    }
-
-    /// Runs one decode step: processes `token` at position `pos` and
-    /// returns the logits over the vocabulary.
+    /// Runs one decode step: processes `token` at position `pos` through the
+    /// transformer's own KV cache and returns the logits over the
+    /// vocabulary — the one-row run of [`Transformer::forward_runs`].
     ///
     /// # Panics
     /// Panics if `pos` is outside the model's context window or `token` is
     /// out of vocabulary.
     pub fn forward(&mut self, token: u32, pos: usize) -> &[f32] {
-        Self::forward_into(
+        Self::forward_runs_into(
             &self.weights,
             &self.store,
-            &mut self.state,
-            &mut self.kv,
+            &mut self.batch,
             self.strategy,
-            token,
-            pos,
-        );
-        &self.state.logits
+            [&mut self.kv].as_mut_slice(),
+            &[token],
+            &[1],
+            &[pos],
+            LogitRows::Last,
+        )
     }
 
-    /// Runs one decode step against an **external** KV cache instead of the
-    /// transformer's own — the multi-tenant entry point. A server holds one
-    /// `Transformer` (weights + scratch) and a pool of caches, one per
-    /// in-flight sequence; the internal cache is untouched, so single-tenant
-    /// callers are unaffected.
-    ///
-    /// Bit-identical to [`Transformer::forward`]: both run the same serial
-    /// kernels in the same order, so a sequence decoded through a pooled
-    /// cache reproduces the single-tenant token stream exactly.
+    /// Runs one decode step against an **external** [`KvStore`] instead of
+    /// the transformer's own cache — a pooled contiguous cache, or a paged
+    /// block-table view where the logical position → physical row mapping
+    /// goes through a per-sequence block table. The internal cache is
+    /// untouched. Same one-row run as [`Transformer::forward`], so pooled,
+    /// paged and single-tenant sequences produce bit-identical logits.
     ///
     /// # Panics
     /// Panics if `pos` is outside the context window, `token` is out of
     /// vocabulary, or `kv` was not sized for this model's config.
-    pub fn forward_with_cache(&mut self, kv: &mut KvCache, token: u32, pos: usize) -> &[f32] {
-        self.forward_with_kv(kv, token, pos)
-    }
-
-    /// Like [`Transformer::forward_with_cache`] but over any [`KvStore`]
-    /// implementation — in particular a paged block-table view, where the
-    /// logical position → physical row mapping goes through a per-sequence
-    /// block table instead of assuming contiguity. The kernels and their
-    /// execution order are identical, so paged and contiguous caches
-    /// produce bit-identical logits.
     pub fn forward_with_kv<K: KvStore + ?Sized>(
         &mut self,
         kv: &mut K,
         token: u32,
         pos: usize,
     ) -> &[f32] {
-        assert_eq!(
-            kv.kv_capacity(),
-            self.weights.config.seq_len,
-            "kv cache sized for a different context window"
-        );
-        Self::forward_into(
-            &self.weights,
-            &self.store,
-            &mut self.state,
-            kv,
-            self.strategy,
-            token,
-            pos,
-        );
-        &self.state.logits
+        self.forward_runs([kv].as_mut_slice(), &[token], &[1], &[pos], LogitRows::Last)
     }
 
-    /// Runs one decode step for a whole **batch** of independent sequences
-    /// in a single walk over the layers: `tokens[i]` extends sequence `i`
-    /// (whose context lives at index `i` of `kv`) at `positions[i]`.
-    /// Returns the logits sequence-major — sequence `i`'s vocabulary
-    /// distribution is `out[i * vocab..(i + 1) * vocab]`.
-    ///
-    /// The point is **weight reuse**: every dense projection runs as one
-    /// [`ops::matmul`] over all B activation columns, so each weight
-    /// matrix is streamed from memory once per step instead of once per
-    /// sequence. Decode is bandwidth-bound, which is why serve throughput
-    /// scales with batch width under this entry point (DESIGN.md §13).
-    ///
-    /// **Bit-identical** to calling [`Transformer::forward_with_kv`] once
-    /// per sequence: the batched kernels compute every element with the
-    /// same `dot` over the same operands in the same order, the
-    /// per-sequence kernels (rmsnorm, RoPE, attention, SwiGLU) run on
-    /// sequence-major slices identical to the sequential scratch, and
-    /// sequences share no state, so the layer-interleaved schedule cannot
-    /// change any value.
+    /// Runs one decode step for a whole **batch** of independent sequences:
+    /// `tokens[i]` extends sequence `i` (whose context lives at index `i`
+    /// of `kv`) at `positions[i]`. The `counts = [1; n]` call of
+    /// [`Transformer::forward_runs`]; returns the logits sequence-major.
     ///
     /// # Panics
-    /// Panics on an empty batch, mismatched `tokens`/`positions`/batch
-    /// lengths, a position outside the context window, an out-of-vocab
-    /// token, or a store sized for a different context window.
+    /// Panics on an empty batch or mismatched `tokens`/`positions` lengths,
+    /// and wherever [`Transformer::forward_runs`] does.
     pub fn forward_batch_with_kv<B: KvBatch + ?Sized>(
         &mut self,
         kv: &mut B,
@@ -465,165 +374,77 @@ impl Transformer {
         let n = tokens.len();
         assert!(n >= 1, "empty batch");
         assert_eq!(n, positions.len(), "one position per token");
-        let counts = vec![1usize; n];
-        self.forward_runs_with_kv(kv, tokens, &counts, positions)
+        self.forward_runs(kv, tokens, &vec![1; n], positions, LogitRows::Last)
     }
 
-    /// The **mixed-batch** generalization of
-    /// [`Transformer::forward_batch_with_kv`]: one walk over the layers
-    /// carries a variable number of tokens per sequence, so a single
-    /// weight-streaming GEMM tick can serve N decode tokens *and* M
-    /// prefill-chunk tokens at once (Sarathi-style unified batching,
-    /// DESIGN.md §14).
+    /// **The** forward pass: one walk over the layers carries a variable
+    /// number of tokens per sequence. Sequence `i` contributes the *run*
+    /// of `counts[i]` consecutive tokens starting at `starts[i]` (its rows
+    /// are the corresponding slice of `tokens`, which concatenates all
+    /// runs in sequence order). A decode step is a run of length 1, a
+    /// prefill chunk a run of its chunk length, a speculative verify a run
+    /// scored with [`LogitRows::All`]; a tick may mix them (Sarathi-style
+    /// unified batching, DESIGN.md §14).
     ///
-    /// Sequence `i` contributes the *run* of `counts[i]` consecutive
-    /// tokens starting at `starts[i]` (its rows are the corresponding
-    /// slice of `tokens`, which concatenates all runs in sequence order).
-    /// A decode step is a run of length 1; a prefill chunk is a run of
-    /// its chunk length. Returns the logits of each sequence's **last**
-    /// run token, sequence-major: `out[i * vocab..(i + 1) * vocab]`.
+    /// The point is **weight reuse**: every dense projection is one GEMM
+    /// over all token rows, so each weight matrix is streamed from memory
+    /// once per call instead of once per token. Decode is bandwidth-bound,
+    /// which is why serve throughput scales with the rows a tick carries.
     ///
-    /// **Bit-identical** to prefilling/decoding each run token-by-token
-    /// through [`Transformer::forward_with_kv`]: every dense projection
-    /// computes each element with the same `dot` over the same operands,
-    /// the per-row kernels run on row slices identical to the sequential
-    /// scratch, and attention is causally exact within a run — all K/V
-    /// rows of a layer are stored before any row attends, and a row at
-    /// position `p` reads keys `0..=p` only, which by the run's
-    /// contiguity are exactly the rows the sequential pass would have
-    /// cached. Layer-major chunk order cannot change any value because a
-    /// token's QKV inputs depend on earlier tokens only through attention
-    /// in *previous* layers.
+    /// **Bit-identical** to feeding the same tokens one one-row call at a
+    /// time: every dense projection computes each element with the same
+    /// `dot` over the same operands, the per-row kernels (rmsnorm, RoPE,
+    /// attention, SwiGLU) run on row slices no other row touches, and
+    /// attention is causally exact within a run — all K/V rows of a layer
+    /// are stored before any row attends, and a row at position `p` reads
+    /// keys `0..=p` only, which by the run's contiguity are exactly the
+    /// rows the one-row calls would have cached. Layer-major order cannot
+    /// change any value because a token's QKV inputs depend on earlier
+    /// tokens only through attention in *previous* layers.
     ///
     /// # Panics
     /// Panics on an empty batch, an empty run, mismatched
     /// `tokens`/`counts`/`starts`/batch lengths, a position outside the
     /// context window, an out-of-vocab token, or a store sized for a
     /// different context window.
-    pub fn forward_runs_with_kv<B: KvBatch + ?Sized>(
+    pub fn forward_runs<B: KvBatch + ?Sized>(
         &mut self,
         kv: &mut B,
         tokens: &[u32],
         counts: &[usize],
         starts: &[usize],
+        logit_rows: LogitRows,
     ) -> &[f32] {
-        let c = self.weights.config;
-        let n_seqs = counts.len();
-        let rows = tokens.len();
-        assert!(n_seqs >= 1, "empty batch");
-        assert_eq!(n_seqs, starts.len(), "one start position per sequence");
-        assert_eq!(n_seqs, kv.batch_len(), "one KV store per sequence");
-        assert_eq!(
-            rows,
-            counts.iter().sum::<usize>(),
-            "token rows must match run counts"
-        );
-        for i in 0..n_seqs {
-            assert!(counts[i] >= 1, "empty run for sequence {i}");
-            assert_eq!(
-                kv.kv_capacity(i),
-                c.seq_len,
-                "kv store {i} sized for a different context window"
-            );
-        }
-        if self.batch.as_ref().map_or(true, |b| b.capacity < rows) {
-            self.batch = Some(BatchState::new(&c, rows));
-        }
-        let bs = self.batch.as_mut().expect("batch state just ensured");
         Self::forward_runs_into(
             &self.weights,
             &self.store,
-            bs,
-            kv,
+            &mut self.batch,
             self.strategy,
+            kv,
             tokens,
             counts,
             starts,
-            false,
-        );
-        &bs.logits[..n_seqs * c.vocab_size]
+            logit_rows,
+        )
     }
 
-    /// Like [`Transformer::forward_runs_with_kv`], but returns the logits
-    /// of **every** token row, row-major: `out[r * vocab..(r + 1) * vocab]`
-    /// is the distribution after row `r` of `tokens` (rows ordered as the
-    /// concatenated runs). This is the verification primitive for
-    /// speculative decoding: one weight-streaming pass scores a pending
-    /// token plus K drafted continuations, and each row's logits are
-    /// bit-identical to what [`Transformer::forward_with_kv`] would have
-    /// produced decoding that prefix token-by-token — the classifier is
-    /// the same GEMM kernel over the same normed residuals, just over all
-    /// rows instead of each sequence's last.
-    ///
-    /// # Panics
-    /// Same conditions as [`Transformer::forward_runs_with_kv`].
-    pub fn forward_runs_all_logits_with_kv<B: KvBatch + ?Sized>(
-        &mut self,
-        kv: &mut B,
-        tokens: &[u32],
-        counts: &[usize],
-        starts: &[usize],
-    ) -> &[f32] {
-        let c = self.weights.config;
-        let n_seqs = counts.len();
-        let rows = tokens.len();
-        assert!(n_seqs >= 1, "empty batch");
-        assert_eq!(n_seqs, starts.len(), "one start position per sequence");
-        assert_eq!(n_seqs, kv.batch_len(), "one KV store per sequence");
-        assert_eq!(
-            rows,
-            counts.iter().sum::<usize>(),
-            "token rows must match run counts"
-        );
-        for i in 0..n_seqs {
-            assert!(counts[i] >= 1, "empty run for sequence {i}");
-            assert_eq!(
-                kv.kv_capacity(i),
-                c.seq_len,
-                "kv store {i} sized for a different context window"
-            );
-        }
-        if self.batch.as_ref().map_or(true, |b| b.capacity < rows) {
-            self.batch = Some(BatchState::new(&c, rows));
-        }
-        let bs = self.batch.as_mut().expect("batch state just ensured");
-        Self::forward_runs_into(
-            &self.weights,
-            &self.store,
-            bs,
-            kv,
-            self.strategy,
-            tokens,
-            counts,
-            starts,
-            true,
-        );
-        &bs.logits[..rows * c.vocab_size]
-    }
-
-    /// The mixed-batch forward pass over explicit parts (the batched twin
-    /// of [`Transformer::forward_into`]): same layer walk, but each dense
-    /// projection is one GEMM over every token row of every run, and
-    /// everything per-token runs on that row's slice of the row-major
-    /// scratch. With `all_logits = false` the classifier runs only over
-    /// each sequence's last row — the sequential pass computes (and
-    /// discards) logits for intermediate prefill tokens, so skipping them
-    /// cannot change any value that is ever observed. With
-    /// `all_logits = true` every row is normed and classified, filling
-    /// `bs.logits` row-major `[rows * vocab]` for speculative
-    /// verification.
+    /// [`Transformer::forward_runs`] over explicit parts, so
+    /// [`Transformer::forward`] can lend out its own KV cache beside the
+    /// shared scratch: each dense projection is one GEMM over every token
+    /// row of every run, and everything per-token runs on that row's
+    /// slice of the row-major scratch.
     #[allow(clippy::too_many_arguments)]
-    fn forward_runs_into<B: KvBatch + ?Sized>(
+    fn forward_runs_into<'s, B: KvBatch + ?Sized>(
         weights: &TransformerWeights,
         store: &WeightStore,
-        bs: &mut BatchState,
-        kv: &mut B,
+        scratch: &'s mut Option<BatchState>,
         strategy: MatVecStrategy,
+        kv: &mut B,
         tokens: &[u32],
         counts: &[usize],
         starts: &[usize],
-        all_logits: bool,
-    ) {
+        logit_rows: LogitRows,
+    ) -> &'s [f32] {
         let c = weights.config;
         let rows = tokens.len();
         let n_seqs = counts.len();
@@ -632,6 +453,23 @@ impl Transformer {
         let head_dim = c.head_dim();
         let gqa = c.gqa_group();
         let hid = c.hidden_dim;
+
+        assert!(n_seqs >= 1, "empty batch");
+        assert_eq!(n_seqs, starts.len(), "one start position per sequence");
+        assert_eq!(n_seqs, kv.batch_len(), "one KV store per sequence");
+        assert_eq!(
+            rows,
+            counts.iter().sum::<usize>(),
+            "token rows must match run counts"
+        );
+        for (i, &cnt) in counts.iter().enumerate() {
+            assert!(cnt >= 1, "empty run for sequence {i}");
+            assert_eq!(
+                kv.kv_capacity(i),
+                c.seq_len,
+                "kv store {i} sized for a different context window"
+            );
+        }
 
         // Row maps: which sequence each token row extends, at which
         // position. Rows of one run are contiguous and position-ordered,
@@ -653,11 +491,16 @@ impl Transformer {
             assert!((tok as usize) < c.vocab_size, "token {tok} out of vocab");
         }
 
-        let _fwd = tel::span("cpu", "forward_batch")
+        if scratch.as_ref().is_none_or(|b| b.capacity < rows) {
+            *scratch = Some(BatchState::new(&c, rows));
+        }
+        let bs = scratch.as_mut().expect("scratch just ensured");
+
+        let _fwd = tel::span("cpu", "forward")
             .arg("batch", n_seqs as i64)
             .arg("rows", rows as i64);
         if tel::enabled() {
-            // One mixed tick streams the GEMM weights once for all `rows`
+            // One call streams the GEMM weights once for all `rows`
             // tokens (decode + prefill alike); `gemm_weight_bytes /
             // gemm_tokens` is bytes-per-token. Quantized stores report the
             // compressed stream.
@@ -677,7 +520,7 @@ impl Transformer {
 
             // ---- Attention block ----
             {
-                let _att = tel::span("cpu", "attention_batch").arg("layer", layer as i64);
+                let _att = tel::span("cpu", "attention").arg("layer", layer as i64);
                 for r in 0..rows {
                     ops::rmsnorm(
                         &mut bs.xb[r * dim..(r + 1) * dim],
@@ -686,7 +529,7 @@ impl Transformer {
                     );
                 }
                 {
-                    let _qkv = tel::span("cpu", "qkv_batch").arg("layer", layer as i64);
+                    let _qkv = tel::span("cpu", "qkv").arg("layer", layer as i64);
                     run_matmul(
                         strategy,
                         &mut bs.gemm[..dim * rows],
@@ -732,7 +575,7 @@ impl Transformer {
                 // RoPE + KV store for every row **before** any row
                 // attends: a prefill row at position p then finds all
                 // same-run keys `<= p` already cached, exactly as the
-                // token-sequential pass would have left them.
+                // one-row calls would have left them.
                 for r in 0..rows {
                     let pos = row_pos[r];
                     ops::rope_inplace(
@@ -757,7 +600,7 @@ impl Transformer {
                 }
 
                 {
-                    let _mha = tel::span("cpu", "mha_batch").arg("layer", layer as i64);
+                    let _mha = tel::span("cpu", "mha").arg("layer", layer as i64);
                     for r in 0..rows {
                         let pos = row_pos[r];
                         let b = row_seq[r];
@@ -808,7 +651,7 @@ impl Transformer {
 
             // ---- FFN block (SwiGLU) ----
             {
-                let _ffn = tel::span("cpu", "ffn_batch").arg("layer", layer as i64);
+                let _ffn = tel::span("cpu", "ffn").arg("layer", layer as i64);
                 for r in 0..rows {
                     ops::rmsnorm(
                         &mut bs.xb[r * dim..(r + 1) * dim],
@@ -861,223 +704,41 @@ impl Transformer {
             }
         }
 
-        // Final norm + classifier. In the `all_logits` path (speculative
-        // verification) every row is normed in place and classified in one
-        // GEMM, landing row-major in `logits`; each row's values match the
-        // sequential classifier bit-for-bit because rmsnorm and the GEMM
-        // column for that row see exactly the sequential operands.
-        if all_logits {
-            let _cls = tel::span("cpu", "classifier_batch").arg("batch", rows as i64);
-            for r in 0..rows {
-                ops::rmsnorm_inplace(&mut bs.x[r * dim..(r + 1) * dim], &weights.rms_final);
-            }
-            run_matmul(
-                strategy,
-                &mut bs.gemm[..c.vocab_size * rows],
-                matw(store.classifier(), weights.classifier()),
-                &bs.x[..rows * dim],
-                c.vocab_size,
-                dim,
-                rows,
-            );
-            scatter_to_seq(
-                &mut bs.logits[..rows * c.vocab_size],
-                &bs.gemm[..c.vocab_size * rows],
-                c.vocab_size,
-                rows,
-            );
-            return;
-        }
-
-        // Otherwise classify each sequence's **last** row only
-        // (intermediate prefill logits are never observed). The last rows
-        // are compacted into `xb` so the classifier still runs as one
-        // GEMM streaming the weight matrix once.
-        let _cls = tel::span("cpu", "classifier_batch").arg("batch", n_seqs as i64);
-        let mut last_rows = Vec::with_capacity(n_seqs);
-        let mut running = 0usize;
+        // Final norm + classifier over the scored rows: every row for
+        // speculative verification, otherwise each sequence's last
+        // (intermediate prefill logits are never observed). The scored
+        // rows are compacted into `xb` so the classifier is one GEMM
+        // streaming the weight matrix once; each row's values match a
+        // one-row call bit for bit because rmsnorm and that row's GEMM
+        // column see exactly its operands.
+        let mut scored = Vec::with_capacity(rows);
+        let mut end = 0usize;
         for &cnt in counts {
-            running += cnt;
-            last_rows.push(running - 1);
+            end += cnt;
+            scored.extend(end - logit_rows.of_run(cnt)..end);
         }
-        for &r in &last_rows {
+        let n = scored.len();
+        let _cls = tel::span("cpu", "classifier").arg("batch", n as i64);
+        for (i, &r) in scored.iter().enumerate() {
             ops::rmsnorm_inplace(&mut bs.x[r * dim..(r + 1) * dim], &weights.rms_final);
-        }
-        for (i, &r) in last_rows.iter().enumerate() {
-            let BatchState { x, xb, .. } = bs;
-            xb[i * dim..(i + 1) * dim].copy_from_slice(&x[r * dim..(r + 1) * dim]);
+            bs.xb[i * dim..(i + 1) * dim].copy_from_slice(&bs.x[r * dim..(r + 1) * dim]);
         }
         run_matmul(
             strategy,
-            &mut bs.gemm[..c.vocab_size * n_seqs],
+            &mut bs.gemm[..c.vocab_size * n],
             matw(store.classifier(), weights.classifier()),
-            &bs.xb[..n_seqs * dim],
+            &bs.xb[..n * dim],
             c.vocab_size,
             dim,
-            n_seqs,
+            n,
         );
         scatter_to_seq(
-            &mut bs.logits[..n_seqs * c.vocab_size],
-            &bs.gemm[..c.vocab_size * n_seqs],
+            &mut bs.logits[..n * c.vocab_size],
+            &bs.gemm[..c.vocab_size * n],
             c.vocab_size,
-            n_seqs,
+            n,
         );
-    }
-
-    /// The forward pass over explicit parts, so callers can substitute the
-    /// KV cache while reusing the shared scratch state.
-    fn forward_into<K: KvStore + ?Sized>(
-        weights: &TransformerWeights,
-        store: &WeightStore,
-        state: &mut RunState,
-        kv: &mut K,
-        strategy: MatVecStrategy,
-        token: u32,
-        pos: usize,
-    ) {
-        let c = weights.config;
-        assert!(
-            pos < c.seq_len,
-            "pos {pos} outside context window {}",
-            c.seq_len
-        );
-        assert!(
-            (token as usize) < c.vocab_size,
-            "token {token} out of vocab"
-        );
-        let dim = c.dim;
-        let kv_dim = c.kv_dim();
-        let head_dim = c.head_dim();
-        let gqa = c.gqa_group();
-
-        let _fwd = tel::span("cpu", "forward").arg("pos", pos as i64);
-        if tel::enabled() {
-            // The sequential path streams the GEMM weights once per token —
-            // the baseline the batched counters are compared against.
-            // Quantized stores report the compressed stream.
-            tel::metrics::counter_add("cpu.gemm_weight_bytes", store.gemm_weight_bytes(&c) as u64);
-            tel::metrics::counter_add("cpu.gemm_tokens", 1);
-            tel::metrics::gauge_set("cpu.gemm_batch_width", 1.0);
-        }
-
-        // Token embedding -> residual stream.
-        state
-            .x
-            .copy_from_slice(weights.embedding_row(token as usize));
-
-        for layer in 0..c.n_layers {
-            let st = &mut *state;
-            let lw = &weights.layers[layer];
-            let qlw = store.layer(layer);
-
-            // ---- Attention block ----
-            {
-                let _att = tel::span("cpu", "attention").arg("layer", layer as i64);
-                ops::rmsnorm(&mut st.xb, &st.x, &lw.rms_att);
-                {
-                    let _qkv = tel::span("cpu", "qkv").arg("layer", layer as i64);
-                    run_matvec(
-                        strategy,
-                        &mut st.q,
-                        matw(qlw.map(|q| &q.wq), &lw.wq),
-                        &st.xb,
-                        dim,
-                        dim,
-                    );
-                    run_matvec(
-                        strategy,
-                        &mut st.k,
-                        matw(qlw.map(|q| &q.wk), &lw.wk),
-                        &st.xb,
-                        kv_dim,
-                        dim,
-                    );
-                    run_matvec(
-                        strategy,
-                        &mut st.v,
-                        matw(qlw.map(|q| &q.wv), &lw.wv),
-                        &st.xb,
-                        kv_dim,
-                        dim,
-                    );
-                }
-
-                // Rotary embeddings on q (all heads) and k (kv heads).
-                ops::rope_inplace(&mut st.q, pos, head_dim, ops::ROPE_THETA);
-                ops::rope_inplace(&mut st.k, pos, head_dim, ops::ROPE_THETA);
-                // Cache this position's K/V.
-                kv.store(layer, pos, &st.k, &st.v);
-
-                // Multi-head attention with grouped-query sharing.
-                {
-                    let _mha = tel::span("cpu", "mha").arg("layer", layer as i64);
-                    for h in 0..c.n_heads {
-                        let kv_head = h / gqa;
-                        let q = &st.q[h * head_dim..(h + 1) * head_dim];
-                        let att = &mut st.att[..pos + 1];
-                        ops::attention_scores(att, q, |t| kv.key_head(layer, t, kv_head), pos);
-                        ops::softmax(att);
-                        let out = &mut st.xb[h * head_dim..(h + 1) * head_dim];
-                        ops::attention_mix(out, att, |t| kv.value_head(layer, t, kv_head), pos);
-                    }
-                }
-
-                // Output projection + residual.
-                run_matvec(
-                    strategy,
-                    &mut st.xb2,
-                    matw(qlw.map(|q| &q.wo), &lw.wo),
-                    &st.xb,
-                    dim,
-                    dim,
-                );
-                ops::add_inplace(&mut st.x, &st.xb2);
-            }
-
-            // ---- FFN block (SwiGLU) ----
-            {
-                let _ffn = tel::span("cpu", "ffn").arg("layer", layer as i64);
-                ops::rmsnorm(&mut st.xb, &st.x, &lw.rms_ffn);
-                run_matvec(
-                    strategy,
-                    &mut st.hb,
-                    matw(qlw.map(|q| &q.w1), &lw.w1),
-                    &st.xb,
-                    c.hidden_dim,
-                    dim,
-                );
-                run_matvec(
-                    strategy,
-                    &mut st.hb2,
-                    matw(qlw.map(|q| &q.w3), &lw.w3),
-                    &st.xb,
-                    c.hidden_dim,
-                    dim,
-                );
-                ops::swiglu(&mut st.hb, &st.hb2);
-                run_matvec(
-                    strategy,
-                    &mut st.xb2,
-                    matw(qlw.map(|q| &q.w2), &lw.w2),
-                    &st.hb,
-                    dim,
-                    c.hidden_dim,
-                );
-                ops::add_inplace(&mut st.x, &st.xb2);
-            }
-        }
-
-        // Final norm + classifier.
-        let _cls = tel::span("cpu", "classifier").arg("pos", pos as i64);
-        ops::rmsnorm_inplace(&mut state.x, &weights.rms_final);
-        run_matvec(
-            strategy,
-            &mut state.logits,
-            matw(store.classifier(), weights.classifier()),
-            &state.x,
-            c.vocab_size,
-            dim,
-        );
+        &bs.logits[..n * c.vocab_size]
     }
 }
 
@@ -1085,6 +746,10 @@ impl Transformer {
 mod tests {
     use super::*;
     use crate::weights::TransformerWeights;
+
+    // The identity tests here compare run shapes of the one walk — an
+    // N-row call against N one-row calls ("sequential") through an
+    // `oracle` model — not one implementation against another.
 
     fn model() -> Transformer {
         Transformer::new(TransformerWeights::synthetic(ModelConfig::test_tiny(), 42))
@@ -1318,7 +983,13 @@ mod tests {
 
                 let mut refs: Vec<&mut KvCache> = kvs_m.iter_mut().collect();
                 let got = mixed
-                    .forward_runs_with_kv(refs.as_mut_slice(), &tokens, &counts, &starts)
+                    .forward_runs(
+                        refs.as_mut_slice(),
+                        &tokens,
+                        &counts,
+                        &starts,
+                        LogitRows::Last,
+                    )
                     .to_vec();
 
                 // Oracle: feed each sequence's run token-by-token; only the
@@ -1391,7 +1062,13 @@ mod tests {
 
                 let mut refs: Vec<&mut KvCache> = kvs_m.iter_mut().collect();
                 let got = mixed
-                    .forward_runs_all_logits_with_kv(refs.as_mut_slice(), &tokens, &counts, &starts)
+                    .forward_runs(
+                        refs.as_mut_slice(),
+                        &tokens,
+                        &counts,
+                        &starts,
+                        LogitRows::All,
+                    )
                     .to_vec();
                 assert_eq!(got.len(), tokens.len() * cfg.vocab_size);
 
@@ -1422,7 +1099,7 @@ mod tests {
         let mut t = model();
         let mut kv = KvCache::new(&cfg);
         let mut refs = [&mut kv];
-        t.forward_runs_with_kv(refs.as_mut_slice(), &[1, 2, 3], &[2], &[0]);
+        t.forward_runs(refs.as_mut_slice(), &[1, 2, 3], &[2], &[0], LogitRows::Last);
     }
 
     #[test]

@@ -1,24 +1,11 @@
-//! CPU parallelism utilities.
-//!
-//! Two tools live here:
-//!
-//! * [`par_matvec`] — a row-partitioned parallel matrix–vector product built
-//!   on `std::thread::scope`. This is the kernel behind the *parallel CPU
-//!   reference* baseline used by the examples; it is data-race free by
-//!   construction (each worker owns a disjoint `&mut` chunk of the output).
-//! * [`ThreadPool`] — a small long-lived worker pool (an in-repo MPMC
-//!   channel from [`crate::sync`] + a completion counter) for `'static`
-//!   jobs, used by the benchmark harness to evaluate independent
-//!   accelerator variants concurrently.
-//!
-//! Both deliberately avoid work-stealing sophistication: the workloads are
-//! regular, so static partitioning is within a few percent of optimal and
-//! much easier to reason about. Everything here is `std`-only.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-
-use crate::sync::{unbounded, Sender};
+//! CPU parallelism utilities: row-partitioned parallel GEMV/GEMM kernels
+//! ([`par_matvec`], [`par_matmul`] and their fused-dequant twins) built on
+//! `std::thread::scope`, behind `MatVecStrategy::Parallel`. They are
+//! data-race free by construction (each worker owns a disjoint `&mut`
+//! chunk of the output) and deliberately avoid work-stealing: the
+//! workloads are regular, so static partitioning is within a few percent
+//! of optimal and much easier to reason about. Everything here is
+//! `std`-only.
 
 /// Minimum number of multiply-accumulates per worker before parallelism
 /// pays for thread wake-up; below this, [`par_matvec`] runs serially.
@@ -205,114 +192,9 @@ pub fn par_qmatmul(
     });
 }
 
-/// A fixed-size worker pool for `'static` jobs.
-///
-/// Jobs are closures sent over an unbounded channel; [`ThreadPool::join`]
-/// blocks until every submitted job has finished (not merely been picked
-/// up). Dropping the pool joins the workers after draining the queue.
-pub struct ThreadPool {
-    sender: Option<Sender<Job>>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-    pending: Arc<PendingCount>,
-}
-
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-struct PendingCount {
-    count: AtomicUsize,
-    lock: Mutex<()>,
-    cv: Condvar,
-}
-
-impl PendingCount {
-    fn incr(&self) {
-        self.count.fetch_add(1, Ordering::SeqCst);
-    }
-    fn decr(&self) {
-        if self.count.fetch_sub(1, Ordering::SeqCst) == 1 {
-            let _guard = self.lock.lock().unwrap_or_else(|e| e.into_inner());
-            self.cv.notify_all();
-        }
-    }
-    fn wait_zero(&self) {
-        let mut guard = self.lock.lock().unwrap_or_else(|e| e.into_inner());
-        while self.count.load(Ordering::SeqCst) != 0 {
-            guard = self.cv.wait(guard).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-}
-
-impl ThreadPool {
-    /// Spawns `threads` workers (at least one).
-    #[must_use]
-    pub fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
-        let (sender, receiver) = unbounded::<Job>();
-        let pending = Arc::new(PendingCount {
-            count: AtomicUsize::new(0),
-            lock: Mutex::new(()),
-            cv: Condvar::new(),
-        });
-        let mut handles = Vec::with_capacity(threads);
-        for i in 0..threads {
-            let rx = receiver.clone();
-            let pending = Arc::clone(&pending);
-            let handle = std::thread::Builder::new()
-                .name(format!("speedllm-worker-{i}"))
-                .spawn(move || {
-                    // Channel disconnect (all senders dropped) ends the loop.
-                    while let Ok(job) = rx.recv() {
-                        job();
-                        pending.decr();
-                    }
-                })
-                .expect("failed to spawn worker thread");
-            handles.push(handle);
-        }
-        Self {
-            sender: Some(sender),
-            handles,
-            pending,
-        }
-    }
-
-    /// Number of worker threads.
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.handles.len()
-    }
-
-    /// Submits a job for execution.
-    pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
-        self.pending.incr();
-        self.sender
-            .as_ref()
-            .expect("pool already shut down")
-            .send(Box::new(job))
-            .expect("workers disconnected");
-    }
-
-    /// Blocks until all submitted jobs have completed.
-    pub fn join(&self) {
-        self.pending.wait_zero();
-    }
-}
-
-impl Drop for ThreadPool {
-    fn drop(&mut self) {
-        self.join();
-        // Dropping the sender disconnects the channel so workers exit.
-        drop(self.sender.take());
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn split_ranges_covers_exactly() {
@@ -402,67 +284,6 @@ mod tests {
                 None => std::env::remove_var(THREADS_ENV),
             }
         }
-    }
-
-    #[test]
-    fn pool_runs_all_jobs() {
-        let pool = ThreadPool::new(4);
-        let counter = Arc::new(AtomicU64::new(0));
-        for _ in 0..100 {
-            let c = Arc::clone(&counter);
-            pool.execute(move || {
-                c.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        pool.join();
-        assert_eq!(counter.load(Ordering::SeqCst), 100);
-    }
-
-    #[test]
-    fn pool_join_is_reentrant() {
-        let pool = ThreadPool::new(2);
-        pool.join(); // nothing submitted
-        let counter = Arc::new(AtomicU64::new(0));
-        let c = Arc::clone(&counter);
-        pool.execute(move || {
-            c.fetch_add(7, Ordering::SeqCst);
-        });
-        pool.join();
-        pool.join();
-        assert_eq!(counter.load(Ordering::SeqCst), 7);
-    }
-
-    #[test]
-    fn pool_drop_waits_for_jobs() {
-        let counter = Arc::new(AtomicU64::new(0));
-        {
-            let pool = ThreadPool::new(3);
-            for _ in 0..20 {
-                let c = Arc::clone(&counter);
-                pool.execute(move || {
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                    c.fetch_add(1, Ordering::SeqCst);
-                });
-            }
-        } // drop here must block until all 20 ran
-        assert_eq!(counter.load(Ordering::SeqCst), 20);
-    }
-
-    #[test]
-    fn pool_jobs_can_run_concurrently() {
-        // With 4 workers, 4 sleeping jobs should overlap: total wall time
-        // well under 4x the per-job sleep.
-        let pool = ThreadPool::new(4);
-        let start = std::time::Instant::now();
-        for _ in 0..4 {
-            pool.execute(|| std::thread::sleep(std::time::Duration::from_millis(50)));
-        }
-        pool.join();
-        assert!(
-            start.elapsed() < std::time::Duration::from_millis(190),
-            "jobs did not overlap: {:?}",
-            start.elapsed()
-        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Speculative decoding with exact equivalence: a cheap draft model
 //! proposes K tokens greedily, the target scores the pending token plus
 //! all K proposals in **one** weight-streaming verify pass
-//! ([`Transformer::forward_runs_all_logits_with_kv`]), and the session
+//! ([`Transformer::forward_runs`] with [`LogitRows::All`]), and the session
 //! accepts the longest prefix on which the request sampler agrees —
 //! rolling back draft and target KV state for everything past the accept
 //! point.
@@ -15,16 +15,16 @@
 //! **Why the output is bit-identical to [`crate::generate::generate`]:**
 //! the request sampler is invoked exactly once per emitted token, in
 //! emission order, on logits that are bit-identical to what the
-//! sequential pass would have produced for the same prefix (the mixed
-//! batched forward computes every dense element with the same `dot` over
-//! the same operands — see `forward_runs_with_kv`). Draft proposals only
+//! one-row calls would have produced for the same prefix (a multi-row run
+//! computes every dense element with the same `dot` over the same
+//! operands — see `forward_runs`). Draft proposals only
 //! decide *which* logits rows get precomputed; they never influence a
 //! sampled value. This holds for seeded temperature/top-p/top-k samplers
 //! and repetition penalties too, because the sampler's RNG and recency
 //! window advance through the identical call sequence. See DESIGN.md §16.
 
 use crate::config::ModelConfig;
-use crate::forward::Transformer;
+use crate::forward::{LogitRows, Transformer};
 use crate::generate::GenerateOptions;
 use crate::kv_cache::KvStore;
 use crate::sampler::{self, Sampler};
@@ -78,12 +78,12 @@ impl<K: KvStore + ?Sized> VerifyTarget for CpuVerifier<'_, K> {
     }
 
     fn verify_into(&mut self, tokens: &[u32], start: usize, out: &mut Vec<f32>) {
-        let mut refs = [&mut *self.kv];
-        let logits = self.model.forward_runs_all_logits_with_kv(
-            refs.as_mut_slice(),
+        let logits = self.model.forward_runs(
+            [&mut *self.kv].as_mut_slice(),
             tokens,
             &[tokens.len()],
             &[start],
+            LogitRows::All,
         );
         out.clear();
         out.extend_from_slice(logits);

@@ -3,10 +3,7 @@
 //!
 //! A backend owns the model and scratch state; per-sequence context lives
 //! in the backend's slot type, which the scheduler checks in and out of a
-//! [`speedllm_llama::kv_cache::KvCachePool`]. Both implementations run the
-//! exact same per-sequence math as their single-tenant entry points
-//! (`llama::generate` / `accel::runtime::Session`), which is what the
-//! batched-vs-sequential equivalence suite asserts.
+//! [`speedllm_llama::kv_cache::KvCachePool`].
 //!
 //! A backend can serve KV context in one of two shapes:
 //!
@@ -22,24 +19,32 @@
 //! Costs are reported in **virtual ticks** so serve-bench reports are
 //! bit-reproducible across machines:
 //!
-//! * [`CpuBackend`] charges one tick per token forward. Its decode step
-//!   runs the batched weight-reuse GEMM path (one layer walk, one weight
-//!   stream per matrix for the whole batch — DESIGN.md §13), but the tick
-//!   cost stays `n` for a batch of `n` so reports from older seeds remain
-//!   byte-identical; the batching economy is a *wall-clock* effect.
+//! * [`CpuBackend`] charges one tick per token row, whatever the verb and
+//!   however many rows share the pass — the weight-reuse economy of a wide
+//!   pass is a *wall-clock* effect (and shows in the `cpu.gemm_*`
+//!   telemetry), so reports from older seeds stay byte-identical.
 //! * [`AccelBackend`] charges the simulated device cycles of the pass, so
-//!   weight-stream amortization across a batch (the whole point of
+//!   weight-stream amortization across its rows (the whole point of
 //!   continuous batching on the accelerator) shows up in the report.
 
 use speedllm_accel::engine::{Engine, SequenceState};
 use speedllm_llama::config::ModelConfig;
-use speedllm_llama::forward::Transformer;
+use speedllm_llama::forward::{LogitRows, Transformer};
 use speedllm_llama::kv_cache::{KvCache, PoolSlot};
 use speedllm_pagedkv::{BlockConfig, BlockId, BlockTable, PagedKvArena};
 
 /// Inference substrate for the serving scheduler: per-sequence state is
 /// externalized into `Slot` so one backend serves many interleaved
 /// sequences.
+///
+/// The four forward verbs are run shapes of one pass (DESIGN.md §13):
+/// every slot is extended at its current context length by a run of one
+/// or more consecutive tokens, all runs share a single weight-streaming
+/// pass, and the logits are bit-identical however the same tokens are cut
+/// into runs and ticks — down to the single-tenant one-token-at-a-time
+/// entry points (`llama::generate` / `accel::runtime::Session`), which is
+/// what the equivalence suites assert. Each returns the virtual-tick cost
+/// of its pass.
 pub trait Backend {
     /// Per-sequence context (KV cache and friends), poolable.
     type Slot: PoolSlot;
@@ -50,9 +55,8 @@ pub trait Backend {
     /// Creates an empty slot sized for this model.
     fn new_slot(&self) -> Self::Slot;
 
-    /// Runs one prefill chunk (1..=64 tokens) that contiguously extends
-    /// `slot` starting at `start_pos`. Returns the logits after the last
-    /// chunk token and the virtual-tick cost of the pass.
+    /// One prefill chunk (1..=64 tokens) extending `slot`, whose context
+    /// length must be `start_pos`. Returns the logits after its last token.
     fn prefill(
         &mut self,
         slot: &mut Self::Slot,
@@ -60,31 +64,23 @@ pub trait Backend {
         start_pos: usize,
     ) -> (Vec<f32>, u64);
 
-    /// Runs one batched decode step: `tokens[i]` extends `slots[i]` at its
-    /// current context length. Returns one logit vector per slot, in
-    /// order, plus the virtual-tick cost of the whole pass.
+    /// One decode tick: `tokens[i]` extends `slots[i]`. Returns one logit
+    /// vector per slot, in order.
     fn decode(&mut self, slots: &mut [&mut Self::Slot], tokens: &[u32]) -> (Vec<Vec<f32>>, u64);
 
-    /// Runs one **mixed** tick: `runs[i]` (one or more consecutive tokens
-    /// — a decode step or a prefill chunk) extends `slots[i]` at its
-    /// current context length, all in a single weight-streaming pass
-    /// (Sarathi-style unified batching, DESIGN.md §14). Returns the
-    /// logits after the last token of each run, in order, plus the
-    /// virtual-tick cost of the whole pass. Must be bit-identical to
-    /// running each run alone through [`Backend::prefill`] /
-    /// [`Backend::decode`].
+    /// One **mixed** tick (Sarathi-style unified batching, DESIGN.md §14):
+    /// `runs[i]` — a decode step or a prefill chunk — extends `slots[i]`.
+    /// Returns the logits after the last token of each run, in order.
     fn forward_mixed(
         &mut self,
         slots: &mut [&mut Self::Slot],
         runs: &[&[u32]],
     ) -> (Vec<Vec<f32>>, u64);
 
-    /// Runs one speculative **verify** tick: like
-    /// [`Backend::forward_mixed`], every run shares a single
-    /// weight-streaming pass, but the logits of **every** token row are
-    /// returned — entry `i` is row-major `[runs[i].len() * vocab]`. The
-    /// speculative decode phase scores each sequence's pending token plus
-    /// its K draft proposals in one of these ticks.
+    /// One speculative **verify** tick: a mixed tick that returns the
+    /// logits of **every** token row — entry `i` is row-major
+    /// `[runs[i].len() * vocab]`, a sequence's pending token plus its K
+    /// draft proposals scored at once.
     fn verify(&mut self, slots: &mut [&mut Self::Slot], runs: &[&[u32]]) -> (Vec<Vec<f32>>, u64);
 
     /// Rolls `slot` back to `len` context positions, discarding rejected
@@ -154,8 +150,7 @@ impl PoolSlot for CpuSlot {
 }
 
 /// CPU reference backend: one [`Transformer`] (weights + scratch) shared
-/// across all sequences via [`Transformer::forward_runs_with_kv`] and its
-/// siblings.
+/// across all sequences via [`Transformer::forward_runs`].
 pub struct CpuBackend {
     model: Transformer,
     arena: Option<PagedKvArena>,
@@ -178,10 +173,51 @@ impl CpuBackend {
         }
     }
 
-    /// The underlying model.
-    #[must_use]
-    pub fn model(&self) -> &Transformer {
-        &self.model
+    /// Every verb's body: one [`Transformer::forward_runs`] call over all
+    /// the runs. Returns one entry per slot — the [`LogitRows`] it asked
+    /// for, row-major — and one tick per token row.
+    fn run(
+        &mut self,
+        slots: &mut [&mut CpuSlot],
+        runs: &[&[u32]],
+        logit_rows: LogitRows,
+    ) -> (Vec<Vec<f32>>, u64) {
+        let starts: Vec<usize> = slots.iter().map(|s| s.slot_len()).collect();
+        let counts: Vec<usize> = runs.iter().map(|r| r.len()).collect();
+        let tokens = runs.concat();
+        let vocab = self.model.config().vocab_size;
+        let logits: &[f32] = match &mut self.arena {
+            None => {
+                let mut kvs: Vec<&mut KvCache> = slots
+                    .iter_mut()
+                    .map(|s| match &mut **s {
+                        CpuSlot::Flat(kv) => kv,
+                        CpuSlot::Paged(_) => panic!("paged slot in a flat backend"),
+                    })
+                    .collect();
+                self.model
+                    .forward_runs(kvs.as_mut_slice(), &tokens, &counts, &starts, logit_rows)
+            }
+            Some(arena) => {
+                let tables = slots
+                    .iter_mut()
+                    .map(|s| Self::slot_table_mut(s).expect("flat slot in a paged backend"))
+                    .collect();
+                let mut batch = arena.batch_view(tables);
+                self.model
+                    .forward_runs(&mut batch, &tokens, &counts, &starts, logit_rows)
+            }
+        };
+        let mut rest = logits;
+        let out = counts
+            .iter()
+            .map(|&cnt| {
+                let (scored, tail) = rest.split_at(logit_rows.of_run(cnt) * vocab);
+                rest = tail;
+                scored.to_vec()
+            })
+            .collect();
+        (out, tokens.len() as u64)
     }
 }
 
@@ -199,176 +235,36 @@ impl Backend for CpuBackend {
         }
     }
 
-    /// One chunk as a single run through
-    /// [`Transformer::forward_runs_with_kv`]: every weight matrix is
-    /// streamed once for the whole chunk and only the last row is
-    /// classified (intermediate prompt logits are never observed), which
-    /// is bit-identical to the token-by-token walk (DESIGN.md §14). The
-    /// virtual-tick cost stays one per token.
     fn prefill(
         &mut self,
         slot: &mut Self::Slot,
         tokens: &[u32],
         start_pos: usize,
     ) -> (Vec<f32>, u64) {
-        assert!(!tokens.is_empty(), "empty chunk");
-        let (counts, starts) = ([tokens.len()], [start_pos]);
-        let logits = match slot {
-            CpuSlot::Flat(kv) => {
-                self.model
-                    .forward_runs_with_kv([kv].as_mut_slice(), tokens, &counts, &starts)
-            }
-            CpuSlot::Paged(table) => {
-                let arena = self.arena.as_mut().expect("paged slot without an arena");
-                let mut batch = arena.batch_view(vec![table]);
-                self.model
-                    .forward_runs_with_kv(&mut batch, tokens, &counts, &starts)
-            }
-        };
-        (logits.to_vec(), tokens.len() as u64)
+        assert_eq!(
+            slot.slot_len(),
+            start_pos,
+            "chunk must extend the sequence contiguously"
+        );
+        let (mut logits, cost) = self.run(&mut [slot], &[tokens], LogitRows::Last);
+        (logits.pop().expect("one run in, one logits row out"), cost)
     }
 
-    /// One batched decode step through
-    /// [`Transformer::forward_batch_with_kv`]: the layers are walked once
-    /// and every weight matrix is streamed once for the whole batch
-    /// (bit-identical to the per-sequence loop — see DESIGN.md §13). The
-    /// virtual-tick cost stays `slots.len()` — the serve clock charges
-    /// per-token work so reports remain byte-reproducible; the weight-reuse
-    /// win shows up in wall-clock throughput (`ablation_batched_gemm`) and
-    /// in the `cpu.gemm_*` telemetry counters.
     fn decode(&mut self, slots: &mut [&mut Self::Slot], tokens: &[u32]) -> (Vec<Vec<f32>>, u64) {
-        assert_eq!(slots.len(), tokens.len(), "one token per sequence");
-        assert!(!slots.is_empty(), "empty batch");
-        let positions: Vec<usize> = slots.iter().map(|s| s.slot_len()).collect();
-        let vocab = self.model.config().vocab_size;
-        let logits: &[f32] = match &mut self.arena {
-            None => {
-                let mut kvs: Vec<&mut KvCache> = slots
-                    .iter_mut()
-                    .map(|s| match &mut **s {
-                        CpuSlot::Flat(kv) => kv,
-                        CpuSlot::Paged(_) => panic!("paged slot in a flat backend"),
-                    })
-                    .collect();
-                self.model
-                    .forward_batch_with_kv(kvs.as_mut_slice(), tokens, &positions)
-            }
-            Some(arena) => {
-                let tables: Vec<&mut BlockTable> = slots
-                    .iter_mut()
-                    .map(|s| match &mut **s {
-                        CpuSlot::Paged(table) => table,
-                        CpuSlot::Flat(_) => panic!("flat slot in a paged backend"),
-                    })
-                    .collect();
-                let mut batch = arena.batch_view(tables);
-                self.model
-                    .forward_batch_with_kv(&mut batch, tokens, &positions)
-            }
-        };
-        let out = (0..slots.len())
-            .map(|b| logits[b * vocab..(b + 1) * vocab].to_vec())
-            .collect();
-        (out, slots.len() as u64)
+        let runs: Vec<&[u32]> = tokens.iter().map(std::slice::from_ref).collect();
+        self.run(slots, &runs, LogitRows::Last)
     }
 
-    /// One mixed tick through [`Transformer::forward_runs_with_kv`]: every
-    /// decode row and prefill-chunk row of the tick shares the same layer
-    /// walk and weight streams. The virtual-tick cost is the total number
-    /// of token rows carried — per-token, like `prefill` and `decode`, so
-    /// the clock charges work actually done rather than a tick per phase.
     fn forward_mixed(
         &mut self,
         slots: &mut [&mut Self::Slot],
         runs: &[&[u32]],
     ) -> (Vec<Vec<f32>>, u64) {
-        assert_eq!(slots.len(), runs.len(), "one token run per sequence");
-        assert!(!slots.is_empty(), "empty batch");
-        let starts: Vec<usize> = slots.iter().map(|s| s.slot_len()).collect();
-        let counts: Vec<usize> = runs.iter().map(|r| r.len()).collect();
-        let tokens: Vec<u32> = runs.iter().flat_map(|r| r.iter().copied()).collect();
-        let rows = tokens.len() as u64;
-        let vocab = self.model.config().vocab_size;
-        let logits: &[f32] = match &mut self.arena {
-            None => {
-                let mut kvs: Vec<&mut KvCache> = slots
-                    .iter_mut()
-                    .map(|s| match &mut **s {
-                        CpuSlot::Flat(kv) => kv,
-                        CpuSlot::Paged(_) => panic!("paged slot in a flat backend"),
-                    })
-                    .collect();
-                self.model
-                    .forward_runs_with_kv(kvs.as_mut_slice(), &tokens, &counts, &starts)
-            }
-            Some(arena) => {
-                let tables: Vec<&mut BlockTable> = slots
-                    .iter_mut()
-                    .map(|s| match &mut **s {
-                        CpuSlot::Paged(table) => table,
-                        CpuSlot::Flat(_) => panic!("flat slot in a paged backend"),
-                    })
-                    .collect();
-                let mut batch = arena.batch_view(tables);
-                self.model
-                    .forward_runs_with_kv(&mut batch, &tokens, &counts, &starts)
-            }
-        };
-        let out = (0..slots.len())
-            .map(|b| logits[b * vocab..(b + 1) * vocab].to_vec())
-            .collect();
-        (out, rows)
+        self.run(slots, runs, LogitRows::Last)
     }
 
-    /// One verify tick through
-    /// [`Transformer::forward_runs_all_logits_with_kv`]: the same single
-    /// weight-streaming pass as `forward_mixed`, but every row's logits
-    /// come back (row-major per run) for the accept loop to score. Cost
-    /// stays per-token-row, like every other CPU tick.
     fn verify(&mut self, slots: &mut [&mut Self::Slot], runs: &[&[u32]]) -> (Vec<Vec<f32>>, u64) {
-        assert_eq!(slots.len(), runs.len(), "one token run per sequence");
-        assert!(!slots.is_empty(), "empty batch");
-        let starts: Vec<usize> = slots.iter().map(|s| s.slot_len()).collect();
-        let counts: Vec<usize> = runs.iter().map(|r| r.len()).collect();
-        let tokens: Vec<u32> = runs.iter().flat_map(|r| r.iter().copied()).collect();
-        let rows = tokens.len() as u64;
-        let vocab = self.model.config().vocab_size;
-        let logits: &[f32] = match &mut self.arena {
-            None => {
-                let mut kvs: Vec<&mut KvCache> = slots
-                    .iter_mut()
-                    .map(|s| match &mut **s {
-                        CpuSlot::Flat(kv) => kv,
-                        CpuSlot::Paged(_) => panic!("paged slot in a flat backend"),
-                    })
-                    .collect();
-                self.model.forward_runs_all_logits_with_kv(
-                    kvs.as_mut_slice(),
-                    &tokens,
-                    &counts,
-                    &starts,
-                )
-            }
-            Some(arena) => {
-                let tables: Vec<&mut BlockTable> = slots
-                    .iter_mut()
-                    .map(|s| match &mut **s {
-                        CpuSlot::Paged(table) => table,
-                        CpuSlot::Flat(_) => panic!("flat slot in a paged backend"),
-                    })
-                    .collect();
-                let mut batch = arena.batch_view(tables);
-                self.model
-                    .forward_runs_all_logits_with_kv(&mut batch, &tokens, &counts, &starts)
-            }
-        };
-        let mut out = Vec::with_capacity(runs.len());
-        let mut row = 0usize;
-        for &cnt in &counts {
-            out.push(logits[row * vocab..(row + cnt) * vocab].to_vec());
-            row += cnt;
-        }
-        (out, rows)
+        self.run(slots, runs, LogitRows::All)
     }
 
     fn truncate_slot(slot: &mut Self::Slot, len: usize) -> Vec<BlockId> {
@@ -406,9 +302,10 @@ impl Backend for CpuBackend {
 }
 
 /// Accelerator-simulation backend: one [`Engine`] shared across sequences
-/// via [`Engine::prefill_chunk_seq`] and [`Engine::decode_batch`]. Costs
-/// are the simulated device cycles, so batching amortizes weight streams
-/// exactly as the device would.
+/// via [`Engine::forward_runs`]. Costs are the simulated device cycles of
+/// the pass, so batching amortizes weight streams exactly as the device
+/// would — a verify tick's ~K× weight-traffic cut per accepted run shows
+/// up directly in the report's tick totals.
 pub struct AccelBackend {
     engine: Engine,
 }
@@ -426,12 +323,6 @@ impl AccelBackend {
     pub fn new_paged(mut engine: Engine, blocks: BlockConfig) -> Self {
         engine.enable_paged_kv(blocks);
         Self { engine }
-    }
-
-    /// The underlying engine.
-    #[must_use]
-    pub fn engine(&self) -> &Engine {
-        &self.engine
     }
 }
 
@@ -452,12 +343,20 @@ impl Backend for AccelBackend {
         tokens: &[u32],
         start_pos: usize,
     ) -> (Vec<f32>, u64) {
-        let step = self.engine.prefill_chunk_seq(slot, tokens, start_pos);
+        assert_eq!(
+            slot.context_len(),
+            start_pos,
+            "chunk must extend the sequence contiguously"
+        );
+        let (_, step) = self
+            .engine
+            .forward_runs(&mut [slot], &[tokens], LogitRows::Last);
         (step.logits, step.cycles.0)
     }
 
     fn decode(&mut self, slots: &mut [&mut Self::Slot], tokens: &[u32]) -> (Vec<Vec<f32>>, u64) {
-        let (logits, step) = self.engine.decode_batch(slots, tokens);
+        let runs: Vec<&[u32]> = tokens.iter().map(std::slice::from_ref).collect();
+        let (logits, step) = self.engine.forward_runs(slots, &runs, LogitRows::Last);
         (logits, step.cycles.0)
     }
 
@@ -466,16 +365,12 @@ impl Backend for AccelBackend {
         slots: &mut [&mut Self::Slot],
         runs: &[&[u32]],
     ) -> (Vec<Vec<f32>>, u64) {
-        let (logits, step) = self.engine.forward_mixed(slots, runs);
+        let (logits, step) = self.engine.forward_runs(slots, runs, LogitRows::Last);
         (logits, step.cycles.0)
     }
 
-    /// One verify tick through [`Engine::verify_batch`]: the cost is the
-    /// simulated cycles of the single mixed device pass, so the ~K×
-    /// weight-traffic cut per accepted run shows up directly in the
-    /// report's tick totals.
     fn verify(&mut self, slots: &mut [&mut Self::Slot], runs: &[&[u32]]) -> (Vec<Vec<f32>>, u64) {
-        let (logits, step) = self.engine.verify_batch(slots, runs);
+        let (logits, step) = self.engine.forward_runs(slots, runs, LogitRows::All);
         (logits, step.cycles.0)
     }
 

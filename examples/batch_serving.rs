@@ -6,6 +6,7 @@
 
 use speedllm::accel::engine::Engine;
 use speedllm::accel::report::Table;
+use speedllm::llama::forward::LogitRows;
 use speedllm::prelude::*;
 
 fn main() {
@@ -35,17 +36,16 @@ fn main() {
             let mut seqs: Vec<_> = (0..batch).map(|_| engine.new_sequence()).collect();
             // Warm each sequence with a couple of context tokens.
             for (i, seq) in seqs.iter_mut().enumerate() {
-                for t in 0..2u32 {
-                    let mut solo = [&mut *seq];
-                    engine.decode_batch(&mut solo, &[(i as u32 + t) % 100 + 1]);
-                }
+                let warm: &[u32] = &[i as u32 % 100 + 1, (i as u32 + 1) % 100 + 1];
+                engine.forward_runs(&mut [seq], &[warm], LogitRows::Last);
             }
             let mut cycles = 0u64;
             let mut read = 0u64;
             for step in 0..decode_steps {
                 let tokens: Vec<u32> = (0..batch).map(|i| ((i + step) % 200) as u32 + 1).collect();
                 let mut refs: Vec<&mut _> = seqs.iter_mut().collect();
-                let (_, r) = engine.decode_batch(&mut refs, &tokens);
+                let runs: Vec<&[u32]> = tokens.iter().map(std::slice::from_ref).collect();
+                let (_, r) = engine.forward_runs(&mut refs, &runs, LogitRows::Last);
                 cycles += r.cycles.0;
                 read += r.stats.hbm.read_bytes;
             }

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full verification gate: tier-1 (build + tests) plus a bench smoke pass.
+# Full verification gate: tier-1 (build + tests), a bench smoke pass, the
+# benchmark package, and the serve/cluster/quant smokes.
 #
 # Everything here runs offline — the workspace has no registry
 # dependencies, so a clean checkout verifies with no network at all.
@@ -32,6 +33,19 @@ fi
 # run there — default libtest harnesses elsewhere would reject --smoke.
 echo "== bench smoke (tiny configs, 3 samples per bench) =="
 cargo bench -p speedllm-bench -- --smoke
+
+echo "== benchmark package (its own workspace: compile against crates/*, self-test, smoke) =="
+# Nothing above compiles `benchmark/` (it has its own [workspace]), so a
+# public-API edit in crates/* could break the repo's benchmark silently.
+cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
+bench_smoke="$(benchmark/run.sh --smoke)"
+if grep -Eq '"correct": false|"failed": [1-9]' <<<"$bench_smoke" ||
+    [[ "$(grep -c '"correct": true' <<<"$bench_smoke")" -lt 5 ]]; then
+    echo "benchmark/run.sh --smoke: a workload failed requests or its correctness check:" >&2
+    grep '"correct"' <<<"$bench_smoke" >&2 || true
+    exit 1
+fi
+echo "benchmark package OK: tests green, five smoke workloads correct with 0 failed"
 
 echo "== serve smoke (continuous batching, byte-identical reports) =="
 # The serve layer keeps all timing in virtual ticks, so the same seed must

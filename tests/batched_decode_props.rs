@@ -1,11 +1,12 @@
 //! Property suite for the batched-decode GEMM path (DESIGN.md §13): for
 //! random batch sizes, batch compositions (per-sequence context lengths
 //! and per-step member permutations), flat and paged KV slots, and both
-//! backends, one batched decode step must be **bit-identical** — exact
-//! `assert_eq`, no tolerance — to the sequential per-sequence loop. The
-//! batched kernels compute every element with the same `dot` over the
-//! same operands as `matvec`, so any reassociation or cross-sequence
-//! leakage shows up here immediately.
+//! backends, one N-row decode tick must be **bit-identical** — exact
+//! `assert_eq`, no tolerance — to N one-row calls. Both sides are run
+//! shapes of the one layer walk, so this is not copy A against copy B: it
+//! says a row's values do not depend on what shares its pass. Every
+//! element is the same `dot` over the same operands at any width, so any
+//! reassociation or cross-sequence leakage shows up here immediately.
 
 use speedllm_testkit::prelude::*;
 

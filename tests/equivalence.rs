@@ -4,12 +4,13 @@
 
 use std::sync::Arc;
 
-use speedllm::accel::engine::Engine;
+use speedllm::accel::engine::{Engine, SequenceState, StepResult};
 use speedllm::accel::opt::OptConfig;
 use speedllm::llama::config::ModelConfig;
-use speedllm::llama::forward::Transformer;
+use speedllm::llama::forward::{LogitRows, Transformer};
 use speedllm::llama::tensor::Tensor;
 use speedllm::llama::weights::TransformerWeights;
+use speedllm::pagedkv::{BlockAllocator, BlockConfig};
 
 fn max_diff(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len());
@@ -117,3 +118,100 @@ fn engine_logits_depend_on_history() {
     let lb = b.decode_step(5, 1).logits;
     assert!(max_diff(&la, &lb) > 1e-6, "KV cache must affect logits");
 }
+
+/// FNV-1a over every step of a fixed script — each step's logits bits,
+/// then its cycles, HBM read bytes, kernel launches and allocation stalls.
+#[derive(Clone, Copy)]
+struct ScriptDigest(u64);
+
+impl ScriptDigest {
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn step(&mut self, logits: &[Vec<f32>], step: &StepResult) {
+        for v in logits.iter().flatten() {
+            self.word(u64::from(v.to_bits()));
+        }
+        self.word(step.cycles.0);
+        self.word(step.stats.hbm.read_bytes);
+        self.word(step.stats.kernel_launches);
+        self.word(step.stats.alloc_stalls);
+    }
+}
+
+/// The script: a 5-token prefill chunk and three decode steps on the
+/// default sequence, then on three external sequences (paged when
+/// `paged`) a 3-wide decode tick, a mixed tick of a decode row beside a
+/// 3-row chunk, and a 4-row verify.
+fn script_digest(opt: OptConfig, paged: bool) -> u64 {
+    let weights = Arc::new(TransformerWeights::synthetic(ModelConfig::test_tiny(), 42));
+    let mut e = Engine::new(weights, opt).unwrap();
+    let bc = BlockConfig {
+        block_size: 4,
+        n_blocks: 6,
+    };
+    let mut alloc = BlockAllocator::new(bc);
+    if paged {
+        e.enable_paged_kv(bc);
+    }
+    let mut seqs: Vec<SequenceState> = (0..3).map(|_| e.new_sequence()).collect();
+    for table in seqs.iter_mut().filter_map(SequenceState::block_table_mut) {
+        table.push_block(alloc.alloc().unwrap());
+        table.push_block(alloc.alloc().unwrap());
+    }
+    let [s0, s1, s2] = &mut seqs[..] else {
+        unreachable!()
+    };
+
+    let mut d = ScriptDigest(0xcbf2_9ce4_8422_2325);
+    let r = e.prefill_chunk(&[3, 9, 14, 27, 5], 0);
+    d.step(std::slice::from_ref(&r.logits), &r);
+    for (i, tok) in [8u32, 12, 19].into_iter().enumerate() {
+        let r = e.decode_step(tok, 5 + i);
+        d.step(std::slice::from_ref(&r.logits), &r);
+    }
+    let (logits, r) = e.forward_runs(
+        &mut [&mut *s0, &mut *s1, &mut *s2],
+        &[&[1], &[2], &[3]],
+        LogitRows::Last,
+    );
+    d.step(&logits, &r);
+    let (logits, r) = e.forward_runs(
+        &mut [&mut *s0, &mut *s1],
+        &[&[7], &[3, 9, 14]],
+        LogitRows::Last,
+    );
+    d.step(&logits, &r);
+    let (logits, r) = e.forward_runs(&mut [&mut *s2], &[&[5, 6, 7, 8]], LogitRows::All);
+    d.step(&logits, &r);
+    d.0
+}
+
+/// Captured on PR 12 (`88c7abe`) through the per-verb bodies the engine
+/// then had (chunk, batched decode, mixed tick, verify), the commit before
+/// they became run shapes of one `Engine::forward_runs`. Values and device
+/// counters of every pass must not move; KV paging is functional only, so
+/// flat and paged sequences share a digest.
+#[test]
+fn engine_script_matches_the_per_verb_digests() {
+    for (opt, golden) in [
+        (OptConfig::full(), SCRIPT_FULL),
+        (OptConfig::unoptimized(), SCRIPT_UNOPTIMIZED),
+    ] {
+        for paged in [false, true] {
+            let got = script_digest(opt, paged);
+            assert_eq!(
+                got,
+                golden,
+                "{} paged={paged}: script moved ({got:#018x})",
+                opt.short_name()
+            );
+        }
+    }
+}
+
+const SCRIPT_FULL: u64 = 0xbae7_c853_3276_fd75;
+const SCRIPT_UNOPTIMIZED: u64 = 0xb1e3_0c6b_bbcd_1ce0;

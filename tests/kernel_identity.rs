@@ -19,7 +19,7 @@
 use speedllm_testkit::prelude::*;
 
 use speedllm::llama::config::ModelConfig;
-use speedllm::llama::forward::Transformer;
+use speedllm::llama::forward::{MatVecStrategy, Transformer};
 use speedllm::llama::kv_cache::KvCache;
 use speedllm::llama::ops::{self, ROW_TILE};
 use speedllm::llama::parallel::{par_matmul, par_matvec, par_qmatmul, par_qmatvec};
@@ -285,3 +285,57 @@ fn tiny_model_logits_match_the_pre_tiling_digests() {
 const GOLDEN_F32: u64 = 0x8dc0_4624_3471_f2d6;
 const GOLDEN_INT8: u64 = 0x9aad_e2b8_3af6_e5f5;
 const GOLDEN_INT4: u64 = 0x4bc9_433e_c1db_6b98;
+
+/// Digest of all 32 logit vectors of a greedy walk from token 1 to the
+/// context limit (positions `0..=31`, GQA 4/2), one token per call
+/// through `Transformer::forward` and the model's own KV cache.
+fn digest_full_context(cfg: ModelConfig, mode: QuantMode, strategy: MatVecStrategy) -> u64 {
+    let mut model = Transformer::new(TransformerWeights::synthetic(cfg, 42));
+    model.set_quant_mode(mode);
+    model.set_strategy(strategy);
+    let mut hash = FNV_OFFSET;
+    let mut next = 1u32;
+    for pos in 0..cfg.seq_len {
+        let logits = model.forward(next, pos);
+        hash = fnv1a_logits(hash, logits);
+        next = argmax(logits);
+    }
+    hash
+}
+
+/// Captured on PR 12 (`88c7abe`) from the token-at-a-time layer walk that
+/// commit still had beside the runs walk, the commit before the two were
+/// folded into one. A one-row run must keep reproducing the walk that no
+/// longer exists, serial and parallel, with a tied and an untied
+/// classifier.
+#[test]
+fn one_row_runs_match_the_sequential_walk_digests() {
+    let tiny = ModelConfig::test_tiny();
+    let untied = ModelConfig {
+        shared_classifier: false,
+        ..tiny
+    };
+    for (cfg, mode, golden) in [
+        (tiny, QuantMode::F32, WALK_F32),
+        (tiny, QuantMode::Int8, WALK_INT8),
+        (tiny, QuantMode::Int4, WALK_INT4),
+        (untied, QuantMode::F32, WALK_UNTIED_F32),
+    ] {
+        for strategy in [
+            MatVecStrategy::Serial,
+            MatVecStrategy::Parallel { threads: 2 },
+        ] {
+            let got = digest_full_context(cfg, mode, strategy);
+            assert_eq!(
+                got, golden,
+                "{mode:?} {strategy:?} untied={}: logits moved ({got:#018x})",
+                !cfg.shared_classifier
+            );
+        }
+    }
+}
+
+const WALK_F32: u64 = 0xb7e3_ddbd_1c0e_445d;
+const WALK_INT8: u64 = 0x426c_4bae_0699_b7da;
+const WALK_INT4: u64 = 0x4383_59c8_214b_162b;
+const WALK_UNTIED_F32: u64 = 0x2dcc_c179_4d2f_d340;

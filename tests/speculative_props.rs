@@ -3,7 +3,9 @@
 //! accelerator verifiers, serial and parallel matvec strategies, and both
 //! greedy and seeded stochastic samplers, the emitted stream must be
 //! **bit-identical** — exact `assert_eq`, no tolerance — to plain
-//! sequential decoding with the same sampler seed. Rollback is checked
+//! token-by-token decoding with the same sampler seed: a `1 + j`-row run
+//! with every row scored against `1 + j` one-row calls of the same layer
+//! walk. Rollback is checked
 //! against a from-scratch oracle (no stale draft rows survive in the kept
 //! KV context) and, for paged storage, against free-list conservation.
 //!
@@ -209,8 +211,8 @@ props! {
         prop_assert!(dkv.len() <= cfg.seq_len);
     }
 
-    /// Accelerator verifier (one mixed verify pass per round through
-    /// `Engine::verify_batch`), flat and paged sequences: same stream as
+    /// Accelerator verifier (one all-rows `Engine::forward_runs` pass per
+    /// round), flat and paged sequences: same stream as
     /// the sequential CPU reference, and paged rollback keeps the free
     /// list conserved while releasing blocks through CoW refcounting.
     fn accel_speculative_matches_sequential_decode(

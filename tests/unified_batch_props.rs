@@ -3,7 +3,10 @@
 //! flat and paged KV, serial and parallel kernels, and both backends,
 //! the unified engine must emit **bit-identical** token streams — exact
 //! `assert_eq`, no tolerance — to the phase-serialized engine, which PR 5
-//! already pinned to the single-tenant oracle. On the CPU backend the
+//! already pinned to the single-tenant decoder. Both schedulers drive the
+//! one layer walk; what differs is how the same tokens are cut into runs
+//! and ticks (decode rows beside prefill chunks vs one phase at a time),
+//! and that cut must never show in a token. On the CPU backend the
 //! virtual clock must also agree exactly, because a tick costs the token
 //! rows it actually carries and both schedulers forward the same rows.
 //!

@@ -11,8 +11,9 @@ use speedllm::accel::engine::Engine;
 use speedllm::accel::opt::OptConfig;
 use speedllm::llama::config::ModelConfig;
 use speedllm::llama::forward::Transformer;
+use speedllm::llama::sampler::SamplerKind;
 use speedllm::llama::weights::TransformerWeights;
-use speedllm::serve::{AccelBackend, Backend, CpuBackend};
+use speedllm::serve::{AccelBackend, Backend, CpuBackend, Request, ServeConfig, ServeEngine};
 use speedllm::telemetry as tel;
 
 fn weights() -> TransformerWeights {
@@ -85,4 +86,33 @@ fn mixed_tick_gemm_width_exceeds_decode_count_on_both_backends() {
     assert_eq!(width, 4.0, "device tick carries all 4 rows at once");
     assert_eq!(counter(&snap, "accel.gemm_tokens"), 4);
     assert!(counter(&snap, "accel.gemm_weight_bytes") > 0);
+
+    // Legacy (phase-serialized) accel serve run: prefill passes stream the
+    // dense weights too, so every row the run forwards is counted — each
+    // prompt token once, and every generated token but a request's last
+    // (whose logits nobody samples).
+    let engine = Engine::new(Arc::new(weights()), OptConfig::full()).unwrap();
+    let mut serve = ServeEngine::new(AccelBackend::new(engine), ServeConfig::default());
+    let prompts: [&[u32]; 3] = [&[1, 5, 9, 2], &[7], &[3, 3, 8, 1, 6, 4]];
+    let max_new_tokens = 5;
+    tel::set_enabled(true);
+    tel::reset();
+    for (id, prompt) in prompts.iter().enumerate() {
+        let req = Request {
+            id: id as u64,
+            prompt: prompt.to_vec(),
+            max_new_tokens,
+            stop_at_eos: false,
+            sampler: SamplerKind::Argmax,
+            seed: id as u64,
+            arrival: 0,
+        };
+        serve.submit(req).expect("queue has room");
+    }
+    while !serve.is_idle() {
+        serve.step();
+    }
+    let snap = tel::metrics::snapshot();
+    let rows: usize = prompts.iter().map(|p| p.len() + max_new_tokens - 1).sum();
+    assert_eq!(counter(&snap, "accel.gemm_tokens"), rows as u64);
 }
