@@ -18,13 +18,9 @@ impl<B: Backend> ServeEngine<B> {
     fn rows_needed(&self, i: usize) -> (usize, usize) {
         let a = &self.active[i];
         let hist = a.hist_len();
-        // First position this tick writes. A token parked by a verify
-        // round is already in `generated`, so its row is `hist - 1`.
-        let n = if a.pending.is_some() && self.spec.is_some() {
-            hist - 1
-        } else {
-            hist
-        };
+        // First position this tick writes. A parked token is already in
+        // `generated`, so its row is `hist - 1`.
+        let n = hist - usize::from(a.pending.is_some());
         if a.is_cold() || n + 1 >= a.end_pos {
             return (0, 0);
         }
@@ -195,7 +191,13 @@ impl<B: Backend> ServeEngine<B> {
 
 #[cfg(test)]
 mod tests {
+    use crate::backend::{Backend, CpuBackend};
     use crate::engine::tests::{cpu_engine, cpu_paged_engine, drain, req};
+    use crate::engine::{ServeConfig, ServeEngine, UnifiedConfig};
+    use speedllm_llama::config::ModelConfig;
+    use speedllm_llama::forward::Transformer;
+    use speedllm_llama::weights::TransformerWeights;
+    use speedllm_pagedkv::BlockConfig;
 
     #[test]
     fn tight_block_budget_preempts_and_streams_survive() {
@@ -224,5 +226,72 @@ mod tests {
         );
         paged.check_paged_invariants().unwrap();
         assert!(paged.all_slots_free());
+    }
+
+    #[test]
+    fn parked_token_at_a_block_boundary_takes_no_block_early() {
+        // Unified, budget 2, blocks of 4. A (2-token prompt) and B
+        // (3-token prompt) warm up while D's 20-token prompt stays cold,
+        // so every tick is one decode row (A's) plus one prefill row
+        // (D's) and B's first token is parked — with B's history (3 + 1)
+        // exactly filling its one block. The parked row is position 3:
+        // it fits. A block granted now would sit unused until B is
+        // finally scheduled, and in a full arena (8 blocks: A 2, B 1,
+        // D 5) it would cost D a preemption.
+        for n_blocks in [16, 8] {
+            let model =
+                Transformer::new(TransformerWeights::synthetic(ModelConfig::test_tiny(), 42));
+            let blocks = BlockConfig {
+                block_size: 4,
+                n_blocks,
+            };
+            let mut engine = ServeEngine::new(
+                CpuBackend::new_paged(model, blocks),
+                ServeConfig {
+                    slots: 3,
+                    max_batch: 8,
+                    prefill_chunk: 4,
+                    queue_cap: 16,
+                    unified: Some(UnifiedConfig {
+                        token_budget: 2,
+                        prefill_pct: 50,
+                    }),
+                },
+            );
+            let d_prompt: Vec<u32> = (0..20).map(|t| 1 + t % 7).collect();
+            for (id, prompt) in [vec![1, 5], vec![1, 6, 9], d_prompt]
+                .into_iter()
+                .enumerate()
+            {
+                let mut r = req(id as u64, prompt, 12, 80 + id as u64);
+                r.stop_at_eos = false;
+                engine.submit(r).unwrap();
+            }
+            // Step until B's token is parked on the block boundary.
+            let parked_at_boundary = |e: &mut ServeEngine<CpuBackend>| {
+                e.active.get_mut(1).is_some_and(|b| {
+                    let cap = CpuBackend::slot_table_mut(b.slot.state_mut())
+                        .expect("paged slot")
+                        .capacity_tokens();
+                    b.req.id == 1 && b.pending.is_some() && b.hist_len() == cap
+                })
+            };
+            while !parked_at_boundary(&mut engine) {
+                assert!(engine.step().is_empty(), "nobody finishes this early");
+            }
+            let (blocks_before, preempted_before) =
+                (engine.blocks_in_use(), engine.stats().preemptions);
+            if n_blocks == 8 {
+                assert_eq!(blocks_before, 8, "the arena must be full");
+            }
+            engine.step();
+            assert!(
+                parked_at_boundary(&mut engine),
+                "B is deferred again and still holds one block"
+            );
+            assert_eq!(engine.blocks_in_use(), blocks_before);
+            assert_eq!(engine.stats().preemptions, preempted_before);
+            engine.check_paged_invariants().unwrap();
+        }
     }
 }
