@@ -265,89 +265,54 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-const BURSTY_UNIFIED: [&str; 12] = [
-    "serve-bench",
-    "--smoke",
-    "--mode",
-    "bursty",
-    "--burst-size",
-    "4",
-    "--burst-gap",
-    "16",
-    "--token-budget",
-    "8",
-    "--prefill-ratio",
-    "50",
-];
-const SPEC_K4: [&str; 6] = [
-    "serve-bench",
-    "--smoke",
-    "--spec-k",
-    "4",
-    "--sampler",
-    "argmax",
-];
-const SPEC_K3_CPU_PAGED: [&str; 10] = [
-    "serve-bench",
-    "--smoke",
-    "--backend",
-    "cpu",
-    "--kv",
-    "paged",
-    "--spec-k",
-    "3",
-    "--sampler",
-    "argmax",
-];
+const BURSTY_UNIFIED: &str =
+    "--mode bursty --burst-size 4 --burst-gap 16 --token-budget 8 --prefill-ratio 50";
 
 /// One pinned output per scheduler configuration `scripts/verify.sh`
-/// smokes: the arguments, the export flag whose file is digested (`None`
-/// digests stdout), and the FNV-1a digest of those bytes. A committed
-/// digest implies run-to-run equality, so the gate no longer runs each
-/// configuration twice and diffs; it also pins the bytes themselves —
-/// captured through the three per-mode schedulers the tick planner
-/// replaced — which a double run never did.
-const PINNED_OUTPUTS: [(&[&str], Option<&str>, u64); 8] = [
-    (&["serve-bench", "--smoke"], None, 0x626f_e52d_974f_6411),
+/// smokes: the flags after `serve-bench --smoke`, the export flag whose
+/// file is digested (`None` digests stdout), and the FNV-1a digest of
+/// those bytes. A committed digest implies run-to-run equality, so the
+/// gate no longer runs each configuration twice and diffs; it also pins
+/// the bytes themselves — captured through the three per-mode schedulers
+/// the tick planner replaced — which a double run never did.
+const PINNED_OUTPUTS: [(&str, Option<&str>, u64); 8] = [
+    ("", None, 0x626f_e52d_974f_6411),
+    ("", Some("--events-out"), 0x967a_c3ad_2756_5193),
+    ("", Some("--metrics-out"), 0x56db_0a3b_0400_77a1),
+    ("--kv paged", None, 0x089b_2bb1_c046_8821),
+    (BURSTY_UNIFIED, None, 0x5188_096a_b141_ddf7),
+    ("--spec-k 4 --sampler argmax", None, 0x9270_c953_7241_4cc8),
     (
-        &["serve-bench", "--smoke"],
+        "--spec-k 4 --sampler argmax",
         Some("--events-out"),
-        0x967a_c3ad_2756_5193,
+        0xee3f_76ed_2d7a_6928,
     ),
     (
-        &["serve-bench", "--smoke"],
-        Some("--metrics-out"),
-        0x56db_0a3b_0400_77a1,
-    ),
-    (
-        &["serve-bench", "--smoke", "--kv", "paged"],
+        "--backend cpu --kv paged --spec-k 3 --sampler argmax",
         None,
-        0x089b_2bb1_c046_8821,
+        0x6415_a491_24a5_47cf,
     ),
-    (&BURSTY_UNIFIED, None, 0x5188_096a_b141_ddf7),
-    (&SPEC_K4, None, 0x9270_c953_7241_4cc8),
-    (&SPEC_K4, Some("--events-out"), 0xee3f_76ed_2d7a_6928),
-    (&SPEC_K3_CPU_PAGED, None, 0x6415_a491_24a5_47cf),
 ];
 
 #[test]
 fn smoke_outputs_match_their_pinned_digests() {
     let mut moved = Vec::new();
-    for (i, (args, export, want)) in PINNED_OUTPUTS.iter().enumerate() {
+    for (i, &(flags, export, want)) in PINNED_OUTPUTS.iter().enumerate() {
+        let path = std::env::temp_dir().join(format!("speedllm_pin_{}_{i}", std::process::id()));
+        let mut args = vec!["serve-bench", "--smoke"];
+        args.extend(flags.split_whitespace());
         let got = match export {
-            None => fnv1a(run(args).as_bytes()),
+            None => fnv1a(run(&args).as_bytes()),
             Some(flag) => {
-                let path = std::env::temp_dir()
-                    .join(format!("speedllm_pinned_{}_{i}", std::process::id()));
-                let path_arg = path.to_str().expect("utf8 temp path");
-                run(&[args, &[flag, path_arg][..]].concat());
+                args.extend([flag, path.to_str().expect("utf8 temp path")]);
+                run(&args);
                 let bytes = std::fs::read(&path).expect("export was written");
                 std::fs::remove_file(&path).expect("export is removable");
                 fnv1a(&bytes)
             }
         };
-        if got != *want {
-            moved.push(format!("row {i} {args:?} {export:?}: got {got:#018x}"));
+        if got != want {
+            moved.push(format!("row {i} `{flags}` {export:?}: got {got:#018x}"));
         }
     }
     assert!(

@@ -25,9 +25,7 @@ impl<B: Backend> ServeEngine<B> {
             return (0, 0);
         }
         let k = self.spec.as_ref().map_or(0, |s| s.k);
-        let budget = a.end_pos - (n + 1);
-        let drafts = k.min(budget.saturating_sub(1)).min(self.seq_len - 1 - n);
-        (n + 1, n + 1 + drafts)
+        (n + 1, n + 1 + a.draft_rows(k, n, self.seq_len))
     }
 
     /// Grants every warm sequence the blocks for the rows this tick
@@ -192,12 +190,8 @@ impl<B: Backend> ServeEngine<B> {
 #[cfg(test)]
 mod tests {
     use crate::backend::{Backend, CpuBackend};
-    use crate::engine::tests::{cpu_engine, cpu_paged_engine, drain, req};
-    use crate::engine::{ServeConfig, ServeEngine, UnifiedConfig};
-    use speedllm_llama::config::ModelConfig;
-    use speedllm_llama::forward::Transformer;
-    use speedllm_llama::weights::TransformerWeights;
-    use speedllm_pagedkv::BlockConfig;
+    use crate::engine::tests::{cpu_engine, cpu_paged_engine, drain, req, tiny_engine};
+    use crate::engine::ServeEngine;
 
     #[test]
     fn tight_block_budget_preempts_and_streams_survive() {
@@ -239,25 +233,7 @@ mod tests {
         // finally scheduled, and in a full arena (8 blocks: A 2, B 1,
         // D 5) it would cost D a preemption.
         for n_blocks in [16, 8] {
-            let model =
-                Transformer::new(TransformerWeights::synthetic(ModelConfig::test_tiny(), 42));
-            let blocks = BlockConfig {
-                block_size: 4,
-                n_blocks,
-            };
-            let mut engine = ServeEngine::new(
-                CpuBackend::new_paged(model, blocks),
-                ServeConfig {
-                    slots: 3,
-                    max_batch: 8,
-                    prefill_chunk: 4,
-                    queue_cap: 16,
-                    unified: Some(UnifiedConfig {
-                        token_budget: 2,
-                        prefill_pct: 50,
-                    }),
-                },
-            );
+            let mut engine = tiny_engine(3, Some((4, n_blocks)), Some((2, 50)));
             let d_prompt: Vec<u32> = (0..20).map(|t| 1 + t % 7).collect();
             for (id, prompt) in [vec![1, 5], vec![1, 6, 9], d_prompt]
                 .into_iter()

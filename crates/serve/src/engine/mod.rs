@@ -319,6 +319,14 @@ impl<B: Backend> Active<B> {
         self.req.prompt.len() + self.generated.len()
     }
 
+    /// Draft rows a run whose first row is position `n` may add at
+    /// speculation depth `k`: one less than the budget left after that
+    /// row's token, and inside the `seq_len` context window.
+    fn draft_rows(&self, k: usize, n: usize, seq_len: usize) -> usize {
+        let budget = self.end_pos - (n + 1);
+        k.min(budget.saturating_sub(1)).min(seq_len - 1 - n)
+    }
+
     /// The token at history position `pos` (prompt, then generated).
     fn token_at(&self, pos: usize) -> u32 {
         match pos.checked_sub(self.req.prompt.len()) {
@@ -880,18 +888,43 @@ mod tests {
     use speedllm_llama::weights::TransformerWeights;
     use speedllm_pagedkv::BlockConfig;
 
-    pub(super) fn cpu_engine(slots: usize) -> ServeEngine<CpuBackend> {
+    /// A tiny-model CPU engine: paged over `blocks` (`block_size`,
+    /// `n_blocks`) or flat, unified at `unified` (`token_budget`,
+    /// `prefill_pct`) or phase-serialized.
+    pub(super) fn tiny_engine(
+        slots: usize,
+        blocks: Option<(usize, usize)>,
+        unified: Option<(usize, u32)>,
+    ) -> ServeEngine<CpuBackend> {
         let model = Transformer::new(TransformerWeights::synthetic(ModelConfig::test_tiny(), 42));
+        let backend = match blocks {
+            None => CpuBackend::new(model),
+            Some((block_size, n_blocks)) => CpuBackend::new_paged(
+                model,
+                BlockConfig {
+                    block_size,
+                    n_blocks,
+                },
+            ),
+        };
+        let unified = unified.map(|(token_budget, prefill_pct)| UnifiedConfig {
+            token_budget,
+            prefill_pct,
+        });
         ServeEngine::new(
-            CpuBackend::new(model),
+            backend,
             ServeConfig {
                 slots,
                 max_batch: 8,
                 prefill_chunk: 4,
                 queue_cap: 16,
-                unified: None,
+                unified,
             },
         )
+    }
+
+    pub(super) fn cpu_engine(slots: usize) -> ServeEngine<CpuBackend> {
+        tiny_engine(slots, None, None)
     }
 
     pub(super) fn cpu_paged_engine(
@@ -899,23 +932,7 @@ mod tests {
         block_size: usize,
         n_blocks: usize,
     ) -> ServeEngine<CpuBackend> {
-        let model = Transformer::new(TransformerWeights::synthetic(ModelConfig::test_tiny(), 42));
-        ServeEngine::new(
-            CpuBackend::new_paged(
-                model,
-                BlockConfig {
-                    block_size,
-                    n_blocks,
-                },
-            ),
-            ServeConfig {
-                slots,
-                max_batch: 8,
-                prefill_chunk: 4,
-                queue_cap: 16,
-                unified: None,
-            },
-        )
+        tiny_engine(slots, Some((block_size, n_blocks)), None)
     }
 
     pub(super) fn req(id: u64, prompt: Vec<u32>, max_new: usize, seed: u64) -> Request {
@@ -943,20 +960,7 @@ mod tests {
         budget: usize,
         pct: u32,
     ) -> ServeEngine<CpuBackend> {
-        let model = Transformer::new(TransformerWeights::synthetic(ModelConfig::test_tiny(), 42));
-        ServeEngine::new(
-            CpuBackend::new(model),
-            ServeConfig {
-                slots,
-                max_batch: 8,
-                prefill_chunk: 4,
-                queue_cap: 16,
-                unified: Some(UnifiedConfig {
-                    token_budget: budget,
-                    prefill_pct: pct,
-                }),
-            },
-        )
+        tiny_engine(slots, None, Some((budget, pct)))
     }
 
     #[test]

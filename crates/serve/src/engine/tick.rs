@@ -158,11 +158,7 @@ impl<B: Backend> ServeEngine<B> {
             };
             let a = &mut self.active[seq];
             let n = a.hist_len() - 1; // target context before `x`
-            let budget = a.end_pos - (n + 1); // >= 1: a candidate has budget
-            let mut j_max = spec
-                .k
-                .min(budget.saturating_sub(1))
-                .min(self.seq_len - 1 - n);
+            let mut j_max = a.draft_rows(spec.k, n, self.seq_len);
             if let Some(table) = B::slot_table_mut(a.slot.state_mut()) {
                 j_max = j_max.min(table.capacity_tokens().saturating_sub(n + 1));
             }
@@ -314,18 +310,19 @@ impl<B: Backend> ServeEngine<B> {
                 slots.push(a.slot.state_mut());
             }
         }
-        let tokens: Vec<&[u32]> = pass.runs.iter().map(|r| r.tokens.as_slice()).collect();
+        let runs = || -> Vec<&[u32]> { pass.runs.iter().map(|r| r.tokens.as_slice()).collect() };
         let (logits, cost) = match pass.verb {
             Verb::Prefill => {
-                let (last, cost) = self.backend.prefill(&mut *slots[0], tokens[0], start_pos);
+                let chunk = &pass.runs[0].tokens;
+                let (last, cost) = self.backend.prefill(&mut *slots[0], chunk, start_pos);
                 (vec![last], cost)
             }
             Verb::Decode => {
-                let tokens: Vec<u32> = tokens.iter().map(|t| t[0]).collect();
+                let tokens: Vec<u32> = pass.runs.iter().map(|r| r.tokens[0]).collect();
                 self.backend.decode(&mut slots, &tokens)
             }
-            Verb::Mixed => self.backend.forward_mixed(&mut slots, &tokens),
-            Verb::Verify => self.backend.verify(&mut slots, &tokens),
+            Verb::Mixed => self.backend.forward_mixed(&mut slots, &runs()),
+            Verb::Verify => self.backend.verify(&mut slots, &runs()),
         };
         drop(slots);
 
@@ -669,6 +666,40 @@ mod tests {
         }
         spec.check_paged_invariants().unwrap();
         assert!(spec.all_slots_free());
+    }
+
+    #[test]
+    fn verify_groups_are_cut_by_the_staging_row_cap() {
+        // Three 4-token prompts with 27 tokens of budget at K = 31: each
+        // first-round run is the sampled token plus 25 proposals, and 3 ×
+        // 26 rows exceed the 64-row staging cap, so the three runs need
+        // two verify passes even though `max_batch` (8) would take them
+        // all. Streams still match plain decode.
+        let mut plain = cpu_engine(3);
+        let mut spec = cpu_engine(3);
+        spec.enable_speculative(draft_model(9), 31).unwrap();
+        for i in 0..3u64 {
+            let mut r = req(i, vec![1, 3 + i as u32, 7, 9 + i as u32], 27, 40 + i);
+            r.sampler = SamplerKind::Argmax;
+            r.stop_at_eos = false;
+            plain.submit(r.clone()).unwrap();
+            spec.submit(r).unwrap();
+        }
+        // One chunk prefills a whole prompt, so the first step already
+        // samples, drafts and verifies all three sequences.
+        let mut b = spec.step();
+        let s = spec.stats();
+        assert_eq!((s.spec_rounds, s.spec_drafted), (3, 75));
+        assert_eq!(s.decode_batches, 2, "78 rows must not share one pass");
+        assert_eq!(s.max_batch_observed, 2);
+        b.extend(drain(&mut spec));
+        let mut a = drain(&mut plain);
+        a.sort_by_key(|c| c.id);
+        b.sort_by_key(|c| c.id);
+        for (x, y) in a.iter().zip(&b) {
+            assert_eq!(x.tokens, y.tokens, "the cut changed request {}", x.id);
+            assert_eq!(x.tokens.len(), 27);
+        }
     }
 
     #[test]

@@ -4,11 +4,14 @@
 //! engine that multiplexes many generation requests over one model and a
 //! fixed pool of KV-cache slots (DESIGN.md §11).
 //!
-//! * [`engine::ServeEngine`] — the scheduler: admit → chunked prefill →
-//!   one batched decode step per iteration → evict and back-fill. With a
-//!   paged backend, admission is block-budget gated, common prompt
-//!   prefixes are shared through a radix index, and block exhaustion
-//!   preempts the youngest sequence (DESIGN.md §12).
+//! * [`engine::ServeEngine`] — the scheduler: one tick loop (admit →
+//!   capacity → sample → plan → issue → settle → evict) whose plan step is
+//!   all that differs between phase-serialized prefill-then-decode,
+//!   unified mixed batching under a token budget (DESIGN.md §14) and
+//!   speculative draft-then-verify decoding (DESIGN.md §16). With a paged
+//!   backend, admission is block-budget gated, common prompt prefixes are
+//!   shared through a radix index, and block exhaustion preempts the
+//!   youngest sequence (DESIGN.md §12).
 //! * [`backend`] — the [`backend::Backend`] trait plus the CPU-reference
 //!   and accelerator-simulation implementations, each in flat (slot-pool)
 //!   and paged (block-table) flavors.

@@ -47,32 +47,27 @@ if grep -Eq '"correct": false|"failed": [1-9]' <<<"$bench_smoke" ||
 fi
 echo "benchmark package OK: tests green, five smoke workloads correct with 0 failed"
 
-echo "== serve smoke (continuous batching, byte-identical reports) =="
-# The serve layer keeps all timing in virtual ticks, so the same seed must
-# render the same bytes, run to run and backend-config to backend-config.
+echo "== serve smoke (continuous batching) =="
+# The serve layer keeps all timing in virtual ticks, so the same seed
+# renders the same bytes. That is pinned in tier 1, not here: the digest
+# of every serve-bench configuration smoked below (report, and event/tick
+# exports where there are any) is committed in
+# crates/cli/tests/serve_bench.rs, so these sections run each once, for
+# the content checks a digest cannot explain.
 serve_a="$(./target/release/speedllm serve-bench --smoke)"
-serve_b="$(./target/release/speedllm serve-bench --smoke)"
-if [[ "$serve_a" != "$serve_b" ]]; then
-    echo "serve-bench --smoke is not deterministic:" >&2
-    diff <(printf '%s\n' "$serve_a") <(printf '%s\n' "$serve_b") >&2 || true
-    exit 1
-fi
 grep -q "requests completed   8" <<<"$serve_a"
 serve_cpu="$(./target/release/speedllm serve-bench --smoke --backend cpu)"
 grep -q "serve-bench report (cpu backend)" <<<"$serve_cpu"
-echo "serve smoke OK: accel + cpu backends deterministic"
+echo "serve smoke OK: accel + cpu backends"
+
+echo "== one-tick-loop pins (release) =="
+# Every scheduler mode x backend x KV layout x sampler cell of the one
+# tick loop against digests captured from the three schedulers it
+# replaced, in the profile the serve runs use.
+cargo test --release -q -p speedllm --test serve_tick_pins
 
 echo "== paged-serve smoke (block pool + radix prefix cache, both backends) =="
-# Same determinism bar for the paged KV path: the block allocator, radix
-# sharing, and preemptive eviction all run in virtual time, so reports
-# must be byte-identical run to run.
 paged_a="$(./target/release/speedllm serve-bench --smoke --kv paged)"
-paged_b="$(./target/release/speedllm serve-bench --smoke --kv paged)"
-if [[ "$paged_a" != "$paged_b" ]]; then
-    echo "serve-bench --smoke --kv paged is not deterministic:" >&2
-    diff <(printf '%s\n' "$paged_a") <(printf '%s\n' "$paged_b") >&2 || true
-    exit 1
-fi
 grep -q "requests completed   8" <<<"$paged_a"
 grep -q "peak blocks in use" <<<"$paged_a"
 paged_cpu="$(./target/release/speedllm serve-bench --smoke --backend cpu --kv paged --block-size 4 --shared-prefix 8)"
@@ -86,7 +81,7 @@ fi
 # Recycled-block hygiene + equal-memory ablation, in the release profile
 # (debug poisoning off — reuse must be clean on its own merits).
 cargo test --release -q -p speedllm --test paged_reuse
-echo "paged serve smoke OK: deterministic on accel + cpu, prefix cache hits"
+echo "paged serve smoke OK: accel + cpu, prefix cache hits"
 
 echo "== batched-decode GEMM identity gate (release) =="
 # The batched serve hot path must stay bit-identical to the sequential
@@ -101,22 +96,13 @@ cargo test --release -q -p speedllm --test batched_decode_props
 # LTO, and the two vectorize differently.
 cargo test --release -q -p speedllm --test kernel_identity
 
-echo "== unified-batch smoke (mixed prefill+decode ticks, byte-identical reports) =="
-# The unified scheduler shares the virtual clock discipline: the same
-# seeded bursty workload through mixed token-budget ticks must render
-# the same bytes, run to run, on both backends.
+echo "== unified-batch smoke (mixed prefill+decode ticks) =="
 uni_a="$(./target/release/speedllm serve-bench --smoke --mode bursty --burst-size 4 --burst-gap 16 --token-budget 8 --prefill-ratio 50)"
-uni_b="$(./target/release/speedllm serve-bench --smoke --mode bursty --burst-size 4 --burst-gap 16 --token-budget 8 --prefill-ratio 50)"
-if [[ "$uni_a" != "$uni_b" ]]; then
-    echo "unified serve-bench smoke is not deterministic:" >&2
-    diff <(printf '%s\n' "$uni_a") <(printf '%s\n' "$uni_b") >&2 || true
-    exit 1
-fi
 grep -q "requests completed   8" <<<"$uni_a"
 grep -q "token budget 8, prefill ratio 50%" <<<"$uni_a"
 uni_cpu="$(./target/release/speedllm serve-bench --smoke --backend cpu --kv paged --prefill-ratio 25)"
 grep -q "requests completed   8" <<<"$uni_cpu"
-echo "unified-batch smoke OK: deterministic mixed ticks on accel + cpu"
+echo "unified-batch smoke OK: mixed ticks on accel + cpu"
 
 echo "== unified-batch identity gate (release) =="
 # The mixed prefill+decode tick must stay bit-identical to the
@@ -135,28 +121,15 @@ grep -q "batch 8:" <<<"$gemm_out"
 grep -q '"batch_width":"8"' <<<"$gemm_out"
 echo "batched GEMM smoke OK: ablation table + batch_width-stamped JSONL rows"
 
-echo "== speculative smoke (draft K ahead, one-pass verify, byte-identical) =="
-# Speculation must keep the virtual-clock discipline: same seed, same
-# bytes, run to run — including the lifecycle event log, which now
-# carries draft_tick/verify_tick lines. Greedy sampling with the `auto`
-# draft (a stories260K-shaped trunk at an offset seed) must show nonzero
-# acceptance or speculation is not actually engaging.
+echo "== speculative smoke (draft K ahead, one-pass verify) =="
+# Greedy sampling with the `auto` draft (a stories260K-shaped trunk at an
+# offset seed) must show nonzero acceptance or speculation is not
+# actually engaging, and the lifecycle event log must carry
+# draft_tick/verify_tick lines.
 spec_dir="$(mktemp -d /tmp/speedllm_verify_spec.XXXXXX)"
 trap 'rm -rf "$spec_dir"' EXIT
-# Report determinism (no export path in the output), then event-log
-# determinism as a file-level byte compare.
-spec_a="$(./target/release/speedllm serve-bench --smoke --spec-k 4 --sampler argmax)"
-spec_b="$(./target/release/speedllm serve-bench --smoke --spec-k 4 --sampler argmax)"
-./target/release/speedllm serve-bench --smoke --spec-k 4 --sampler argmax \
-    --events-out "$spec_dir/ev_a.jsonl" >/dev/null
-./target/release/speedllm serve-bench --smoke --spec-k 4 --sampler argmax \
-    --events-out "$spec_dir/ev_b.jsonl" >/dev/null
-if [[ "$spec_a" != "$spec_b" ]]; then
-    echo "serve-bench --smoke --spec-k 4 is not deterministic:" >&2
-    diff <(printf '%s\n' "$spec_a") <(printf '%s\n' "$spec_b") >&2 || true
-    exit 1
-fi
-cmp "$spec_dir/ev_a.jsonl" "$spec_dir/ev_b.jsonl"
+spec_a="$(./target/release/speedllm serve-bench --smoke --spec-k 4 --sampler argmax \
+    --events-out "$spec_dir/ev_a.jsonl")"
 grep -q "requests completed   8" <<<"$spec_a"
 grep -q "spec rounds" <<<"$spec_a"
 if grep -Eq "spec acceptance      0/" <<<"$spec_a"; then
@@ -166,30 +139,20 @@ fi
 grep -q '"ev":"draft_tick"' "$spec_dir/ev_a.jsonl"
 grep -q '"ev":"verify_tick"' "$spec_dir/ev_a.jsonl"
 # Paged KV + speculation: rollback pops blocks, preemption drops draft
-# state; the composition must stay deterministic too.
+# state; the composition must still run rounds.
 spec_paged_a="$(./target/release/speedllm serve-bench --smoke --backend cpu --kv paged --spec-k 3 --sampler argmax)"
-spec_paged_b="$(./target/release/speedllm serve-bench --smoke --backend cpu --kv paged --spec-k 3 --sampler argmax)"
-if [[ "$spec_paged_a" != "$spec_paged_b" ]]; then
-    echo "paged speculative smoke is not deterministic" >&2
-    exit 1
-fi
 grep -q "spec rounds" <<<"$spec_paged_a"
 # The speculative identity gate in the profile serve runs actually use
 # (debug asserts off): stream bit-identity + rollback oracles across
 # K x flat/paged x cpu/accel x serial/parallel x greedy/seeded.
 cargo test --release -q -p speedllm --test speculative_props
-echo "speculative smoke OK: deterministic, nonzero acceptance, events carry draft/verify ticks"
+echo "speculative smoke OK: nonzero acceptance, events carry draft/verify ticks"
 
 echo "== observability smoke (lifecycle events + tick metrics + analyze) =="
 obs_dir="$(mktemp -d /tmp/speedllm_verify_obs.XXXXXX)"
 trap 'rm -rf "$spec_dir" "$obs_dir"' EXIT
-# Exports must be byte-reproducible: same seed, same bytes, run to run.
 ./target/release/speedllm serve-bench --smoke \
     --events-out "$obs_dir/ev_a.jsonl" --metrics-out "$obs_dir/ticks_a.csv" >/dev/null
-./target/release/speedllm serve-bench --smoke \
-    --events-out "$obs_dir/ev_b.jsonl" --metrics-out "$obs_dir/ticks_b.csv" >/dev/null
-cmp "$obs_dir/ev_a.jsonl" "$obs_dir/ev_b.jsonl"
-cmp "$obs_dir/ticks_a.csv" "$obs_dir/ticks_b.csv"
 # The analyzer must ingest the event log back and produce a non-empty
 # phase breakdown that accounts for every smoke request.
 analyze_out="$(./target/release/speedllm analyze --events "$obs_dir/ev_a.jsonl")"
@@ -206,7 +169,7 @@ if (( n_ticks < 1 )); then
     echo "observability smoke: tick series is empty" >&2
     exit 1
 fi
-echo "observability smoke OK: $n_events events + $n_ticks tick samples, byte-stable, analyze reconciles"
+echo "observability smoke OK: $n_events events + $n_ticks tick samples, analyze reconciles"
 
 echo "== telemetry smoke (instrumented tiny generate -> Chrome trace) =="
 trace_file="$(mktemp /tmp/speedllm_verify_trace.XXXXXX.json)"
@@ -277,25 +240,11 @@ grep -E 'prefix hit at placement +[1-9]' "$cl_dir/report_prefix.txt" >/dev/null
 cargo test --release -q -p speedllm --test router_props
 echo "cluster smoke OK: 3 policies deterministic, streams policy- and fault-invariant ($failed_over failed over)"
 
-echo "== quantized serve smoke (fused dequant-GEMM, byte-identical, compressed stream) =="
-# The quantized hot path (DESIGN.md §18) must keep the virtual-clock
-# discipline: int8 and int4 double runs render the same bytes on both
-# backends and both KV layouts.
-for quant in int8 int4; do
-    for backend in cpu accel; do
-        for kvopt in pool paged; do
-            q_a="$(./target/release/speedllm serve-bench --smoke --backend "$backend" --kv "$kvopt" --quant "$quant")"
-            q_b="$(./target/release/speedllm serve-bench --smoke --backend "$backend" --kv "$kvopt" --quant "$quant")"
-            if [[ "$q_a" != "$q_b" ]]; then
-                echo "serve-bench --quant $quant ($backend/$kvopt) is not deterministic:" >&2
-                diff <(printf '%s\n' "$q_a") <(printf '%s\n' "$q_b") >&2 || true
-                exit 1
-            fi
-            grep -q "quant:    $quant weights" <<<"$q_a"
-            grep -q "requests completed   8" <<<"$q_a"
-        done
-    done
-done
+echo "== quantized serve smoke (fused dequant-GEMM, compressed stream) =="
+# The quantized hot path (DESIGN.md §18) keeps the virtual-clock
+# discipline: the int8/int4 x cpu/accel x pool/paged double runs, with
+# their report checks, are the `quant` tests of crates/cli/tests/serve_bench.rs
+# (run in tier 1, and again below in the release profile).
 # The gemm_weight_bytes telemetry must report the compressed stream:
 # int8 strictly under 1/3 of the f32 weight bytes per token, int4
 # strictly under int8.

@@ -3,12 +3,15 @@
 //! flat and paged KV, serial and parallel kernels, and both backends,
 //! the unified engine must emit **bit-identical** token streams — exact
 //! `assert_eq`, no tolerance — to the phase-serialized engine, which PR 5
-//! already pinned to the single-tenant decoder. Both schedulers drive the
-//! one layer walk; what differs is how the same tokens are cut into runs
-//! and ticks (decode rows beside prefill chunks vs one phase at a time),
-//! and that cut must never show in a token. On the CPU backend the
-//! virtual clock must also agree exactly, because a tick costs the token
-//! rows it actually carries and both schedulers forward the same rows.
+//! already pinned to the single-tenant decoder. The two are plans of the
+//! one `ServeEngine` tick loop (DESIGN.md §11) over the one layer walk —
+//! same admission, capacity, sampling, issue and settle code — so this
+//! is not a call compared with itself: what differs is how the same
+//! tokens are cut into passes (decode rows beside prefill chunks under a
+//! token budget vs a pass per chunk, then decode groups), and that cut
+//! must never show in a token. On the CPU backend the virtual clock must
+//! also agree exactly, because a tick costs the token rows it actually
+//! carries and both plans forward the same rows.
 //!
 //! Deterministic edge cases ride along: a sequence finishing mid-tick
 //! while another is mid-prefill, a chunk exactly filling the budget, a
