@@ -21,6 +21,7 @@
 //! The four Fig. 2 variants are presets on [`opt::OptConfig`].
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod engine;
 pub mod fusion;

@@ -1,6 +1,7 @@
 //! Substrate microbenchmarks: the CPU reference kernels at stories15M
-//! dimensions — serial vs scoped-thread matvec (f32, int8, int4), the
-//! batched matmul at the widths whose lane blocks are the 4/2/1 tails,
+//! dimensions — serial vs scoped-thread matvec, the batched f32 matmul at
+//! the widths whose lane blocks are the 4/2/1 tails, the quantized kernel
+//! (int8, int4) at widths 1, 3, 4 and 6 on the FFN and classifier shapes,
 //! RMSNorm, softmax, RoPE — plus a full reference forward step. Every
 //! weight-streaming row carries `gb_s`: weight bytes over median time.
 
@@ -41,22 +42,13 @@ fn bench_kernels(c: &mut Runner) {
 
     // Widths 2/3/5/6 decompose into lane blocks of 2, 2+1, 4+1 and 4+2:
     // the tail tiles a verify or mixed tick lands on.
-    let q8 = QuantMatrix::quantize_with(&w, rows, cols, QuantKind::Int8);
     for width in [2usize, 3, 5, 6] {
         let mut xs = vec![0.0f32; width * cols];
         rng.fill_normal(&mut xs, 1.0);
         let mut mout = vec![0.0f32; rows * width];
-        c.set_bytes_per_iter(Some((rows * cols * 4) as u64));
         c.bench_function(&format!("cpu/matmul_w{width}_768x288"), |b| {
             b.iter(|| {
                 ops::matmul(black_box(&mut mout), &w, &xs, rows, cols, width);
-                black_box(mout[0])
-            })
-        });
-        c.set_bytes_per_iter(Some(q8.bytes() as u64));
-        c.bench_function(&format!("cpu/qmatmul_int8_w{width}_768x288"), |b| {
-            b.iter(|| {
-                qmatmul(black_box(&mut mout), &q8, &xs, width);
                 black_box(mout[0])
             })
         });
@@ -82,15 +74,33 @@ fn bench_kernels(c: &mut Runner) {
         })
     });
 
-    for kind in [QuantKind::Int8, QuantKind::Int4] {
-        let qv = QuantMatrix::quantize_with(&wv, vrows, cols, kind);
-        c.set_bytes_per_iter(Some(qv.bytes() as u64));
-        c.bench_function(&format!("cpu/qmatvec_{}_32000x288", kind.name()), |b| {
-            b.iter(|| {
-                qmatvec(black_box(&mut vout), &qv, &x);
-                black_box(vout[0])
-            })
-        });
+    // The quantized kernel on the FFN and classifier shapes. Widths 3 and
+    // 6 are what the `serve15m_int8_open` benchmark workload runs, 1 is
+    // plain decode, and 4 is there to hold 3 against: a width must not
+    // cost more than the next power of two.
+    for (w, rows) in [(&w, rows), (&wv, vrows)] {
+        for kind in [QuantKind::Int8, QuantKind::Int4] {
+            let qm = QuantMatrix::quantize_with(w, rows, cols, kind);
+            c.set_bytes_per_iter(Some(qm.bytes() as u64));
+            c.bench_function(&format!("cpu/qmatvec_{}_{rows}x288", kind.name()), |b| {
+                b.iter(|| {
+                    qmatvec(black_box(&mut vout[..rows]), &qm, &x);
+                    black_box(vout[0])
+                })
+            });
+            for width in [3usize, 4, 6] {
+                let mut xs = vec![0.0f32; width * cols];
+                rng.fill_normal(&mut xs, 1.0);
+                let mut mout = vec![0.0f32; rows * width];
+                let name = format!("cpu/qmatmul_{}_w{width}_{rows}x288", kind.name());
+                c.bench_function(&name, |b| {
+                    b.iter(|| {
+                        qmatmul(black_box(&mut mout), &qm, &xs, width);
+                        black_box(mout[0])
+                    })
+                });
+            }
+        }
     }
     c.set_bytes_per_iter(None);
 

@@ -11,6 +11,7 @@
 //! the repro-binary smoke tests and `scripts/verify.sh` use.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod harness;
 

@@ -9,6 +9,8 @@
 //! speedllm help
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod args;
 
 use std::cell::RefCell;

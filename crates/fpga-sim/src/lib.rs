@@ -25,6 +25,7 @@
 //! * [`stats`] / [`trace`] — run statistics and ASCII Gantt tracing.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cycles;
 pub mod dma;

@@ -17,6 +17,7 @@
 //! Both terms are modelled; the binding one wins.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use speedllm_llama::config::ModelConfig;
 

@@ -3,7 +3,8 @@
 //! The Llama-2 inference substrate of the SpeedLLM reproduction: everything
 //! the paper's host software stack provides (llama2.c model loading,
 //! tokenization, the reference forward pass, sampling, quantization), built
-//! from scratch in safe Rust.
+//! from scratch in safe Rust (the one `unsafe` block selects the AVX2 copy
+//! of the quantized kernel, see [`qgemm`]).
 //!
 //! The crate serves three roles:
 //!
@@ -35,6 +36,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod bpe_train;
 pub mod config;

@@ -7,9 +7,9 @@
 //! *functionally transparent*: fusion, memory planning, and pipelining may
 //! only change timing, never values.
 //!
-//! Every weight-streaming kernel sums each output element in [`dot`]'s
-//! order, so serial, batched, row-tiled and parallel results are
-//! bit-identical (see [`tile_accumulate`]).
+//! Every weight-streaming kernel, here and in [`crate::qgemm`], sums each
+//! output element in [`dot`]'s order, so serial, batched, row-tiled and
+//! parallel results are bit-identical (see [`tile_accumulate`]).
 
 /// Default RoPE frequency base used by the llama2.c model family.
 pub const ROPE_THETA: f32 = 10000.0;
@@ -118,9 +118,9 @@ const COL_BLOCK: usize = 8;
 /// terms in increasing `c`, mul then add — exactly what [`dot`] does. The
 /// `R × L` accumulators are *independent output elements*; keeping them
 /// live together is what hides the add latency and lets the compiler
-/// vectorize, and no element's sum is ever split or reassociated. Callers
-/// may therefore cut a row into consecutive column spans (the quantized
-/// kernels pass one dequantized group at a time) without changing a bit.
+/// vectorize, and no element's sum is ever split or reassociated. The
+/// quantized kernel ([`crate::qgemm`]) keeps the same contract over its
+/// own tile-interleaved storage and does not come through here.
 ///
 /// With several lanes the compiler vectorizes across them. With one lane
 /// there is nothing to vectorize across but the rows, whose elements sit

@@ -1,26 +1,34 @@
-//! Fused dequant-GEMM kernels over group-quantized weights.
+//! Fused dequant-GEMM kernel over group-quantized weights.
 //!
-//! These mirror the weight-reuse shape of [`crate::ops::matmul`]: one pass
-//! over the quantized weight matrix per batched tick. Each [`GROUP`]-wide
-//! weight group is dequantized **once** into a register-resident block
-//! ([`QuantMatrix::dequant_group_into`]) and then applied across every
-//! batch column, so the compressed payload — not the f32 expansion — is
-//! what streams from memory per tick.
+//! It mirrors the weight-reuse shape of [`crate::ops::matmul`]: one pass
+//! over the quantized weight matrix per batched tick. [`QuantMatrix`] is
+//! stored in the order the kernel consumes it — [`ROW_TILE`] rows
+//! interleaved column by column — so each column of a row tile is one
+//! vector load, converted and scaled **once** in registers
+//! ([`dequant_column_pair`]) and then applied to every lane of the lane block.
+//! The compressed payload, not an f32 expansion, is all that leaves
+//! memory, and nothing is staged or transposed on the way.
 //!
 //! Determinism contract: every output element is one f32 accumulator fed
-//! the dequantized weights in increasing column order, mul then add —
-//! [`crate::ops::dot`] over the dequantized row. Rows go through the same
-//! register tile as the f32 kernels ([`crate::ops::tile_accumulate`]: a
-//! tile's groups are dequantized, then applied), which keeps many such
-//! chains in flight without reassociating any. A batched result is
-//! therefore **bit-identical** to `batch` independent [`qmatvec`] calls,
-//! which is what keeps quantized serve reports byte-reproducible across
-//! batch compositions and double runs. [`crate::parallel::par_qmatvec`]
-//! and [`crate::parallel::par_qmatmul`] hand disjoint row ranges of the
-//! same kernel to their workers, preserving the same per-element order.
+//! the dequantized weights in increasing column order — `(q as f32 *
+//! scale)`, then `* x`, then `+`, never a fused multiply-add — which is
+//! [`crate::ops::dot`] over the dequantized row. The accumulators of a
+//! tile are independent output elements, so keeping `ROW_TILE × L` of them
+//! live reassociates nothing. A batched result is therefore
+//! **bit-identical** to `batch` independent [`qmatvec`] calls, which is
+//! what keeps quantized serve reports byte-reproducible across batch
+//! compositions and double runs. [`crate::parallel::par_qmatvec`] and
+//! [`crate::parallel::par_qmatmul`] hand disjoint row ranges of the same
+//! kernel to their workers, preserving the same per-element order.
+//!
+//! The kernel body is compiled twice, at the build's baseline and with
+//! AVX2 enabled, and [`qmatmul_rows_xt`] picks one per call. Both run the
+//! same IEEE operations in the same order, so they agree bit for bit; the
+//! AVX2 copy is faster because it has the byte→dword widening load that
+//! SSE2 lacks.
 
-use crate::ops::{tile_accumulate, transpose_batch_major, ROW_TILE};
-use crate::quant::{QuantMatrix, GROUP};
+use crate::ops::{transpose_batch_major, ROW_TILE};
+use crate::quant::{dequant_column_pair, QuantKind, QuantMatrix, GROUP};
 use std::ops::Range;
 
 /// Fused dequant matvec over a row range: `out[r - rows.start] =
@@ -33,68 +41,115 @@ pub fn qmatvec_rows(out: &mut [f32], w: &QuantMatrix, rows: Range<usize>, x: &[f
 
 /// Fused dequant matvec: `out[r] = dequant(w[r, :]) · x`.
 pub fn qmatvec(out: &mut [f32], w: &QuantMatrix, x: &[f32]) {
-    debug_assert_eq!(out.len(), w.rows());
     qmatvec_rows(out, w, 0..w.rows(), x);
 }
 
-/// One `R`-row tile of [`qmatmul_rows_xt`], rows `r0..r0 + R` of `w` into
-/// `out`'s `R × batch` results. Per lane block of 8/4/2/1, each group of
-/// the `R` rows is dequantized once and applied to every lane.
-fn qmatmul_tile<const R: usize>(
-    out: &mut [f32],
+/// Widest lane block: 8 accumulator vectors, the weight vector, the
+/// scales and a temporary fit AVX2's 16 registers.
+const MAX_LANES: usize = 8;
+
+/// Lanes `b0..b0 + L` of row tile `t`: `acc[l][i] = dequant(w[t *
+/// ROW_TILE + i, :]) · x_{b0 + l}`, lanes past `L` zero. Every column of
+/// the tile is dequantized once and applied to all `L` lanes.
+#[inline(always)]
+fn lane_block<const L: usize>(
     w: &QuantMatrix,
-    r0: usize,
+    kind: QuantKind,
+    t: usize,
     xt: &[f32],
     batch: usize,
-) {
-    fn lanes<const R: usize, const L: usize>(
+    b0: usize,
+) -> [[f32; ROW_TILE]; MAX_LANES] {
+    #[inline(always)]
+    fn accumulate<const L: usize>(acc: &mut [[f32; ROW_TILE]; L], wv: &[f32; ROW_TILE], x: &[f32]) {
+        let x: &[f32; L] = x[..L].try_into().expect("lane block in bounds");
+        for l in 0..L {
+            for i in 0..ROW_TILE {
+                acc[l][i] += wv[i] * x[l];
+            }
+        }
+    }
+    let mut acc = [[0.0f32; ROW_TILE]; L];
+    for (g, xg) in xt.chunks(GROUP * batch).enumerate() {
+        let (scales, quants) = w.tile_group(t, g);
+        // Two columns a step; a row's last group may end on an odd one.
+        for (p, xp) in xg.chunks(2 * batch).enumerate() {
+            let [w0, w1] = dequant_column_pair(kind, scales, quants, p);
+            accumulate(&mut acc, &w0, &xp[b0..]);
+            if xp.len() > batch {
+                accumulate(&mut acc, &w1, &xp[batch + b0..]);
+            }
+        }
+    }
+    let mut lanes = [[0.0f32; ROW_TILE]; MAX_LANES];
+    lanes[..L].copy_from_slice(&acc);
+    lanes
+}
+
+/// The one quantized kernel body: the tiles that overlap `rows`, each in
+/// lane blocks of [`MAX_LANES`] and then one block of exactly the lanes
+/// left over. A tile on the edge of `rows`, or the padded last tile, is
+/// computed whole and written in part.
+///
+/// The write-out sits after the `match`, not in `lane_block`, on purpose:
+/// there the lane count is a run-time value, so each block hands over its
+/// accumulators as whole `ROW_TILE`-wide vectors, which is what lets the
+/// compiler keep them in vector registers for every `L` (written per `L`,
+/// widths 3, 5 and 6 ran 5× slower).
+#[inline(always)]
+fn kernel(out: &mut [f32], w: &QuantMatrix, xt: &[f32], rows: Range<usize>, batch: usize) {
+    #[inline(always)]
+    fn tiles(
         out: &mut [f32],
         w: &QuantMatrix,
-        r0: usize,
+        kind: QuantKind,
         xt: &[f32],
+        rows: Range<usize>,
         batch: usize,
-        b0: usize,
     ) {
-        let cols = w.cols();
-        let mut acc = [[0.0f32; L]; R];
-        let mut wg = [[0.0f32; GROUP]; R];
-        for g in 0..w.groups_per_row() {
-            for (i, block) in wg.iter_mut().enumerate() {
-                w.dequant_group_into(r0 + i, g, block);
+        for t in rows.start / ROW_TILE..rows.end.div_ceil(ROW_TILE) {
+            for b0 in (0..batch).step_by(MAX_LANES) {
+                let lanes = (batch - b0).min(MAX_LANES);
+                let acc = match lanes {
+                    1 => lane_block::<1>(w, kind, t, xt, batch, b0),
+                    2 => lane_block::<2>(w, kind, t, xt, batch, b0),
+                    3 => lane_block::<3>(w, kind, t, xt, batch, b0),
+                    4 => lane_block::<4>(w, kind, t, xt, batch, b0),
+                    5 => lane_block::<5>(w, kind, t, xt, batch, b0),
+                    6 => lane_block::<6>(w, kind, t, xt, batch, b0),
+                    7 => lane_block::<7>(w, kind, t, xt, batch, b0),
+                    _ => lane_block::<MAX_LANES>(w, kind, t, xt, batch, b0),
+                };
+                for (l, lane) in acc[..lanes].iter().enumerate() {
+                    for (i, &v) in lane.iter().enumerate() {
+                        let r = t * ROW_TILE + i;
+                        if rows.contains(&r) {
+                            out[(r - rows.start) * batch + b0 + l] = v;
+                        }
+                    }
+                }
             }
-            let c0 = g * GROUP;
-            let n = (cols - c0).min(GROUP);
-            let rows: [&[f32]; R] = std::array::from_fn(|i| &wg[i][..n]);
-            tile_accumulate(&mut acc, rows, &xt[c0 * batch..], batch, b0);
-        }
-        for (out_row, a) in out.chunks_exact_mut(batch).zip(&acc) {
-            out_row[b0..b0 + L].copy_from_slice(a);
         }
     }
-    let mut b0 = 0;
-    while b0 + 8 <= batch {
-        lanes::<R, 8>(out, w, r0, xt, batch, b0);
-        b0 += 8;
+    // A literal kind per arm, so each inlined copy decodes one encoding.
+    match w.kind() {
+        QuantKind::Int8 => tiles(out, w, QuantKind::Int8, xt, rows, batch),
+        QuantKind::Int4 => tiles(out, w, QuantKind::Int4, xt, rows, batch),
     }
-    if b0 + 4 <= batch {
-        lanes::<R, 4>(out, w, r0, xt, batch, b0);
-        b0 += 4;
-    }
-    if b0 + 2 <= batch {
-        lanes::<R, 2>(out, w, r0, xt, batch, b0);
-        b0 += 2;
-    }
-    if b0 < batch {
-        lanes::<R, 1>(out, w, r0, xt, batch, b0);
-    }
+}
+
+/// [`kernel`] compiled with AVX2 enabled.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn kernel_avx2(out: &mut [f32], w: &QuantMatrix, xt: &[f32], rows: Range<usize>, batch: usize) {
+    kernel(out, w, xt, rows, batch);
 }
 
 /// Batched fused dequant-GEMM inner kernel over pre-transposed
 /// (batch-major) activations: `out[(r - rows.start) * batch + b] =
-/// dequant(w[r, :]) · x_b` for `r` in `rows`. Rows go in tiles of
-/// [`ROW_TILE`] and lanes in blocks of 8/4/2/1 exactly like
-/// [`crate::ops::matmul_rows_xt`], so each quantized row is streamed once
-/// and reused across every batch lane.
+/// dequant(w[r, :]) · x_b` for `r` in `rows`, any row range. Each
+/// quantized tile is streamed once and reused across every batch lane.
+#[allow(unsafe_code)]
 pub fn qmatmul_rows_xt(
     out: &mut [f32],
     w: &QuantMatrix,
@@ -102,23 +157,19 @@ pub fn qmatmul_rows_xt(
     rows: Range<usize>,
     batch: usize,
 ) {
-    debug_assert_eq!(out.len(), rows.len() * batch);
-    debug_assert!(rows.end <= w.rows());
-    debug_assert_eq!(xt.len(), w.cols() * batch);
-    let tiled = rows.len() / ROW_TILE * ROW_TILE;
-    let (out_tiles, out_tail) = out.split_at_mut(tiled * batch);
-    for (o, r0) in out_tiles
-        .chunks_exact_mut(ROW_TILE * batch)
-        .zip(rows.clone().step_by(ROW_TILE))
-    {
-        qmatmul_tile::<ROW_TILE>(o, w, r0, xt, batch);
+    assert_eq!(out.len(), rows.len() * batch);
+    assert!(rows.end <= w.rows());
+    assert_eq!(xt.len(), w.cols() * batch);
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `kernel_avx2` is a safe function whose only extra
+        // requirement is that the CPU executes AVX2 instructions, and the
+        // line above has just observed that this one does. It is `kernel`
+        // under another instruction selection: all memory access is
+        // through the same bounds-checked slices.
+        return unsafe { kernel_avx2(out, w, xt, rows, batch) };
     }
-    for (o, r) in out_tail
-        .chunks_exact_mut(batch)
-        .zip(rows.start + tiled..rows.end)
-    {
-        qmatmul_tile::<1>(o, w, r, xt, batch);
-    }
+    kernel(out, w, xt, rows, batch);
 }
 
 /// Batched fused dequant-GEMM with weight reuse: `out[r * batch + b] =
@@ -127,7 +178,6 @@ pub fn qmatmul_rows_xt(
 /// decode steps streams the compressed matrix once instead of B times,
 /// and every element is bit-identical to a [`qmatvec`] call.
 pub fn qmatmul(out: &mut [f32], w: &QuantMatrix, xs: &[f32], batch: usize) {
-    debug_assert_eq!(out.len(), w.rows() * batch);
     debug_assert_eq!(xs.len(), batch * w.cols());
     let xt = transpose_batch_major(xs, w.cols(), batch);
     qmatmul_rows_xt(out, w, &xt, 0..w.rows(), batch);
@@ -136,7 +186,6 @@ pub fn qmatmul(out: &mut [f32], w: &QuantMatrix, xs: &[f32], batch: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::quant::QuantKind;
     use crate::rng::Xoshiro256;
 
     fn random_case(rows: usize, cols: usize, batch: usize, seed: u64) -> (Vec<f32>, Vec<f32>) {
@@ -202,6 +251,28 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    /// The baseline and the run-time-selected instantiation of the kernel
+    /// body are the same IEEE operations in the same order. On a host
+    /// without AVX2 both sides are the baseline copy.
+    #[test]
+    fn portable_and_detected_instantiations_agree_bitwise() {
+        for kind in [QuantKind::Int8, QuantKind::Int4] {
+            for batch in 1..=11 {
+                let (rows, cols) = (21, 3 * GROUP + 7);
+                let (w, xs) = random_case(rows, cols, batch, 40 + batch as u64);
+                let qm = QuantMatrix::quantize_with(&w, rows, cols, kind);
+                let xt = transpose_batch_major(&xs, cols, batch);
+                let range = 3..19;
+                let mut portable = vec![f32::NAN; range.len() * batch];
+                kernel(&mut portable, &qm, &xt, range.clone(), batch);
+                let mut detected = vec![f32::NAN; range.len() * batch];
+                qmatmul_rows_xt(&mut detected, &qm, &xt, range, batch);
+                let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&portable), bits(&detected), "{kind:?} batch {batch}");
             }
         }
     }

@@ -12,12 +12,13 @@
 //!   two per byte (`q ∈ [-7, 7]`, stored biased by +8 so a packed nibble
 //!   is always a valid unsigned value).
 //!
-//! [`QuantMatrix`] stores a row-major matrix in a flat group-scale layout
-//! (payload bytes + one scale per row-group) so the fused dequant-GEMM
-//! kernels in [`crate::qgemm`] can stream it group-at-a-time, and
-//! [`QuantWeights`] quantizes every GEMM operand of a transformer for the
-//! serve-path [`crate::forward`] weight store.
+//! [`QuantMatrix`] stores a matrix tile-interleaved — in the order the
+//! fused dequant-GEMM kernel in [`crate::qgemm`] consumes it, so the
+//! kernel never reshuffles — and [`QuantWeights`] quantizes every GEMM
+//! operand of a transformer for the serve-path [`crate::forward`] weight
+//! store.
 
+use crate::ops::ROW_TILE;
 use crate::weights::TransformerWeights;
 
 /// Number of weights sharing a scale factor.
@@ -213,24 +214,64 @@ impl QuantTensor {
     }
 }
 
-/// A group-quantized row-major matrix in a flat group-scale layout.
+/// A group-quantized matrix, tile-interleaved in kernel order.
 ///
-/// Rows are quantized independently so row tiles stay group-aligned: each
-/// row holds `groups_per_row = cols.div_ceil(GROUP)` groups, and the
-/// payload for group `(r, g)` sits at `(r * groups_per_row + g) *
-/// kind.group_bytes()`. Trailing partial groups are zero-padded so every
-/// stored group is exactly [`GROUP`] wide.
+/// Rows are quantized independently, `groups_per_row =
+/// cols.div_ceil(GROUP)` groups each, and stored by tiles of [`ROW_TILE`]
+/// rows. Tile `t`, group `g` is block `t * groups_per_row + g`: its
+/// [`ROW_TILE`] scales sit together, and its quants go column by column,
+/// each column's [`ROW_TILE`] rows adjacent — one vector load per column
+/// for the kernel. Partial trailing groups are padded to [`GROUP`] columns
+/// with zero quants and the last tile to [`ROW_TILE`] rows with zero
+/// scales; neither padding ever reaches an output.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantMatrix {
     kind: QuantKind,
     rows: usize,
     cols: usize,
     groups_per_row: usize,
-    /// Packed payload: int8 stores one byte per element; int4 packs two
-    /// elements per byte ([`pack_nibbles`] layout).
+    /// Per block, `ROW_TILE * kind.group_bytes()` bytes. Int8: byte
+    /// `c * ROW_TILE + i` is row `i`, column `c`. Int4: byte
+    /// `(c / 2) * ROW_TILE + i` holds row `i`'s columns `c` (low nibble)
+    /// and `c + 1` (high nibble), the [`pack_nibbles`] convention.
     data: Vec<u8>,
-    /// `scales[r * groups_per_row + g]`.
+    /// Per block, `ROW_TILE` scales: `scales[block * ROW_TILE + i]`.
     scales: Vec<f32>,
+}
+
+/// Columns `2p` and `2p + 1` of one block, dequantized: `out[k][i] =
+/// q[i, 2p + k] as f32 * scales[i]` for the tile's [`ROW_TILE`] rows. The
+/// one place the payload encoding is read; two columns a call because
+/// that is what one int4 vector load holds.
+#[inline(always)]
+pub(crate) fn dequant_column_pair(
+    kind: QuantKind,
+    scales: &[f32; ROW_TILE],
+    quants: &[u8],
+    p: usize,
+) -> [[f32; ROW_TILE]; 2] {
+    let mut out = [[0.0f32; ROW_TILE]; 2];
+    match kind {
+        QuantKind::Int8 => {
+            let q = &quants[2 * p * ROW_TILE..][..2 * ROW_TILE];
+            for i in 0..ROW_TILE {
+                out[0][i] = (q[i] as i8) as f32 * scales[i];
+            }
+            for i in 0..ROW_TILE {
+                out[1][i] = (q[ROW_TILE + i] as i8) as f32 * scales[i];
+            }
+        }
+        QuantKind::Int4 => {
+            let q = &quants[p * ROW_TILE..][..ROW_TILE];
+            for i in 0..ROW_TILE {
+                out[0][i] = ((q[i] & 0x0F) as i8 - INT4_BIAS) as f32 * scales[i];
+            }
+            for i in 0..ROW_TILE {
+                out[1][i] = ((q[i] >> 4) as i8 - INT4_BIAS) as f32 * scales[i];
+            }
+        }
+    }
+    out
 }
 
 impl QuantMatrix {
@@ -242,16 +283,19 @@ impl QuantMatrix {
     }
 
     /// Quantizes a row-major `rows × cols` matrix with per-row-group
-    /// symmetric absmax scaling in the requested storage kind.
+    /// symmetric absmax scaling in the requested storage kind, writing
+    /// each group straight into its tile-interleaved place.
     #[must_use]
     pub fn quantize_with(w: &[f32], rows: usize, cols: usize, kind: QuantKind) -> Self {
         assert_eq!(w.len(), rows * cols, "matrix shape mismatch");
         let groups_per_row = cols.div_ceil(GROUP);
-        let gbytes = kind.group_bytes();
-        let mut data = vec![0u8; rows * groups_per_row * gbytes];
-        let mut scales = vec![0.0f32; rows * groups_per_row];
+        let blocks = rows.div_ceil(ROW_TILE) * groups_per_row;
+        let block_bytes = ROW_TILE * kind.group_bytes();
+        let mut data = vec![0u8; blocks * block_bytes];
+        let mut scales = vec![0.0f32; blocks * ROW_TILE];
         for r in 0..rows {
             let row = &w[r * cols..(r + 1) * cols];
+            let (t, i) = (r / ROW_TILE, r % ROW_TILE);
             for g in 0..groups_per_row {
                 let start = g * GROUP;
                 let end = (start + GROUP).min(cols);
@@ -262,7 +306,8 @@ impl QuantMatrix {
                 } else {
                     absmax / kind.max_q()
                 };
-                scales[r * groups_per_row + g] = scale;
+                let block = t * groups_per_row + g;
+                scales[block * ROW_TILE + i] = scale;
                 let mut qbuf = [0i8; GROUP];
                 if scale > 0.0 {
                     let max_q = kind.max_q();
@@ -270,14 +315,12 @@ impl QuantMatrix {
                         *slot = (x / scale).round().clamp(-max_q, max_q) as i8;
                     }
                 }
-                let dst = &mut data[(r * groups_per_row + g) * gbytes..][..gbytes];
+                // Row `i`'s byte `p` of the group goes to tile byte
+                // `p * ROW_TILE + i`.
+                let dst = data[block * block_bytes + i..].iter_mut().step_by(ROW_TILE);
                 match kind {
-                    QuantKind::Int8 => {
-                        for (d, &q) in dst.iter_mut().zip(&qbuf) {
-                            *d = q as u8;
-                        }
-                    }
-                    QuantKind::Int4 => dst.copy_from_slice(&pack_nibbles(&qbuf)),
+                    QuantKind::Int8 => dst.zip(qbuf).for_each(|(d, q)| *d = q as u8),
+                    QuantKind::Int4 => dst.zip(pack_nibbles(&qbuf)).for_each(|(d, b)| *d = b),
                 }
             }
         }
@@ -315,10 +358,23 @@ impl QuantMatrix {
         self.groups_per_row
     }
 
-    /// Per-group scales, indexed `[r * groups_per_row + g]`.
+    /// Scale of group `g` of row `r`.
     #[must_use]
-    pub fn scales(&self) -> &[f32] {
-        &self.scales
+    pub fn scale(&self, r: usize, g: usize) -> f32 {
+        assert!(r < self.rows && g < self.groups_per_row);
+        self.tile_group(r / ROW_TILE, g).0[r % ROW_TILE]
+    }
+
+    /// Block `(t, g)`: the [`ROW_TILE`] scales and the column-interleaved
+    /// quants [`dequant_column_pair`] reads.
+    #[inline(always)]
+    pub(crate) fn tile_group(&self, t: usize, g: usize) -> (&[f32; ROW_TILE], &[u8]) {
+        let block = t * self.groups_per_row + g;
+        let block_bytes = ROW_TILE * self.kind.group_bytes();
+        let scales = self.scales[block * ROW_TILE..][..ROW_TILE]
+            .try_into()
+            .expect("a block holds ROW_TILE scales");
+        (scales, &self.data[block * block_bytes..][..block_bytes])
     }
 
     /// Logical streamed payload bytes: packed weight elements plus one
@@ -341,28 +397,13 @@ impl QuantMatrix {
         self.scales.iter().fold(0.0f32, |m, &s| m.max(s)) * 0.5
     }
 
-    /// Dequantizes group `g` of row `r` into a register-resident block —
-    /// the fused-kernel primitive: each weight group is expanded once and
-    /// then applied across every batch column.
-    #[inline]
+    /// Dequantizes group `g` of row `r` (padding columns included).
     pub fn dequant_group_into(&self, r: usize, g: usize, out: &mut [f32; GROUP]) {
-        debug_assert!(r < self.rows && g < self.groups_per_row);
-        let idx = r * self.groups_per_row + g;
-        let scale = self.scales[idx];
-        let gbytes = self.kind.group_bytes();
-        let src = &self.data[idx * gbytes..][..gbytes];
-        match self.kind {
-            QuantKind::Int8 => {
-                for (o, &b) in out.iter_mut().zip(src) {
-                    *o = (b as i8) as f32 * scale;
-                }
-            }
-            QuantKind::Int4 => {
-                for (pair, &b) in out.chunks_exact_mut(2).zip(src) {
-                    pair[0] = ((b & 0x0F) as i8 - INT4_BIAS) as f32 * scale;
-                    pair[1] = ((b >> 4) as i8 - INT4_BIAS) as f32 * scale;
-                }
-            }
+        assert!(r < self.rows && g < self.groups_per_row);
+        let (scales, quants) = self.tile_group(r / ROW_TILE, g);
+        for (p, o) in out.chunks_exact_mut(2).enumerate() {
+            let pair = dequant_column_pair(self.kind, scales, quants, p);
+            (o[0], o[1]) = (pair[0][r % ROW_TILE], pair[1][r % ROW_TILE]);
         }
     }
 
@@ -390,10 +431,10 @@ impl QuantMatrix {
         out
     }
 
-    /// Fused dequant matvec: weights are dequantized group-at-a-time into
-    /// registers and accumulated in f32 (weight-only quantization — the
-    /// activations stay full precision). Delegates to the kernel module so
-    /// the serve path and this entry point share one accumulation order.
+    /// Fused dequant matvec: weights are dequantized in registers and
+    /// accumulated in f32 (weight-only quantization — the activations stay
+    /// full precision). Delegates to the kernel module so the serve path
+    /// and this entry point share one accumulation order.
     pub fn matvec(&self, out: &mut [f32], x: &[f32]) {
         crate::qgemm::qmatvec(out, self, x);
     }

@@ -28,6 +28,8 @@
 //! exclusively (`refcount == 1`); [`PagedKvArena::make_writable`]
 //! performs the copy-on-write when a forked table needs to append.
 
+#![forbid(unsafe_code)]
+
 pub mod arena;
 pub mod block;
 pub mod radix;

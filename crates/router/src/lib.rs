@@ -18,6 +18,7 @@
 //!   [`ClusterReport`] (per-replica serve reports plus router rows).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cluster;
 pub mod fault;

@@ -59,6 +59,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod analyze;
 pub mod backend;

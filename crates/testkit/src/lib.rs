@@ -40,6 +40,7 @@
 //! any `Result<_, TestCaseError>`.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod fixture;
 pub mod rng;

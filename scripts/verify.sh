@@ -95,6 +95,9 @@ cargo test --release -q -p speedllm --test batched_decode_props
 # at opt-level 2; the benchmark and the serve runs are release + thin
 # LTO, and the two vectorize differently.
 cargo test --release -q -p speedllm --test kernel_identity
+# The quantized kernel body is compiled twice (baseline and AVX2); its
+# unit tests compare the two bit for bit, in the profile that ships.
+cargo test --release -q -p speedllm-llama qgemm
 
 echo "== unified-batch smoke (mixed prefill+decode ticks) =="
 uni_a="$(./target/release/speedllm serve-bench --smoke --mode bursty --burst-size 4 --burst-gap 16 --token-budget 8 --prefill-ratio 50)"

@@ -37,6 +37,8 @@
 //! assert!(report.output.generated_tokens.len() <= 16);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use speedllm_accel as accel;
 pub use speedllm_fpga_sim as fpga;
 pub use speedllm_gpu_model as gpu;

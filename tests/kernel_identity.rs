@@ -7,9 +7,11 @@
 //!
 //! * a property: every output element of the f32/int8/int4 GEMV/GEMM
 //!   kernels, serial and parallel, over row counts that straddle two row
-//!   tiles and column counts on and off the 8-column and `GROUP`
-//!   boundaries, bitwise equals a plain single-accumulator loop written
-//!   here;
+//!   tiles (so the tile-interleaved quantized layout ends on a ragged,
+//!   padded tile), column counts on and off the 8-column and `GROUP`
+//!   boundaries, every lane-block width, and row sub-ranges that start and
+//!   end inside a tile, bitwise equals a plain single-accumulator loop
+//!   written here;
 //! * golden digests: FNV-1a over the logits' bits of the tiny synthetic
 //!   model, captured before the row-tiled kernels existed.
 //!
@@ -86,6 +88,15 @@ fn first_mismatch(
     // A worker's view: the row-range kernel over a strict sub-range.
     let sub = rows / 3..rows - rows / 4;
     let sub_out = sub.start * batch..sub.end * batch;
+    // More views for the quantized kernel, whose tiles are a storage unit
+    // and not only a loop shape: all but the first row, all but the last,
+    // and one row from the middle of a tile.
+    let quant_subs = [
+        sub.clone(),
+        rows.min(1)..rows,
+        0..rows.saturating_sub(1),
+        rows / 2..(rows / 2 + 1).min(rows),
+    ];
 
     // (entry point, its output, the reference for that output)
     let mut cases: Vec<(String, Vec<f32>, Vec<f32>)> = Vec::new();
@@ -135,13 +146,15 @@ fn first_mismatch(
             q_case("qmatvec", run(n, |o| qmatvec(o, &qm, &xs)));
             q_case("par_qmatvec", run(n, |o| par_qmatvec(o, &qm, &xs, threads)));
         }
-        cases.push((
-            format!("{kind:?} qmatmul_rows_xt"),
-            run(sub_out.len(), |o| {
-                qmatmul_rows_xt(o, &qm, &xt, sub.clone(), batch)
-            }),
-            want[sub_out.clone()].to_vec(),
-        ));
+        for sub in &quant_subs {
+            cases.push((
+                format!("{kind:?} qmatmul_rows_xt {sub:?}"),
+                run(sub.len() * batch, |o| {
+                    qmatmul_rows_xt(o, &qm, &xt, sub.clone(), batch)
+                }),
+                want[sub.start * batch..sub.end * batch].to_vec(),
+            ));
+        }
     }
 
     cases
