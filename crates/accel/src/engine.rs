@@ -1,22 +1,29 @@
-//! The accelerator engine: executes the decode graph on the device model.
+//! The accelerator engine: one model on the simulated device.
 //!
-//! Each device pass ([`Engine::forward_runs`]; [`Engine::decode_step`] and
-//! [`Engine::prefill_chunk`] are its default-sequence shorthands) does two
-//! things in lock-step, kernel by kernel:
+//! A device pass ([`Engine::forward_runs`]; [`Engine::decode_step`] and
+//! [`Engine::prefill_chunk`] are its default-sequence shorthands) is two
+//! halves that share nothing but the pass's row positions:
 //!
-//! * **Functional execution** — the same scalar kernels as the CPU
-//!   reference run over an SSA value store, so the engine produces real
-//!   logits. Fusion, placement, and pipelining only change *timing*;
-//!   integration tests assert the logits match the reference.
-//! * **Timing execution** — every kernel is decomposed into read/compute/
+//! * **Values** (`Engine::execute`) — one call of the CPU reference's
+//!   layer walk ([`Transformer::forward_runs_into`]) over every row of the
+//!   pass, on the engine's KV storage. There is no second interpreter:
+//!   fusion, placement and pipelining change *timing*, never values, so
+//!   logits are bit-identical to the CPU path at the same weight
+//!   precision. The one device-specific value effect, Q8_0 KV storage, is
+//!   a [`KvBatch`] adapter around the store (`DeviceKv`).
+//! * **Cost** (`Engine::time`) — what the op graph, fused schedule and
+//!   memory plan are for. Every kernel is decomposed into read/compute/
 //!   write tiles (weight streaming per MPE row-wave, KV paging for
-//!   attention, activation round-trips for HBM-placed values) and scheduled
-//!   on the shared resource timeline by [`crate::pipeline::schedule_kernel`]
-//!   under the active [`OptConfig`] discipline. Device counters (HBM bytes,
-//!   MACs, SFU elements, DMA busy, launches, allocation stalls) accumulate
-//!   into a per-step [`SimStats`] for the power model.
+//!   attention, activation round-trips for HBM-placed values) and
+//!   scheduled on the shared resource timeline by
+//!   [`crate::pipeline::schedule_kernel`] under the active [`OptConfig`]
+//!   discipline; device counters accumulate into a per-pass [`SimStats`]
+//!   for the power model.
+//!
+//! So values may batch more coarsely than cost: `Session` prefill walks up
+//! to 64 prompt rows at once and still charges one pass per
+//! `prefill_chunk`.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use speedllm_telemetry as tel;
@@ -33,15 +40,14 @@ use speedllm_fpga_sim::resources::{
 use speedllm_fpga_sim::sfu::{Sfu, SfuKind};
 use speedllm_fpga_sim::stats::SimStats;
 use speedllm_fpga_sim::trace::TraceBuffer;
-use speedllm_llama::forward::LogitRows;
-use speedllm_llama::kv_cache::KvCache;
-use speedllm_llama::ops;
-use speedllm_llama::quant::{QuantKind, QuantMatrix};
+use speedllm_llama::forward::{BatchState, LogitRows, MatVecStrategy, Transformer, WeightStore};
+use speedllm_llama::kv_cache::{KvBatch, KvCache};
+use speedllm_llama::quant::{QuantMode, QuantTensor};
 use speedllm_llama::weights::TransformerWeights;
 use speedllm_pagedkv::{BlockConfig, BlockId, BlockTable, PagedKvArena};
 
 use crate::fusion::{fuse_with_limit, Schedule};
-use crate::ir::{build_decode_graph, Graph, OpKind, ValueId, WeightRef};
+use crate::ir::{build_decode_graph, Graph, OpKind, ValueId};
 use crate::memplan::{plan, MemoryPlan, Placement};
 use crate::opt::OptConfig;
 use crate::pipeline::{schedule_kernel, PipelineConfig, TileCost, Unit, N_RESOURCES};
@@ -83,12 +89,6 @@ pub struct AccelConfig {
     /// token-at-a-time prefill; larger values amortize weight streaming
     /// across the chunk. Capped at 64 by the on-chip staging limit.
     pub prefill_chunk: usize,
-    /// Run the *functional* matmul math through the real three-stage
-    /// thread pipeline ([`crate::pipeline::dataflow`]) instead of the
-    /// serial kernel. Numerically identical (disjoint row tiles); it
-    /// demonstrates on the host CPU the same read–compute–write overlap
-    /// the timing model charges for.
-    pub functional_dataflow: bool,
     /// Energy model.
     pub power: PowerModel,
 }
@@ -139,7 +139,6 @@ impl AccelConfig {
             kv_precision: Precision::Fp32,
             fusion_max_ops: crate::fusion::MAX_OPS_PER_KERNEL,
             prefill_chunk: 1,
-            functional_dataflow: false,
             power: PowerModel::u280(),
         }
     }
@@ -164,34 +163,6 @@ impl AccelConfig {
     }
 }
 
-/// Computes a matvec through the three-stage dataflow pipeline: the READ
-/// stage slices a row-wave of the weight matrix, COMPUTE runs the dot
-/// products, WRITE commits the rows — the software twin of the device's
-/// streamed iteration. Row tiles are disjoint, so the result is bit-equal
-/// to the serial kernel.
-fn dataflow_matvec(out: &mut [f32], w: &[f32], x: &[f32], rows: usize, cols: usize, wave: usize) {
-    let wave = wave.max(1);
-    let n_tiles = rows.div_ceil(wave);
-    crate::pipeline::dataflow::run(
-        n_tiles,
-        2,
-        |i| {
-            let r0 = i * wave;
-            let r1 = (r0 + wave).min(rows);
-            (r0, &w[r0 * cols..r1 * cols])
-        },
-        |_, (r0, wslice)| {
-            let n = wslice.len() / cols;
-            let mut part = vec![0.0f32; n];
-            speedllm_llama::ops::matvec(&mut part, wslice, x, n, cols);
-            (r0, part)
-        },
-        |_, (r0, part)| {
-            out[r0..r0 + part.len()].copy_from_slice(&part);
-        },
-    );
-}
-
 /// Where one sequence's K/V rows live: a private contiguous cache, or a
 /// per-sequence block table over the engine's shared [`PagedKvArena`].
 /// The indirection is functional-only — the timing model already charges
@@ -205,30 +176,15 @@ pub enum SeqKv {
     Paged(BlockTable),
 }
 
-/// Per-sequence functional state: the KV storage and the SSA value store.
-/// One [`Engine`] owns a default sequence (used by [`Engine::decode_step`]);
-/// additional sequences can be created for batched serving via
-/// [`Engine::new_sequence`] + [`Engine::forward_runs`].
+/// Per-sequence functional state: its KV storage. One [`Engine`] owns a
+/// default sequence (used by [`Engine::decode_step`]); additional sequences
+/// can be created for batched serving via [`Engine::new_sequence`] +
+/// [`Engine::forward_runs`].
 pub struct SequenceState {
     kv: SeqKv,
-    values: Vec<Option<Vec<f32>>>,
 }
 
 impl SequenceState {
-    fn new(config: &speedllm_llama::config::ModelConfig, n_values: usize) -> Self {
-        Self {
-            kv: SeqKv::Flat(KvCache::new(config)),
-            values: vec![None; n_values],
-        }
-    }
-
-    fn new_paged(block_size: usize, n_values: usize) -> Self {
-        Self {
-            kv: SeqKv::Paged(BlockTable::new(block_size)),
-            values: vec![None; n_values],
-        }
-    }
-
     /// Number of positions already decoded into this sequence.
     #[must_use]
     pub fn context_len(&self) -> usize {
@@ -279,22 +235,11 @@ impl SequenceState {
             SeqKv::Paged(table) => Some(table),
         }
     }
-
-    fn value(&self, v: ValueId) -> &[f32] {
-        self.values[v.0]
-            .as_deref()
-            .unwrap_or_else(|| panic!("value {v:?} not yet computed"))
-    }
 }
 
 impl speedllm_llama::kv_cache::PoolSlot for SequenceState {
     fn reset_slot(&mut self) {
         self.reset();
-        // Drop cached SSA values too: a recycled slot must not leak the
-        // previous tenant's activations to a stale-value read.
-        for v in &mut self.values {
-            *v = None;
-        }
     }
 
     fn slot_len(&self) -> usize {
@@ -310,33 +255,44 @@ impl speedllm_llama::kv_cache::PoolSlot for SequenceState {
     }
 }
 
-/// Read view over either KV storage for the attention kernels.
-enum KvCtx<'a> {
-    Flat(&'a KvCache),
-    Paged(&'a PagedKvArena, &'a BlockTable),
+/// The device's KV write path over any [`KvBatch`]: with `q8` (the
+/// [`AccelConfig::kv_precision`] `Int8` mode) K and V rows are stored as
+/// Q8_0 and dequantized on read, which the functional side mirrors by
+/// round-tripping each row through the quantizer as it is stored, so the
+/// accuracy effect is faithful. Everything else is the inner store's.
+struct DeviceKv<'a, B: KvBatch + ?Sized> {
+    inner: &'a mut B,
+    q8: bool,
 }
 
-impl KvCtx<'_> {
-    #[inline]
-    fn key_head(&self, layer: usize, t: usize, kv_head: usize) -> &[f32] {
-        match self {
-            KvCtx::Flat(kv) => kv.key_head(layer, t, kv_head),
-            KvCtx::Paged(arena, table) => {
-                let (b, s) = table.locate(t);
-                arena.key_head_at(layer, b, s, kv_head)
-            }
-        }
+impl<B: KvBatch + ?Sized> KvBatch for DeviceKv<'_, B> {
+    fn batch_len(&self) -> usize {
+        self.inner.batch_len()
     }
 
-    #[inline]
-    fn value_head(&self, layer: usize, t: usize, kv_head: usize) -> &[f32] {
-        match self {
-            KvCtx::Flat(kv) => kv.value_head(layer, t, kv_head),
-            KvCtx::Paged(arena, table) => {
-                let (b, s) = table.locate(t);
-                arena.value_head_at(layer, b, s, kv_head)
-            }
+    fn kv_len(&self, i: usize) -> usize {
+        self.inner.kv_len(i)
+    }
+
+    fn kv_capacity(&self, i: usize) -> usize {
+        self.inner.kv_capacity(i)
+    }
+
+    fn store(&mut self, i: usize, layer: usize, pos: usize, k: &[f32], v: &[f32]) {
+        if !self.q8 {
+            return self.inner.store(i, layer, pos, k, v);
         }
+        let k = QuantTensor::quantize(k).dequantize();
+        let v = QuantTensor::quantize(v).dequantize();
+        self.inner.store(i, layer, pos, &k, &v);
+    }
+
+    fn key_head(&self, i: usize, layer: usize, pos: usize, kv_head: usize) -> &[f32] {
+        self.inner.key_head(i, layer, pos, kv_head)
+    }
+
+    fn value_head(&self, i: usize, layer: usize, pos: usize, kv_head: usize) -> &[f32] {
+        self.inner.value_head(i, layer, pos, kv_head)
     }
 }
 
@@ -371,6 +327,11 @@ impl std::error::Error for EngineError {}
 /// The simulated SpeedLLM accelerator bound to one model.
 pub struct Engine {
     weights: Arc<TransformerWeights>,
+    /// The weight stream the walk reads under `opt.precision`: the shared
+    /// f32 tensors, or a compressed copy built at construction.
+    store: WeightStore,
+    /// Row scratch of the layer walk, grown to the widest pass seen.
+    scratch: Option<BatchState>,
     opt: OptConfig,
     cfg: AccelConfig,
     graph: Graph,
@@ -390,7 +351,6 @@ pub struct Engine {
     /// Shared physical KV store for paged sequences; `None` until
     /// [`Engine::enable_paged_kv`]. The default sequence stays flat.
     paged: Option<PagedKvArena>,
-    quant: HashMap<WeightRef, QuantMatrix>,
     // Optional capture of the next step's timeline.
     trace: Option<TraceBuffer>,
 }
@@ -424,9 +384,21 @@ impl Engine {
             tel::metrics::gauge_set("accel.memplan_ocm_values", plan.ocm_values() as f64);
             tel::metrics::gauge_set("accel.memplan_hbm_values", plan.hbm_values() as f64);
         }
-        let seq = Some(SequenceState::new(&weights.config, graph.values.len()));
+        let store = WeightStore::for_mode(
+            &weights,
+            match opt.precision {
+                Precision::Fp32 => QuantMode::F32,
+                Precision::Int8 => QuantMode::Int8,
+                Precision::Int4 => QuantMode::Int4,
+            },
+        );
+        let seq = Some(SequenceState {
+            kv: SeqKv::Flat(KvCache::new(&weights.config)),
+        });
         Ok(Self {
             weights,
+            store,
+            scratch: None,
             opt,
             cfg,
             graph,
@@ -441,7 +413,6 @@ impl Engine {
             stalls: 0,
             seq,
             paged: None,
-            quant: HashMap::new(),
             trace: None,
         })
     }
@@ -511,10 +482,11 @@ impl Engine {
     /// [`Engine::enable_paged_kv`] has been called, flat otherwise.
     #[must_use]
     pub fn new_sequence(&self) -> SequenceState {
-        match &self.paged {
-            Some(arena) => SequenceState::new_paged(arena.block_size(), self.graph.values.len()),
-            None => SequenceState::new(&self.graph.config, self.graph.values.len()),
-        }
+        let kv = match &self.paged {
+            Some(arena) => SeqKv::Paged(BlockTable::new(arena.block_size())),
+            None => SeqKv::Flat(KvCache::new(&self.graph.config)),
+        };
+        SequenceState { kv }
     }
 
     /// Switches serving sequences to paged KV storage: allocates the
@@ -553,20 +525,6 @@ impl Engine {
         }
     }
 
-    /// Bytes one device pass streams for the dense GEMM operands under the
-    /// active weight precision — the compressed counterpart of
-    /// `ModelConfig::gemm_weight_bytes`, and what the
-    /// `accel.gemm_weight_bytes` telemetry adds per batched tick.
-    fn gemm_stream_bytes(&self) -> u64 {
-        let c = &self.graph.config;
-        let (d, kv, h) = (c.dim, c.kv_dim(), c.hidden_dim);
-        let per_layer = self.matrix_bytes(d, d) * 2 // wq, wo
-            + self.matrix_bytes(kv, d) * 2 // wk, wv
-            + self.matrix_bytes(h, d) * 2 // w1, w3
-            + self.matrix_bytes(d, h); // w2
-        per_layer * c.n_layers as u64 + self.matrix_bytes(c.vocab_size, d)
-    }
-
     /// Bytes one K or V row of `kv_dim` elements occupies in HBM under the
     /// configured KV precision (quantized payload + group scales).
     fn kv_row_bytes(&self) -> u64 {
@@ -575,178 +533,6 @@ impl Engine {
             Precision::Fp32 => (kv_dim * 4) as u64,
             Precision::Int8 => (kv_dim + kv_dim.div_ceil(32) * 4) as u64,
             Precision::Int4 => (kv_dim.div_ceil(2) + kv_dim.div_ceil(32) * 4) as u64,
-        }
-    }
-
-    fn resolve_matrix(w: &TransformerWeights, r: WeightRef) -> (&[f32], usize, usize) {
-        let c = &w.config;
-        let d = c.dim;
-        let kv = c.kv_dim();
-        let h = c.hidden_dim;
-        match r {
-            WeightRef::Wq(l) => (&w.layers[l].wq, d, d),
-            WeightRef::Wk(l) => (&w.layers[l].wk, kv, d),
-            WeightRef::Wv(l) => (&w.layers[l].wv, kv, d),
-            WeightRef::Wo(l) => (&w.layers[l].wo, d, d),
-            WeightRef::W1(l) => (&w.layers[l].w1, h, d),
-            WeightRef::W2(l) => (&w.layers[l].w2, d, h),
-            WeightRef::W3(l) => (&w.layers[l].w3, h, d),
-            WeightRef::Classifier => (w.classifier(), c.vocab_size, d),
-            _ => panic!("{r:?} is not a matrix weight"),
-        }
-    }
-
-    fn resolve_gain(w: &TransformerWeights, r: WeightRef) -> &[f32] {
-        match r {
-            WeightRef::RmsAtt(l) => &w.layers[l].rms_att,
-            WeightRef::RmsFfn(l) => &w.layers[l].rms_ffn,
-            WeightRef::RmsFinal => &w.rms_final,
-            _ => panic!("{r:?} is not a norm gain"),
-        }
-    }
-
-    /// Functionally executes one op into a sequence's value store.
-    /// `arena` is the shared paged store; required iff `seq` is paged.
-    #[allow(clippy::too_many_arguments)]
-    fn exec_op(
-        graph: &Graph,
-        weights: &TransformerWeights,
-        quant: &mut HashMap<WeightRef, QuantMatrix>,
-        cfg: &AccelConfig,
-        opt: &OptConfig,
-        seq: &mut SequenceState,
-        arena: Option<&mut PagedKvArena>,
-        op_idx: usize,
-        token: u32,
-        pos: usize,
-    ) {
-        let op = graph.ops[op_idx].clone();
-        match op.kind {
-            OpKind::Embed => {
-                let row = weights.embedding_row(token as usize).to_vec();
-                seq.values[op.output().0] = Some(row);
-            }
-            OpKind::RmsNorm => {
-                let gain = Self::resolve_gain(weights, op.weight.expect("norm weight"));
-                let x = seq.value(op.inputs[0]);
-                let mut out = vec![0.0f32; x.len()];
-                ops::rmsnorm(&mut out, x, gain);
-                seq.values[op.output().0] = Some(out);
-            }
-            OpKind::MatMul { rows, cols } => {
-                let wref = op.weight.expect("matmul weight");
-                let x = seq.value(op.inputs[0]).to_vec();
-                let mut out = vec![0.0f32; rows];
-                match opt.precision {
-                    Precision::Fp32 => {
-                        let (w, r, c) = Self::resolve_matrix(weights, wref);
-                        debug_assert_eq!((r, c), (rows, cols));
-                        if cfg.functional_dataflow && rows >= 4 * cfg.mpe.lanes {
-                            dataflow_matvec(&mut out, w, &x, rows, cols, cfg.mpe.lanes);
-                        } else {
-                            ops::matvec(&mut out, w, &x, rows, cols);
-                        }
-                    }
-                    Precision::Int8 | Precision::Int4 => {
-                        let kind = if opt.precision == Precision::Int8 {
-                            QuantKind::Int8
-                        } else {
-                            QuantKind::Int4
-                        };
-                        let qm = quant.entry(wref).or_insert_with(|| {
-                            let (w, r, c) = Self::resolve_matrix(weights, wref);
-                            QuantMatrix::quantize_with(w, r, c, kind)
-                        });
-                        qm.matvec(&mut out, &x);
-                    }
-                }
-                seq.values[op.output().0] = Some(out);
-            }
-            OpKind::Rope { head_dim } => {
-                let mut v = seq.value(op.inputs[0]).to_vec();
-                ops::rope_inplace(&mut v, pos, head_dim, ops::ROPE_THETA);
-                seq.values[op.output().0] = Some(v);
-            }
-            OpKind::KvAppend { layer } => {
-                let mut k = seq.value(op.inputs[0]).to_vec();
-                let mut v = seq.value(op.inputs[1]).to_vec();
-                if cfg.kv_precision == Precision::Int8 {
-                    // The device stores Q8_0 rows and dequantizes on read;
-                    // the functional mirror applies the same round-trip so
-                    // the accuracy effect is faithful.
-                    k = speedllm_llama::quant::QuantTensor::quantize(&k).dequantize();
-                    v = speedllm_llama::quant::QuantTensor::quantize(&v).dequantize();
-                }
-                match &mut seq.kv {
-                    SeqKv::Flat(kv) => kv.store(layer, pos, &k, &v),
-                    SeqKv::Paged(table) => {
-                        let arena = arena.expect("paged sequence without a paged arena");
-                        let (b, s) = table.locate(pos);
-                        arena.store_at(layer, b, s, &k, &v);
-                        if layer == graph.config.n_layers - 1 {
-                            table.note_stored(pos);
-                        }
-                    }
-                }
-            }
-            OpKind::Attention {
-                layer,
-                n_heads,
-                n_kv_heads,
-                head_dim,
-            } => {
-                let q = seq.value(op.inputs[0]).to_vec();
-                let gqa = n_heads / n_kv_heads;
-                let mut out = vec![0.0f32; n_heads * head_dim];
-                let mut scores = vec![0.0f32; pos + 1];
-                let ctx = match (&seq.kv, arena.as_deref()) {
-                    (SeqKv::Flat(kv), _) => KvCtx::Flat(kv),
-                    (SeqKv::Paged(table), Some(arena)) => KvCtx::Paged(arena, table),
-                    (SeqKv::Paged(_), None) => {
-                        panic!("paged sequence without a paged arena")
-                    }
-                };
-                for h in 0..n_heads {
-                    let kv_head = h / gqa;
-                    let qh = &q[h * head_dim..(h + 1) * head_dim];
-                    ops::attention_scores(
-                        &mut scores,
-                        qh,
-                        |t| ctx.key_head(layer, t, kv_head),
-                        pos,
-                    );
-                    ops::softmax(&mut scores[..pos + 1]);
-                    ops::attention_mix(
-                        &mut out[h * head_dim..(h + 1) * head_dim],
-                        &scores,
-                        |t| ctx.value_head(layer, t, kv_head),
-                        pos,
-                    );
-                }
-                drop(ctx);
-                seq.values[op.output().0] = Some(out);
-            }
-            OpKind::Silu => {
-                let mut v = seq.value(op.inputs[0]).to_vec();
-                for x in &mut v {
-                    *x = ops::silu(*x);
-                }
-                seq.values[op.output().0] = Some(v);
-            }
-            OpKind::ElemMul => {
-                let mut a = seq.value(op.inputs[0]).to_vec();
-                let b = seq.value(op.inputs[1]);
-                for (x, &y) in a.iter_mut().zip(b) {
-                    *x *= y;
-                }
-                seq.values[op.output().0] = Some(a);
-            }
-            OpKind::Add => {
-                let mut a = seq.value(op.inputs[0]).to_vec();
-                let b = seq.value(op.inputs[1]);
-                ops::add_inplace(&mut a, b);
-                seq.values[op.output().0] = Some(a);
-            }
         }
     }
 
@@ -930,7 +716,7 @@ impl Engine {
     /// Processes a chunk of consecutive prompt tokens starting at
     /// `start_pos` on the default sequence in one device pass (chunked
     /// prefill — an extension beyond the paper; see DESIGN.md): the
-    /// single-run [`LogitRows::Last`] call of [`Engine::forward_runs`].
+    /// single-run [`LogitRows::Last`] shape of [`Engine::forward_runs`].
     /// Returns the logits after the **last** token of the chunk.
     ///
     /// # Panics
@@ -943,10 +729,23 @@ impl Engine {
             start_pos,
             "chunk must extend the sequence contiguously"
         );
+        let logits = self.execute_default(tokens);
+        let positions: Vec<usize> = (start_pos..start_pos + tokens.len()).collect();
+        let (cycles, stats) = self.time(&positions);
+        StepResult {
+            logits,
+            cycles,
+            stats,
+        }
+    }
+
+    /// [`Engine::execute`] on the default sequence: appends `tokens` at its
+    /// context length and returns the logits after the last one.
+    pub(crate) fn execute_default(&mut self, tokens: &[u32]) -> Vec<f32> {
         let mut seq = self.seq.take().expect("default sequence present");
-        let (_, step) = self.forward_runs(&mut [&mut seq], &[tokens], LogitRows::Last);
+        let mut logits = self.execute(&mut [&mut seq], &[tokens], LogitRows::Last);
         self.seq = Some(seq);
-        step
+        logits.pop().expect("one run in, one logits row out")
     }
 
     /// Schedules every kernel for a pass over `positions` (a contiguous
@@ -1121,30 +920,128 @@ impl Engine {
         }
     }
 
+    /// The **values** of a pass: one call of the reference layer walk over
+    /// every row of every run, each sequence extended at its context length
+    /// (flat sequences lend their caches, paged ones a batch view of the
+    /// arena). Returns per sequence the logits after its run's last token,
+    /// or with [`LogitRows::All`] after every run token, row-major.
+    /// Charges nothing: the caller owes the device an [`Engine::time`].
+    ///
+    /// # Panics
+    /// Panics wherever the walk does — an empty batch or run, a position
+    /// outside the context window, a token out of vocabulary — and on a
+    /// pass mixing flat and paged sequences.
+    pub(crate) fn execute(
+        &mut self,
+        seqs: &mut [&mut SequenceState],
+        runs: &[&[u32]],
+        logit_rows: LogitRows,
+    ) -> Vec<Vec<f32>> {
+        let starts: Vec<usize> = seqs.iter().map(|s| s.context_len()).collect();
+        let counts: Vec<usize> = runs.iter().map(|r| r.len()).collect();
+        let tokens = runs.concat();
+        let q8 = self.cfg.kv_precision == Precision::Int8;
+        let flat: Option<Vec<&mut KvCache>> = seqs
+            .iter_mut()
+            .map(|s| match &mut s.kv {
+                SeqKv::Flat(kv) => Some(kv),
+                SeqKv::Paged(_) => None,
+            })
+            .collect();
+        let logits = if let Some(mut kvs) = flat {
+            let inner = kvs.as_mut_slice();
+            Transformer::forward_runs_into(
+                &self.weights,
+                &self.store,
+                &mut self.scratch,
+                MatVecStrategy::Serial,
+                &mut DeviceKv { inner, q8 },
+                &tokens,
+                &counts,
+                &starts,
+                logit_rows,
+            )
+        } else {
+            let arena = self
+                .paged
+                .as_mut()
+                .expect("paged sequence without an arena");
+            let tables = seqs
+                .iter_mut()
+                .map(|s| s.block_table_mut().expect("flat sequence in a paged pass"))
+                .collect();
+            let inner = &mut arena.batch_view(tables);
+            Transformer::forward_runs_into(
+                &self.weights,
+                &self.store,
+                &mut self.scratch,
+                MatVecStrategy::Serial,
+                &mut DeviceKv { inner, q8 },
+                &tokens,
+                &counts,
+                &starts,
+                logit_rows,
+            )
+        };
+        let vocab = self.graph.config.vocab_size;
+        let mut rest = logits;
+        counts
+            .iter()
+            .map(|&cnt| {
+                let (scored, tail) = rest.split_at(logit_rows.of_run(cnt) * vocab);
+                rest = tail;
+                scored.to_vec()
+            })
+            .collect()
+    }
+
+    /// The **cost** of a pass over rows at `positions` (a contiguous
+    /// prefill chunk, one position per batched sequence, or a mix): one
+    /// [`Engine::timing_pass`], so matrix weights stream from HBM once for
+    /// every row — where chunking, batching and verification win. Reads
+    /// only the positions, never a value.
+    ///
+    /// # Panics
+    /// Panics on more rows than the on-chip staging limit (64).
+    pub(crate) fn time(&mut self, positions: &[usize]) -> (Cycles, SimStats) {
+        let rows = positions.len();
+        assert!(
+            rows <= 64,
+            "{rows} rows exceed the on-chip staging limit (64)"
+        );
+        let before = self.counters_snapshot();
+        let (cycles, ocm_read, ocm_write) = self.timing_pass(positions);
+        let stats = self.step_stats(&before, cycles, ocm_read, ocm_write);
+        if tel::enabled() {
+            // Same accounting as the CPU path (`cpu.gemm_*`): one device
+            // pass streams the dense weights once for all its rows, so
+            // bytes-per-token falls with the rows a pass carries.
+            let streamed = self.store.gemm_weight_bytes(&self.graph.config);
+            tel::metrics::counter_add("accel.gemm_weight_bytes", streamed as u64);
+            tel::metrics::counter_add("accel.gemm_tokens", rows as u64);
+            tel::metrics::gauge_set("accel.gemm_batch_width", rows as f64);
+        }
+        (cycles, stats)
+    }
+
     /// **The** device pass: each of several independent sequences
     /// contributes a *run* of one or more consecutive tokens extending it
     /// at its current context length. A decode step is a run of length 1,
     /// a prefill chunk a run of its chunk length, a speculative verify a
-    /// run scored with [`LogitRows::All`]; one tick may mix them (batched
-    /// serving, chunked prefill, Sarathi-style unified batching and
-    /// one-pass verification — extensions beyond the paper, DESIGN.md
-    /// §13/§14/§16).
+    /// run scored with [`LogitRows::All`]; one tick may mix them
+    /// (extensions beyond the paper, DESIGN.md §13/§14/§16).
     ///
-    /// The functional pass is token-sequential per sequence (causally
-    /// exact: within a run later tokens attend to earlier ones through
-    /// the KV cache, which KvAppend updates in program order), so logits
-    /// are bit-identical however the same tokens are cut into runs and
-    /// ticks. The timing model runs **one** [`Engine::timing_pass`] over
-    /// every row: matrix weights stream from HBM once per pass and are
-    /// applied to every row, which is where chunking, batching and
-    /// verification win — a verify pass over a pending token plus K draft
-    /// rows streams the dense weights once where K+1 decode steps would
-    /// stream them K+1 times.
+    /// It is `execute` (values) then `time` (cost) over the same rows:
+    /// logits are bit-identical however the same tokens are cut into runs
+    /// and ticks (the walk's run-shape identity), and the pass is charged
+    /// one weight stream — a verify over a pending token plus K draft rows
+    /// streams the dense weights once where K+1 decode steps would stream
+    /// them K+1 times.
     ///
     /// Returns one entry per sequence, in order — the logits after its
     /// run's last token, or with [`LogitRows::All`] those of every run
-    /// token, row-major `[runs[i].len() * vocab]` — plus the pass's
-    /// [`StepResult`] (whose `logits` are the final row's).
+    /// token, row-major — plus the pass's [`StepResult`] (whose `logits`
+    /// are the final row's).
     ///
     /// # Panics
     /// Panics on an empty batch, an empty run, mismatched lengths, total
@@ -1156,75 +1053,20 @@ impl Engine {
         runs: &[&[u32]],
         logit_rows: LogitRows,
     ) -> (Vec<Vec<f32>>, StepResult) {
-        let c = self.graph.config;
         assert!(!seqs.is_empty(), "empty batch");
         assert_eq!(seqs.len(), runs.len(), "one token run per sequence");
-        let rows: usize = runs.iter().map(|r| r.len()).sum();
-        assert!(
-            rows <= 64,
-            "{rows} rows exceed the on-chip staging limit (64)"
-        );
-        let mut positions = Vec::with_capacity(rows);
-        for (seq, run) in seqs.iter().zip(runs) {
-            assert!(!run.is_empty(), "empty run");
-            let start = seq.context_len();
-            let last = start + run.len() - 1;
-            assert!(
-                last < c.seq_len,
-                "pos {last} outside context window {}",
-                c.seq_len
-            );
-            for &t in *run {
-                assert!((t as usize) < c.vocab_size, "token {t} out of vocab");
-            }
-            positions.extend(start..=last);
-        }
-        let before = self.counters_snapshot();
-
-        // Functional pass, sequence by sequence, token by token.
-        let mut all_logits = Vec::with_capacity(seqs.len());
-        for (seq, run) in seqs.iter_mut().zip(runs) {
-            let start = seq.context_len();
-            let mut seq_logits = Vec::new();
-            for (i, &tok) in run.iter().enumerate() {
-                for v in &mut seq.values {
-                    *v = None;
-                }
-                for oi in 0..self.graph.ops.len() {
-                    Self::exec_op(
-                        &self.graph,
-                        &self.weights,
-                        &mut self.quant,
-                        &self.cfg,
-                        &self.opt,
-                        seq,
-                        self.paged.as_mut(),
-                        oi,
-                        tok,
-                        start + i,
-                    );
-                }
-                if logit_rows == LogitRows::All || i + 1 == run.len() {
-                    seq_logits.extend_from_slice(seq.value(self.graph.output()));
-                }
-            }
-            all_logits.push(seq_logits);
-        }
-
-        let (cycles, ocm_read, ocm_write) = self.timing_pass(&positions);
-        let stats = self.step_stats(&before, cycles, ocm_read, ocm_write);
-        if tel::enabled() {
-            // Same accounting as the CPU path (`cpu.gemm_*`): one device
-            // pass streams the dense weights once for all its rows, so
-            // bytes-per-token falls with the rows a pass carries.
-            tel::metrics::counter_add("accel.gemm_weight_bytes", self.gemm_stream_bytes());
-            tel::metrics::counter_add("accel.gemm_tokens", rows as u64);
-            tel::metrics::gauge_set("accel.gemm_batch_width", rows as f64);
-        }
-        let logits = all_logits
-            .last()
-            .map(|l| l[l.len() - c.vocab_size..].to_vec())
-            .unwrap_or_default();
+        let positions: Vec<usize> = seqs
+            .iter()
+            .zip(runs)
+            .flat_map(|(seq, run)| {
+                let start = seq.context_len();
+                start..start + run.len()
+            })
+            .collect();
+        let all_logits = self.execute(seqs, runs, logit_rows);
+        let (cycles, stats) = self.time(&positions);
+        let last = all_logits.last().expect("one logits entry per sequence");
+        let logits = last[last.len() - self.graph.config.vocab_size..].to_vec();
         (
             all_logits,
             StepResult {
@@ -1275,8 +1117,9 @@ mod tests {
             let expected = reference.forward(token, pos).to_vec();
             for e in &mut engines {
                 let got = e.decode_step(token, pos);
-                assert!(
-                    max_diff(&expected, &got.logits) < 1e-4,
+                assert_eq!(
+                    expected,
+                    got.logits,
                     "{} diverged at pos {pos}",
                     e.opt().short_name()
                 );
@@ -1449,11 +1292,7 @@ mod tests {
         }
         let mut chunked = Engine::new(weights, OptConfig::full()).unwrap();
         let r = chunked.prefill_chunk(&tokens, 0);
-        let d = last
-            .iter()
-            .zip(&r.logits)
-            .fold(0.0f32, |m, (a, b)| m.max((a - b).abs()));
-        assert!(d < 1e-5, "chunked prefill diverged by {d}");
+        assert_eq!(last, r.logits, "chunked prefill diverged");
         // And the KV cache is equally advanced.
         assert_eq!(chunked.context_len(), tokens.len());
     }
@@ -1494,21 +1333,6 @@ mod tests {
     fn empty_chunk_panics() {
         let mut e = engine(OptConfig::full());
         e.prefill_chunk(&[], 0);
-    }
-
-    #[test]
-    fn functional_dataflow_is_bit_identical() {
-        let weights = Arc::new(TransformerWeights::synthetic(ModelConfig::stories260k(), 3));
-        let mut serial = Engine::new(Arc::clone(&weights), OptConfig::full()).unwrap();
-        let mut cfg = AccelConfig::for_opt(&OptConfig::full());
-        cfg.functional_dataflow = true;
-        let mut threaded = Engine::with_config(weights, OptConfig::full(), cfg).unwrap();
-        for pos in 0..3 {
-            let a = serial.decode_step(11, pos);
-            let b = threaded.decode_step(11, pos);
-            assert_eq!(a.logits, b.logits, "dataflow must be bit-identical");
-            assert_eq!(a.cycles, b.cycles, "timing model is unaffected");
-        }
     }
 
     /// One decode tick on external sequences.
@@ -1562,13 +1386,7 @@ mod tests {
         let mut seqs = [&mut s0, &mut s1, &mut s2];
         let (logits, step) = decode_tick(&mut batch_engine, &mut seqs, &finals);
         assert_eq!(logits.len(), 3);
-        for (want, got) in expected.iter().zip(&logits) {
-            let d = want
-                .iter()
-                .zip(got)
-                .fold(0.0f32, |m, (a, b)| m.max((a - b).abs()));
-            assert!(d < 1e-5, "batched sequence diverged by {d}");
-        }
+        assert_eq!(expected, logits, "a batched sequence diverged");
         assert!(step.cycles > Cycles::ZERO);
     }
 
@@ -1742,6 +1560,70 @@ mod tests {
         let (_, paged2) =
             paged.forward_runs(&mut [&mut p2], &[&full2[shared_tokens..]], LogitRows::Last);
         assert_eq!(paged2.logits, flat2.logits, "prefix sharing changed math");
+    }
+
+    /// The run-shape identity at the engine: a pass of mixed runs gives
+    /// every row the bits it gets when the same tokens are fed one row per
+    /// pass — on flat and paged KV, with f32 and Q8_0 KV storage, for
+    /// both row selections.
+    #[test]
+    fn mixed_runs_match_one_row_passes_bit_for_bit() {
+        use speedllm_pagedkv::BlockAllocator;
+        let weights = Arc::new(TransformerWeights::synthetic(ModelConfig::test_tiny(), 42));
+        let bc = BlockConfig {
+            block_size: 4,
+            n_blocks: 12,
+        };
+        // Two ticks over three sequences: every tick mixes run lengths.
+        let ticks: [[&[u32]; 3]; 2] = [[&[3, 9], &[14], &[27, 5, 61]], [&[2], &[40, 8, 33], &[12]]];
+        for (paged, kv_precision, rows) in [
+            (false, Precision::Fp32, LogitRows::Last),
+            (false, Precision::Int8, LogitRows::All),
+            (true, Precision::Fp32, LogitRows::All),
+            (true, Precision::Int8, LogitRows::Last),
+        ] {
+            let build = || {
+                let mut cfg = AccelConfig::for_opt(&OptConfig::full());
+                cfg.kv_precision = kv_precision;
+                let mut e =
+                    Engine::with_config(Arc::clone(&weights), OptConfig::full(), cfg).unwrap();
+                let mut alloc = BlockAllocator::new(bc);
+                if paged {
+                    e.enable_paged_kv(bc);
+                }
+                let mut seqs: Vec<SequenceState> = (0..3).map(|_| e.new_sequence()).collect();
+                for table in seqs.iter_mut().filter_map(SequenceState::block_table_mut) {
+                    for _ in 0..2 {
+                        table.push_block(alloc.alloc().unwrap());
+                    }
+                }
+                (e, seqs)
+            };
+            let (mut batched, mut bseqs) = build();
+            let (mut single, mut sseqs) = build();
+            for tick in ticks {
+                let mut refs: Vec<&mut SequenceState> = bseqs.iter_mut().collect();
+                let (got, _) = batched.forward_runs(&mut refs, &tick, rows);
+                for (i, run) in tick.iter().enumerate() {
+                    let mut want = Vec::new();
+                    for (r, tok) in run.iter().enumerate() {
+                        let (_, step) = single.forward_runs(
+                            &mut [&mut sseqs[i]],
+                            &[std::slice::from_ref(tok)],
+                            LogitRows::Last,
+                        );
+                        if rows == LogitRows::All || r + 1 == run.len() {
+                            want.extend(step.logits.iter().map(|x| x.to_bits()));
+                        }
+                    }
+                    let got: Vec<u32> = got[i].iter().map(|x| x.to_bits()).collect();
+                    assert_eq!(
+                        got, want,
+                        "seq {i} paged={paged} kv={kv_precision:?} {rows:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -16,11 +16,7 @@
 //!
 //! [`schedule_kernel`] implements both against a shared
 //! [`Timeline`], so per-resource busy cycles (for gated power) and optional
-//! trace events fall out of the same recurrence. The [`dataflow`] module is
-//! a *real* three-stage thread pipeline over the in-repo bounded channels
-//! ([`speedllm_llama::sync`]), used by the functional engine demo and tests
-//! to show the overlap is achievable in software, not just in the cost
-//! model.
+//! trace events fall out of the same recurrence.
 
 use speedllm_fpga_sim::cycles::Cycles;
 use speedllm_fpga_sim::event::{ResourceId, Span, Timeline};
@@ -180,65 +176,6 @@ pub fn schedule_kernel(
     KernelTiming {
         span: Span { start, end },
         outputs_ready: end,
-    }
-}
-
-/// A genuinely concurrent three-stage tile pipeline over std-only bounded
-/// channels: `read` produces tile inputs, `compute` transforms them,
-/// `write` commits results in order. Bounded channels of `depth` implement
-/// the same double-buffering constraint the cost model charges for.
-pub mod dataflow {
-    use speedllm_llama::sync::bounded;
-    use speedllm_telemetry as tel;
-
-    /// Runs `n_tiles` through read → compute → write with `depth`-bounded
-    /// hand-off queues. `read` and `compute` run on their own threads;
-    /// `write` runs on the caller's thread. Tiles arrive at `write` in
-    /// index order.
-    ///
-    /// Each stage records a wall-time telemetry span per tile (tracks
-    /// `dataflow.read` / `dataflow.compute` / `dataflow.write`), so an
-    /// instrumented run shows the three stages genuinely overlapping in
-    /// the trace viewer — the software counterpart of the cost model's
-    /// streamed discipline.
-    pub fn run<T, R>(
-        n_tiles: usize,
-        depth: usize,
-        read: impl Fn(usize) -> T + Send,
-        compute: impl Fn(usize, T) -> R + Send,
-        mut write: impl FnMut(usize, R),
-    ) where
-        T: Send,
-        R: Send,
-    {
-        assert!(depth >= 1, "queue depth must be >= 1");
-        if n_tiles == 0 {
-            return;
-        }
-        let (tx_rc, rx_rc) = bounded::<(usize, T)>(depth);
-        let (tx_cw, rx_cw) = bounded::<(usize, R)>(depth);
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                for i in 0..n_tiles {
-                    let _g = tel::span("dataflow.read", "tile").arg("i", i as i64);
-                    if tx_rc.send((i, read(i))).is_err() {
-                        return; // downstream panicked; unwind quietly
-                    }
-                }
-            });
-            s.spawn(move || {
-                while let Ok((i, t)) = rx_rc.recv() {
-                    let _g = tel::span("dataflow.compute", "tile").arg("i", i as i64);
-                    if tx_cw.send((i, compute(i, t))).is_err() {
-                        return;
-                    }
-                }
-            });
-            for (i, r) in rx_cw.iter() {
-                let _g = tel::span("dataflow.write", "tile").arg("i", i as i64);
-                write(i, r);
-            }
-        });
     }
 }
 
@@ -497,90 +434,5 @@ mod tests {
             "k",
         );
         assert_eq!(t.span.duration(), Cycles(100));
-    }
-
-    mod dataflow_tests {
-        use super::super::dataflow;
-        use std::sync::atomic::{AtomicUsize, Ordering};
-
-        #[test]
-        fn results_match_serial_in_order() {
-            let mut out = Vec::new();
-            dataflow::run(100, 4, |i| i * 2, |_, x| x + 1, |i, r| out.push((i, r)));
-            assert_eq!(out.len(), 100);
-            for (idx, &(i, r)) in out.iter().enumerate() {
-                assert_eq!(i, idx, "tiles must arrive in order");
-                assert_eq!(r, idx * 2 + 1);
-            }
-        }
-
-        #[test]
-        fn zero_tiles_is_a_noop() {
-            dataflow::run(0, 2, |_| (), |_, ()| (), |_, ()| panic!("no tiles"));
-        }
-
-        #[test]
-        fn stages_actually_overlap() {
-            // Track maximum concurrent stages via an in-flight counter: the
-            // read of tile i+1 should run while compute of tile i runs.
-            static IN_FLIGHT: AtomicUsize = AtomicUsize::new(0);
-            static MAX_SEEN: AtomicUsize = AtomicUsize::new(0);
-            let bump = || {
-                let now = IN_FLIGHT.fetch_add(1, Ordering::SeqCst) + 1;
-                MAX_SEEN.fetch_max(now, Ordering::SeqCst);
-                std::thread::sleep(std::time::Duration::from_millis(2));
-                IN_FLIGHT.fetch_sub(1, Ordering::SeqCst);
-            };
-            dataflow::run(
-                32,
-                4,
-                move |i| {
-                    bump();
-                    i
-                },
-                move |_, x| {
-                    bump();
-                    x
-                },
-                |_, _| {},
-            );
-            assert!(
-                MAX_SEEN.load(Ordering::SeqCst) >= 2,
-                "read and compute stages never overlapped"
-            );
-        }
-
-        #[test]
-        fn bounded_depth_limits_read_ahead() {
-            // With depth 1 the reader can be at most ~2 tiles ahead of the
-            // writer (one in each channel slot).
-            let reads = std::sync::Arc::new(AtomicUsize::new(0));
-            let writes = std::sync::Arc::new(AtomicUsize::new(0));
-            let r2 = std::sync::Arc::clone(&reads);
-            let w2 = std::sync::Arc::clone(&writes);
-            let max_gap = std::sync::Arc::new(AtomicUsize::new(0));
-            let g2 = std::sync::Arc::clone(&max_gap);
-            dataflow::run(
-                64,
-                1,
-                move |i| {
-                    r2.fetch_add(1, Ordering::SeqCst);
-                    i
-                },
-                |_, x| x,
-                move |_, _| {
-                    let w = w2.fetch_add(1, Ordering::SeqCst) + 1;
-                    let r = reads.load(Ordering::SeqCst);
-                    g2.fetch_max(r.saturating_sub(w), Ordering::SeqCst);
-                    std::thread::sleep(std::time::Duration::from_micros(200));
-                },
-            );
-            assert_eq!(writes.load(Ordering::SeqCst), 64);
-            assert!(
-                max_gap.load(Ordering::SeqCst) <= 4,
-                "reader ran away: gap {}",
-                max_gap.load(Ordering::SeqCst)
-            );
-        }
     }
 }

@@ -34,6 +34,10 @@ pub enum RuntimeError {
         /// Context window.
         seq_len: usize,
     },
+    /// The turn has no tokens to prefill: an empty prompt appended to a
+    /// non-empty context (no BOS is added there), so there would be no
+    /// logits to sample from.
+    EmptyPrompt,
 }
 
 impl std::fmt::Display for RuntimeError {
@@ -46,6 +50,7 @@ impl std::fmt::Display for RuntimeError {
                     "prompt of {tokens} tokens exceeds context window {seq_len}"
                 )
             }
+            RuntimeError::EmptyPrompt => write!(f, "empty prompt: nothing to prefill"),
         }
     }
 }
@@ -270,26 +275,39 @@ impl Session {
             });
         }
 
+        if prompt_tokens.is_empty() {
+            return Err(RuntimeError::EmptyPrompt);
+        }
+
+        // Values and cost are independent halves of a pass (see
+        // `crate::engine`), so prefill batches them differently. Values:
+        // one layer walk per group of whole chunks, up to 64 rows. Cost:
+        // one device pass per `prefill_chunk` positions, exactly what the
+        // device would run — so every simulated number is the same as
+        // walking chunk by chunk.
         let mut stats = SimStats::default();
         let mut prefill_cycles = Cycles::ZERO;
         let mut logits: Vec<f32> = Vec::new();
         let chunk = self.engine.config().prefill_chunk.clamp(1, 64);
+        let group = 64 / chunk * chunk;
         let mut pos0 = start;
-        let prompt_end = start + prompt_tokens.len();
-        while pos0 < prompt_end {
-            let end = (pos0 + chunk).min(prompt_end);
-            let _g = tel::span("host", "prefill_chunk")
-                .arg("pos", pos0 as i64)
-                .arg("tokens", (end - pos0) as i64);
-            let step = self
-                .engine
-                .prefill_chunk(&prompt_tokens[pos0 - start..end - start], pos0);
-            tel::metrics::observe("accel.prefill_chunk_cycles", step.cycles.0);
-            prefill_cycles += step.cycles;
-            stats.accumulate(&step.stats);
-            logits = step.logits;
-            pos0 = end;
+        for tokens in prompt_tokens.chunks(group) {
+            logits = self.engine.execute_default(tokens);
+            let group_end = pos0 + tokens.len();
+            while pos0 < group_end {
+                let end = (pos0 + chunk).min(group_end);
+                let _g = tel::span("host", "prefill_chunk")
+                    .arg("pos", pos0 as i64)
+                    .arg("tokens", (end - pos0) as i64);
+                let positions: Vec<usize> = (pos0..end).collect();
+                let (cycles, pass) = self.engine.time(&positions);
+                tel::metrics::observe("accel.prefill_chunk_cycles", cycles.0);
+                prefill_cycles += cycles;
+                stats.accumulate(&pass);
+                pos0 = end;
+            }
         }
+        let prompt_end = pos0;
 
         let mut decode_cycles = Cycles::ZERO;
         let mut per_token_cycles = Vec::new();
@@ -489,6 +507,126 @@ mod tests {
             }
         }
         assert!(matches!(last, Err(RuntimeError::PromptTooLong { .. })));
+    }
+
+    #[test]
+    fn append_generate_rejects_an_empty_turn() {
+        let sys = system(OptConfig::full());
+        let mut s = sys.session(SamplerKind::Argmax, 0);
+        s.generate("hello", 2).unwrap();
+        let ctx = s.engine().context_len();
+        // No BOS on a non-empty context, so "" is zero tokens: nothing to
+        // prefill and no logits to sample.
+        assert!(matches!(
+            s.append_generate("", 4),
+            Err(RuntimeError::EmptyPrompt)
+        ));
+        assert_eq!(s.engine().context_len(), ctx, "engine must stay untouched");
+        // On an empty context the same prompt is just BOS, and runs.
+        assert!(s.generate("", 2).is_ok());
+    }
+
+    /// A prompt string that encodes to exactly `n` tokens (`bos` counted).
+    fn prompt_of(tok: &Tokenizer, n: usize, bos: bool) -> String {
+        let mut p = String::new();
+        for c in "the quick brown fox jumps over a lazy dog ".chars().cycle() {
+            match tok.encode(&p, bos, false).len().cmp(&n) {
+                std::cmp::Ordering::Less => p.push(c),
+                std::cmp::Ordering::Equal => return p,
+                std::cmp::Ordering::Greater => panic!("overshot {n} tokens"),
+            }
+        }
+        unreachable!()
+    }
+
+    /// One turn on a bare engine the way the device runs it: one
+    /// `prefill_chunk` pass per `chunk` prompt tokens, then `decode_step`s.
+    fn explicit_turn(
+        engine: &mut Engine,
+        sampler: &mut Sampler,
+        prompt: &[u32],
+        chunk: usize,
+        max_new: usize,
+    ) -> (Cycles, Cycles, Vec<Cycles>, SimStats, Vec<u32>) {
+        let mut stats = SimStats::default();
+        let mut prefill = Cycles::ZERO;
+        let mut logits = Vec::new();
+        for tokens in prompt.chunks(chunk) {
+            let step = engine.prefill_chunk(tokens, engine.context_len());
+            prefill += step.cycles;
+            stats.accumulate(&step.stats);
+            logits = step.logits;
+        }
+        let (mut decode, mut per_token, mut generated) = (Cycles::ZERO, Vec::new(), Vec::new());
+        while generated.len() < max_new {
+            let next = sampler.sample(&logits);
+            if next == TOKEN_EOS || next == TOKEN_BOS {
+                break;
+            }
+            generated.push(next);
+            let step = engine.decode_step(next, engine.context_len());
+            decode += step.cycles;
+            per_token.push(step.cycles);
+            stats.accumulate(&step.stats);
+            logits = step.logits;
+        }
+        (prefill, decode, per_token, stats, generated)
+    }
+
+    /// Grouping prefill *values* never moves a simulated number: a
+    /// `generate` and a following `append_generate` report, field for
+    /// field, what the explicit chunk-at-a-time loop reports — at prompt
+    /// lengths around the 64-row group, for chunks that do and do not
+    /// divide it.
+    #[test]
+    fn session_reports_equal_the_explicit_chunk_loop() {
+        // A vocabulary wide enough to hold the printable characters, so
+        // prompts are varied tokens and not all `<unk>`.
+        let cfg = ModelConfig {
+            seq_len: 192,
+            vocab_size: 512,
+            ..ModelConfig::test_tiny()
+        };
+        let kind = SamplerKind::Temperature(0.8);
+        for opt in [OptConfig::full(), OptConfig::unoptimized()] {
+            let mut sys = AcceleratedLlm::synthetic(cfg, 42, opt).unwrap();
+            for chunk in [1, 4, 7, 64] {
+                sys.set_prefill_chunk(chunk);
+                for n in [1, 5, 64, 65, 130] {
+                    let mut session = sys.session(kind, 7);
+                    let mut engine =
+                        Engine::with_config(Arc::clone(sys.weights()), opt, *sys.accel_config())
+                            .unwrap();
+                    let mut sampler = Sampler::new(kind, 7);
+                    let turns = [
+                        (prompt_of(sys.tokenizer(), n, true), true),
+                        (prompt_of(sys.tokenizer(), 9, false), false),
+                    ];
+                    for (prompt, first) in turns {
+                        let got = if first {
+                            session.generate(&prompt, 3)
+                        } else {
+                            session.append_generate(&prompt, 3)
+                        }
+                        .unwrap();
+                        let tokens = sys.tokenizer().encode(&prompt, first, false);
+                        let (prefill, decode, per_token, stats, generated) =
+                            explicit_turn(&mut engine, &mut sampler, &tokens, chunk, 3);
+                        let at = format!(
+                            "{} chunk {chunk} prompt {n} first {first}",
+                            opt.short_name()
+                        );
+                        assert_eq!(got.output.prompt_tokens, tokens, "{at}");
+                        assert_eq!(got.output.generated_tokens, generated, "{at}");
+                        assert_eq!(got.prefill_cycles, prefill, "{at}");
+                        assert_eq!(got.decode_cycles, decode, "{at}");
+                        assert_eq!(got.per_token_cycles, per_token, "{at}");
+                        assert_eq!(got.stats, stats, "{at}");
+                        assert_eq!(got.energy, engine.power_model().energy(&stats), "{at}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

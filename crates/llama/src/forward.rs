@@ -63,8 +63,12 @@ impl LogitRows {
 /// position-ordered. Only the GEMM staging buffer is row-major in the
 /// [`ops::matmul`] output sense (`[out_rows][batch]`); its contents are
 /// scattered back to token-row-major immediately after each matmul.
+///
+/// Opaque outside this module: a caller of
+/// [`Transformer::forward_runs_into`] owns one as `Option<BatchState>`
+/// (start with `None`) and the walk allocates and grows it.
 #[derive(Debug, Clone)]
-struct BatchState {
+pub struct BatchState {
     /// Allocated row capacity; buffers are sized for this many token rows.
     capacity: usize,
     /// Residual streams, `[capacity * dim]`.
@@ -430,11 +434,16 @@ impl Transformer {
 
     /// [`Transformer::forward_runs`] over explicit parts, so
     /// [`Transformer::forward`] can lend out its own KV cache beside the
-    /// shared scratch: each dense projection is one GEMM over every token
+    /// shared scratch — and so a caller that shares the weights by `Arc`
+    /// (the accelerator engine) runs this same walk without owning a
+    /// `Transformer`: each dense projection is one GEMM over every token
     /// row of every run, and everything per-token runs on that row's
     /// slice of the row-major scratch.
+    ///
+    /// # Panics
+    /// Panics exactly where [`Transformer::forward_runs`] does.
     #[allow(clippy::too_many_arguments)]
-    fn forward_runs_into<'s, B: KvBatch + ?Sized>(
+    pub fn forward_runs_into<'s, B: KvBatch + ?Sized>(
         weights: &TransformerWeights,
         store: &WeightStore,
         scratch: &'s mut Option<BatchState>,

@@ -13,6 +13,19 @@ cd "$(dirname "$0")/.."
 echo "== tier 1: formatting =="
 cargo fmt --check
 
+echo "== tier 1: no second Llama in crates/accel =="
+# The accelerator's values come from llama's one layer walk; its own code
+# is the cost model. None of the walk's per-op kernels may be called from
+# crates/accel/src outside its tests, so a second functional interpreter
+# cannot grow back unnoticed.
+for f in crates/accel/src/*.rs crates/accel/src/*/*.rs; do
+    if sed '/#\[cfg(test)\]/,$d' "$f" |
+        grep -nE 'exec_op|ops::(matvec|rmsnorm|softmax|rope_inplace)|attention_scores'; then
+        echo "$f: a functional kernel above #[cfg(test)] (see the lines above)" >&2
+        exit 1
+    fi
+done
+
 echo "== tier 1: release build =="
 # --workspace so the release `speedllm` binary used by the telemetry smoke
 # below is rebuilt too (the root package alone excludes the CLI crate).

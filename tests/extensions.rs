@@ -136,22 +136,3 @@ fn chrome_trace_exports_from_engine() {
     assert!(json.contains("\"ph\":\"X\""));
     assert!(json.contains("MPE"));
 }
-
-#[test]
-fn dataflow_functional_mode_end_to_end() {
-    use speedllm::accel::engine::{AccelConfig, Engine};
-    use std::sync::Arc;
-    let cfg = ModelConfig::stories260k();
-    let weights = Arc::new(TransformerWeights::synthetic(cfg, 5));
-    let mut accel_cfg = AccelConfig::for_opt(&OptConfig::full());
-    accel_cfg.functional_dataflow = true;
-    let mut threaded =
-        Engine::with_config(Arc::clone(&weights), OptConfig::full(), accel_cfg).unwrap();
-    let mut serial = Engine::new(weights, OptConfig::full()).unwrap();
-    for pos in 0..2 {
-        assert_eq!(
-            serial.decode_step(2, pos).logits,
-            threaded.decode_step(2, pos).logits
-        );
-    }
-}
