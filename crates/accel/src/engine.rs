@@ -40,10 +40,10 @@ use speedllm_fpga_sim::resources::{
 use speedllm_fpga_sim::sfu::{Sfu, SfuKind};
 use speedllm_fpga_sim::stats::SimStats;
 use speedllm_fpga_sim::trace::TraceBuffer;
-use speedllm_llama::forward::{BatchState, LogitRows, MatVecStrategy, Transformer, WeightStore};
+use speedllm_llama::forward::{BatchState, LogitRows, MatVecStrategy, Transformer};
 use speedllm_llama::kv_cache::{KvBatch, KvCache};
 use speedllm_llama::quant::{QuantMode, QuantTensor};
-use speedllm_llama::weights::TransformerWeights;
+use speedllm_llama::resident::{IntoResident, ResidentWeights};
 use speedllm_pagedkv::{BlockConfig, BlockId, BlockTable, PagedKvArena};
 
 use crate::fusion::{fuse_with_limit, Schedule};
@@ -296,6 +296,18 @@ impl<B: KvBatch + ?Sized> KvBatch for DeviceKv<'_, B> {
     }
 }
 
+/// Bytes of a `rows × cols` matrix in HBM at `precision`: f32, or the
+/// packed payload (int8 one byte an element, int4 two elements a byte)
+/// plus one f32 scale per 32-wide group per row.
+fn packed_bytes(precision: Precision, rows: usize, cols: usize) -> u64 {
+    let payload = match precision {
+        Precision::Fp32 => return (rows * cols * 4) as u64,
+        Precision::Int8 => cols,
+        Precision::Int4 => cols.div_ceil(2),
+    };
+    (rows * (payload + cols.div_ceil(32) * 4)) as u64
+}
+
 /// Result of one decode step.
 #[derive(Debug, Clone)]
 pub struct StepResult {
@@ -326,10 +338,9 @@ impl std::error::Error for EngineError {}
 
 /// The simulated SpeedLLM accelerator bound to one model.
 pub struct Engine {
-    weights: Arc<TransformerWeights>,
-    /// The weight stream the walk reads under `opt.precision`: the shared
-    /// f32 tensors, or a compressed copy built at construction.
-    store: WeightStore,
+    /// The weights the walk reads, at `opt.precision`; shared with every
+    /// other engine, model and backend of the same checkpoint.
+    weights: Arc<ResidentWeights>,
     /// Row scratch of the layer walk, grown to the widest pass seen.
     scratch: Option<BatchState>,
     opt: OptConfig,
@@ -358,18 +369,26 @@ pub struct Engine {
 impl Engine {
     /// Builds an engine for `weights` under `opt`, using the shipped
     /// design point.
-    pub fn new(weights: Arc<TransformerWeights>, opt: OptConfig) -> Result<Self, EngineError> {
+    pub fn new(weights: impl IntoResident, opt: OptConfig) -> Result<Self, EngineError> {
         Self::with_config(weights, opt, AccelConfig::for_opt(&opt))
     }
 
     /// Builds an engine with an explicit design point (ablations).
+    /// `weights` are resident weights to share — already at
+    /// `opt.precision`, or f32 and not yet shared — or a checkpoint to
+    /// consume at that precision.
     pub fn with_config(
-        weights: Arc<TransformerWeights>,
+        weights: impl IntoResident,
         opt: OptConfig,
         cfg: AccelConfig,
     ) -> Result<Self, EngineError> {
         cfg.validate().map_err(EngineError::OverBudget)?;
-        let graph = build_decode_graph(&weights.config);
+        let weights = weights.into_resident(match opt.precision {
+            Precision::Fp32 => QuantMode::F32,
+            Precision::Int8 => QuantMode::Int8,
+            Precision::Int4 => QuantMode::Int4,
+        });
+        let graph = build_decode_graph(weights.config());
         let schedule = fuse_with_limit(&graph, opt.operator_fusion, cfg.fusion_max_ops);
         let plan = plan(
             &graph,
@@ -384,20 +403,11 @@ impl Engine {
             tel::metrics::gauge_set("accel.memplan_ocm_values", plan.ocm_values() as f64);
             tel::metrics::gauge_set("accel.memplan_hbm_values", plan.hbm_values() as f64);
         }
-        let store = WeightStore::for_mode(
-            &weights,
-            match opt.precision {
-                Precision::Fp32 => QuantMode::F32,
-                Precision::Int8 => QuantMode::Int8,
-                Precision::Int4 => QuantMode::Int4,
-            },
-        );
         let seq = Some(SequenceState {
-            kv: SeqKv::Flat(KvCache::new(&weights.config)),
+            kv: SeqKv::Flat(KvCache::new(weights.config())),
         });
-        Ok(Self {
+        let engine = Self {
             weights,
-            store,
             scratch: None,
             opt,
             cfg,
@@ -414,7 +424,32 @@ impl Engine {
             seq,
             paged: None,
             trace: None,
-        })
+        };
+        let used = engine.hbm_footprint();
+        if used > cfg.hbm.capacity_bytes {
+            return Err(EngineError::OverBudget(OverBudget {
+                axis: "HBM",
+                used,
+                available: cfg.hbm.capacity_bytes,
+            }));
+        }
+        Ok(engine)
+    }
+
+    /// Bytes the design point keeps in HBM: the weights as the host holds
+    /// them at `opt.precision` (norm gains and the embedding table f32),
+    /// one context window of KV rows at the KV precision, and the
+    /// HBM-placed activations of a full 64-row staging pass.
+    fn hbm_footprint(&self) -> u64 {
+        let c = &self.graph.config;
+        let kv = (2 * c.n_layers * c.seq_len) as u64 * self.kv_row_bytes();
+        self.weights.resident_bytes() as u64 + kv + 64 * self.plan.hbm_activation_bytes
+    }
+
+    /// Shared handle to the weights.
+    #[must_use]
+    pub fn weights(&self) -> &Arc<ResidentWeights> {
+        &self.weights
     }
 
     /// The active optimization selection.
@@ -513,27 +548,15 @@ impl Engine {
         }
     }
 
-    /// Weight bytes streamed per element in the active precision
-    /// (including group-scale overhead for the quantized kinds).
+    /// Weight bytes a `rows × cols` tile streams in the active precision.
     fn matrix_bytes(&self, rows: usize, cols: usize) -> u64 {
-        match self.opt.precision {
-            Precision::Fp32 => (rows * cols * 4) as u64,
-            // int8 payload + one f32 scale per 32-wide group per row.
-            Precision::Int8 => (rows * cols + rows * cols.div_ceil(32) * 4) as u64,
-            // two int4 elements per byte + the same per-group scales.
-            Precision::Int4 => (rows * cols.div_ceil(2) + rows * cols.div_ceil(32) * 4) as u64,
-        }
+        packed_bytes(self.opt.precision, rows, cols)
     }
 
     /// Bytes one K or V row of `kv_dim` elements occupies in HBM under the
-    /// configured KV precision (quantized payload + group scales).
+    /// configured KV precision.
     fn kv_row_bytes(&self) -> u64 {
-        let kv_dim = self.graph.config.kv_dim();
-        match self.cfg.kv_precision {
-            Precision::Fp32 => (kv_dim * 4) as u64,
-            Precision::Int8 => (kv_dim + kv_dim.div_ceil(32) * 4) as u64,
-            Precision::Int4 => (kv_dim.div_ceil(2) + kv_dim.div_ceil(32) * 4) as u64,
-        }
+        packed_bytes(self.cfg.kv_precision, 1, self.graph.config.kv_dim())
     }
 
     /// Builds the timing tiles of one op for a chunk of `positions`
@@ -952,7 +975,6 @@ impl Engine {
             let inner = kvs.as_mut_slice();
             Transformer::forward_runs_into(
                 &self.weights,
-                &self.store,
                 &mut self.scratch,
                 MatVecStrategy::Serial,
                 &mut DeviceKv { inner, q8 },
@@ -973,7 +995,6 @@ impl Engine {
             let inner = &mut arena.batch_view(tables);
             Transformer::forward_runs_into(
                 &self.weights,
-                &self.store,
                 &mut self.scratch,
                 MatVecStrategy::Serial,
                 &mut DeviceKv { inner, q8 },
@@ -1016,7 +1037,7 @@ impl Engine {
             // Same accounting as the CPU path (`cpu.gemm_*`): one device
             // pass streams the dense weights once for all its rows, so
             // bytes-per-token falls with the rows a pass carries.
-            let streamed = self.store.gemm_weight_bytes(&self.graph.config);
+            let streamed = self.weights.gemm_weight_bytes();
             tel::metrics::counter_add("accel.gemm_weight_bytes", streamed as u64);
             tel::metrics::counter_add("accel.gemm_tokens", rows as u64);
             tel::metrics::gauge_set("accel.gemm_batch_width", rows as f64);
@@ -1083,6 +1104,7 @@ mod tests {
     use super::*;
     use speedllm_llama::config::ModelConfig;
     use speedllm_llama::forward::Transformer;
+    use speedllm_llama::weights::TransformerWeights;
 
     fn engine(opt: OptConfig) -> Engine {
         let w = Arc::new(TransformerWeights::synthetic(ModelConfig::test_tiny(), 42));
@@ -1093,6 +1115,39 @@ mod tests {
         a.iter()
             .zip(b)
             .fold(0.0f32, |m, (x, y)| m.max((x - y).abs()))
+    }
+
+    /// HBM is a budget too: a design point whose weights, KV window and
+    /// staging activations exceed the configured stack is refused, and one
+    /// byte more than the footprint is enough to build.
+    #[test]
+    fn a_model_that_does_not_fit_the_hbm_is_refused() {
+        for opt in [OptConfig::full(), OptConfig::full_int8()] {
+            let need = engine(opt).hbm_footprint();
+            let c = ModelConfig::test_tiny();
+            assert!(need > (c.param_count() * opt.precision.weight_bits() / 8) as u64);
+            let mut cfg = AccelConfig::for_opt(&opt);
+            cfg.hbm.capacity_bytes = need - 1;
+            let w = TransformerWeights::synthetic(c, 42);
+            match Engine::with_config(w.clone(), opt, cfg) {
+                Err(EngineError::OverBudget(e)) => {
+                    assert_eq!((e.axis, e.used, e.available), ("HBM", need, need - 1));
+                }
+                Ok(_) => panic!("{} built on too small an HBM", opt.short_name()),
+            }
+            cfg.hbm.capacity_bytes = need;
+            assert!(Engine::with_config(w, opt, cfg).is_ok());
+        }
+        // Quantized weights and a quantized KV window need less.
+        let mut cfg = AccelConfig::for_opt(&OptConfig::full());
+        cfg.kv_precision = Precision::Int8;
+        let w = TransformerWeights::synthetic(ModelConfig::test_tiny(), 42);
+        let q8kv = Engine::with_config(w, OptConfig::full(), cfg).unwrap();
+        assert!(q8kv.hbm_footprint() < engine(OptConfig::full()).hbm_footprint());
+        assert!(
+            engine(OptConfig::full_int4()).hbm_footprint()
+                < engine(OptConfig::full_int8()).hbm_footprint()
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use speedllm_llama::config::ModelConfig;
 
-use super::op::{Op, OpKind, WeightRef};
+use super::op::{Op, OpKind};
 use super::{ValueId, ValueInfo};
 
 /// A topologically ordered operator graph for one decode step.
@@ -230,7 +230,6 @@ pub fn build_decode_graph(config: &ModelConfig) -> Graph {
     let mut x = b.value("x0".into(), d);
     b.push(Op {
         kind: OpKind::Embed,
-        weight: Some(WeightRef::TokenEmbeddingRow),
         inputs: vec![],
         outputs: vec![x],
         label: "embed".into(),
@@ -242,7 +241,6 @@ pub fn build_decode_graph(config: &ModelConfig) -> Graph {
         let xb = b.value(tag("xb"), d);
         b.push(Op {
             kind: OpKind::RmsNorm,
-            weight: Some(WeightRef::RmsAtt(l)),
             inputs: vec![x],
             outputs: vec![xb],
             label: tag("rms_att"),
@@ -250,7 +248,6 @@ pub fn build_decode_graph(config: &ModelConfig) -> Graph {
         let q = b.value(tag("q"), d);
         b.push(Op {
             kind: OpKind::MatMul { rows: d, cols: d },
-            weight: Some(WeightRef::Wq(l)),
             inputs: vec![xb],
             outputs: vec![q],
             label: tag("wq"),
@@ -258,7 +255,6 @@ pub fn build_decode_graph(config: &ModelConfig) -> Graph {
         let k = b.value(tag("k"), kv);
         b.push(Op {
             kind: OpKind::MatMul { rows: kv, cols: d },
-            weight: Some(WeightRef::Wk(l)),
             inputs: vec![xb],
             outputs: vec![k],
             label: tag("wk"),
@@ -266,7 +262,6 @@ pub fn build_decode_graph(config: &ModelConfig) -> Graph {
         let v = b.value(tag("v"), kv);
         b.push(Op {
             kind: OpKind::MatMul { rows: kv, cols: d },
-            weight: Some(WeightRef::Wv(l)),
             inputs: vec![xb],
             outputs: vec![v],
             label: tag("wv"),
@@ -274,7 +269,6 @@ pub fn build_decode_graph(config: &ModelConfig) -> Graph {
         let q_rot = b.value(tag("q_rot"), d);
         b.push(Op {
             kind: OpKind::Rope { head_dim: hd },
-            weight: None,
             inputs: vec![q],
             outputs: vec![q_rot],
             label: tag("rope_q"),
@@ -282,14 +276,12 @@ pub fn build_decode_graph(config: &ModelConfig) -> Graph {
         let k_rot = b.value(tag("k_rot"), kv);
         b.push(Op {
             kind: OpKind::Rope { head_dim: hd },
-            weight: None,
             inputs: vec![k],
             outputs: vec![k_rot],
             label: tag("rope_k"),
         });
         b.push(Op {
             kind: OpKind::KvAppend { layer: l },
-            weight: None,
             inputs: vec![k_rot, v],
             outputs: vec![],
             label: tag("kv_append"),
@@ -302,7 +294,6 @@ pub fn build_decode_graph(config: &ModelConfig) -> Graph {
                 n_kv_heads: config.n_kv_heads,
                 head_dim: hd,
             },
-            weight: None,
             inputs: vec![q_rot],
             outputs: vec![att],
             label: tag("attention"),
@@ -310,7 +301,6 @@ pub fn build_decode_graph(config: &ModelConfig) -> Graph {
         let proj = b.value(tag("proj"), d);
         b.push(Op {
             kind: OpKind::MatMul { rows: d, cols: d },
-            weight: Some(WeightRef::Wo(l)),
             inputs: vec![att],
             outputs: vec![proj],
             label: tag("wo"),
@@ -318,7 +308,6 @@ pub fn build_decode_graph(config: &ModelConfig) -> Graph {
         let x_att = b.value(tag("x_att"), d);
         b.push(Op {
             kind: OpKind::Add,
-            weight: None,
             inputs: vec![x, proj],
             outputs: vec![x_att],
             label: tag("res_att"),
@@ -328,7 +317,6 @@ pub fn build_decode_graph(config: &ModelConfig) -> Graph {
         let xb2 = b.value(tag("xb2"), d);
         b.push(Op {
             kind: OpKind::RmsNorm,
-            weight: Some(WeightRef::RmsFfn(l)),
             inputs: vec![x_att],
             outputs: vec![xb2],
             label: tag("rms_ffn"),
@@ -336,7 +324,6 @@ pub fn build_decode_graph(config: &ModelConfig) -> Graph {
         let h1 = b.value(tag("h1"), h);
         b.push(Op {
             kind: OpKind::MatMul { rows: h, cols: d },
-            weight: Some(WeightRef::W1(l)),
             inputs: vec![xb2],
             outputs: vec![h1],
             label: tag("w1"),
@@ -344,7 +331,6 @@ pub fn build_decode_graph(config: &ModelConfig) -> Graph {
         let h3 = b.value(tag("h3"), h);
         b.push(Op {
             kind: OpKind::MatMul { rows: h, cols: d },
-            weight: Some(WeightRef::W3(l)),
             inputs: vec![xb2],
             outputs: vec![h3],
             label: tag("w3"),
@@ -352,7 +338,6 @@ pub fn build_decode_graph(config: &ModelConfig) -> Graph {
         let h1s = b.value(tag("h1_silu"), h);
         b.push(Op {
             kind: OpKind::Silu,
-            weight: None,
             inputs: vec![h1],
             outputs: vec![h1s],
             label: tag("silu"),
@@ -360,7 +345,6 @@ pub fn build_decode_graph(config: &ModelConfig) -> Graph {
         let hg = b.value(tag("h_gated"), h);
         b.push(Op {
             kind: OpKind::ElemMul,
-            weight: None,
             inputs: vec![h1s, h3],
             outputs: vec![hg],
             label: tag("swiglu_mul"),
@@ -368,7 +352,6 @@ pub fn build_decode_graph(config: &ModelConfig) -> Graph {
         let down = b.value(tag("down"), d);
         b.push(Op {
             kind: OpKind::MatMul { rows: d, cols: h },
-            weight: Some(WeightRef::W2(l)),
             inputs: vec![hg],
             outputs: vec![down],
             label: tag("w2"),
@@ -376,7 +359,6 @@ pub fn build_decode_graph(config: &ModelConfig) -> Graph {
         let x_ffn = b.value(tag("x_ffn"), d);
         b.push(Op {
             kind: OpKind::Add,
-            weight: None,
             inputs: vec![x_att, down],
             outputs: vec![x_ffn],
             label: tag("res_ffn"),
@@ -388,7 +370,6 @@ pub fn build_decode_graph(config: &ModelConfig) -> Graph {
     let x_final = b.value("x_final".into(), d);
     b.push(Op {
         kind: OpKind::RmsNorm,
-        weight: Some(WeightRef::RmsFinal),
         inputs: vec![x],
         outputs: vec![x_final],
         label: "rms_final".into(),
@@ -399,7 +380,6 @@ pub fn build_decode_graph(config: &ModelConfig) -> Graph {
             rows: config.vocab_size,
             cols: d,
         },
-        weight: Some(WeightRef::Classifier),
         inputs: vec![x_final],
         outputs: vec![logits],
         label: "classifier".into(),

@@ -17,7 +17,7 @@ pub mod graph;
 pub mod op;
 
 pub use graph::{build_decode_graph, Graph, GraphError};
-pub use op::{Op, OpKind, WeightRef};
+pub use op::{Op, OpKind};
 
 /// Identifies an SSA value (a logical activation tensor).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

@@ -2,52 +2,6 @@
 
 use super::ValueId;
 
-/// A reference into [`speedllm_llama::weights::TransformerWeights`],
-/// resolved by the engine at execution time. Weights are permanent HBM
-/// residents; the reference also determines the streamed byte volume.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum WeightRef {
-    /// One row of the token embedding table (gathered by token id).
-    TokenEmbeddingRow,
-    /// Pre-attention RMSNorm gain of a layer.
-    RmsAtt(usize),
-    /// Query projection of a layer.
-    Wq(usize),
-    /// Key projection of a layer.
-    Wk(usize),
-    /// Value projection of a layer.
-    Wv(usize),
-    /// Output projection of a layer.
-    Wo(usize),
-    /// Pre-FFN RMSNorm gain of a layer.
-    RmsFfn(usize),
-    /// FFN gate projection of a layer.
-    W1(usize),
-    /// FFN down projection of a layer.
-    W2(usize),
-    /// FFN up projection of a layer.
-    W3(usize),
-    /// Final RMSNorm gain.
-    RmsFinal,
-    /// Output classifier (embedding table when tied).
-    Classifier,
-}
-
-impl WeightRef {
-    /// True for the large matmul matrices (streamed tile-by-tile); false
-    /// for the small norm gains (broadcast once).
-    #[must_use]
-    pub fn is_matrix(&self) -> bool {
-        !matches!(
-            self,
-            WeightRef::TokenEmbeddingRow
-                | WeightRef::RmsAtt(_)
-                | WeightRef::RmsFfn(_)
-                | WeightRef::RmsFinal
-        )
-    }
-}
-
 /// The operator kinds of the Llama-2 decode graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
@@ -123,8 +77,6 @@ impl OpKind {
 pub struct Op {
     /// Operator kind with static shape parameters.
     pub kind: OpKind,
-    /// Weight operand, if any.
-    pub weight: Option<WeightRef>,
     /// Input values (read).
     pub inputs: Vec<ValueId>,
     /// Output values (written). Empty only for [`OpKind::KvAppend`].
@@ -153,14 +105,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn weight_matrix_classification() {
-        assert!(WeightRef::Wq(0).is_matrix());
-        assert!(WeightRef::Classifier.is_matrix());
-        assert!(!WeightRef::RmsAtt(3).is_matrix());
-        assert!(!WeightRef::TokenEmbeddingRow.is_matrix());
-    }
-
-    #[test]
     fn mpe_vs_sfu_classification() {
         assert!(OpKind::MatMul { rows: 1, cols: 1 }.uses_mpe());
         assert!(OpKind::Attention {
@@ -185,7 +129,6 @@ mod tests {
     fn output_panics_without_output() {
         let op = Op {
             kind: OpKind::KvAppend { layer: 0 },
-            weight: None,
             inputs: vec![ValueId(0), ValueId(1)],
             outputs: vec![],
             label: "kv".into(),

@@ -15,6 +15,7 @@ use speedllm_fpga_sim::cycles::{ClockDomain, Cycles};
 use speedllm_fpga_sim::power::EnergyBreakdown;
 use speedllm_fpga_sim::stats::SimStats;
 use speedllm_llama::config::ModelConfig;
+use speedllm_llama::resident::{IntoResident, ResidentWeights};
 use speedllm_llama::sampler::{Sampler, SamplerKind};
 use speedllm_llama::tokenizer::{Tokenizer, TOKEN_BOS, TOKEN_EOS};
 use speedllm_llama::weights::TransformerWeights;
@@ -65,26 +66,29 @@ impl From<EngineError> for RuntimeError {
 
 /// An accelerated model: immutable weights + tokenizer + configuration.
 pub struct AcceleratedLlm {
-    weights: Arc<TransformerWeights>,
+    /// Resident once, at `opt.precision`; every session's engine shares
+    /// them.
+    weights: Arc<ResidentWeights>,
     tokenizer: Arc<Tokenizer>,
     opt: OptConfig,
     accel: AccelConfig,
 }
 
 impl AcceleratedLlm {
-    /// Wraps existing weights and tokenizer.
+    /// Wraps a tokenizer and weights: a checkpoint, made resident here
+    /// once at `opt.precision`, or resident weights already at it.
     pub fn new(
-        weights: TransformerWeights,
+        weights: impl IntoResident,
         tokenizer: Tokenizer,
         opt: OptConfig,
     ) -> Result<Self, RuntimeError> {
         let accel = AccelConfig::for_opt(&opt);
-        // Fail fast if the design point does not fit the device.
-        accel
-            .validate()
-            .map_err(|e| RuntimeError::Engine(EngineError::OverBudget(e)))?;
+        // A first engine makes the weights resident, and fails here — not
+        // in `session` — if the design point does not fit the device's
+        // fabric or the model its HBM.
+        let engine = Engine::with_config(weights, opt, accel)?;
         Ok(Self {
-            weights: Arc::new(weights),
+            weights: Arc::clone(engine.weights()),
             tokenizer: Arc::new(tokenizer),
             opt,
             accel,
@@ -103,7 +107,7 @@ impl AcceleratedLlm {
     /// The model architecture.
     #[must_use]
     pub fn config(&self) -> &ModelConfig {
-        &self.weights.config
+        self.weights.config()
     }
 
     /// The active optimization selection.
@@ -132,7 +136,7 @@ impl AcceleratedLlm {
 
     /// Shared handle to the weights.
     #[must_use]
-    pub fn weights(&self) -> &Arc<TransformerWeights> {
+    pub fn weights(&self) -> &Arc<ResidentWeights> {
         &self.weights
     }
 
@@ -372,6 +376,31 @@ mod tests {
 
     fn system(opt: OptConfig) -> AcceleratedLlm {
         AcceleratedLlm::synthetic(ModelConfig::test_tiny(), 42, opt).unwrap()
+    }
+
+    /// The weights become resident once, in `new`, at the variant's
+    /// precision: every session's engine holds that allocation, and what
+    /// a session generates and costs is what it did (the pinned values,
+    /// read at the parent commit) when each session quantized a copy of
+    /// its own.
+    #[test]
+    fn sessions_share_one_resident_copy_of_the_weights() {
+        let cfg = ModelConfig {
+            vocab_size: 512,
+            ..ModelConfig::test_tiny()
+        };
+        let sys = AcceleratedLlm::synthetic(cfg, 42, OptConfig::full_int8()).unwrap();
+        assert_eq!(sys.weights().mode(), speedllm_llama::QuantMode::Int8);
+        for _ in 0..2 {
+            let mut s = sys.session(SamplerKind::Temperature(0.8), 7);
+            assert!(Arc::ptr_eq(s.engine().weights(), sys.weights()));
+            let r = s.generate("the quick brown fox", 8).unwrap();
+            assert_eq!(
+                r.output.generated_tokens,
+                [357, 143, 430, 502, 507, 445, 31, 53]
+            );
+            assert_eq!((r.prefill_cycles.0, r.decode_cycles.0), (13088, 7312));
+        }
     }
 
     #[test]

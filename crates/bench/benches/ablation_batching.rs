@@ -9,8 +9,10 @@ use speedllm_accel::engine::Engine;
 use speedllm_accel::opt::OptConfig;
 use speedllm_bench::harness::{is_smoke, Runner};
 use speedllm_llama::config::ModelConfig;
+use speedllm_llama::resident::{IntoResident, ResidentWeights};
 use speedllm_llama::sampler::SamplerKind;
 use speedllm_llama::weights::TransformerWeights;
+use speedllm_llama::QuantMode;
 use speedllm_serve::{
     AccelBackend, ArrivalMode, LoadGen, LoadGenConfig, ServeConfig, ServeEngine, ServeReport,
 };
@@ -32,11 +34,7 @@ fn workload(cfg: ModelConfig, n_requests: usize, concurrency: usize) -> LoadGenC
     }
 }
 
-fn serve_once(
-    weights: &Arc<TransformerWeights>,
-    slots: usize,
-    lcfg: &LoadGenConfig,
-) -> ServeReport {
+fn serve_once(weights: &Arc<ResidentWeights>, slots: usize, lcfg: &LoadGenConfig) -> ServeReport {
     let engine = Engine::new(Arc::clone(weights), OptConfig::full()).unwrap();
     let mut serve = ServeEngine::new(
         AccelBackend::new(engine),
@@ -60,7 +58,7 @@ fn print_ablation() {
         (ModelConfig::stories260k(), 24)
     };
     println!("--- continuous-batching ablation ({cfg}, {n} requests, closed loop) ---");
-    let weights = Arc::new(TransformerWeights::synthetic(cfg, 42));
+    let weights = TransformerWeights::synthetic(cfg, 42).into_resident(QuantMode::F32);
     let mut base = 0.0f64;
     for slots in [1usize, 2, 4, 8] {
         let r = serve_once(&weights, slots, &workload(cfg, n, slots));
@@ -81,7 +79,7 @@ fn print_ablation() {
 fn bench_batching(c: &mut Runner) {
     print_ablation();
     let cfg = ModelConfig::test_tiny();
-    let weights = Arc::new(TransformerWeights::synthetic(cfg, 42));
+    let weights = TransformerWeights::synthetic(cfg, 42).into_resident(QuantMode::F32);
     for slots in [1usize, 4] {
         let lcfg = workload(cfg, 8, slots);
         c.bench_function(&format!("ablation/serve_batching_slots_{slots}"), |b| {

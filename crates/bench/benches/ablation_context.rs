@@ -10,11 +10,13 @@ use speedllm_accel::opt::OptConfig;
 use speedllm_bench::harness::Runner;
 use speedllm_fpga_sim::mpe::Precision;
 use speedllm_llama::config::ModelConfig;
+use speedllm_llama::resident::{IntoResident, ResidentWeights};
 use speedllm_llama::weights::TransformerWeights;
+use speedllm_llama::QuantMode;
 use std::hint::black_box;
 use std::sync::Arc;
 
-fn build(kv: Precision, weights: &Arc<TransformerWeights>) -> Engine {
+fn build(kv: Precision, weights: &Arc<ResidentWeights>) -> Engine {
     let mut cfg = AccelConfig::for_opt(&OptConfig::full());
     cfg.kv_precision = kv;
     Engine::with_config(Arc::clone(weights), OptConfig::full(), cfg).unwrap()
@@ -22,7 +24,8 @@ fn build(kv: Precision, weights: &Arc<TransformerWeights>) -> Engine {
 
 fn print_sweep() {
     println!("--- decode cost vs context length (stories15M, seq 256) ---");
-    let weights = Arc::new(TransformerWeights::synthetic(ModelConfig::stories15m(), 42));
+    let weights =
+        TransformerWeights::synthetic(ModelConfig::stories15m(), 42).into_resident(QuantMode::F32);
     let mut f32kv = build(Precision::Fp32, &weights);
     let mut i8kv = build(Precision::Int8, &weights);
     let checkpoints = [0usize, 64, 128, 255];
@@ -48,10 +51,8 @@ fn print_sweep() {
 
 fn bench_long_context(c: &mut Runner) {
     print_sweep();
-    let weights = Arc::new(TransformerWeights::synthetic(
-        ModelConfig::stories260k(),
-        42,
-    ));
+    let weights =
+        TransformerWeights::synthetic(ModelConfig::stories260k(), 42).into_resident(QuantMode::F32);
     for (name, kv) in [("f32", Precision::Fp32), ("int8", Precision::Int8)] {
         let mut engine = build(kv, &weights);
         for pos in 0..256 {

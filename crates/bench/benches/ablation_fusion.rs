@@ -9,17 +9,17 @@ use speedllm_accel::ir::build_decode_graph;
 use speedllm_accel::opt::OptConfig;
 use speedllm_bench::harness::Runner;
 use speedllm_llama::config::ModelConfig;
+use speedllm_llama::resident::IntoResident;
 use speedllm_llama::weights::TransformerWeights;
+use speedllm_llama::QuantMode;
 use std::hint::black_box;
 use std::sync::Arc;
 
 fn print_ablation() {
     println!("--- fusion-depth ablation (stories260K engine, 15M graph stats) ---");
     let g15 = build_decode_graph(&ModelConfig::stories15m());
-    let weights = Arc::new(TransformerWeights::synthetic(
-        ModelConfig::stories260k(),
-        42,
-    ));
+    let weights =
+        TransformerWeights::synthetic(ModelConfig::stories260k(), 42).into_resident(QuantMode::F32);
     for limit in [1usize, 2, 4, 8] {
         let report = fuse_with_limit(&g15, true, limit).report(&g15);
         let mut cfg = AccelConfig::for_opt(&OptConfig::full());

@@ -9,16 +9,16 @@ use speedllm_bench::harness::Runner;
 use speedllm_fpga_sim::cycles::Cycles;
 use speedllm_fpga_sim::event::Timeline;
 use speedllm_llama::config::ModelConfig;
+use speedllm_llama::resident::IntoResident;
 use speedllm_llama::weights::TransformerWeights;
+use speedllm_llama::QuantMode;
 use std::hint::black_box;
 use std::sync::Arc;
 
 fn print_ablation() {
     println!("--- double-buffer depth ablation (stories260K, full design) ---");
-    let weights = Arc::new(TransformerWeights::synthetic(
-        ModelConfig::stories260k(),
-        42,
-    ));
+    let weights =
+        TransformerWeights::synthetic(ModelConfig::stories260k(), 42).into_resident(QuantMode::F32);
     for depth in [1usize, 2, 3, 4] {
         let mut cfg = AccelConfig::for_opt(&OptConfig::full());
         cfg.double_buffer_depth = depth;

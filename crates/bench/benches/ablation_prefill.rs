@@ -6,16 +6,16 @@ use speedllm_accel::engine::{AccelConfig, Engine};
 use speedllm_accel::opt::OptConfig;
 use speedllm_bench::harness::Runner;
 use speedllm_llama::config::ModelConfig;
+use speedllm_llama::resident::IntoResident;
 use speedllm_llama::weights::TransformerWeights;
+use speedllm_llama::QuantMode;
 use std::hint::black_box;
 use std::sync::Arc;
 
 fn print_ablation() {
     println!("--- chunked-prefill ablation (stories260K, 32-token prompt) ---");
-    let weights = Arc::new(TransformerWeights::synthetic(
-        ModelConfig::stories260k(),
-        42,
-    ));
+    let weights =
+        TransformerWeights::synthetic(ModelConfig::stories260k(), 42).into_resident(QuantMode::F32);
     let tokens: Vec<u32> = (0..32).map(|i| 5 + i as u32).collect();
     let mut base_cycles = 0u64;
     for chunk in [1usize, 2, 4, 8, 16, 32] {
@@ -48,10 +48,8 @@ fn print_ablation() {
 
 fn bench_prefill(c: &mut Runner) {
     print_ablation();
-    let weights = Arc::new(TransformerWeights::synthetic(
-        ModelConfig::stories260k(),
-        42,
-    ));
+    let weights =
+        TransformerWeights::synthetic(ModelConfig::stories260k(), 42).into_resident(QuantMode::F32);
     let tokens: Vec<u32> = (0..16).map(|i| 5 + i as u32).collect();
     for chunk in [1usize, 16] {
         let mut engine = Engine::new(Arc::clone(&weights), OptConfig::full()).unwrap();

@@ -11,8 +11,10 @@ use speedllm_accel::engine::Engine;
 use speedllm_accel::opt::OptConfig;
 use speedllm_bench::harness::{is_smoke, Runner};
 use speedllm_llama::config::ModelConfig;
+use speedllm_llama::resident::{IntoResident, ResidentWeights};
 use speedllm_llama::sampler::SamplerKind;
 use speedllm_llama::weights::TransformerWeights;
+use speedllm_llama::QuantMode;
 use speedllm_pagedkv::BlockConfig;
 use speedllm_serve::{
     AccelBackend, ArrivalMode, Completion, LoadGen, LoadGenConfig, ServeConfig, ServeEngine,
@@ -57,14 +59,14 @@ fn mean_ttft(done: &[Completion]) -> f64 {
 /// true` spends the identical budget as a block arena (a slot is then
 /// just a table, so the pool is sized by blocks, not slots).
 fn serve_once(
-    weights: &Arc<TransformerWeights>,
+    weights: &Arc<ResidentWeights>,
     paged: bool,
     flat_slots: usize,
     block_size: usize,
     lcfg: &LoadGenConfig,
 ) -> Outcome {
     let engine = Engine::new(Arc::clone(weights), OptConfig::full()).unwrap();
-    let n_blocks = flat_slots * weights.config.seq_len.div_ceil(block_size);
+    let n_blocks = flat_slots * weights.config().seq_len.div_ceil(block_size);
     let (backend, slots) = if paged {
         let bc = BlockConfig {
             block_size,
@@ -103,7 +105,7 @@ fn print_ablation() {
         "--- prefix-cache ablation ({cfg}, {n} requests, shared prefix {shared}, \
          KV budget = {flat_slots} x seq_len) ---"
     );
-    let weights = Arc::new(TransformerWeights::synthetic(cfg, 42));
+    let weights = TransformerWeights::synthetic(cfg, 42).into_resident(QuantMode::F32);
     let lcfg = workload(cfg, n, shared);
     for paged in [false, true] {
         let o = serve_once(&weights, paged, flat_slots, bs, &lcfg);
@@ -124,7 +126,7 @@ fn print_ablation() {
 fn bench_prefix_cache(c: &mut Runner) {
     print_ablation();
     let cfg = ModelConfig::test_tiny();
-    let weights = Arc::new(TransformerWeights::synthetic(cfg, 42));
+    let weights = TransformerWeights::synthetic(cfg, 42).into_resident(QuantMode::F32);
     let lcfg = workload(cfg, 8, 8);
     for (name, paged) in [("slot_pool", false), ("paged_radix", true)] {
         c.bench_function(&format!("ablation/serve_prefix_cache_{name}"), |b| {

@@ -11,8 +11,10 @@ use speedllm_accel::engine::Engine;
 use speedllm_accel::opt::OptConfig;
 use speedllm_bench::harness::{is_smoke, Runner};
 use speedllm_llama::config::ModelConfig;
+use speedllm_llama::resident::{IntoResident, ResidentWeights};
 use speedllm_llama::sampler::SamplerKind;
 use speedllm_llama::weights::TransformerWeights;
+use speedllm_llama::QuantMode;
 use speedllm_pagedkv::BlockConfig;
 use speedllm_serve::{
     AccelBackend, ArrivalMode, LoadGen, LoadGenConfig, ServeConfig, ServeEngine, ServeReport,
@@ -45,7 +47,7 @@ fn workload(cfg: ModelConfig, n_requests: usize, burst_gap: u64) -> LoadGenConfi
 /// Both schedulers get the same arena: `SLOTS` full contexts of blocks —
 /// the "equal KV budget" in the ISSUE 6 acceptance criterion.
 fn serve_once(
-    weights: &Arc<TransformerWeights>,
+    weights: &Arc<ResidentWeights>,
     cfg: ModelConfig,
     unified: Option<UnifiedConfig>,
     lcfg: &LoadGenConfig,
@@ -79,7 +81,7 @@ fn print_ablation() {
     } else {
         (ModelConfig::stories260k(), 24, [131072u64, 32768, 8192])
     };
-    let weights = Arc::new(TransformerWeights::synthetic(cfg, 42));
+    let weights = TransformerWeights::synthetic(cfg, 42).into_resident(QuantMode::F32);
     println!(
         "--- unified-batch ablation ({cfg}, {n} requests, bursts of 4, {SLOTS} slots, equal KV budget) ---"
     );
@@ -110,7 +112,7 @@ fn print_ablation() {
 fn bench_unified_batch(c: &mut Runner) {
     print_ablation();
     let cfg = ModelConfig::test_tiny();
-    let weights = Arc::new(TransformerWeights::synthetic(cfg, 42));
+    let weights = TransformerWeights::synthetic(cfg, 42).into_resident(QuantMode::F32);
     let lcfg = workload(cfg, 8, 32);
     c.bench_function("ablation/serve_phase_serialized", |b| {
         b.iter(|| black_box(serve_once(&weights, cfg, None, &lcfg).tokens))

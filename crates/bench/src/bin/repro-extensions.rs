@@ -13,13 +13,16 @@ use speedllm_bench::Table;
 use speedllm_fpga_sim::cycles::{ClockDomain, Cycles};
 use speedllm_fpga_sim::mpe::Precision;
 use speedllm_llama::forward::LogitRows;
+use speedllm_llama::resident::IntoResident;
 use speedllm_llama::weights::TransformerWeights;
+use speedllm_llama::QuantMode;
 
 fn main() {
     let clock = ClockDomain::U280_KERNEL;
     // stories15M normally; stories260K under SPEEDLLM_TINY=1 (smoke runs).
     let cfg = speedllm_bench::headline_preset().config;
-    let weights = Arc::new(TransformerWeights::synthetic(cfg, 42));
+    let weights = TransformerWeights::synthetic(cfg, 42).into_resident(QuantMode::F32);
+    let int8_weights = TransformerWeights::synthetic(cfg, 42).into_resident(QuantMode::Int8);
     println!("=== extension studies on {cfg} ===\n");
 
     // --- Chunked prefill ---
@@ -54,11 +57,11 @@ fn main() {
     // --- Batched serving ---
     println!("batched decode (aggregate throughput):\n");
     let mut table = Table::new(&["precision", "batch", "tok/s aggregate", "latency/token"]);
-    for (name, opt) in [
-        ("fp32", OptConfig::full()),
-        ("int8", OptConfig::full_int8()),
+    for (name, opt, weights) in [
+        ("fp32", OptConfig::full(), &weights),
+        ("int8", OptConfig::full_int8(), &int8_weights),
     ] {
-        let mut engine = Engine::new(Arc::clone(&weights), opt).unwrap();
+        let mut engine = Engine::new(Arc::clone(weights), opt).unwrap();
         for batch in [1usize, 4, 16] {
             let mut seqs: Vec<_> = (0..batch).map(|_| engine.new_sequence()).collect();
             let toks: Vec<u32> = (0..batch as u32).map(|i| i + 1).collect();
@@ -104,11 +107,11 @@ fn main() {
     // --- int8 MPE end-to-end ---
     println!("MPE precision end-to-end (one decode token at pos 0):\n");
     let mut table = Table::new(&["mpe", "cycles", "tok/s", "HBM read", "DSP used"]);
-    for (name, opt) in [
-        ("fp32", OptConfig::full()),
-        ("int8", OptConfig::full_int8()),
+    for (name, opt, weights) in [
+        ("fp32", OptConfig::full(), &weights),
+        ("int8", OptConfig::full_int8(), &int8_weights),
     ] {
-        let mut engine = Engine::new(Arc::clone(&weights), opt).unwrap();
+        let mut engine = Engine::new(Arc::clone(weights), opt).unwrap();
         let r = engine.decode_step(1, 0);
         table.row(vec![
             name.into(),

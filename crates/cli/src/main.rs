@@ -15,6 +15,7 @@ mod args;
 
 use std::cell::RefCell;
 use std::process::ExitCode;
+use std::sync::Arc;
 
 use speedllm_telemetry as tel;
 
@@ -24,6 +25,7 @@ use speedllm_accel::report::{fmt_bytes, fmt_joules, fmt_seconds, Table};
 use speedllm_accel::runtime::AcceleratedLlm;
 use speedllm_fpga_sim::resources::Resources;
 use speedllm_gpu_model::{GpuSpec, U280_PRICE_USD};
+use speedllm_llama::resident::IntoResident;
 use speedllm_llama::tokenizer::Tokenizer;
 use speedllm_llama::weights::TransformerWeights;
 use speedllm_llama::QuantMode;
@@ -506,68 +508,58 @@ fn cmd_eval(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     use speedllm_llama::eval::{evaluate_reference, evaluate_with};
     use speedllm_llama::forward::Transformer;
 
-    let weights = TransformerWeights::synthetic(preset, seed);
     let tokens: Vec<u32> = (0..n_tokens)
         .map(|i| ((i as u64 * 37 + seed) % preset.vocab_size as u64) as u32)
         .collect();
-    let base = evaluate_reference(&mut Transformer::new(weights.clone()), &tokens);
+
+    // One resident copy of the checkpoint per precision, shared by the CPU
+    // model and the accelerator session that run it; one precision at a
+    // time, f32 — the reference of every ratio — first.
+    let (mut cpu, mut accel) = (Vec::new(), Vec::new());
+    for (mode, accel_name, opt) in [
+        (QuantMode::F32, "accelerator fp32", OptConfig::full()),
+        (QuantMode::Int8, "accelerator int8", OptConfig::full_int8()),
+        (QuantMode::Int4, "accelerator int4", OptConfig::full_int4()),
+    ] {
+        let weights = TransformerWeights::synthetic(preset, seed).into_resident(mode);
+        if mode == QuantMode::F32 || engines != "accel" {
+            let r = evaluate_reference(
+                &mut Transformer::with_weights(Arc::clone(&weights)),
+                &tokens,
+            );
+            let name = match mode {
+                QuantMode::F32 => "CPU reference (fp32)".to_string(),
+                _ => format!("CPU {} (fused dequant-GEMM)", mode.name()),
+            };
+            cpu.push((mode, name, r));
+        }
+        if engines != "cpu" {
+            let sys =
+                AcceleratedLlm::new(weights, Tokenizer::synthetic(preset.vocab_size, seed), opt)?;
+            let mut session = sys.session(speedllm_llama::sampler::SamplerKind::Argmax, 0);
+            let r = evaluate_with(preset.vocab_size, &tokens, |t, p| session.step(t, p).logits);
+            accel.push((mode, accel_name.to_string(), r));
+        }
+    }
+    let base = cpu[0].2.perplexity();
 
     // Worst observed |ppl/ppl_f32 - 1| per quant mode, across engines.
     let mut drift: Vec<(QuantMode, f64)> = Vec::new();
-    let mut record = |mode: QuantMode, ppl: f64| {
-        let d = (ppl / base.perplexity() - 1.0).abs();
-        match drift.iter_mut().find(|(m, _)| *m == mode) {
-            Some((_, worst)) => *worst = worst.max(d),
-            None => drift.push((mode, d)),
-        }
-    };
-
     let mut table = Table::new(&["engine", "perplexity", "bits/token", "vs reference"]);
-    table.row(vec![
-        "CPU reference (fp32)".into(),
-        format!("{:.2}", base.perplexity()),
-        format!("{:.3}", base.bits_per_token()),
-        "1.000x".into(),
-    ]);
-    if engines != "accel" {
-        for mode in [QuantMode::Int8, QuantMode::Int4] {
-            let mut model = Transformer::new(weights.clone());
-            model.set_quant_mode(mode);
-            let r = evaluate_with(preset.vocab_size, &tokens, |t, p| {
-                model.forward(t, p).to_vec()
-            });
-            record(mode, r.perplexity());
-            table.row(vec![
-                format!("CPU {} (fused dequant-GEMM)", mode.name()),
-                format!("{:.2}", r.perplexity()),
-                format!("{:.3}", r.bits_per_token()),
-                format!("{:.3}x", r.perplexity() / base.perplexity()),
-            ]);
-        }
-    }
-    if engines != "cpu" {
-        for (name, mode, opt) in [
-            ("accelerator fp32", QuantMode::F32, OptConfig::full()),
-            ("accelerator int8", QuantMode::Int8, OptConfig::full_int8()),
-            ("accelerator int4", QuantMode::Int4, OptConfig::full_int4()),
-        ] {
-            let sys = AcceleratedLlm::new(
-                weights.clone(),
-                Tokenizer::synthetic(preset.vocab_size, seed),
-                opt,
-            )?;
-            let mut session = sys.session(speedllm_llama::sampler::SamplerKind::Argmax, 0);
-            let r = evaluate_with(preset.vocab_size, &tokens, |t, p| session.step(t, p).logits);
-            if mode != QuantMode::F32 {
-                record(mode, r.perplexity());
+    for (mode, name, r) in cpu.into_iter().chain(accel) {
+        if mode != QuantMode::F32 {
+            let d = (r.perplexity() / base - 1.0).abs();
+            match drift.iter_mut().find(|(m, _)| *m == mode) {
+                Some((_, worst)) => *worst = worst.max(d),
+                None => drift.push((mode, d)),
             }
-            table.row(vec![
-                name.into(),
-                format!("{:.2}", r.perplexity()),
-                format!("{:.3}", r.bits_per_token()),
-                format!("{:.3}x", r.perplexity() / base.perplexity()),
-            ]);
         }
+        table.row(vec![
+            name,
+            format!("{:.2}", r.perplexity()),
+            format!("{:.3}", r.bits_per_token()),
+            format!("{:.3}x", r.perplexity() / base),
+        ]);
     }
     println!("scoring {} tokens on {preset}\n", n_tokens - 1);
     println!("{}", table.render());
@@ -739,9 +731,9 @@ fn cmd_serve_bench(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         return Err(format!("unknown --kv `{kv}` (pool|paged)").into());
     }
     // --quant selects the weight precision for the serve hot path
-    // (DESIGN.md §18): the CPU backend streams a group-quantized
-    // WeightStore through the fused dequant-GEMM kernels, the accel
-    // backend selects the matching int8/int4 MPE design point.
+    // (DESIGN.md §18): the CPU backend streams group-quantized resident
+    // weights through the fused dequant-GEMM kernels, the accel backend
+    // selects the matching int8/int4 MPE design point.
     let quant = parse_quant(args.get_or("quant", "f32"))?;
     let slots = args.get_usize("slots", if smoke { 2 } else { 4 })?;
     let block_size = args.get_usize("block-size", 8)?;
@@ -890,43 +882,22 @@ fn cmd_serve_bench(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         speedllm_llama::QuantMode::Int8 => OptConfig::full_int8(),
         speedllm_llama::QuantMode::Int4 => OptConfig::full_int4(),
     };
-    let cpu_model = |preset, seed| {
-        let mut model =
-            speedllm_llama::forward::Transformer::new(TransformerWeights::synthetic(preset, seed));
-        model.set_quant_mode(quant);
-        model
-    };
-    let (report, recorder) = match (backend, kv) {
-        ("cpu", "pool") => serve_bench_run(
-            CpuBackend::new(cpu_model(preset, seed)),
-            scfg,
-            &lcfg,
-            record,
-            spec,
-        )?,
-        ("cpu", _) => serve_bench_run(
-            CpuBackend::new_paged(cpu_model(preset, seed), block_cfg),
-            scfg,
-            &lcfg,
-            record,
-            spec,
-        )?,
-        (_, "pool") => {
-            let weights = std::sync::Arc::new(TransformerWeights::synthetic(preset, seed));
-            let engine = speedllm_accel::engine::Engine::new(weights, accel_opt)?;
-            serve_bench_run(AccelBackend::new(engine), scfg, &lcfg, record, spec)?
-        }
-        _ => {
-            let weights = std::sync::Arc::new(TransformerWeights::synthetic(preset, seed));
-            let engine = speedllm_accel::engine::Engine::new(weights, accel_opt)?;
-            serve_bench_run(
-                AccelBackend::new_paged(engine, block_cfg),
-                scfg,
-                &lcfg,
-                record,
-                spec,
-            )?
-        }
+    // Resident once, at the serving precision.
+    let weights = TransformerWeights::synthetic(preset, seed).into_resident(quant);
+    let (report, recorder) = if backend == "cpu" {
+        let model = speedllm_llama::forward::Transformer::with_weights(weights);
+        let backend = match kv {
+            "pool" => CpuBackend::new(model),
+            _ => CpuBackend::new_paged(model, block_cfg),
+        };
+        serve_bench_run(backend, scfg, &lcfg, record, spec)?
+    } else {
+        let engine = speedllm_accel::engine::Engine::new(weights, accel_opt)?;
+        let backend = match kv {
+            "pool" => AccelBackend::new(engine),
+            _ => AccelBackend::new_paged(engine, block_cfg),
+        };
+        serve_bench_run(backend, scfg, &lcfg, record, spec)?
     };
     print!("{report}");
     if let Some(rec) = recorder {
@@ -1162,26 +1133,22 @@ fn cmd_cluster_bench(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
 
     let events_out = args.get("events-out");
     let record = events_out.is_some();
+    // One resident copy of the checkpoint, whatever the replica count.
+    let weights = TransformerWeights::synthetic(preset, seed).into_resident(QuantMode::F32);
     let (report, events) = if backend == "cpu" {
         let engines: Vec<ServeEngine<CpuBackend>> = (0..n_replicas)
             .map(|_| {
-                let weights = TransformerWeights::synthetic(preset, seed);
-                ServeEngine::new(
-                    CpuBackend::new_paged(
-                        speedllm_llama::forward::Transformer::new(weights),
-                        block_cfg,
-                    ),
-                    scfg,
-                )
+                let model =
+                    speedllm_llama::forward::Transformer::with_weights(Arc::clone(&weights));
+                ServeEngine::new(CpuBackend::new_paged(model, block_cfg), scfg)
             })
             .collect();
         cluster_bench_run(engines, ccfg, &lcfg, record)
     } else {
-        let weights = std::sync::Arc::new(TransformerWeights::synthetic(preset, seed));
         let engines = (0..n_replicas)
             .map(|_| {
                 let engine =
-                    speedllm_accel::engine::Engine::new(weights.clone(), OptConfig::full())?;
+                    speedllm_accel::engine::Engine::new(Arc::clone(&weights), OptConfig::full())?;
                 Ok(ServeEngine::new(
                     speedllm_serve::AccelBackend::new_paged(engine, block_cfg),
                     scfg,

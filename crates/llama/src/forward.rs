@@ -7,12 +7,15 @@
 //! verify are run shapes of it (DESIGN.md §13), bit-identical to feeding
 //! the same tokens one one-row call at a time.
 
+use std::sync::Arc;
+
 use speedllm_telemetry as tel;
 
 use crate::config::ModelConfig;
 use crate::kv_cache::{KvBatch, KvCache, KvStore};
 use crate::ops;
-use crate::quant::{QuantKind, QuantMatrix, QuantMode, QuantWeights};
+use crate::quant::QuantMode;
+use crate::resident::{Operand, ResidentWeights};
 use crate::weights::TransformerWeights;
 
 /// How the dense GEMMs are executed.
@@ -131,105 +134,31 @@ fn scatter_to_seq(dst: &mut [f32], src: &[f32], rows: usize, batch: usize) {
     }
 }
 
-/// The weight stream the dense projections read: the original f32 tensors,
-/// or a group-quantized compressed copy built once by
-/// [`Transformer::set_quant_mode`]. Everything that is *not* a GEMM operand
-/// (norm weights, the embedding gather, RoPE, attention over the KV cache)
-/// always stays f32 — quantization only changes what streams through the
-/// matmul kernels.
-pub enum WeightStore {
-    /// Stream the original f32 weights.
-    F32,
-    /// Stream a [`QuantWeights`] compressed copy through the fused
-    /// dequant-GEMM kernels in [`crate::qgemm`].
-    Quant(QuantWeights),
-}
-
-impl WeightStore {
-    /// Builds the store for `mode` (quantizing every GEMM operand of
-    /// `weights` when the mode is a quantized kind).
-    #[must_use]
-    pub fn for_mode(weights: &TransformerWeights, mode: QuantMode) -> Self {
-        match mode.kind() {
-            None => Self::F32,
-            Some(kind) => Self::Quant(QuantWeights::quantize(weights, kind)),
-        }
-    }
-
-    /// The mode this store realizes.
-    #[must_use]
-    pub fn mode(&self) -> QuantMode {
-        match self {
-            Self::F32 => QuantMode::F32,
-            Self::Quant(q) => match q.kind() {
-                QuantKind::Int8 => QuantMode::Int8,
-                QuantKind::Int4 => QuantMode::Int4,
-            },
-        }
-    }
-
-    /// Bytes one GEMM tick streams when every projection is read once —
-    /// the compressed stream for quantized stores, the f32 stream
-    /// otherwise. This is what the `gemm_weight_bytes` telemetry counts.
-    #[must_use]
-    pub fn gemm_weight_bytes(&self, c: &ModelConfig) -> usize {
-        match self {
-            Self::F32 => c.gemm_weight_bytes(),
-            Self::Quant(q) => q.gemm_weight_bytes(),
-        }
-    }
-
-    fn layer(&self, layer: usize) -> Option<&crate::quant::QuantLayer> {
-        match self {
-            Self::F32 => None,
-            Self::Quant(q) => Some(&q.layers[layer]),
-        }
-    }
-
-    fn classifier(&self) -> Option<&QuantMatrix> {
-        match self {
-            Self::F32 => None,
-            Self::Quant(q) => Some(&q.classifier),
-        }
-    }
-}
-
-/// One resolved GEMM operand: an f32 slice or a quantized matrix.
-#[derive(Clone, Copy)]
-enum MatW<'a> {
-    F32(&'a [f32]),
-    Quant(&'a QuantMatrix),
-}
-
-#[inline]
-fn matw<'a>(q: Option<&'a QuantMatrix>, f: &'a [f32]) -> MatW<'a> {
-    match q {
-        Some(qm) => MatW::Quant(qm),
-        None => MatW::F32(f),
-    }
-}
-
-/// Dispatches a batched dense matmul according to the chosen strategy.
+/// One dense projection over all `batch` token rows: a GEMM into the
+/// row-major staging buffer, scattered back to token-row-major `dst`.
 /// Serial and parallel kernels compute every element with the same
 /// accumulation order (f32 [`ops::dot`], or its fused-dequant twin in
-/// [`crate::qgemm`]), so the choice affects wall-clock only, never values.
+/// [`crate::qgemm`]), so the strategy affects wall-clock only, never values.
+#[allow(clippy::too_many_arguments)]
 fn run_matmul(
     strategy: MatVecStrategy,
-    out: &mut [f32],
-    w: MatW<'_>,
+    gemm: &mut [f32],
+    dst: &mut [f32],
+    w: &Operand,
     xs: &[f32],
     rows: usize,
     cols: usize,
     batch: usize,
 ) {
+    let out = &mut gemm[..rows * batch];
     match w {
-        MatW::F32(w) => match strategy {
+        Operand::F32(w) => match strategy {
             MatVecStrategy::Serial => ops::matmul(out, w, xs, rows, cols, batch),
             MatVecStrategy::Parallel { threads } => {
                 crate::parallel::par_matmul(out, w, xs, rows, cols, batch, threads.max(1));
             }
         },
-        MatW::Quant(qm) => {
+        Operand::Quant(qm) => {
             debug_assert_eq!((qm.rows(), qm.cols()), (rows, cols));
             match strategy {
                 MatVecStrategy::Serial => crate::qgemm::qmatmul(out, qm, xs, batch),
@@ -239,15 +168,14 @@ fn run_matmul(
             }
         }
     }
+    scatter_to_seq(&mut dst[..batch * rows], out, rows, batch);
 }
 
 /// A transformer with its weights, KV cache, and scratch state: everything
 /// needed to decode token-by-token.
 pub struct Transformer {
-    weights: TransformerWeights,
-    /// Which weight stream the dense projections read; f32 until
-    /// [`Transformer::set_quant_mode`] selects a quantized kind.
-    store: WeightStore,
+    /// Shared with whatever else runs this model at this precision.
+    weights: Arc<ResidentWeights>,
     /// Layer-walk scratch, allocated on the first forward call and grown
     /// to the largest row count seen since.
     batch: Option<BatchState>,
@@ -256,15 +184,20 @@ pub struct Transformer {
 }
 
 impl Transformer {
-    /// Wraps loaded or synthetic weights.
+    /// Takes over loaded or synthetic weights, as f32.
     #[must_use]
     pub fn new(weights: TransformerWeights) -> Self {
-        let kv = KvCache::new(&weights.config);
+        Self::with_weights(Arc::new(ResidentWeights::new(weights, QuantMode::F32)))
+    }
+
+    /// A model over weights that are already resident, at their precision:
+    /// replicas, drafts and engines of one checkpoint clone the `Arc`.
+    #[must_use]
+    pub fn with_weights(weights: Arc<ResidentWeights>) -> Self {
         Self {
+            kv: KvCache::new(weights.config()),
             weights,
-            store: WeightStore::F32,
             batch: None,
-            kv,
             strategy: MatVecStrategy::Serial,
         }
     }
@@ -274,39 +207,43 @@ impl Transformer {
         self.strategy = strategy;
     }
 
-    /// Selects the weight precision for every dense projection. A
-    /// quantized mode builds the compressed [`WeightStore`] once
-    /// (deterministically — same weights, same payload) and every forward
-    /// entry point then streams it through the fused dequant-GEMM kernels.
-    /// `QuantMode::F32` restores the original tensors.
+    /// Quantizes the model's f32 weights in place to `mode`
+    /// (deterministically — same weights, same payload), freeing each f32
+    /// GEMM operand as its compressed form is built; every forward entry
+    /// point then streams that through the fused dequant-GEMM kernels.
+    /// A no-op at the current mode.
+    ///
+    /// # Panics
+    /// Panics where [`ResidentWeights::set_mode`] does: when the model is
+    /// already quantized to another mode (the f32 operands are gone —
+    /// build a second model from the checkpoint), and when its weights are
+    /// shared with another holder.
     pub fn set_quant_mode(&mut self, mode: QuantMode) {
-        if self.store.mode() != mode {
-            self.store = WeightStore::for_mode(&self.weights, mode);
-        }
+        ResidentWeights::set_mode(&mut self.weights, mode);
     }
 
     /// The active weight precision.
     #[must_use]
     pub fn quant_mode(&self) -> QuantMode {
-        self.store.mode()
+        self.weights.mode()
     }
 
     /// Bytes one GEMM tick streams under the active weight precision —
     /// what the `cpu.gemm_weight_bytes` telemetry adds per forward call.
     #[must_use]
     pub fn gemm_weight_bytes(&self) -> usize {
-        self.store.gemm_weight_bytes(&self.weights.config)
+        self.weights.gemm_weight_bytes()
     }
 
     /// The architecture config.
     #[must_use]
     pub fn config(&self) -> &ModelConfig {
-        &self.weights.config
+        self.weights.config()
     }
 
-    /// Borrow of the underlying weights.
+    /// Shared handle to the weights.
     #[must_use]
-    pub fn weights(&self) -> &TransformerWeights {
+    pub fn weights(&self) -> &Arc<ResidentWeights> {
         &self.weights
     }
 
@@ -331,7 +268,6 @@ impl Transformer {
     pub fn forward(&mut self, token: u32, pos: usize) -> &[f32] {
         Self::forward_runs_into(
             &self.weights,
-            &self.store,
             &mut self.batch,
             self.strategy,
             [&mut self.kv].as_mut_slice(),
@@ -421,7 +357,6 @@ impl Transformer {
     ) -> &[f32] {
         Self::forward_runs_into(
             &self.weights,
-            &self.store,
             &mut self.batch,
             self.strategy,
             kv,
@@ -444,8 +379,7 @@ impl Transformer {
     /// Panics exactly where [`Transformer::forward_runs`] does.
     #[allow(clippy::too_many_arguments)]
     pub fn forward_runs_into<'s, B: KvBatch + ?Sized>(
-        weights: &TransformerWeights,
-        store: &WeightStore,
+        weights: &ResidentWeights,
         scratch: &'s mut Option<BatchState>,
         strategy: MatVecStrategy,
         kv: &mut B,
@@ -454,7 +388,7 @@ impl Transformer {
         starts: &[usize],
         logit_rows: LogitRows,
     ) -> &'s [f32] {
-        let c = weights.config;
+        let c = *weights.config();
         let rows = tokens.len();
         let n_seqs = counts.len();
         let dim = c.dim;
@@ -511,12 +445,18 @@ impl Transformer {
         if tel::enabled() {
             // One call streams the GEMM weights once for all `rows`
             // tokens (decode + prefill alike); `gemm_weight_bytes /
-            // gemm_tokens` is bytes-per-token. Quantized stores report the
+            // gemm_tokens` is bytes-per-token. Quantized weights report the
             // compressed stream.
-            tel::metrics::counter_add("cpu.gemm_weight_bytes", store.gemm_weight_bytes(&c) as u64);
+            tel::metrics::counter_add("cpu.gemm_weight_bytes", weights.gemm_weight_bytes() as u64);
             tel::metrics::counter_add("cpu.gemm_tokens", rows as u64);
             tel::metrics::gauge_set("cpu.gemm_batch_width", rows as f64);
         }
+
+        // One dense projection over `batch` token rows, through the GEMM
+        // staging buffer.
+        let mut project = |dst: &mut [f32], w, xs: &[f32], out_rows, cols, batch| {
+            run_matmul(strategy, &mut bs.gemm, dst, w, xs, out_rows, cols, batch);
+        };
 
         // Gather: token embeddings -> per-row residual streams.
         for (r, &tok) in tokens.iter().enumerate() {
@@ -525,7 +465,6 @@ impl Transformer {
 
         for layer in 0..c.n_layers {
             let lw = &weights.layers[layer];
-            let qlw = store.layer(layer);
 
             // ---- Attention block ----
             {
@@ -539,46 +478,9 @@ impl Transformer {
                 }
                 {
                     let _qkv = tel::span("cpu", "qkv").arg("layer", layer as i64);
-                    run_matmul(
-                        strategy,
-                        &mut bs.gemm[..dim * rows],
-                        matw(qlw.map(|q| &q.wq), &lw.wq),
-                        &bs.xb[..rows * dim],
-                        dim,
-                        dim,
-                        rows,
-                    );
-                    scatter_to_seq(&mut bs.q[..rows * dim], &bs.gemm[..dim * rows], dim, rows);
-                    run_matmul(
-                        strategy,
-                        &mut bs.gemm[..kv_dim * rows],
-                        matw(qlw.map(|q| &q.wk), &lw.wk),
-                        &bs.xb[..rows * dim],
-                        kv_dim,
-                        dim,
-                        rows,
-                    );
-                    scatter_to_seq(
-                        &mut bs.k[..rows * kv_dim],
-                        &bs.gemm[..kv_dim * rows],
-                        kv_dim,
-                        rows,
-                    );
-                    run_matmul(
-                        strategy,
-                        &mut bs.gemm[..kv_dim * rows],
-                        matw(qlw.map(|q| &q.wv), &lw.wv),
-                        &bs.xb[..rows * dim],
-                        kv_dim,
-                        dim,
-                        rows,
-                    );
-                    scatter_to_seq(
-                        &mut bs.v[..rows * kv_dim],
-                        &bs.gemm[..kv_dim * rows],
-                        kv_dim,
-                        rows,
-                    );
+                    project(&mut bs.q, &lw.wq, &bs.xb[..rows * dim], dim, dim, rows);
+                    project(&mut bs.k, &lw.wk, &bs.xb[..rows * dim], kv_dim, dim, rows);
+                    project(&mut bs.v, &lw.wv, &bs.xb[..rows * dim], kv_dim, dim, rows);
                 }
 
                 // RoPE + KV store for every row **before** any row
@@ -640,16 +542,7 @@ impl Transformer {
                     }
                 }
 
-                run_matmul(
-                    strategy,
-                    &mut bs.gemm[..dim * rows],
-                    matw(qlw.map(|q| &q.wo), &lw.wo),
-                    &bs.xb[..rows * dim],
-                    dim,
-                    dim,
-                    rows,
-                );
-                scatter_to_seq(&mut bs.xb2[..rows * dim], &bs.gemm[..dim * rows], dim, rows);
+                project(&mut bs.xb2, &lw.wo, &bs.xb[..rows * dim], dim, dim, rows);
                 for r in 0..rows {
                     ops::add_inplace(
                         &mut bs.x[r * dim..(r + 1) * dim],
@@ -668,42 +561,15 @@ impl Transformer {
                         &lw.rms_ffn,
                     );
                 }
-                run_matmul(
-                    strategy,
-                    &mut bs.gemm[..hid * rows],
-                    matw(qlw.map(|q| &q.w1), &lw.w1),
-                    &bs.xb[..rows * dim],
-                    hid,
-                    dim,
-                    rows,
-                );
-                scatter_to_seq(&mut bs.hb[..rows * hid], &bs.gemm[..hid * rows], hid, rows);
-                run_matmul(
-                    strategy,
-                    &mut bs.gemm[..hid * rows],
-                    matw(qlw.map(|q| &q.w3), &lw.w3),
-                    &bs.xb[..rows * dim],
-                    hid,
-                    dim,
-                    rows,
-                );
-                scatter_to_seq(&mut bs.hb2[..rows * hid], &bs.gemm[..hid * rows], hid, rows);
+                project(&mut bs.hb, &lw.w1, &bs.xb[..rows * dim], hid, dim, rows);
+                project(&mut bs.hb2, &lw.w3, &bs.xb[..rows * dim], hid, dim, rows);
                 for r in 0..rows {
                     ops::swiglu(
                         &mut bs.hb[r * hid..(r + 1) * hid],
                         &bs.hb2[r * hid..(r + 1) * hid],
                     );
                 }
-                run_matmul(
-                    strategy,
-                    &mut bs.gemm[..dim * rows],
-                    matw(qlw.map(|q| &q.w2), &lw.w2),
-                    &bs.hb[..rows * hid],
-                    dim,
-                    hid,
-                    rows,
-                );
-                scatter_to_seq(&mut bs.xb2[..rows * dim], &bs.gemm[..dim * rows], dim, rows);
+                project(&mut bs.xb2, &lw.w2, &bs.hb[..rows * hid], dim, hid, rows);
                 for r in 0..rows {
                     ops::add_inplace(
                         &mut bs.x[r * dim..(r + 1) * dim],
@@ -732,19 +598,12 @@ impl Transformer {
             ops::rmsnorm_inplace(&mut bs.x[r * dim..(r + 1) * dim], &weights.rms_final);
             bs.xb[i * dim..(i + 1) * dim].copy_from_slice(&bs.x[r * dim..(r + 1) * dim]);
         }
-        run_matmul(
-            strategy,
-            &mut bs.gemm[..c.vocab_size * n],
-            matw(store.classifier(), weights.classifier()),
+        project(
+            &mut bs.logits,
+            weights.classifier(),
             &bs.xb[..n * dim],
             c.vocab_size,
             dim,
-            n,
-        );
-        scatter_to_seq(
-            &mut bs.logits[..n * c.vocab_size],
-            &bs.gemm[..c.vocab_size * n],
-            c.vocab_size,
             n,
         );
         &bs.logits[..n * c.vocab_size]
@@ -933,15 +792,42 @@ mod tests {
             assert!(max_err < 0.5, "int8 logits drifted {max_err} at pos {pos}");
             assert_ne!(want, got, "quantization must actually perturb values");
         }
-        // Switching back restores the exact f32 stream.
+        // Re-selecting the current mode is a no-op on both.
+        quant.set_quant_mode(QuantMode::Int8);
+        exact.set_quant_mode(QuantMode::F32);
+        assert_eq!(quant.quant_mode(), QuantMode::Int8);
+        // Quantizing freed the f32 GEMM operands: the model is smaller, and
+        // a second model built at int8 holds the very same bytes.
+        assert!(quant.weights().resident_bytes() < exact.weights().resident_bytes());
+        let rebuilt = ResidentWeights::new(TransformerWeights::synthetic(cfg, 11), QuantMode::Int8);
+        assert_eq!(**quant.weights(), rebuilt);
+    }
+
+    /// The f32 operands are freed when a model is quantized, so there is
+    /// nothing to switch back to: a loud panic, never empty matrices.
+    #[test]
+    #[should_panic(expected = "f32 operands were freed")]
+    fn a_quantized_model_cannot_switch_precision() {
+        let mut quant = model();
+        quant.set_quant_mode(QuantMode::Int8);
         quant.set_quant_mode(QuantMode::F32);
-        quant.reset();
-        exact.reset();
-        assert_eq!(
-            exact.forward(5, 0).to_vec(),
-            quant.forward(5, 0).to_vec(),
-            "f32 mode must restore the original weights"
-        );
+    }
+
+    #[test]
+    #[should_panic(expected = "shared weights cannot change")]
+    fn shared_weights_cannot_be_quantized_under_another_holder() {
+        let mut a = model();
+        let _b = Transformer::with_weights(Arc::clone(a.weights()));
+        a.set_quant_mode(QuantMode::Int4);
+    }
+
+    #[test]
+    fn models_over_one_arc_agree_and_allocate_nothing_twice() {
+        let mut a = model();
+        a.set_quant_mode(QuantMode::Int8);
+        let mut b = Transformer::with_weights(Arc::clone(a.weights()));
+        assert!(Arc::ptr_eq(a.weights(), b.weights()));
+        assert_eq!(a.forward(5, 0).to_vec(), b.forward(5, 0).to_vec());
     }
 
     #[test]

@@ -48,6 +48,7 @@ pub mod ops;
 pub mod parallel;
 pub mod qgemm;
 pub mod quant;
+pub mod resident;
 pub mod rng;
 pub mod sampler;
 pub mod sparse;
@@ -58,8 +59,9 @@ pub mod tokenizer;
 pub mod weights;
 
 pub use config::ModelConfig;
-pub use forward::{MatVecStrategy, Transformer, WeightStore};
+pub use forward::{MatVecStrategy, Transformer};
 pub use quant::QuantMode;
+pub use resident::ResidentWeights;
 pub use sampler::{Sampler, SamplerKind};
 pub use tokenizer::Tokenizer;
 pub use weights::TransformerWeights;

@@ -14,9 +14,10 @@
 //!
 //! [`QuantMatrix`] stores a matrix tile-interleaved — in the order the
 //! fused dequant-GEMM kernel in [`crate::qgemm`] consumes it, so the
-//! kernel never reshuffles — and [`QuantWeights`] quantizes every GEMM
-//! operand of a transformer for the serve-path [`crate::forward`] weight
-//! store.
+//! kernel never reshuffles. A model holds its operands in
+//! [`crate::resident::ResidentWeights`], which quantizes a checkpoint
+//! matrix by matrix as it consumes it; [`QuantWeights`] quantizes one by
+//! reference, beside it, for probes and tests that want both.
 
 use crate::ops::ROW_TILE;
 use crate::weights::TransformerWeights;
@@ -390,6 +391,11 @@ impl QuantMatrix {
         self.rows * (payload + self.groups_per_row * 4)
     }
 
+    /// Heap bytes the matrix owns: the padded payload and its scales.
+    pub(crate) fn storage_bytes(&self) -> usize {
+        self.data.capacity() + self.scales.capacity() * 4
+    }
+
     /// Worst-case absolute reconstruction error bound: half a quantization
     /// step per group, maximized over groups.
     #[must_use]
@@ -459,13 +465,11 @@ pub struct QuantLayer {
     pub w3: QuantMatrix,
 }
 
-/// Every GEMM operand of a transformer, group-quantized — the compressed
-/// weight stream the serve hot path reads instead of the f32 tensors.
-/// Norm weights and the embedding lookup stay f32 (they are O(dim), not
-/// O(dim²), and never ride the GEMM stream).
+/// Every GEMM operand of a checkpoint, group-quantized by reference: a
+/// second copy beside the f32 tensors, for probes and tests that compare
+/// the two. A model to run is a [`crate::resident::ResidentWeights`].
 #[derive(Debug, Clone)]
 pub struct QuantWeights {
-    kind: QuantKind,
     /// Per-layer quantized projections.
     pub layers: Vec<QuantLayer>,
     /// Classifier head, `vocab × dim` (shared embedding or `wcls`).
@@ -492,17 +496,7 @@ impl QuantWeights {
             })
             .collect();
         let classifier = QuantMatrix::quantize_with(w.classifier(), c.vocab_size, dim, kind);
-        Self {
-            kind,
-            layers,
-            classifier,
-        }
-    }
-
-    /// Storage kind.
-    #[must_use]
-    pub fn kind(&self) -> QuantKind {
-        self.kind
+        Self { layers, classifier }
     }
 
     /// Compressed bytes one decode tick streams when every GEMM operand is
@@ -510,20 +504,12 @@ impl QuantWeights {
     /// [`crate::config::ModelConfig::gemm_weight_bytes`].
     #[must_use]
     pub fn gemm_weight_bytes(&self) -> usize {
-        let per_layer: usize = self
-            .layers
-            .iter()
-            .map(|l| {
-                l.wq.bytes()
-                    + l.wk.bytes()
-                    + l.wv.bytes()
-                    + l.wo.bytes()
-                    + l.w1.bytes()
-                    + l.w2.bytes()
-                    + l.w3.bytes()
-            })
-            .sum();
-        per_layer + self.classifier.bytes()
+        let layers = self.layers.iter();
+        let operands = layers.flat_map(|l| [&l.wq, &l.wk, &l.wv, &l.wo, &l.w1, &l.w2, &l.w3]);
+        operands
+            .chain([&self.classifier])
+            .map(QuantMatrix::bytes)
+            .sum()
     }
 }
 

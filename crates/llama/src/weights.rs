@@ -146,13 +146,6 @@ impl TransformerWeights {
         self.wcls.as_deref().unwrap_or(&self.token_embedding)
     }
 
-    /// The embedding row for `token`.
-    #[must_use]
-    pub fn embedding_row(&self, token: usize) -> &[f32] {
-        let d = self.config.dim;
-        &self.token_embedding[token * d..(token + 1) * d]
-    }
-
     /// Total number of stored parameters.
     #[must_use]
     pub fn param_count(&self) -> usize {

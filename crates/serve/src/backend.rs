@@ -149,8 +149,9 @@ impl PoolSlot for CpuSlot {
     }
 }
 
-/// CPU reference backend: one [`Transformer`] (weights + scratch) shared
-/// across all sequences via [`Transformer::forward_runs`].
+/// CPU reference backend: one [`Transformer`] (scratch, and an `Arc` of the
+/// resident weights — replicas built with [`Transformer::with_weights`]
+/// share one copy) serving all sequences via [`Transformer::forward_runs`].
 pub struct CpuBackend {
     model: Transformer,
     arena: Option<PagedKvArena>,
@@ -459,8 +460,11 @@ mod tests {
 
     #[test]
     fn accel_backend_matches_cpu_backend() {
-        let mut cpu = CpuBackend::new(Transformer::new(weights()));
-        let engine = Engine::new(Arc::new(weights()), OptConfig::full()).unwrap();
+        // Both backends over the one resident copy of the weights.
+        let model = Transformer::new(weights());
+        let engine = Engine::new(Arc::clone(model.weights()), OptConfig::full()).unwrap();
+        assert!(Arc::ptr_eq(model.weights(), engine.weights()));
+        let mut cpu = CpuBackend::new(model);
         let mut acc = AccelBackend::new(engine);
         let mut cs = cpu.new_slot();
         let mut as_ = acc.new_slot();

@@ -3,6 +3,7 @@
 //! accelerator and compares against the parallel CPU reference
 //! implementation running the same model.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use speedllm::accel::report::{fmt_seconds, Table};
@@ -83,7 +84,7 @@ fn main() {
             },
         ),
     ] {
-        let mut model = Transformer::new((**system.weights()).clone());
+        let mut model = Transformer::with_weights(Arc::clone(system.weights()));
         model.set_strategy(strategy);
         let mut sampler = Sampler::argmax();
         let start = Instant::now();

@@ -26,6 +26,23 @@ for f in crates/accel/src/*.rs crates/accel/src/*/*.rs; do
     fi
 done
 
+echo "== tier 1: one resident copy of every weight =="
+# A model's weights are one Arc<ResidentWeights>, built by consuming the
+# checkpoint. Above their tests, the crates that run models may neither
+# quantize a checkpoint by reference (a compressed copy beside the f32
+# one) nor clone one, so a second resident copy cannot grow back
+# unnoticed. A grep cannot see types, so the rule is on the spelling: a
+# handle is cloned as `Arc::clone(&weights)`; `weights.clone()` and
+# `(**weights).clone()` are read as copying the tensors.
+for f in crates/{serve,accel,router,cli}/src/*.rs crates/{serve,accel,router,cli}/src/*/*.rs; do
+    [[ -e "$f" ]] || continue
+    if sed '/#\[cfg(test)\]/,$d' "$f" |
+        grep -nE 'WeightStore::for_mode|QuantWeights::quantize\(|weights(\(\))?\)*\.clone\(\)'; then
+        echo "$f: a second resident copy of the weights above #[cfg(test)] (see the lines above)" >&2
+        exit 1
+    fi
+done
+
 echo "== tier 1: release build =="
 # --workspace so the release `speedllm` binary used by the telemetry smoke
 # below is rebuilt too (the root package alone excludes the CLI crate).

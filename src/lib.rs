@@ -54,6 +54,7 @@ pub mod prelude {
     pub use speedllm_accel::opt::OptConfig;
     pub use speedllm_accel::runtime::{AcceleratedLlm, InferenceReport, Session};
     pub use speedllm_llama::config::ModelConfig;
+    pub use speedllm_llama::resident::{IntoResident, ResidentWeights};
     pub use speedllm_llama::sampler::{Sampler, SamplerKind};
     pub use speedllm_llama::tokenizer::Tokenizer;
     pub use speedllm_llama::weights::TransformerWeights;
