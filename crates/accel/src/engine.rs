@@ -40,7 +40,7 @@ use speedllm_fpga_sim::resources::{
 use speedllm_fpga_sim::sfu::{Sfu, SfuKind};
 use speedllm_fpga_sim::stats::SimStats;
 use speedllm_fpga_sim::trace::TraceBuffer;
-use speedllm_llama::forward::{BatchState, LogitRows, MatVecStrategy, Transformer};
+use speedllm_llama::forward::{BatchState, LogitRows, Transformer};
 use speedllm_llama::kv_cache::{KvBatch, KvCache};
 use speedllm_llama::quant::{QuantMode, QuantTensor};
 use speedllm_llama::resident::{IntoResident, ResidentWeights};
@@ -976,7 +976,6 @@ impl Engine {
             Transformer::forward_runs_into(
                 &self.weights,
                 &mut self.scratch,
-                MatVecStrategy::Serial,
                 &mut DeviceKv { inner, q8 },
                 &tokens,
                 &counts,
@@ -996,7 +995,6 @@ impl Engine {
             Transformer::forward_runs_into(
                 &self.weights,
                 &mut self.scratch,
-                MatVecStrategy::Serial,
                 &mut DeviceKv { inner, q8 },
                 &tokens,
                 &counts,

@@ -32,7 +32,6 @@ pub mod pipeline;
 pub mod report;
 pub mod roofline;
 pub mod runtime;
-pub mod speculative;
 
 pub use engine::{AccelConfig, Engine, StepResult};
 pub use opt::OptConfig;

@@ -1,15 +1,14 @@
 //! Substrate microbenchmarks: the CPU reference kernels at stories15M
-//! dimensions — serial vs scoped-thread matvec, the batched f32 matmul at
-//! the widths whose lane blocks are the 4/2/1 tails, the quantized kernel
+//! dimensions — the f32 matvec, the batched f32 matmul at the widths
+//! whose lane blocks are the 4/2/1 tails, the quantized kernel
 //! (int8, int4) at widths 1, 3, 4 and 6 on the FFN and classifier shapes,
 //! RMSNorm, softmax, RoPE — plus a full reference forward step. Every
 //! weight-streaming row carries `gb_s`: weight bytes over median time.
 
 use speedllm_bench::harness::Runner;
 use speedllm_llama::config::ModelConfig;
-use speedllm_llama::forward::{MatVecStrategy, Transformer};
+use speedllm_llama::forward::Transformer;
 use speedllm_llama::ops;
-use speedllm_llama::parallel::par_matvec;
 use speedllm_llama::qgemm::{qmatmul, qmatvec};
 use speedllm_llama::quant::{QuantKind, QuantMatrix};
 use speedllm_llama::rng::Xoshiro256;
@@ -30,12 +29,6 @@ fn bench_kernels(c: &mut Runner) {
     c.bench_function("cpu/matvec_serial_768x288", |b| {
         b.iter(|| {
             ops::matvec(black_box(&mut out), &w, &x, rows, cols);
-            black_box(out[0])
-        })
-    });
-    c.bench_function("cpu/matvec_par4_768x288", |b| {
-        b.iter(|| {
-            par_matvec(black_box(&mut out), &w, &x, rows, cols, 4);
             black_box(out[0])
         })
     });
@@ -63,13 +56,6 @@ fn bench_kernels(c: &mut Runner) {
     c.bench_function("cpu/matvec_serial_32000x288", |b| {
         b.iter(|| {
             ops::matvec(black_box(&mut vout), &wv, &x, vrows, cols);
-            black_box(vout[0])
-        })
-    });
-    c.bench_function("cpu/matvec_par_32000x288", |b| {
-        let threads = speedllm_llama::parallel::recommended_threads();
-        b.iter(|| {
-            par_matvec(black_box(&mut vout), &wv, &x, vrows, cols, threads);
             black_box(vout[0])
         })
     });
@@ -135,22 +121,12 @@ fn bench_kernels(c: &mut Runner) {
     // Full reference decode step on stories260K (15M is too slow for tight
     // bench loops in CI).
     let weights = TransformerWeights::synthetic(ModelConfig::stories260k(), 42);
-    let mut serial = Transformer::new(weights.clone());
-    let mut parallel = Transformer::new(weights);
-    parallel.set_strategy(MatVecStrategy::Parallel { threads: 4 });
+    let mut model = Transformer::new(weights);
     let mut pos = 0usize;
     c.bench_function("cpu/forward_260k_serial", |b| {
         b.iter(|| {
-            let l = serial.forward(black_box(3), pos % 500);
+            let l = model.forward(black_box(3), pos % 500);
             pos += 1;
-            black_box(l[0])
-        })
-    });
-    let mut pos2 = 0usize;
-    c.bench_function("cpu/forward_260k_par4", |b| {
-        b.iter(|| {
-            let l = parallel.forward(black_box(3), pos2 % 500);
-            pos2 += 1;
             black_box(l[0])
         })
     });

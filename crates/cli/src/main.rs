@@ -110,9 +110,6 @@ GLOBAL FLAGS
                     chrome://tracing; also prints a metrics summary
                     table. Setting SPEEDLLM_TRACE=1 enables telemetry
                     (summary table only) without writing a file.
-                    SPEEDLLM_THREADS=N pins the CPU matvec/matmul worker
-                    count (default: available parallelism, capped at 16)
-                    so parallel-strategy runs reproduce across hosts.
 
 VALUES
   presets:  stories260k stories15m stories42m stories110m tiny

@@ -164,28 +164,6 @@ impl Mpe {
         Cycles(row_waves * col_steps + self.config.pipeline_depth)
     }
 
-    /// Cycle cost of a `rows × cols` tile whose weights are block-sparse
-    /// with the given `density` (fraction of `block`-wide column segments
-    /// surviving). A reconfigurable MPE skips pruned blocks entirely, so
-    /// compute scales with density; a small per-block index-decode cost is
-    /// charged so extreme sparsity does not become free.
-    #[must_use]
-    pub fn sparse_tile_cost(&self, rows: usize, cols: usize, density: f64, block: usize) -> Cycles {
-        assert!((0.0..=1.0).contains(&density), "density must be in [0,1]");
-        assert!(block >= 1, "block must be >= 1");
-        if rows == 0 || cols == 0 {
-            return Cycles::ZERO;
-        }
-        let row_waves = rows.div_ceil(self.config.lanes) as u64;
-        let blocks_per_row = cols.div_ceil(block) as u64;
-        let live_blocks = (blocks_per_row as f64 * density).ceil() as u64;
-        // Each live block streams `block` columns through the vector unit,
-        // plus one decode cycle per block for the index.
-        let steps_per_block = (block as u64).div_ceil(self.config.vec_width as u64);
-        let col_steps = live_blocks * (steps_per_block + 1);
-        Cycles(row_waves * col_steps + self.config.pipeline_depth)
-    }
-
     /// Records execution of a tile and returns its cost.
     pub fn run_tile(&mut self, rows: usize, cols: usize) -> Cycles {
         let cost = self.tile_cost(rows, cols);
@@ -256,29 +234,6 @@ mod tests {
         let c = mpe.tile_cost(288, 288);
         // ceil(288/64)=5 waves, ceil(288/8)=36 steps -> 180 + 12.
         assert_eq!(c, Cycles(192));
-    }
-
-    #[test]
-    fn sparse_tile_cost_scales_with_density() {
-        let mpe = Mpe::new(MpeConfig::u280_fp32());
-        let dense = mpe.tile_cost(64, 512);
-        let full = mpe.sparse_tile_cost(64, 512, 1.0, 8);
-        let half = mpe.sparse_tile_cost(64, 512, 0.5, 8);
-        let tenth = mpe.sparse_tile_cost(64, 512, 0.1, 8);
-        // Full density costs slightly more than dense (index decode).
-        assert!(full >= dense);
-        assert!(half < full);
-        assert!(tenth < half);
-        // Near-linear scaling in the streaming term.
-        assert!(half.0 as f64 / full.0 as f64 > 0.4);
-    }
-
-    #[test]
-    fn sparse_tile_cost_never_free() {
-        let mpe = Mpe::new(MpeConfig::u280_fp32());
-        let c = mpe.sparse_tile_cost(64, 512, 0.0, 8);
-        assert!(c >= Cycles(mpe.config().pipeline_depth));
-        assert_eq!(mpe.sparse_tile_cost(0, 512, 0.5, 8), Cycles::ZERO);
     }
 
     #[test]

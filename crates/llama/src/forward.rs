@@ -18,18 +18,6 @@ use crate::quant::QuantMode;
 use crate::resident::{Operand, ResidentWeights};
 use crate::weights::TransformerWeights;
 
-/// How the dense GEMMs are executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MatVecStrategy {
-    /// Single-threaded kernels — bit-deterministic, the correctness oracle.
-    Serial,
-    /// Row-partitioned scoped threads ([`crate::parallel::par_matmul`]).
-    Parallel {
-        /// Worker count; clamped to at least 1.
-        threads: usize,
-    },
-}
-
 /// Which token rows of a runs call the classifier scores. The caller's
 /// verb decides, never a user: decode, prefill and mixed ticks observe only
 /// each run's last row; speculative verification scores every row.
@@ -136,12 +124,9 @@ fn scatter_to_seq(dst: &mut [f32], src: &[f32], rows: usize, batch: usize) {
 
 /// One dense projection over all `batch` token rows: a GEMM into the
 /// row-major staging buffer, scattered back to token-row-major `dst`.
-/// Serial and parallel kernels compute every element with the same
-/// accumulation order (f32 [`ops::dot`], or its fused-dequant twin in
-/// [`crate::qgemm`]), so the strategy affects wall-clock only, never values.
-#[allow(clippy::too_many_arguments)]
+/// Every element is one accumulator in [`ops::dot`]'s order (f32), or its
+/// fused-dequant twin in [`crate::qgemm`].
 fn run_matmul(
-    strategy: MatVecStrategy,
     gemm: &mut [f32],
     dst: &mut [f32],
     w: &Operand,
@@ -152,20 +137,10 @@ fn run_matmul(
 ) {
     let out = &mut gemm[..rows * batch];
     match w {
-        Operand::F32(w) => match strategy {
-            MatVecStrategy::Serial => ops::matmul(out, w, xs, rows, cols, batch),
-            MatVecStrategy::Parallel { threads } => {
-                crate::parallel::par_matmul(out, w, xs, rows, cols, batch, threads.max(1));
-            }
-        },
+        Operand::F32(w) => ops::matmul(out, w, xs, rows, cols, batch),
         Operand::Quant(qm) => {
             debug_assert_eq!((qm.rows(), qm.cols()), (rows, cols));
-            match strategy {
-                MatVecStrategy::Serial => crate::qgemm::qmatmul(out, qm, xs, batch),
-                MatVecStrategy::Parallel { threads } => {
-                    crate::parallel::par_qmatmul(out, qm, xs, batch, threads.max(1));
-                }
-            }
+            crate::qgemm::qmatmul(out, qm, xs, batch);
         }
     }
     scatter_to_seq(&mut dst[..batch * rows], out, rows, batch);
@@ -180,7 +155,6 @@ pub struct Transformer {
     /// to the largest row count seen since.
     batch: Option<BatchState>,
     kv: KvCache,
-    strategy: MatVecStrategy,
 }
 
 impl Transformer {
@@ -198,13 +172,7 @@ impl Transformer {
             kv: KvCache::new(weights.config()),
             weights,
             batch: None,
-            strategy: MatVecStrategy::Serial,
         }
-    }
-
-    /// Selects the matvec execution strategy.
-    pub fn set_strategy(&mut self, strategy: MatVecStrategy) {
-        self.strategy = strategy;
     }
 
     /// Quantizes the model's f32 weights in place to `mode`
@@ -269,7 +237,6 @@ impl Transformer {
         Self::forward_runs_into(
             &self.weights,
             &mut self.batch,
-            self.strategy,
             [&mut self.kv].as_mut_slice(),
             &[token],
             &[1],
@@ -358,7 +325,6 @@ impl Transformer {
         Self::forward_runs_into(
             &self.weights,
             &mut self.batch,
-            self.strategy,
             kv,
             tokens,
             counts,
@@ -377,11 +343,9 @@ impl Transformer {
     ///
     /// # Panics
     /// Panics exactly where [`Transformer::forward_runs`] does.
-    #[allow(clippy::too_many_arguments)]
     pub fn forward_runs_into<'s, B: KvBatch + ?Sized>(
         weights: &ResidentWeights,
         scratch: &'s mut Option<BatchState>,
-        strategy: MatVecStrategy,
         kv: &mut B,
         tokens: &[u32],
         counts: &[usize],
@@ -455,7 +419,7 @@ impl Transformer {
         // One dense projection over `batch` token rows, through the GEMM
         // staging buffer.
         let mut project = |dst: &mut [f32], w, xs: &[f32], out_rows, cols, batch| {
-            run_matmul(strategy, &mut bs.gemm, dst, w, xs, out_rows, cols, batch);
+            run_matmul(&mut bs.gemm, dst, w, xs, out_rows, cols, batch);
         };
 
         // Gather: token embeddings -> per-row residual streams.
@@ -666,51 +630,62 @@ mod tests {
     }
 
     #[test]
-    fn parallel_strategy_matches_serial() {
-        let weights = TransformerWeights::synthetic(ModelConfig::stories260k(), 3);
-        let mut serial = Transformer::new(weights.clone());
-        let mut par = Transformer::new(weights);
-        par.set_strategy(MatVecStrategy::Parallel { threads: 4 });
-        for pos in 0..3 {
-            let a = serial.forward(10 + pos as u32, pos).to_vec();
-            let b = par.forward(10 + pos as u32, pos).to_vec();
-            let max_diff = a
-                .iter()
-                .zip(&b)
-                .fold(0.0f32, |m, (x, y)| m.max((x - y).abs()));
-            assert!(max_diff < 1e-4, "parallel diverged: {max_diff}");
+    fn batched_forward_is_bit_identical_to_sequential() {
+        use crate::kv_cache::KvCache;
+        let cfg = ModelConfig::test_tiny();
+        for n in [1usize, 2, 5] {
+            let weights = TransformerWeights::synthetic(cfg, 7);
+            let mut batched = Transformer::new(weights.clone());
+            let mut oracle = Transformer::new(weights);
+
+            let mut kvs_b: Vec<KvCache> = (0..n).map(|_| KvCache::new(&cfg)).collect();
+            let mut kvs_s: Vec<KvCache> = (0..n).map(|_| KvCache::new(&cfg)).collect();
+            // Stagger contexts so the batch composition is heterogeneous.
+            for (i, kv) in kvs_s.iter_mut().enumerate() {
+                for p in 0..i {
+                    oracle.forward_with_kv(kv, (i + p) as u32 % 64, p);
+                }
+            }
+            for (i, kv) in kvs_b.iter_mut().enumerate() {
+                for p in 0..i {
+                    oracle.forward_with_kv(kv, (i + p) as u32 % 64, p);
+                }
+            }
+
+            for step in 0..3 {
+                let tokens: Vec<u32> = (0..n).map(|i| ((7 * i + step) % 64) as u32).collect();
+                let positions: Vec<usize> = kvs_b.iter().map(KvCache::len).collect();
+                let mut refs: Vec<&mut KvCache> = kvs_b.iter_mut().collect();
+                let got = batched
+                    .forward_batch_with_kv(refs.as_mut_slice(), &tokens, &positions)
+                    .to_vec();
+                for (i, kv) in kvs_s.iter_mut().enumerate() {
+                    let want = oracle.forward_with_kv(kv, tokens[i], positions[i]);
+                    assert_eq!(
+                        &got[i * cfg.vocab_size..(i + 1) * cfg.vocab_size],
+                        want,
+                        "batch {n} seq {i} step {step} diverged"
+                    );
+                }
+            }
         }
     }
 
     #[test]
-    fn batched_forward_is_bit_identical_to_sequential() {
+    fn quantized_batched_forward_is_bit_identical_to_sequential() {
         use crate::kv_cache::KvCache;
         let cfg = ModelConfig::test_tiny();
-        for strategy in [
-            MatVecStrategy::Serial,
-            MatVecStrategy::Parallel { threads: 3 },
-        ] {
-            for n in [1usize, 2, 5] {
+        for mode in [QuantMode::Int8, QuantMode::Int4] {
+            for n in [1usize, 3, 5] {
                 let weights = TransformerWeights::synthetic(cfg, 7);
                 let mut batched = Transformer::new(weights.clone());
-                batched.set_strategy(strategy);
+                batched.set_quant_mode(mode);
                 let mut oracle = Transformer::new(weights);
-                oracle.set_strategy(strategy);
+                oracle.set_quant_mode(mode);
+                assert_eq!(oracle.quant_mode(), mode);
 
                 let mut kvs_b: Vec<KvCache> = (0..n).map(|_| KvCache::new(&cfg)).collect();
                 let mut kvs_s: Vec<KvCache> = (0..n).map(|_| KvCache::new(&cfg)).collect();
-                // Stagger contexts so the batch composition is heterogeneous.
-                for (i, kv) in kvs_s.iter_mut().enumerate() {
-                    for p in 0..i {
-                        oracle.forward_with_kv(kv, (i + p) as u32 % 64, p);
-                    }
-                }
-                for (i, kv) in kvs_b.iter_mut().enumerate() {
-                    for p in 0..i {
-                        oracle.forward_with_kv(kv, (i + p) as u32 % 64, p);
-                    }
-                }
-
                 for step in 0..3 {
                     let tokens: Vec<u32> = (0..n).map(|i| ((7 * i + step) % 64) as u32).collect();
                     let positions: Vec<usize> = kvs_b.iter().map(KvCache::len).collect();
@@ -723,51 +698,8 @@ mod tests {
                         assert_eq!(
                             &got[i * cfg.vocab_size..(i + 1) * cfg.vocab_size],
                             want,
-                            "batch {n} seq {i} step {step} diverged"
+                            "{mode:?} batch {n} seq {i} step {step} diverged"
                         );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn quantized_batched_forward_is_bit_identical_to_sequential() {
-        use crate::kv_cache::KvCache;
-        let cfg = ModelConfig::test_tiny();
-        for mode in [QuantMode::Int8, QuantMode::Int4] {
-            for strategy in [
-                MatVecStrategy::Serial,
-                MatVecStrategy::Parallel { threads: 3 },
-            ] {
-                for n in [1usize, 3, 5] {
-                    let weights = TransformerWeights::synthetic(cfg, 7);
-                    let mut batched = Transformer::new(weights.clone());
-                    batched.set_strategy(strategy);
-                    batched.set_quant_mode(mode);
-                    let mut oracle = Transformer::new(weights);
-                    oracle.set_strategy(strategy);
-                    oracle.set_quant_mode(mode);
-                    assert_eq!(oracle.quant_mode(), mode);
-
-                    let mut kvs_b: Vec<KvCache> = (0..n).map(|_| KvCache::new(&cfg)).collect();
-                    let mut kvs_s: Vec<KvCache> = (0..n).map(|_| KvCache::new(&cfg)).collect();
-                    for step in 0..3 {
-                        let tokens: Vec<u32> =
-                            (0..n).map(|i| ((7 * i + step) % 64) as u32).collect();
-                        let positions: Vec<usize> = kvs_b.iter().map(KvCache::len).collect();
-                        let mut refs: Vec<&mut KvCache> = kvs_b.iter_mut().collect();
-                        let got = batched
-                            .forward_batch_with_kv(refs.as_mut_slice(), &tokens, &positions)
-                            .to_vec();
-                        for (i, kv) in kvs_s.iter_mut().enumerate() {
-                            let want = oracle.forward_with_kv(kv, tokens[i], positions[i]);
-                            assert_eq!(
-                                &got[i * cfg.vocab_size..(i + 1) * cfg.vocab_size],
-                                want,
-                                "{mode:?} batch {n} seq {i} step {step} diverged ({strategy:?})"
-                            );
-                        }
                     }
                 }
             }
@@ -834,82 +766,75 @@ mod tests {
     fn mixed_runs_are_bit_identical_to_sequential() {
         use crate::kv_cache::KvCache;
         let cfg = ModelConfig::test_tiny();
-        for strategy in [
-            MatVecStrategy::Serial,
-            MatVecStrategy::Parallel { threads: 3 },
+        // Each case: per-sequence (context already cached, run length).
+        // Mixes decode rows (count 1) with prefill chunks (count > 1),
+        // including a chunk continuing a non-empty context.
+        for case in [
+            vec![(0usize, 4usize)],       // pure prefill, one seq
+            vec![(3, 1), (0, 4)],         // decode + cold prefill
+            vec![(2, 1), (1, 3), (4, 1)], // decode, chunk, decode
+            vec![(0, 2), (2, 2)],         // two chunks, one warm
+            vec![(1, 1), (2, 1), (3, 1)], // pure decode (regression)
         ] {
-            // Each case: per-sequence (context already cached, run length).
-            // Mixes decode rows (count 1) with prefill chunks (count > 1),
-            // including a chunk continuing a non-empty context.
-            for case in [
-                vec![(0usize, 4usize)],       // pure prefill, one seq
-                vec![(3, 1), (0, 4)],         // decode + cold prefill
-                vec![(2, 1), (1, 3), (4, 1)], // decode, chunk, decode
-                vec![(0, 2), (2, 2)],         // two chunks, one warm
-                vec![(1, 1), (2, 1), (3, 1)], // pure decode (regression)
-            ] {
-                let weights = TransformerWeights::synthetic(cfg, 7);
-                let mut mixed = Transformer::new(weights.clone());
-                mixed.set_strategy(strategy);
-                let mut oracle = Transformer::new(weights);
-                oracle.set_strategy(strategy);
+            let weights = TransformerWeights::synthetic(cfg, 7);
+            let mut mixed = Transformer::new(weights.clone());
+            let mut oracle = Transformer::new(weights);
 
-                let n = case.len();
-                let mut kvs_m: Vec<KvCache> = (0..n).map(|_| KvCache::new(&cfg)).collect();
-                let mut kvs_s: Vec<KvCache> = (0..n).map(|_| KvCache::new(&cfg)).collect();
-                for (i, &(ctx, _)) in case.iter().enumerate() {
-                    for p in 0..ctx {
-                        let tok = ((5 * i + p) % 64) as u32;
-                        oracle.forward_with_kv(&mut kvs_s[i], tok, p);
-                        oracle.forward_with_kv(&mut kvs_m[i], tok, p);
-                    }
+            let n = case.len();
+            let mut kvs_m: Vec<KvCache> = (0..n).map(|_| KvCache::new(&cfg)).collect();
+            let mut kvs_s: Vec<KvCache> = (0..n).map(|_| KvCache::new(&cfg)).collect();
+            for (i, &(ctx, _)) in case.iter().enumerate() {
+                for p in 0..ctx {
+                    let tok = ((5 * i + p) % 64) as u32;
+                    oracle.forward_with_kv(&mut kvs_s[i], tok, p);
+                    oracle.forward_with_kv(&mut kvs_m[i], tok, p);
                 }
+            }
 
-                let mut tokens = Vec::new();
-                let mut counts = Vec::new();
-                let mut starts = Vec::new();
-                for (i, &(ctx, run)) in case.iter().enumerate() {
-                    counts.push(run);
-                    starts.push(ctx);
-                    for off in 0..run {
-                        tokens.push(((11 * i + 3 * off + 1) % 64) as u32);
-                    }
+            let mut tokens = Vec::new();
+            let mut counts = Vec::new();
+            let mut starts = Vec::new();
+            for (i, &(ctx, run)) in case.iter().enumerate() {
+                counts.push(run);
+                starts.push(ctx);
+                for off in 0..run {
+                    tokens.push(((11 * i + 3 * off + 1) % 64) as u32);
                 }
+            }
 
-                let mut refs: Vec<&mut KvCache> = kvs_m.iter_mut().collect();
-                let got = mixed
-                    .forward_runs(
-                        refs.as_mut_slice(),
-                        &tokens,
-                        &counts,
-                        &starts,
-                        LogitRows::Last,
-                    )
-                    .to_vec();
+            let mut refs: Vec<&mut KvCache> = kvs_m.iter_mut().collect();
+            let got = mixed
+                .forward_runs(
+                    refs.as_mut_slice(),
+                    &tokens,
+                    &counts,
+                    &starts,
+                    LogitRows::Last,
+                )
+                .to_vec();
 
-                // Oracle: feed each sequence's run token-by-token; only the
-                // last logits of each run are observable.
-                let mut row = 0usize;
-                for (i, &(ctx, run)) in case.iter().enumerate() {
-                    let mut want = Vec::new();
-                    for off in 0..run {
-                        want = oracle
-                            .forward_with_kv(&mut kvs_s[i], tokens[row], ctx + off)
-                            .to_vec();
-                        row += 1;
-                    }
-                    assert_eq!(
-                        &got[i * cfg.vocab_size..(i + 1) * cfg.vocab_size],
-                        &want[..],
-                        "case {case:?} seq {i} diverged ({strategy:?})"
-                    );
-                    // KV contents must match too: decode again and compare.
-                    let probe = ((i + 9) % 64) as u32;
-                    let pos = ctx + run;
-                    let m = mixed.forward_with_kv(&mut kvs_m[i], probe, pos).to_vec();
-                    let s = oracle.forward_with_kv(&mut kvs_s[i], probe, pos);
-                    assert_eq!(&m[..], s, "case {case:?} seq {i} KV diverged");
+            // Oracle: feed each sequence's run token-by-token; only the
+            // last logits of each run are observable.
+            let mut row = 0usize;
+            for (i, &(ctx, run)) in case.iter().enumerate() {
+                let mut want = Vec::new();
+                for off in 0..run {
+                    want = oracle
+                        .forward_with_kv(&mut kvs_s[i], tokens[row], ctx + off)
+                        .to_vec();
+                    row += 1;
                 }
+                assert_eq!(
+                    &got[i * cfg.vocab_size..(i + 1) * cfg.vocab_size],
+                    &want[..],
+                    "case {case:?} seq {i} diverged"
+                );
+                // KV contents must match too: decode again and compare.
+                let probe = ((i + 9) % 64) as u32;
+                let pos = ctx + run;
+                let m = mixed.forward_with_kv(&mut kvs_m[i], probe, pos).to_vec();
+                let s = oracle.forward_with_kv(&mut kvs_s[i], probe, pos);
+                assert_eq!(&m[..], s, "case {case:?} seq {i} KV diverged");
             }
         }
     }
@@ -918,69 +843,62 @@ mod tests {
     fn all_logits_rows_match_sequential_decode() {
         use crate::kv_cache::KvCache;
         let cfg = ModelConfig::test_tiny();
-        for strategy in [
-            MatVecStrategy::Serial,
-            MatVecStrategy::Parallel { threads: 3 },
+        for case in [
+            vec![(0usize, 4usize)],
+            vec![(3, 1), (0, 4)],
+            vec![(2, 2), (1, 3)],
         ] {
-            for case in [
-                vec![(0usize, 4usize)],
-                vec![(3, 1), (0, 4)],
-                vec![(2, 2), (1, 3)],
-            ] {
-                let weights = TransformerWeights::synthetic(cfg, 7);
-                let mut mixed = Transformer::new(weights.clone());
-                mixed.set_strategy(strategy);
-                let mut oracle = Transformer::new(weights);
-                oracle.set_strategy(strategy);
+            let weights = TransformerWeights::synthetic(cfg, 7);
+            let mut mixed = Transformer::new(weights.clone());
+            let mut oracle = Transformer::new(weights);
 
-                let n = case.len();
-                let mut kvs_m: Vec<KvCache> = (0..n).map(|_| KvCache::new(&cfg)).collect();
-                let mut kvs_s: Vec<KvCache> = (0..n).map(|_| KvCache::new(&cfg)).collect();
-                for (i, &(ctx, _)) in case.iter().enumerate() {
-                    for p in 0..ctx {
-                        let tok = ((5 * i + p) % 64) as u32;
-                        oracle.forward_with_kv(&mut kvs_s[i], tok, p);
-                        oracle.forward_with_kv(&mut kvs_m[i], tok, p);
-                    }
+            let n = case.len();
+            let mut kvs_m: Vec<KvCache> = (0..n).map(|_| KvCache::new(&cfg)).collect();
+            let mut kvs_s: Vec<KvCache> = (0..n).map(|_| KvCache::new(&cfg)).collect();
+            for (i, &(ctx, _)) in case.iter().enumerate() {
+                for p in 0..ctx {
+                    let tok = ((5 * i + p) % 64) as u32;
+                    oracle.forward_with_kv(&mut kvs_s[i], tok, p);
+                    oracle.forward_with_kv(&mut kvs_m[i], tok, p);
                 }
+            }
 
-                let mut tokens = Vec::new();
-                let mut counts = Vec::new();
-                let mut starts = Vec::new();
-                for (i, &(ctx, run)) in case.iter().enumerate() {
-                    counts.push(run);
-                    starts.push(ctx);
-                    for off in 0..run {
-                        tokens.push(((11 * i + 3 * off + 1) % 64) as u32);
-                    }
+            let mut tokens = Vec::new();
+            let mut counts = Vec::new();
+            let mut starts = Vec::new();
+            for (i, &(ctx, run)) in case.iter().enumerate() {
+                counts.push(run);
+                starts.push(ctx);
+                for off in 0..run {
+                    tokens.push(((11 * i + 3 * off + 1) % 64) as u32);
                 }
+            }
 
-                let mut refs: Vec<&mut KvCache> = kvs_m.iter_mut().collect();
-                let got = mixed
-                    .forward_runs(
-                        refs.as_mut_slice(),
-                        &tokens,
-                        &counts,
-                        &starts,
-                        LogitRows::All,
-                    )
-                    .to_vec();
-                assert_eq!(got.len(), tokens.len() * cfg.vocab_size);
+            let mut refs: Vec<&mut KvCache> = kvs_m.iter_mut().collect();
+            let got = mixed
+                .forward_runs(
+                    refs.as_mut_slice(),
+                    &tokens,
+                    &counts,
+                    &starts,
+                    LogitRows::All,
+                )
+                .to_vec();
+            assert_eq!(got.len(), tokens.len() * cfg.vocab_size);
 
-                // Every row's logits must match the sequential decode of
-                // that prefix — this is what makes speculative
-                // verification exact rather than approximate.
-                let mut row = 0usize;
-                for (i, &(ctx, run)) in case.iter().enumerate() {
-                    for off in 0..run {
-                        let want = oracle.forward_with_kv(&mut kvs_s[i], tokens[row], ctx + off);
-                        assert_eq!(
-                            &got[row * cfg.vocab_size..(row + 1) * cfg.vocab_size],
-                            want,
-                            "case {case:?} seq {i} row {off} diverged ({strategy:?})"
-                        );
-                        row += 1;
-                    }
+            // Every row's logits must match the sequential decode of
+            // that prefix — this is what makes speculative
+            // verification exact rather than approximate.
+            let mut row = 0usize;
+            for (i, &(ctx, run)) in case.iter().enumerate() {
+                for off in 0..run {
+                    let want = oracle.forward_with_kv(&mut kvs_s[i], tokens[row], ctx + off);
+                    assert_eq!(
+                        &got[row * cfg.vocab_size..(row + 1) * cfg.vocab_size],
+                        want,
+                        "case {case:?} seq {i} row {off} diverged"
+                    );
+                    row += 1;
                 }
             }
         }

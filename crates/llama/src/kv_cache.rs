@@ -181,13 +181,6 @@ pub trait KvStore {
     fn key_head(&self, layer: usize, pos: usize, kv_head: usize) -> &[f32];
     /// Value vector of one KV head at `(layer, pos)`.
     fn value_head(&self, layer: usize, pos: usize, kv_head: usize) -> &[f32];
-    /// Shrinks the logical length to `len`, discarding positions at
-    /// `len..` (no-op when already at or below `len`). Speculative
-    /// decoding uses this to roll back rejected draft positions; stores
-    /// whose backing memory outlives the view (the paged arena) only
-    /// shrink the logical mapping here — physical reclamation is the
-    /// owner's job.
-    fn truncate(&mut self, len: usize);
 }
 
 impl KvStore for KvCache {
@@ -209,10 +202,6 @@ impl KvStore for KvCache {
 
     fn value_head(&self, layer: usize, pos: usize, kv_head: usize) -> &[f32] {
         KvCache::value_head(self, layer, pos, kv_head)
-    }
-
-    fn truncate(&mut self, len: usize) {
-        KvCache::truncate(self, len);
     }
 }
 

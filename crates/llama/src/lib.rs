@@ -6,16 +6,16 @@
 //! from scratch in safe Rust (the one `unsafe` block selects the AVX2 copy
 //! of the quantized kernel, see [`qgemm`]).
 //!
-//! The crate serves three roles:
+//! The crate serves two roles:
 //!
-//! 1. **Correctness oracle** — [`forward::Transformer`] is the scalar
-//!    reference implementation that the simulated accelerator's outputs are
-//!    checked against.
-//! 2. **CPU baseline** — [`parallel`] provides the multithreaded CPU
-//!    implementation used as a comparison point in the examples.
-//! 3. **Shared kernels** — [`ops`] kernels are reused by the accelerator
-//!    engine for per-tile functional computation, so the co-design is
-//!    functionally transparent by construction.
+//! 1. **Correctness oracle and CPU baseline** — [`forward::Transformer`]
+//!    is the serial reference implementation that the simulated
+//!    accelerator's outputs are checked against, and the comparison point
+//!    in the examples.
+//! 2. **Shared layer walk** — the accelerator engine gets its values from
+//!    the same [`forward::Transformer::forward_runs_into`] walk over the
+//!    same [`ops`] kernels, so the co-design is functionally transparent
+//!    by construction.
 //!
 //! ## Quick example
 //!
@@ -38,28 +38,22 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod bpe_train;
 pub mod config;
 pub mod eval;
 pub mod forward;
 pub mod generate;
 pub mod kv_cache;
 pub mod ops;
-pub mod parallel;
 pub mod qgemm;
 pub mod quant;
 pub mod resident;
 pub mod rng;
 pub mod sampler;
-pub mod sparse;
-pub mod speculative;
-pub mod sync;
-pub mod tensor;
 pub mod tokenizer;
 pub mod weights;
 
 pub use config::ModelConfig;
-pub use forward::{MatVecStrategy, Transformer};
+pub use forward::Transformer;
 pub use quant::QuantMode;
 pub use resident::ResidentWeights;
 pub use sampler::{Sampler, SamplerKind};

@@ -8,8 +8,8 @@
 //! only change timing, never values.
 //!
 //! Every weight-streaming kernel, here and in [`crate::qgemm`], sums each
-//! output element in [`dot`]'s order, so serial, batched, row-tiled and
-//! parallel results are bit-identical (see [`tile_accumulate`]).
+//! output element in [`dot`]'s order, so one-row, batched and row-tiled
+//! results are bit-identical (see [`tile_accumulate`]).
 
 /// Default RoPE frequency base used by the llama2.c model family.
 pub const ROPE_THETA: f32 = 10000.0;
@@ -210,9 +210,8 @@ fn matmul_tile<const R: usize>(out: &mut [f32], w: &[f32], xt: &[f32], cols: usi
 /// `rows.len() % ROW_TILE` one at a time), each tile a [`tile_accumulate`]
 /// per lane block, so every weight is streamed once and reused across
 /// every batch lane, and every element equals `dot(w[r, :], x_b)` bit for
-/// bit. [`matvec`] is the `batch == 1` case; the workers of
-/// [`crate::parallel::par_matvec`] and [`crate::parallel::par_matmul`] run
-/// disjoint row ranges of this same kernel.
+/// bit. [`matvec`] is the `batch == 1` case, and a sub-range of rows
+/// computes the same elements as the full range.
 pub fn matmul_rows_xt(
     out: &mut [f32],
     w: &[f32],

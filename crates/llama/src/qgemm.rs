@@ -17,9 +17,7 @@
 //! live reassociates nothing. A batched result is therefore
 //! **bit-identical** to `batch` independent [`qmatvec`] calls, which is
 //! what keeps quantized serve reports byte-reproducible across batch
-//! compositions and double runs. [`crate::parallel::par_qmatvec`] and
-//! [`crate::parallel::par_qmatmul`] hand disjoint row ranges of the same
-//! kernel to their workers, preserving the same per-element order.
+//! compositions and double runs.
 //!
 //! The kernel body is compiled twice, at the build's baseline and with
 //! AVX2 enabled, and [`qmatmul_rows_xt`] picks one per call. Both run the

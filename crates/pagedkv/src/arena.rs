@@ -235,15 +235,6 @@ impl KvStore for PagedSeqView<'_> {
         let (block, slot) = self.table.locate(pos);
         self.arena.value_head_at(layer, block, slot, kv_head)
     }
-
-    fn truncate(&mut self, len: usize) {
-        // The view has no allocator, so only the logical length shrinks
-        // here; blocks past the cut stay mapped until the owner runs
-        // `BlockTable::rollback` and releases what it pops.
-        if len < self.table.len() {
-            self.table.set_len(len);
-        }
-    }
 }
 
 /// Borrowed `(arena, tables)` group implementing [`KvBatch`]: one batched

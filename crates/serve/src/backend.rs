@@ -470,11 +470,7 @@ mod tests {
         let mut as_ = acc.new_slot();
         let (lc, _) = cpu.prefill(&mut cs, &[3, 9, 14], 0);
         let (la, _) = acc.prefill(&mut as_, &[3, 9, 14], 0);
-        let d = lc
-            .iter()
-            .zip(&la)
-            .fold(0.0f32, |m, (a, b)| m.max((a - b).abs()));
-        assert!(d < 1e-4, "backends diverged by {d}");
+        assert_eq!(lc, la, "backends diverged");
     }
 
     #[test]

@@ -49,9 +49,9 @@
 //!
 //! * [`ServeEngine::run_with_source`] — single-threaded, pulls from a
 //!   [`TrafficSource`]; the deterministic path serve-bench uses.
-//! * [`ServeEngine::run_queue`] — pulls requests from an
-//!   [`speedllm_llama::sync`] channel and pushes completions to another;
-//!   the threaded serving front door (a bounded request channel gives
+//! * [`ServeEngine::run_queue`] — pulls requests from a
+//!   [`std::sync::mpsc`] channel and pushes completions to another;
+//!   the threaded serving front door (a `sync_channel` for requests gives
 //!   admission backpressure). Token streams are still deterministic per
 //!   request; arrival interleaving is whatever the threads produce.
 
@@ -62,13 +62,13 @@ mod tick;
 use tick::{Pass, Verb};
 
 use std::collections::VecDeque;
+use std::sync::mpsc::{Receiver, RecvError, Sender, TryRecvError};
 
 use speedllm_telemetry as tel;
 
 use speedllm_llama::forward::Transformer;
 use speedllm_llama::kv_cache::{KvCache, KvCachePool, PooledSlot};
 use speedllm_llama::sampler::{Sampler, SamplerKind};
-use speedllm_llama::sync::{Receiver, RecvError, Sender, TryRecvError};
 use speedllm_pagedkv::{BlockAllocator, RadixIndex};
 
 use crate::backend::Backend;
@@ -1119,17 +1119,16 @@ mod tests {
 
     #[test]
     fn run_queue_serves_over_channels() {
-        let (req_tx, req_rx) = speedllm_llama::sync::bounded::<Request>(4);
-        let (done_tx, done_rx) = speedllm_llama::sync::unbounded::<Completion>();
+        let (req_tx, req_rx) = std::sync::mpsc::sync_channel::<Request>(4);
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<Completion>();
         let tok = Tokenizer::synthetic(64, 42);
         let prompt = tok.encode("hi", true, false);
         let n = 5u64;
         std::thread::scope(|s| {
-            s.spawn(|| {
+            s.spawn(move || {
                 let mut engine = cpu_engine(2);
                 let served = engine.run_queue(&req_rx, &done_tx);
                 assert_eq!(served, n);
-                drop(done_tx);
             });
             for i in 0..n {
                 req_tx.send(req(i, prompt.clone(), 4, i)).unwrap();

@@ -1,15 +1,13 @@
 //! The paper's code-completion motivation: a prefill-heavy workload (long
 //! prompt, short completion). Shows the prefill/decode split on the
-//! accelerator and compares against the parallel CPU reference
-//! implementation running the same model.
+//! accelerator and compares against the CPU reference implementation
+//! running the same model.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use speedllm::accel::report::{fmt_seconds, Table};
-use speedllm::llama::forward::{MatVecStrategy, Transformer};
+use speedllm::llama::forward::Transformer;
 use speedllm::llama::generate::{generate, GenerateOptions};
-use speedllm::llama::parallel::recommended_threads;
 use speedllm::llama::sampler::Sampler;
 use speedllm::prelude::*;
 
@@ -74,39 +72,26 @@ fn main() {
         format!("{:.0}", rc.decode_tokens_per_s()),
     ]);
 
-    // CPU reference: serial and parallel (measured wall-clock on this host).
-    for (name, strategy) in [
-        ("CPU reference (serial)", MatVecStrategy::Serial),
-        (
-            "CPU reference (threads)",
-            MatVecStrategy::Parallel {
-                threads: recommended_threads(),
-            },
-        ),
-    ] {
-        let mut model = Transformer::with_weights(Arc::clone(system.weights()));
-        model.set_strategy(strategy);
-        let mut sampler = Sampler::argmax();
-        let start = Instant::now();
-        let out = generate(
-            &mut model,
-            system.tokenizer(),
-            &mut sampler,
-            &prompt,
-            GenerateOptions {
-                max_new_tokens: gen_tokens,
-                stop_at_eos: true,
-            },
-        );
-        let _ = start.elapsed();
-        table.row(vec![
-            name.into(),
-            fmt_seconds(out.prefill_time.as_secs_f64()),
-            fmt_seconds(out.decode_time.as_secs_f64()),
-            fmt_seconds(out.total_latency().as_secs_f64()),
-            format!("{:.0}", out.decode_tokens_per_sec()),
-        ]);
-    }
+    // CPU reference (measured wall-clock on this host).
+    let mut model = Transformer::with_weights(Arc::clone(system.weights()));
+    let mut sampler = Sampler::argmax();
+    let out = generate(
+        &mut model,
+        system.tokenizer(),
+        &mut sampler,
+        &prompt,
+        GenerateOptions {
+            max_new_tokens: gen_tokens,
+            stop_at_eos: true,
+        },
+    );
+    table.row(vec![
+        "CPU reference".into(),
+        fmt_seconds(out.prefill_time.as_secs_f64()),
+        fmt_seconds(out.decode_time.as_secs_f64()),
+        fmt_seconds(out.total_latency().as_secs_f64()),
+        format!("{:.0}", out.decode_tokens_per_sec()),
+    ]);
     println!("{}", table.render());
     println!("completion: {:?}", r.output.text);
     println!(

@@ -43,6 +43,16 @@ for f in crates/{serve,accel,router,cli}/src/*.rs crates/{serve,accel,router,cli
     fi
 done
 
+echo "== tier 1: one GEMM path, one speculation loop =="
+# The host path is the serial oracle: no thread strategy, no env knob, no
+# spawned thread in llama or accel, and speculation lives only in the
+# serve tick (serve/src/engine/tick.rs). None of these names may come back.
+if grep -rnE 'MatVecStrategy|set_strategy|SPEEDLLM_THREADS|SpecSession|VerifyTarget|std::thread' \
+    crates/llama/src crates/accel/src; then
+    echo "a second GEMM path or speculation loop in crates/{llama,accel}/src (see the lines above)" >&2
+    exit 1
+fi
+
 echo "== tier 1: release build =="
 # --workspace so the release `speedllm` binary used by the telemetry smoke
 # below is rebuilt too (the root package alone excludes the CLI crate).
@@ -116,8 +126,8 @@ echo "paged serve smoke OK: accel + cpu, prefix cache hits"
 echo "== batched-decode GEMM identity gate (release) =="
 # The batched serve hot path must stay bit-identical to the sequential
 # per-sequence loop in the profile the benches and serve runs actually
-# use (debug asserts off): flat + paged slots, serial + parallel kernels,
-# permuted batch order, on both backends.
+# use (debug asserts off): flat + paged slots, permuted batch order, on
+# both backends.
 cargo test --release -q -p speedllm --test batched_decode_props
 # That gate compares one kernel path with another; this one pins the
 # kernels to the numbers — a single-accumulator loop written in the test,
@@ -140,8 +150,8 @@ echo "unified-batch smoke OK: mixed ticks on accel + cpu"
 echo "== unified-batch identity gate (release) =="
 # The mixed prefill+decode tick must stay bit-identical to the
 # sequential prefill-then-decode engine in the release profile (debug
-# asserts off): budget × ratio × chunk × flat/paged × serial/parallel
-# grids on both backends, plus the mid-tick-finish / exact-fit /
+# asserts off): budget × ratio × chunk × flat/paged grids on both
+# backends, plus the mid-tick-finish / exact-fit /
 # forced-split / preempt-half-prefilled edges and the pure-decode
 # report-byte regression.
 cargo test --release -q -p speedllm --test unified_batch_props
@@ -176,8 +186,8 @@ grep -q '"ev":"verify_tick"' "$spec_dir/ev_a.jsonl"
 spec_paged_a="$(./target/release/speedllm serve-bench --smoke --backend cpu --kv paged --spec-k 3 --sampler argmax)"
 grep -q "spec rounds" <<<"$spec_paged_a"
 # The speculative identity gate in the profile serve runs actually use
-# (debug asserts off): stream bit-identity + rollback oracles across
-# K x flat/paged x cpu/accel x serial/parallel x greedy/seeded.
+# (debug asserts off): stream bit-identity + drain conservation across
+# K x flat/paged x cpu/accel x greedy/seeded, through the serve engine.
 cargo test --release -q -p speedllm --test speculative_props
 echo "speculative smoke OK: nonzero acceptance, events carry draft/verify ticks"
 

@@ -13,7 +13,7 @@ use speedllm_testkit::prelude::*;
 use speedllm::accel::engine::Engine;
 use speedllm::accel::opt::OptConfig;
 use speedllm::llama::config::ModelConfig;
-use speedllm::llama::forward::{MatVecStrategy, Transformer};
+use speedllm::llama::forward::Transformer;
 use speedllm::llama::kv_cache::KvCache;
 use speedllm::llama::rng::Xoshiro256;
 use speedllm::llama::weights::TransformerWeights;
@@ -52,34 +52,25 @@ fn grant_blocks(slot: &mut CpuSlot, alloc: &mut BlockAllocator, tokens: usize) {
 props! {
     #![config(cases = 24)]
 
-    /// CPU backend, flat and paged slots, serial and parallel strategies:
-    /// `Backend::decode` (the batched GEMM path) must reproduce the
-    /// sequential `forward_with_kv` loop exactly, across several steps
-    /// with the batch membership permuted every step.
+    /// CPU backend, flat and paged slots: `Backend::decode` (the batched
+    /// GEMM path) must reproduce the sequential `forward_with_kv` loop
+    /// exactly, across several steps with the batch membership permuted
+    /// every step.
     fn cpu_batched_decode_is_bit_identical(
         n in 1usize..7,
         steps in 1usize..4,
         paged in any_bool(),
-        parallel in any_bool(),
         seed in any_u64(),
     ) {
         let cfg = ModelConfig::test_tiny();
         let mut rng = Xoshiro256::seed_from_u64(seed);
-        let strategy = if parallel {
-            MatVecStrategy::Parallel { threads: 3 }
-        } else {
-            MatVecStrategy::Serial
-        };
-
-        let mut model = Transformer::new(weights());
-        model.set_strategy(strategy);
+        let model = Transformer::new(weights());
         let mut backend = if paged {
             CpuBackend::new_paged(model, BLOCKS)
         } else {
             CpuBackend::new(model)
         };
         let mut oracle = Transformer::new(weights());
-        oracle.set_strategy(strategy);
 
         let mut alloc = BlockAllocator::new(BLOCKS);
         let prompts = prompts(&mut rng, n, cfg.vocab_size as u64);

@@ -8,15 +8,14 @@ use speedllm::accel::engine::{Engine, SequenceState, StepResult};
 use speedllm::accel::opt::OptConfig;
 use speedllm::llama::config::ModelConfig;
 use speedllm::llama::forward::{LogitRows, Transformer};
-use speedllm::llama::tensor::Tensor;
 use speedllm::llama::weights::TransformerWeights;
 use speedllm::pagedkv::{BlockAllocator, BlockConfig};
 
 fn max_diff(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len());
-    let ta = Tensor::from_vec(a.to_vec(), &[a.len()]);
-    let tb = Tensor::from_vec(b.to_vec(), &[b.len()]);
-    ta.max_abs_diff(&tb)
+    a.iter()
+        .zip(b)
+        .fold(0.0f32, |m, (x, y)| m.max((x - y).abs()))
 }
 
 fn bits(v: &[f32]) -> Vec<u32> {

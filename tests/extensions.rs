@@ -1,6 +1,6 @@
 //! Integration tests of the features that extend beyond the paper:
-//! chunked prefill, the roofline analysis, perplexity evaluation, sparse
-//! substrates, and trace export.
+//! chunked prefill, the roofline analysis, perplexity evaluation, and
+//! trace export.
 
 use speedllm::accel::opt::OptConfig;
 use speedllm::accel::roofline::Roofline;
@@ -10,7 +10,6 @@ use speedllm::llama::config::ModelConfig;
 use speedllm::llama::eval::{evaluate_reference, evaluate_with};
 use speedllm::llama::forward::Transformer;
 use speedllm::llama::sampler::SamplerKind;
-use speedllm::llama::sparse::BlockSparseMatrix;
 use speedllm::llama::weights::TransformerWeights;
 
 #[test]
@@ -101,26 +100,6 @@ fn roofline_places_decode_left_of_ridge() {
     let p = roof.place(&r.stats, &ClockDomain::U280_KERNEL);
     assert!(p.memory_bound, "decode workloads are memory-bound: {p:?}");
     assert!(p.intensity > 0.0);
-}
-
-#[test]
-fn sparse_pruning_of_real_layer_weights() {
-    // Prune a real model layer and verify the sparse kernel agrees with a
-    // dense kernel over the pruned weights.
-    let cfg = ModelConfig::test_tiny();
-    let w = TransformerWeights::synthetic(cfg, 9);
-    let layer = &w.layers[0];
-    let m = BlockSparseMatrix::prune(&layer.w1, cfg.hidden_dim, cfg.dim, 8, 0.5);
-    assert!((m.density() - 0.5).abs() < 0.1);
-    let x: Vec<f32> = (0..cfg.dim).map(|i| (i as f32 * 0.31).sin()).collect();
-    let dense = m.to_dense();
-    let mut want = vec![0.0f32; cfg.hidden_dim];
-    speedllm::llama::ops::matvec(&mut want, &dense, &x, cfg.hidden_dim, cfg.dim);
-    let mut got = vec![0.0f32; cfg.hidden_dim];
-    m.matvec(&mut got, &x);
-    for (a, b) in want.iter().zip(&got) {
-        assert!((a - b).abs() < 1e-4);
-    }
 }
 
 #[test]

@@ -1,14 +1,14 @@
 //! Pins the weight-streaming kernels to the numbers, not to each other.
 //!
 //! The repo's identity suites compare one kernel path with another
-//! (batched vs per-column, parallel vs serial), so a change that
+//! (batched vs per-column, N-row vs one-row runs), so a change that
 //! reassociates *every* path the same way would pass them all. These tests
 //! compare against things the kernels cannot drag along:
 //!
 //! * a property: every output element of the f32/int8/int4 GEMV/GEMM
-//!   kernels, serial and parallel, over row counts that straddle two row
-//!   tiles (so the tile-interleaved quantized layout ends on a ragged,
-//!   padded tile), column counts on and off the 8-column and `GROUP`
+//!   kernels over row counts that straddle two row tiles (so the
+//!   tile-interleaved quantized layout ends on a ragged, padded tile),
+//!   column counts on and off the 8-column and `GROUP`
 //!   boundaries, every lane-block width, and row sub-ranges that start and
 //!   end inside a tile, bitwise equals a plain single-accumulator loop
 //!   written here;
@@ -21,10 +21,9 @@
 use speedllm_testkit::prelude::*;
 
 use speedllm::llama::config::ModelConfig;
-use speedllm::llama::forward::{MatVecStrategy, Transformer};
+use speedllm::llama::forward::Transformer;
 use speedllm::llama::kv_cache::KvCache;
 use speedllm::llama::ops::{self, ROW_TILE};
-use speedllm::llama::parallel::{par_matmul, par_matvec, par_qmatmul, par_qmatvec};
 use speedllm::llama::qgemm::{qmatmul, qmatmul_rows_xt, qmatvec};
 use speedllm::llama::quant::{QuantKind, QuantMatrix, QuantMode, GROUP};
 use speedllm::llama::rng::Xoshiro256;
@@ -74,18 +73,12 @@ fn run(len: usize, kernel: impl FnOnce(&mut [f32])) -> Vec<f32> {
 /// Runs every entry point over one `rows × cols` matrix at `batch` lanes
 /// and returns the name of the first whose output differs from the
 /// reference loop.
-fn first_mismatch(
-    rows: usize,
-    cols: usize,
-    batch: usize,
-    threads: usize,
-    seed: u64,
-) -> Option<String> {
+fn first_mismatch(rows: usize, cols: usize, batch: usize, seed: u64) -> Option<String> {
     let w = random_vec(rows * cols, seed, 0.3);
     let xs = random_vec(batch * cols, seed ^ 0x51ed, 1.0);
     let xt = ops::transpose_batch_major(&xs, cols, batch);
     let n = rows * batch;
-    // A worker's view: the row-range kernel over a strict sub-range.
+    // The row-range kernel over a strict sub-range.
     let sub = rows / 3..rows - rows / 4;
     let sub_out = sub.start * batch..sub.end * batch;
     // More views for the quantized kernel, whose tiles are a storage unit
@@ -109,18 +102,10 @@ fn first_mismatch(
         "ops::matmul",
         run(n, |o| ops::matmul(o, &w, &xs, rows, cols, batch)),
     );
-    f32_case(
-        "par_matmul",
-        run(n, |o| par_matmul(o, &w, &xs, rows, cols, batch, threads)),
-    );
     if batch == 1 {
         f32_case(
             "ops::matvec",
             run(n, |o| ops::matvec(o, &w, &xs, rows, cols)),
-        );
-        f32_case(
-            "par_matvec",
-            run(n, |o| par_matvec(o, &w, &xs, rows, cols, threads)),
         );
     }
     cases.push((
@@ -138,13 +123,8 @@ fn first_mismatch(
             cases.push((format!("{kind:?} {name}"), got, want.clone()));
         };
         q_case("qmatmul", run(n, |o| qmatmul(o, &qm, &xs, batch)));
-        q_case(
-            "par_qmatmul",
-            run(n, |o| par_qmatmul(o, &qm, &xs, batch, threads)),
-        );
         if batch == 1 {
             q_case("qmatvec", run(n, |o| qmatvec(o, &qm, &xs)));
-            q_case("par_qmatvec", run(n, |o| par_qmatvec(o, &qm, &xs, threads)));
         }
         for sub in &quant_subs {
             cases.push((
@@ -169,7 +149,6 @@ props! {
     fn every_element_replays_the_single_accumulator_order(
         alignment in 0usize..3,
         n in 1usize..12,
-        threads in 2usize..5,
         seed in any_u64(),
     ) {
         // Whole groups; whole 8-column blocks; neither.
@@ -180,31 +159,11 @@ props! {
         };
         for rows in 0..=2 * ROW_TILE + 1 {
             for batch in 1..=11 {
-                let bad = first_mismatch(rows, cols, batch, threads, seed);
+                let bad = first_mismatch(rows, cols, batch, seed);
                 prop_assert!(
                     bad.is_none(),
                     "{} differs at rows {} cols {} batch {}",
                     bad.unwrap_or_default(), rows, cols, batch
-                );
-            }
-        }
-    }
-}
-
-/// The property's shapes sit below `par_*`'s serial-fallback threshold, so
-/// there its `par_*` calls prove the fallback. These are wide enough that
-/// the scoped workers really run, each on a row range that is not a whole
-/// number of tiles.
-#[test]
-fn parallel_workers_replay_the_single_accumulator_order() {
-    let rows = 2 * ROW_TILE + 1;
-    for cols in [8192, 8192 + GROUP + 5] {
-        for batch in [1, 5] {
-            for threads in [2, 3, 4] {
-                let bad = first_mismatch(rows, cols, batch, threads, 17);
-                assert!(
-                    bad.is_none(),
-                    "{bad:?} differs at cols {cols} batch {batch} threads {threads}"
                 );
             }
         }
@@ -302,10 +261,9 @@ const GOLDEN_INT4: u64 = 0x4bc9_433e_c1db_6b98;
 /// Digest of all 32 logit vectors of a greedy walk from token 1 to the
 /// context limit (positions `0..=31`, GQA 4/2), one token per call
 /// through `Transformer::forward` and the model's own KV cache.
-fn digest_full_context(cfg: ModelConfig, mode: QuantMode, strategy: MatVecStrategy) -> u64 {
+fn digest_full_context(cfg: ModelConfig, mode: QuantMode) -> u64 {
     let mut model = Transformer::new(TransformerWeights::synthetic(cfg, 42));
     model.set_quant_mode(mode);
-    model.set_strategy(strategy);
     let mut hash = FNV_OFFSET;
     let mut next = 1u32;
     for pos in 0..cfg.seq_len {
@@ -319,8 +277,7 @@ fn digest_full_context(cfg: ModelConfig, mode: QuantMode, strategy: MatVecStrate
 /// Captured on PR 12 (`88c7abe`) from the token-at-a-time layer walk that
 /// commit still had beside the runs walk, the commit before the two were
 /// folded into one. A one-row run must keep reproducing the walk that no
-/// longer exists, serial and parallel, with a tied and an untied
-/// classifier.
+/// longer exists, with a tied and an untied classifier.
 #[test]
 fn one_row_runs_match_the_sequential_walk_digests() {
     let tiny = ModelConfig::test_tiny();
@@ -334,17 +291,12 @@ fn one_row_runs_match_the_sequential_walk_digests() {
         (tiny, QuantMode::Int4, WALK_INT4),
         (untied, QuantMode::F32, WALK_UNTIED_F32),
     ] {
-        for strategy in [
-            MatVecStrategy::Serial,
-            MatVecStrategy::Parallel { threads: 2 },
-        ] {
-            let got = digest_full_context(cfg, mode, strategy);
-            assert_eq!(
-                got, golden,
-                "{mode:?} {strategy:?} untied={}: logits moved ({got:#018x})",
-                !cfg.shared_classifier
-            );
-        }
+        let got = digest_full_context(cfg, mode);
+        assert_eq!(
+            got, golden,
+            "{mode:?} untied={}: logits moved ({got:#018x})",
+            !cfg.shared_classifier
+        );
     }
 }
 

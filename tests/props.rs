@@ -17,7 +17,6 @@ use speedllm::fpga::event::Timeline;
 use speedllm::llama::config::ModelConfig;
 use speedllm::llama::ops;
 use speedllm::llama::quant::{QuantTensor, GROUP};
-use speedllm::llama::sparse::BlockSparseMatrix;
 use speedllm::llama::tokenizer::Tokenizer;
 
 /// Builds a [`SimStats`] from 16 scalars — one per public leaf field. The
@@ -232,43 +231,6 @@ props! {
         ops::rope_inplace(&mut v, pos, head_dim, ops::ROPE_THETA);
         let norm1: f32 = v.iter().map(|x| x * x).sum();
         prop_assert!((norm0 - norm1).abs() < norm0 * 1e-3 + 1e-4);
-    }
-
-    fn sparse_matvec_agrees_with_pruned_dense(
-        rows in 1usize..20,
-        cols in 1usize..50,
-        block in 1usize..12,
-        sparsity in 0.0f32..0.95,
-        seed in any_u64(),
-    ) {
-        let mut rng = speedllm::llama::rng::Xoshiro256::seed_from_u64(seed);
-        let mut w = vec![0.0f32; rows * cols];
-        let mut x = vec![0.0f32; cols];
-        rng.fill_normal(&mut w, 1.0);
-        rng.fill_normal(&mut x, 1.0);
-        let m = BlockSparseMatrix::prune(&w, rows, cols, block, sparsity);
-        let dense = m.to_dense();
-        let mut want = vec![0.0f32; rows];
-        ops::matvec(&mut want, &dense, &x, rows, cols);
-        let mut got = vec![0.0f32; rows];
-        m.matvec(&mut got, &x);
-        for (a, b) in want.iter().zip(&got) {
-            prop_assert!((a - b).abs() < 1e-3, "{} vs {}", a, b);
-        }
-        // Density can only shrink under pruning.
-        prop_assert!(m.density() <= 1.0 + 1e-9);
-    }
-
-    fn trained_bpe_roundtrips_its_own_corpus_fragments(
-        words in vec_of(lowercase(1..7), 5..25),
-    ) {
-        let corpus = words.join(" ");
-        let t = speedllm::llama::bpe_train::train(
-            &corpus,
-            speedllm::llama::bpe_train::TrainConfig { vocab_size: 300, min_pair_count: 2 },
-        );
-        let ids = t.encode(&corpus, true, false);
-        prop_assert_eq!(t.decode(&ids), corpus);
     }
 
     fn chunked_prefill_matches_for_any_split(

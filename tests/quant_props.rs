@@ -2,8 +2,7 @@
 //! path (DESIGN.md §18): Q8_0/Q4_0 round-trip error bounds, the
 //! tile-interleaved layout against a per-element reference, group-scale
 //! monotonicity, nibble pack/unpack exactness, and the bit-identity
-//! contracts of the fused dequant-GEMM kernels (batched vs per-column,
-//! parallel vs serial).
+//! contract of the fused dequant-GEMM kernels (batched vs per-column).
 //!
 //! Every property runs a 64-case budget; runs are reproducible from a
 //! fixed seed (override with `TESTKIT_SEED=<u64>` to replay a failure).
@@ -11,7 +10,6 @@
 use speedllm_testkit::prelude::*;
 
 use speedllm::llama::config::ModelConfig;
-use speedllm::llama::parallel::{par_qmatmul, par_qmatvec};
 use speedllm::llama::qgemm::{qmatmul, qmatvec};
 use speedllm::llama::quant::{
     pack_nibbles, unpack_nibbles, QuantKind, QuantMatrix, QuantWeights, GROUP,
@@ -185,35 +183,6 @@ props! {
                         "row {} lane {} differs", r, b
                     );
                 }
-            }
-        }
-    }
-
-    fn parallel_quant_kernels_are_bit_identical_to_serial(
-        rows in 1usize..24,
-        cols in 1usize..70,
-        batch in 1usize..6,
-        threads in 2usize..5,
-        seed in any_u64(),
-    ) {
-        let w = random_matrix(rows, cols, seed, 0.3);
-        for kind in [QuantKind::Int8, QuantKind::Int4] {
-            let qm = QuantMatrix::quantize_with(&w, rows, cols, kind);
-            let x = random_vec(cols, seed ^ 0x51ed);
-            let mut serial = vec![0.0f32; rows];
-            qmatvec(&mut serial, &qm, &x);
-            let mut par = vec![1.0f32; rows];
-            par_qmatvec(&mut par, &qm, &x, threads);
-            for (a, b) in serial.iter().zip(&par) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
-            }
-            let xs = random_vec(cols * batch, seed ^ 0xabcd);
-            let mut serial_m = vec![0.0f32; rows * batch];
-            qmatmul(&mut serial_m, &qm, &xs, batch);
-            let mut par_m = vec![1.0f32; rows * batch];
-            par_qmatmul(&mut par_m, &qm, &xs, batch, threads);
-            for (a, b) in serial_m.iter().zip(&par_m) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
             }
         }
     }

@@ -1,13 +1,14 @@
-//! Property suite for speculative decoding (DESIGN.md §16): across draft
+//! Property suite for speculative decoding (DESIGN.md §16) at the level
+//! that ships: `ServeEngine::enable_speculative`, whose tick drafts up to
+//! K tokens, verifies the `1 + j`-row run with every row scored, accepts
+//! the longest agreeing prefix and rolls the rest back. Across draft
 //! depths, random prompts and budgets, flat and paged KV, CPU and
-//! accelerator verifiers, serial and parallel matvec strategies, and both
-//! greedy and seeded stochastic samplers, the emitted stream must be
-//! **bit-identical** — exact `assert_eq`, no tolerance — to plain
-//! token-by-token decoding with the same sampler seed: a `1 + j`-row run
-//! with every row scored against `1 + j` one-row calls of the same layer
-//! walk. Rollback is checked
-//! against a from-scratch oracle (no stale draft rows survive in the kept
-//! KV context) and, for paged storage, against free-list conservation.
+//! accelerator backends, and both greedy and seeded stochastic samplers,
+//! every request's stream must be **bit-identical** — exact `assert_eq`,
+//! no tolerance — to plain token-by-token decoding with the same sampler
+//! seed. The draft is an independent model, so rounds are rejected: a
+//! stale row surviving a rollback would show in the next token, and a
+//! block lost by one in the drain checks.
 //!
 //! Model fixtures come from `speedllm_testkit::fixture`, so the
 //! cross-model test loads the stories260K-shaped draft and the stories15M
@@ -18,22 +19,30 @@ use speedllm_testkit::prelude::*;
 
 use speedllm::accel::engine::Engine;
 use speedllm::accel::opt::OptConfig;
-use speedllm::accel::speculative::AccelVerifier;
 use speedllm::llama::config::ModelConfig;
-use speedllm::llama::forward::{MatVecStrategy, Transformer};
+use speedllm::llama::forward::Transformer;
 use speedllm::llama::generate::{DecodeSession, GenerateOptions};
-use speedllm::llama::kv_cache::{KvCache, KvStore};
 use speedllm::llama::rng::Xoshiro256;
 use speedllm::llama::sampler::{Sampler, SamplerKind};
-use speedllm::llama::speculative::{run_speculative, CpuVerifier, SpecSession};
 use speedllm::llama::weights::TransformerWeights;
-use speedllm::pagedkv::{BlockAllocator, BlockConfig, PagedKvArena};
+use speedllm::pagedkv::BlockConfig;
+use speedllm::serve::{AccelBackend, Backend, CpuBackend, Request, ServeConfig, ServeEngine};
 use std::sync::Arc;
 
 const BLOCKS: BlockConfig = BlockConfig {
     block_size: 4,
     n_blocks: 16,
 };
+
+fn serve_cfg(slots: usize) -> ServeConfig {
+    ServeConfig {
+        slots,
+        max_batch: 4,
+        prefill_chunk: 3,
+        queue_cap: 8,
+        unified: None,
+    }
+}
 
 /// Target weights, synthesized once per test binary.
 fn target_weights() -> Arc<TransformerWeights> {
@@ -50,20 +59,15 @@ fn draft_weights() -> Arc<TransformerWeights> {
     })
 }
 
-fn draft_model() -> Transformer {
-    Transformer::new(draft_weights().as_ref().clone())
-}
-
 /// The sequential reference stream for one workload.
 fn oracle_stream(
+    weights: &TransformerWeights,
     prompt: &[u32],
     kind: SamplerKind,
     sampler_seed: u64,
     opts: GenerateOptions,
-    strategy: MatVecStrategy,
 ) -> Vec<u32> {
-    let mut model = Transformer::new(target_weights().as_ref().clone());
-    model.set_strategy(strategy);
+    let mut model = Transformer::new(weights.clone());
     let mut sampler = Sampler::new(kind, sampler_seed);
     let mut session = DecodeSession::begin(&mut model, prompt, opts);
     let mut out = Vec::new();
@@ -92,202 +96,123 @@ fn workload(rng: &mut Xoshiro256, greedy: bool) -> (Vec<u32>, GenerateOptions, S
     (prompt, opts, kind, rng.below(1 << 32))
 }
 
+/// Serves each `(prompt, opts, sampler, seed)` with depth-`k` speculation
+/// over `draft` and returns the streams in request order, after checking
+/// that the drained engine gave back every slot and every KV block the
+/// prefix cache does not hold.
+fn serve_speculative<B: Backend>(
+    backend: B,
+    slots: usize,
+    draft: Transformer,
+    k: usize,
+    work: &[(Vec<u32>, GenerateOptions, SamplerKind, u64)],
+) -> Result<Vec<Vec<u32>>, TestCaseError> {
+    let mut engine = ServeEngine::new(backend, serve_cfg(slots));
+    engine
+        .enable_speculative(draft, k)
+        .map_err(TestCaseError::fail)?;
+    for (id, (prompt, opts, kind, seed)) in work.iter().enumerate() {
+        let req = Request {
+            id: id as u64,
+            prompt: prompt.clone(),
+            max_new_tokens: opts.max_new_tokens,
+            stop_at_eos: opts.stop_at_eos,
+            sampler: *kind,
+            seed: *seed,
+            arrival: 0,
+        };
+        prop_assert!(engine.submit(req).is_ok(), "queue_cap covers the workload");
+    }
+    let mut done = Vec::new();
+    while !engine.is_idle() {
+        done.extend(engine.step());
+    }
+    prop_assert_eq!(done.len(), work.len());
+    if done.iter().any(|c| c.tokens.len() >= 2) {
+        // A second token exists only because the first one was forwarded,
+        // and with speculation on that forward is a verify run.
+        prop_assert!(engine.stats().spec_rounds > 0, "no verify round ran");
+    }
+    engine
+        .check_paged_invariants()
+        .map_err(TestCaseError::fail)?;
+    prop_assert!(engine.all_slots_free(), "a slot leaked");
+    prop_assert_eq!(
+        engine.blocks_in_use(),
+        engine.blocks_cached(),
+        "a rollback or release lost a block"
+    );
+    done.sort_by_key(|c| c.id);
+    Ok(done.into_iter().map(|c| c.tokens).collect())
+}
+
+/// One case of the grid: one to three random requests through a
+/// two-slot engine over `backend` — verify runs share passes, and a third
+/// request waits for a recycled slot — each stream against its oracle.
+fn check_case<B: Backend>(
+    backend: B,
+    k: usize,
+    greedy: bool,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let mut rng = Xoshiro256::seed_from_u64(seed);
+    let n = 1 + rng.below(3) as usize;
+    let work: Vec<_> = (0..n).map(|_| workload(&mut rng, greedy)).collect();
+    let draft = Transformer::new(draft_weights().as_ref().clone());
+    let got = serve_speculative(backend, 2, draft, k, &work)?;
+    for (i, (prompt, opts, kind, sseed)) in work.iter().enumerate() {
+        let want = oracle_stream(&target_weights(), prompt, *kind, *sseed, *opts);
+        prop_assert_eq!(
+            &got[i],
+            &want,
+            "k={} kind={:?} request {} of {} diverged",
+            k,
+            kind,
+            i,
+            n
+        );
+    }
+    Ok(())
+}
+
 props! {
     #![config(cases = 32)]
 
-    /// CPU verifier, flat and paged KV, serial and parallel matvec: the
-    /// speculative stream equals the sequential one bit-for-bit, the kept
-    /// KV context equals a from-scratch prefill (rollback left nothing
-    /// stale behind), and paged storage conserves its free list.
+    /// CPU backend, flat and paged KV: every speculative stream equals the
+    /// sequential one bit-for-bit — also after rounds the sampler
+    /// rejected, so rollback left nothing stale behind — and the drained
+    /// engine conserves its slots and blocks.
     fn cpu_speculative_matches_sequential_decode(
-        k in 1usize..9,
+        k in 1usize..7,
         paged in any_bool(),
-        parallel in any_bool(),
         greedy in any_bool(),
         seed in any_u64(),
     ) {
-        let cfg = ModelConfig::test_tiny();
-        let mut rng = Xoshiro256::seed_from_u64(seed);
-        let (prompt, opts, kind, sseed) = workload(&mut rng, greedy);
-        let strategy = if parallel {
-            MatVecStrategy::Parallel { threads: 3 }
+        let model = Transformer::new(target_weights().as_ref().clone());
+        let backend = if paged {
+            CpuBackend::new_paged(model, BLOCKS)
         } else {
-            MatVecStrategy::Serial
+            CpuBackend::new(model)
         };
-        let want = oracle_stream(&prompt, kind, sseed, opts, strategy);
-
-        let mut tmodel = Transformer::new(target_weights().as_ref().clone());
-        tmodel.set_strategy(strategy);
-        let mut dmodel = draft_model();
-        dmodel.set_strategy(strategy);
-        let mut dkv = KvCache::new(&cfg);
-        let mut sampler = Sampler::new(kind, sseed);
-
-        let (got, metrics, history, kept) = if paged {
-            let mut alloc = BlockAllocator::new(BLOCKS);
-            let mut arena = PagedKvArena::new(&cfg, BLOCKS);
-            let mut table = speedllm::pagedkv::BlockTable::new(BLOCKS.block_size);
-            while table.capacity_tokens() < cfg.seq_len {
-                table.push_block(alloc.alloc().expect("arena sized for one sequence"));
-            }
-            let (got, metrics, history) = {
-                let mut view = arena.view(&mut table);
-                let mut verifier = CpuVerifier::new(&mut tmodel, &mut view);
-                let mut session = SpecSession::begin(&mut verifier, &prompt, k, opts);
-                let got = run_speculative(
-                    &mut session, &mut verifier, &mut dmodel, &mut dkv, &mut sampler,
-                );
-                (got, *session.metrics(), session.history().to_vec())
-            };
-            let kept = table.len();
-
-            // Rollback oracle: every kept row matches a fresh flat
-            // prefill of the same history — rejected draft rows are gone.
-            let mut fresh_model = Transformer::new(target_weights().as_ref().clone());
-            fresh_model.set_strategy(strategy);
-            let mut fresh = KvCache::new(&cfg);
-            for (pos, &tok) in history[..kept].iter().enumerate() {
-                fresh_model.forward_with_kv(&mut fresh, tok, pos);
-            }
-            let view = arena.view(&mut table);
-            for layer in 0..cfg.n_layers {
-                for pos in 0..kept {
-                    for h in 0..cfg.n_kv_heads {
-                        prop_assert_eq!(
-                            view.key_head(layer, pos, h),
-                            fresh.key_head(layer, pos, h),
-                            "stale K at layer {} pos {} head {}", layer, pos, h
-                        );
-                        prop_assert_eq!(
-                            view.value_head(layer, pos, h),
-                            fresh.value_head(layer, pos, h),
-                            "stale V at layer {} pos {} head {}", layer, pos, h
-                        );
-                    }
-                }
-            }
-            for b in table.take_blocks() {
-                prop_assert!(alloc.release(b), "sole owner's release must free");
-            }
-            prop_assert_eq!(alloc.free_blocks(), BLOCKS.n_blocks, "block leak");
-            prop_assert!(alloc.check_invariants().is_ok());
-            (got, metrics, history, kept)
-        } else {
-            let mut tkv = KvCache::new(&cfg);
-            let (got, metrics, history) = {
-                let mut verifier = CpuVerifier::new(&mut tmodel, &mut tkv);
-                let mut session = SpecSession::begin(&mut verifier, &prompt, k, opts);
-                let got = run_speculative(
-                    &mut session, &mut verifier, &mut dmodel, &mut dkv, &mut sampler,
-                );
-                (got, *session.metrics(), session.history().to_vec())
-            };
-            let kept = tkv.len();
-            let mut fresh_model = Transformer::new(target_weights().as_ref().clone());
-            fresh_model.set_strategy(strategy);
-            let mut fresh = KvCache::new(&cfg);
-            for (pos, &tok) in history[..kept].iter().enumerate() {
-                fresh_model.forward_with_kv(&mut fresh, tok, pos);
-            }
-            for layer in 0..cfg.n_layers {
-                for pos in 0..kept {
-                    prop_assert_eq!(tkv.key_row(layer, pos), fresh.key_row(layer, pos));
-                    prop_assert_eq!(tkv.value_row(layer, pos), fresh.value_row(layer, pos));
-                }
-            }
-            (got, metrics, history, kept)
-        };
-
-        prop_assert_eq!(
-            &got, &want,
-            "k={} paged={} parallel={} kind={:?} diverged", k, paged, parallel, kind
-        );
-        prop_assert_eq!(history.len(), prompt.len() + got.len());
-        prop_assert!(kept <= history.len(), "context past the history");
-        prop_assert_eq!(metrics.emitted as usize, got.len());
-        prop_assert!(metrics.accepted <= metrics.drafted, "accounting inverted");
-        // The draft may hold speculative context past the history when a
-        // round ends early (EOS), but never past its window.
-        prop_assert!(dkv.len() <= cfg.seq_len);
+        check_case(backend, k, greedy, seed)?;
     }
 
-    /// Accelerator verifier (one all-rows `Engine::forward_runs` pass per
-    /// round), flat and paged sequences: same stream as
-    /// the sequential CPU reference, and paged rollback keeps the free
-    /// list conserved while releasing blocks through CoW refcounting.
+    /// Accelerator backend (one all-rows `Engine::forward_runs` pass per
+    /// verify group), flat and paged sequences: the same streams as the
+    /// sequential CPU reference, and the same conservation at drain.
     fn accel_speculative_matches_sequential_decode(
-        k in 1usize..6,
+        k in 1usize..7,
         paged in any_bool(),
         greedy in any_bool(),
         seed in any_u64(),
     ) {
-        let cfg = ModelConfig::test_tiny();
-        let mut rng = Xoshiro256::seed_from_u64(seed);
-        let (prompt, opts, kind, sseed) = workload(&mut rng, greedy);
-        let want = oracle_stream(&prompt, kind, sseed, opts, MatVecStrategy::Serial);
-
-        let mut engine = Engine::new(target_weights(), OptConfig::full()).unwrap();
-        if paged {
-            engine.enable_paged_kv(BLOCKS);
-        }
-        let mut seq = engine.new_sequence();
-        let mut alloc = BlockAllocator::new(BLOCKS);
-        let mut dmodel = draft_model();
-        let mut dkv = KvCache::new(&cfg);
-        let mut sampler = Sampler::new(kind, sseed);
-
-        // Rollback pops whole blocks back to the allocator, so capacity
-        // must be re-granted before each round (the serve scheduler's
-        // `spec_ensure_capacity` job; here the test plays scheduler).
-        let grant = |seq: &mut speedllm::accel::engine::SequenceState,
-                     alloc: &mut BlockAllocator| {
-            if let Some(table) = seq.block_table_mut() {
-                while table.capacity_tokens() < cfg.seq_len {
-                    table.push_block(alloc.alloc().expect("arena sized for one sequence"));
-                }
-            }
+        let engine = Engine::new(target_weights(), OptConfig::full()).unwrap();
+        let backend = if paged {
+            AccelBackend::new_paged(engine, BLOCKS)
+        } else {
+            AccelBackend::new(engine)
         };
-
-        grant(&mut seq, &mut alloc);
-        let mut session = {
-            let mut verifier = if paged {
-                AccelVerifier::new_paged(&mut engine, &mut seq, &mut alloc)
-            } else {
-                AccelVerifier::new(&mut engine, &mut seq)
-            };
-            SpecSession::begin(&mut verifier, &prompt, k, opts)
-        };
-        let mut got = Vec::new();
-        let mut verify_cycles = 0u64;
-        while !session.is_finished() {
-            grant(&mut seq, &mut alloc);
-            let mut verifier = if paged {
-                AccelVerifier::new_paged(&mut engine, &mut seq, &mut alloc)
-            } else {
-                AccelVerifier::new(&mut engine, &mut seq)
-            };
-            session.round(&mut verifier, &mut dmodel, &mut dkv, &mut sampler, &mut got);
-            verify_cycles += verifier.cycles();
-        }
-
-        prop_assert_eq!(
-            &got, &want,
-            "k={} paged={} kind={:?} accel diverged", k, paged, kind
-        );
-        let m = *session.metrics();
-        prop_assert_eq!(m.emitted as usize, got.len());
-        prop_assert!(m.rounds as usize <= got.len() + 1, "rounds must not exceed emissions");
-        if m.rounds > 0 {
-            prop_assert!(verify_cycles > 0, "verify passes must cost device cycles");
-        }
-        if paged {
-            let popped = seq.truncate(0);
-            for b in popped {
-                prop_assert!(alloc.release(b), "sole owner's release must free");
-            }
-            prop_assert_eq!(alloc.free_blocks(), BLOCKS.n_blocks, "block leak");
-            prop_assert!(alloc.check_invariants().is_ok());
-        }
+        check_case(backend, k, greedy, seed)?;
     }
 }
 
@@ -298,7 +223,6 @@ props! {
 /// model — pays the synthesis cost once.
 #[test]
 fn stories15m_target_with_draft_for_trunk_is_bit_identical() {
-    let target_cfg = ModelConfig::stories15m();
     let tweights = fixture::cached("stories15m-target", || {
         TransformerWeights::synthetic(ModelConfig::stories15m(), 42)
     });
@@ -321,32 +245,18 @@ fn stories15m_target_with_draft_for_trunk_is_bit_identical() {
         max_new_tokens: 4,
         stop_at_eos: true,
     };
-    let prompt = [1u32, 310, 542];
-    let want = {
-        let mut model = Transformer::new(tweights.as_ref().clone());
-        let mut sampler = Sampler::argmax();
-        let mut session = DecodeSession::begin(&mut model, &prompt, opts);
-        let mut out = Vec::new();
-        while let Some(t) = session.step(&mut sampler) {
-            out.push(t);
-        }
-        out
-    };
+    let prompt = vec![1u32, 310, 542];
+    let want = oracle_stream(&tweights, &prompt, SamplerKind::Argmax, 0, opts);
 
-    let mut tmodel = Transformer::new(tweights.as_ref().clone());
-    let mut tkv = KvCache::new(&target_cfg);
-    let mut dmodel = Transformer::new(dweights.as_ref().clone());
-    let mut dkv = KvCache::new(dmodel.config());
-    let mut verifier = CpuVerifier::new(&mut tmodel, &mut tkv);
-    let mut session = SpecSession::begin(&mut verifier, &prompt, 3, opts);
-    let got = run_speculative(
-        &mut session,
-        &mut verifier,
-        &mut dmodel,
-        &mut dkv,
-        &mut Sampler::argmax(),
-    );
-    assert_eq!(got, want, "cross-model speculative stream diverged");
+    let got = serve_speculative(
+        CpuBackend::new(Transformer::new(tweights.as_ref().clone())),
+        1,
+        Transformer::new(dweights.as_ref().clone()),
+        3,
+        &[(prompt, opts, SamplerKind::Argmax, 0)],
+    )
+    .expect("engine accepts the pairing and drains clean");
+    assert_eq!(got, [want], "cross-model speculative stream diverged");
 }
 
 /// Documents why the *literal* stories260K checkpoint cannot draft for

@@ -1,7 +1,7 @@
 //! Property suite for the unified mixed prefill+decode scheduler
 //! (DESIGN.md §14): across token budgets, prefill ratios, chunk sizes,
-//! flat and paged KV, serial and parallel kernels, and both backends,
-//! the unified engine must emit **bit-identical** token streams — exact
+//! flat and paged KV, and both backends, the unified engine must emit
+//! **bit-identical** token streams — exact
 //! `assert_eq`, no tolerance — to the phase-serialized engine, which PR 5
 //! already pinned to the single-tenant decoder. The two are plans of the
 //! one `ServeEngine` tick loop (DESIGN.md §11) over the one layer walk —
@@ -28,7 +28,7 @@ use std::sync::Arc;
 use speedllm::accel::engine::Engine;
 use speedllm::accel::opt::OptConfig;
 use speedllm::llama::config::ModelConfig;
-use speedllm::llama::forward::{MatVecStrategy, Transformer};
+use speedllm::llama::forward::Transformer;
 use speedllm::llama::rng::Xoshiro256;
 use speedllm::llama::sampler::SamplerKind;
 use speedllm::llama::tokenizer::TOKEN_BOS;
@@ -64,15 +64,9 @@ fn cpu_engine(
     slots: usize,
     chunk: usize,
     paged: bool,
-    parallel: bool,
     unified: Option<UnifiedConfig>,
 ) -> ServeEngine<CpuBackend> {
-    let mut model = Transformer::new(weights());
-    model.set_strategy(if parallel {
-        MatVecStrategy::Parallel { threads: 3 }
-    } else {
-        MatVecStrategy::Serial
-    });
+    let model = Transformer::new(weights());
     let backend = if paged {
         CpuBackend::new_paged(model, AMPLE_BLOCKS)
     } else {
@@ -172,8 +166,8 @@ props! {
     #![config(cases = 24)]
 
     /// The tentpole grid: {token budget × prefill ratio × chunk size ×
-    /// flat/paged × serial/parallel} on the CPU backend. The unified
-    /// engine must reproduce the sequential prefill-then-decode engine's
+    /// flat/paged} on the CPU backend. The unified engine must
+    /// reproduce the sequential prefill-then-decode engine's
     /// streams exactly, and (flat KV) land on the same virtual clock,
     /// since both forward each context token and each sampled-but-not-
     /// final token exactly once and a CPU tick costs the rows it carries.
@@ -182,12 +176,11 @@ props! {
         budget in 1usize..13,
         pct in 0usize..101,
         chunk in 1usize..6,
-        mode in 0usize..4, // bit 0: paged KV, bit 1: parallel kernels
+        paged in any_bool(),
         seed in any_u64(),
     ) {
-        let (paged, parallel) = (mode & 1 != 0, mode & 2 != 0);
-        let mut legacy = cpu_engine(3, chunk, paged, parallel, None);
-        let mut uni = cpu_engine(3, chunk, paged, parallel, unified(budget, pct as u32));
+        let mut legacy = cpu_engine(3, chunk, paged, None);
+        let mut uni = cpu_engine(3, chunk, paged, unified(budget, pct as u32));
         for r in random_requests(seed, n) {
             prop_assert!(legacy.submit(r.clone()).is_ok());
             prop_assert!(uni.submit(r).is_ok());
@@ -259,7 +252,7 @@ props! {
             seed,
         };
         let run_unified = || {
-            let mut engine = cpu_engine(3, 4, false, false, unified(8, 50));
+            let mut engine = cpu_engine(3, 4, false, unified(8, 50));
             let done = engine.run_with_source(&mut LoadGen::new(&lg_cfg));
             let report =
                 ServeReport::from_run(&done, engine.stats(), engine.slot_reuses()).render("cpu");
@@ -270,7 +263,7 @@ props! {
         prop_assert_eq!(&s1, &s2, "same seed must reproduce the same streams");
         prop_assert_eq!(&r1, &r2, "same seed must render byte-identical reports");
 
-        let mut legacy = cpu_engine(3, 4, false, false, None);
+        let mut legacy = cpu_engine(3, 4, false, None);
         let legacy_streams = streams(legacy.run_with_source(&mut LoadGen::new(&lg_cfg)));
         prop_assert_eq!(&s1, &legacy_streams, "bursty unified diverged from legacy");
     }
@@ -282,8 +275,8 @@ props! {
 /// carried both row classes.
 #[test]
 fn sequence_finishing_mid_tick_while_another_prefills_is_bit_identical() {
-    let mut legacy = cpu_engine(3, 2, false, false, None);
-    let mut uni = cpu_engine(3, 2, false, false, unified(8, 50));
+    let mut legacy = cpu_engine(3, 2, false, None);
+    let mut uni = cpu_engine(3, 2, false, unified(8, 50));
     let reqs = [
         req(0, vec![1, 5], 1, 70), // finishes on its first sample
         req(1, vec![1, 6], 6, 71), // keeps decoding
@@ -309,8 +302,8 @@ fn sequence_finishing_mid_tick_while_another_prefills_is_bit_identical() {
 /// stream is unchanged.
 #[test]
 fn prefill_chunk_exactly_filling_budget_is_bit_identical() {
-    let mut legacy = cpu_engine(2, 4, false, false, None);
-    let mut uni = cpu_engine(2, 4, false, false, unified(4, 50));
+    let mut legacy = cpu_engine(2, 4, false, None);
+    let mut uni = cpu_engine(2, 4, false, unified(4, 50));
     let r = req(0, vec![1, 5, 9, 13, 17, 21, 25, 29], 3, 33); // 8 = 2 × budget
     legacy.submit(r.clone()).unwrap();
     uni.submit(r).unwrap();
@@ -330,8 +323,8 @@ fn prefill_chunk_exactly_filling_budget_is_bit_identical() {
 /// are never budget-capped) must still see identical streams.
 #[test]
 fn budget_smaller_than_chunk_forces_split_and_stays_bit_identical() {
-    let mut legacy = cpu_engine(2, 8, false, false, None);
-    let mut uni = cpu_engine(2, 8, false, false, unified(3, 100));
+    let mut legacy = cpu_engine(2, 8, false, None);
+    let mut uni = cpu_engine(2, 8, false, unified(3, 100));
     let r = req(0, vec![1, 5, 9, 13, 17, 21, 25, 29], 3, 44);
     legacy.submit(r.clone()).unwrap();
     uni.submit(r).unwrap();
@@ -358,7 +351,7 @@ fn preempting_half_prefilled_sequence_under_block_pressure_is_bit_identical() {
         block_size: 4,
         n_blocks: 9, // one full context needs 8; three sequences must fight
     };
-    let mut flat = cpu_engine(3, 4, false, false, None);
+    let mut flat = cpu_engine(3, 4, false, None);
     let mut uni = cpu_paged_engine(3, 4, tight, unified(4, 50));
     let mut reqs = vec![
         req(0, vec![1, 5], 20, 80),
@@ -396,7 +389,7 @@ fn preempting_half_prefilled_sequence_under_block_pressure_is_bit_identical() {
 /// tick whose sampled token ends the request without a forward.
 #[test]
 fn cpu_tick_cost_is_exactly_the_rows_carried() {
-    let mut uni = cpu_engine(2, 3, false, false, unified(8, 50));
+    let mut uni = cpu_engine(2, 3, false, unified(8, 50));
     let mut r = req(0, vec![1, 5, 9, 13, 17], 2, 91);
     r.stop_at_eos = false;
     uni.submit(r).unwrap();
@@ -427,7 +420,7 @@ fn pure_decode_report_bytes_match_legacy_engine() {
         req(3, vec![1, 8, 12, 16, 20], 4, 13),
     ];
     let run = |unified_cfg: Option<UnifiedConfig>| {
-        let mut engine = cpu_engine(4, 6, false, false, unified_cfg);
+        let mut engine = cpu_engine(4, 6, false, unified_cfg);
         for r in &reqs {
             engine.submit(r.clone()).unwrap();
         }
