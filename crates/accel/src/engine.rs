@@ -336,6 +336,43 @@ impl std::fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
+/// The fused schedule and what every timing pass reads of it, fixed when
+/// the engine is built: per kernel, the values it loads from outside
+/// itself, in first-use order.
+struct KernelPlan {
+    schedule: Schedule,
+    external_inputs: Vec<Vec<ValueId>>,
+}
+
+impl KernelPlan {
+    fn new(graph: &Graph, schedule: Schedule) -> Self {
+        let external_inputs = schedule
+            .kernels
+            .iter()
+            .map(|kernel| {
+                let produced_here: std::collections::HashSet<ValueId> = kernel
+                    .ops
+                    .iter()
+                    .flat_map(|&oi| graph.ops[oi].outputs.iter().copied())
+                    .collect();
+                let mut external: Vec<ValueId> = Vec::new();
+                for &oi in &kernel.ops {
+                    for &inp in &graph.ops[oi].inputs {
+                        if !produced_here.contains(&inp) && !external.contains(&inp) {
+                            external.push(inp);
+                        }
+                    }
+                }
+                external
+            })
+            .collect();
+        Self {
+            schedule,
+            external_inputs,
+        }
+    }
+}
+
 /// The simulated SpeedLLM accelerator bound to one model.
 pub struct Engine {
     /// The weights the walk reads, at `opt.precision`; shared with every
@@ -346,7 +383,8 @@ pub struct Engine {
     opt: OptConfig,
     cfg: AccelConfig,
     graph: Graph,
-    schedule: Schedule,
+    /// Shared with each timing pass, which borrows the device mutably.
+    kernels: Arc<KernelPlan>,
     plan: MemoryPlan,
     // Device component models (counters accumulate across steps).
     hbm: Hbm,
@@ -403,6 +441,7 @@ impl Engine {
             tel::metrics::gauge_set("accel.memplan_ocm_values", plan.ocm_values() as f64);
             tel::metrics::gauge_set("accel.memplan_hbm_values", plan.hbm_values() as f64);
         }
+        let kernels = Arc::new(KernelPlan::new(&graph, schedule));
         let seq = Some(SequenceState {
             kv: SeqKv::Flat(KvCache::new(weights.config())),
         });
@@ -412,7 +451,7 @@ impl Engine {
             opt,
             cfg,
             graph,
-            schedule,
+            kernels,
             plan,
             hbm: Hbm::new(cfg.hbm),
             mpe: Mpe::new(cfg.mpe),
@@ -473,7 +512,7 @@ impl Engine {
     /// The fused schedule.
     #[must_use]
     pub fn schedule(&self) -> &Schedule {
-        &self.schedule
+        &self.kernels.schedule
     }
 
     /// The memory plan.
@@ -752,7 +791,7 @@ impl Engine {
             start_pos,
             "chunk must extend the sequence contiguously"
         );
-        let logits = self.execute_default(tokens);
+        let logits = self.execute_default(tokens, LogitRows::Last);
         let positions: Vec<usize> = (start_pos..start_pos + tokens.len()).collect();
         let (cycles, stats) = self.time(&positions);
         StepResult {
@@ -763,10 +802,10 @@ impl Engine {
     }
 
     /// [`Engine::execute`] on the default sequence: appends `tokens` at its
-    /// context length and returns the logits after the last one.
-    pub(crate) fn execute_default(&mut self, tokens: &[u32]) -> Vec<f32> {
+    /// context length and returns the logits `logit_rows` scores.
+    pub(crate) fn execute_default(&mut self, tokens: &[u32], logit_rows: LogitRows) -> Vec<f32> {
         let mut seq = self.seq.take().expect("default sequence present");
-        let mut logits = self.execute(&mut [&mut seq], &[tokens], LogitRows::Last);
+        let mut logits = self.execute(&mut [&mut seq], &[tokens], logit_rows);
         self.seq = Some(seq);
         logits.pop().expect("one run in, one logits row out")
     }
@@ -795,8 +834,14 @@ impl Engine {
         // predecessor; the streaming runtime enqueues ahead.
         let mut prev_kernel_end = Cycles::ZERO;
 
-        let kernels = self.schedule.kernels.clone();
-        for kernel in &kernels {
+        let kernels = Arc::clone(&self.kernels);
+        let mut tiles: Vec<TileCost> = Vec::new();
+        for (kernel, external_inputs) in kernels
+            .schedule
+            .kernels
+            .iter()
+            .zip(&kernels.external_inputs)
+        {
             self.launches += 1;
             if kernel.ops.len() > 1 {
                 fusion_hits += 1;
@@ -806,20 +851,7 @@ impl Engine {
             let mut compute_ready = Cycles::ZERO;
             let mut extra_read = Cycles::ZERO; // HBM activation loads
             let mut read_ready = Cycles::ZERO;
-            let produced_here: std::collections::HashSet<ValueId> = kernel
-                .ops
-                .iter()
-                .flat_map(|&oi| self.graph.ops[oi].outputs.iter().copied())
-                .collect();
-            let mut external_inputs: Vec<ValueId> = Vec::new();
-            for &oi in &kernel.ops {
-                for &inp in &self.graph.ops[oi].inputs {
-                    if !produced_here.contains(&inp) && !external_inputs.contains(&inp) {
-                        external_inputs.push(inp);
-                    }
-                }
-            }
-            for &inp in &external_inputs {
+            for &inp in external_inputs {
                 compute_ready = compute_ready.max(avail[inp.0]);
                 let bytes = self.graph.values[inp.0].bytes() * batch;
                 match self.plan.placement(inp) {
@@ -836,7 +868,7 @@ impl Engine {
             }
 
             // Tiles for the member ops.
-            let mut tiles: Vec<TileCost> = Vec::new();
+            tiles.clear();
             if extra_read > Cycles::ZERO {
                 tiles.push(TileCost {
                     read: extra_read,
@@ -1085,7 +1117,8 @@ impl Engine {
         let all_logits = self.execute(seqs, runs, logit_rows);
         let (cycles, stats) = self.time(&positions);
         let last = all_logits.last().expect("one logits entry per sequence");
-        let logits = last[last.len() - self.graph.config.vocab_size..].to_vec();
+        // Empty when the pass scores no row.
+        let logits = last[last.len().saturating_sub(self.graph.config.vocab_size)..].to_vec();
         (
             all_logits,
             StepResult {

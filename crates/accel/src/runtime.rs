@@ -15,6 +15,7 @@ use speedllm_fpga_sim::cycles::{ClockDomain, Cycles};
 use speedllm_fpga_sim::power::EnergyBreakdown;
 use speedllm_fpga_sim::stats::SimStats;
 use speedllm_llama::config::ModelConfig;
+use speedllm_llama::forward::LogitRows;
 use speedllm_llama::resident::{IntoResident, ResidentWeights};
 use speedllm_llama::sampler::{Sampler, SamplerKind};
 use speedllm_llama::tokenizer::{Tokenizer, TOKEN_BOS, TOKEN_EOS};
@@ -296,7 +297,7 @@ impl Session {
         let group = 64 / chunk * chunk;
         let mut pos0 = start;
         for tokens in prompt_tokens.chunks(group) {
-            logits = self.engine.execute_default(tokens);
+            logits = self.engine.execute_default(tokens, LogitRows::Last);
             let group_end = pos0 + tokens.len();
             while pos0 < group_end {
                 let end = (pos0 + chunk).min(group_end);
@@ -324,12 +325,22 @@ impl Session {
             }
             generated.push(next);
             let _g = tel::span("host", "decode_token").arg("pos", pos as i64);
-            let step = self.engine.decode_step(next, pos);
-            tel::metrics::observe("accel.decode_token_cycles", step.cycles.0);
-            decode_cycles += step.cycles;
-            per_token_cycles.push(step.cycles);
-            stats.accumulate(&step.stats);
-            logits = step.logits;
+            // The token that ends the budget or the window is walked for
+            // its KV row (a later turn continues from it) but not scored:
+            // its logits would never be sampled. The device is charged the
+            // same pass either way.
+            let last = generated.len() == max_new_tokens || pos + 1 == seq_len;
+            let rows = if last {
+                LogitRows::None
+            } else {
+                LogitRows::Last
+            };
+            logits = self.engine.execute_default(&[next], rows);
+            let (cycles, pass) = self.engine.time(&[pos]);
+            tel::metrics::observe("accel.decode_token_cycles", cycles.0);
+            decode_cycles += cycles;
+            per_token_cycles.push(cycles);
+            stats.accumulate(&pass);
             pos += 1;
         }
 

@@ -30,6 +30,10 @@ pub enum LogitRows {
     /// **Every** row, row-major: `out[r * vocab..(r + 1) * vocab]` is the
     /// distribution after row `r` of `tokens`.
     All,
+    /// **No** row: the pass only extends the KV stores, for a token whose
+    /// logits nobody samples (the last of a generation budget). The final
+    /// norm and the classifier GEMM are skipped and `out` is empty.
+    None,
 }
 
 impl LogitRows {
@@ -40,6 +44,7 @@ impl LogitRows {
         match self {
             Self::Last => 1,
             Self::All => count,
+            Self::None => 0,
         }
     }
 }
@@ -85,6 +90,9 @@ pub struct BatchState {
     logits: Vec<f32>,
     /// Row-major GEMM staging, `[max(dim, hidden_dim, vocab) * capacity]`.
     gemm: Vec<f32>,
+    /// A GEMM's activations transposed batch-major, `[max(dim, hidden_dim)
+    /// * capacity]`.
+    xt: Vec<f32>,
 }
 
 impl BatchState {
@@ -103,6 +111,7 @@ impl BatchState {
             att: vec![0.0; c.seq_len],
             logits: vec![0.0; capacity * c.vocab_size],
             gemm: vec![0.0; capacity * widest],
+            xt: vec![0.0; capacity * c.dim.max(c.hidden_dim)],
         }
     }
 }
@@ -122,12 +131,16 @@ fn scatter_to_seq(dst: &mut [f32], src: &[f32], rows: usize, batch: usize) {
     }
 }
 
-/// One dense projection over all `batch` token rows: a GEMM into the
-/// row-major staging buffer, scattered back to token-row-major `dst`.
+/// One dense projection over all `batch` token rows: the activations
+/// transposed batch-major into `xt`, a GEMM into the row-major staging
+/// buffer, scattered back to token-row-major `dst`. Both scratch buffers
+/// belong to the [`BatchState`], so a walk allocates nothing per GEMM.
 /// Every element is one accumulator in [`ops::dot`]'s order (f32), or its
 /// fused-dequant twin in [`crate::qgemm`].
+#[allow(clippy::too_many_arguments)]
 fn run_matmul(
     gemm: &mut [f32],
+    xt: &mut [f32],
     dst: &mut [f32],
     w: &Operand,
     xs: &[f32],
@@ -136,11 +149,13 @@ fn run_matmul(
     batch: usize,
 ) {
     let out = &mut gemm[..rows * batch];
+    let xt = &mut xt[..cols * batch];
+    ops::transpose_batch_major_into(xt, xs, cols, batch);
     match w {
-        Operand::F32(w) => ops::matmul(out, w, xs, rows, cols, batch),
+        Operand::F32(w) => ops::tiled_matmul_rows_xt(out, w, xt, 0..rows, cols, batch),
         Operand::Quant(qm) => {
             debug_assert_eq!((qm.rows(), qm.cols()), (rows, cols));
-            crate::qgemm::qmatmul(out, qm, xs, batch);
+            crate::qgemm::qmatmul_rows_xt(out, qm, xt, 0..rows, batch);
         }
     }
     scatter_to_seq(&mut dst[..batch * rows], out, rows, batch);
@@ -417,14 +432,16 @@ impl Transformer {
         }
 
         // One dense projection over `batch` token rows, through the GEMM
-        // staging buffer.
+        // scratch.
         let mut project = |dst: &mut [f32], w, xs: &[f32], out_rows, cols, batch| {
-            run_matmul(&mut bs.gemm, dst, w, xs, out_rows, cols, batch);
+            run_matmul(&mut bs.gemm, &mut bs.xt, dst, w, xs, out_rows, cols, batch);
         };
 
         // Gather: token embeddings -> per-row residual streams.
         for (r, &tok) in tokens.iter().enumerate() {
-            bs.x[r * dim..(r + 1) * dim].copy_from_slice(weights.embedding_row(tok as usize));
+            weights
+                .embedding_row(tok as usize)
+                .copy_to(&mut bs.x[r * dim..(r + 1) * dim]);
         }
 
         for layer in 0..c.n_layers {
@@ -544,12 +561,12 @@ impl Transformer {
         }
 
         // Final norm + classifier over the scored rows: every row for
-        // speculative verification, otherwise each sequence's last
-        // (intermediate prefill logits are never observed). The scored
-        // rows are compacted into `xb` so the classifier is one GEMM
-        // streaming the weight matrix once; each row's values match a
-        // one-row call bit for bit because rmsnorm and that row's GEMM
-        // column see exactly its operands.
+        // speculative verification, none for a step nobody samples,
+        // otherwise each sequence's last (intermediate prefill logits are
+        // never observed). The scored rows are compacted into `xb` so the
+        // classifier is one GEMM streaming the weight matrix once; each
+        // row's values match a one-row call bit for bit because rmsnorm
+        // and that row's GEMM column see exactly its operands.
         let mut scored = Vec::with_capacity(rows);
         let mut end = 0usize;
         for &cnt in counts {
@@ -557,6 +574,9 @@ impl Transformer {
             scored.extend(end - logit_rows.of_run(cnt)..end);
         }
         let n = scored.len();
+        if n == 0 {
+            return &bs.logits[..0];
+        }
         let _cls = tel::span("cpu", "classifier").arg("batch", n as i64);
         for (i, &r) in scored.iter().enumerate() {
             ops::rmsnorm_inplace(&mut bs.x[r * dim..(r + 1) * dim], &weights.rms_final);
@@ -901,6 +921,49 @@ mod tests {
                     row += 1;
                 }
             }
+        }
+    }
+
+    /// A pass that scores no row returns no logits and leaves every KV
+    /// row, and so the next call's logits, as a scored pass does.
+    #[test]
+    fn an_unscored_pass_extends_the_kv_like_a_scored_one() {
+        use crate::kv_cache::KvCache;
+        let cfg = ModelConfig::test_tiny();
+        let mut t = model();
+        let (tokens, counts, starts) = ([5u32, 6, 7, 9], [3usize, 1], [0usize, 0]);
+        let [mut scored, mut unscored] = [0, 1].map(|_| [KvCache::new(&cfg), KvCache::new(&cfg)]);
+        let logits = t
+            .forward_runs(
+                scored.each_mut().as_mut_slice(),
+                &tokens,
+                &counts,
+                &starts,
+                LogitRows::Last,
+            )
+            .len();
+        assert_eq!(logits, 2 * cfg.vocab_size);
+        let none = t.forward_runs(
+            unscored.each_mut().as_mut_slice(),
+            &tokens,
+            &counts,
+            &starts,
+            LogitRows::None,
+        );
+        assert!(none.is_empty());
+        for (a, b) in scored.iter().zip(&unscored) {
+            assert_eq!(a.len(), b.len());
+            for layer in 0..cfg.n_layers {
+                for pos in 0..a.len() {
+                    assert_eq!(a.key_row(layer, pos), b.key_row(layer, pos));
+                    assert_eq!(a.value_row(layer, pos), b.value_row(layer, pos));
+                }
+            }
+        }
+        for (a, b) in scored.iter_mut().zip(&mut unscored) {
+            let pos = a.len();
+            let want = t.forward_with_kv(a, 11, pos).to_vec();
+            assert_eq!(t.forward_with_kv(b, 11, pos), &want[..]);
         }
     }
 

@@ -1,15 +1,19 @@
-//! Scalar reference kernels for Llama-2 inference.
+//! The f32 kernels of Llama-2 inference.
 //!
-//! Every kernel operates on plain `f32` slices so the same code backs both
-//! the CPU reference forward pass ([`crate::forward`]) and the functional
-//! execution inside the accelerator engine. Keeping one set of kernels is
+//! Every kernel operates on plain `f32` slices, and the one layer walk
+//! ([`crate::forward`]) that both the CPU model and the accelerator
+//! engine's values come from calls them. Keeping one set of kernels is
 //! what lets integration tests assert that the simulated accelerator is
 //! *functionally transparent*: fusion, memory planning, and pipelining may
 //! only change timing, never values.
 //!
 //! Every weight-streaming kernel, here and in [`crate::qgemm`], sums each
 //! output element in [`dot`]'s order, so one-row, batched and row-tiled
-//! results are bit-identical (see [`tile_accumulate`]).
+//! results are bit-identical. Two f32 GEMMs keep that contract: the
+//! row-major [`matmul`]/[`matvec`] (see [`tile_accumulate`]), a reference
+//! for probes and tests, and [`tiled_matmul_rows_xt`] over a matrix stored
+//! in kernel order ([`to_kernel_order`]), which is what the layer walk
+//! streams.
 
 /// Default RoPE frequency base used by the llama2.c model family.
 pub const ROPE_THETA: f32 = 10000.0;
@@ -90,14 +94,20 @@ pub fn matvec(out: &mut [f32], w: &[f32], x: &[f32], rows: usize, cols: usize) {
 /// inner loop reads them with one contiguous load per weight element.
 #[must_use]
 pub fn transpose_batch_major(xs: &[f32], cols: usize, batch: usize) -> Vec<f32> {
-    debug_assert_eq!(xs.len(), batch * cols);
     let mut xt = vec![0.0f32; cols * batch];
+    transpose_batch_major_into(&mut xt, xs, cols, batch);
+    xt
+}
+
+/// [`transpose_batch_major`] into a caller's buffer of `cols * batch`.
+pub fn transpose_batch_major_into(xt: &mut [f32], xs: &[f32], cols: usize, batch: usize) {
+    debug_assert_eq!(xs.len(), batch * cols);
+    debug_assert_eq!(xt.len(), batch * cols);
     for (b, x) in xs.chunks_exact(cols).enumerate() {
         for (c, &v) in x.iter().enumerate() {
             xt[c * batch + b] = v;
         }
     }
-    xt
 }
 
 /// Weight rows per register tile. Measured, not tunable: on the 32000×288
@@ -119,8 +129,9 @@ const COL_BLOCK: usize = 8;
 /// `R × L` accumulators are *independent output elements*; keeping them
 /// live together is what hides the add latency and lets the compiler
 /// vectorize, and no element's sum is ever split or reassociated. The
-/// quantized kernel ([`crate::qgemm`]) keeps the same contract over its
-/// own tile-interleaved storage and does not come through here.
+/// kernel-order kernels ([`tiled_matmul_rows_xt`] and [`crate::qgemm`])
+/// keep the same contract over tile-interleaved storage and do not come
+/// through here.
 ///
 /// With several lanes the compiler vectorizes across them. With one lane
 /// there is nothing to vectorize across but the rows, whose elements sit
@@ -260,6 +271,230 @@ pub fn matmul(out: &mut [f32], w: &[f32], xs: &[f32], rows: usize, cols: usize, 
     debug_assert_eq!(xs.len(), batch * cols);
     let xt = transpose_batch_major(xs, cols, batch);
     matmul_rows_xt(out, w, &xt, 0..rows, cols, batch);
+}
+
+/// Reorders a row-major `rows × cols` matrix **in place** into kernel
+/// order, the layout [`tiled_matmul_rows_xt`] streams: each full tile of
+/// [`ROW_TILE`] rows is interleaved column by column (element `(t *
+/// ROW_TILE + i, c)` at `t * ROW_TILE * cols + c * ROW_TILE + i`), so one
+/// column of a tile is one contiguous load. The `rows % ROW_TILE` tail rows
+/// stay row-major after the last full tile, where they already are. The
+/// buffer keeps its length; the only scratch is one tile.
+pub fn to_kernel_order(w: &mut [f32], rows: usize, cols: usize) {
+    assert_eq!(w.len(), rows * cols, "matrix shape mismatch");
+    let tiled = rows / ROW_TILE * ROW_TILE;
+    let mut tile = vec![0.0f32; ROW_TILE * cols];
+    for dst in w[..tiled * cols].chunks_exact_mut(ROW_TILE * cols) {
+        tile.copy_from_slice(dst);
+        for (i, row) in tile.chunks_exact(cols).enumerate() {
+            for (c, &v) in row.iter().enumerate() {
+                dst[c * ROW_TILE + i] = v;
+            }
+        }
+    }
+}
+
+/// Row `r` of a kernel-order matrix with `cols` columns (see
+/// [`to_kernel_order`]), read in place.
+#[must_use]
+pub fn kernel_order_row(w: &[f32], cols: usize, r: usize) -> KernelRow<'_> {
+    let tiled = w.len() / cols / ROW_TILE * ROW_TILE;
+    let (start, stride) = if r < tiled {
+        (r / ROW_TILE * ROW_TILE * cols + r % ROW_TILE, ROW_TILE)
+    } else {
+        (r * cols, 1)
+    };
+    KernelRow {
+        data: &w[start..=start + (cols - 1) * stride],
+        stride,
+    }
+}
+
+/// One row of a kernel-order matrix: its elements sit `stride` apart
+/// ([`ROW_TILE`] inside a full tile, 1 in the row-major tail).
+#[derive(Clone, Copy)]
+pub struct KernelRow<'a> {
+    /// From the row's first element to its last.
+    data: &'a [f32],
+    stride: usize,
+}
+
+impl KernelRow<'_> {
+    /// Where the row's first element sits.
+    #[must_use]
+    pub fn as_ptr(&self) -> *const f32 {
+        self.data.as_ptr()
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &f32> + '_ {
+        self.data.iter().step_by(self.stride)
+    }
+
+    /// Copies the row into `out`, which holds exactly one row.
+    pub fn copy_to(&self, out: &mut [f32]) {
+        assert_eq!(out.len(), self.data.len().div_ceil(self.stride));
+        for (o, &v) in out.iter_mut().zip(self.iter()) {
+            *o = v;
+        }
+    }
+}
+
+/// A row compares equal to the slice holding the same elements, as the
+/// row-major `&[f32]` it replaces did.
+impl PartialEq<&[f32]> for KernelRow<'_> {
+    fn eq(&self, other: &&[f32]) -> bool {
+        self.data.len().div_ceil(self.stride) == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl std::fmt::Debug for KernelRow<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Widest lane block of the kernel-order kernel: 8 accumulator vectors,
+/// the weight column and a broadcast fit AVX2's 16 registers.
+const MAX_LANES: usize = 8;
+
+/// Lanes `b0..b0 + L` of one `R`-row kernel-order tile (`tile` holds its
+/// `R × cols` weights, column `c` at `tile[c * R..(c + 1) * R]`):
+/// `acc[l][i] = tile row i · x_{b0 + l}`, lanes past `L` zero. Each column
+/// is one load applied to every lane, and each accumulator takes its terms
+/// in increasing column order, mul then add — [`dot`]'s order.
+#[inline(always)]
+fn tiled_lane_block<const R: usize, const L: usize>(
+    tile: &[f32],
+    xt: &[f32],
+    batch: usize,
+    b0: usize,
+) -> [[f32; R]; MAX_LANES] {
+    let mut acc = [[0.0f32; R]; L];
+    for (wc, xc) in tile.chunks_exact(R).zip(xt.chunks_exact(batch)) {
+        let wv: &[f32; R] = wc.try_into().expect("one tile column");
+        let x: &[f32; L] = xc[b0..b0 + L].try_into().expect("lane block in bounds");
+        for l in 0..L {
+            for i in 0..R {
+                acc[l][i] += wv[i] * x[l];
+            }
+        }
+    }
+    let mut lanes = [[0.0f32; R]; MAX_LANES];
+    lanes[..L].copy_from_slice(&acc);
+    lanes
+}
+
+/// Every lane of one `R`-row tile whose first row is `r0`, in lane blocks
+/// of [`MAX_LANES`] and then one block of exactly the lanes left over; the
+/// tile's rows inside `rows` are written out.
+///
+/// The write-out sits after the `match`, as in [`crate::qgemm`]: each
+/// block hands over its accumulators as whole `R`-wide vectors, which is
+/// what lets the compiler keep them in vector registers for every `L`.
+#[inline(always)]
+fn tiled_tile<const R: usize>(
+    out: &mut [f32],
+    tile: &[f32],
+    r0: usize,
+    xt: &[f32],
+    rows: &std::ops::Range<usize>,
+    batch: usize,
+) {
+    for b0 in (0..batch).step_by(MAX_LANES) {
+        let lanes = (batch - b0).min(MAX_LANES);
+        let acc = match lanes {
+            1 => tiled_lane_block::<R, 1>(tile, xt, batch, b0),
+            2 => tiled_lane_block::<R, 2>(tile, xt, batch, b0),
+            3 => tiled_lane_block::<R, 3>(tile, xt, batch, b0),
+            4 => tiled_lane_block::<R, 4>(tile, xt, batch, b0),
+            5 => tiled_lane_block::<R, 5>(tile, xt, batch, b0),
+            6 => tiled_lane_block::<R, 6>(tile, xt, batch, b0),
+            7 => tiled_lane_block::<R, 7>(tile, xt, batch, b0),
+            _ => tiled_lane_block::<R, MAX_LANES>(tile, xt, batch, b0),
+        };
+        for (l, lane) in acc[..lanes].iter().enumerate() {
+            for (i, &v) in lane.iter().enumerate() {
+                let r = r0 + i;
+                if rows.contains(&r) {
+                    out[(r - rows.start) * batch + b0 + l] = v;
+                }
+            }
+        }
+    }
+}
+
+/// The one kernel-order f32 kernel body: the full tiles that overlap
+/// `rows`, each computed whole and written in part, then the row-major
+/// tail rows inside `rows` as one-row tiles (a one-row tile in kernel
+/// order *is* a row-major row).
+#[inline(always)]
+fn tiled_kernel(
+    out: &mut [f32],
+    w: &[f32],
+    xt: &[f32],
+    rows: std::ops::Range<usize>,
+    cols: usize,
+    batch: usize,
+) {
+    let tiled = w.len() / cols / ROW_TILE * ROW_TILE;
+    for t in rows.start / ROW_TILE..rows.end.min(tiled).div_ceil(ROW_TILE) {
+        let tile = &w[t * ROW_TILE * cols..][..ROW_TILE * cols];
+        tiled_tile::<ROW_TILE>(out, tile, t * ROW_TILE, xt, &rows, batch);
+    }
+    for r in rows.start.max(tiled)..rows.end {
+        tiled_tile::<1>(out, &w[r * cols..][..cols], r, xt, &rows, batch);
+    }
+}
+
+/// [`tiled_kernel`] compiled with AVX2 enabled.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn tiled_kernel_avx2(
+    out: &mut [f32],
+    w: &[f32],
+    xt: &[f32],
+    rows: std::ops::Range<usize>,
+    cols: usize,
+    batch: usize,
+) {
+    tiled_kernel(out, w, xt, rows, cols, batch);
+}
+
+/// Batched matmul over a **kernel-order** matrix ([`to_kernel_order`])
+/// and pre-transposed (batch-major) activations: `out[(r - rows.start) *
+/// batch + b] = w[r, :] · x_b` for `r` in `rows`, any row range. Each tile
+/// column is one load reused across every lane of a lane block, and every
+/// element equals `dot(w[r, :], x_b)` bit for bit — the same values as
+/// [`matmul_rows_xt`] over the row-major matrix.
+///
+/// The body is compiled twice, at the build's baseline and with AVX2
+/// enabled, and picked per call as [`crate::qgemm::qmatmul_rows_xt`] does.
+/// Both run the same IEEE operations in the same order (mul then add,
+/// never a fused multiply-add), so they agree bit for bit; the AVX2 copy
+/// is faster because a tile column fills one 8-wide register.
+#[allow(unsafe_code)]
+pub fn tiled_matmul_rows_xt(
+    out: &mut [f32],
+    w: &[f32],
+    xt: &[f32],
+    rows: std::ops::Range<usize>,
+    cols: usize,
+    batch: usize,
+) {
+    assert_eq!(out.len(), rows.len() * batch);
+    assert_eq!(w.len() % cols, 0, "a whole number of rows");
+    assert!(rows.end * cols <= w.len());
+    assert_eq!(xt.len(), cols * batch);
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `tiled_kernel_avx2` is a safe function whose only extra
+        // requirement is that the CPU executes AVX2 instructions, and the
+        // line above has just observed that this one does. It is
+        // `tiled_kernel` under another instruction selection: all memory
+        // access is through the same bounds-checked slices.
+        return unsafe { tiled_kernel_avx2(out, w, xt, rows, cols, batch) };
+    }
+    tiled_kernel(out, w, xt, rows, cols, batch);
 }
 
 /// SiLU (sigmoid-weighted linear unit): `x * σ(x)`.
@@ -455,6 +690,110 @@ mod tests {
         let mut mm = vec![0.0f32; rows];
         matmul(&mut mm, &w, &x, rows, cols, 1);
         assert_eq!(mv, mm);
+    }
+
+    /// A random row-major `rows × cols` matrix and its kernel-order copy.
+    fn kernel_order_case(rows: usize, cols: usize, seed: u64) -> (Vec<f32>, Vec<f32>) {
+        let mut rng = crate::rng::Xoshiro256::seed_from_u64(seed);
+        let mut w = vec![0.0f32; rows * cols];
+        rng.fill_normal(&mut w, 0.2);
+        let mut k = w.clone();
+        to_kernel_order(&mut k, rows, cols);
+        (w, k)
+    }
+
+    fn normal(len: usize, seed: u64) -> Vec<f32> {
+        let mut rng = crate::rng::Xoshiro256::seed_from_u64(seed);
+        let mut v = vec![0.0f32; len];
+        rng.fill_normal(&mut v, 1.0);
+        v
+    }
+
+    #[test]
+    fn kernel_order_rows_read_back_the_row_major_matrix() {
+        for (rows, cols) in [(1usize, 5usize), (8, 3), (21, 4), (44, 16)] {
+            let (w, k) = kernel_order_case(rows, cols, 3);
+            let tiled = rows / ROW_TILE * ROW_TILE;
+            // Full tiles are column-interleaved, the tail stays row-major.
+            for r in 0..rows {
+                for c in 0..cols {
+                    let at = if r < tiled {
+                        r / ROW_TILE * ROW_TILE * cols + c * ROW_TILE + r % ROW_TILE
+                    } else {
+                        r * cols + c
+                    };
+                    assert_eq!(
+                        k[at].to_bits(),
+                        w[r * cols + c].to_bits(),
+                        "{rows}x{cols} ({r}, {c})"
+                    );
+                }
+                let mut copied = vec![f32::NAN; cols];
+                kernel_order_row(&k, cols, r).copy_to(&mut copied);
+                assert_eq!(
+                    copied,
+                    &w[r * cols..(r + 1) * cols],
+                    "{rows}x{cols} row {r}"
+                );
+            }
+        }
+    }
+
+    /// Every element of the kernel-order GEMM, batched or not, over the
+    /// whole matrix or a sub-range that starts and ends mid-tile, is
+    /// `dot(w[r, :], x_b)` bit for bit.
+    #[test]
+    fn kernel_order_matmul_replays_dot_bit_for_bit() {
+        for rows in [1usize, 7, 8, 44, 45, 768] {
+            for cols in [16usize, 17, 288] {
+                let (w, k) = kernel_order_case(rows, cols, (rows * 1000 + cols) as u64);
+                let ranges = [
+                    0..rows,
+                    rows / 2..rows,
+                    3.min(rows)..rows.saturating_sub(2).max(3.min(rows)),
+                ];
+                for batch in 1..=20 {
+                    let xs = normal(batch * cols, (batch * 7 + rows) as u64);
+                    let xt = transpose_batch_major(&xs, cols, batch);
+                    for range in ranges.clone() {
+                        let mut out = vec![f32::NAN; range.len() * batch];
+                        tiled_matmul_rows_xt(&mut out, &k, &xt, range.clone(), cols, batch);
+                        for r in range.clone() {
+                            for b in 0..batch {
+                                let want = dot(
+                                    &w[r * cols..(r + 1) * cols],
+                                    &xs[b * cols..(b + 1) * cols],
+                                );
+                                assert_eq!(
+                                    out[(r - range.start) * batch + b].to_bits(),
+                                    want.to_bits(),
+                                    "{rows}x{cols} batch {batch} range {range:?} row {r} lane {b}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The baseline and the run-time-selected instantiation of the f32
+    /// kernel body are the same IEEE operations in the same order. On a
+    /// host without AVX2 both sides are the baseline copy.
+    #[test]
+    fn portable_and_detected_f32_instantiations_agree_bitwise() {
+        let (rows, cols) = (45, 37);
+        let (_, k) = kernel_order_case(rows, cols, 9);
+        for batch in 1..=20 {
+            let xt = transpose_batch_major(&normal(batch * cols, batch as u64), cols, batch);
+            let range = 3..43;
+            let mut portable = vec![f32::NAN; range.len() * batch];
+            tiled_kernel(&mut portable, &k, &xt, range.clone(), cols, batch);
+            let mut detected = vec![f32::NAN; range.len() * batch];
+            tiled_matmul_rows_xt(&mut detected, &k, &xt, range, cols, batch);
+            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&portable), bits(&detected), "batch {batch}");
+        }
     }
 
     #[test]

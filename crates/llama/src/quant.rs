@@ -289,13 +289,28 @@ impl QuantMatrix {
     #[must_use]
     pub fn quantize_with(w: &[f32], rows: usize, cols: usize, kind: QuantKind) -> Self {
         assert_eq!(w.len(), rows * cols, "matrix shape mismatch");
+        Self::quantize_rows(rows, cols, kind, |r, out| {
+            out.copy_from_slice(&w[r * cols..(r + 1) * cols]);
+        })
+    }
+
+    /// [`Self::quantize_with`] over a matrix in any layout: `row(r, out)`
+    /// copies row `r` into `out`, one row of `cols` at a time.
+    pub(crate) fn quantize_rows(
+        rows: usize,
+        cols: usize,
+        kind: QuantKind,
+        mut row: impl FnMut(usize, &mut [f32]),
+    ) -> Self {
         let groups_per_row = cols.div_ceil(GROUP);
         let blocks = rows.div_ceil(ROW_TILE) * groups_per_row;
         let block_bytes = ROW_TILE * kind.group_bytes();
         let mut data = vec![0u8; blocks * block_bytes];
         let mut scales = vec![0.0f32; blocks * ROW_TILE];
+        let mut row_buf = vec![0.0f32; cols];
         for r in 0..rows {
-            let row = &w[r * cols..(r + 1) * cols];
+            row(r, &mut row_buf);
+            let row = &row_buf;
             let (t, i) = (r / ROW_TILE, r % ROW_TILE);
             for g in 0..groups_per_row {
                 let start = g * GROUP;

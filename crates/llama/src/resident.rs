@@ -3,22 +3,26 @@
 //! backend, engine and draft that runs the same checkpoint.
 //!
 //! [`TransformerWeights`] stays the checkpoint format. Consuming one at a
-//! [`QuantMode`] moves every `Vec` for f32 and otherwise replaces each GEMM
-//! operand by its [`QuantMatrix`], freeing the f32 matrix before the next
-//! is touched. Norm gains and the embedding table always stay f32: only
-//! what streams through the matmul kernels is quantized, and the embedding
-//! gather must stay a bit-exact row copy.
+//! [`QuantMode`] moves every `Vec` and reorders each matrix in place into
+//! kernel order ([`ops::to_kernel_order`]), the order the f32 GEMM streams
+//! it; a quantized mode then replaces each GEMM operand by its
+//! [`QuantMatrix`], freeing the f32 matrix before the next is touched. Norm
+//! gains and the embedding table always stay f32: only what streams
+//! through the matmul kernels is quantized, and the embedding gather must
+//! stay a bit-exact row copy.
 
 use std::sync::Arc;
 
 use crate::config::ModelConfig;
+use crate::ops::{self, KernelRow};
 use crate::quant::{QuantKind, QuantMatrix, QuantMode};
 use crate::weights::{LayerWeights, TransformerWeights};
 
 /// One GEMM operand, in the one form the kernels read it.
 #[derive(Debug, PartialEq)]
 pub(crate) enum Operand {
-    /// Row-major f32, streamed by [`crate::ops::matmul`].
+    /// f32 in kernel order ([`ops::to_kernel_order`]), streamed by
+    /// [`ops::tiled_matmul_rows_xt`].
     F32(Vec<f32>),
     /// Group-quantized, streamed by the fused dequant-GEMM kernels in
     /// [`crate::qgemm`].
@@ -26,11 +30,20 @@ pub(crate) enum Operand {
 }
 
 impl Operand {
+    /// Takes over a row-major `rows × cols` checkpoint matrix, reordered in
+    /// place into kernel order: same buffer, same length.
+    fn f32(mut w: Vec<f32>, rows: usize, cols: usize) -> Self {
+        ops::to_kernel_order(&mut w, rows, cols);
+        Self::F32(w)
+    }
+
     fn quantized(&self, rows: usize, cols: usize, kind: QuantKind) -> Self {
         let Self::F32(w) = self else {
             unreachable!("only f32 weights are quantized")
         };
-        Self::Quant(QuantMatrix::quantize_with(w, rows, cols, kind))
+        Self::Quant(QuantMatrix::quantize_rows(rows, cols, kind, |r, out| {
+            ops::kernel_order_row(w, cols, r).copy_to(out);
+        }))
     }
 
     /// Bytes one GEMM over this operand streams (group padding excluded).
@@ -66,17 +79,18 @@ pub(crate) struct ResidentLayer {
 }
 
 impl ResidentLayer {
-    fn from_f32(l: LayerWeights) -> Self {
+    fn from_f32(l: LayerWeights, c: &ModelConfig) -> Self {
+        let (dim, kv_dim, hid) = (c.dim, c.kv_dim(), c.hidden_dim);
         Self {
             rms_att: l.rms_att,
-            wq: Operand::F32(l.wq),
-            wk: Operand::F32(l.wk),
-            wv: Operand::F32(l.wv),
-            wo: Operand::F32(l.wo),
+            wq: Operand::f32(l.wq, dim, dim),
+            wk: Operand::f32(l.wk, kv_dim, dim),
+            wv: Operand::f32(l.wv, kv_dim, dim),
+            wo: Operand::f32(l.wo, dim, dim),
             rms_ffn: l.rms_ffn,
-            w1: Operand::F32(l.w1),
-            w2: Operand::F32(l.w2),
-            w3: Operand::F32(l.w3),
+            w1: Operand::f32(l.w1, hid, dim),
+            w2: Operand::f32(l.w2, dim, hid),
+            w3: Operand::f32(l.w3, hid, dim),
         }
     }
 
@@ -119,17 +133,22 @@ pub struct ResidentWeights {
 }
 
 impl ResidentWeights {
-    /// Consumes a checkpoint at `mode`: moves every tensor for f32,
-    /// quantizes-then-frees matrix by matrix otherwise.
+    /// Consumes a checkpoint at `mode`: moves every tensor into kernel
+    /// order for f32, then quantizes-then-frees matrix by matrix otherwise.
     #[must_use]
     pub fn new(w: TransformerWeights, mode: QuantMode) -> Self {
+        let c = w.config;
         let mut out = Self {
-            config: w.config,
+            config: c,
             mode: QuantMode::F32,
-            embedding: Operand::F32(w.token_embedding),
-            layers: w.layers.into_iter().map(ResidentLayer::from_f32).collect(),
+            embedding: Operand::f32(w.token_embedding, c.vocab_size, c.dim),
+            layers: w
+                .layers
+                .into_iter()
+                .map(|l| ResidentLayer::from_f32(l, &c))
+                .collect(),
             rms_final: w.rms_final,
-            classifier: w.wcls.map(Operand::F32),
+            classifier: w.wcls.map(|m| Operand::f32(m, c.vocab_size, c.dim)),
         };
         out.quantize(mode);
         out
@@ -184,12 +203,13 @@ impl ResidentWeights {
         self.mode
     }
 
-    /// The embedding row for `token`.
-    pub(crate) fn embedding_row(&self, token: usize) -> &[f32] {
+    /// The embedding row for `token`, read in place from the kernel-order
+    /// table.
+    pub(crate) fn embedding_row(&self, token: usize) -> KernelRow<'_> {
         let Operand::F32(table) = &self.embedding else {
             unreachable!("the embedding table stays f32")
         };
-        &table[token * self.config.dim..(token + 1) * self.config.dim]
+        ops::kernel_order_row(table, self.config.dim, token)
     }
 
     /// The classifier operand, `vocab × dim`: its own matrix, or the
@@ -291,6 +311,71 @@ mod tests {
         assert_eq!(w2.as_ptr(), w2_last);
         assert_eq!(r.resident_bytes(), params * 4);
         assert_eq!(r.gemm_weight_bytes(), stream);
+    }
+
+    /// Every f32 matrix is the checkpoint's, reordered in its own buffer:
+    /// each row read back from kernel order is the checkpoint row —
+    /// including `test_tiny`'s 44-row FFN matrices, whose last 4 rows are a
+    /// row-major tail — and the embedding gather returns it.
+    #[test]
+    fn the_f32_build_interleaves_every_matrix_in_place() {
+        for shared_classifier in [true, false] {
+            let w = checkpoint(shared_classifier);
+            let reference = w.clone();
+            let c = w.config;
+            let (dim, kv_dim, hid) = (c.dim, c.kv_dim(), c.hidden_dim);
+            let ptrs = |l: &LayerWeights| {
+                [&l.wq, &l.wk, &l.wv, &l.wo, &l.w1, &l.w2, &l.w3].map(|m| m.as_ptr())
+            };
+            let layer_ptrs: Vec<_> = w.layers.iter().map(ptrs).collect();
+            let (table, wcls) = (w.token_embedding.as_ptr(), w.wcls.as_ref().map(Vec::as_ptr));
+            let params = w.param_count();
+            let r = ResidentWeights::new(w, QuantMode::F32);
+            assert_eq!(r.resident_bytes(), params * 4);
+
+            let read_back = |got: &Operand, want: &[f32], rows: usize, cols: usize| {
+                let Operand::F32(got) = got else {
+                    panic!("f32 weights hold f32 operands")
+                };
+                assert_eq!(got.len(), rows * cols);
+                for row in 0..rows {
+                    let checkpoint_row = &want[row * cols..(row + 1) * cols];
+                    assert_eq!(ops::kernel_order_row(got, cols, row), checkpoint_row);
+                }
+                got.as_ptr()
+            };
+            let shapes = [
+                (dim, dim),
+                (kv_dim, dim),
+                (kv_dim, dim),
+                (dim, dim),
+                (hid, dim),
+                (dim, hid),
+                (hid, dim),
+            ];
+            for ((layer, want), ptrs) in r.layers.iter().zip(&reference.layers).zip(&layer_ptrs) {
+                let want = [
+                    &want.wq, &want.wk, &want.wv, &want.wo, &want.w1, &want.w2, &want.w3,
+                ];
+                for (((got, want), (rows, cols)), &ptr) in
+                    layer.operands().into_iter().zip(want).zip(shapes).zip(ptrs)
+                {
+                    assert_eq!(read_back(got, want, rows, cols), ptr);
+                }
+            }
+            assert_eq!(
+                read_back(&r.embedding, &reference.token_embedding, c.vocab_size, dim),
+                table
+            );
+            let classifier = read_back(r.classifier(), reference.classifier(), c.vocab_size, dim);
+            assert_eq!(classifier, wcls.unwrap_or(table));
+            for token in 0..c.vocab_size {
+                let want = &reference.token_embedding[token * dim..(token + 1) * dim];
+                let mut gathered = vec![f32::NAN; dim];
+                r.embedding_row(token).copy_to(&mut gathered);
+                assert_eq!(gathered, want, "token {token}");
+            }
+        }
     }
 
     #[test]

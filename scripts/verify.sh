@@ -53,6 +53,26 @@ if grep -rnE 'MatVecStrategy|set_strategy|SPEEDLLM_THREADS|SpecSession|VerifyTar
     exit 1
 fi
 
+echo "== tier 1: one f32 kernel on the hot path =="
+# Every f32 matrix is resident in kernel order and streamed by
+# ops::tiled_matmul_rows_xt. The row-major ops::matmul / ops::matvec stay
+# as the reference that probes and tests call; no code above
+# #[cfg(test)] in the crates that run models may call them.
+for f in crates/{llama,accel,serve}/src/*.rs crates/{llama,accel,serve}/src/*/*.rs; do
+    [[ -e "$f" ]] || continue
+    if sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE 'ops::(matmul|matvec)\('; then
+        echo "$f: a row-major f32 GEMM call above #[cfg(test)] (see the lines above)" >&2
+        exit 1
+    fi
+done
+# The two kernels compiled twice, baseline and AVX2, are the only code
+# built for a target feature.
+if grep -rn --include='*.rs' '#\[target_feature' crates src tests examples benchmark/src |
+    grep -vE '^crates/llama/src/(ops|qgemm)\.rs:'; then
+    echo "#[target_feature] outside crates/llama/src/{ops,qgemm}.rs (see the lines above)" >&2
+    exit 1
+fi
+
 echo "== tier 1: release build =="
 # --workspace so the release `speedllm` binary used by the telemetry smoke
 # below is rebuilt too (the root package alone excludes the CLI crate).
@@ -135,9 +155,12 @@ cargo test --release -q -p speedllm --test batched_decode_props
 # at opt-level 2; the benchmark and the serve runs are release + thin
 # LTO, and the two vectorize differently.
 cargo test --release -q -p speedllm --test kernel_identity
-# The quantized kernel body is compiled twice (baseline and AVX2); its
-# unit tests compare the two bit for bit, in the profile that ships.
+# The quantized and the kernel-order f32 kernel bodies are each compiled
+# twice (baseline and AVX2); their unit tests compare the two bit for bit,
+# and the f32 one against `dot`, in the profile that ships.
 cargo test --release -q -p speedllm-llama qgemm
+cargo test --release -q -p speedllm-llama kernel_order
+cargo test --release -q -p speedllm-llama f32_instantiations
 
 echo "== unified-batch smoke (mixed prefill+decode ticks) =="
 uni_a="$(./target/release/speedllm serve-bench --smoke --mode bursty --burst-size 4 --burst-gap 16 --token-budget 8 --prefill-ratio 50)"
