@@ -93,10 +93,15 @@ pub struct BatchState {
     /// A GEMM's activations transposed batch-major, `[max(dim, hidden_dim)
     /// * capacity]`.
     xt: Vec<f32>,
+    /// RoPE rotations of the context window. It depends on the config
+    /// alone, so a state regrown for more rows takes it over.
+    rope: ops::RopeTable,
 }
 
 impl BatchState {
-    fn new(c: &ModelConfig, capacity: usize) -> Self {
+    /// Buffers for `capacity` rows; `rope` is the table a smaller state
+    /// already built, if any.
+    fn new(c: &ModelConfig, capacity: usize, rope: Option<ops::RopeTable>) -> Self {
         let widest = c.dim.max(c.hidden_dim).max(c.vocab_size);
         Self {
             capacity,
@@ -112,6 +117,8 @@ impl BatchState {
             logits: vec![0.0; capacity * c.vocab_size],
             gemm: vec![0.0; capacity * widest],
             xt: vec![0.0; capacity * c.dim.max(c.hidden_dim)],
+            rope: rope
+                .unwrap_or_else(|| ops::RopeTable::new(c.seq_len, c.head_dim(), ops::ROPE_THETA)),
         }
     }
 }
@@ -414,7 +421,8 @@ impl Transformer {
         }
 
         if scratch.as_ref().is_none_or(|b| b.capacity < rows) {
-            *scratch = Some(BatchState::new(&c, rows));
+            let rope = scratch.take().map(|b| b.rope);
+            *scratch = Some(BatchState::new(&c, rows, rope));
         }
         let bs = scratch.as_mut().expect("scratch just ensured");
 
@@ -470,18 +478,8 @@ impl Transformer {
                 // one-row calls would have left them.
                 for r in 0..rows {
                     let pos = row_pos[r];
-                    ops::rope_inplace(
-                        &mut bs.q[r * dim..(r + 1) * dim],
-                        pos,
-                        head_dim,
-                        ops::ROPE_THETA,
-                    );
-                    ops::rope_inplace(
-                        &mut bs.k[r * kv_dim..(r + 1) * kv_dim],
-                        pos,
-                        head_dim,
-                        ops::ROPE_THETA,
-                    );
+                    bs.rope.apply(&mut bs.q[r * dim..(r + 1) * dim], pos);
+                    bs.rope.apply(&mut bs.k[r * kv_dim..(r + 1) * kv_dim], pos);
                     kv.store(
                         row_seq[r],
                         layer,

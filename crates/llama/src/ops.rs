@@ -110,11 +110,15 @@ pub fn transpose_batch_major_into(xt: &mut [f32], xs: &[f32], cols: usize, batch
     }
 }
 
-/// Weight rows per register tile. Measured, not tunable: on the 32000×288
-/// classifier at width 1, 4 rows still leave the add chain exposed, 8
-/// reach the host's stream bandwidth, and 16 spill the accumulators and
-/// give the whole gain back; 8 is also the best or tied-best height for
-/// the 2-, 4- and 8-lane blocks.
+/// Weight rows per register tile, and per storage tile of the
+/// kernel-order matrices ([`to_kernel_order`], [`crate::quant::QuantMatrix`]).
+/// Measured, not tunable, on the row-major reference ([`matmul_rows_xt`]):
+/// on the 32000×288 classifier at width 1, 4 rows still leave the add
+/// chain exposed, 8 reach the host's stream bandwidth, and 16 spill the
+/// accumulators and give the whole gain back; 8 is also the best or
+/// tied-best height for the 2-, 4- and 8-lane blocks. The kernel-order
+/// kernels keep 8-row storage and read two adjacent tiles per step where
+/// a 16-wide register holds them ([`tiled_matmul_rows_xt`]).
 pub const ROW_TILE: usize = 8;
 
 /// Columns per interleaved block of the one-lane path of [`tile_accumulate`].
@@ -353,80 +357,167 @@ impl std::fmt::Debug for KernelRow<'_> {
     }
 }
 
-/// Widest lane block of the kernel-order kernel: 8 accumulator vectors,
-/// the weight column and a broadcast fit AVX2's 16 registers.
-const MAX_LANES: usize = 8;
+/// Widest lane block of the kernel-order kernels, here and in
+/// [`crate::qgemm`]: 8 accumulator vectors, the weight column and a
+/// broadcast (qgemm: the scales and a temporary too) fit AVX2's 16
+/// registers.
+pub(crate) const MAX_LANES: usize = 8;
 
-/// Lanes `b0..b0 + L` of one `R`-row kernel-order tile (`tile` holds its
-/// `R × cols` weights, column `c` at `tile[c * R..(c + 1) * R]`):
-/// `acc[l][i] = tile row i · x_{b0 + l}`, lanes past `L` zero. Each column
-/// is one load applied to every lane, and each accumulator takes its terms
-/// in increasing column order, mul then add — [`dot`]'s order.
+/// Lanes per accumulator group of a lane block. A block of 8 lanes is two
+/// groups of 4 over one column loop: with 16-wide accumulators the
+/// compiler kept at most 5 lanes of one array in registers, and 6 to 8
+/// compiled to code about 10× slower.
+pub(crate) const GROUP_LANES: usize = 4;
+
+/// The accumulators of one lane block: `[lane][tile][row]`.
+pub(crate) type LaneAccs<const R: usize, const T: usize> = [[[f32; R]; T]; MAX_LANES];
+
+/// One column step of a lane group: `acc[l][j][i] += wv[j][i] * x[l]`, a
+/// mul then an add per accumulator — [`dot`]'s step.
 #[inline(always)]
-fn tiled_lane_block<const R: usize, const L: usize>(
-    tile: &[f32],
-    xt: &[f32],
-    batch: usize,
-    b0: usize,
-) -> [[f32; R]; MAX_LANES] {
-    let mut acc = [[0.0f32; R]; L];
-    for (wc, xc) in tile.chunks_exact(R).zip(xt.chunks_exact(batch)) {
-        let wv: &[f32; R] = wc.try_into().expect("one tile column");
-        let x: &[f32; L] = xc[b0..b0 + L].try_into().expect("lane block in bounds");
-        for l in 0..L {
+pub(crate) fn accumulate_lanes<const R: usize, const T: usize, const L: usize>(
+    acc: &mut [[[f32; R]; T]; L],
+    wv: &[[f32; R]; T],
+    x: &[f32],
+) {
+    let x: &[f32; L] = x[..L].try_into().expect("lane group in bounds");
+    for l in 0..L {
+        for j in 0..T {
             for i in 0..R {
-                acc[l][i] += wv[i] * x[l];
+                acc[l][j][i] += wv[j][i] * x[l];
             }
         }
     }
-    let mut lanes = [[0.0f32; R]; MAX_LANES];
-    lanes[..L].copy_from_slice(&acc);
+}
+
+/// Writes lanes `b0..b0 + lanes` of a lane block whose first row is `r0`
+/// to `out`, the rows inside `rows` only.
+///
+/// Called after the `match` over the lane count, in both kernels: there
+/// the count is a run-time value, so each block hands over its
+/// accumulators as whole `T × R`-wide vectors, which is what lets the
+/// compiler keep them in vector registers for every count (written per
+/// count, widths 3, 5 and 6 ran 5× slower).
+#[inline(always)]
+pub(crate) fn write_lanes<const R: usize, const T: usize>(
+    out: &mut [f32],
+    acc: &LaneAccs<R, T>,
+    lanes: usize,
+    r0: usize,
+    rows: &std::ops::Range<usize>,
+    batch: usize,
+    b0: usize,
+) {
+    for (l, lane) in acc[..lanes].iter().enumerate() {
+        for (i, &v) in lane.as_flattened().iter().enumerate() {
+            let r = r0 + i;
+            if rows.contains(&r) {
+                out[(r - rows.start) * batch + b0 + l] = v;
+            }
+        }
+    }
+}
+
+/// Lanes `b0..b0 + A + B` of `T` adjacent `R`-row kernel-order tiles
+/// (`tiles` holds their `T × R × cols` weights, column `c` of tile `j` at
+/// `tiles[(j * cols + c) * R..][..R]`): `acc[l][j][i] = row j * R + i ·
+/// x_{b0 + l}`, lanes past `A + B` zero. Column `c` of all `T` tiles is
+/// one `T × R`-wide vector applied to every lane, and each accumulator
+/// takes its terms in increasing column order, mul then add — [`dot`]'s
+/// order. The lanes go in two groups, `A` then `B` (see [`GROUP_LANES`]).
+#[inline(always)]
+fn tiled_lane_block<const R: usize, const T: usize, const A: usize, const B: usize>(
+    tiles: &[f32],
+    cols: usize,
+    xt: &[f32],
+    batch: usize,
+    b0: usize,
+) -> LaneAccs<R, T> {
+    let mut a = [[[0.0f32; R]; T]; A];
+    let mut b = [[[0.0f32; R]; T]; B];
+    let columns: [&[[f32; R]]; T] =
+        std::array::from_fn(|j| &tiles[j * R * cols..][..R * cols].as_chunks().0[..cols]);
+    // Zipped with tile 0's columns so the compiler sees `c < cols` and
+    // drops the bounds checks: counting columns another way cost width 1
+    // about 15%.
+    for (c, (xc, _)) in xt.chunks_exact(batch).zip(columns[0]).enumerate() {
+        let wv: [[f32; R]; T] = std::array::from_fn(|j| columns[j][c]);
+        accumulate_lanes(&mut a, &wv, &xc[b0..]);
+        accumulate_lanes(&mut b, &wv, &xc[b0 + A..]);
+    }
+    let mut lanes = [[[0.0f32; R]; T]; MAX_LANES];
+    lanes[..A].copy_from_slice(&a);
+    lanes[A..A + B].copy_from_slice(&b);
     lanes
 }
 
-/// Every lane of one `R`-row tile whose first row is `r0`, in lane blocks
-/// of [`MAX_LANES`] and then one block of exactly the lanes left over; the
-/// tile's rows inside `rows` are written out.
-///
-/// The write-out sits after the `match`, as in [`crate::qgemm`]: each
-/// block hands over its accumulators as whole `R`-wide vectors, which is
-/// what lets the compiler keep them in vector registers for every `L`.
+/// Every lane of `T` adjacent `R`-row tiles whose first row is `r0`, in
+/// lane blocks of [`MAX_LANES`] and then one block of exactly the lanes
+/// left over; the tiles' rows inside `rows` are written out
+/// ([`write_lanes`]).
 #[inline(always)]
-fn tiled_tile<const R: usize>(
+fn tiled_tiles<const R: usize, const T: usize>(
     out: &mut [f32],
-    tile: &[f32],
+    tiles: &[f32],
+    cols: usize,
     r0: usize,
     xt: &[f32],
     rows: &std::ops::Range<usize>,
     batch: usize,
 ) {
+    const G: usize = GROUP_LANES;
     for b0 in (0..batch).step_by(MAX_LANES) {
         let lanes = (batch - b0).min(MAX_LANES);
         let acc = match lanes {
-            1 => tiled_lane_block::<R, 1>(tile, xt, batch, b0),
-            2 => tiled_lane_block::<R, 2>(tile, xt, batch, b0),
-            3 => tiled_lane_block::<R, 3>(tile, xt, batch, b0),
-            4 => tiled_lane_block::<R, 4>(tile, xt, batch, b0),
-            5 => tiled_lane_block::<R, 5>(tile, xt, batch, b0),
-            6 => tiled_lane_block::<R, 6>(tile, xt, batch, b0),
-            7 => tiled_lane_block::<R, 7>(tile, xt, batch, b0),
-            _ => tiled_lane_block::<R, MAX_LANES>(tile, xt, batch, b0),
+            1 => tiled_lane_block::<R, T, 1, 0>(tiles, cols, xt, batch, b0),
+            2 => tiled_lane_block::<R, T, 2, 0>(tiles, cols, xt, batch, b0),
+            3 => tiled_lane_block::<R, T, 3, 0>(tiles, cols, xt, batch, b0),
+            4 => tiled_lane_block::<R, T, G, 0>(tiles, cols, xt, batch, b0),
+            5 => tiled_lane_block::<R, T, G, 1>(tiles, cols, xt, batch, b0),
+            6 => tiled_lane_block::<R, T, G, 2>(tiles, cols, xt, batch, b0),
+            7 => tiled_lane_block::<R, T, G, 3>(tiles, cols, xt, batch, b0),
+            _ => tiled_lane_block::<R, T, G, G>(tiles, cols, xt, batch, b0),
         };
-        for (l, lane) in acc[..lanes].iter().enumerate() {
-            for (i, &v) in lane.iter().enumerate() {
-                let r = r0 + i;
-                if rows.contains(&r) {
-                    out[(r - rows.start) * batch + b0 + l] = v;
-                }
-            }
-        }
+        write_lanes(out, &acc, lanes, r0, rows, batch, b0);
     }
 }
 
-/// The one kernel-order f32 kernel body: the full tiles that overlap
-/// `rows`, each computed whole and written in part, then the row-major
-/// tail rows inside `rows` as one-row tiles (a one-row tile in kernel
-/// order *is* a row-major row).
+/// The one kernel-order f32 kernel body, `T` tiles per step: the full
+/// tiles that overlap `rows`, `T` adjacent ones at a time and a leftover
+/// one alone, each computed whole and written in part, then the
+/// row-major tail rows inside `rows` as one-row tiles (a one-row tile in
+/// kernel order *is* a row-major row). The storage is the same for every
+/// `T`: adjacent tiles are adjacent in memory.
+#[inline(always)]
+fn tiled_body<const T: usize>(
+    out: &mut [f32],
+    w: &[f32],
+    xt: &[f32],
+    rows: std::ops::Range<usize>,
+    cols: usize,
+    batch: usize,
+) {
+    let tiled = w.len() / cols / ROW_TILE * ROW_TILE;
+    let tile_len = ROW_TILE * cols;
+    let (mut t, end) = (
+        rows.start / ROW_TILE,
+        rows.end.min(tiled).div_ceil(ROW_TILE),
+    );
+    while t + T <= end {
+        let tiles = &w[t * tile_len..][..T * tile_len];
+        tiled_tiles::<ROW_TILE, T>(out, tiles, cols, t * ROW_TILE, xt, &rows, batch);
+        t += T;
+    }
+    for t in t..end {
+        let tile = &w[t * tile_len..][..tile_len];
+        tiled_tiles::<ROW_TILE, 1>(out, tile, cols, t * ROW_TILE, xt, &rows, batch);
+    }
+    for r in rows.start.max(tiled)..rows.end {
+        tiled_tiles::<1, 1>(out, &w[r * cols..][..cols], cols, r, xt, &rows, batch);
+    }
+}
+
+/// [`tiled_body`] one tile per step, at the build's baseline.
 #[inline(always)]
 fn tiled_kernel(
     out: &mut [f32],
@@ -436,14 +527,7 @@ fn tiled_kernel(
     cols: usize,
     batch: usize,
 ) {
-    let tiled = w.len() / cols / ROW_TILE * ROW_TILE;
-    for t in rows.start / ROW_TILE..rows.end.min(tiled).div_ceil(ROW_TILE) {
-        let tile = &w[t * ROW_TILE * cols..][..ROW_TILE * cols];
-        tiled_tile::<ROW_TILE>(out, tile, t * ROW_TILE, xt, &rows, batch);
-    }
-    for r in rows.start.max(tiled)..rows.end {
-        tiled_tile::<1>(out, &w[r * cols..][..cols], r, xt, &rows, batch);
-    }
+    tiled_body::<1>(out, w, xt, rows, cols, batch);
 }
 
 /// [`tiled_kernel`] compiled with AVX2 enabled.
@@ -460,6 +544,21 @@ fn tiled_kernel_avx2(
     tiled_kernel(out, w, xt, rows, cols, batch);
 }
 
+/// [`tiled_body`] two tiles per step, compiled with AVX-512 enabled: a
+/// column of a tile pair fills one 16-wide register.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn tiled_kernel_avx512(
+    out: &mut [f32],
+    w: &[f32],
+    xt: &[f32],
+    rows: std::ops::Range<usize>,
+    cols: usize,
+    batch: usize,
+) {
+    tiled_body::<2>(out, w, xt, rows, cols, batch);
+}
+
 /// Batched matmul over a **kernel-order** matrix ([`to_kernel_order`])
 /// and pre-transposed (batch-major) activations: `out[(r - rows.start) *
 /// batch + b] = w[r, :] · x_b` for `r` in `rows`, any row range. Each tile
@@ -467,11 +566,15 @@ fn tiled_kernel_avx2(
 /// element equals `dot(w[r, :], x_b)` bit for bit — the same values as
 /// [`matmul_rows_xt`] over the row-major matrix.
 ///
-/// The body is compiled twice, at the build's baseline and with AVX2
-/// enabled, and picked per call as [`crate::qgemm::qmatmul_rows_xt`] does.
-/// Both run the same IEEE operations in the same order (mul then add,
-/// never a fused multiply-add), so they agree bit for bit; the AVX2 copy
-/// is faster because a tile column fills one 8-wide register.
+/// The body is compiled three times — at the build's baseline, with AVX2
+/// and with AVX-512 — and picked per call as
+/// [`crate::qgemm::qmatmul_rows_xt`] does. All run the same IEEE
+/// operations in the same order (mul then add, never a fused
+/// multiply-add), so they agree bit for bit. The AVX2 copy is faster
+/// because a tile column fills one 8-wide register; the AVX-512 copy
+/// reads two tiles per step into one 16-wide register, which pays only
+/// where the kernel is bound by arithmetic, from width 2 up. Width 1 is
+/// bound by the weight stream and stays on AVX2.
 #[allow(unsafe_code)]
 pub fn tiled_matmul_rows_xt(
     out: &mut [f32],
@@ -485,6 +588,16 @@ pub fn tiled_matmul_rows_xt(
     assert_eq!(w.len() % cols, 0, "a whole number of rows");
     assert!(rows.end * cols <= w.len());
     assert_eq!(xt.len(), cols * batch);
+    #[cfg(target_arch = "x86_64")]
+    if batch >= 2 && std::arch::is_x86_feature_detected!("avx512f") {
+        // SAFETY: `tiled_kernel_avx512` is a safe function whose only
+        // extra requirement is that the CPU executes AVX-512F
+        // instructions, and the line above has just observed that this
+        // one does. It is `tiled_body` under another instruction
+        // selection: all memory access is through the same bounds-checked
+        // slices.
+        return unsafe { tiled_kernel_avx512(out, w, xt, rows, cols, batch) };
+    }
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: `tiled_kernel_avx2` is a safe function whose only extra
@@ -538,8 +651,61 @@ pub fn rope_inplace(v: &mut [f32], pos: usize, head_dim: usize, theta: f32) {
     }
 }
 
+/// [`rope_inplace`]'s rotations for every position of a context window,
+/// computed once: `(sin, cos)` of each `(pos, pair)` by the very
+/// expressions `rope_inplace` evaluates per call, so [`RopeTable::apply`]
+/// is bit-identical to it.
+#[derive(Debug, Clone)]
+pub(crate) struct RopeTable {
+    head_dim: usize,
+    /// Pair `i / 2` at position `pos` is `[pos * head_dim / 2 + i / 2]`.
+    sin_cos: Vec<(f32, f32)>,
+}
+
+impl RopeTable {
+    /// The table for positions `0..seq_len` of `head_dim`-wide heads.
+    #[must_use]
+    pub(crate) fn new(seq_len: usize, head_dim: usize, theta: f32) -> Self {
+        assert_eq!(head_dim % 2, 0, "head_dim must be even");
+        let freqs: Vec<f32> = (0..head_dim)
+            .step_by(2)
+            .map(|i| 1.0 / theta.powf(i as f32 / head_dim as f32))
+            .collect();
+        let sin_cos = (0..seq_len)
+            .flat_map(|pos| freqs.iter().map(move |&freq| (pos as f32 * freq).sin_cos()))
+            .collect();
+        Self { head_dim, sin_cos }
+    }
+
+    /// [`rope_inplace`] of `v` at `pos`, read from the table.
+    pub(crate) fn apply(&self, v: &mut [f32], pos: usize) {
+        debug_assert_eq!(
+            v.len() % self.head_dim,
+            0,
+            "vector not a whole number of heads"
+        );
+        let half = self.head_dim / 2;
+        let rot = &self.sin_cos[pos * half..][..half];
+        for head in v.chunks_exact_mut(self.head_dim) {
+            for (pair, &(sin, cos)) in head.chunks_exact_mut(2).zip(rot) {
+                let (v0, v1) = (pair[0], pair[1]);
+                pair[0] = v0 * cos - v1 * sin;
+                pair[1] = v0 * sin + v1 * cos;
+            }
+        }
+    }
+}
+
+/// Keys per tile of [`attention_scores`].
+const KEY_TILE: usize = 4;
+
 /// Attention scores for one head: `scores[t] = q · k_t / sqrt(head_dim)` for
 /// `t` in `0..=pos`, where `key_at(t)` yields the cached key row.
+///
+/// Keys go [`KEY_TILE`] at a time, one accumulator each over one pass of
+/// `q`: the tile's sums are independent chains, so their add latencies
+/// overlap. Each accumulator still takes its terms in increasing index,
+/// mul then add, so every score is `dot(q, k_t) * scale` bit for bit.
 pub fn attention_scores<'k>(
     scores: &mut [f32],
     q: &[f32],
@@ -548,7 +714,22 @@ pub fn attention_scores<'k>(
 ) {
     debug_assert!(scores.len() > pos);
     let scale = 1.0 / (q.len() as f32).sqrt();
-    for (t, s) in scores.iter_mut().enumerate().take(pos + 1) {
+    let (tiles, rest) = scores[..=pos].as_chunks_mut::<KEY_TILE>();
+    for (n, tile) in tiles.iter_mut().enumerate() {
+        let keys: [&[f32]; KEY_TILE] =
+            std::array::from_fn(|j| &key_at(n * KEY_TILE + j)[..q.len()]);
+        let mut acc = [0.0f32; KEY_TILE];
+        for (i, &qi) in q.iter().enumerate() {
+            for (a, k) in acc.iter_mut().zip(keys) {
+                *a += qi * k[i];
+            }
+        }
+        for (s, a) in tile.iter_mut().zip(acc) {
+            *s = a * scale;
+        }
+    }
+    let first = tiles.len() * KEY_TILE;
+    for (t, s) in (first..).zip(rest) {
         *s = dot(q, key_at(t)) * scale;
     }
 }
@@ -793,6 +974,134 @@ mod tests {
             tiled_matmul_rows_xt(&mut detected, &k, &xt, range, cols, batch);
             let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&portable), bits(&detected), "batch {batch}");
+        }
+    }
+
+    /// Row ranges of a `rows`-row matrix: the whole, and ones that start
+    /// and end mid-tile and mid-pair of tiles.
+    fn row_ranges(rows: usize) -> Vec<std::ops::Range<usize>> {
+        let mut ranges = vec![0..rows, rows / 2..rows];
+        for (start, end) in [(3, 2), (11, 5), (19, 13)] {
+            if start + end < rows {
+                ranges.push(start..rows - end);
+            }
+        }
+        ranges
+    }
+
+    /// The two-tile instantiation of the kernel body, compiled at the
+    /// baseline, is `dot(w[r, :], x_b)` bit for bit — over an odd tile
+    /// left after the pairs, the row-major tail, every lane-group split
+    /// of batches up to 33, and ranges that cut tiles and pairs.
+    #[test]
+    fn kernel_order_pair_body_replays_dot_bit_for_bit() {
+        for rows in [1usize, 7, 8, 15, 16, 17, 24, 44, 45, 768] {
+            for cols in [16usize, 17, 288] {
+                let (w, k) = kernel_order_case(rows, cols, (rows * 1000 + cols) as u64);
+                for batch in 1..=33 {
+                    let xs = normal(batch * cols, (batch * 7 + rows) as u64);
+                    let xt = transpose_batch_major(&xs, cols, batch);
+                    for range in row_ranges(rows) {
+                        let mut out = vec![f32::NAN; range.len() * batch];
+                        tiled_body::<2>(&mut out, &k, &xt, range.clone(), cols, batch);
+                        for r in range.clone() {
+                            for b in 0..batch {
+                                let want = dot(
+                                    &w[r * cols..(r + 1) * cols],
+                                    &xs[b * cols..(b + 1) * cols],
+                                );
+                                assert_eq!(
+                                    out[(r - range.start) * batch + b].to_bits(),
+                                    want.to_bits(),
+                                    "{rows}x{cols} batch {batch} range {range:?} row {r} lane {b}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// An f32 kernel-order GEMM's signature.
+    type F32Kernel = fn(&mut [f32], &[f32], &[f32], std::ops::Range<usize>, usize, usize);
+
+    /// The run-time-selected copy — AVX-512 two tiles per step from width
+    /// 2 where the CPU has it, else AVX2 or the baseline one tile per
+    /// step — equals both baseline instantiations bit for bit. On a host
+    /// without AVX-512 the selected side is a one-tile copy.
+    #[test]
+    fn avx512_and_baseline_f32_instantiations_agree_bitwise() {
+        let (rows, cols) = (61, 37);
+        let (_, k) = kernel_order_case(rows, cols, 13);
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        for batch in 1..=33 {
+            let xt = transpose_batch_major(&normal(batch * cols, batch as u64), cols, batch);
+            for range in row_ranges(rows) {
+                let run = |kernel: F32Kernel| {
+                    let mut out = vec![f32::NAN; range.len() * batch];
+                    kernel(&mut out, &k, &xt, range.clone(), cols, batch);
+                    bits(&out)
+                };
+                let detected = run(tiled_matmul_rows_xt);
+                assert_eq!(
+                    detected,
+                    run(tiled_body::<2>),
+                    "batch {batch} range {range:?}"
+                );
+                assert_eq!(detected, run(tiled_kernel), "batch {batch} range {range:?}");
+            }
+        }
+    }
+
+    /// The table's rotation is `rope_inplace`'s, bit for bit, at every
+    /// position of the window and for several head widths.
+    #[test]
+    fn rope_table_replays_rope_inplace_bit_for_bit() {
+        for (seq_len, head_dim, heads) in [
+            (37usize, 2usize, 3usize),
+            (64, 8, 2),
+            (256, 48, 6),
+            (40, 64, 1),
+        ] {
+            let table = RopeTable::new(seq_len, head_dim, ROPE_THETA);
+            for pos in 0..seq_len {
+                let v = normal(heads * head_dim, pos as u64);
+                let (mut want, mut got) = (v.clone(), v);
+                rope_inplace(&mut want, pos, head_dim, ROPE_THETA);
+                table.apply(&mut got, pos);
+                let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "head_dim {head_dim} pos {pos}");
+            }
+        }
+    }
+
+    /// Key-tiled scores are per-key `dot(q, k_t) * scale`, bit for bit,
+    /// for every `pos` of a window that is not a multiple of the tile.
+    #[test]
+    fn tiled_attention_scores_replay_per_key_dot_bit_for_bit() {
+        for (seq_len, head_dim) in [(37usize, 48usize), (20, 7), (9, 64)] {
+            let keys: Vec<Vec<f32>> = (0..seq_len)
+                .map(|t| normal(head_dim, 100 + t as u64))
+                .collect();
+            let q = normal(head_dim, 5);
+            let scale = 1.0 / (head_dim as f32).sqrt();
+            for pos in 0..seq_len {
+                let mut scores = vec![f32::NAN; seq_len];
+                attention_scores(&mut scores, &q, |t| &keys[t], pos);
+                for (t, s) in scores.iter().enumerate() {
+                    let want = if t <= pos {
+                        dot(&q, &keys[t]) * scale
+                    } else {
+                        f32::NAN
+                    };
+                    assert_eq!(
+                        s.to_bits(),
+                        want.to_bits(),
+                        "seq {seq_len} pos {pos} key {t}"
+                    );
+                }
+            }
         }
     }
 

@@ -1,13 +1,14 @@
 //! Fused dequant-GEMM kernel over group-quantized weights.
 //!
-//! It mirrors the weight-reuse shape of [`crate::ops::matmul`]: one pass
-//! over the quantized weight matrix per batched tick. [`QuantMatrix`] is
-//! stored in the order the kernel consumes it — [`ROW_TILE`] rows
-//! interleaved column by column — so each column of a row tile is one
-//! vector load, converted and scaled **once** in registers
-//! ([`dequant_column_pair`]) and then applied to every lane of the lane block.
-//! The compressed payload, not an f32 expansion, is all that leaves
-//! memory, and nothing is staged or transposed on the way.
+//! One pass over the quantized weight matrix per batched tick, with the
+//! shape of the kernel-order f32 kernel
+//! ([`crate::ops::tiled_matmul_rows_xt`]). [`QuantMatrix`] is stored in
+//! the order the kernel consumes it — [`ROW_TILE`] rows interleaved
+//! column by column — so each column of a row tile is one vector load,
+//! converted and scaled **once** in registers ([`dequant_column_pair`])
+//! and then applied to every lane of the lane block. The compressed
+//! payload, not an f32 expansion, is all that leaves memory, and nothing
+//! is staged or transposed on the way.
 //!
 //! Determinism contract: every output element is one f32 accumulator fed
 //! the dequantized weights in increasing column order — `(q as f32 *
@@ -19,13 +20,17 @@
 //! what keeps quantized serve reports byte-reproducible across batch
 //! compositions and double runs.
 //!
-//! The kernel body is compiled twice, at the build's baseline and with
-//! AVX2 enabled, and [`qmatmul_rows_xt`] picks one per call. Both run the
-//! same IEEE operations in the same order, so they agree bit for bit; the
-//! AVX2 copy is faster because it has the byte→dword widening load that
-//! SSE2 lacks.
+//! The kernel body is compiled three times — at the build's baseline,
+//! with AVX2 one tile per step, and with AVX-512 two adjacent tiles per
+//! step — and [`qmatmul_rows_xt`] picks one per call. All run the same
+//! IEEE operations in the same order, so they agree bit for bit. Unlike
+//! the f32 kernel, the quantized one is bound by its dequantization at
+//! every width, width 1 included, so the AVX-512 copy runs from width 1.
 
-use crate::ops::{transpose_batch_major, ROW_TILE};
+use crate::ops::{
+    accumulate_lanes, transpose_batch_major, write_lanes, LaneAccs, GROUP_LANES, MAX_LANES,
+    ROW_TILE,
+};
 use crate::quant::{dequant_column_pair, QuantKind, QuantMatrix, GROUP};
 use std::ops::Range;
 
@@ -42,98 +47,118 @@ pub fn qmatvec(out: &mut [f32], w: &QuantMatrix, x: &[f32]) {
     qmatvec_rows(out, w, 0..w.rows(), x);
 }
 
-/// Widest lane block: 8 accumulator vectors, the weight vector, the
-/// scales and a temporary fit AVX2's 16 registers.
-const MAX_LANES: usize = 8;
-
-/// Lanes `b0..b0 + L` of row tile `t`: `acc[l][i] = dequant(w[t *
-/// ROW_TILE + i, :]) · x_{b0 + l}`, lanes past `L` zero. Every column of
-/// the tile is dequantized once and applied to all `L` lanes.
+/// Lanes `b0..b0 + A + B` of row tiles `t..t + T`: `acc[l][j][i] =
+/// dequant(w[(t + j) * ROW_TILE + i, :]) · x_{b0 + l}`, lanes past `A + B`
+/// zero. Every column of the `T` tiles is dequantized once and applied to
+/// all lanes, which go in two accumulator groups, `A` then `B`.
 #[inline(always)]
-fn lane_block<const L: usize>(
+fn lane_block<const T: usize, const A: usize, const B: usize>(
     w: &QuantMatrix,
     kind: QuantKind,
     t: usize,
     xt: &[f32],
     batch: usize,
     b0: usize,
-) -> [[f32; ROW_TILE]; MAX_LANES] {
-    #[inline(always)]
-    fn accumulate<const L: usize>(acc: &mut [[f32; ROW_TILE]; L], wv: &[f32; ROW_TILE], x: &[f32]) {
-        let x: &[f32; L] = x[..L].try_into().expect("lane block in bounds");
-        for l in 0..L {
-            for i in 0..ROW_TILE {
-                acc[l][i] += wv[i] * x[l];
-            }
-        }
-    }
-    let mut acc = [[0.0f32; ROW_TILE]; L];
+) -> LaneAccs<ROW_TILE, T> {
+    let mut a = [[[0.0f32; ROW_TILE]; T]; A];
+    let mut b = [[[0.0f32; ROW_TILE]; T]; B];
+    // Plain loops, not `array::from_fn`: a closure the compiler leaves
+    // out of line spills every accumulator around its call.
     for (g, xg) in xt.chunks(GROUP * batch).enumerate() {
-        let (scales, quants) = w.tile_group(t, g);
+        let mut blocks = [w.tile_group(t, g); T];
+        for (j, block) in blocks.iter_mut().enumerate().skip(1) {
+            *block = w.tile_group(t + j, g);
+        }
         // Two columns a step; a row's last group may end on an odd one.
         for (p, xp) in xg.chunks(2 * batch).enumerate() {
-            let [w0, w1] = dequant_column_pair(kind, scales, quants, p);
-            accumulate(&mut acc, &w0, &xp[b0..]);
+            let mut w0 = [[0.0f32; ROW_TILE]; T];
+            let mut w1 = [[0.0f32; ROW_TILE]; T];
+            for (j, &(scales, quants)) in blocks.iter().enumerate() {
+                [w0[j], w1[j]] = dequant_column_pair(kind, scales, quants, p);
+            }
+            accumulate_lanes(&mut a, &w0, &xp[b0..]);
+            accumulate_lanes(&mut b, &w0, &xp[b0 + A..]);
             if xp.len() > batch {
-                accumulate(&mut acc, &w1, &xp[batch + b0..]);
+                accumulate_lanes(&mut a, &w1, &xp[batch + b0..]);
+                accumulate_lanes(&mut b, &w1, &xp[batch + b0 + A..]);
             }
         }
     }
-    let mut lanes = [[0.0f32; ROW_TILE]; MAX_LANES];
-    lanes[..L].copy_from_slice(&acc);
+    let mut lanes = [[[0.0f32; ROW_TILE]; T]; MAX_LANES];
+    lanes[..A].copy_from_slice(&a);
+    lanes[A..A + B].copy_from_slice(&b);
     lanes
 }
 
-/// The one quantized kernel body: the tiles that overlap `rows`, each in
-/// lane blocks of [`MAX_LANES`] and then one block of exactly the lanes
-/// left over. A tile on the edge of `rows`, or the padded last tile, is
-/// computed whole and written in part.
-///
-/// The write-out sits after the `match`, not in `lane_block`, on purpose:
-/// there the lane count is a run-time value, so each block hands over its
-/// accumulators as whole `ROW_TILE`-wide vectors, which is what lets the
-/// compiler keep them in vector registers for every `L` (written per `L`,
-/// widths 3, 5 and 6 ran 5× slower).
+/// The one quantized kernel body, `T` tiles per step: the tiles that
+/// overlap `rows`, `T` adjacent ones at a time and a leftover one alone,
+/// each in lane blocks of [`MAX_LANES`] and then one block of exactly the
+/// lanes left over. A tile on the edge of `rows`, or the padded last
+/// tile, is computed whole and written in part — after the `match`, not
+/// in `lane_block`, for the reason [`write_lanes`] gives.
 #[inline(always)]
-fn kernel(out: &mut [f32], w: &QuantMatrix, xt: &[f32], rows: Range<usize>, batch: usize) {
+fn body<const T: usize>(
+    out: &mut [f32],
+    w: &QuantMatrix,
+    xt: &[f32],
+    rows: Range<usize>,
+    batch: usize,
+) {
     #[inline(always)]
-    fn tiles(
+    fn tiles<const T: usize>(
+        out: &mut [f32],
+        w: &QuantMatrix,
+        kind: QuantKind,
+        t: usize,
+        xt: &[f32],
+        rows: &Range<usize>,
+        batch: usize,
+    ) {
+        const G: usize = GROUP_LANES;
+        for b0 in (0..batch).step_by(MAX_LANES) {
+            let lanes = (batch - b0).min(MAX_LANES);
+            let acc = match lanes {
+                1 => lane_block::<T, 1, 0>(w, kind, t, xt, batch, b0),
+                2 => lane_block::<T, 2, 0>(w, kind, t, xt, batch, b0),
+                3 => lane_block::<T, 3, 0>(w, kind, t, xt, batch, b0),
+                4 => lane_block::<T, G, 0>(w, kind, t, xt, batch, b0),
+                5 => lane_block::<T, G, 1>(w, kind, t, xt, batch, b0),
+                6 => lane_block::<T, G, 2>(w, kind, t, xt, batch, b0),
+                7 => lane_block::<T, G, 3>(w, kind, t, xt, batch, b0),
+                _ => lane_block::<T, G, G>(w, kind, t, xt, batch, b0),
+            };
+            write_lanes(out, &acc, lanes, t * ROW_TILE, rows, batch, b0);
+        }
+    }
+    #[inline(always)]
+    fn walk<const T: usize>(
         out: &mut [f32],
         w: &QuantMatrix,
         kind: QuantKind,
         xt: &[f32],
-        rows: Range<usize>,
+        rows: &Range<usize>,
         batch: usize,
     ) {
-        for t in rows.start / ROW_TILE..rows.end.div_ceil(ROW_TILE) {
-            for b0 in (0..batch).step_by(MAX_LANES) {
-                let lanes = (batch - b0).min(MAX_LANES);
-                let acc = match lanes {
-                    1 => lane_block::<1>(w, kind, t, xt, batch, b0),
-                    2 => lane_block::<2>(w, kind, t, xt, batch, b0),
-                    3 => lane_block::<3>(w, kind, t, xt, batch, b0),
-                    4 => lane_block::<4>(w, kind, t, xt, batch, b0),
-                    5 => lane_block::<5>(w, kind, t, xt, batch, b0),
-                    6 => lane_block::<6>(w, kind, t, xt, batch, b0),
-                    7 => lane_block::<7>(w, kind, t, xt, batch, b0),
-                    _ => lane_block::<MAX_LANES>(w, kind, t, xt, batch, b0),
-                };
-                for (l, lane) in acc[..lanes].iter().enumerate() {
-                    for (i, &v) in lane.iter().enumerate() {
-                        let r = t * ROW_TILE + i;
-                        if rows.contains(&r) {
-                            out[(r - rows.start) * batch + b0 + l] = v;
-                        }
-                    }
-                }
-            }
+        let (mut t, end) = (rows.start / ROW_TILE, rows.end.div_ceil(ROW_TILE));
+        while t + T <= end {
+            tiles::<T>(out, w, kind, t, xt, rows, batch);
+            t += T;
+        }
+        for t in t..end {
+            tiles::<1>(out, w, kind, t, xt, rows, batch);
         }
     }
     // A literal kind per arm, so each inlined copy decodes one encoding.
     match w.kind() {
-        QuantKind::Int8 => tiles(out, w, QuantKind::Int8, xt, rows, batch),
-        QuantKind::Int4 => tiles(out, w, QuantKind::Int4, xt, rows, batch),
+        QuantKind::Int8 => walk::<T>(out, w, QuantKind::Int8, xt, &rows, batch),
+        QuantKind::Int4 => walk::<T>(out, w, QuantKind::Int4, xt, &rows, batch),
     }
+}
+
+/// [`body`] one tile per step, at the build's baseline.
+#[inline(always)]
+fn kernel(out: &mut [f32], w: &QuantMatrix, xt: &[f32], rows: Range<usize>, batch: usize) {
+    body::<1>(out, w, xt, rows, batch);
 }
 
 /// [`kernel`] compiled with AVX2 enabled.
@@ -141,6 +166,13 @@ fn kernel(out: &mut [f32], w: &QuantMatrix, xt: &[f32], rows: Range<usize>, batc
 #[target_feature(enable = "avx2")]
 fn kernel_avx2(out: &mut [f32], w: &QuantMatrix, xt: &[f32], rows: Range<usize>, batch: usize) {
     kernel(out, w, xt, rows, batch);
+}
+
+/// [`body`] two tiles per step, compiled with AVX-512 enabled.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn kernel_avx512(out: &mut [f32], w: &QuantMatrix, xt: &[f32], rows: Range<usize>, batch: usize) {
+    body::<2>(out, w, xt, rows, batch);
 }
 
 /// Batched fused dequant-GEMM inner kernel over pre-transposed
@@ -158,6 +190,15 @@ pub fn qmatmul_rows_xt(
     assert_eq!(out.len(), rows.len() * batch);
     assert!(rows.end <= w.rows());
     assert_eq!(xt.len(), w.cols() * batch);
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx512f") {
+        // SAFETY: `kernel_avx512` is a safe function whose only extra
+        // requirement is that the CPU executes AVX-512F instructions, and
+        // the line above has just observed that this one does. It is
+        // `body` under another instruction selection: all memory access
+        // is through the same bounds-checked slices.
+        return unsafe { kernel_avx512(out, w, xt, rows, batch) };
+    }
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: `kernel_avx2` is a safe function whose only extra
@@ -271,6 +312,86 @@ mod tests {
                 qmatmul_rows_xt(&mut detected, &qm, &xt, range, batch);
                 let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&portable), bits(&detected), "{kind:?} batch {batch}");
+            }
+        }
+    }
+
+    /// Row ranges of a `rows`-row matrix: the whole, and ones that start
+    /// and end mid-tile and mid-pair of tiles.
+    fn row_ranges(rows: usize) -> Vec<Range<usize>> {
+        let mut ranges = vec![0..rows, rows / 2..rows];
+        for (start, end) in [(3, 2), (11, 5), (19, 13)] {
+            if start + end < rows {
+                ranges.push(start..rows - end);
+            }
+        }
+        ranges
+    }
+
+    /// The two-tile instantiation of the kernel body, compiled at the
+    /// baseline, is `dot` over the dequantized row bit for bit — over an
+    /// odd tile left after the pairs, the padded last tile, every
+    /// lane-group split of batches up to 33, and ranges that cut tiles and
+    /// pairs.
+    #[test]
+    fn pair_body_replays_the_dequantized_dot_bit_for_bit() {
+        for kind in [QuantKind::Int8, QuantKind::Int4] {
+            for rows in [1usize, 7, 8, 15, 16, 17, 24, 44, 45, 768] {
+                for cols in [16usize, 17, 288] {
+                    let (w, _) = random_case(rows, cols, 0, (rows * 1000 + cols) as u64);
+                    let qm = QuantMatrix::quantize_with(&w, rows, cols, kind);
+                    let deq = qm.dequantize();
+                    for batch in 1..=33 {
+                        let (_, xs) = random_case(0, cols, batch, (batch * 7 + rows) as u64);
+                        let xt = transpose_batch_major(&xs, cols, batch);
+                        for range in row_ranges(rows) {
+                            let mut out = vec![f32::NAN; range.len() * batch];
+                            body::<2>(&mut out, &qm, &xt, range.clone(), batch);
+                            for r in range.clone() {
+                                for b in 0..batch {
+                                    let want = crate::ops::dot(
+                                        &deq[r * cols..(r + 1) * cols],
+                                        &xs[b * cols..(b + 1) * cols],
+                                    );
+                                    assert_eq!(
+                                        out[(r - range.start) * batch + b].to_bits(),
+                                        want.to_bits(),
+                                        "{kind:?} {rows}x{cols} batch {batch} range {range:?} row {r} lane {b}"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The run-time-selected copy — AVX-512 two tiles per step where the
+    /// CPU has it, else AVX2 or the baseline one tile per step — equals
+    /// both baseline instantiations bit for bit. On a host without
+    /// AVX-512 the selected side is a one-tile copy.
+    #[test]
+    fn avx512_and_baseline_instantiations_agree_bitwise() {
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        for kind in [QuantKind::Int8, QuantKind::Int4] {
+            for batch in 1..=33 {
+                let (rows, cols) = (61, 3 * GROUP + 7);
+                let (w, xs) = random_case(rows, cols, batch, 60 + batch as u64);
+                let qm = QuantMatrix::quantize_with(&w, rows, cols, kind);
+                let xt = transpose_batch_major(&xs, cols, batch);
+                for range in row_ranges(rows) {
+                    let run =
+                        |kernel: fn(&mut [f32], &QuantMatrix, &[f32], Range<usize>, usize)| {
+                            let mut out = vec![f32::NAN; range.len() * batch];
+                            kernel(&mut out, &qm, &xt, range.clone(), batch);
+                            bits(&out)
+                        };
+                    let detected = run(qmatmul_rows_xt);
+                    let at = format!("{kind:?} batch {batch} range {range:?}");
+                    assert_eq!(detected, run(body::<2>), "{at}");
+                    assert_eq!(detected, run(kernel), "{at}");
+                }
             }
         }
     }

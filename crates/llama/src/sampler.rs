@@ -154,16 +154,38 @@ impl Sampler {
     }
 }
 
-/// Index of the maximum element (first on ties).
+/// Lanes of [`argmax`]'s two passes.
+const ARGMAX_LANES: usize = 16;
+
+/// Index of the largest non-NaN element, the first on ties (`-0.0 ==
+/// +0.0`); 0 when every element is NaN, or there is none.
+///
+/// Two passes the compiler can vectorize: the largest value, kept per
+/// lane by `v > m` (false for a NaN, which so never enters), and then the
+/// first index holding it.
 #[must_use]
 pub fn argmax(x: &[f32]) -> u32 {
-    let mut best = 0usize;
-    for (i, &v) in x.iter().enumerate().skip(1) {
-        if v > x[best] {
-            best = i;
+    let keep_larger = |m: f32, v: f32| if v > m { v } else { m };
+    let (blocks, tail) = x.as_chunks::<ARGMAX_LANES>();
+    let mut lanes = [f32::NEG_INFINITY; ARGMAX_LANES];
+    for block in blocks {
+        for (m, &v) in lanes.iter_mut().zip(block) {
+            *m = keep_larger(*m, v);
         }
     }
-    best as u32
+    let max = lanes
+        .into_iter()
+        .chain(tail.iter().copied())
+        .fold(f32::NEG_INFINITY, keep_larger);
+    let first_in = |s: &[f32]| s.iter().position(|&v| v == max);
+    let hit = blocks
+        .iter()
+        .position(|b| b.iter().fold(false, |hit, &v| hit | (v == max)));
+    let index = match hit {
+        Some(n) => first_in(&blocks[n]).map(|i| n * ARGMAX_LANES + i),
+        None => first_in(tail).map(|i| blocks.len() * ARGMAX_LANES + i),
+    };
+    index.unwrap_or(0) as u32
 }
 
 /// Draws from a probability vector using an inverse-CDF walk with the given
@@ -246,6 +268,65 @@ mod tests {
         assert_eq!(argmax(&[0.1, 3.0, 2.0]), 1);
         assert_eq!(argmax(&[5.0, 5.0, 1.0]), 0);
         assert_eq!(argmax(&[-1.0]), 0);
+    }
+
+    /// The first index of the largest non-NaN value: ties, signed zeros,
+    /// infinities and NaN anywhere, across the vectorized blocks and the
+    /// tail.
+    #[test]
+    fn argmax_skips_nan_and_keeps_the_first_of_ties() {
+        let nan = f32::NAN;
+        let inf = f32::INFINITY;
+        assert_eq!(argmax(&[]), 0);
+        assert_eq!(argmax(&[nan, 1.0, 3.0, 2.0]), 2, "NaN at index 0");
+        assert_eq!(argmax(&[1.0, nan, 3.0, nan, 2.0]), 2, "NaN in the middle");
+        assert_eq!(argmax(&[1.0, 3.0, 2.0, nan]), 1, "NaN at the end");
+        assert_eq!(argmax(&[nan, nan, nan]), 0, "all NaN");
+        assert_eq!(argmax(&[nan, -inf, -inf]), 1, "-inf beats NaN");
+        assert_eq!(argmax(&[-inf, -inf]), 0);
+        assert_eq!(argmax(&[-1.0, -0.0, 0.0]), 1, "-0.0 == +0.0, first wins");
+        assert_eq!(argmax(&[0.0, -0.0]), 0);
+        assert_eq!(argmax(&[2.0, inf, nan, inf]), 1);
+        assert_eq!(argmax(&[4.0, 7.0, 7.0, 1.0]), 1);
+        // Long enough for several blocks plus a tail, the winner and the
+        // NaNs placed in each part.
+        for len in [16usize, 17, 40, 63] {
+            for at in [0, len / 2, len - 1] {
+                let mut x: Vec<f32> = (0..len).map(|i| (i as f32 * 0.37).sin()).collect();
+                x[at] = 5.0;
+                for (i, v) in x.iter_mut().enumerate() {
+                    if i != at && i % 5 == 0 {
+                        *v = nan;
+                    }
+                }
+                assert_eq!(argmax(&x), at as u32, "len {len} max at {at}");
+                x.push(5.0);
+                assert_eq!(argmax(&x), at as u32, "len {len}: a later tie");
+            }
+            assert_eq!(argmax(&vec![nan; len]), 0, "len {len} all NaN");
+        }
+    }
+
+    /// For every NaN-free input the index is the one a strict `>` scan
+    /// from index 0 gives, as it always was.
+    #[test]
+    fn argmax_matches_the_first_strictly_greater_scan() {
+        let mut rng = Xoshiro256::seed_from_u64(17);
+        for len in 1..80 {
+            let mut x = vec![0.0f32; len];
+            rng.fill_normal(&mut x, 1.0);
+            // Coarse values so ties happen.
+            for v in &mut x {
+                *v = (*v * 2.0).round();
+            }
+            let mut best = 0;
+            for i in 1..len {
+                if x[i] > x[best] {
+                    best = i;
+                }
+            }
+            assert_eq!(argmax(&x), best as u32, "{x:?}");
+        }
     }
 
     #[test]

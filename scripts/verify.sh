@@ -64,9 +64,16 @@ for f in crates/{llama,accel,serve}/src/*.rs crates/{llama,accel,serve}/src/*/*.
         echo "$f: a row-major f32 GEMM call above #[cfg(test)] (see the lines above)" >&2
         exit 1
     fi
+    # RoPE in the walk reads the per-model table (ops::RopeTable);
+    # ops::rope_inplace, which evaluates powf and sin_cos per pair, stays
+    # as the reference the probes and tests call.
+    if sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE 'ops::rope_inplace\('; then
+        echo "$f: a per-call RoPE above #[cfg(test)] (see the lines above)" >&2
+        exit 1
+    fi
 done
-# The two kernels compiled twice, baseline and AVX2, are the only code
-# built for a target feature.
+# The two kernel bodies compiled per instruction set (baseline, AVX2 and
+# AVX-512) are the only code built for a target feature.
 if grep -rn --include='*.rs' '#\[target_feature' crates src tests examples benchmark/src |
     grep -vE '^crates/llama/src/(ops|qgemm)\.rs:'; then
     echo "#[target_feature] outside crates/llama/src/{ops,qgemm}.rs (see the lines above)" >&2
@@ -156,11 +163,21 @@ cargo test --release -q -p speedllm --test batched_decode_props
 # LTO, and the two vectorize differently.
 cargo test --release -q -p speedllm --test kernel_identity
 # The quantized and the kernel-order f32 kernel bodies are each compiled
-# twice (baseline and AVX2); their unit tests compare the two bit for bit,
-# and the f32 one against `dot`, in the profile that ships.
+# three times (baseline and AVX2 one tile per step, AVX-512 two); their
+# unit tests compare the copies bit for bit, and each body, the two-tile
+# one included, against `dot`, in the profile that ships. Which copy ran
+# depends on the CPU, so the log says whether it has AVX-512.
+if grep -qw avx512f /proc/cpuinfo 2>/dev/null; then
+    echo "cpu has avx512f: the AVX-512 kernel copies are exercised"
+else
+    echo "cpu lacks avx512f: the AVX2 or baseline kernel copies are exercised"
+fi
 cargo test --release -q -p speedllm-llama qgemm
 cargo test --release -q -p speedllm-llama kernel_order
 cargo test --release -q -p speedllm-llama f32_instantiations
+# The walk's RoPE table, key-tiled attention scores and the sampler's
+# two-pass argmax, against the per-call reference each replaces.
+cargo test --release -q -p speedllm-llama -- rope_table tiled_attention argmax
 
 echo "== unified-batch smoke (mixed prefill+decode ticks) =="
 uni_a="$(./target/release/speedllm serve-bench --smoke --mode bursty --burst-size 4 --burst-gap 16 --token-budget 8 --prefill-ratio 50)"
