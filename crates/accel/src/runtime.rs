@@ -293,11 +293,18 @@ impl Session {
         let mut stats = SimStats::default();
         let mut prefill_cycles = Cycles::ZERO;
         let mut logits: Vec<f32> = Vec::new();
+        // A plain argmax sampler only needs each scored row's argmax, which
+        // a greedy row keeps bit for bit.
+        let scored = if self.sampler.is_greedy() {
+            LogitRows::Greedy
+        } else {
+            LogitRows::Last
+        };
         let chunk = self.engine.config().prefill_chunk.clamp(1, 64);
         let group = 64 / chunk * chunk;
         let mut pos0 = start;
         for tokens in prompt_tokens.chunks(group) {
-            logits = self.engine.execute_default(tokens, LogitRows::Last);
+            logits = self.engine.execute_default(tokens, scored);
             let group_end = pos0 + tokens.len();
             while pos0 < group_end {
                 let end = (pos0 + chunk).min(group_end);
@@ -330,11 +337,7 @@ impl Session {
             // its logits would never be sampled. The device is charged the
             // same pass either way.
             let last = generated.len() == max_new_tokens || pos + 1 == seq_len;
-            let rows = if last {
-                LogitRows::None
-            } else {
-                LogitRows::Last
-            };
+            let rows = if last { LogitRows::None } else { scored };
             logits = self.engine.execute_default(&[next], rows);
             let (cycles, pass) = self.engine.time(&[pos]);
             tel::metrics::observe("accel.decode_token_cycles", cycles.0);
@@ -667,6 +670,72 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// One `generate` and one `append_generate` of a plain argmax session,
+    /// which scores greedy rows, against the explicit chunk loop, which
+    /// samples the full rows of `prefill_chunk`/`decode_step`: the reports
+    /// agree field for field.
+    fn assert_argmax_turns_match(sys: &AcceleratedLlm, chunk: usize, n: usize, max_new: usize) {
+        let (kind, opt) = (SamplerKind::Argmax, *sys.opt());
+        let mut session = sys.session(kind, 7);
+        let mut engine =
+            Engine::with_config(Arc::clone(sys.weights()), opt, *sys.accel_config()).unwrap();
+        let mut sampler = Sampler::new(kind, 7);
+        let turns = [
+            (prompt_of(sys.tokenizer(), n, true), true),
+            (prompt_of(sys.tokenizer(), 9, false), false),
+        ];
+        for (prompt, first) in turns {
+            let got = if first {
+                session.generate(&prompt, max_new)
+            } else {
+                session.append_generate(&prompt, max_new)
+            }
+            .unwrap();
+            let tokens = sys.tokenizer().encode(&prompt, first, false);
+            let (prefill, decode, per_token, stats, generated) =
+                explicit_turn(&mut engine, &mut sampler, &tokens, chunk, max_new);
+            let at = format!(
+                "{} chunk {chunk} prompt {n} first {first}",
+                opt.short_name()
+            );
+            assert_eq!(got.output.prompt_tokens, tokens, "{at}");
+            assert_eq!(got.output.generated_tokens, generated, "{at}");
+            assert_eq!(got.prefill_cycles, prefill, "{at}");
+            assert_eq!(got.decode_cycles, decode, "{at}");
+            assert_eq!(got.per_token_cycles, per_token, "{at}");
+            assert_eq!(got.stats, stats, "{at}");
+            assert_eq!(got.energy, engine.power_model().energy(&stats), "{at}");
+        }
+    }
+
+    /// The argmax twin of `session_reports_equal_the_explicit_chunk_loop`.
+    #[test]
+    fn argmax_session_reports_equal_the_explicit_chunk_loop() {
+        let cfg = ModelConfig {
+            seq_len: 192,
+            vocab_size: 512,
+            ..ModelConfig::test_tiny()
+        };
+        for opt in [OptConfig::full(), OptConfig::unoptimized()] {
+            let mut sys = AcceleratedLlm::synthetic(cfg, 42, opt).unwrap();
+            for chunk in [1, 4, 7, 64] {
+                sys.set_prefill_chunk(chunk);
+                for n in [1, 5, 64, 65, 130] {
+                    assert_argmax_turns_match(&sys, chunk, n, 3);
+                }
+            }
+        }
+    }
+
+    /// The same on stories15M's 32000-row classifier, one prompt.
+    #[test]
+    fn argmax_session_reports_equal_the_explicit_chunk_loop_on_stories15m() {
+        let mut sys =
+            AcceleratedLlm::synthetic(ModelConfig::stories15m(), 42, OptConfig::full()).unwrap();
+        sys.set_prefill_chunk(4);
+        assert_argmax_turns_match(&sys, 4, 14, 8);
     }
 
     #[test]

@@ -34,6 +34,14 @@ pub enum LogitRows {
     /// logits nobody samples (the last of a generation budget). The final
     /// norm and the classifier GEMM are skipped and `out` is empty.
     None,
+    /// The rows of [`LogitRows::Last`], for a caller that only takes
+    /// their `sampler::argmax`: over an f32 vocab table each row holds the
+    /// exact logit of every token that could be the argmax and −∞
+    /// elsewhere, so its argmax — first-index ties included — and the
+    /// winning value are the `Last` row's, bit for bit. A screen over
+    /// the table's high halves finds those tokens (`crate::vocab`).
+    /// Quantized classifiers score full `Last` rows.
+    Greedy,
 }
 
 impl LogitRows {
@@ -42,7 +50,7 @@ impl LogitRows {
     #[must_use]
     pub fn of_run(self, count: usize) -> usize {
         match self {
-            Self::Last => 1,
+            Self::Last | Self::Greedy => 1,
             Self::All => count,
             Self::None => 0,
         }
@@ -128,7 +136,7 @@ impl BatchState {
 /// (`dst[b * rows + r]`). Pure data movement — `O(rows × batch)` against
 /// the `O(rows × cols)` weight stream it unlocks — and therefore neutral
 /// to bit-identity.
-fn scatter_to_seq(dst: &mut [f32], src: &[f32], rows: usize, batch: usize) {
+pub(crate) fn scatter_to_seq(dst: &mut [f32], src: &[f32], rows: usize, batch: usize) {
     debug_assert_eq!(dst.len(), rows * batch);
     debug_assert_eq!(src.len(), rows * batch);
     for (b, seq) in dst.chunks_exact_mut(rows).enumerate() {
@@ -160,6 +168,7 @@ fn run_matmul(
     ops::transpose_batch_major_into(xt, xs, cols, batch);
     match w {
         Operand::F32(w) => ops::tiled_matmul_rows_xt(out, w, xt, 0..rows, cols, batch),
+        Operand::Vocab(v) => v.matmul(out, xt, 0..rows, batch),
         Operand::Quant(qm) => {
             debug_assert_eq!((qm.rows(), qm.cols()), (rows, cols));
             crate::qgemm::qmatmul_rows_xt(out, qm, xt, 0..rows, batch);
@@ -575,20 +584,30 @@ impl Transformer {
         if n == 0 {
             return &bs.logits[..0];
         }
-        let _cls = tel::span("cpu", "classifier").arg("batch", n as i64);
+        let greedy = match (logit_rows, weights.classifier()) {
+            (LogitRows::Greedy, Operand::Vocab(table)) => Some(table),
+            _ => None,
+        };
+        let _cls = tel::span("cpu", "classifier")
+            .arg("batch", n as i64)
+            .arg("greedy", i64::from(greedy.is_some()));
         for (i, &r) in scored.iter().enumerate() {
             ops::rmsnorm_inplace(&mut bs.x[r * dim..(r + 1) * dim], &weights.rms_final);
             bs.xb[i * dim..(i + 1) * dim].copy_from_slice(&bs.x[r * dim..(r + 1) * dim]);
         }
-        project(
-            &mut bs.logits,
-            weights.classifier(),
-            &bs.xb[..n * dim],
-            c.vocab_size,
-            dim,
-            n,
-        );
-        &bs.logits[..n * c.vocab_size]
+        let logits = &mut bs.logits[..n * c.vocab_size];
+        if let Some(table) = greedy {
+            let counts = table.greedy(logits, &bs.xb[..n * dim], &mut bs.xt, &mut bs.gemm);
+            if tel::enabled() {
+                tel::metrics::counter_add("cpu.greedy_rows", counts.rows as u64);
+                tel::metrics::counter_add("cpu.greedy_candidates", counts.candidates as u64);
+                tel::metrics::counter_add("cpu.greedy_fallbacks", counts.fallbacks as u64);
+            }
+        } else {
+            let xs = &bs.xb[..n * dim];
+            project(logits, weights.classifier(), xs, c.vocab_size, dim, n);
+        }
+        logits
     }
 }
 
@@ -924,6 +943,48 @@ mod tests {
 
     /// A pass that scores no row returns no logits and leaves every KV
     /// row, and so the next call's logits, as a scored pass does.
+    /// Greedy rows over a pass of three runs keep each `Last` row's argmax
+    /// and winning value bit for bit, every other value they keep is the
+    /// `Last` value, and the rest is −∞; over a quantized classifier they
+    /// are the full `Last` rows.
+    #[test]
+    fn greedy_rows_keep_the_argmax_of_the_last_rows() {
+        use crate::kv_cache::KvCache;
+        use crate::sampler::argmax;
+        let cfg = ModelConfig {
+            vocab_size: 512,
+            ..ModelConfig::test_tiny()
+        };
+        let (tokens, counts, starts) = ([5u32, 6, 7, 9, 300, 2], [3usize, 1, 2], [0usize; 3]);
+        for mode in [QuantMode::F32, QuantMode::Int8] {
+            let weights = ResidentWeights::new(TransformerWeights::synthetic(cfg, 11), mode);
+            let mut t = Transformer::with_weights(Arc::new(weights));
+            let [last, greedy] = [LogitRows::Last, LogitRows::Greedy].map(|rows| {
+                let mut kv = [0; 3].map(|_| KvCache::new(&cfg));
+                let mut kv = kv.each_mut();
+                t.forward_runs(kv.as_mut_slice(), &tokens, &counts, &starts, rows)
+                    .to_vec()
+            });
+            assert_eq!(greedy.len(), 3 * cfg.vocab_size);
+            let vocab = cfg.vocab_size;
+            for (g, l) in greedy.chunks_exact(vocab).zip(last.chunks_exact(vocab)) {
+                let best = argmax(l) as usize;
+                assert_eq!(argmax(g) as usize, best, "{mode:?}");
+                assert_eq!(g[best].to_bits(), l[best].to_bits(), "{mode:?}");
+                let kept = g.iter().zip(l).filter(|&(&g, &l)| {
+                    assert!(g.to_bits() == l.to_bits() || g == f32::NEG_INFINITY);
+                    g.to_bits() == l.to_bits()
+                });
+                let kept = kept.count();
+                if mode == QuantMode::F32 {
+                    assert!(kept < vocab / 8, "the screen kept {kept} of {vocab}");
+                } else {
+                    assert_eq!(kept, vocab, "a quantized classifier scores full rows");
+                }
+            }
+        }
+    }
+
     #[test]
     fn an_unscored_pass_extends_the_kv_like_a_scored_one() {
         use crate::kv_cache::KvCache;

@@ -3,8 +3,11 @@
 //! The Llama-2 inference substrate of the SpeedLLM reproduction: everything
 //! the paper's host software stack provides (llama2.c model loading,
 //! tokenization, the reference forward pass, sampling, quantization), built
-//! from scratch in safe Rust (the one `unsafe` block selects the AVX2 copy
-//! of the quantized kernel, see [`qgemm`]).
+//! from scratch in safe Rust. There are four `unsafe` blocks, each calling
+//! the AVX2 or AVX-512 copy of a kernel on a CPU just observed to have it:
+//! two in `ops::run_tiled`, the dispatch of the f32 kernels over
+//! kernel-order and split-order matrices (see [`ops`]), and two in
+//! [`qgemm`]'s dispatch of the quantized kernel.
 //!
 //! The crate serves two roles:
 //!
@@ -50,6 +53,7 @@ pub mod resident;
 pub mod rng;
 pub mod sampler;
 pub mod tokenizer;
+mod vocab;
 pub mod weights;
 
 pub use config::ModelConfig;

@@ -308,36 +308,184 @@ pub fn kernel_order_row(w: &[f32], cols: usize, r: usize) -> KernelRow<'_> {
     } else {
         (r * cols, 1)
     };
-    KernelRow {
+    KernelRow(RowData::Strided {
         data: &w[start..=start + (cols - 1) * stride],
         stride,
-    }
+    })
 }
 
-/// One row of a kernel-order matrix: its elements sit `stride` apart
-/// ([`ROW_TILE`] inside a full tile, 1 in the row-major tail).
+/// Rows per group of a split-order matrix ([`to_split_order`]): a column
+/// of a group is [`GROUP_WORDS`] words, and word `i` holds the halves of
+/// the group's rows `i` (top 16 bits) and `GROUP_WORDS + i` (bottom 16).
+pub(crate) const SPLIT_GROUP: usize = 32;
+
+/// Words per column of a split-order group.
+const GROUP_WORDS: usize = SPLIT_GROUP / 2;
+
+/// Rows per block of a split-order matrix: a block's high halves are one
+/// contiguous run (`SPLIT_BLOCK * cols * 2` bytes, 288 KB at 288
+/// columns), and its low halves the next.
+pub(crate) const SPLIT_BLOCK: usize = 512;
+
+/// The top 16 bits of a word: one weight's high half (sign, exponent and
+/// 7 mantissa bits — the weight truncated toward zero to bf16).
+const HIGH: u32 = 0xFFFF_0000;
+
+/// Rows of a `rows`-row matrix that split order stores as halves, the
+/// whole groups; the rest are its tail, stored in kernel order after them.
+#[must_use]
+pub(crate) fn split_rows(rows: usize) -> usize {
+    rows / SPLIT_GROUP * SPLIT_GROUP
+}
+
+/// The word range a block of split-order storage occupies, and where its
+/// low halves begin inside it: the block of group `g` of a matrix whose
+/// first [`split_rows`] rows are `split`.
+fn split_block(g: usize, split: usize, cols: usize) -> (usize, usize) {
+    let first = g * SPLIT_GROUP / SPLIT_BLOCK * SPLIT_BLOCK;
+    let block_rows = SPLIT_BLOCK.min(split - first);
+    (first * cols, block_rows * cols / 2)
+}
+
+/// Re-lays a row-major `rows × cols` matrix **in place** in split order,
+/// the layout of the f32 vocab table: every weight as its high and low
+/// 16-bit halves, so a screen can stream the high halves alone.
+///
+/// The [`split_rows`] rows go in blocks of [`SPLIT_BLOCK`]: a block's high
+/// halves first, its low halves after, each in groups of [`SPLIT_GROUP`]
+/// rows stored column by column, two halves to a 32-bit word (word `i` of
+/// a group column holds rows `i` and `i + 16` in its top and bottom 16
+/// bits). `w & 0xFFFF_0000` and `w << 16` of a column's 16 high words are
+/// then the high halves of rows `0..16` and `16..32`, with no shuffles.
+/// The tail rows follow in kernel order ([`to_kernel_order`]). The words
+/// are kept as `f32` bit patterns, so the buffer keeps its type and
+/// length; the only scratch is one group and a half.
+pub(crate) fn to_split_order(w: &mut [f32], rows: usize, cols: usize) {
+    assert_eq!(w.len(), rows * cols, "matrix shape mismatch");
+    let split = split_rows(rows);
+    let group_len = SPLIT_GROUP * cols;
+    let half_len = group_len / 2;
+    let mut group = vec![0.0f32; group_len];
+    let mut chunk = vec![0.0f32; half_len];
+    for first in (0..split).step_by(SPLIT_BLOCK) {
+        let (start, half) = split_block(first / SPLIT_GROUP, split, cols);
+        let block = &mut w[start..start + 2 * half];
+        let groups = 2 * half / group_len;
+        // Each group's halves first replace its own rows, high words then
+        // low words, so one group of scratch suffices...
+        for words in block.chunks_exact_mut(group_len) {
+            group.copy_from_slice(words);
+            let (top, bottom) = group.split_at(half_len);
+            let (high, low) = words.split_at_mut(half_len);
+            for c in 0..cols {
+                for i in 0..GROUP_WORDS {
+                    let (t, b) = (top[i * cols + c].to_bits(), bottom[i * cols + c].to_bits());
+                    high[c * GROUP_WORDS + i] = f32::from_bits(t & HIGH | b >> 16);
+                    low[c * GROUP_WORDS + i] = f32::from_bits(t << 16 | b & !HIGH);
+                }
+            }
+        }
+        // ...and then the block's `2 × groups` half-groups are unshuffled
+        // in place, high ones to the front and low ones to the back,
+        // following each cycle of the permutation with one more half of
+        // scratch.
+        let to = |k: usize| k / 2 + k % 2 * groups;
+        let mut placed = vec![false; 2 * groups];
+        for lead in 0..2 * groups {
+            if placed[lead] {
+                continue;
+            }
+            chunk.copy_from_slice(&block[lead * half_len..][..half_len]);
+            let mut k = lead;
+            loop {
+                k = to(k);
+                block[k * half_len..][..half_len].swap_with_slice(&mut chunk);
+                placed[k] = true;
+                if k == lead {
+                    break;
+                }
+            }
+        }
+    }
+    to_kernel_order(&mut w[split * cols..], rows - split, cols);
+}
+
+/// Row `r` of a split-order matrix with `cols` columns (see
+/// [`to_split_order`]), read in place.
+#[must_use]
+pub(crate) fn split_order_row(w: &[f32], cols: usize, r: usize) -> KernelRow<'_> {
+    let split = split_rows(w.len() / cols);
+    if r >= split {
+        return kernel_order_row(&w[split * cols..], cols, r - split);
+    }
+    let (g, i) = (r / SPLIT_GROUP, r % SPLIT_GROUP);
+    let (start, half) = split_block(g, split, cols);
+    let at = start + (g % (SPLIT_BLOCK / SPLIT_GROUP)) * GROUP_WORDS * cols + i % GROUP_WORDS;
+    let last = at + (cols - 1) * GROUP_WORDS;
+    KernelRow(RowData::Split {
+        high: &w[at..=last],
+        low: &w[at + half..=last + half],
+        top: i < GROUP_WORDS,
+    })
+}
+
+/// One row of a kernel-order or split-order matrix, read in place.
 #[derive(Clone, Copy)]
-pub struct KernelRow<'a> {
-    /// From the row's first element to its last.
-    data: &'a [f32],
-    stride: usize,
+pub struct KernelRow<'a>(RowData<'a>);
+
+#[derive(Clone, Copy)]
+enum RowData<'a> {
+    /// Elements `stride` apart ([`ROW_TILE`] inside a full tile, 1 in the
+    /// row-major tail), from the row's first element to its last.
+    Strided { data: &'a [f32], stride: usize },
+    /// Words [`GROUP_WORDS`] apart holding the row's high and low halves,
+    /// in their top 16 bits when `top`, else in their bottom 16.
+    Split {
+        high: &'a [f32],
+        low: &'a [f32],
+        top: bool,
+    },
 }
 
 impl KernelRow<'_> {
-    /// Where the row's first element sits.
+    /// Where the row's first element — for a split row, the word holding
+    /// its first high half — sits.
     #[must_use]
     pub fn as_ptr(&self) -> *const f32 {
-        self.data.as_ptr()
+        match self.0 {
+            RowData::Strided { data, .. } => data.as_ptr(),
+            RowData::Split { high, .. } => high.as_ptr(),
+        }
     }
 
-    fn iter(&self) -> impl Iterator<Item = &f32> + '_ {
-        self.data.iter().step_by(self.stride)
+    fn len(&self) -> usize {
+        match self.0 {
+            RowData::Strided { data, stride } => data.len().div_ceil(stride),
+            RowData::Split { high, .. } => high.len().div_ceil(GROUP_WORDS),
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = f32> + '_ {
+        (0..self.len()).map(|c| match self.0 {
+            RowData::Strided { data, stride } => data[c * stride],
+            RowData::Split { high, low, top } => {
+                let (h, l) = (
+                    high[c * GROUP_WORDS].to_bits(),
+                    low[c * GROUP_WORDS].to_bits(),
+                );
+                f32::from_bits(if top {
+                    h & HIGH | l >> 16
+                } else {
+                    h << 16 | l & !HIGH
+                })
+            }
+        })
     }
 
     /// Copies the row into `out`, which holds exactly one row.
     pub fn copy_to(&self, out: &mut [f32]) {
-        assert_eq!(out.len(), self.data.len().div_ceil(self.stride));
-        for (o, &v) in out.iter_mut().zip(self.iter()) {
+        assert_eq!(out.len(), self.len());
+        for (o, v) in out.iter_mut().zip(self.iter()) {
             *o = v;
         }
     }
@@ -347,7 +495,7 @@ impl KernelRow<'_> {
 /// row-major `&[f32]` it replaces did.
 impl PartialEq<&[f32]> for KernelRow<'_> {
     fn eq(&self, other: &&[f32]) -> bool {
-        self.data.len().div_ceil(self.stride) == other.len() && self.iter().eq(other.iter())
+        self.len() == other.len() && self.iter().eq(other.iter().copied())
     }
 }
 
@@ -418,30 +566,104 @@ pub(crate) fn write_lanes<const R: usize, const T: usize>(
     }
 }
 
-/// Lanes `b0..b0 + A + B` of `T` adjacent `R`-row kernel-order tiles
-/// (`tiles` holds their `T × R × cols` weights, column `c` of tile `j` at
-/// `tiles[(j * cols + c) * R..][..R]`): `acc[l][j][i] = row j * R + i ·
-/// x_{b0 + l}`, lanes past `A + B` zero. Column `c` of all `T` tiles is
-/// one `T × R`-wide vector applied to every lane, and each accumulator
+/// How a kernel body loads one column of a step's `T` adjacent `R`-row
+/// tiles: stored as f32 ([`F32Tiles`]), or rebuilt from a split-order
+/// group's halves ([`SplitGroup`]). Every form yields each row's weights
+/// in the same column order, so the lane blocks over it keep [`dot`]'s.
+///
+/// Everything here is `#[inline(always)]`, down to the decoding: inside
+/// the large per-ISA kernel copies the compiler otherwise left a call per
+/// column (an iterator's `next`, a closure) and spilled the accumulators.
+trait TileColumns<const R: usize, const T: usize>: Copy {
+    /// One `[f32; R]` per column (of words, for a split group): counting
+    /// columns by it lets the compiler see `c < cols` and drop the bounds
+    /// checks on it, which otherwise cost width 1 about 15%.
+    fn first(&self) -> &[[f32; R]];
+
+    /// Column `c`: `w[j][i]` is the weight of row `j * R + i`.
+    fn column(self, c: usize) -> [[f32; R]; T];
+}
+
+/// `T` adjacent kernel-order tiles: column `c` of tile `j` is
+/// `columns[j][c]`, each of the `T` slices `cols` long.
+#[derive(Clone, Copy)]
+struct F32Tiles<'a, const R: usize, const T: usize> {
+    columns: [&'a [[f32; R]]; T],
+}
+
+impl<'a, const R: usize, const T: usize> F32Tiles<'a, R, T> {
+    /// The `T` tiles `tiles` holds (`T × R × cols` weights, column `c` of
+    /// tile `j` at `tiles[(j * cols + c) * R..][..R]`).
+    #[inline(always)]
+    fn new(tiles: &'a [f32], cols: usize) -> Self {
+        let columns =
+            std::array::from_fn(|j| &tiles[j * R * cols..][..R * cols].as_chunks().0[..cols]);
+        Self { columns }
+    }
+}
+
+impl<const R: usize, const T: usize> TileColumns<R, T> for F32Tiles<'_, R, T> {
+    #[inline(always)]
+    fn first(&self) -> &[[f32; R]] {
+        self.columns[0]
+    }
+
+    #[inline(always)]
+    fn column(self, c: usize) -> [[f32; R]; T] {
+        std::array::from_fn(|j| self.columns[j][c])
+    }
+}
+
+/// One split-order group ([`to_split_order`]) as two 16-row tiles: its
+/// high words and, when `EXACT`, its low words, one `[f32; 16]` of words
+/// per column. `EXACT` rebuilds every weight from its two halves; without
+/// it the tiles are the high halves alone, what the screen streams.
+#[derive(Clone, Copy)]
+struct SplitGroup<'a, const EXACT: bool> {
+    high: &'a [[f32; GROUP_WORDS]],
+    low: &'a [[f32; GROUP_WORDS]],
+}
+
+impl<const EXACT: bool> TileColumns<GROUP_WORDS, 2> for SplitGroup<'_, EXACT> {
+    #[inline(always)]
+    fn first(&self) -> &[[f32; GROUP_WORDS]] {
+        self.high
+    }
+
+    #[inline(always)]
+    fn column(self, c: usize) -> [[f32; GROUP_WORDS]; 2] {
+        let h = self.high[c].map(f32::to_bits);
+        if EXACT {
+            let l = self.low[c].map(f32::to_bits);
+            [
+                std::array::from_fn(|i| f32::from_bits(h[i] & HIGH | l[i] >> 16)),
+                std::array::from_fn(|i| f32::from_bits(h[i] << 16 | l[i] & !HIGH)),
+            ]
+        } else {
+            [
+                h.map(|w| f32::from_bits(w & HIGH)),
+                h.map(|w| f32::from_bits(w << 16)),
+            ]
+        }
+    }
+}
+
+/// Lanes `b0..b0 + A + B` of one step's tiles: `acc[l][j][i] = row j * R
+/// + i · x_{b0 + l}`, lanes past `A + B` zero. Column `c` of all `T` tiles
+/// is one `T × R`-wide vector applied to every lane, and each accumulator
 /// takes its terms in increasing column order, mul then add — [`dot`]'s
 /// order. The lanes go in two groups, `A` then `B` (see [`GROUP_LANES`]).
 #[inline(always)]
 fn tiled_lane_block<const R: usize, const T: usize, const A: usize, const B: usize>(
-    tiles: &[f32],
-    cols: usize,
+    tiles: impl TileColumns<R, T>,
     xt: &[f32],
     batch: usize,
     b0: usize,
 ) -> LaneAccs<R, T> {
     let mut a = [[[0.0f32; R]; T]; A];
     let mut b = [[[0.0f32; R]; T]; B];
-    let columns: [&[[f32; R]]; T] =
-        std::array::from_fn(|j| &tiles[j * R * cols..][..R * cols].as_chunks().0[..cols]);
-    // Zipped with tile 0's columns so the compiler sees `c < cols` and
-    // drops the bounds checks: counting columns another way cost width 1
-    // about 15%.
-    for (c, (xc, _)) in xt.chunks_exact(batch).zip(columns[0]).enumerate() {
-        let wv: [[f32; R]; T] = std::array::from_fn(|j| columns[j][c]);
+    for (c, (xc, _)) in xt.chunks_exact(batch).zip(tiles.first()).enumerate() {
+        let wv = tiles.column(c);
         accumulate_lanes(&mut a, &wv, &xc[b0..]);
         accumulate_lanes(&mut b, &wv, &xc[b0 + A..]);
     }
@@ -451,15 +673,13 @@ fn tiled_lane_block<const R: usize, const T: usize, const A: usize, const B: usi
     lanes
 }
 
-/// Every lane of `T` adjacent `R`-row tiles whose first row is `r0`, in
-/// lane blocks of [`MAX_LANES`] and then one block of exactly the lanes
-/// left over; the tiles' rows inside `rows` are written out
-/// ([`write_lanes`]).
+/// Every lane of one step's tiles, whose first row is `r0`, in lane
+/// blocks of [`MAX_LANES`] and then one block of exactly the lanes left
+/// over; the tiles' rows inside `rows` are written out ([`write_lanes`]).
 #[inline(always)]
 fn tiled_tiles<const R: usize, const T: usize>(
     out: &mut [f32],
-    tiles: &[f32],
-    cols: usize,
+    tiles: impl TileColumns<R, T>,
     r0: usize,
     xt: &[f32],
     rows: &std::ops::Range<usize>,
@@ -469,25 +689,25 @@ fn tiled_tiles<const R: usize, const T: usize>(
     for b0 in (0..batch).step_by(MAX_LANES) {
         let lanes = (batch - b0).min(MAX_LANES);
         let acc = match lanes {
-            1 => tiled_lane_block::<R, T, 1, 0>(tiles, cols, xt, batch, b0),
-            2 => tiled_lane_block::<R, T, 2, 0>(tiles, cols, xt, batch, b0),
-            3 => tiled_lane_block::<R, T, 3, 0>(tiles, cols, xt, batch, b0),
-            4 => tiled_lane_block::<R, T, G, 0>(tiles, cols, xt, batch, b0),
-            5 => tiled_lane_block::<R, T, G, 1>(tiles, cols, xt, batch, b0),
-            6 => tiled_lane_block::<R, T, G, 2>(tiles, cols, xt, batch, b0),
-            7 => tiled_lane_block::<R, T, G, 3>(tiles, cols, xt, batch, b0),
-            _ => tiled_lane_block::<R, T, G, G>(tiles, cols, xt, batch, b0),
+            1 => tiled_lane_block::<R, T, 1, 0>(tiles, xt, batch, b0),
+            2 => tiled_lane_block::<R, T, 2, 0>(tiles, xt, batch, b0),
+            3 => tiled_lane_block::<R, T, 3, 0>(tiles, xt, batch, b0),
+            4 => tiled_lane_block::<R, T, G, 0>(tiles, xt, batch, b0),
+            5 => tiled_lane_block::<R, T, G, 1>(tiles, xt, batch, b0),
+            6 => tiled_lane_block::<R, T, G, 2>(tiles, xt, batch, b0),
+            7 => tiled_lane_block::<R, T, G, 3>(tiles, xt, batch, b0),
+            _ => tiled_lane_block::<R, T, G, G>(tiles, xt, batch, b0),
         };
         write_lanes(out, &acc, lanes, r0, rows, batch, b0);
     }
 }
 
-/// The one kernel-order f32 kernel body, `T` tiles per step: the full
-/// tiles that overlap `rows`, `T` adjacent ones at a time and a leftover
-/// one alone, each computed whole and written in part, then the
-/// row-major tail rows inside `rows` as one-row tiles (a one-row tile in
-/// kernel order *is* a row-major row). The storage is the same for every
-/// `T`: adjacent tiles are adjacent in memory.
+/// The kernel-order f32 kernel body, `T` tiles per step: the full tiles
+/// that overlap `rows`, `T` adjacent ones at a time and a leftover one
+/// alone, each computed whole and written in part, then the row-major
+/// tail rows inside `rows` as one-row tiles (a one-row tile in kernel
+/// order *is* a row-major row). The storage is the same for every `T`:
+/// adjacent tiles are adjacent in memory.
 #[inline(always)]
 fn tiled_body<const T: usize>(
     out: &mut [f32],
@@ -504,22 +724,27 @@ fn tiled_body<const T: usize>(
         rows.end.min(tiled).div_ceil(ROW_TILE),
     );
     while t + T <= end {
-        let tiles = &w[t * tile_len..][..T * tile_len];
-        tiled_tiles::<ROW_TILE, T>(out, tiles, cols, t * ROW_TILE, xt, &rows, batch);
+        let tiles = F32Tiles::<ROW_TILE, T>::new(&w[t * tile_len..], cols);
+        tiled_tiles(out, tiles, t * ROW_TILE, xt, &rows, batch);
         t += T;
     }
     for t in t..end {
-        let tile = &w[t * tile_len..][..tile_len];
-        tiled_tiles::<ROW_TILE, 1>(out, tile, cols, t * ROW_TILE, xt, &rows, batch);
+        let tile = F32Tiles::<ROW_TILE, 1>::new(&w[t * tile_len..], cols);
+        tiled_tiles(out, tile, t * ROW_TILE, xt, &rows, batch);
     }
     for r in rows.start.max(tiled)..rows.end {
-        tiled_tiles::<1, 1>(out, &w[r * cols..][..cols], cols, r, xt, &rows, batch);
+        let row = F32Tiles::<1, 1>::new(&w[r * cols..], cols);
+        tiled_tiles(out, row, r, xt, &rows, batch);
     }
 }
 
-/// [`tiled_body`] one tile per step, at the build's baseline.
+/// The split-order kernel body ([`to_split_order`]) over `w`, the split
+/// rows' words alone: every group that overlaps `rows`, one
+/// [`SplitGroup`] step each, computed whole and written in part. `EXACT`
+/// rebuilds the weights; without it the body streams the high halves only
+/// and skips the low ones.
 #[inline(always)]
-fn tiled_kernel(
+fn split_body<const EXACT: bool>(
     out: &mut [f32],
     w: &[f32],
     xt: &[f32],
@@ -527,36 +752,179 @@ fn tiled_kernel(
     cols: usize,
     batch: usize,
 ) {
-    tiled_body::<1>(out, w, xt, rows, cols, batch);
+    let split = w.len() / cols;
+    let group_len = GROUP_WORDS * cols;
+    for g in rows.start / SPLIT_GROUP..rows.end.div_ceil(SPLIT_GROUP) {
+        let (start, half) = split_block(g, split, cols);
+        let at = start + (g % (SPLIT_BLOCK / SPLIT_GROUP)) * group_len;
+        let group = SplitGroup::<EXACT> {
+            high: w[at..][..group_len].as_chunks().0,
+            low: if EXACT {
+                w[at + half..][..group_len].as_chunks().0
+            } else {
+                &[]
+            },
+        };
+        tiled_tiles::<GROUP_WORDS, 2>(out, group, g * SPLIT_GROUP, xt, &rows, batch);
+    }
 }
 
-/// [`tiled_kernel`] compiled with AVX2 enabled.
+/// One matrix and the kernel body that streams it, as the per-ISA copies
+/// of [`run_tiled`] take it. `body::<T>` runs with `T` = 1 at the
+/// baseline and with AVX2, and `T` = 2 with AVX-512.
+trait TiledGemm: Copy {
+    /// The narrowest batch that runs the AVX-512 copy, measured per body.
+    const AVX512_FROM: usize;
+
+    /// `out[(r - rows.start) * batch + b] = w[r, :] · x_b` for `r` in
+    /// `rows`, from batch-major `xt`.
+    fn body<const T: usize>(
+        self,
+        out: &mut [f32],
+        xt: &[f32],
+        rows: std::ops::Range<usize>,
+        batch: usize,
+    );
+}
+
+/// A kernel-order f32 matrix ([`to_kernel_order`]).
+#[derive(Clone, Copy)]
+struct KernelOrder<'a> {
+    w: &'a [f32],
+    cols: usize,
+}
+
+impl TiledGemm for KernelOrder<'_> {
+    /// Width 1 is bound by the weight stream and measured no faster with
+    /// AVX-512 (see [`tiled_matmul_rows_xt`]).
+    const AVX512_FROM: usize = 2;
+
+    #[inline(always)]
+    fn body<const T: usize>(
+        self,
+        out: &mut [f32],
+        xt: &[f32],
+        rows: std::ops::Range<usize>,
+        batch: usize,
+    ) {
+        tiled_body::<T>(out, self.w, xt, rows, self.cols, batch);
+    }
+}
+
+/// The split rows of a split-order matrix ([`to_split_order`]), read
+/// whole when `EXACT` and as their high halves otherwise.
+#[derive(Clone, Copy)]
+struct SplitOrder<'a, const EXACT: bool> {
+    w: &'a [f32],
+    cols: usize,
+}
+
+impl<const EXACT: bool> TiledGemm for SplitOrder<'_, EXACT> {
+    /// A group column is one 512-bit word vector; both bodies measured
+    /// faster with AVX-512 at width 1 too (see [`split_matmul_rows_xt`]).
+    const AVX512_FROM: usize = 1;
+
+    /// A group step is the same at every `T`.
+    #[inline(always)]
+    fn body<const T: usize>(
+        self,
+        out: &mut [f32],
+        xt: &[f32],
+        rows: std::ops::Range<usize>,
+        batch: usize,
+    ) {
+        split_body::<EXACT>(out, self.w, xt, rows, self.cols, batch);
+    }
+}
+
+/// A [`TiledGemm`] body one tile per step, compiled with AVX2 enabled.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn tiled_kernel_avx2(
+fn tiled_kernel_avx2<G: TiledGemm>(
+    g: G,
     out: &mut [f32],
-    w: &[f32],
     xt: &[f32],
     rows: std::ops::Range<usize>,
-    cols: usize,
     batch: usize,
 ) {
-    tiled_kernel(out, w, xt, rows, cols, batch);
+    g.body::<1>(out, xt, rows, batch);
 }
 
-/// [`tiled_body`] two tiles per step, compiled with AVX-512 enabled: a
-/// column of a tile pair fills one 16-wide register.
+/// A [`TiledGemm`] body two tiles per step, compiled with AVX-512
+/// enabled: a column of a tile pair, or of a split-order group's words,
+/// fills one 16-wide register.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-fn tiled_kernel_avx512(
+fn tiled_kernel_avx512<G: TiledGemm>(
+    g: G,
     out: &mut [f32],
-    w: &[f32],
     xt: &[f32],
     rows: std::ops::Range<usize>,
+    batch: usize,
+) {
+    g.body::<2>(out, xt, rows, batch);
+}
+
+/// The widest instruction set a GEMM may pick a copy for: the public
+/// kernels allow AVX-512, and the tests cap it to compare the copies.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Isa {
+    Avx2,
+    Avx512,
+}
+
+/// Runs `g`'s body in the widest copy up to `widest` that this CPU
+/// executes: AVX-512 from [`TiledGemm::AVX512_FROM`] lanes, else AVX2,
+/// else the baseline. All run the same IEEE operations in the same order
+/// (mul then add, never a fused multiply-add), so they agree bit for bit.
+#[allow(unsafe_code)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+fn run_tiled<G: TiledGemm>(
+    g: G,
+    out: &mut [f32],
+    xt: &[f32],
+    rows: std::ops::Range<usize>,
+    batch: usize,
+    widest: Isa,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if widest >= Isa::Avx512
+        && batch >= G::AVX512_FROM
+        && std::arch::is_x86_feature_detected!("avx512f")
+    {
+        // SAFETY: `tiled_kernel_avx512` is a safe function whose only
+        // extra requirement is that the CPU executes AVX-512F
+        // instructions, and the line above has just observed that this
+        // one does. It is `g`'s body under another instruction
+        // selection: all memory access is through the same bounds-checked
+        // slices.
+        return unsafe { tiled_kernel_avx512(g, out, xt, rows, batch) };
+    }
+    #[cfg(target_arch = "x86_64")]
+    if widest >= Isa::Avx2 && std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `tiled_kernel_avx2` is a safe function whose only extra
+        // requirement is that the CPU executes AVX2 instructions, and the
+        // line above has just observed that this one does. It is `g`'s
+        // body under another instruction selection: all memory access is
+        // through the same bounds-checked slices.
+        return unsafe { tiled_kernel_avx2(g, out, xt, rows, batch) };
+    }
+    g.body::<1>(out, xt, rows, batch);
+}
+
+/// The shape checks every GEMM over a `cols`-column matrix `w` makes.
+fn check_gemm(
+    out: &[f32],
+    w: &[f32],
+    xt: &[f32],
+    rows: &std::ops::Range<usize>,
     cols: usize,
     batch: usize,
 ) {
-    tiled_body::<2>(out, w, xt, rows, cols, batch);
+    assert_eq!(out.len(), rows.len() * batch);
+    assert_eq!(w.len() % cols, 0, "a whole number of rows");
+    assert!(rows.end * cols <= w.len());
+    assert_eq!(xt.len(), cols * batch);
 }
 
 /// Batched matmul over a **kernel-order** matrix ([`to_kernel_order`])
@@ -575,7 +943,6 @@ fn tiled_kernel_avx512(
 /// reads two tiles per step into one 16-wide register, which pays only
 /// where the kernel is bound by arithmetic, from width 2 up. Width 1 is
 /// bound by the weight stream and stays on AVX2.
-#[allow(unsafe_code)]
 pub fn tiled_matmul_rows_xt(
     out: &mut [f32],
     w: &[f32],
@@ -584,30 +951,65 @@ pub fn tiled_matmul_rows_xt(
     cols: usize,
     batch: usize,
 ) {
-    assert_eq!(out.len(), rows.len() * batch);
-    assert_eq!(w.len() % cols, 0, "a whole number of rows");
-    assert!(rows.end * cols <= w.len());
-    assert_eq!(xt.len(), cols * batch);
-    #[cfg(target_arch = "x86_64")]
-    if batch >= 2 && std::arch::is_x86_feature_detected!("avx512f") {
-        // SAFETY: `tiled_kernel_avx512` is a safe function whose only
-        // extra requirement is that the CPU executes AVX-512F
-        // instructions, and the line above has just observed that this
-        // one does. It is `tiled_body` under another instruction
-        // selection: all memory access is through the same bounds-checked
-        // slices.
-        return unsafe { tiled_kernel_avx512(out, w, xt, rows, cols, batch) };
+    check_gemm(out, w, xt, &rows, cols, batch);
+    run_tiled(KernelOrder { w, cols }, out, xt, rows, batch, Isa::Avx512);
+}
+
+/// [`tiled_matmul_rows_xt`] over a **split-order** matrix
+/// ([`to_split_order`]): each weight is rebuilt from its two halves, so
+/// every element is `dot(w[r, :], x_b)` bit for bit. A group column is
+/// one 512-bit load of high words and one of low words, and the AVX-512
+/// copy runs from width 1: it measured faster there than AVX2 and than
+/// the kernel-order kernel over the same f32 matrix.
+pub(crate) fn split_matmul_rows_xt(
+    out: &mut [f32],
+    w: &[f32],
+    xt: &[f32],
+    rows: std::ops::Range<usize>,
+    cols: usize,
+    batch: usize,
+) {
+    split_gemm::<true>(out, w, xt, rows, cols, batch);
+}
+
+/// The screen of a **split-order** matrix: [`split_matmul_rows_xt`] with
+/// every weight of the [`split_rows`] replaced by its high half (the
+/// weight truncated toward zero to bf16), so it streams half the bytes.
+/// Each such element is `dot(high(w[r, :]), x_b)` bit for bit; the tail
+/// rows are stored whole and come out exact.
+pub(crate) fn split_screen_rows_xt(
+    out: &mut [f32],
+    w: &[f32],
+    xt: &[f32],
+    rows: std::ops::Range<usize>,
+    cols: usize,
+    batch: usize,
+) {
+    split_gemm::<false>(out, w, xt, rows, cols, batch);
+}
+
+/// A split-order GEMM: the split rows inside `rows` through
+/// [`SplitOrder`], the tail rows through [`KernelOrder`].
+fn split_gemm<const EXACT: bool>(
+    out: &mut [f32],
+    w: &[f32],
+    xt: &[f32],
+    rows: std::ops::Range<usize>,
+    cols: usize,
+    batch: usize,
+) {
+    check_gemm(out, w, xt, &rows, cols, batch);
+    let split = split_rows(w.len() / cols);
+    let (w, tail) = w.split_at(split * cols);
+    let groups = rows.start.min(split)..rows.end.min(split);
+    let (out, tail_out) = out.split_at_mut(groups.len() * batch);
+    let split_rows = SplitOrder::<EXACT> { w, cols };
+    run_tiled(split_rows, out, xt, groups, batch, Isa::Avx512);
+    if rows.end > split {
+        let tail_rows = rows.start.max(split) - split..rows.end - split;
+        let tail = KernelOrder { w: tail, cols };
+        run_tiled(tail, tail_out, xt, tail_rows, batch, Isa::Avx512);
     }
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: `tiled_kernel_avx2` is a safe function whose only extra
-        // requirement is that the CPU executes AVX2 instructions, and the
-        // line above has just observed that this one does. It is
-        // `tiled_kernel` under another instruction selection: all memory
-        // access is through the same bounds-checked slices.
-        return unsafe { tiled_kernel_avx2(out, w, xt, rows, cols, batch) };
-    }
-    tiled_kernel(out, w, xt, rows, cols, batch);
 }
 
 /// SiLU (sigmoid-weighted linear unit): `x * σ(x)`.
@@ -754,6 +1156,18 @@ pub fn attention_mix<'v>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`tiled_body`] one tile per step, at the build's baseline.
+    fn tiled_kernel(
+        out: &mut [f32],
+        w: &[f32],
+        xt: &[f32],
+        rows: std::ops::Range<usize>,
+        cols: usize,
+        batch: usize,
+    ) {
+        tiled_body::<1>(out, w, xt, rows, cols, batch);
+    }
 
     fn assert_close(a: f32, b: f32, tol: f32) {
         assert!((a - b).abs() <= tol, "{a} != {b} (tol {tol})");
@@ -1050,6 +1464,160 @@ mod tests {
                     "batch {batch} range {range:?}"
                 );
                 assert_eq!(detected, run(tiled_kernel), "batch {batch} range {range:?}");
+            }
+        }
+    }
+
+    /// A random row-major `rows × cols` matrix with special values mixed
+    /// in — subnormals, signed zeros and, unless `finite`, infinities and
+    /// NaN payloads (which no GEMM order pins) — and its split-order copy.
+    fn split_order_case(rows: usize, cols: usize, seed: u64, finite: bool) -> (Vec<f32>, Vec<f32>) {
+        let (mut w, _) = kernel_order_case(rows, cols, seed);
+        let special = &[
+            f32::from_bits(1),
+            -f32::from_bits(0x0007_FFFF),
+            f32::MIN_POSITIVE,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(0x7FC0_1234),
+            f32::from_bits(0xFF80_0001),
+        ][..if finite { 4 } else { 8 }];
+        for (i, v) in w.iter_mut().enumerate().filter(|(i, _)| i % 37 == 5) {
+            *v = special[i % special.len()];
+        }
+        let mut s = w.clone();
+        to_split_order(&mut s, rows, cols);
+        (w, s)
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|f| f.to_bits()).collect()
+    }
+
+    /// `w` with every weight of the split rows truncated to its high half.
+    fn high_halves(w: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+        let split = split_rows(rows) * cols;
+        let truncate = |(i, &v): (usize, &f32)| {
+            if i < split {
+                f32::from_bits(v.to_bits() & HIGH)
+            } else {
+                v
+            }
+        };
+        w.iter().enumerate().map(truncate).collect()
+    }
+
+    /// The split table keeps the buffer and every bit: each row of each
+    /// shape — groups, blocks (1056 rows is two blocks, the second
+    /// partial), tail rows behind them — reads back exactly, and a group
+    /// column's high words hold rows `i` and `16 + i` as documented.
+    #[test]
+    fn split_order_rows_read_back_bit_for_bit() {
+        for rows in [
+            1usize, 7, 8, 15, 16, 17, 31, 32, 33, 45, 64, 513, 1000, 1056,
+        ] {
+            for cols in [16usize, 17, 288] {
+                let (w, s) = split_order_case(rows, cols, (rows * 100 + cols) as u64, false);
+                assert_eq!(s.len(), w.len());
+                for r in 0..rows {
+                    let mut row = vec![0.0f32; cols];
+                    split_order_row(&s, cols, r).copy_to(&mut row);
+                    assert_eq!(
+                        bits(&row),
+                        bits(&w[r * cols..(r + 1) * cols]),
+                        "{rows}x{cols} row {r}"
+                    );
+                }
+                if rows >= SPLIT_GROUP {
+                    // Group 0 of block 0: column 1, word 3 holds rows 3 and 19.
+                    let word = s[GROUP_WORDS + 3].to_bits();
+                    assert_eq!(word & HIGH, w[3 * cols + 1].to_bits() & HIGH);
+                    assert_eq!(word << 16, w[19 * cols + 1].to_bits() & HIGH);
+                }
+            }
+        }
+    }
+
+    /// The split-order GEMM rebuilds every weight: each element, batched
+    /// or not, over ranges cut mid-tile, mid-group and across a block
+    /// boundary, is `dot(w[r, :], x_b)` bit for bit. The screen is `dot`
+    /// over the high halves on the split rows and exact on the tail.
+    #[test]
+    fn split_order_matmul_and_screen_replay_dot_bit_for_bit() {
+        for rows in [1usize, 7, 8, 15, 16, 17, 45, 64, 1000] {
+            for cols in [16usize, 17, 288] {
+                let (w, s) = split_order_case(rows, cols, (rows * 1000 + cols) as u64, true);
+                let high = high_halves(&w, rows, cols);
+                let mut ranges = row_ranges(rows);
+                if rows > 530 {
+                    ranges.push(500..530);
+                }
+                for batch in (1..=33).filter(|b| rows < 1000 || b % 4 == 1) {
+                    let xs = normal(batch * cols, (batch * 7 + rows) as u64);
+                    let xt = transpose_batch_major(&xs, cols, batch);
+                    for range in ranges.clone() {
+                        let mut exact = vec![f32::NAN; range.len() * batch];
+                        split_matmul_rows_xt(&mut exact, &s, &xt, range.clone(), cols, batch);
+                        let mut screen = vec![f32::NAN; range.len() * batch];
+                        split_screen_rows_xt(&mut screen, &s, &xt, range.clone(), cols, batch);
+                        for r in range.clone() {
+                            for b in 0..batch {
+                                let x = &xs[b * cols..(b + 1) * cols];
+                                let at = (r - range.start) * batch + b;
+                                let row = r * cols..(r + 1) * cols;
+                                let want = dot(&w[row.clone()], x);
+                                let case = format!(
+                                    "{rows}x{cols} batch {batch} {range:?} row {r} lane {b}"
+                                );
+                                assert_eq!(exact[at].to_bits(), want.to_bits(), "{case}");
+                                let want = dot(&high[row], x);
+                                assert_eq!(screen[at].to_bits(), want.to_bits(), "screen {case}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The AVX-512, AVX2 and baseline copies of both split-order bodies
+    /// agree bit for bit (each copy the CPU lacks falls back to the next
+    /// narrower one), over the 992 split rows of a 1000-row matrix.
+    #[test]
+    fn split_order_instantiations_agree_bitwise() {
+        let (rows, cols) = (1000, 37);
+        let (_, s) = split_order_case(rows, cols, 17, true);
+        let split = split_rows(rows);
+        let s = &s[..split * cols];
+        for batch in 1..=33 {
+            let xt = transpose_batch_major(&normal(batch * cols, batch as u64), cols, batch);
+            for range in row_ranges(split)
+                .into_iter()
+                .chain(std::iter::once(500..530))
+            {
+                fn copies<G: TiledGemm>(
+                    g: G,
+                    xt: &[f32],
+                    range: &std::ops::Range<usize>,
+                    batch: usize,
+                ) -> [Vec<u32>; 3] {
+                    let run = |widest: Option<Isa>| {
+                        let mut out = vec![f32::NAN; range.len() * batch];
+                        match widest {
+                            Some(isa) => run_tiled(g, &mut out, xt, range.clone(), batch, isa),
+                            None => g.body::<1>(&mut out, xt, range.clone(), batch),
+                        }
+                        bits(&out)
+                    };
+                    [run(Some(Isa::Avx512)), run(Some(Isa::Avx2)), run(None)]
+                }
+                let exact = copies(SplitOrder::<true> { w: s, cols }, &xt, &range, batch);
+                let screen = copies(SplitOrder::<false> { w: s, cols }, &xt, &range, batch);
+                for [avx512, avx2, baseline] in [exact, screen] {
+                    assert_eq!(avx512, baseline, "batch {batch} range {range:?}");
+                    assert_eq!(avx2, baseline, "batch {batch} range {range:?}");
+                }
             }
         }
     }

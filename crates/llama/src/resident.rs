@@ -3,19 +3,22 @@
 //! backend, engine and draft that runs the same checkpoint.
 //!
 //! [`TransformerWeights`] stays the checkpoint format. Consuming one at a
-//! [`QuantMode`] moves every `Vec` and reorders each matrix in place into
-//! kernel order ([`ops::to_kernel_order`]), the order the f32 GEMM streams
-//! it; a quantized mode then replaces each GEMM operand by its
-//! [`QuantMatrix`], freeing the f32 matrix before the next is touched. Norm
-//! gains and the embedding table always stay f32: only what streams
-//! through the matmul kernels is quantized, and the embedding gather must
-//! stay a bit-exact row copy.
+//! [`QuantMode`] moves every `Vec` and reorders each matrix in place: a
+//! layer matrix into kernel order ([`ops::to_kernel_order`]), the order
+//! the f32 GEMM streams it, and a vocab table into split order
+//! (`crate::vocab`), whose high halves a greedy step screens alone. A
+//! quantized mode then replaces each GEMM operand by its [`QuantMatrix`],
+//! freeing the f32 matrix before the next is touched. Norm gains and the
+//! embedding table always stay f32: only what streams through the matmul
+//! kernels is quantized, and the embedding gather must stay a bit-exact
+//! row copy.
 
 use std::sync::Arc;
 
 use crate::config::ModelConfig;
 use crate::ops::{self, KernelRow};
 use crate::quant::{QuantKind, QuantMatrix, QuantMode};
+use crate::vocab::VocabTable;
 use crate::weights::{LayerWeights, TransformerWeights};
 
 /// One GEMM operand, in the one form the kernels read it.
@@ -24,6 +27,9 @@ pub(crate) enum Operand {
     /// f32 in kernel order ([`ops::to_kernel_order`]), streamed by
     /// [`ops::tiled_matmul_rows_xt`].
     F32(Vec<f32>),
+    /// An f32 vocab table in split order, streamed whole by
+    /// [`ops::split_matmul_rows_xt`] or screened by a greedy step.
+    Vocab(VocabTable),
     /// Group-quantized, streamed by the fused dequant-GEMM kernels in
     /// [`crate::qgemm`].
     Quant(QuantMatrix),
@@ -37,12 +43,24 @@ impl Operand {
         Self::F32(w)
     }
 
+    /// Takes over a row-major `rows × cols` vocab table, re-laid in place
+    /// in split order.
+    fn vocab(w: Vec<f32>, rows: usize, cols: usize) -> Self {
+        Self::Vocab(VocabTable::new(w, rows, cols))
+    }
+
+    /// Row `r` of an f32 operand, read in place.
+    fn row(&self, cols: usize, r: usize) -> KernelRow<'_> {
+        match self {
+            Self::F32(w) => ops::kernel_order_row(w, cols, r),
+            Self::Vocab(v) => v.row(r),
+            Self::Quant(_) => unreachable!("quantized rows are not read back"),
+        }
+    }
+
     fn quantized(&self, rows: usize, cols: usize, kind: QuantKind) -> Self {
-        let Self::F32(w) = self else {
-            unreachable!("only f32 weights are quantized")
-        };
         Self::Quant(QuantMatrix::quantize_rows(rows, cols, kind, |r, out| {
-            ops::kernel_order_row(w, cols, r).copy_to(out);
+            self.row(cols, r).copy_to(out);
         }))
     }
 
@@ -50,14 +68,16 @@ impl Operand {
     fn stream_bytes(&self) -> usize {
         match self {
             Self::F32(w) => w.len() * 4,
+            Self::Vocab(v) => v.words().len() * 4,
             Self::Quant(q) => q.bytes(),
         }
     }
 
-    /// Heap bytes this operand owns.
+    /// Heap bytes this operand's weights own.
     fn resident_bytes(&self) -> usize {
         match self {
             Self::F32(w) => w.capacity() * 4,
+            Self::Vocab(v) => v.resident_bytes(),
             Self::Quant(q) => q.storage_bytes(),
         }
     }
@@ -122,7 +142,7 @@ impl ResidentLayer {
 pub struct ResidentWeights {
     config: ModelConfig,
     mode: QuantMode,
-    /// Token embedding table `[vocab, dim]` — always [`Operand::F32`]; an
+    /// Token embedding table `[vocab, dim]` — always [`Operand::Vocab`]; an
     /// operand because the tied f32 classifier is this very matrix.
     embedding: Operand,
     pub(crate) layers: Vec<ResidentLayer>,
@@ -133,22 +153,23 @@ pub struct ResidentWeights {
 }
 
 impl ResidentWeights {
-    /// Consumes a checkpoint at `mode`: moves every tensor into kernel
-    /// order for f32, then quantizes-then-frees matrix by matrix otherwise.
+    /// Consumes a checkpoint at `mode`: moves every layer matrix into
+    /// kernel order and every vocab table into split order, then
+    /// quantizes-then-frees matrix by matrix for a quantized mode.
     #[must_use]
     pub fn new(w: TransformerWeights, mode: QuantMode) -> Self {
         let c = w.config;
         let mut out = Self {
             config: c,
             mode: QuantMode::F32,
-            embedding: Operand::f32(w.token_embedding, c.vocab_size, c.dim),
+            embedding: Operand::vocab(w.token_embedding, c.vocab_size, c.dim),
             layers: w
                 .layers
                 .into_iter()
                 .map(|l| ResidentLayer::from_f32(l, &c))
                 .collect(),
             rms_final: w.rms_final,
-            classifier: w.wcls.map(|m| Operand::f32(m, c.vocab_size, c.dim)),
+            classifier: w.wcls.map(|m| Operand::vocab(m, c.vocab_size, c.dim)),
         };
         out.quantize(mode);
         out
@@ -203,13 +224,9 @@ impl ResidentWeights {
         self.mode
     }
 
-    /// The embedding row for `token`, read in place from the kernel-order
-    /// table.
+    /// The embedding row for `token`, read in place from the split table.
     pub(crate) fn embedding_row(&self, token: usize) -> KernelRow<'_> {
-        let Operand::F32(table) = &self.embedding else {
-            unreachable!("the embedding table stays f32")
-        };
-        ops::kernel_order_row(table, self.config.dim, token)
+        self.embedding.row(self.config.dim, token)
     }
 
     /// The classifier operand, `vocab × dim`: its own matrix, or the
@@ -296,10 +313,10 @@ mod tests {
         let (params, stream) = (w.param_count(), w.config.gemm_weight_bytes());
         let r = ResidentWeights::new(w, QuantMode::F32);
         assert_eq!(r.embedding_row(0).as_ptr(), embedding);
-        let Operand::F32(classifier) = r.classifier() else {
-            panic!("f32 weights hold f32 operands")
+        let Operand::Vocab(classifier) = r.classifier() else {
+            panic!("the f32 classifier is a split vocab table")
         };
-        assert_eq!(classifier.as_ptr(), embedding, "tied: one table");
+        assert_eq!(classifier.words().as_ptr(), embedding, "tied: one table");
         let [Operand::F32(wq), .., Operand::F32(w2), _] = r.layers[0].operands() else {
             panic!("f32 weights hold f32 operands")
         };
@@ -314,9 +331,10 @@ mod tests {
     }
 
     /// Every f32 matrix is the checkpoint's, reordered in its own buffer:
-    /// each row read back from kernel order is the checkpoint row —
-    /// including `test_tiny`'s 44-row FFN matrices, whose last 4 rows are a
-    /// row-major tail — and the embedding gather returns it.
+    /// each row read back from kernel order (layers) or split order (the
+    /// vocab tables) is the checkpoint row — including `test_tiny`'s
+    /// 44-row FFN matrices, whose last 4 rows are a row-major tail — and
+    /// the embedding gather returns it.
     #[test]
     fn the_f32_build_interleaves_every_matrix_in_place() {
         for shared_classifier in [true, false] {
@@ -334,15 +352,17 @@ mod tests {
             assert_eq!(r.resident_bytes(), params * 4);
 
             let read_back = |got: &Operand, want: &[f32], rows: usize, cols: usize| {
-                let Operand::F32(got) = got else {
-                    panic!("f32 weights hold f32 operands")
+                let words = match got {
+                    Operand::F32(w) => w,
+                    Operand::Vocab(v) => v.words(),
+                    Operand::Quant(_) => panic!("f32 weights hold f32 operands"),
                 };
-                assert_eq!(got.len(), rows * cols);
+                assert_eq!(words.len(), rows * cols);
                 for row in 0..rows {
                     let checkpoint_row = &want[row * cols..(row + 1) * cols];
-                    assert_eq!(ops::kernel_order_row(got, cols, row), checkpoint_row);
+                    assert_eq!(got.row(cols, row), checkpoint_row);
                 }
-                got.as_ptr()
+                words.as_ptr()
             };
             let shapes = [
                 (dim, dim),
@@ -360,8 +380,12 @@ mod tests {
                 for (((got, want), (rows, cols)), &ptr) in
                     layer.operands().into_iter().zip(want).zip(shapes).zip(ptrs)
                 {
+                    assert!(matches!(got, Operand::F32(_)), "layers are in kernel order");
                     assert_eq!(read_back(got, want, rows, cols), ptr);
                 }
+            }
+            for vocab in [&r.embedding, r.classifier()] {
+                assert!(matches!(vocab, Operand::Vocab(_)), "vocab tables are split");
             }
             assert_eq!(
                 read_back(&r.embedding, &reference.token_embedding, c.vocab_size, dim),

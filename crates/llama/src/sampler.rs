@@ -95,6 +95,14 @@ impl Sampler {
         Self::new(SamplerKind::Argmax, 0)
     }
 
+    /// Whether every draw is [`argmax`] of the logits as given:
+    /// [`SamplerKind::Argmax`] with no repetition penalty. Such a sampler
+    /// may be fed `forward::LogitRows::Greedy` rows.
+    #[must_use]
+    pub fn is_greedy(&self) -> bool {
+        self.kind == SamplerKind::Argmax && self.repetition_penalty <= 1.0
+    }
+
     /// Samples the next token id from `logits`.
     pub fn sample(&mut self, logits: &[f32]) -> u32 {
         assert!(!logits.is_empty(), "empty logits");
@@ -147,10 +155,33 @@ impl Sampler {
         picked
     }
 
+    /// The distribution over `logits / temperature`. NaN counts as −∞, as
+    /// in [`argmax`]; +∞ entries share the whole mass; a row with nothing
+    /// above −∞ puts it all on [`argmax`]'s pick. `softmax` alone would
+    /// turn either non-finite case into all-NaN probabilities, and every
+    /// draw into the last token.
     fn prepare_probs(&mut self, logits: &[f32], temperature: f32) {
         self.probs.clear();
-        self.probs.extend(logits.iter().map(|&l| l / temperature));
-        softmax(&mut self.probs);
+        let scaled = |l: f32| {
+            if l.is_nan() {
+                f32::NEG_INFINITY
+            } else {
+                l / temperature
+            }
+        };
+        self.probs.extend(logits.iter().map(|&l| scaled(l)));
+        let infinite = self.probs.iter().filter(|&&p| p == f32::INFINITY).count();
+        if infinite > 0 {
+            let share = 1.0 / infinite as f32;
+            for p in &mut self.probs {
+                *p = if *p == f32::INFINITY { share } else { 0.0 };
+            }
+        } else if self.probs.iter().all(|&p| p == f32::NEG_INFINITY) {
+            self.probs.fill(0.0);
+            self.probs[argmax(logits) as usize] = 1.0;
+        } else {
+            softmax(&mut self.probs);
+        }
     }
 }
 
@@ -534,5 +565,90 @@ mod tests {
         // valid index via the fallback.
         assert_eq!(sample_multinomial(&[1.0, 0.0], 0.999_99), 0);
         assert_eq!(sample_multinomial(&[0.0, 0.0], 0.5), 1, "fallback to last");
+    }
+
+    /// The three drawing kinds, with seeds fixed per kind.
+    fn drawing_samplers() -> [Sampler; 3] {
+        [
+            Sampler::new(SamplerKind::Temperature(0.8), 11),
+            Sampler::new(
+                SamplerKind::TopP {
+                    temperature: 0.9,
+                    p: 0.9,
+                },
+                12,
+            ),
+            Sampler::new(
+                SamplerKind::TopK {
+                    temperature: 1.1,
+                    k: 3,
+                },
+                13,
+            ),
+        ]
+    }
+
+    /// A NaN logit draws as a −∞ one would, wherever it sits: the same
+    /// token as the row with −∞ in its place, from the same seed, and
+    /// never the NaN's index.
+    #[test]
+    fn a_nan_logit_draws_like_negative_infinity() {
+        let base = [0.5f32, 1.5, -0.25, 2.0, 1.0, 0.75];
+        for at in [0, base.len() / 2, base.len() - 1] {
+            let (mut nan, mut neg) = (base, base);
+            nan[at] = f32::NAN;
+            neg[at] = f32::NEG_INFINITY;
+            for (mut a, mut b) in drawing_samplers().into_iter().zip(drawing_samplers()) {
+                for step in 0..64 {
+                    let got = a.sample(&nan);
+                    assert_eq!(got, b.sample(&neg), "{:?} NaN at {at} step {step}", a.kind);
+                    assert_ne!(got as usize, at, "{:?} drew the NaN", a.kind);
+                }
+            }
+        }
+    }
+
+    /// +∞ logits share the whole mass: one is always drawn, two split
+    /// the draws between them; a row with nothing above −∞ draws
+    /// `argmax`'s pick.
+    #[test]
+    fn infinite_and_empty_rows_draw_what_argmax_allows() {
+        let inf = f32::INFINITY;
+        let one = [0.5f32, inf, 2.0, f32::NAN, 1.0];
+        let two = [inf, 0.5, f32::NAN, 2.0, inf, 1.0];
+        for mut s in drawing_samplers() {
+            let picks: Vec<u32> = (0..64).map(|_| s.sample(&two)).collect();
+            assert!(
+                picks.iter().all(|&t| t == 0 || t == 4),
+                "{:?}: {picks:?}",
+                s.kind
+            );
+            assert!(
+                picks.contains(&0) && picks.contains(&4),
+                "{:?}: {picks:?}",
+                s.kind
+            );
+            for _ in 0..16 {
+                assert_eq!(s.sample(&one), 1, "{:?}", s.kind);
+                assert_eq!(s.sample(&[f32::NAN; 5]), 0, "{:?} all NaN", s.kind);
+                let empty = [f32::NAN, f32::NEG_INFINITY, f32::NAN];
+                assert_eq!(s.sample(&empty), argmax(&empty), "{:?}", s.kind);
+            }
+        }
+    }
+
+    /// Only plain argmax with no penalty may take greedy rows.
+    #[test]
+    fn only_unpenalized_argmax_is_greedy() {
+        assert!(Sampler::argmax().is_greedy());
+        assert!(Sampler::argmax()
+            .with_repetition_penalty(1.0, 8)
+            .is_greedy());
+        assert!(!Sampler::argmax()
+            .with_repetition_penalty(1.3, 8)
+            .is_greedy());
+        for s in drawing_samplers() {
+            assert!(!s.is_greedy(), "{:?}", s.kind);
+        }
     }
 }

@@ -1,0 +1,464 @@
+//! The f32 vocab table — the tied embedding and classifier, or an untied
+//! f32 classifier — in split order ([`ops::to_split_order`]), with the
+//! per-row bounds that let a greedy step screen it on its high halves.
+//!
+//! A greedy step needs the argmax of the classifier row, not the row. The
+//! screen streams half the table's bytes — each weight's high half, the
+//! weight truncated toward zero to bf16 — and a rigorous per-row bound on
+//! how far each screened logit can sit from the exact one keeps every
+//! row that could be the argmax. Those candidates, usually one, are
+//! rescored exactly by the full-row kernel, which replays [`ops::dot`].
+//! The row handed back holds the exact logit at each candidate and −∞
+//! everywhere else, so `sampler::argmax` of it is `sampler::argmax` of the
+//! full row, first-index tie rule included (DESIGN.md §13).
+
+use std::sync::OnceLock;
+
+use crate::ops::{self, KernelRow};
+
+/// Relative slack that every rounded-up quantity here is enlarged by. It
+/// dominates the rounding of the f64 sums of at most [`MAX_COLS`] exact
+/// squares (`MAX_COLS · 2⁻⁵³ < 2⁻⁴¹`) and of the few f64 operations that
+/// follow each, so every such quantity errs only upward.
+const SLACK: f64 = 1.0 / (1u64 << 40) as f64;
+
+/// The widest row the slack above covers.
+const MAX_COLS: usize = 4096;
+
+/// `sqrt(sum)` rounded up, for an f64 `sum` of at most [`MAX_COLS`]
+/// squares of f32 values (each exact in f64).
+fn root_up(sum: f64) -> f64 {
+    (sum * (1.0 + SLACK)).sqrt() * (1.0 + SLACK)
+}
+
+/// `v` as the smallest f32 that is not below it.
+fn f32_up(v: f64) -> f32 {
+    let f = v as f32;
+    if f64::from(f) < v {
+        f.next_up()
+    } else {
+        f
+    }
+}
+
+/// The split f32 vocab table and its screening bounds.
+#[derive(Debug, PartialEq)]
+pub(crate) struct VocabTable {
+    /// `rows × cols` weights in split order, in the checkpoint's buffer.
+    words: Vec<f32>,
+    cols: usize,
+    /// Computed from the table by the first greedy call, so a table no
+    /// greedy step reads — an int8 model's embedding, a serve model's
+    /// classifier — never pays for them.
+    bounds: OnceLock<Bounds>,
+}
+
+/// What the certificate needs of the table, rounded up.
+#[derive(Debug, PartialEq)]
+struct Bounds {
+    /// Row `r` of the split rows ([`ops::split_rows`]): an upper bound on
+    /// `e_r + 2γ·n_r`, where `e_r = ‖w_r − hi_r‖₂`, `n_r = ‖w_r‖₂` and
+    /// `γ = n·u / (1 − n·u)` for `n = cols`, `u = 2⁻²⁴`.
+    error: Vec<f32>,
+    /// An upper bound on every row's `n_r`; +∞ when a weight is not
+    /// finite, which sends every greedy step to the full classifier.
+    norm_max: f64,
+}
+
+impl Bounds {
+    /// Row by row, each read back from split order, in f64.
+    fn new(table: &VocabTable) -> Self {
+        let cols = table.cols;
+        let nu = cols as f64 / (1u64 << 24) as f64;
+        let gamma = nu / (1.0 - nu) * (1.0 + SLACK);
+        let split = ops::split_rows(table.rows());
+        let mut error = Vec::with_capacity(split);
+        let mut norm_max = 0.0f64;
+        let mut row = vec![0.0f32; cols];
+        for r in 0..table.rows() {
+            table.row(r).copy_to(&mut row);
+            let (mut e2, mut n2) = (0.0f64, 0.0f64);
+            for &v in &row {
+                let high = f32::from_bits(v.to_bits() & 0xFFFF_0000);
+                let low = f64::from(v) - f64::from(high);
+                e2 += low * low;
+                n2 += f64::from(v) * f64::from(v);
+            }
+            let n = root_up(n2);
+            norm_max = if n.is_finite() {
+                norm_max.max(n)
+            } else {
+                f64::INFINITY
+            };
+            if r < split {
+                error.push(f32_up((root_up(e2) + 2.0 * gamma * n) * (1.0 + SLACK)));
+            }
+        }
+        Self { error, norm_max }
+    }
+}
+
+/// What one [`VocabTable::greedy`] call did.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct GreedyCounts {
+    /// Rows scored.
+    pub(crate) rows: usize,
+    /// Candidates rescored over all certified rows, tail rows included.
+    pub(crate) candidates: usize,
+    /// Rows that ran the full classifier instead (non-finite or huge
+    /// activations, or non-finite weights).
+    pub(crate) fallbacks: usize,
+}
+
+impl VocabTable {
+    /// Takes over a row-major `rows × cols` checkpoint matrix, re-laid in
+    /// place in split order.
+    pub(crate) fn new(mut words: Vec<f32>, rows: usize, cols: usize) -> Self {
+        assert!(cols <= MAX_COLS, "{cols} columns exceed the bound's slack");
+        ops::to_split_order(&mut words, rows, cols);
+        Self {
+            words,
+            cols,
+            bounds: OnceLock::new(),
+        }
+    }
+
+    /// Vocabulary rows.
+    pub(crate) fn rows(&self) -> usize {
+        self.words.len() / self.cols
+    }
+
+    /// The weight words, split order.
+    pub(crate) fn words(&self) -> &[f32] {
+        &self.words
+    }
+
+    /// Heap bytes of the weights. The screening bounds (4 bytes a row,
+    /// once a greedy call has computed them) are derived, not weights,
+    /// and are not counted.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        self.words.capacity() * 4
+    }
+
+    /// Row `r`, read in place.
+    pub(crate) fn row(&self, r: usize) -> KernelRow<'_> {
+        ops::split_order_row(&self.words, self.cols, r)
+    }
+
+    /// The exact GEMM over `rows` ([`ops::split_matmul_rows_xt`]).
+    pub(crate) fn matmul(
+        &self,
+        out: &mut [f32],
+        xt: &[f32],
+        rows: std::ops::Range<usize>,
+        batch: usize,
+    ) {
+        ops::split_matmul_rows_xt(out, &self.words, xt, rows, self.cols, batch);
+    }
+
+    /// Greedy rows for the activation rows `xs` (`n × cols`, each already
+    /// final-normed): `out` (`n × rows`, sequence-major) gets, per row,
+    /// the exact logit at every candidate and −∞ elsewhere. One screen
+    /// GEMM streams the high halves for all `n` rows into the row-major
+    /// scratch `screen`, through the batch-major scratch `xt`.
+    pub(crate) fn greedy(
+        &self,
+        out: &mut [f32],
+        xs: &[f32],
+        xt: &mut [f32],
+        screen: &mut [f32],
+    ) -> GreedyCounts {
+        let (rows, cols) = (self.rows(), self.cols);
+        let n = xs.len() / cols;
+        let (xt, screen) = (&mut xt[..cols * n], &mut screen[..rows * n]);
+        ops::transpose_batch_major_into(xt, xs, cols, n);
+        ops::split_screen_rows_xt(screen, &self.words, xt, 0..rows, cols, n);
+        crate::forward::scatter_to_seq(&mut out[..n * rows], screen, rows, n);
+        let mut counts = GreedyCounts {
+            rows: n,
+            ..GreedyCounts::default()
+        };
+        for (out, x) in out.chunks_exact_mut(rows).zip(xs.chunks_exact(cols)) {
+            match self.certify(out, x) {
+                Some(candidates) => counts.candidates += candidates,
+                None => {
+                    counts.fallbacks += 1;
+                    self.matmul(out, x, 0..rows, 1);
+                }
+            }
+        }
+        counts
+    }
+
+    /// Turns one row of screened logits `out` for activations `x` into a
+    /// greedy row, and returns its candidate count; `None` leaves `out`
+    /// untouched when the bound does not hold for `x`.
+    ///
+    /// With `s_r` the screened logit and `‖x‖₂` rounded up, `|exact_r −
+    /// s_r| ≤ B_r = ‖x‖₂·(e_r + 2γ·n_r) + 2n·2⁻¹⁴⁹`: Cauchy–Schwarz bounds
+    /// `(w_r − hi_r)·x` by `e_r·‖x‖₂` and `Σ|w_i·x_i|` by `n_r·‖x‖₂`;
+    /// Higham's recursive-dot bound gives each of the two f32 dots (mul
+    /// then add) an error of at most `γ·Σ|w_i·x_i|` — for the screen too,
+    /// as `|hi_i| ≤ |w_i|` (truncation is toward zero) — plus `n·2⁻¹⁴⁹`
+    /// for underflowing products. That needs no overflow, so `x` with
+    /// `‖x‖₂·max n_r` near `f32::MAX` (NaN and ±∞ included) is refused.
+    ///
+    /// Every `B_r` is evaluated in f64 with a relative and an `|s_r|`
+    /// slack that its own rounding and that of `s_r ± B_r` cannot eat, so
+    /// the computed `s_r − B_r` is a lower and `s_r + B_r` an upper bound
+    /// of the exact logit. `L = max_r(s_r − B_r)` is then at most the
+    /// exact logit of its row, a candidate, and a row with `s_r + B_r <
+    /// L` is strictly below that: it can never win, not even a tie. The
+    /// tail rows were screened exactly and all stay.
+    fn certify(&self, out: &mut [f32], x: &[f32]) -> Option<usize> {
+        const LANES: usize = 16;
+        let bounds = self.bounds.get_or_init(|| Bounds::new(self));
+        let norm = root_up(x.iter().map(|&v| f64::from(v) * f64::from(v)).sum());
+        // False for a NaN norm too.
+        let fits = norm * bounds.norm_max <= f64::from(f32::MAX) / 2.0;
+        if !fits {
+            return None;
+        }
+        let underflow = 2.0 * self.cols as f64 * f64::from(f32::from_bits(1));
+        let bound = |s: f32, e: f32| {
+            (norm * f64::from(e) + underflow) * (1.0 + SLACK) + f64::from(s).abs() * SLACK
+        };
+        let split = bounds.error.len();
+        let floor = out[..split]
+            .iter()
+            .zip(&bounds.error)
+            .map(|(&s, &e)| f64::from(s) - bound(s, e))
+            .fold(f64::NEG_INFINITY, |m, v| if v > m { v } else { m });
+        let is_candidate = |s: f32, e: f32| f64::from(s) + bound(s, e) >= floor;
+
+        // Blocks of rows with no candidate, nearly all of them, are found
+        // by a pass the compiler can vectorize; adjacent candidates are
+        // rescored as one row range.
+        let mut candidates = 0;
+        let mut run: Option<std::ops::Range<usize>> = None;
+        for r0 in (0..split).step_by(LANES) {
+            let end = (r0 + LANES).min(split);
+            let (block, error) = (&mut out[r0..end], &bounds.error[r0..end]);
+            let hit = block
+                .iter()
+                .zip(error)
+                .fold(false, |hit, (&s, &e)| hit | is_candidate(s, e));
+            if !hit {
+                block.fill(f32::NEG_INFINITY);
+                continue;
+            }
+            for r in r0..end {
+                if !is_candidate(out[r], bounds.error[r]) {
+                    out[r] = f32::NEG_INFINITY;
+                    continue;
+                }
+                candidates += 1;
+                if let Some(run) = run.as_mut().filter(|run| run.end == r) {
+                    run.end += 1;
+                } else if let Some(done) = run.replace(r..r + 1) {
+                    self.matmul(&mut out[done.clone()], x, done, 1);
+                }
+            }
+        }
+        if let Some(done) = run {
+            self.matmul(&mut out[done.clone()], x, done, 1);
+        }
+        Some(candidates + self.rows() - split)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::rng::Xoshiro256;
+    use crate::sampler::argmax;
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|f| f.to_bits()).collect()
+    }
+
+    /// A `rows × cols` matrix for activations `x`, with the hazards the
+    /// screen must survive planted in it: a row pointing along `x`
+    /// duplicated later (an exact tie, the first must win), a near-rival
+    /// and its twin that differs only in the low halves (the screen
+    /// cannot separate them), a row of subnormals, subnormal weights
+    /// scattered elsewhere, and a pair the screen ranks wrongly. Where the
+    /// planted rows land — split rows or tail rows — varies with the seed.
+    fn matrix(rows: usize, cols: usize, x: &[f32], rng: &mut Xoshiro256) -> Vec<f32> {
+        let mut w = vec![0.0f32; rows * cols];
+        rng.fill_normal(&mut w, 0.05);
+        let norm = x.iter().map(|v| v * v).sum::<f32>().sqrt().max(1e-3);
+        let pick = |rng: &mut Xoshiro256| rng.below(rows as u64) as usize;
+        let plant = |w: &mut [f32], r: usize, scale: f32| {
+            for (o, &v) in w[r * cols..(r + 1) * cols].iter_mut().zip(x) {
+                *o = v / norm * scale;
+            }
+        };
+        let (a, b) = (pick(rng), pick(rng));
+        plant(&mut w, a, 0.5);
+        if b != a {
+            w.copy_within(a * cols..(a + 1) * cols, b * cols);
+        }
+        let (c, d) = (pick(rng), pick(rng));
+        if c != a && c != b && d != a && d != b && d != c {
+            plant(
+                &mut w,
+                c,
+                0.5 * (1.0 + f32::EPSILON * rng.range_f32(-4.0, 4.0)),
+            );
+            for i in 0..cols {
+                let v = w[c * cols + i].to_bits();
+                w[d * cols + i] = f32::from_bits(v ^ (rng.next_u32() & 0xFF));
+            }
+        }
+        let e = pick(rng);
+        if ![a, b, c, d].contains(&e) {
+            for v in &mut w[e * cols..(e + 1) * cols] {
+                *v = f32::from_bits(rng.next_u32() & 0x8007_FFFF);
+            }
+        }
+        for v in w.iter_mut().step_by(41) {
+            *v = f32::from_bits(v.to_bits() & 0x8000_FFFF);
+        }
+        // A pair the screen ranks the wrong way round, above all the rest:
+        // `f` with every low half at its largest (the larger exact
+        // logit), `g` with the same high halves, its low halves cleared
+        // and the high half of `x`'s smallest column one bf16 step larger
+        // (the larger screened logit). Only a bound as wide as `f`'s low
+        // halves keeps `f`.
+        let (f, g) = (pick(rng), pick(rng));
+        if f != g && ![a, b, c, d, e].contains(&f) && ![a, b, c, d, e].contains(&g) {
+            plant(&mut w, f, 0.51);
+            let j = (0..cols)
+                .min_by(|&i, &k| x[i].abs().total_cmp(&x[k].abs()))
+                .expect("a column");
+            for i in 0..cols {
+                let v = w[f * cols + i].to_bits();
+                let step = if i == j { 0x1_0000 } else { 0 };
+                w[f * cols + i] = f32::from_bits(v | 0xFFFF);
+                w[g * cols + i] = f32::from_bits((v & 0xFFFF_0000) + step);
+            }
+        }
+        w
+    }
+
+    /// Greedy rows for `xs` against the exact rows `dot(w_r, x)`.
+    fn check(w: &[f32], rows: usize, cols: usize, xs: &[f32], case: &str) -> GreedyCounts {
+        let table = VocabTable::new(w.to_vec(), rows, cols);
+        let n = xs.len() / cols;
+        let mut out = vec![f32::NAN; n * rows];
+        let (mut xt, mut screen) = (vec![0.0; n * cols], vec![0.0; n * rows]);
+        let counts = table.greedy(&mut out, xs, &mut xt, &mut screen);
+        assert_eq!(counts.rows, n, "{case}");
+        let mut kept = 0;
+        for (b, (got, x)) in out
+            .chunks_exact(rows)
+            .zip(xs.chunks_exact(cols))
+            .enumerate()
+        {
+            let want: Vec<f32> = w.chunks_exact(cols).map(|row| ops::dot(row, x)).collect();
+            assert_eq!(argmax(got), argmax(&want), "{case} lane {b}");
+            let finite_input = x.iter().all(|v| v.is_finite());
+            for (r, (&g, &e)) in got.iter().zip(&want).enumerate() {
+                if g == f32::NEG_INFINITY && finite_input {
+                    continue;
+                }
+                kept += 1;
+                let same = g.to_bits() == e.to_bits() || (g.is_nan() && e.is_nan());
+                assert!(same, "{case} lane {b} row {r}: {g} vs exact {e}");
+            }
+        }
+        let certified = n - counts.fallbacks;
+        assert!(
+            counts.candidates >= certified,
+            "{case}: a candidate per row"
+        );
+        assert!(kept >= counts.candidates, "{case}");
+        counts
+    }
+
+    /// The generated property: over every shape, a greedy row's argmax is
+    /// the full row's, first-index ties included, and every value it
+    /// keeps is the exact logit bit for bit.
+    #[test]
+    fn greedy_rows_keep_the_argmax_and_the_exact_values() {
+        let mut candidates = Vec::new();
+        for rows in [1usize, 7, 8, 15, 16, 17, 45, 64, 1000] {
+            for cols in [16usize, 17, 288] {
+                for seed in 0..8u64 {
+                    let mut rng =
+                        Xoshiro256::seed_from_u64(seed * 7919 + (rows * 1000 + cols) as u64);
+                    let mut x = vec![0.0f32; cols];
+                    rng.fill_normal(&mut x, 1.0);
+                    let w = matrix(rows, cols, &x, &mut rng);
+                    let mut xs = x.clone();
+                    let mut other = vec![0.0f32; cols];
+                    rng.fill_normal(&mut other, 3.0);
+                    xs.extend(&other);
+                    let case = format!("{rows}x{cols} seed {seed}");
+                    let counts = check(&w, rows, cols, &xs, &case);
+                    assert_eq!(counts.fallbacks, 0, "{case}");
+                    if rows == 1000 {
+                        candidates.push(counts.candidates - 8 * 2);
+                    }
+                }
+            }
+        }
+        // 1000 rows keep 8 tail rows per lane; of two lanes' split rows the
+        // screen keeps a few: the planted ties and twins, which it cannot
+        // separate, and no more.
+        assert!(
+            candidates.iter().all(|&c| (2..=8).contains(&c)),
+            "{candidates:?}"
+        );
+        assert!(candidates.iter().any(|&c| c >= 4), "{candidates:?}");
+    }
+
+    /// Activations the bound cannot take — NaN, ±∞, or so large that a dot
+    /// could overflow — and weights that are not finite run the full
+    /// classifier for that row; the other rows of the call stay greedy.
+    #[test]
+    fn rows_the_bound_cannot_take_fall_back_to_the_full_classifier() {
+        let (rows, cols) = (1000, 17);
+        let mut rng = Xoshiro256::seed_from_u64(5);
+        let mut x = vec![0.0f32; cols];
+        rng.fill_normal(&mut x, 1.0);
+        let w = matrix(rows, cols, &x, &mut rng);
+        // The last: four finite 3e38s, a norm no weight row's can meet.
+        for (i, bad) in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 3e38]
+            .into_iter()
+            .enumerate()
+        {
+            let mut xs = x.clone();
+            let mut y = x.clone();
+            y[i * 4..=i * 4 + i / 3 * 3].fill(bad);
+            xs.extend(&y);
+            let counts = check(&w, rows, cols, &xs, &format!("x[{}] = {bad}", i * 4));
+            assert_eq!((counts.rows, counts.fallbacks), (2, 1), "{bad}");
+        }
+        for bad in [f32::NAN, f32::INFINITY] {
+            let mut w = w.clone();
+            w[3 * cols + 2] = bad;
+            let counts = check(&w, rows, cols, &x, &format!("w = {bad}"));
+            assert_eq!(counts.fallbacks, 1, "{bad}");
+        }
+    }
+
+    /// The table keeps the checkpoint's buffer, and its rows read back.
+    #[test]
+    fn the_table_is_the_checkpoint_buffer_split_in_place() {
+        let (rows, cols) = (1056, 16);
+        let mut w = vec![0.0f32; rows * cols];
+        Xoshiro256::seed_from_u64(2).fill_normal(&mut w, 1.0);
+        let reference = w.clone();
+        let ptr = w.as_ptr();
+        let table = VocabTable::new(w, rows, cols);
+        assert_eq!(table.words().as_ptr(), ptr);
+        assert_eq!(table.resident_bytes(), rows * cols * 4);
+        for (r, want) in reference.chunks_exact(cols).enumerate() {
+            let mut got = vec![f32::NAN; cols];
+            table.row(r).copy_to(&mut got);
+            assert_eq!(bits(&got), bits(want), "row {r}");
+        }
+    }
+}

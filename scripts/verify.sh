@@ -72,6 +72,14 @@ for f in crates/{llama,accel,serve}/src/*.rs crates/{llama,accel,serve}/src/*/*.
         exit 1
     fi
 done
+# The sequential oracle (llama::generate) and the serve verbs score full
+# rows: only the accelerator session's argmax sampler takes the certified
+# greedy rows, so every benchmark replay cross-checks that path against
+# full-row argmax.
+if grep -rn 'LogitRows::Greedy' crates/llama/src/generate.rs crates/serve/src; then
+    echo "LogitRows::Greedy in the sequential oracle or serve (see the lines above)" >&2
+    exit 1
+fi
 # The two kernel bodies compiled per instruction set (baseline, AVX2 and
 # AVX-512) are the only code built for a target feature.
 if grep -rn --include='*.rs' '#\[target_feature' crates src tests examples benchmark/src |
@@ -175,6 +183,13 @@ fi
 cargo test --release -q -p speedllm-llama qgemm
 cargo test --release -q -p speedllm-llama kernel_order
 cargo test --release -q -p speedllm-llama f32_instantiations
+# The split vocab table: its re-lay round-trips every bit, its exact and
+# screen GEMMs replay `dot`, its three copies agree, and the certified
+# greedy rows keep the full row's argmax and exact values; an argmax
+# session (greedy rows) reports what the full-row chunk loop does.
+cargo test --release -q -p speedllm-llama -- split_order vocab::
+cargo test --release -q -p speedllm-accel argmax_session
+cargo test --release -q -p speedllm --test greedy_telemetry
 # The walk's RoPE table, key-tiled attention scores and the sampler's
 # two-pass argmax, against the per-call reference each replaces.
 cargo test --release -q -p speedllm-llama -- rope_table tiled_attention argmax
