@@ -1,9 +1,10 @@
 //! Substrate microbenchmarks: the CPU reference kernels at stories15M
-//! dimensions — the f32 matvec, the batched f32 matmul at the widths
-//! whose lane blocks are the 4/2/1 tails, the quantized kernel
-//! (int8, int4) at widths 1, 3, 4 and 6 on the FFN and classifier shapes,
-//! RMSNorm, softmax, RoPE — plus a full reference forward step. Every
-//! weight-streaming row carries `gb_s`: weight bytes over median time.
+//! dimensions — the row-major f32 matvec, the batched row-major f32
+//! matmul at the widths whose lane blocks are the 4/2/1 tails, the GEMMs
+//! the hot path runs (f32 in kernel order, int8, int4) at widths 1, 3, 4
+//! and 6 on the FFN and classifier shapes, RMSNorm, softmax, RoPE — plus
+//! a full reference forward step. Every weight-streaming row carries
+//! `gb_s`: weight bytes over median time.
 
 use speedllm_bench::harness::Runner;
 use speedllm_llama::config::ModelConfig;
@@ -60,11 +61,29 @@ fn bench_kernels(c: &mut Runner) {
         })
     });
 
-    // The quantized kernel on the FFN and classifier shapes. Widths 3 and
-    // 6 are what the `serve15m_int8_open` benchmark workload runs, 1 is
-    // plain decode, and 4 is there to hold 3 against: a width must not
-    // cost more than the next power of two.
+    // The hot path's GEMMs on the FFN and classifier shapes: f32 in
+    // kernel order, int8 and int4. Widths 3 and 6 are what the
+    // `serve15m_int8_open` benchmark workload runs, 1 is plain decode, and
+    // 4 is there to hold 3 against: a width must not cost more than the
+    // next power of two. The f32 rows time the kernel alone, on
+    // activations transposed once outside the loop.
     for (w, rows) in [(&w, rows), (&wv, vrows)] {
+        let mut k = w.clone();
+        ops::to_kernel_order(&mut k, rows, cols);
+        c.set_bytes_per_iter(Some((rows * cols * 4) as u64));
+        for width in [1usize, 3, 4, 6] {
+            let mut xs = vec![0.0f32; width * cols];
+            rng.fill_normal(&mut xs, 1.0);
+            let xt = ops::transpose_batch_major(&xs, cols, width);
+            let mut mout = vec![0.0f32; rows * width];
+            let name = format!("cpu/tiled_matmul_f32_w{width}_{rows}x288");
+            c.bench_function(&name, |b| {
+                b.iter(|| {
+                    ops::tiled_matmul_rows_xt(black_box(&mut mout), &k, &xt, 0..rows, cols, width);
+                    black_box(mout[0])
+                })
+            });
+        }
         for kind in [QuantKind::Int8, QuantKind::Int4] {
             let qm = QuantMatrix::quantize_with(w, rows, cols, kind);
             c.set_bytes_per_iter(Some(qm.bytes() as u64));

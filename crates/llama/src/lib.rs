@@ -3,11 +3,11 @@
 //! The Llama-2 inference substrate of the SpeedLLM reproduction: everything
 //! the paper's host software stack provides (llama2.c model loading,
 //! tokenization, the reference forward pass, sampling, quantization), built
-//! from scratch in safe Rust. There are four `unsafe` blocks, each calling
-//! the AVX2 or AVX-512 copy of a kernel on a CPU just observed to have it:
-//! two in `ops::run_tiled`, the dispatch of the f32 kernels over
-//! kernel-order and split-order matrices (see [`ops`]), and two in
-//! [`qgemm`]'s dispatch of the quantized kernel.
+//! from scratch in safe Rust. There are two `unsafe` blocks, both in
+//! `ops::run_tiled`, the one dispatch of the one GEMM kernel body over
+//! kernel-order, split-order and quantized matrices (see [`ops`] and
+//! [`qgemm`]): each calls the AVX2 or AVX-512 copy of the body on a CPU
+//! just observed to have it.
 //!
 //! The crate serves two roles:
 //!

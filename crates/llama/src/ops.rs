@@ -7,13 +7,16 @@
 //! *functionally transparent*: fusion, memory planning, and pipelining may
 //! only change timing, never values.
 //!
-//! Every weight-streaming kernel, here and in [`crate::qgemm`], sums each
-//! output element in [`dot`]'s order, so one-row, batched and row-tiled
-//! results are bit-identical. Two f32 GEMMs keep that contract: the
-//! row-major [`matmul`]/[`matvec`] (see [`tile_accumulate`]), a reference
-//! for probes and tests, and [`tiled_matmul_rows_xt`] over a matrix stored
-//! in kernel order ([`to_kernel_order`]), which is what the layer walk
-//! streams.
+//! Every weight-streaming kernel sums each output element in [`dot`]'s
+//! order, so one-row, batched and row-tiled results are bit-identical.
+//! The row-major [`matmul`]/[`matvec`] (see [`tile_accumulate`]) are a
+//! reference for probes and tests. What the layer walk streams — f32 in
+//! kernel order ([`to_kernel_order`]) or split order, and the quantized
+//! matrices of [`crate::qgemm`] — goes through one kernel body, each form
+//! a loader of its tile columns ([`TileColumns`]), and one dispatch
+//! ([`run_tiled`]).
+
+use std::ops::Range;
 
 /// Default RoPE frequency base used by the llama2.c model family.
 pub const ROPE_THETA: f32 = 10000.0;
@@ -84,7 +87,7 @@ pub fn softmax(x: &mut [f32]) {
 /// (a single activation vector is its own batch-major transpose), so each
 /// `out[r]` is bit-identical to `dot(w[r, :], x)`.
 pub fn matvec(out: &mut [f32], w: &[f32], x: &[f32], rows: usize, cols: usize) {
-    debug_assert_eq!(w.len(), rows * cols);
+    assert_eq!(w.len(), rows * cols, "matrix shape mismatch");
     matmul_rows_xt(out, w, x, 0..rows, cols, 1);
 }
 
@@ -231,13 +234,11 @@ pub fn matmul_rows_xt(
     out: &mut [f32],
     w: &[f32],
     xt: &[f32],
-    rows: std::ops::Range<usize>,
+    rows: Range<usize>,
     cols: usize,
     batch: usize,
 ) {
-    debug_assert_eq!(out.len(), rows.len() * batch);
-    debug_assert!(rows.end * cols <= w.len());
-    debug_assert_eq!(xt.len(), cols * batch);
+    check_gemm(out, xt, &rows, f32_shape(w, cols), batch);
     let tiled = rows.len() / ROW_TILE * ROW_TILE;
     let (out_tiles, out_tail) = out.split_at_mut(tiled * batch);
     for (o, r0) in out_tiles
@@ -270,9 +271,8 @@ pub fn matmul_rows_xt(
 /// [`dot`]'s exact accumulation order, so a batched result is
 /// **bit-identical** to `batch` independent [`matvec`] calls.
 pub fn matmul(out: &mut [f32], w: &[f32], xs: &[f32], rows: usize, cols: usize, batch: usize) {
-    debug_assert_eq!(out.len(), rows * batch);
-    debug_assert_eq!(w.len(), rows * cols);
-    debug_assert_eq!(xs.len(), batch * cols);
+    assert_eq!(w.len(), rows * cols, "matrix shape mismatch");
+    assert_eq!(xs.len(), batch * cols, "activation shape mismatch");
     let xt = transpose_batch_major(xs, cols, batch);
     matmul_rows_xt(out, w, &xt, 0..rows, cols, batch);
 }
@@ -505,25 +505,23 @@ impl std::fmt::Debug for KernelRow<'_> {
     }
 }
 
-/// Widest lane block of the kernel-order kernels, here and in
-/// [`crate::qgemm`]: 8 accumulator vectors, the weight column and a
-/// broadcast (qgemm: the scales and a temporary too) fit AVX2's 16
-/// registers.
-pub(crate) const MAX_LANES: usize = 8;
+/// Widest lane block: 8 accumulator vectors, the weight column and a
+/// broadcast (and quantized, scales and a temporary) fit 16 registers.
+const MAX_LANES: usize = 8;
 
 /// Lanes per accumulator group of a lane block. A block of 8 lanes is two
 /// groups of 4 over one column loop: with 16-wide accumulators the
 /// compiler kept at most 5 lanes of one array in registers, and 6 to 8
 /// compiled to code about 10× slower.
-pub(crate) const GROUP_LANES: usize = 4;
+const GROUP_LANES: usize = 4;
 
 /// The accumulators of one lane block: `[lane][tile][row]`.
-pub(crate) type LaneAccs<const R: usize, const T: usize> = [[[f32; R]; T]; MAX_LANES];
+type LaneAccs<const R: usize, const T: usize> = [[[f32; R]; T]; MAX_LANES];
 
 /// One column step of a lane group: `acc[l][j][i] += wv[j][i] * x[l]`, a
 /// mul then an add per accumulator — [`dot`]'s step.
 #[inline(always)]
-pub(crate) fn accumulate_lanes<const R: usize, const T: usize, const L: usize>(
+fn accumulate_lanes<const R: usize, const T: usize, const L: usize>(
     acc: &mut [[[f32; R]; T]; L],
     wv: &[[f32; R]; T],
     x: &[f32],
@@ -539,20 +537,17 @@ pub(crate) fn accumulate_lanes<const R: usize, const T: usize, const L: usize>(
 }
 
 /// Writes lanes `b0..b0 + lanes` of a lane block whose first row is `r0`
-/// to `out`, the rows inside `rows` only.
-///
-/// Called after the `match` over the lane count, in both kernels: there
-/// the count is a run-time value, so each block hands over its
-/// accumulators as whole `T × R`-wide vectors, which is what lets the
-/// compiler keep them in vector registers for every count (written per
-/// count, widths 3, 5 and 6 ran 5× slower).
+/// to `out`, the rows inside `rows` only. Called after the `match` over
+/// the lane count, where the count is a run-time value, so each block
+/// hands over whole `T × R`-wide vectors the compiler keeps in registers
+/// (written per count, widths 3, 5 and 6 ran 5× slower).
 #[inline(always)]
-pub(crate) fn write_lanes<const R: usize, const T: usize>(
+fn write_lanes<const R: usize, const T: usize>(
     out: &mut [f32],
     acc: &LaneAccs<R, T>,
     lanes: usize,
     r0: usize,
-    rows: &std::ops::Range<usize>,
+    rows: &Range<usize>,
     batch: usize,
     b0: usize,
 ) {
@@ -566,22 +561,32 @@ pub(crate) fn write_lanes<const R: usize, const T: usize>(
     }
 }
 
-/// How a kernel body loads one column of a step's `T` adjacent `R`-row
-/// tiles: stored as f32 ([`F32Tiles`]), or rebuilt from a split-order
-/// group's halves ([`SplitGroup`]). Every form yields each row's weights
-/// in the same column order, so the lane blocks over it keep [`dot`]'s.
-///
-/// Everything here is `#[inline(always)]`, down to the decoding: inside
-/// the large per-ISA kernel copies the compiler otherwise left a call per
-/// column (an iterator's `next`, a closure) and spilled the accumulators.
-trait TileColumns<const R: usize, const T: usize>: Copy {
-    /// One `[f32; R]` per column (of words, for a split group): counting
-    /// columns by it lets the compiler see `c < cols` and drop the bounds
-    /// checks on it, which otherwise cost width 1 about 15%.
-    fn first(&self) -> &[[f32; R]];
+/// How the kernel body loads `T` adjacent `R`-row tiles, `S` columns a
+/// step: stored as f32 ([`F32Tiles`]), rebuilt from a split-order group's
+/// halves ([`SplitGroup`]), or dequantized, two columns a step, in blocks
+/// of one group (`crate::qgemm`). Every form yields each row's weights in
+/// column order, so the lane blocks over it keep [`dot`]'s. Everything
+/// here is `#[inline(always)]`, down to the decoding: inside the per-ISA
+/// copies the compiler otherwise left a call per column and spilled the
+/// accumulators.
+pub(crate) trait TileColumns<const R: usize, const T: usize, const S: usize>: Copy {
+    /// Steps per block; `None` makes the whole row one block.
+    const BLOCK_STEPS: Option<usize> = None;
 
-    /// Column `c`: `w[j][i]` is the weight of row `j * R + i`.
-    fn column(self, c: usize) -> [[f32; R]; T];
+    /// The loader narrowed to block `g`, steps `g * BLOCK_STEPS..`.
+    #[inline(always)]
+    fn block(self, _g: usize) -> Self {
+        self
+    }
+
+    /// Steps in a block. Where it is the length of a slice [`Self::step`]
+    /// indexes, the compiler drops the bounds checks on it, which
+    /// otherwise cost f32 width 1 about 15%.
+    fn steps(&self) -> usize;
+
+    /// Step `s` of a block: `w[k][j][i]` is its column `k` of row `j * R
+    /// + i`.
+    fn step(self, s: usize) -> [[[f32; R]; T]; S];
 }
 
 /// `T` adjacent kernel-order tiles: column `c` of tile `j` is
@@ -602,15 +607,15 @@ impl<'a, const R: usize, const T: usize> F32Tiles<'a, R, T> {
     }
 }
 
-impl<const R: usize, const T: usize> TileColumns<R, T> for F32Tiles<'_, R, T> {
+impl<const R: usize, const T: usize> TileColumns<R, T, 1> for F32Tiles<'_, R, T> {
     #[inline(always)]
-    fn first(&self) -> &[[f32; R]] {
-        self.columns[0]
+    fn steps(&self) -> usize {
+        self.columns[0].len()
     }
 
     #[inline(always)]
-    fn column(self, c: usize) -> [[f32; R]; T] {
-        std::array::from_fn(|j| self.columns[j][c])
+    fn step(self, c: usize) -> [[[f32; R]; T]; 1] {
+        [std::array::from_fn(|j| self.columns[j][c])]
     }
 }
 
@@ -624,48 +629,90 @@ struct SplitGroup<'a, const EXACT: bool> {
     low: &'a [[f32; GROUP_WORDS]],
 }
 
-impl<const EXACT: bool> TileColumns<GROUP_WORDS, 2> for SplitGroup<'_, EXACT> {
+impl<const EXACT: bool> TileColumns<GROUP_WORDS, 2, 1> for SplitGroup<'_, EXACT> {
     #[inline(always)]
-    fn first(&self) -> &[[f32; GROUP_WORDS]] {
-        self.high
+    fn steps(&self) -> usize {
+        self.high.len()
     }
 
     #[inline(always)]
-    fn column(self, c: usize) -> [[f32; GROUP_WORDS]; 2] {
+    fn step(self, c: usize) -> [[[f32; GROUP_WORDS]; 2]; 1] {
         let h = self.high[c].map(f32::to_bits);
         if EXACT {
             let l = self.low[c].map(f32::to_bits);
-            [
+            [[
                 std::array::from_fn(|i| f32::from_bits(h[i] & HIGH | l[i] >> 16)),
                 std::array::from_fn(|i| f32::from_bits(h[i] << 16 | l[i] & !HIGH)),
-            ]
+            ]]
         } else {
-            [
+            [[
                 h.map(|w| f32::from_bits(w & HIGH)),
                 h.map(|w| f32::from_bits(w << 16)),
-            ]
+            ]]
         }
     }
 }
 
-/// Lanes `b0..b0 + A + B` of one step's tiles: `acc[l][j][i] = row j * R
-/// + i · x_{b0 + l}`, lanes past `A + B` zero. Column `c` of all `T` tiles
-/// is one `T × R`-wide vector applied to every lane, and each accumulator
-/// takes its terms in increasing column order, mul then add — [`dot`]'s
-/// order. The lanes go in two groups, `A` then `B` (see [`GROUP_LANES`]).
+/// The steps of one block, over their columns `xg` of the lanes, summed
+/// into lane groups `a` and `b`.
 #[inline(always)]
-fn tiled_lane_block<const R: usize, const T: usize, const A: usize, const B: usize>(
-    tiles: impl TileColumns<R, T>,
+fn sum_block<const R: usize, const T: usize, const S: usize, const A: usize, const B: usize>(
+    a: &mut [[[f32; R]; T]; A],
+    b: &mut [[[f32; R]; T]; B],
+    block: impl TileColumns<R, T, S>,
+    xg: &[f32],
+    batch: usize,
+    b0: usize,
+) {
+    // The lanes, and a step's, are in bounds: checked once here, so the
+    // compiler drops the lane groups' bounds checks on every column.
+    assert!(b0 + A + B <= batch);
+    let step = S.checked_mul(batch).expect("a step's lanes fit in memory");
+    // Whole steps, whose length the compiler sees.
+    let steps = xg.chunks_exact(step);
+    let rest = steps.remainder();
+    for (s, xs) in (0..block.steps()).zip(steps) {
+        for (k, w) in block.step(s).iter().enumerate() {
+            let xc = &xs[k * batch..][..batch];
+            accumulate_lanes(a, w, &xc[b0..]);
+            accumulate_lanes(b, w, &xc[b0 + A..]);
+        }
+    }
+    // A row with an odd column count ends on a pair with no second.
+    if !rest.is_empty() {
+        let w = block.step(xg.len() / step)[0];
+        accumulate_lanes(a, &w, &rest[b0..]);
+        accumulate_lanes(b, &w, &rest[b0 + A..]);
+    }
+}
+
+/// Lanes `b0..b0 + A + B` of one step's tiles, in two groups, `A` then
+/// `B` ([`GROUP_LANES`]): `acc[l][j][i] = row j * R + i · x_{b0 + l}`,
+/// lanes past `A + B` zero. Each column of the `T` tiles is one `T ×
+/// R`-wide vector applied to every lane, summed in [`dot`]'s order.
+#[inline(always)]
+fn tiled_lane_block<
+    const R: usize,
+    const T: usize,
+    const S: usize,
+    const A: usize,
+    const B: usize,
+    C: TileColumns<R, T, S>,
+>(
+    tiles: C,
     xt: &[f32],
     batch: usize,
     b0: usize,
 ) -> LaneAccs<R, T> {
     let mut a = [[[0.0f32; R]; T]; A];
     let mut b = [[[0.0f32; R]; T]; B];
-    for (c, (xc, _)) in xt.chunks_exact(batch).zip(tiles.first()).enumerate() {
-        let wv = tiles.column(c);
-        accumulate_lanes(&mut a, &wv, &xc[b0..]);
-        accumulate_lanes(&mut b, &wv, &xc[b0 + A..]);
+    match C::BLOCK_STEPS {
+        None => sum_block(&mut a, &mut b, tiles, xt, batch, b0),
+        Some(steps) => {
+            for (g, xg) in xt.chunks(steps * S * batch).enumerate() {
+                sum_block(&mut a, &mut b, tiles.block(g), xg, batch, b0);
+            }
+        }
     }
     let mut lanes = [[[0.0f32; R]; T]; MAX_LANES];
     lanes[..A].copy_from_slice(&a);
@@ -677,117 +724,74 @@ fn tiled_lane_block<const R: usize, const T: usize, const A: usize, const B: usi
 /// blocks of [`MAX_LANES`] and then one block of exactly the lanes left
 /// over; the tiles' rows inside `rows` are written out ([`write_lanes`]).
 #[inline(always)]
-fn tiled_tiles<const R: usize, const T: usize>(
+fn tiled_tiles<const R: usize, const T: usize, const S: usize>(
     out: &mut [f32],
-    tiles: impl TileColumns<R, T>,
+    tiles: impl TileColumns<R, T, S>,
     r0: usize,
     xt: &[f32],
-    rows: &std::ops::Range<usize>,
+    rows: &Range<usize>,
     batch: usize,
 ) {
     const G: usize = GROUP_LANES;
     for b0 in (0..batch).step_by(MAX_LANES) {
         let lanes = (batch - b0).min(MAX_LANES);
         let acc = match lanes {
-            1 => tiled_lane_block::<R, T, 1, 0>(tiles, xt, batch, b0),
-            2 => tiled_lane_block::<R, T, 2, 0>(tiles, xt, batch, b0),
-            3 => tiled_lane_block::<R, T, 3, 0>(tiles, xt, batch, b0),
-            4 => tiled_lane_block::<R, T, G, 0>(tiles, xt, batch, b0),
-            5 => tiled_lane_block::<R, T, G, 1>(tiles, xt, batch, b0),
-            6 => tiled_lane_block::<R, T, G, 2>(tiles, xt, batch, b0),
-            7 => tiled_lane_block::<R, T, G, 3>(tiles, xt, batch, b0),
-            _ => tiled_lane_block::<R, T, G, G>(tiles, xt, batch, b0),
+            1 => tiled_lane_block::<R, T, S, 1, 0, _>(tiles, xt, batch, b0),
+            2 => tiled_lane_block::<R, T, S, 2, 0, _>(tiles, xt, batch, b0),
+            3 => tiled_lane_block::<R, T, S, 3, 0, _>(tiles, xt, batch, b0),
+            4 => tiled_lane_block::<R, T, S, G, 0, _>(tiles, xt, batch, b0),
+            5 => tiled_lane_block::<R, T, S, G, 1, _>(tiles, xt, batch, b0),
+            6 => tiled_lane_block::<R, T, S, G, 2, _>(tiles, xt, batch, b0),
+            7 => tiled_lane_block::<R, T, S, G, 3, _>(tiles, xt, batch, b0),
+            _ => tiled_lane_block::<R, T, S, G, G, _>(tiles, xt, batch, b0),
         };
         write_lanes(out, &acc, lanes, r0, rows, batch, b0);
     }
 }
 
-/// The kernel-order f32 kernel body, `T` tiles per step: the full tiles
-/// that overlap `rows`, `T` adjacent ones at a time and a leftover one
-/// alone, each computed whole and written in part, then the row-major
-/// tail rows inside `rows` as one-row tiles (a one-row tile in kernel
-/// order *is* a row-major row). The storage is the same for every `T`:
-/// adjacent tiles are adjacent in memory.
-#[inline(always)]
-fn tiled_body<const T: usize>(
-    out: &mut [f32],
-    w: &[f32],
-    xt: &[f32],
-    rows: std::ops::Range<usize>,
-    cols: usize,
-    batch: usize,
-) {
-    let tiled = w.len() / cols / ROW_TILE * ROW_TILE;
-    let tile_len = ROW_TILE * cols;
-    let (mut t, end) = (
-        rows.start / ROW_TILE,
-        rows.end.min(tiled).div_ceil(ROW_TILE),
-    );
-    while t + T <= end {
-        let tiles = F32Tiles::<ROW_TILE, T>::new(&w[t * tile_len..], cols);
-        tiled_tiles(out, tiles, t * ROW_TILE, xt, &rows, batch);
-        t += T;
-    }
-    for t in t..end {
-        let tile = F32Tiles::<ROW_TILE, 1>::new(&w[t * tile_len..], cols);
-        tiled_tiles(out, tile, t * ROW_TILE, xt, &rows, batch);
-    }
-    for r in rows.start.max(tiled)..rows.end {
-        let row = F32Tiles::<1, 1>::new(&w[r * cols..], cols);
-        tiled_tiles(out, row, r, xt, &rows, batch);
-    }
-}
+/// A matrix stored in [`ROW_TILE`]-row tiles, adjacent ones adjacent in
+/// storage, so the layout is the same whatever `T` tiles a step reads.
+pub(crate) trait RowTiles<const S: usize>: Copy {
+    /// Tiles `t..t + T`.
+    fn tiles<const T: usize>(self, t: usize) -> impl TileColumns<ROW_TILE, T, S>;
 
-/// The split-order kernel body ([`to_split_order`]) over `w`, the split
-/// rows' words alone: every group that overlaps `rows`, one
-/// [`SplitGroup`] step each, computed whole and written in part. `EXACT`
-/// rebuilds the weights; without it the body streams the high halves only
-/// and skips the low ones.
-#[inline(always)]
-fn split_body<const EXACT: bool>(
-    out: &mut [f32],
-    w: &[f32],
-    xt: &[f32],
-    rows: std::ops::Range<usize>,
-    cols: usize,
-    batch: usize,
-) {
-    let split = w.len() / cols;
-    let group_len = GROUP_WORDS * cols;
-    for g in rows.start / SPLIT_GROUP..rows.end.div_ceil(SPLIT_GROUP) {
-        let (start, half) = split_block(g, split, cols);
-        let at = start + (g % (SPLIT_BLOCK / SPLIT_GROUP)) * group_len;
-        let group = SplitGroup::<EXACT> {
-            high: w[at..][..group_len].as_chunks().0,
-            low: if EXACT {
-                w[at + half..][..group_len].as_chunks().0
-            } else {
-                &[]
-            },
-        };
-        tiled_tiles::<GROUP_WORDS, 2>(out, group, g * SPLIT_GROUP, xt, &rows, batch);
+    /// The tiles `tiles`, `T` adjacent ones a step and a leftover one
+    /// alone, each computed whole and written in part.
+    #[inline(always)]
+    fn walk<const T: usize>(
+        self,
+        tiles: Range<usize>,
+        out: &mut [f32],
+        xt: &[f32],
+        rows: &Range<usize>,
+        batch: usize,
+    ) {
+        let mut t = tiles.start;
+        while t + T <= tiles.end {
+            tiled_tiles(out, self.tiles::<T>(t), t * ROW_TILE, xt, rows, batch);
+            t += T;
+        }
+        for t in t..tiles.end {
+            tiled_tiles(out, self.tiles::<1>(t), t * ROW_TILE, xt, rows, batch);
+        }
     }
 }
 
 /// One matrix and the kernel body that streams it, as the per-ISA copies
 /// of [`run_tiled`] take it. `body::<T>` runs with `T` = 1 at the
 /// baseline and with AVX2, and `T` = 2 with AVX-512.
-trait TiledGemm: Copy {
+pub(crate) trait TiledGemm: Copy {
     /// The narrowest batch that runs the AVX-512 copy, measured per body.
     const AVX512_FROM: usize;
 
     /// `out[(r - rows.start) * batch + b] = w[r, :] · x_b` for `r` in
     /// `rows`, from batch-major `xt`.
-    fn body<const T: usize>(
-        self,
-        out: &mut [f32],
-        xt: &[f32],
-        rows: std::ops::Range<usize>,
-        batch: usize,
-    );
+    fn body<const T: usize>(self, out: &mut [f32], xt: &[f32], rows: Range<usize>, batch: usize);
 }
 
-/// A kernel-order f32 matrix ([`to_kernel_order`]).
+/// A kernel-order f32 matrix ([`to_kernel_order`]): the full tiles that
+/// overlap `rows`, then the row-major tail rows inside `rows` as one-row
+/// tiles (a one-row tile in kernel order *is* a row-major row).
 #[derive(Clone, Copy)]
 struct KernelOrder<'a> {
     w: &'a [f32],
@@ -800,19 +804,29 @@ impl TiledGemm for KernelOrder<'_> {
     const AVX512_FROM: usize = 2;
 
     #[inline(always)]
-    fn body<const T: usize>(
-        self,
-        out: &mut [f32],
-        xt: &[f32],
-        rows: std::ops::Range<usize>,
-        batch: usize,
-    ) {
-        tiled_body::<T>(out, self.w, xt, rows, self.cols, batch);
+    fn body<const T: usize>(self, out: &mut [f32], xt: &[f32], rows: Range<usize>, batch: usize) {
+        let (w, cols) = (self.w, self.cols);
+        let tiled = w.len() / cols / ROW_TILE * ROW_TILE;
+        let tiles = rows.start / ROW_TILE..rows.end.min(tiled).div_ceil(ROW_TILE);
+        self.walk::<T>(tiles, out, xt, &rows, batch);
+        for r in rows.start.max(tiled)..rows.end {
+            let row = F32Tiles::<1, 1>::new(&w[r * cols..], cols);
+            tiled_tiles(out, row, r, xt, &rows, batch);
+        }
+    }
+}
+
+impl RowTiles<1> for KernelOrder<'_> {
+    #[inline(always)]
+    fn tiles<const T: usize>(self, t: usize) -> impl TileColumns<ROW_TILE, T, 1> {
+        F32Tiles::new(&self.w[t * ROW_TILE * self.cols..], self.cols)
     }
 }
 
 /// The split rows of a split-order matrix ([`to_split_order`]), read
-/// whole when `EXACT` and as their high halves otherwise.
+/// whole when `EXACT` and as their high halves otherwise: every group
+/// that overlaps `rows`, one [`SplitGroup`] step each, computed whole and
+/// written in part.
 #[derive(Clone, Copy)]
 struct SplitOrder<'a, const EXACT: bool> {
     w: &'a [f32],
@@ -826,14 +840,20 @@ impl<const EXACT: bool> TiledGemm for SplitOrder<'_, EXACT> {
 
     /// A group step is the same at every `T`.
     #[inline(always)]
-    fn body<const T: usize>(
-        self,
-        out: &mut [f32],
-        xt: &[f32],
-        rows: std::ops::Range<usize>,
-        batch: usize,
-    ) {
-        split_body::<EXACT>(out, self.w, xt, rows, self.cols, batch);
+    fn body<const T: usize>(self, out: &mut [f32], xt: &[f32], rows: Range<usize>, batch: usize) {
+        let (w, cols) = (self.w, self.cols);
+        let split = w.len() / cols;
+        let group_len = GROUP_WORDS * cols;
+        for g in rows.start / SPLIT_GROUP..rows.end.div_ceil(SPLIT_GROUP) {
+            let (start, half) = split_block(g, split, cols);
+            let at = start + (g % (SPLIT_BLOCK / SPLIT_GROUP)) * group_len;
+            let low = if EXACT { at + half } else { at };
+            let group = SplitGroup::<EXACT> {
+                high: w[at..][..group_len].as_chunks().0,
+                low: w[low..][..group_len].as_chunks().0,
+            };
+            tiled_tiles(out, group, g * SPLIT_GROUP, xt, &rows, batch);
+        }
     }
 }
 
@@ -844,7 +864,7 @@ fn tiled_kernel_avx2<G: TiledGemm>(
     g: G,
     out: &mut [f32],
     xt: &[f32],
-    rows: std::ops::Range<usize>,
+    rows: Range<usize>,
     batch: usize,
 ) {
     g.body::<1>(out, xt, rows, batch);
@@ -859,7 +879,7 @@ fn tiled_kernel_avx512<G: TiledGemm>(
     g: G,
     out: &mut [f32],
     xt: &[f32],
-    rows: std::ops::Range<usize>,
+    rows: Range<usize>,
     batch: usize,
 ) {
     g.body::<2>(out, xt, rows, batch);
@@ -868,7 +888,7 @@ fn tiled_kernel_avx512<G: TiledGemm>(
 /// The widest instruction set a GEMM may pick a copy for: the public
 /// kernels allow AVX-512, and the tests cap it to compare the copies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-enum Isa {
+pub(crate) enum Isa {
     Avx2,
     Avx512,
 }
@@ -879,11 +899,11 @@ enum Isa {
 /// (mul then add, never a fused multiply-add), so they agree bit for bit.
 #[allow(unsafe_code)]
 #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-fn run_tiled<G: TiledGemm>(
+pub(crate) fn run_tiled<G: TiledGemm>(
     g: G,
     out: &mut [f32],
     xt: &[f32],
-    rows: std::ops::Range<usize>,
+    rows: Range<usize>,
     batch: usize,
     widest: Isa,
 ) {
@@ -892,39 +912,41 @@ fn run_tiled<G: TiledGemm>(
         && batch >= G::AVX512_FROM
         && std::arch::is_x86_feature_detected!("avx512f")
     {
-        // SAFETY: `tiled_kernel_avx512` is a safe function whose only
-        // extra requirement is that the CPU executes AVX-512F
-        // instructions, and the line above has just observed that this
-        // one does. It is `g`'s body under another instruction
-        // selection: all memory access is through the same bounds-checked
-        // slices.
+        // SAFETY: `tiled_kernel_avx512` is safe code whose one extra
+        // requirement, a CPU that executes AVX-512F, the line above has
+        // just observed. It is `g`'s body under another instruction
+        // selection, over the same bounds-checked slices.
         return unsafe { tiled_kernel_avx512(g, out, xt, rows, batch) };
     }
     #[cfg(target_arch = "x86_64")]
     if widest >= Isa::Avx2 && std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: `tiled_kernel_avx2` is a safe function whose only extra
-        // requirement is that the CPU executes AVX2 instructions, and the
-        // line above has just observed that this one does. It is `g`'s
-        // body under another instruction selection: all memory access is
-        // through the same bounds-checked slices.
+        // SAFETY: `tiled_kernel_avx2` is safe code whose one extra
+        // requirement, a CPU that executes AVX2, the line above has just
+        // observed. It is `g`'s body under another instruction selection,
+        // over the same bounds-checked slices.
         return unsafe { tiled_kernel_avx2(g, out, xt, rows, batch) };
     }
     g.body::<1>(out, xt, rows, batch);
 }
 
-/// The shape checks every GEMM over a `cols`-column matrix `w` makes.
-fn check_gemm(
+/// The shape checks every GEMM over a `w_rows × cols` matrix makes, in
+/// every build: a short `xt` would otherwise leave lanes at zero.
+pub(crate) fn check_gemm(
     out: &[f32],
-    w: &[f32],
     xt: &[f32],
-    rows: &std::ops::Range<usize>,
-    cols: usize,
+    rows: &Range<usize>,
+    (w_rows, cols): (usize, usize),
     batch: usize,
 ) {
-    assert_eq!(out.len(), rows.len() * batch);
+    assert_eq!(out.len(), rows.len() * batch, "output shape mismatch");
+    assert!(rows.end <= w_rows, "rows past the matrix");
+    assert_eq!(xt.len(), cols * batch, "activation shape mismatch");
+}
+
+/// The shape of an f32 matrix `w` with `cols` columns.
+fn f32_shape(w: &[f32], cols: usize) -> (usize, usize) {
     assert_eq!(w.len() % cols, 0, "a whole number of rows");
-    assert!(rows.end * cols <= w.len());
-    assert_eq!(xt.len(), cols * batch);
+    (w.len() / cols, cols)
 }
 
 /// Batched matmul over a **kernel-order** matrix ([`to_kernel_order`])
@@ -932,26 +954,18 @@ fn check_gemm(
 /// batch + b] = w[r, :] · x_b` for `r` in `rows`, any row range. Each tile
 /// column is one load reused across every lane of a lane block, and every
 /// element equals `dot(w[r, :], x_b)` bit for bit — the same values as
-/// [`matmul_rows_xt`] over the row-major matrix.
-///
-/// The body is compiled three times — at the build's baseline, with AVX2
-/// and with AVX-512 — and picked per call as
-/// [`crate::qgemm::qmatmul_rows_xt`] does. All run the same IEEE
-/// operations in the same order (mul then add, never a fused
-/// multiply-add), so they agree bit for bit. The AVX2 copy is faster
-/// because a tile column fills one 8-wide register; the AVX-512 copy
-/// reads two tiles per step into one 16-wide register, which pays only
-/// where the kernel is bound by arithmetic, from width 2 up. Width 1 is
-/// bound by the weight stream and stays on AVX2.
+/// [`matmul_rows_xt`] over the row-major matrix. A tile column fills one
+/// AVX2 register, a tile pair's one AVX-512 register; the pair pays from
+/// width 2, where the kernel is bound by arithmetic, not the stream.
 pub fn tiled_matmul_rows_xt(
     out: &mut [f32],
     w: &[f32],
     xt: &[f32],
-    rows: std::ops::Range<usize>,
+    rows: Range<usize>,
     cols: usize,
     batch: usize,
 ) {
-    check_gemm(out, w, xt, &rows, cols, batch);
+    check_gemm(out, xt, &rows, f32_shape(w, cols), batch);
     run_tiled(KernelOrder { w, cols }, out, xt, rows, batch, Isa::Avx512);
 }
 
@@ -965,7 +979,7 @@ pub(crate) fn split_matmul_rows_xt(
     out: &mut [f32],
     w: &[f32],
     xt: &[f32],
-    rows: std::ops::Range<usize>,
+    rows: Range<usize>,
     cols: usize,
     batch: usize,
 ) {
@@ -981,7 +995,7 @@ pub(crate) fn split_screen_rows_xt(
     out: &mut [f32],
     w: &[f32],
     xt: &[f32],
-    rows: std::ops::Range<usize>,
+    rows: Range<usize>,
     cols: usize,
     batch: usize,
 ) {
@@ -994,11 +1008,11 @@ fn split_gemm<const EXACT: bool>(
     out: &mut [f32],
     w: &[f32],
     xt: &[f32],
-    rows: std::ops::Range<usize>,
+    rows: Range<usize>,
     cols: usize,
     batch: usize,
 ) {
-    check_gemm(out, w, xt, &rows, cols, batch);
+    check_gemm(out, xt, &rows, f32_shape(w, cols), batch);
     let split = split_rows(w.len() / cols);
     let (w, tail) = w.split_at(split * cols);
     let groups = rows.start.min(split)..rows.end.min(split);
@@ -1157,12 +1171,24 @@ pub fn attention_mix<'v>(
 mod tests {
     use super::*;
 
-    /// [`tiled_body`] one tile per step, at the build's baseline.
+    /// The kernel-order body `T` tiles per step, at the build's baseline.
+    fn tiled_body<const T: usize>(
+        out: &mut [f32],
+        w: &[f32],
+        xt: &[f32],
+        rows: Range<usize>,
+        cols: usize,
+        batch: usize,
+    ) {
+        KernelOrder { w, cols }.body::<T>(out, xt, rows, batch);
+    }
+
+    /// [`tiled_body`] one tile per step.
     fn tiled_kernel(
         out: &mut [f32],
         w: &[f32],
         xt: &[f32],
-        rows: std::ops::Range<usize>,
+        rows: Range<usize>,
         cols: usize,
         batch: usize,
     ) {
@@ -1287,6 +1313,32 @@ mod tests {
         assert_eq!(mv, mm);
     }
 
+    /// A batch-3 call given two lanes of activations panics in every
+    /// build, rather than reading the third lane as zeros.
+    #[test]
+    #[should_panic(expected = "activation shape mismatch")]
+    fn matmul_shape_check_rejects_a_missing_lane() {
+        let (rows, cols) = (8, 5);
+        let mut out = vec![0.0f32; rows * 3];
+        matmul(
+            &mut out,
+            &vec![1.0; rows * cols],
+            &vec![1.0; 2 * cols],
+            rows,
+            cols,
+            3,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "activation shape mismatch")]
+    fn matmul_rows_xt_shape_check_rejects_a_missing_lane() {
+        let (rows, cols) = (8, 5);
+        let mut out = vec![0.0f32; rows * 3];
+        let w = vec![1.0; rows * cols];
+        matmul_rows_xt(&mut out, &w, &vec![1.0; 2 * cols], 0..rows, cols, 3);
+    }
+
     /// A random row-major `rows × cols` matrix and its kernel-order copy.
     fn kernel_order_case(rows: usize, cols: usize, seed: u64) -> (Vec<f32>, Vec<f32>) {
         let mut rng = crate::rng::Xoshiro256::seed_from_u64(seed);
@@ -1393,7 +1445,7 @@ mod tests {
 
     /// Row ranges of a `rows`-row matrix: the whole, and ones that start
     /// and end mid-tile and mid-pair of tiles.
-    fn row_ranges(rows: usize) -> Vec<std::ops::Range<usize>> {
+    fn row_ranges(rows: usize) -> Vec<Range<usize>> {
         let mut ranges = vec![0..rows, rows / 2..rows];
         for (start, end) in [(3, 2), (11, 5), (19, 13)] {
             if start + end < rows {
@@ -1438,7 +1490,7 @@ mod tests {
     }
 
     /// An f32 kernel-order GEMM's signature.
-    type F32Kernel = fn(&mut [f32], &[f32], &[f32], std::ops::Range<usize>, usize, usize);
+    type F32Kernel = fn(&mut [f32], &[f32], &[f32], Range<usize>, usize, usize);
 
     /// The run-time-selected copy — AVX-512 two tiles per step from width
     /// 2 where the CPU has it, else AVX2 or the baseline one tile per
@@ -1599,7 +1651,7 @@ mod tests {
                 fn copies<G: TiledGemm>(
                     g: G,
                     xt: &[f32],
-                    range: &std::ops::Range<usize>,
+                    range: &Range<usize>,
                     batch: usize,
                 ) -> [Vec<u32>; 3] {
                     let run = |widest: Option<Isa>| {

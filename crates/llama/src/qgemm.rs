@@ -1,185 +1,108 @@
-//! Fused dequant-GEMM kernel over group-quantized weights.
+//! Fused dequant-GEMM over group-quantized weights.
 //!
-//! One pass over the quantized weight matrix per batched tick, with the
-//! shape of the kernel-order f32 kernel
-//! ([`crate::ops::tiled_matmul_rows_xt`]). [`QuantMatrix`] is stored in
-//! the order the kernel consumes it — [`ROW_TILE`] rows interleaved
-//! column by column — so each column of a row tile is one vector load,
-//! converted and scaled **once** in registers ([`dequant_column_pair`])
-//! and then applied to every lane of the lane block. The compressed
-//! payload, not an f32 expansion, is all that leaves memory, and nothing
-//! is staged or transposed on the way.
+//! A quantized matrix is one more loader of the kernel body that streams
+//! the f32 matrices ([`crate::ops::tiled_matmul_rows_xt`]), in the copies
+//! [`crate::ops::run_tiled`] picks between. [`QuantMatrix`] is stored in
+//! the order the body consumes it, [`ROW_TILE`] rows interleaved column by
+//! column, so each column pair of a tile is one vector load, converted
+//! and scaled **once** in registers ([`dequant_column_pair`]) and applied
+//! to every lane of a lane block. Only the compressed payload leaves
+//! memory. Bound by its dequantization at every width, a quantized matrix
+//! runs the AVX-512 copy from width 1.
 //!
 //! Determinism contract: every output element is one f32 accumulator fed
 //! the dequantized weights in increasing column order — `(q as f32 *
 //! scale)`, then `* x`, then `+`, never a fused multiply-add — which is
-//! [`crate::ops::dot`] over the dequantized row. The accumulators of a
-//! tile are independent output elements, so keeping `ROW_TILE × L` of them
-//! live reassociates nothing. A batched result is therefore
-//! **bit-identical** to `batch` independent [`qmatvec`] calls, which is
-//! what keeps quantized serve reports byte-reproducible across batch
-//! compositions and double runs.
-//!
-//! The kernel body is compiled three times — at the build's baseline,
-//! with AVX2 one tile per step, and with AVX-512 two adjacent tiles per
-//! step — and [`qmatmul_rows_xt`] picks one per call. All run the same
-//! IEEE operations in the same order, so they agree bit for bit. Unlike
-//! the f32 kernel, the quantized one is bound by its dequantization at
-//! every width, width 1 included, so the AVX-512 copy runs from width 1.
+//! [`crate::ops::dot`] over the dequantized row. A batched result is
+//! therefore **bit-identical** to `batch` independent [`qmatvec`] calls,
+//! which keeps quantized serve reports byte-reproducible.
 
-use crate::ops::{
-    accumulate_lanes, transpose_batch_major, write_lanes, LaneAccs, GROUP_LANES, MAX_LANES,
-    ROW_TILE,
-};
+use crate::ops::{check_gemm, run_tiled, transpose_batch_major, Isa, ROW_TILE};
+use crate::ops::{RowTiles, TileColumns, TiledGemm};
 use crate::quant::{dequant_column_pair, QuantKind, QuantMatrix, GROUP};
 use std::ops::Range;
 
-/// Fused dequant matvec over a row range: `out[r - rows.start] =
-/// Σ_c dequant(w[r, c]) · x[c]` — the `batch == 1` case of
-/// [`qmatmul_rows_xt`] (a single activation vector is its own batch-major
-/// transpose).
-pub fn qmatvec_rows(out: &mut [f32], w: &QuantMatrix, rows: Range<usize>, x: &[f32]) {
-    qmatmul_rows_xt(out, w, x, rows, 1);
-}
-
-/// Fused dequant matvec: `out[r] = dequant(w[r, :]) · x`.
+/// Fused dequant matvec: `out[r] = dequant(w[r, :]) · x`, the `batch ==
+/// 1` case of [`qmatmul_rows_xt`] (a single activation vector is its own
+/// batch-major transpose).
 pub fn qmatvec(out: &mut [f32], w: &QuantMatrix, x: &[f32]) {
-    qmatvec_rows(out, w, 0..w.rows(), x);
+    qmatmul_rows_xt(out, w, x, 0..w.rows(), 1);
 }
 
-/// Lanes `b0..b0 + A + B` of row tiles `t..t + T`: `acc[l][j][i] =
-/// dequant(w[(t + j) * ROW_TILE + i, :]) · x_{b0 + l}`, lanes past `A + B`
-/// zero. Every column of the `T` tiles is dequantized once and applied to
-/// all lanes, which go in two accumulator groups, `A` then `B`.
-#[inline(always)]
-fn lane_block<const T: usize, const A: usize, const B: usize>(
-    w: &QuantMatrix,
-    kind: QuantKind,
-    t: usize,
-    xt: &[f32],
-    batch: usize,
-    b0: usize,
-) -> LaneAccs<ROW_TILE, T> {
-    let mut a = [[[0.0f32; ROW_TILE]; T]; A];
-    let mut b = [[[0.0f32; ROW_TILE]; T]; B];
-    // Plain loops, not `array::from_fn`: a closure the compiler leaves
-    // out of line spills every accumulator around its call.
-    for (g, xg) in xt.chunks(GROUP * batch).enumerate() {
-        let mut blocks = [w.tile_group(t, g); T];
-        for (j, block) in blocks.iter_mut().enumerate().skip(1) {
-            *block = w.tile_group(t + j, g);
-        }
-        // Two columns a step; a row's last group may end on an odd one.
-        for (p, xp) in xg.chunks(2 * batch).enumerate() {
-            let mut w0 = [[0.0f32; ROW_TILE]; T];
-            let mut w1 = [[0.0f32; ROW_TILE]; T];
-            for (j, &(scales, quants)) in blocks.iter().enumerate() {
-                [w0[j], w1[j]] = dequant_column_pair(kind, scales, quants, p);
-            }
-            accumulate_lanes(&mut a, &w0, &xp[b0..]);
-            accumulate_lanes(&mut b, &w0, &xp[b0 + A..]);
-            if xp.len() > batch {
-                accumulate_lanes(&mut a, &w1, &xp[batch + b0..]);
-                accumulate_lanes(&mut b, &w1, &xp[batch + b0 + A..]);
-            }
-        }
-    }
-    let mut lanes = [[[0.0f32; ROW_TILE]; T]; MAX_LANES];
-    lanes[..A].copy_from_slice(&a);
-    lanes[A..A + B].copy_from_slice(&b);
-    lanes
+/// `T` adjacent tiles of a quantized matrix whose kind has `BITS` bits,
+/// two columns a step and one group a block: each tile's scales, one
+/// `[f32; ROW_TILE]` per group, and its quants ([`QuantMatrix::tile`]),
+/// and the block of each that [`TileColumns::block`] picked.
+#[derive(Clone, Copy)]
+struct QuantTiles<'a, const BITS: usize, const T: usize> {
+    tiles: [(&'a [[f32; ROW_TILE]], &'a [u8]); T],
+    blocks: [(&'a [f32; ROW_TILE], &'a [u8]); T],
 }
 
-/// The one quantized kernel body, `T` tiles per step: the tiles that
-/// overlap `rows`, `T` adjacent ones at a time and a leftover one alone,
-/// each in lane blocks of [`MAX_LANES`] and then one block of exactly the
-/// lanes left over. A tile on the edge of `rows`, or the padded last
-/// tile, is computed whole and written in part — after the `match`, not
-/// in `lane_block`, for the reason [`write_lanes`] gives.
-#[inline(always)]
-fn body<const T: usize>(
-    out: &mut [f32],
-    w: &QuantMatrix,
-    xt: &[f32],
-    rows: Range<usize>,
-    batch: usize,
-) {
+impl<const BITS: usize, const T: usize> TileColumns<ROW_TILE, T, 2> for QuantTiles<'_, BITS, T> {
+    const BLOCK_STEPS: Option<usize> = Some(GROUP / 2);
+
+    /// Group `g`, its payload sliced to a length the compiler sees.
     #[inline(always)]
-    fn tiles<const T: usize>(
-        out: &mut [f32],
-        w: &QuantMatrix,
-        kind: QuantKind,
-        t: usize,
-        xt: &[f32],
-        rows: &Range<usize>,
-        batch: usize,
-    ) {
-        const G: usize = GROUP_LANES;
-        for b0 in (0..batch).step_by(MAX_LANES) {
-            let lanes = (batch - b0).min(MAX_LANES);
-            let acc = match lanes {
-                1 => lane_block::<T, 1, 0>(w, kind, t, xt, batch, b0),
-                2 => lane_block::<T, 2, 0>(w, kind, t, xt, batch, b0),
-                3 => lane_block::<T, 3, 0>(w, kind, t, xt, batch, b0),
-                4 => lane_block::<T, G, 0>(w, kind, t, xt, batch, b0),
-                5 => lane_block::<T, G, 1>(w, kind, t, xt, batch, b0),
-                6 => lane_block::<T, G, 2>(w, kind, t, xt, batch, b0),
-                7 => lane_block::<T, G, 3>(w, kind, t, xt, batch, b0),
-                _ => lane_block::<T, G, G>(w, kind, t, xt, batch, b0),
-            };
-            write_lanes(out, &acc, lanes, t * ROW_TILE, rows, batch, b0);
-        }
+    fn block(self, g: usize) -> Self {
+        let len = ROW_TILE * GROUP * BITS / 8;
+        let blocks = self.tiles.map(|(s, q)| (&s[g], &q[g * len..][..len]));
+        Self { blocks, ..self }
     }
+
     #[inline(always)]
-    fn walk<const T: usize>(
-        out: &mut [f32],
-        w: &QuantMatrix,
-        kind: QuantKind,
-        xt: &[f32],
-        rows: &Range<usize>,
-        batch: usize,
-    ) {
-        let (mut t, end) = (rows.start / ROW_TILE, rows.end.div_ceil(ROW_TILE));
-        while t + T <= end {
-            tiles::<T>(out, w, kind, t, xt, rows, batch);
-            t += T;
-        }
-        for t in t..end {
-            tiles::<1>(out, w, kind, t, xt, rows, batch);
-        }
+    fn steps(&self) -> usize {
+        GROUP / 2
     }
-    // A literal kind per arm, so each inlined copy decodes one encoding.
-    match w.kind() {
-        QuantKind::Int8 => walk::<T>(out, w, QuantKind::Int8, xt, &rows, batch),
-        QuantKind::Int4 => walk::<T>(out, w, QuantKind::Int4, xt, &rows, batch),
+
+    #[inline(always)]
+    fn step(self, p: usize) -> [[[f32; ROW_TILE]; T]; 2] {
+        // A literal kind in every instantiation: with the kind a run-time
+        // value the body measured 1.5–2× slower.
+        let kind = if BITS == 8 {
+            QuantKind::Int8
+        } else {
+            QuantKind::Int4
+        };
+        let mut w0 = [[0.0f32; ROW_TILE]; T];
+        let mut w1 = [[0.0f32; ROW_TILE]; T];
+        for (j, &(scales, quants)) in self.blocks.iter().enumerate() {
+            [w0[j], w1[j]] = dequant_column_pair(kind, scales, quants, p);
+        }
+        [w0, w1]
     }
 }
 
-/// [`body`] one tile per step, at the build's baseline.
-#[inline(always)]
-fn kernel(out: &mut [f32], w: &QuantMatrix, xt: &[f32], rows: Range<usize>, batch: usize) {
-    body::<1>(out, w, xt, rows, batch);
+/// A quantized matrix of `BITS`-bit kind: every tile that overlaps the
+/// rows, the padded last one included, computed whole and written in
+/// part.
+#[derive(Clone, Copy)]
+struct Quantized<'a, const BITS: usize>(&'a QuantMatrix);
+
+impl<const BITS: usize> TiledGemm for Quantized<'_, BITS> {
+    /// Bound by dequantization, so AVX-512 pays from width 1.
+    const AVX512_FROM: usize = 1;
+
+    #[inline(always)]
+    fn body<const T: usize>(self, out: &mut [f32], xt: &[f32], rows: Range<usize>, batch: usize) {
+        let tiles = rows.start / ROW_TILE..rows.end.div_ceil(ROW_TILE);
+        self.walk::<T>(tiles, out, xt, &rows, batch);
+    }
 }
 
-/// [`kernel`] compiled with AVX2 enabled.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn kernel_avx2(out: &mut [f32], w: &QuantMatrix, xt: &[f32], rows: Range<usize>, batch: usize) {
-    kernel(out, w, xt, rows, batch);
+impl<const BITS: usize> RowTiles<2> for Quantized<'_, BITS> {
+    #[inline(always)]
+    fn tiles<const T: usize>(self, t: usize) -> impl TileColumns<ROW_TILE, T, 2> {
+        let tiles = std::array::from_fn(|j| self.0.tile(t + j));
+        let blocks = tiles.map(|(scales, quants)| (&scales[0], quants));
+        QuantTiles::<BITS, T> { tiles, blocks }
+    }
 }
 
-/// [`body`] two tiles per step, compiled with AVX-512 enabled.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-fn kernel_avx512(out: &mut [f32], w: &QuantMatrix, xt: &[f32], rows: Range<usize>, batch: usize) {
-    body::<2>(out, w, xt, rows, batch);
-}
-
-/// Batched fused dequant-GEMM inner kernel over pre-transposed
-/// (batch-major) activations: `out[(r - rows.start) * batch + b] =
-/// dequant(w[r, :]) · x_b` for `r` in `rows`, any row range. Each
-/// quantized tile is streamed once and reused across every batch lane.
-#[allow(unsafe_code)]
+/// Batched fused dequant-GEMM over pre-transposed (batch-major)
+/// activations: `out[(r - rows.start) * batch + b] = dequant(w[r, :]) ·
+/// x_b` for `r` in `rows`, any row range. Each quantized tile is streamed
+/// once and reused across every batch lane.
 pub fn qmatmul_rows_xt(
     out: &mut [f32],
     w: &QuantMatrix,
@@ -187,28 +110,11 @@ pub fn qmatmul_rows_xt(
     rows: Range<usize>,
     batch: usize,
 ) {
-    assert_eq!(out.len(), rows.len() * batch);
-    assert!(rows.end <= w.rows());
-    assert_eq!(xt.len(), w.cols() * batch);
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx512f") {
-        // SAFETY: `kernel_avx512` is a safe function whose only extra
-        // requirement is that the CPU executes AVX-512F instructions, and
-        // the line above has just observed that this one does. It is
-        // `body` under another instruction selection: all memory access
-        // is through the same bounds-checked slices.
-        return unsafe { kernel_avx512(out, w, xt, rows, batch) };
+    check_gemm(out, xt, &rows, (w.rows(), w.cols()), batch);
+    match w.kind() {
+        QuantKind::Int8 => run_tiled(Quantized::<8>(w), out, xt, rows, batch, Isa::Avx512),
+        QuantKind::Int4 => run_tiled(Quantized::<4>(w), out, xt, rows, batch, Isa::Avx512),
     }
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: `kernel_avx2` is a safe function whose only extra
-        // requirement is that the CPU executes AVX2 instructions, and the
-        // line above has just observed that this one does. It is `kernel`
-        // under another instruction selection: all memory access is
-        // through the same bounds-checked slices.
-        return unsafe { kernel_avx2(out, w, xt, rows, batch) };
-    }
-    kernel(out, w, xt, rows, batch);
 }
 
 /// Batched fused dequant-GEMM with weight reuse: `out[r * batch + b] =
@@ -217,7 +123,7 @@ pub fn qmatmul_rows_xt(
 /// decode steps streams the compressed matrix once instead of B times,
 /// and every element is bit-identical to a [`qmatvec`] call.
 pub fn qmatmul(out: &mut [f32], w: &QuantMatrix, xs: &[f32], batch: usize) {
-    debug_assert_eq!(xs.len(), batch * w.cols());
+    assert_eq!(xs.len(), batch * w.cols(), "activation shape mismatch");
     let xt = transpose_batch_major(xs, w.cols(), batch);
     qmatmul_rows_xt(out, w, &xt, 0..w.rows(), batch);
 }
@@ -294,7 +200,47 @@ mod tests {
         }
     }
 
-    /// The baseline and the run-time-selected instantiation of the kernel
+    /// One copy of the shared body: the dispatch capped at an instruction
+    /// set, or one instantiation at the build's baseline.
+    #[derive(Clone, Copy, Debug)]
+    enum Instance {
+        Capped(Isa),
+        OneTile,
+        TwoTiles,
+    }
+
+    /// `instance` over rows `rows` of `w`, every lane of batch-major `xt`,
+    /// as output bits.
+    fn run(
+        instance: Instance,
+        w: &QuantMatrix,
+        xt: &[f32],
+        rows: Range<usize>,
+        batch: usize,
+    ) -> Vec<u32> {
+        fn go<G: TiledGemm>(
+            g: G,
+            i: Instance,
+            out: &mut [f32],
+            xt: &[f32],
+            rows: Range<usize>,
+            batch: usize,
+        ) {
+            match i {
+                Instance::Capped(isa) => run_tiled(g, out, xt, rows, batch, isa),
+                Instance::OneTile => g.body::<1>(out, xt, rows, batch),
+                Instance::TwoTiles => g.body::<2>(out, xt, rows, batch),
+            }
+        }
+        let mut out = vec![f32::NAN; rows.len() * batch];
+        match w.kind() {
+            QuantKind::Int8 => go(Quantized::<8>(w), instance, &mut out, xt, rows, batch),
+            QuantKind::Int4 => go(Quantized::<4>(w), instance, &mut out, xt, rows, batch),
+        }
+        out.iter().map(|f| f.to_bits()).collect()
+    }
+
+    /// The baseline and the run-time-selected instantiation of the shared
     /// body are the same IEEE operations in the same order. On a host
     /// without AVX2 both sides are the baseline copy.
     #[test]
@@ -306,12 +252,11 @@ mod tests {
                 let qm = QuantMatrix::quantize_with(&w, rows, cols, kind);
                 let xt = transpose_batch_major(&xs, cols, batch);
                 let range = 3..19;
-                let mut portable = vec![f32::NAN; range.len() * batch];
-                kernel(&mut portable, &qm, &xt, range.clone(), batch);
+                let portable = run(Instance::OneTile, &qm, &xt, range.clone(), batch);
                 let mut detected = vec![f32::NAN; range.len() * batch];
                 qmatmul_rows_xt(&mut detected, &qm, &xt, range, batch);
-                let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&portable), bits(&detected), "{kind:?} batch {batch}");
+                let detected: Vec<u32> = detected.iter().map(|f| f.to_bits()).collect();
+                assert_eq!(portable, detected, "{kind:?} batch {batch}");
             }
         }
     }
@@ -328,11 +273,11 @@ mod tests {
         ranges
     }
 
-    /// The two-tile instantiation of the kernel body, compiled at the
+    /// The two-tile instantiation of the shared body, compiled at the
     /// baseline, is `dot` over the dequantized row bit for bit — over an
-    /// odd tile left after the pairs, the padded last tile, every
-    /// lane-group split of batches up to 33, and ranges that cut tiles and
-    /// pairs.
+    /// odd tile left after the pairs, the padded last tile, an odd last
+    /// column, every lane-group split of batches up to 33, and ranges
+    /// that cut tiles and pairs.
     #[test]
     fn pair_body_replays_the_dequantized_dot_bit_for_bit() {
         for kind in [QuantKind::Int8, QuantKind::Int4] {
@@ -345,8 +290,7 @@ mod tests {
                         let (_, xs) = random_case(0, cols, batch, (batch * 7 + rows) as u64);
                         let xt = transpose_batch_major(&xs, cols, batch);
                         for range in row_ranges(rows) {
-                            let mut out = vec![f32::NAN; range.len() * batch];
-                            body::<2>(&mut out, &qm, &xt, range.clone(), batch);
+                            let out = run(Instance::TwoTiles, &qm, &xt, range.clone(), batch);
                             for r in range.clone() {
                                 for b in 0..batch {
                                     let want = crate::ops::dot(
@@ -354,7 +298,7 @@ mod tests {
                                         &xs[b * cols..(b + 1) * cols],
                                     );
                                     assert_eq!(
-                                        out[(r - range.start) * batch + b].to_bits(),
+                                        out[(r - range.start) * batch + b],
                                         want.to_bits(),
                                         "{kind:?} {rows}x{cols} batch {batch} range {range:?} row {r} lane {b}"
                                     );
@@ -369,11 +313,10 @@ mod tests {
 
     /// The run-time-selected copy — AVX-512 two tiles per step where the
     /// CPU has it, else AVX2 or the baseline one tile per step — equals
-    /// both baseline instantiations bit for bit. On a host without
-    /// AVX-512 the selected side is a one-tile copy.
+    /// the AVX2-capped copy and both baseline instantiations bit for bit.
+    /// On a host without AVX-512 the selected side is a one-tile copy.
     #[test]
     fn avx512_and_baseline_instantiations_agree_bitwise() {
-        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
         for kind in [QuantKind::Int8, QuantKind::Int4] {
             for batch in 1..=33 {
                 let (rows, cols) = (61, 3 * GROUP + 7);
@@ -381,19 +324,25 @@ mod tests {
                 let qm = QuantMatrix::quantize_with(&w, rows, cols, kind);
                 let xt = transpose_batch_major(&xs, cols, batch);
                 for range in row_ranges(rows) {
-                    let run =
-                        |kernel: fn(&mut [f32], &QuantMatrix, &[f32], Range<usize>, usize)| {
-                            let mut out = vec![f32::NAN; range.len() * batch];
-                            kernel(&mut out, &qm, &xt, range.clone(), batch);
-                            bits(&out)
-                        };
-                    let detected = run(qmatmul_rows_xt);
+                    let run = |instance| run(instance, &qm, &xt, range.clone(), batch);
+                    let detected = run(Instance::Capped(Isa::Avx512));
                     let at = format!("{kind:?} batch {batch} range {range:?}");
-                    assert_eq!(detected, run(body::<2>), "{at}");
-                    assert_eq!(detected, run(kernel), "{at}");
+                    assert_eq!(detected, run(Instance::Capped(Isa::Avx2)), "{at}");
+                    assert_eq!(detected, run(Instance::TwoTiles), "{at}");
+                    assert_eq!(detected, run(Instance::OneTile), "{at}");
                 }
             }
         }
+    }
+
+    /// A batch-3 call given two lanes of activations panics in every
+    /// build, rather than reading the third lane as zeros.
+    #[test]
+    #[should_panic(expected = "activation shape mismatch")]
+    fn qmatmul_shape_check_rejects_a_missing_lane() {
+        let (w, xs) = random_case(8, 40, 2, 3);
+        let qm = QuantMatrix::quantize(&w, 8, 40);
+        qmatmul(&mut [0.0f32; 8 * 3], &qm, &xs, 3);
     }
 
     #[test]
@@ -408,7 +357,7 @@ mod tests {
         qmatmul_rows_xt(&mut part, &qm, &xt, 7..17, batch);
         assert_eq!(&full[7 * batch..17 * batch], &part[..]);
         let mut vecs = vec![0.0f32; 10];
-        qmatvec_rows(&mut vecs, &qm, 7..17, &xs[..cols]);
+        qmatmul_rows_xt(&mut vecs, &qm, &xs[..cols], 7..17, 1);
         for r in 0..10 {
             assert_eq!(vecs[r].to_bits(), part[r * batch].to_bits());
         }

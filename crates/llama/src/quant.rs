@@ -383,14 +383,21 @@ impl QuantMatrix {
 
     /// Block `(t, g)`: the [`ROW_TILE`] scales and the column-interleaved
     /// quants [`dequant_column_pair`] reads.
-    #[inline(always)]
-    pub(crate) fn tile_group(&self, t: usize, g: usize) -> (&[f32; ROW_TILE], &[u8]) {
-        let block = t * self.groups_per_row + g;
+    fn tile_group(&self, t: usize, g: usize) -> (&[f32; ROW_TILE], &[u8]) {
+        let (scales, quants) = self.tile(t);
         let block_bytes = ROW_TILE * self.kind.group_bytes();
-        let scales = self.scales[block * ROW_TILE..][..ROW_TILE]
-            .try_into()
-            .expect("a block holds ROW_TILE scales");
-        (scales, &self.data[block * block_bytes..][..block_bytes])
+        (&scales[g], &quants[g * block_bytes..][..block_bytes])
+    }
+
+    /// Tile `t`, whose blocks are contiguous: one [`ROW_TILE`] scale vector
+    /// per group, and the quants of all its groups.
+    #[inline(always)]
+    pub(crate) fn tile(&self, t: usize) -> (&[[f32; ROW_TILE]], &[u8]) {
+        let groups = self.groups_per_row;
+        let tile_bytes = groups * ROW_TILE * self.kind.group_bytes();
+        let scales = &self.scales[t * groups * ROW_TILE..][..groups * ROW_TILE];
+        let quants = &self.data[t * tile_bytes..][..tile_bytes];
+        (scales.as_chunks().0, quants)
     }
 
     /// Logical streamed payload bytes: packed weight elements plus one

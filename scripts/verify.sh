@@ -80,11 +80,19 @@ if grep -rn 'LogitRows::Greedy' crates/llama/src/generate.rs crates/serve/src; t
     echo "LogitRows::Greedy in the sequential oracle or serve (see the lines above)" >&2
     exit 1
 fi
-# The two kernel bodies compiled per instruction set (baseline, AVX2 and
-# AVX-512) are the only code built for a target feature.
+# The one GEMM kernel body, compiled per instruction set (baseline, AVX2
+# and AVX-512), is the only code built for a target feature, and its one
+# dispatch (ops::run_tiled) holds the workspace's only unsafe code: one
+# #[allow(unsafe_code)] over two unsafe blocks.
 if grep -rn --include='*.rs' '#\[target_feature' crates src tests examples benchmark/src |
-    grep -vE '^crates/llama/src/(ops|qgemm)\.rs:'; then
-    echo "#[target_feature] outside crates/llama/src/{ops,qgemm}.rs (see the lines above)" >&2
+    grep -vE '^crates/llama/src/ops\.rs:'; then
+    echo "#[target_feature] outside crates/llama/src/ops.rs (see the lines above)" >&2
+    exit 1
+fi
+allows="$(grep -rho --include='*.rs' '#\[allow(unsafe_code)\]' crates/*/src | wc -l)"
+blocks="$(grep -rho --include='*.rs' 'unsafe {' crates/*/src | wc -l)"
+if [[ "$allows" != 1 || "$blocks" != 2 ]]; then
+    echo "crates/*/src: $allows #[allow(unsafe_code)] and $blocks unsafe blocks, want 1 and 2" >&2
     exit 1
 fi
 
@@ -170,11 +178,12 @@ cargo test --release -q -p speedllm --test batched_decode_props
 # at opt-level 2; the benchmark and the serve runs are release + thin
 # LTO, and the two vectorize differently.
 cargo test --release -q -p speedllm --test kernel_identity
-# The quantized and the kernel-order f32 kernel bodies are each compiled
-# three times (baseline and AVX2 one tile per step, AVX-512 two); their
-# unit tests compare the copies bit for bit, and each body, the two-tile
-# one included, against `dot`, in the profile that ships. Which copy ran
-# depends on the CPU, so the log says whether it has AVX-512.
+# The one kernel body is compiled three times (baseline and AVX2 one tile
+# per step, AVX-512 two); the unit tests of each matrix form (quantized,
+# kernel-order and split-order f32) compare the copies bit for bit, and
+# the body, the two-tile instantiation included, against `dot`, in the
+# profile that ships; the shape checks must panic there too. Which copy
+# ran depends on the CPU, so the log says whether it has AVX-512.
 if grep -qw avx512f /proc/cpuinfo 2>/dev/null; then
     echo "cpu has avx512f: the AVX-512 kernel copies are exercised"
 else
@@ -183,6 +192,7 @@ fi
 cargo test --release -q -p speedllm-llama qgemm
 cargo test --release -q -p speedllm-llama kernel_order
 cargo test --release -q -p speedllm-llama f32_instantiations
+cargo test --release -q -p speedllm-llama shape_check
 # The split vocab table: its re-lay round-trips every bit, its exact and
 # screen GEMMs replay `dot`, its three copies agree, and the certified
 # greedy rows keep the full row's argmax and exact values; an argmax
