@@ -41,10 +41,10 @@ use speedllm_fpga_sim::sfu::{Sfu, SfuKind};
 use speedllm_fpga_sim::stats::SimStats;
 use speedllm_fpga_sim::trace::TraceBuffer;
 use speedllm_llama::forward::{BatchState, LogitRows, Transformer};
-use speedllm_llama::kv_cache::{KvBatch, KvCache};
+use speedllm_llama::kv_cache::KvBatch;
 use speedllm_llama::quant::{QuantMode, QuantTensor};
 use speedllm_llama::resident::{IntoResident, ResidentWeights};
-use speedllm_pagedkv::{BlockConfig, BlockId, BlockTable, PagedKvArena};
+use speedllm_pagedkv::{KvSpace, SeqKv};
 
 use crate::fusion::{fuse_with_limit, Schedule};
 use crate::ir::{build_decode_graph, Graph, OpKind, ValueId};
@@ -160,98 +160,6 @@ impl AccelConfig {
     /// Checks the design fits the U280.
     pub fn validate(&self) -> Result<(), OverBudget> {
         check_fit(&self.resource_usage(), &Resources::u280_budget())
-    }
-}
-
-/// Where one sequence's K/V rows live: a private contiguous cache, or a
-/// per-sequence block table over the engine's shared [`PagedKvArena`].
-/// The indirection is functional-only — the timing model already charges
-/// page-granular KV traffic either way, so paged and flat sequences cost
-/// the same cycles and produce bit-identical logits.
-pub enum SeqKv {
-    /// Contiguous per-sequence cache (single-tenant and slot-pool serving).
-    Flat(KvCache),
-    /// Logical position → physical block mapping into the engine's arena
-    /// (paged serving with prefix sharing).
-    Paged(BlockTable),
-}
-
-/// Per-sequence functional state: its KV storage. One [`Engine`] owns a
-/// default sequence (used by [`Engine::decode_step`]); additional sequences
-/// can be created for batched serving via [`Engine::new_sequence`] +
-/// [`Engine::forward_runs`].
-pub struct SequenceState {
-    kv: SeqKv,
-}
-
-impl SequenceState {
-    /// Number of positions already decoded into this sequence.
-    #[must_use]
-    pub fn context_len(&self) -> usize {
-        match &self.kv {
-            SeqKv::Flat(kv) => kv.len(),
-            SeqKv::Paged(table) => table.len(),
-        }
-    }
-
-    /// Clears the sequence for reuse. A paged sequence must have had its
-    /// block chain stripped (released back to the allocator) first.
-    pub fn reset(&mut self) {
-        match &mut self.kv {
-            SeqKv::Flat(kv) => kv.reset(),
-            SeqKv::Paged(table) => table.reset(),
-        }
-    }
-
-    /// Rolls the sequence back to `len` positions (no-op past the current
-    /// context). Flat storage truncates in place; paged storage pops the
-    /// whole blocks past the keep point and returns them for the owner to
-    /// release — the allocator decides whether a popped block actually
-    /// frees (it may still be CoW-shared with another sequence).
-    /// Speculative decoding uses this to discard rejected draft rows.
-    pub fn truncate(&mut self, len: usize) -> Vec<BlockId> {
-        match &mut self.kv {
-            SeqKv::Flat(kv) => {
-                kv.truncate(len);
-                Vec::new()
-            }
-            SeqKv::Paged(table) => table.rollback(len),
-        }
-    }
-
-    /// The block table of a paged sequence (`None` for flat sequences).
-    #[must_use]
-    pub fn block_table(&self) -> Option<&BlockTable> {
-        match &self.kv {
-            SeqKv::Flat(_) => None,
-            SeqKv::Paged(table) => Some(table),
-        }
-    }
-
-    /// Mutable block table of a paged sequence.
-    pub fn block_table_mut(&mut self) -> Option<&mut BlockTable> {
-        match &mut self.kv {
-            SeqKv::Flat(_) => None,
-            SeqKv::Paged(table) => Some(table),
-        }
-    }
-}
-
-impl speedllm_llama::kv_cache::PoolSlot for SequenceState {
-    fn reset_slot(&mut self) {
-        self.reset();
-    }
-
-    fn slot_len(&self) -> usize {
-        self.context_len()
-    }
-
-    fn poison_slot(&mut self) {
-        // Paged storage is poisoned block-by-block as blocks are freed
-        // (the arena owns the rows, and shared blocks may still be live).
-        if let SeqKv::Flat(kv) = &mut self.kv {
-            kv.poison();
-        }
     }
 }
 
@@ -394,12 +302,13 @@ pub struct Engine {
     dma_wr: DmaEngine,
     launches: u64,
     stalls: u64,
-    /// Functional state of the default (single-session) sequence; `None`
+    /// KV of the default (single-session) sequence, always flat; `None`
     /// only while [`Engine::prefill_chunk`] has it lent to a pass.
-    seq: Option<SequenceState>,
-    /// Shared physical KV store for paged sequences; `None` until
-    /// [`Engine::enable_paged_kv`]. The default sequence stays flat.
-    paged: Option<PagedKvArena>,
+    seq: Option<SeqKv>,
+    /// Storage of the serving sequences: flat until a backend makes it
+    /// paged ([`Engine::kv_space_mut`]). The layout is functional-only:
+    /// the timing model charges page-granular KV traffic either way.
+    kv: KvSpace,
     // Optional capture of the next step's timeline.
     trace: Option<TraceBuffer>,
 }
@@ -442,9 +351,10 @@ impl Engine {
             tel::metrics::gauge_set("accel.memplan_hbm_values", plan.hbm_values() as f64);
         }
         let kernels = Arc::new(KernelPlan::new(&graph, schedule));
-        let seq = Some(SequenceState {
-            kv: SeqKv::Flat(KvCache::new(weights.config())),
-        });
+        // The space is flat until a backend pages it, so the default
+        // sequence made here stays flat.
+        let kv = KvSpace::new(weights.config(), None);
+        let seq = Some(kv.new_seq());
         let engine = Self {
             weights,
             scratch: None,
@@ -461,7 +371,7 @@ impl Engine {
             launches: 0,
             stalls: 0,
             seq,
-            paged: None,
+            kv,
             trace: None,
         };
         let used = engine.hbm_footprint();
@@ -546,45 +456,22 @@ impl Engine {
     /// Context length of the default sequence.
     #[must_use]
     pub fn context_len(&self) -> usize {
-        self.seq
-            .as_ref()
-            .expect("default sequence present")
-            .context_len()
+        self.seq.as_ref().expect("default sequence present").len()
     }
 
-    /// Creates an empty sequence for batched serving: paged when
-    /// [`Engine::enable_paged_kv`] has been called, flat otherwise.
+    /// Storage of the serving sequences: [`KvSpace::new_seq`] makes one
+    /// for [`Engine::forward_runs`]. The default sequence lives apart.
     #[must_use]
-    pub fn new_sequence(&self) -> SequenceState {
-        let kv = match &self.paged {
-            Some(arena) => SeqKv::Paged(BlockTable::new(arena.block_size())),
-            None => SeqKv::Flat(KvCache::new(&self.graph.config)),
-        };
-        SequenceState { kv }
+    pub fn kv_space(&self) -> &KvSpace {
+        &self.kv
     }
 
-    /// Switches serving sequences to paged KV storage: allocates the
-    /// shared physical arena and makes every subsequent
-    /// [`Engine::new_sequence`] a block-table sequence. The scheduler owns
-    /// the block allocator and installs chains into each table; the engine
-    /// only resolves the indirection. The default (single-tenant) sequence
-    /// stays flat.
-    pub fn enable_paged_kv(&mut self, blocks: BlockConfig) {
-        self.paged = Some(PagedKvArena::new(&self.graph.config, blocks));
-    }
-
-    /// Geometry of the paged arena, when enabled.
-    #[must_use]
-    pub fn paged_block_config(&self) -> Option<BlockConfig> {
-        self.paged.as_ref().map(PagedKvArena::block_config)
-    }
-
-    /// NaN-poisons freed blocks' arena rows (debug reuse hygiene; no-op
-    /// without a paged arena).
-    pub fn poison_blocks(&mut self, blocks: &[BlockId]) {
-        if let Some(arena) = &mut self.paged {
-            arena.poison_blocks(blocks);
-        }
+    /// Mutable storage of the serving sequences: a paged backend replaces
+    /// it with a paged [`KvSpace`] (the scheduler owns the block allocator
+    /// and installs chains into each table; the engine only resolves the
+    /// indirection) and reports freed blocks to it.
+    pub fn kv_space_mut(&mut self) -> &mut KvSpace {
+        &mut self.kv
     }
 
     /// Weight bytes a `rows × cols` tile streams in the active precision.
@@ -977,73 +864,38 @@ impl Engine {
 
     /// The **values** of a pass: one call of the reference layer walk over
     /// every row of every run, each sequence extended at its context length
-    /// (flat sequences lend their caches, paged ones a batch view of the
-    /// arena). Returns per sequence the logits after its run's last token,
-    /// or with [`LogitRows::All`] after every run token, row-major.
-    /// Charges nothing: the caller owes the device an [`Engine::time`].
+    /// through the [`KvSpace::batch`] of the engine's storage. Returns per
+    /// sequence the logits after its run's last token, or with
+    /// [`LogitRows::All`] after every run token, row-major. Charges
+    /// nothing: the caller owes the device an [`Engine::time`].
     ///
     /// # Panics
-    /// Panics wherever the walk does — an empty batch or run, a position
-    /// outside the context window, a token out of vocabulary — and on a
-    /// pass mixing flat and paged sequences.
+    /// Panics wherever the walk or [`KvSpace::batch`] does — an empty batch
+    /// or run, a position outside the context window, a token out of
+    /// vocabulary, a pass mixing flat and paged sequences.
     pub(crate) fn execute(
         &mut self,
-        seqs: &mut [&mut SequenceState],
+        seqs: &mut [&mut SeqKv],
         runs: &[&[u32]],
         logit_rows: LogitRows,
     ) -> Vec<Vec<f32>> {
-        let starts: Vec<usize> = seqs.iter().map(|s| s.context_len()).collect();
+        let starts: Vec<usize> = seqs.iter().map(|s| s.len()).collect();
         let counts: Vec<usize> = runs.iter().map(|r| r.len()).collect();
         let tokens = runs.concat();
         let q8 = self.cfg.kv_precision == Precision::Int8;
-        let flat: Option<Vec<&mut KvCache>> = seqs
-            .iter_mut()
-            .map(|s| match &mut s.kv {
-                SeqKv::Flat(kv) => Some(kv),
-                SeqKv::Paged(_) => None,
-            })
-            .collect();
-        let logits = if let Some(mut kvs) = flat {
-            let inner = kvs.as_mut_slice();
-            Transformer::forward_runs_into(
-                &self.weights,
-                &mut self.scratch,
-                &mut DeviceKv { inner, q8 },
-                &tokens,
-                &counts,
-                &starts,
-                logit_rows,
-            )
-        } else {
-            let arena = self
-                .paged
-                .as_mut()
-                .expect("paged sequence without an arena");
-            let tables = seqs
-                .iter_mut()
-                .map(|s| s.block_table_mut().expect("flat sequence in a paged pass"))
-                .collect();
-            let inner = &mut arena.batch_view(tables);
-            Transformer::forward_runs_into(
-                &self.weights,
-                &mut self.scratch,
-                &mut DeviceKv { inner, q8 },
-                &tokens,
-                &counts,
-                &starts,
-                logit_rows,
-            )
-        };
-        let vocab = self.graph.config.vocab_size;
-        let mut rest = logits;
-        counts
-            .iter()
-            .map(|&cnt| {
-                let (scored, tail) = rest.split_at(logit_rows.of_run(cnt) * vocab);
-                rest = tail;
-                scored.to_vec()
-            })
-            .collect()
+        let logits = Transformer::forward_runs_into(
+            &self.weights,
+            &mut self.scratch,
+            &mut DeviceKv {
+                inner: &mut self.kv.batch(seqs),
+                q8,
+            },
+            &tokens,
+            &counts,
+            &starts,
+            logit_rows,
+        );
+        logit_rows.split(logits, &counts, self.graph.config.vocab_size)
     }
 
     /// The **cost** of a pass over rows at `positions` (a contiguous
@@ -1100,7 +952,7 @@ impl Engine {
     /// context window, or tokens out of vocabulary.
     pub fn forward_runs(
         &mut self,
-        seqs: &mut [&mut SequenceState],
+        seqs: &mut [&mut SeqKv],
         runs: &[&[u32]],
         logit_rows: LogitRows,
     ) -> (Vec<Vec<f32>>, StepResult) {
@@ -1110,7 +962,7 @@ impl Engine {
             .iter()
             .zip(runs)
             .flat_map(|(seq, run)| {
-                let start = seq.context_len();
+                let start = seq.len();
                 start..start + run.len()
             })
             .collect();
@@ -1424,7 +1276,7 @@ mod tests {
     /// One decode tick on external sequences.
     fn decode_tick(
         e: &mut Engine,
-        seqs: &mut [&mut SequenceState],
+        seqs: &mut [&mut SeqKv],
         tokens: &[u32],
     ) -> (Vec<Vec<f32>>, StepResult) {
         let runs: Vec<&[u32]> = tokens.iter().map(std::slice::from_ref).collect();
@@ -1451,12 +1303,12 @@ mod tests {
         // Batched: one engine, three sequences, advanced in lock-step where
         // possible (ragged histories decoded up-front).
         let mut batch_engine = Engine::new(weights, OptConfig::full()).unwrap();
-        let mut s0 = batch_engine.new_sequence();
-        let mut s1 = batch_engine.new_sequence();
-        let mut s2 = batch_engine.new_sequence();
+        let mut s0 = batch_engine.kv_space().new_seq();
+        let mut s1 = batch_engine.kv_space().new_seq();
+        let mut s2 = batch_engine.kv_space().new_seq();
         // Bring each sequence to one-before-the-end of its history.
         {
-            let mut seqs: Vec<(&mut SequenceState, &[u32])> = vec![
+            let mut seqs: Vec<(&mut SeqKv, &[u32])> = vec![
                 (&mut s0, histories[0]),
                 (&mut s1, histories[1]),
                 (&mut s2, histories[2]),
@@ -1481,8 +1333,8 @@ mod tests {
         let weights = Arc::new(TransformerWeights::synthetic(ModelConfig::stories260k(), 7));
         let mut e = Engine::new(weights, OptConfig::full()).unwrap();
         // Eight fresh sequences, one decode each — batched.
-        let mut seqs: Vec<SequenceState> = (0..8).map(|_| e.new_sequence()).collect();
-        let mut refs: Vec<&mut SequenceState> = seqs.iter_mut().collect();
+        let mut seqs: Vec<SeqKv> = (0..8).map(|_| e.kv_space().new_seq()).collect();
+        let mut refs: Vec<&mut SeqKv> = seqs.iter_mut().collect();
         let tokens = [1u32, 2, 3, 4, 5, 6, 7, 8];
         let (_, batched) = decode_tick(&mut e, &mut refs, &tokens);
 
@@ -1490,7 +1342,7 @@ mod tests {
         let mut single_cycles = 0u64;
         let mut single_reads = 0u64;
         for &t in &tokens {
-            let mut seq = e.new_sequence();
+            let mut seq = e.kv_space().new_seq();
             let (_, r) = decode_tick(&mut e, &mut [&mut seq], &[t]);
             single_cycles += r.cycles.0;
             single_reads += r.stats.hbm.read_bytes;
@@ -1561,11 +1413,11 @@ mod tests {
     }
 
     #[test]
-    fn sequence_state_works_as_pool_slot() {
+    fn serving_sequence_works_as_pool_slot() {
         use speedllm_llama::kv_cache::{KvCachePool, PoolSlot};
         let weights = Arc::new(TransformerWeights::synthetic(ModelConfig::test_tiny(), 42));
         let mut e = Engine::new(Arc::clone(&weights), OptConfig::full()).unwrap();
-        let mut pool = KvCachePool::new(2, || e.new_sequence());
+        let mut pool = KvCachePool::new(2, || e.kv_space().new_seq());
         let mut slot = pool.acquire().expect("slot free");
         let chunk: &[u32] = &[3, 9];
         e.forward_runs(&mut [slot.state_mut()], &[chunk], LogitRows::Last);
@@ -1576,7 +1428,11 @@ mod tests {
         let mut again = pool.acquire().expect("slot free");
         assert_eq!(again.state().slot_len(), 0);
         let (_, r) = e.forward_runs(&mut [again.state_mut()], &[chunk], LogitRows::Last);
-        let (_, fresh) = e.forward_runs(&mut [&mut e.new_sequence()], &[chunk], LogitRows::Last);
+        let (_, fresh) = e.forward_runs(
+            &mut [&mut e.kv_space().new_seq()],
+            &[chunk],
+            LogitRows::Last,
+        );
         assert_eq!(r.logits, fresh.logits, "recycled slot leaked state");
         pool.release(again);
         assert!(pool.all_free());
@@ -1585,14 +1441,14 @@ mod tests {
 
     #[test]
     fn paged_sequences_match_flat_bit_for_bit() {
-        use speedllm_pagedkv::BlockAllocator;
+        use speedllm_pagedkv::{BlockAllocator, BlockConfig};
         let weights = Arc::new(TransformerWeights::synthetic(ModelConfig::test_tiny(), 42));
         let prompt: Vec<u32> = vec![3, 9, 14, 27, 5, 61];
         let decode: Vec<u32> = vec![8, 12, 19];
 
         // Flat reference.
         let mut flat = Engine::new(Arc::clone(&weights), OptConfig::full()).unwrap();
-        let mut fseq = flat.new_sequence();
+        let mut fseq = flat.kv_space().new_seq();
         let mut flat_logits = Vec::new();
         for run in std::iter::once(&prompt[..]).chain(decode.chunks(1)) {
             let (_, r) = flat.forward_runs(&mut [&mut fseq], &[run], LogitRows::Last);
@@ -1605,12 +1461,12 @@ mod tests {
             n_blocks: 8,
         };
         let mut paged = Engine::new(weights, OptConfig::full()).unwrap();
-        paged.enable_paged_kv(bc);
-        assert_eq!(paged.paged_block_config(), Some(bc));
+        *paged.kv_space_mut() = KvSpace::new(&ModelConfig::test_tiny(), Some(bc));
+        assert_eq!(paged.kv_space().block_config(), Some(bc));
         let mut alloc = BlockAllocator::new(bc);
-        let mut pseq = paged.new_sequence();
+        let mut pseq = paged.kv_space().new_seq();
         {
-            let table = pseq.block_table_mut().expect("paged sequence");
+            let table = pseq.table_mut().expect("paged sequence");
             let need = (prompt.len() + decode.len()).div_ceil(bc.block_size);
             for _ in 0..need {
                 table.push_block(alloc.alloc().unwrap());
@@ -1622,7 +1478,7 @@ mod tests {
             paged_logits.push(r.logits);
         }
         assert_eq!(paged_logits, flat_logits, "block indirection changed math");
-        assert_eq!(pseq.context_len(), prompt.len() + decode.len());
+        assert_eq!(pseq.len(), prompt.len() + decode.len());
 
         // A second sequence sharing the first full prompt block resumes at
         // the divergence point and still matches a from-scratch flat run.
@@ -1630,19 +1486,19 @@ mod tests {
         let tail: Vec<u32> = vec![40, 22];
         let mut full2: Vec<u32> = prompt[..shared_tokens].to_vec();
         full2.extend(&tail);
-        let mut f2 = flat.new_sequence();
+        let mut f2 = flat.kv_space().new_seq();
         let (_, flat2) = flat.forward_runs(&mut [&mut f2], &[&full2], LogitRows::Last);
 
-        let mut p2 = paged.new_sequence();
+        let mut p2 = paged.kv_space().new_seq();
         {
-            let shared_block = pseq.block_table().unwrap().blocks()[0];
+            let shared_block = pseq.table().unwrap().blocks()[0];
             alloc.retain(shared_block);
-            let table = p2.block_table_mut().unwrap();
+            let table = p2.table_mut().unwrap();
             table.push_block(shared_block);
             table.push_block(alloc.alloc().unwrap());
             table.set_len(shared_tokens); // prefix-hit credit
         }
-        assert_eq!(p2.context_len(), shared_tokens);
+        assert_eq!(p2.len(), shared_tokens);
         let (_, paged2) =
             paged.forward_runs(&mut [&mut p2], &[&full2[shared_tokens..]], LogitRows::Last);
         assert_eq!(paged2.logits, flat2.logits, "prefix sharing changed math");
@@ -1654,7 +1510,7 @@ mod tests {
     /// both row selections.
     #[test]
     fn mixed_runs_match_one_row_passes_bit_for_bit() {
-        use speedllm_pagedkv::BlockAllocator;
+        use speedllm_pagedkv::{BlockAllocator, BlockConfig};
         let weights = Arc::new(TransformerWeights::synthetic(ModelConfig::test_tiny(), 42));
         let bc = BlockConfig {
             block_size: 4,
@@ -1675,10 +1531,10 @@ mod tests {
                     Engine::with_config(Arc::clone(&weights), OptConfig::full(), cfg).unwrap();
                 let mut alloc = BlockAllocator::new(bc);
                 if paged {
-                    e.enable_paged_kv(bc);
+                    *e.kv_space_mut() = KvSpace::new(&ModelConfig::test_tiny(), Some(bc));
                 }
-                let mut seqs: Vec<SequenceState> = (0..3).map(|_| e.new_sequence()).collect();
-                for table in seqs.iter_mut().filter_map(SequenceState::block_table_mut) {
+                let mut seqs: Vec<SeqKv> = (0..3).map(|_| e.kv_space().new_seq()).collect();
+                for table in seqs.iter_mut().filter_map(SeqKv::table_mut) {
                     for _ in 0..2 {
                         table.push_block(alloc.alloc().unwrap());
                     }
@@ -1688,7 +1544,7 @@ mod tests {
             let (mut batched, mut bseqs) = build();
             let (mut single, mut sseqs) = build();
             for tick in ticks {
-                let mut refs: Vec<&mut SequenceState> = bseqs.iter_mut().collect();
+                let mut refs: Vec<&mut SeqKv> = bseqs.iter_mut().collect();
                 let (got, _) = batched.forward_runs(&mut refs, &tick, rows);
                 for (i, run) in tick.iter().enumerate() {
                     let mut want = Vec::new();
@@ -1716,7 +1572,7 @@ mod tests {
     #[should_panic(expected = "one token run per sequence")]
     fn run_count_mismatch_panics() {
         let mut e = engine(OptConfig::full());
-        let mut s0 = e.new_sequence();
+        let mut s0 = e.kv_space().new_seq();
         e.forward_runs(&mut [&mut s0], &[&[1], &[2]], LogitRows::Last);
     }
 

@@ -13,7 +13,8 @@ use speedllm_llama::config::ModelConfig;
 use speedllm_llama::forward::Transformer;
 use speedllm_llama::kv_cache::KvCache;
 use speedllm_llama::weights::TransformerWeights;
-use speedllm_serve::{Backend, CpuBackend, CpuSlot};
+use speedllm_pagedkv::SeqKv;
+use speedllm_serve::{Backend, CpuBackend};
 use speedllm_telemetry as tel;
 use std::hint::black_box;
 use std::time::Instant;
@@ -24,7 +25,7 @@ fn backend_with_slots(
     weights: &TransformerWeights,
     width: usize,
     prompt: &[u32],
-) -> (CpuBackend, Vec<CpuSlot>) {
+) -> (CpuBackend, Vec<SeqKv>) {
     let mut backend = CpuBackend::new(Transformer::new(weights.clone()));
     let slots = (0..width)
         .map(|i| {
@@ -39,12 +40,12 @@ fn backend_with_slots(
 }
 
 /// Runs `steps` batched decode steps and returns (tokens, seconds).
-fn decode_run(backend: &mut CpuBackend, slots: &mut [CpuSlot], steps: usize) -> (usize, f64) {
+fn decode_run(backend: &mut CpuBackend, slots: &mut [SeqKv], steps: usize) -> (usize, f64) {
     let width = slots.len();
     let start = Instant::now();
     for step in 0..steps {
         let tokens: Vec<u32> = (0..width).map(|b| (5 + b + step) as u32).collect();
-        let mut refs: Vec<&mut CpuSlot> = slots.iter_mut().collect();
+        let mut refs: Vec<&mut SeqKv> = slots.iter_mut().collect();
         black_box(backend.decode(&mut refs, &tokens));
     }
     (width * steps, start.elapsed().as_secs_f64())

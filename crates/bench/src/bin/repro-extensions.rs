@@ -63,7 +63,7 @@ fn main() {
     ] {
         let mut engine = Engine::new(Arc::clone(weights), opt).unwrap();
         for batch in [1usize, 4, 16] {
-            let mut seqs: Vec<_> = (0..batch).map(|_| engine.new_sequence()).collect();
+            let mut seqs: Vec<_> = (0..batch).map(|_| engine.kv_space().new_seq()).collect();
             let toks: Vec<u32> = (0..batch as u32).map(|i| i + 1).collect();
             let mut refs: Vec<&mut _> = seqs.iter_mut().collect();
             let runs: Vec<&[u32]> = toks.iter().map(std::slice::from_ref).collect();

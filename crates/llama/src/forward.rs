@@ -12,7 +12,7 @@ use std::sync::Arc;
 use speedllm_telemetry as tel;
 
 use crate::config::ModelConfig;
-use crate::kv_cache::{KvBatch, KvCache, KvStore};
+use crate::kv_cache::{KvBatch, KvCache};
 use crate::ops;
 use crate::quant::QuantMode;
 use crate::resident::{Operand, ResidentWeights};
@@ -54,6 +54,21 @@ impl LogitRows {
             Self::All => count,
             Self::None => 0,
         }
+    }
+
+    /// Splits a runs call's `logits` into one entry per run of `counts`:
+    /// that run's scored rows, row-major over `vocab`.
+    #[must_use]
+    pub fn split(self, logits: &[f32], counts: &[usize], vocab: usize) -> Vec<Vec<f32>> {
+        let mut rest = logits;
+        counts
+            .iter()
+            .map(|&cnt| {
+                let (scored, tail) = rest.split_at(self.of_run(cnt) * vocab);
+                rest = tail;
+                scored.to_vec()
+            })
+            .collect()
     }
 }
 
@@ -276,22 +291,16 @@ impl Transformer {
         )
     }
 
-    /// Runs one decode step against an **external** [`KvStore`] instead of
-    /// the transformer's own cache — a pooled contiguous cache, or a paged
-    /// block-table view where the logical position → physical row mapping
-    /// goes through a per-sequence block table. The internal cache is
-    /// untouched. Same one-row run as [`Transformer::forward`], so pooled,
-    /// paged and single-tenant sequences produce bit-identical logits.
+    /// Runs one decode step against an **external** [`KvCache`] instead of
+    /// the transformer's own — a pooled cache, or a draft model's. The
+    /// internal cache is untouched. Same one-row run as
+    /// [`Transformer::forward`], so both produce bit-identical logits.
     ///
     /// # Panics
-    /// Panics if `pos` is outside the context window, `token` is out of
-    /// vocabulary, or `kv` was not sized for this model's config.
-    pub fn forward_with_kv<K: KvStore + ?Sized>(
-        &mut self,
-        kv: &mut K,
-        token: u32,
-        pos: usize,
-    ) -> &[f32] {
+    /// Panics if `pos` is outside the context window or past `kv`'s
+    /// length, `token` is out of vocabulary, or `kv` was not sized for
+    /// this model's config.
+    pub fn forward_with_kv(&mut self, kv: &mut KvCache, token: u32, pos: usize) -> &[f32] {
         self.forward_runs([kv].as_mut_slice(), &[token], &[1], &[pos], LogitRows::Last)
     }
 
@@ -343,8 +352,8 @@ impl Transformer {
     /// # Panics
     /// Panics on an empty batch, an empty run, mismatched
     /// `tokens`/`counts`/`starts`/batch lengths, a position outside the
-    /// context window, an out-of-vocab token, or a store sized for a
-    /// different context window.
+    /// context window, an out-of-vocab token, a run starting past its
+    /// store's length, or a store sized for a different context window.
     pub fn forward_runs<B: KvBatch + ?Sized>(
         &mut self,
         kv: &mut B,
@@ -427,6 +436,16 @@ impl Transformer {
                 c.seq_len
             );
             assert!((tok as usize) < c.vocab_size, "token {tok} out of vocab");
+        }
+        // A run may re-write stored positions, never skip unstored ones:
+        // attention would read the rows in between, which belong to no
+        // one (or to a previous tenant of the store).
+        for (i, &start) in starts.iter().enumerate() {
+            let len = kv.kv_len(i);
+            assert!(
+                start <= len,
+                "run {i} starts at {start}, past its {len} stored positions"
+            );
         }
 
         if scratch.as_ref().is_none_or(|b| b.capacity < rows) {
@@ -1024,6 +1043,21 @@ mod tests {
             let want = t.forward_with_kv(a, 11, pos).to_vec();
             assert_eq!(t.forward_with_kv(b, 11, pos), &want[..]);
         }
+    }
+
+    /// A run may not skip unstored positions: on a just-reset cache the
+    /// rows a run at position 2 would attend to are the previous tenant's.
+    #[test]
+    #[should_panic(expected = "run 0 starts at 2, past its 0 stored positions")]
+    fn a_run_past_the_stored_length_panics() {
+        use crate::kv_cache::KvCache;
+        let mut t = model();
+        let mut kv = KvCache::new(t.config());
+        for pos in 0..4 {
+            t.forward_with_kv(&mut kv, 1, pos);
+        }
+        kv.reset();
+        t.forward_with_kv(&mut kv, 5, 2);
     }
 
     #[test]

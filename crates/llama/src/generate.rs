@@ -7,7 +7,6 @@ use std::time::{Duration, Instant};
 use speedllm_telemetry as tel;
 
 use crate::forward::Transformer;
-use crate::kv_cache::KvStore;
 use crate::sampler::Sampler;
 use crate::tokenizer::{Tokenizer, TOKEN_BOS, TOKEN_EOS};
 
@@ -80,19 +79,15 @@ pub fn safe_rate(count: f64, secs: f64) -> f64 {
 /// Stepwise decoding over a [`Transformer`]: prefill once at
 /// construction, then pull one token per [`DecodeSession::step`] call.
 ///
-/// This is `generate()`'s engine, exposed so a scheduler can interleave
-/// decode steps from many sequences (continuous batching) instead of
-/// running each request to completion. The per-step ordering — sample
-/// from the previous logits, check EOS *before* emitting, then run the
-/// forward pass — is exactly the loop `generate()` always ran, so a
-/// session stepped to exhaustion reproduces `generate()` bit-for-bit.
+/// This is `generate()`'s engine, exposed as the sequential oracle one
+/// request at a time: the serve equivalence suites and the benchmark's
+/// correctness check step a session per request and compare its tokens
+/// with the batched scheduler's. The per-step ordering — sample from the
+/// previous logits, check EOS *before* emitting, then run the forward
+/// pass — is exactly the loop `generate()` always ran, so a session
+/// stepped to exhaustion reproduces `generate()` bit-for-bit.
 pub struct DecodeSession<'m> {
     model: &'m mut Transformer,
-    /// `None` decodes through the model's internal cache; `Some` routes
-    /// every read/write through an external [`KvStore`] — e.g. a paged
-    /// block-table view, where logical positions resolve to physical
-    /// blocks.
-    kv: Option<&'m mut dyn KvStore>,
     prompt_len: usize,
     /// Next position to decode into.
     pos: usize,
@@ -115,34 +110,6 @@ impl<'m> DecodeSession<'m> {
         options: GenerateOptions,
     ) -> Self {
         model.reset();
-        Self::start(model, None, prompt_tokens, options)
-    }
-
-    /// Like [`DecodeSession::begin`], but decoding through an external
-    /// [`KvStore`] (the model's internal cache is untouched). Positions
-    /// the store already holds (`kv_len()`) are treated as a prefilled
-    /// prefix of the prompt and skipped — the prefix-cache entry point:
-    /// a store carrying shared blocks resumes at the divergence point.
-    ///
-    /// # Panics
-    /// Panics if the prompt is empty or exceeds the context window, or if
-    /// the store's prefilled prefix covers the whole prompt (at least one
-    /// prompt token must run to produce logits).
-    pub fn begin_with_kv(
-        model: &'m mut Transformer,
-        kv: &'m mut dyn KvStore,
-        prompt_tokens: &[u32],
-        options: GenerateOptions,
-    ) -> Self {
-        Self::start(model, Some(kv), prompt_tokens, options)
-    }
-
-    fn start(
-        model: &'m mut Transformer,
-        mut kv: Option<&'m mut dyn KvStore>,
-        prompt_tokens: &[u32],
-        options: GenerateOptions,
-    ) -> Self {
         let seq_len = model.config().seq_len;
         assert!(!prompt_tokens.is_empty(), "prompt must not be empty");
         assert!(
@@ -151,22 +118,13 @@ impl<'m> DecodeSession<'m> {
             prompt_tokens.len(),
             seq_len
         );
-        let start = kv.as_deref().map_or(0, KvStore::kv_len);
-        assert!(
-            start < prompt_tokens.len(),
-            "prefilled prefix ({start}) must leave at least one prompt token"
-        );
 
-        // Prefill: feed every (not already cached) prompt token; only the
-        // last logits matter.
+        // Prefill: feed every prompt token; only the last logits matter.
         let mut logits: Vec<f32> = Vec::new();
-        for (pos, &tok) in prompt_tokens.iter().enumerate().skip(start) {
+        for (pos, &tok) in prompt_tokens.iter().enumerate() {
             let _g = tel::span("host", "prefill_token").arg("pos", pos as i64);
             let t0 = tel::enabled().then(Instant::now);
-            logits = match &mut kv {
-                Some(kv) => model.forward_with_kv(&mut **kv, tok, pos).to_vec(),
-                None => model.forward(tok, pos).to_vec(),
-            };
+            logits = model.forward(tok, pos).to_vec();
             if let Some(t0) = t0 {
                 tel::metrics::observe("llama.prefill_token_ns", t0.elapsed().as_nanos() as u64);
             }
@@ -175,7 +133,6 @@ impl<'m> DecodeSession<'m> {
         let prompt_len = prompt_tokens.len();
         Self {
             model,
-            kv,
             prompt_len,
             pos: prompt_len,
             end_pos: (prompt_len + options.max_new_tokens).min(seq_len),
@@ -200,13 +157,7 @@ impl<'m> DecodeSession<'m> {
         }
         let _g = tel::span("host", "decode_token").arg("pos", self.pos as i64);
         let t0 = tel::enabled().then(Instant::now);
-        self.logits = match &mut self.kv {
-            Some(kv) => self
-                .model
-                .forward_with_kv(&mut **kv, next, self.pos)
-                .to_vec(),
-            None => self.model.forward(next, self.pos).to_vec(),
-        };
+        self.logits = self.model.forward(next, self.pos).to_vec();
         if let Some(t0) = t0 {
             tel::metrics::observe("llama.decode_token_ns", t0.elapsed().as_nanos() as u64);
         }
@@ -418,69 +369,6 @@ mod tests {
         assert!(session.step(&mut sampler).is_none());
         assert!(session.is_finished());
         assert_eq!(session.logits().len(), 64);
-    }
-
-    #[test]
-    fn decode_session_with_external_kv_matches_internal() {
-        let (mut m1, tok) = setup();
-        let (mut m2, _) = setup();
-        let opts = GenerateOptions {
-            max_new_tokens: 10,
-            stop_at_eos: true,
-        };
-        let prompt = tok.encode("the quick", true, false);
-        let mut s1 = Sampler::new(crate::sampler::SamplerKind::Temperature(0.8), 3);
-        let mut s2 = Sampler::new(crate::sampler::SamplerKind::Temperature(0.8), 3);
-
-        let mut oracle = Vec::new();
-        let mut session = DecodeSession::begin(&mut m1, &prompt, opts);
-        while let Some(t) = session.step(&mut s1) {
-            oracle.push(t);
-        }
-
-        let mut kv = crate::kv_cache::KvCache::new(&ModelConfig::test_tiny());
-        let mut external = Vec::new();
-        let mut session = DecodeSession::begin_with_kv(&mut m2, &mut kv, &prompt, opts);
-        while let Some(t) = session.step(&mut s2) {
-            external.push(t);
-        }
-        assert_eq!(external, oracle);
-    }
-
-    #[test]
-    fn prefilled_prefix_is_skipped_and_streams_match() {
-        let (mut m1, tok) = setup();
-        let (mut m2, _) = setup();
-        let opts = GenerateOptions {
-            max_new_tokens: 8,
-            stop_at_eos: false,
-        };
-        let prompt = tok.encode("hello world", true, false);
-        assert!(prompt.len() >= 3, "need a multi-token prompt");
-        let mut s1 = Sampler::argmax();
-        let mut s2 = Sampler::argmax();
-
-        let mut cold_kv = crate::kv_cache::KvCache::new(&ModelConfig::test_tiny());
-        let mut cold = Vec::new();
-        let mut session = DecodeSession::begin_with_kv(&mut m1, &mut cold_kv, &prompt, opts);
-        while let Some(t) = session.step(&mut s1) {
-            cold.push(t);
-        }
-
-        // Warm store: prefill the first prompt tokens out-of-band, then
-        // resume — begin_with_kv must skip the cached prefix and land on
-        // the identical stream.
-        let mut warm_kv = crate::kv_cache::KvCache::new(&ModelConfig::test_tiny());
-        for (pos, &t) in prompt.iter().take(prompt.len() - 1).enumerate() {
-            m2.forward_with_kv(&mut warm_kv, t, pos);
-        }
-        assert_eq!(warm_kv.len(), prompt.len() - 1);
-        let mut warm = Vec::new();
-        let mut session = DecodeSession::begin_with_kv(&mut m2, &mut warm_kv, &prompt, opts);
-        while let Some(t) = session.step(&mut s2) {
-            warm.push(t);
-        }
-        assert_eq!(warm, cold, "prefix resume changed the stream");
     }
 
     #[test]

@@ -7,6 +7,10 @@
 //! are handed out per `(layer, timestep, head)` so attention kernels never
 //! index raw offsets.
 //!
+//! [`KvBatch`] is the one interface the forward pass reads and writes KV
+//! through; a slice of `&mut KvCache` implements it directly, and the
+//! paged arena of `speedllm-pagedkv` implements it over block tables.
+//!
 //! [`KvCachePool`] holds a fixed number of pre-allocated cache slots
 //! (anything implementing [`PoolSlot`]) and checks them out one request at
 //! a time. Released slots are logically reset — and, in debug builds,
@@ -160,63 +164,18 @@ impl KvCache {
     }
 }
 
-/// Anything the transformer forward pass can read attention context from
-/// and append new K/V rows into. [`KvCache`] is the contiguous reference
-/// implementation; the paged KV arena (crate `speedllm-pagedkv`) adapts a
-/// block table over the same interface so attention reads go through a
-/// logical-position → physical-block indirection instead of assuming
-/// contiguity.
+/// What the transformer forward pass reads attention context from and
+/// appends new K/V rows into: per-sequence KV access addressed by a batch
+/// index, so one pass can extend B independent sequences. A slice of
+/// `&mut KvCache` is the contiguous implementation (each sequence owns its
+/// cache); `speedllm-pagedkv` provides the paged one, where B block tables
+/// share one arena and attention reads go through a logical-position →
+/// physical-block indirection instead of assuming contiguity.
 ///
-/// Object-safe on purpose: `DecodeSession` holds an external store as
-/// `&mut dyn KvStore`.
-pub trait KvStore {
-    /// Number of positions fully stored (all layers written).
-    fn kv_len(&self) -> usize;
-    /// Maximum logical position count (the context window).
-    fn kv_capacity(&self) -> usize;
-    /// Writes the key and value rows for `pos` in `layer`. Writing the
-    /// last layer advances [`KvStore::kv_len`] to `pos + 1`.
-    fn store(&mut self, layer: usize, pos: usize, k: &[f32], v: &[f32]);
-    /// Key vector of one KV head at `(layer, pos)`.
-    fn key_head(&self, layer: usize, pos: usize, kv_head: usize) -> &[f32];
-    /// Value vector of one KV head at `(layer, pos)`.
-    fn value_head(&self, layer: usize, pos: usize, kv_head: usize) -> &[f32];
-}
-
-impl KvStore for KvCache {
-    fn kv_len(&self) -> usize {
-        self.len()
-    }
-
-    fn kv_capacity(&self) -> usize {
-        self.capacity()
-    }
-
-    fn store(&mut self, layer: usize, pos: usize, k: &[f32], v: &[f32]) {
-        KvCache::store(self, layer, pos, k, v);
-    }
-
-    fn key_head(&self, layer: usize, pos: usize, kv_head: usize) -> &[f32] {
-        KvCache::key_head(self, layer, pos, kv_head)
-    }
-
-    fn value_head(&self, layer: usize, pos: usize, kv_head: usize) -> &[f32] {
-        KvCache::value_head(self, layer, pos, kv_head)
-    }
-}
-
-/// Batched analogue of [`KvStore`]: per-sequence KV access addressed by a
-/// batch index, so one batched forward pass can read and append context
-/// for B independent sequences. A slice of `&mut K` stores is the flat
-/// implementation (each sequence owns its cache); the paged arena provides
-/// `PagedKvBatch` in `speedllm-pagedkv`, where B block tables share one
-/// arena — something a slice of [`KvStore`]s cannot express because the
-/// arena admits only one mutable view at a time.
-///
-/// Every method is the per-index twin of the corresponding [`KvStore`]
-/// method and must behave identically to calling it on sequence `i`'s own
-/// store: that equivalence is what keeps the batched forward pass
-/// bit-identical to the per-sequence loop.
+/// Every implementation must give index `i` exactly the behaviour of
+/// sequence `i`'s own [`KvCache`] — a store of the last layer advances the
+/// length to `pos + 1`, reads return what was stored — which is what
+/// keeps the batched forward pass bit-identical to the per-sequence loop.
 pub trait KvBatch {
     /// Number of sequences in the batch.
     fn batch_len(&self) -> usize;
@@ -232,17 +191,17 @@ pub trait KvBatch {
     fn value_head(&self, i: usize, layer: usize, pos: usize, kv_head: usize) -> &[f32];
 }
 
-impl<K: KvStore + ?Sized> KvBatch for [&mut K] {
+impl KvBatch for [&mut KvCache] {
     fn batch_len(&self) -> usize {
         self.len()
     }
 
     fn kv_len(&self, i: usize) -> usize {
-        self[i].kv_len()
+        self[i].len()
     }
 
     fn kv_capacity(&self, i: usize) -> usize {
-        self[i].kv_capacity()
+        self[i].capacity()
     }
 
     fn store(&mut self, i: usize, layer: usize, pos: usize, k: &[f32], v: &[f32]) {
@@ -259,8 +218,8 @@ impl<K: KvStore + ?Sized> KvBatch for [&mut K] {
 }
 
 /// Per-sequence state a [`KvCachePool`] can manage. Implemented by
-/// [`KvCache`] itself (the CPU reference backend) and by richer wrappers
-/// such as the accelerator's per-sequence functional state.
+/// [`KvCache`] itself and by `speedllm-pagedkv`'s `SeqKv` (a cache or a
+/// block table), the slot of both serving backends.
 pub trait PoolSlot {
     /// Clears the logical contents so the slot can host a new sequence.
     fn reset_slot(&mut self);

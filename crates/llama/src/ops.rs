@@ -103,9 +103,12 @@ pub fn transpose_batch_major(xs: &[f32], cols: usize, batch: usize) -> Vec<f32> 
 }
 
 /// [`transpose_batch_major`] into a caller's buffer of `cols * batch`.
+///
+/// # Panics
+/// Panics unless `xs` and `xt` both hold `batch * cols` values.
 pub fn transpose_batch_major_into(xt: &mut [f32], xs: &[f32], cols: usize, batch: usize) {
-    debug_assert_eq!(xs.len(), batch * cols);
-    debug_assert_eq!(xt.len(), batch * cols);
+    assert_eq!(xs.len(), batch * cols, "activation shape mismatch");
+    assert_eq!(xt.len(), batch * cols, "transpose buffer shape mismatch");
     for (b, x) in xs.chunks_exact(cols).enumerate() {
         for (c, &v) in x.iter().enumerate() {
             xt[c * batch + b] = v;
@@ -1328,6 +1331,16 @@ mod tests {
             cols,
             3,
         );
+    }
+
+    /// A batch-3 transpose given two lanes panics in every build, rather
+    /// than leaving the third lane of `xt` stale.
+    #[test]
+    #[should_panic(expected = "activation shape mismatch")]
+    fn transpose_shape_check_rejects_a_missing_lane() {
+        let (cols, batch) = (4, 3);
+        let mut xt = vec![0.0f32; cols * batch];
+        transpose_batch_major_into(&mut xt, &vec![1.0; (batch - 1) * cols], cols, batch);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The physical K/V backing store for paged sequences, and the view that
-//! adapts an `(arena, block table)` pair into a [`KvStore`] so the
+//! adapts the arena and several block tables into a [`KvBatch`] so the
 //! transformer forward pass writes straight into paged memory.
 
 use speedllm_llama::config::ModelConfig;
-use speedllm_llama::kv_cache::{KvBatch, KvStore};
+use speedllm_llama::kv_cache::KvBatch;
 
 use crate::block::{BlockAllocator, BlockConfig, BlockId, BlockTable};
 
@@ -160,23 +160,11 @@ impl PagedKvArena {
         }
     }
 
-    /// A [`KvStore`] view over one sequence: reads and writes resolve
-    /// through `table`'s logical→physical mapping.
-    pub fn view<'a>(&'a mut self, table: &'a mut BlockTable) -> PagedSeqView<'a> {
-        assert_eq!(
-            table.block_size(),
-            self.block_size,
-            "table/arena block size mismatch"
-        );
-        PagedSeqView { arena: self, table }
-    }
-
     /// A [`KvBatch`] view over several sequences at once: each batch index
-    /// resolves through its own block table into this shared arena. This
-    /// is what the batched decode pass uses — a slice of
-    /// [`PagedKvArena::view`]s cannot exist because each view borrows the
-    /// whole arena mutably, whereas one batch view holds the single arena
-    /// borrow and fans out per-index.
+    /// resolves through its own block table into this shared arena. One
+    /// view holds the single mutable arena borrow and fans out per index,
+    /// which one view per sequence could not (each would borrow the whole
+    /// arena).
     ///
     /// # Panics
     /// Panics if any table's block size disagrees with the arena's.
@@ -195,53 +183,11 @@ impl PagedKvArena {
     }
 }
 
-/// Borrowed `(arena, table)` pair implementing [`KvStore`]: the forward
-/// pass sees an ordinary sequence cache while every access lands in
-/// paged physical memory.
-#[derive(Debug)]
-pub struct PagedSeqView<'a> {
-    arena: &'a mut PagedKvArena,
-    table: &'a mut BlockTable,
-}
-
-impl KvStore for PagedSeqView<'_> {
-    fn kv_len(&self) -> usize {
-        self.table.len()
-    }
-
-    fn kv_capacity(&self) -> usize {
-        self.arena.seq_len
-    }
-
-    fn store(&mut self, layer: usize, pos: usize, k: &[f32], v: &[f32]) {
-        assert!(
-            pos < self.arena.seq_len,
-            "pos {pos} out of cache capacity {}",
-            self.arena.seq_len
-        );
-        let (block, slot) = self.table.locate(pos);
-        self.arena.store_at(layer, block, slot, k, v);
-        if layer == self.arena.k.len() - 1 {
-            self.table.note_stored(pos);
-        }
-    }
-
-    fn key_head(&self, layer: usize, pos: usize, kv_head: usize) -> &[f32] {
-        let (block, slot) = self.table.locate(pos);
-        self.arena.key_head_at(layer, block, slot, kv_head)
-    }
-
-    fn value_head(&self, layer: usize, pos: usize, kv_head: usize) -> &[f32] {
-        let (block, slot) = self.table.locate(pos);
-        self.arena.value_head_at(layer, block, slot, kv_head)
-    }
-}
-
 /// Borrowed `(arena, tables)` group implementing [`KvBatch`]: one batched
 /// forward pass reads and appends context for several paged sequences.
-/// Per index, every access behaves exactly like the corresponding
-/// [`PagedSeqView`] access — same `locate`, same `store_at`, same
-/// `note_stored` on the last layer — which is what keeps batched paged
+/// Per index, every access resolves through that sequence's table alone —
+/// `locate`, `store_at`, and `note_stored` on the last layer, as a
+/// `KvCache` advances its length — which is what keeps batched paged
 /// decoding bit-identical to the per-sequence loop.
 #[derive(Debug)]
 pub struct PagedKvBatch<'a> {
@@ -314,14 +260,14 @@ mod tests {
         let k: Vec<f32> = (0..8).map(|i| i as f32).collect();
         let v: Vec<f32> = (0..8).map(|i| -(i as f32)).collect();
         {
-            let mut view = arena.view(&mut t);
-            assert_eq!(view.kv_capacity(), 32, "logical window, not block span");
+            let mut view = arena.batch_view(vec![&mut t]);
+            assert_eq!(view.kv_capacity(0), 32, "logical window, not block span");
             for layer in 0..2 {
-                view.store(layer, 5, &k, &v); // second block, slot 1
+                view.store(0, layer, 5, &k, &v); // second block, slot 1
             }
-            assert_eq!(view.kv_len(), 6);
-            assert_eq!(view.key_head(0, 5, 0), &[0.0, 1.0, 2.0, 3.0]);
-            assert_eq!(view.value_head(1, 5, 1), &[-4.0, -5.0, -6.0, -7.0]);
+            assert_eq!(view.kv_len(0), 6);
+            assert_eq!(view.key_head(0, 0, 5, 0), &[0.0, 1.0, 2.0, 3.0]);
+            assert_eq!(view.value_head(0, 1, 5, 1), &[-4.0, -5.0, -6.0, -7.0]);
         }
         // The physical row is in the table's second block at slot 1.
         let b = t.blocks()[1];
@@ -333,11 +279,11 @@ mod tests {
         let (mut arena, mut alloc) = tiny_arena(2);
         let mut t = filled_table(&mut alloc, 1);
         let z = vec![0.0f32; 8];
-        let mut view = arena.view(&mut t);
-        view.store(0, 0, &z, &z);
-        assert_eq!(view.kv_len(), 0, "only first layer written");
-        view.store(1, 0, &z, &z);
-        assert_eq!(view.kv_len(), 1);
+        let mut view = arena.batch_view(vec![&mut t]);
+        view.store(0, 0, 0, &z, &z);
+        assert_eq!(view.kv_len(0), 0, "only first layer written");
+        view.store(0, 1, 0, &z, &z);
+        assert_eq!(view.kv_len(0), 1);
     }
 
     #[test]
@@ -346,7 +292,7 @@ mod tests {
         let mut t = filled_table(&mut alloc, 1);
         let k: Vec<f32> = (0..8).map(|i| 10.0 + i as f32).collect();
         for layer in 0..2 {
-            arena.view(&mut t).store(layer, 2, &k, &k);
+            arena.batch_view(vec![&mut t]).store(0, layer, 2, &k, &k);
         }
         let mut forked = alloc.fork(&t);
         assert_eq!(alloc.refcount(t.blocks()[0]), 2);
@@ -357,13 +303,18 @@ mod tests {
         assert_eq!(alloc.refcount(t.blocks()[0]), 1);
         let w: Vec<f32> = (0..8).map(|i| 99.0 - i as f32).collect();
         for layer in 0..2 {
-            arena.view(&mut forked).store(layer, 3, &w, &w);
+            arena
+                .batch_view(vec![&mut forked])
+                .store(0, layer, 3, &w, &w);
         }
         // The copy carried the shared prefix, and the original is untouched.
-        assert_eq!(arena.view(&mut forked).key_head(0, 2, 0), &k[..4]);
-        assert_eq!(arena.view(&mut t).key_head(0, 2, 0), &k[..4]);
+        let key = |arena: &mut PagedKvArena, t: &mut BlockTable, pos| {
+            arena.batch_view(vec![t]).key_head(0, 0, pos, 0).to_vec()
+        };
+        assert_eq!(key(&mut arena, &mut forked, 2), &k[..4]);
+        assert_eq!(key(&mut arena, &mut t, 2), &k[..4]);
         assert_ne!(
-            arena.view(&mut t).key_head(0, 3, 0),
+            key(&mut arena, &mut t, 3),
             &w[..4],
             "writer must not leak into the original block"
         );

@@ -13,10 +13,14 @@
 //!   `p` lives in `blocks[p / block_size]` at slot `p % block_size`),
 //!   so attention reads no longer assume contiguity.
 //! - [`PagedKvArena`] — the physical K/V backing store, one flat buffer
-//!   per layer, addressed through block tables. [`PagedKvArena::view`]
-//!   adapts an `(arena, table)` pair into a [`speedllm_llama::kv_cache::KvStore`]
-//!   so the unmodified transformer forward pass writes straight into
-//!   paged memory.
+//!   per layer, addressed through block tables.
+//!   [`PagedKvArena::batch_view`] adapts the arena and several tables
+//!   into one [`speedllm_llama::kv_cache::KvBatch`], so the unmodified
+//!   transformer forward pass writes straight into paged memory.
+//! - [`SeqKv`] and [`KvSpace`] — one sequence's storage (a private
+//!   `KvCache` or a block table) and a backend's storage (optionally one
+//!   arena). [`KvSpace::batch`] is the one place that picks between the
+//!   two layouts for a pass, so every backend shares one KV interface.
 //! - [`RadixIndex`] — a radix tree over *full* blocks mapping token
 //!   prefixes to shared block chains. Requests with a common prompt
 //!   prefix reuse already-prefilled blocks and skip straight to the
@@ -33,7 +37,9 @@
 pub mod arena;
 pub mod block;
 pub mod radix;
+pub mod space;
 
-pub use arena::{PagedKvArena, PagedKvBatch, PagedSeqView};
+pub use arena::{PagedKvArena, PagedKvBatch};
 pub use block::{BlockAllocator, BlockConfig, BlockId, BlockTable};
 pub use radix::RadixIndex;
+pub use space::{KvSpace, SeqBatch, SeqKv};

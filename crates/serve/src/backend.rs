@@ -5,16 +5,13 @@
 //! in the backend's slot type, which the scheduler checks in and out of a
 //! [`speedllm_llama::kv_cache::KvCachePool`].
 //!
-//! A backend can serve KV context in one of two shapes:
-//!
-//! * **Flat slots** — each slot owns a contiguous `[seq_len, kv_dim]`
-//!   cache (the PR 3 baseline).
-//! * **Paged slots** — each slot holds a [`BlockTable`] into a shared
-//!   [`PagedKvArena`]; blocks are granted by the scheduler, which is what
-//!   enables prefix sharing and preemptive eviction (DESIGN.md §12).
-//!   Backends built with `new_paged` report their [`BlockConfig`] via
-//!   [`Backend::block_config`], and the scheduler drives block-table
-//!   plumbing through [`Backend::slot_table_mut`].
+//! Both backends' slot is [`SeqKv`] and their storage one [`KvSpace`]
+//! (DESIGN.md §12): a flat space gives every slot a private contiguous
+//! cache; a paged one (`new_paged`) gives it a [`BlockTable`] into one
+//! shared arena, whose blocks the scheduler grants — which is what enables
+//! prefix sharing and preemptive eviction. Paged backends report their
+//! [`BlockConfig`] via [`Backend::block_config`], and the scheduler drives
+//! block-table plumbing through [`Backend::slot_table_mut`].
 //!
 //! Costs are reported in **virtual ticks** so serve-bench reports are
 //! bit-reproducible across machines:
@@ -27,11 +24,11 @@
 //!   weight-stream amortization across its rows (the whole point of
 //!   continuous batching on the accelerator) shows up in the report.
 
-use speedllm_accel::engine::{Engine, SequenceState};
+use speedllm_accel::engine::Engine;
 use speedllm_llama::config::ModelConfig;
 use speedllm_llama::forward::{LogitRows, Transformer};
-use speedllm_llama::kv_cache::{KvCache, PoolSlot};
-use speedllm_pagedkv::{BlockConfig, BlockId, BlockTable, PagedKvArena};
+use speedllm_llama::kv_cache::PoolSlot;
+use speedllm_pagedkv::{BlockConfig, BlockId, BlockTable, KvSpace, SeqKv};
 
 /// Inference substrate for the serving scheduler: per-sequence state is
 /// externalized into `Slot` so one backend serves many interleaved
@@ -115,63 +112,27 @@ pub trait Backend {
     fn name(&self) -> &'static str;
 }
 
-/// Per-sequence context of the [`CpuBackend`]: a flat private cache, or a
-/// block table into the backend's shared paged arena.
-pub enum CpuSlot {
-    /// Contiguous per-sequence cache (slot-pool baseline).
-    Flat(KvCache),
-    /// Block-table view into the backend's [`PagedKvArena`].
-    Paged(BlockTable),
-}
-
-impl PoolSlot for CpuSlot {
-    fn reset_slot(&mut self) {
-        match self {
-            CpuSlot::Flat(kv) => kv.reset(),
-            // The scheduler strips the block chain before release.
-            CpuSlot::Paged(table) => table.reset(),
-        }
-    }
-
-    fn slot_len(&self) -> usize {
-        match self {
-            CpuSlot::Flat(kv) => kv.len(),
-            CpuSlot::Paged(table) => table.len(),
-        }
-    }
-
-    fn poison_slot(&mut self) {
-        // Paged storage is poisoned block-by-block as blocks are freed
-        // (the arena owns the rows, and shared blocks may still be live).
-        if let CpuSlot::Flat(kv) = self {
-            kv.poison();
-        }
-    }
-}
-
 /// CPU reference backend: one [`Transformer`] (scratch, and an `Arc` of the
 /// resident weights — replicas built with [`Transformer::with_weights`]
 /// share one copy) serving all sequences via [`Transformer::forward_runs`].
 pub struct CpuBackend {
     model: Transformer,
-    arena: Option<PagedKvArena>,
+    kv: KvSpace,
 }
 
 impl CpuBackend {
     /// Wraps a transformer with flat (slot-pool) KV context.
     #[must_use]
     pub fn new(model: Transformer) -> Self {
-        Self { model, arena: None }
+        let kv = KvSpace::new(model.config(), None);
+        Self { model, kv }
     }
 
     /// Wraps a transformer with a shared paged-KV arena of `blocks`.
     #[must_use]
     pub fn new_paged(model: Transformer, blocks: BlockConfig) -> Self {
-        let arena = PagedKvArena::new(model.config(), blocks);
-        Self {
-            model,
-            arena: Some(arena),
-        }
+        let kv = KvSpace::new(model.config(), Some(blocks));
+        Self { model, kv }
     }
 
     /// Every verb's body: one [`Transformer::forward_runs`] call over all
@@ -179,61 +140,34 @@ impl CpuBackend {
     /// for, row-major — and one tick per token row.
     fn run(
         &mut self,
-        slots: &mut [&mut CpuSlot],
+        slots: &mut [&mut SeqKv],
         runs: &[&[u32]],
         logit_rows: LogitRows,
     ) -> (Vec<Vec<f32>>, u64) {
-        let starts: Vec<usize> = slots.iter().map(|s| s.slot_len()).collect();
+        let starts: Vec<usize> = slots.iter().map(|s| s.len()).collect();
         let counts: Vec<usize> = runs.iter().map(|r| r.len()).collect();
         let tokens = runs.concat();
         let vocab = self.model.config().vocab_size;
-        let logits: &[f32] = match &mut self.arena {
-            None => {
-                let mut kvs: Vec<&mut KvCache> = slots
-                    .iter_mut()
-                    .map(|s| match &mut **s {
-                        CpuSlot::Flat(kv) => kv,
-                        CpuSlot::Paged(_) => panic!("paged slot in a flat backend"),
-                    })
-                    .collect();
-                self.model
-                    .forward_runs(kvs.as_mut_slice(), &tokens, &counts, &starts, logit_rows)
-            }
-            Some(arena) => {
-                let tables = slots
-                    .iter_mut()
-                    .map(|s| Self::slot_table_mut(s).expect("flat slot in a paged backend"))
-                    .collect();
-                let mut batch = arena.batch_view(tables);
-                self.model
-                    .forward_runs(&mut batch, &tokens, &counts, &starts, logit_rows)
-            }
-        };
-        let mut rest = logits;
-        let out = counts
-            .iter()
-            .map(|&cnt| {
-                let (scored, tail) = rest.split_at(logit_rows.of_run(cnt) * vocab);
-                rest = tail;
-                scored.to_vec()
-            })
-            .collect();
-        (out, tokens.len() as u64)
+        let mut kv = self.kv.batch(slots);
+        let logits = self
+            .model
+            .forward_runs(&mut kv, &tokens, &counts, &starts, logit_rows);
+        (
+            logit_rows.split(logits, &counts, vocab),
+            tokens.len() as u64,
+        )
     }
 }
 
 impl Backend for CpuBackend {
-    type Slot = CpuSlot;
+    type Slot = SeqKv;
 
     fn config(&self) -> ModelConfig {
         *self.model.config()
     }
 
     fn new_slot(&self) -> Self::Slot {
-        match &self.arena {
-            None => CpuSlot::Flat(KvCache::new(self.model.config())),
-            Some(arena) => CpuSlot::Paged(BlockTable::new(arena.block_size())),
-        }
+        self.kv.new_seq()
     }
 
     fn prefill(
@@ -243,7 +177,7 @@ impl Backend for CpuBackend {
         start_pos: usize,
     ) -> (Vec<f32>, u64) {
         assert_eq!(
-            slot.slot_len(),
+            slot.len(),
             start_pos,
             "chunk must extend the sequence contiguously"
         );
@@ -269,32 +203,19 @@ impl Backend for CpuBackend {
     }
 
     fn truncate_slot(slot: &mut Self::Slot, len: usize) -> Vec<BlockId> {
-        match slot {
-            CpuSlot::Flat(kv) => {
-                kv.truncate(len);
-                Vec::new()
-            }
-            CpuSlot::Paged(table) => table.rollback(len),
-        }
+        slot.truncate(len)
     }
 
     fn block_config(&self) -> Option<BlockConfig> {
-        self.arena.as_ref().map(PagedKvArena::block_config)
+        self.kv.block_config()
     }
 
     fn slot_table_mut(slot: &mut Self::Slot) -> Option<&mut BlockTable> {
-        match slot {
-            CpuSlot::Flat(_) => None,
-            CpuSlot::Paged(table) => Some(table),
-        }
+        slot.table_mut()
     }
 
     fn on_blocks_freed(&mut self, blocks: &[BlockId]) {
-        if cfg!(debug_assertions) {
-            if let Some(arena) = &mut self.arena {
-                arena.poison_blocks(blocks);
-            }
-        }
+        self.kv.on_blocks_freed(blocks);
     }
 
     fn name(&self) -> &'static str {
@@ -318,24 +239,24 @@ impl AccelBackend {
         Self { engine }
     }
 
-    /// Wraps an engine and switches it to a shared paged-KV arena of
-    /// `blocks`.
+    /// Wraps an engine and switches its serving sequences to a shared
+    /// paged-KV arena of `blocks`.
     #[must_use]
     pub fn new_paged(mut engine: Engine, blocks: BlockConfig) -> Self {
-        engine.enable_paged_kv(blocks);
+        *engine.kv_space_mut() = KvSpace::new(&engine.graph().config, Some(blocks));
         Self { engine }
     }
 }
 
 impl Backend for AccelBackend {
-    type Slot = SequenceState;
+    type Slot = SeqKv;
 
     fn config(&self) -> ModelConfig {
         self.engine.graph().config
     }
 
     fn new_slot(&self) -> Self::Slot {
-        self.engine.new_sequence()
+        self.engine.kv_space().new_seq()
     }
 
     fn prefill(
@@ -345,7 +266,7 @@ impl Backend for AccelBackend {
         start_pos: usize,
     ) -> (Vec<f32>, u64) {
         assert_eq!(
-            slot.context_len(),
+            slot.len(),
             start_pos,
             "chunk must extend the sequence contiguously"
         );
@@ -380,17 +301,15 @@ impl Backend for AccelBackend {
     }
 
     fn block_config(&self) -> Option<BlockConfig> {
-        self.engine.paged_block_config()
+        self.engine.kv_space().block_config()
     }
 
     fn slot_table_mut(slot: &mut Self::Slot) -> Option<&mut BlockTable> {
-        slot.block_table_mut()
+        slot.table_mut()
     }
 
     fn on_blocks_freed(&mut self, blocks: &[BlockId]) {
-        if cfg!(debug_assertions) {
-            self.engine.poison_blocks(blocks);
-        }
+        self.engine.kv_space_mut().on_blocks_freed(blocks);
     }
 
     fn name(&self) -> &'static str {
@@ -539,9 +458,47 @@ mod tests {
         let mut one = acc.new_slot();
         let mut refs = [&mut one];
         let (_, c1) = acc.decode(&mut refs, &[5]);
-        let mut slots: Vec<SequenceState> = (0..4).map(|_| acc.new_slot()).collect();
-        let mut refs: Vec<&mut SequenceState> = slots.iter_mut().collect();
+        let mut slots: Vec<SeqKv> = (0..4).map(|_| acc.new_slot()).collect();
+        let mut refs: Vec<&mut SeqKv> = slots.iter_mut().collect();
         let (_, c4) = acc.decode(&mut refs, &[5, 6, 7, 8]);
         assert!(c4 < 4 * c1, "batching must amortize: 1->{c1}, 4->{c4}");
+    }
+
+    /// A pass mixing a flat and a paged slot panics with
+    /// `KvSpace::batch`'s one message, whichever backend runs it.
+    #[test]
+    fn a_mixed_flat_and_paged_pass_panics_on_both_backends() {
+        fn mixed_decode_panic<B: Backend>(flat: &B, mut paged: B) -> String {
+            let bc = paged.block_config().expect("a paged backend");
+            let mut alloc = BlockAllocator::new(bc);
+            let mut f = flat.new_slot();
+            let mut p = paged.new_slot();
+            B::slot_table_mut(&mut p)
+                .expect("a paged slot")
+                .push_block(alloc.alloc().unwrap());
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                paged.decode(&mut [&mut p, &mut f], &[1, 2]);
+            }))
+            .expect_err("a mixed pass must panic");
+            err.downcast_ref::<String>().cloned().unwrap_or_default()
+        }
+        let bc = BlockConfig {
+            block_size: 4,
+            n_blocks: 4,
+        };
+        let cpu = || Transformer::new(weights());
+        let accel = || Engine::new(Arc::new(weights()), OptConfig::full()).unwrap();
+        for msg in [
+            mixed_decode_panic(&CpuBackend::new(cpu()), CpuBackend::new_paged(cpu(), bc)),
+            mixed_decode_panic(
+                &AccelBackend::new(accel()),
+                AccelBackend::new_paged(accel(), bc),
+            ),
+        ] {
+            assert!(
+                msg.contains("a pass mixes flat and paged sequences"),
+                "{msg}"
+            );
+        }
     }
 }

@@ -33,7 +33,7 @@ fn main() {
         ]);
         let mut base_tps = 0.0f64;
         for batch in [1usize, 2, 4, 8, 16, 32] {
-            let mut seqs: Vec<_> = (0..batch).map(|_| engine.new_sequence()).collect();
+            let mut seqs: Vec<_> = (0..batch).map(|_| engine.kv_space().new_seq()).collect();
             // Warm each sequence with a couple of context tokens.
             for (i, seq) in seqs.iter_mut().enumerate() {
                 let warm: &[u32] = &[i as u32 % 100 + 1, (i as u32 + 1) % 100 + 1];

@@ -96,6 +96,26 @@ if [[ "$allows" != 1 || "$blocks" != 2 ]]; then
     exit 1
 fi
 
+echo "== tier 1: one sequence-KV type =="
+# Every sequence's KV is one pagedkv::SeqKv (a private cache or a block
+# table), the slot of both serve backends, and pagedkv::KvSpace::batch is
+# the only code that picks flat or paged for a pass; llama::KvBatch is the
+# walk's only KV trait. The per-backend twins and single-sequence adapters
+# it replaced may not come back, and above their tests the backends name
+# neither the arena nor a layout arm.
+if grep -rnE --include='*.rs' 'KvStore|PagedSeqView|begin_with_kv|CpuSlot|SequenceState' \
+    crates src tests examples benchmark/src; then
+    echo "a second sequence-KV type or adapter (see the lines above)" >&2
+    exit 1
+fi
+for f in crates/{serve,accel}/src/*.rs crates/{serve,accel}/src/*/*.rs; do
+    [[ -e "$f" ]] || continue
+    if sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE 'PagedKvArena|SeqKv::(Flat|Paged)'; then
+        echo "$f: a flat/paged decision outside KvSpace above #[cfg(test)] (see the lines above)" >&2
+        exit 1
+    fi
+done
+
 echo "== tier 1: release build =="
 # --workspace so the release `speedllm` binary used by the telemetry smoke
 # below is rebuilt too (the root package alone excludes the CLI crate).
@@ -192,6 +212,8 @@ fi
 cargo test --release -q -p speedllm-llama qgemm
 cargo test --release -q -p speedllm-llama kernel_order
 cargo test --release -q -p speedllm-llama f32_instantiations
+# (shape_check also selects the transpose's: a short activation buffer
+# panics rather than leaving a lane of the transposed copy stale.)
 cargo test --release -q -p speedllm-llama shape_check
 # The split vocab table: its re-lay round-trips every bit, its exact and
 # screen GEMMs replay `dot`, its three copies agree, and the certified

@@ -50,7 +50,7 @@ pub use speedllm_telemetry as telemetry;
 
 /// The most commonly used types, re-exported flat.
 pub mod prelude {
-    pub use speedllm_accel::engine::{AccelConfig, Engine, SequenceState};
+    pub use speedllm_accel::engine::{AccelConfig, Engine};
     pub use speedllm_accel::opt::OptConfig;
     pub use speedllm_accel::runtime::{AcceleratedLlm, InferenceReport, Session};
     pub use speedllm_llama::config::ModelConfig;
@@ -58,7 +58,9 @@ pub mod prelude {
     pub use speedllm_llama::sampler::{Sampler, SamplerKind};
     pub use speedllm_llama::tokenizer::Tokenizer;
     pub use speedllm_llama::weights::TransformerWeights;
-    pub use speedllm_pagedkv::{BlockAllocator, BlockConfig, BlockTable, PagedKvArena, RadixIndex};
+    pub use speedllm_pagedkv::{
+        BlockAllocator, BlockConfig, BlockTable, KvSpace, PagedKvArena, RadixIndex, SeqKv,
+    };
     pub use speedllm_serve::{
         AccelBackend, Backend, CpuBackend, ServeConfig, ServeEngine, ServeReport,
     };

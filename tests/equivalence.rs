@@ -4,12 +4,12 @@
 
 use std::sync::Arc;
 
-use speedllm::accel::engine::{Engine, SequenceState, StepResult};
+use speedllm::accel::engine::{Engine, StepResult};
 use speedllm::accel::opt::OptConfig;
 use speedllm::llama::config::ModelConfig;
 use speedllm::llama::forward::{LogitRows, Transformer};
 use speedllm::llama::weights::TransformerWeights;
-use speedllm::pagedkv::{BlockAllocator, BlockConfig};
+use speedllm::pagedkv::{BlockAllocator, BlockConfig, KvSpace, SeqKv};
 
 fn max_diff(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len());
@@ -160,10 +160,10 @@ fn script_digest(opt: OptConfig, paged: bool) -> u64 {
     };
     let mut alloc = BlockAllocator::new(bc);
     if paged {
-        e.enable_paged_kv(bc);
+        *e.kv_space_mut() = KvSpace::new(&ModelConfig::test_tiny(), Some(bc));
     }
-    let mut seqs: Vec<SequenceState> = (0..3).map(|_| e.new_sequence()).collect();
-    for table in seqs.iter_mut().filter_map(SequenceState::block_table_mut) {
+    let mut seqs: Vec<SeqKv> = (0..3).map(|_| e.kv_space().new_seq()).collect();
+    for table in seqs.iter_mut().filter_map(SeqKv::table_mut) {
         table.push_block(alloc.alloc().unwrap());
         table.push_block(alloc.alloc().unwrap());
     }
