@@ -5,9 +5,16 @@
 //! and 6 on the FFN and classifier shapes, RMSNorm, softmax, RoPE — plus
 //! a full reference forward step. Every weight-streaming row carries
 //! `gb_s`: weight bytes over median time.
+//!
+//! The `cpu/cores_*` rows time the walk's GEMMs serial (`serial`) and with
+//! their rows split over both host cores (`two`, `llama::cores`): f32 in
+//! kernel order, the split-order vocab screen and int8, on the FFN and
+//! classifier shapes at widths 1, 4 and 16, and square f32 GEMMs at width
+//! 1 around the smallest size worth splitting.
 
 use speedllm_bench::harness::Runner;
 use speedllm_llama::config::ModelConfig;
+use speedllm_llama::cores::{with_cores, Buffers, Gemm};
 use speedllm_llama::forward::Transformer;
 use speedllm_llama::ops;
 use speedllm_llama::qgemm::{qmatmul, qmatvec};
@@ -151,8 +158,74 @@ fn bench_kernels(c: &mut Runner) {
     });
 }
 
+/// `gemm` on one core, then on two inside one [`with_cores`] scope, so
+/// the helper thread is started once for every sample.
+fn serial_and_two_cores(
+    c: &mut Runner,
+    name: &str,
+    gemm: Gemm<'_>,
+    shape: (usize, usize),
+    width: usize,
+) {
+    let (rows, cols) = shape;
+    let mut xt = vec![0.0f32; cols * width];
+    Xoshiro256::seed_from_u64(width as u64).fill_normal(&mut xt, 1.0);
+    let mut out = vec![0.0f32; rows * width];
+    c.bench_function(&format!("cpu/cores_serial_{name}"), |b| {
+        b.iter(|| {
+            gemm.run(black_box(&mut out), &xt, 0..rows, width);
+            black_box(out[0])
+        })
+    });
+    with_cores(&mut Buffers::default(), usize::MAX, |cores| {
+        c.bench_function(&format!("cpu/cores_two_{name}"), |b| {
+            b.iter(|| {
+                cores.run(gemm, black_box(&mut out), &xt, 0..rows, width);
+                black_box(out[0])
+            })
+        });
+    });
+}
+
+fn bench_cores(c: &mut Runner) {
+    let cfg = ModelConfig::stories15m();
+    let cols = cfg.dim;
+    let mut rng = Xoshiro256::seed_from_u64(2);
+    for rows in [cfg.hidden_dim, cfg.vocab_size] {
+        let mut w = vec![0.0f32; rows * cols];
+        rng.fill_normal(&mut w, 0.02);
+        let int8 = QuantMatrix::quantize_with(&w, rows, cols, QuantKind::Int8);
+        let (mut kernel, mut split) = (w.clone(), w);
+        ops::to_kernel_order(&mut kernel, rows, cols);
+        ops::to_split_order(&mut split, rows, cols);
+        let gemms = [
+            ("f32", Gemm::KernelOrder(&kernel, cols), rows * cols * 4),
+            ("screen", Gemm::SplitScreen(&split, cols), rows * cols * 2),
+            ("int8", Gemm::Quant(&int8), int8.bytes()),
+        ];
+        for (form, gemm, bytes) in gemms {
+            c.set_bytes_per_iter(Some(bytes as u64));
+            for width in [1usize, 4, 16] {
+                let name = format!("{form}_w{width}_{rows}x{cols}");
+                serial_and_two_cores(c, &name, gemm, (rows, cols), width);
+            }
+        }
+    }
+    // Square f32 GEMMs at width 1 around the split's break-even.
+    for n in [64usize, 128, 192, 256] {
+        let mut w = vec![0.0f32; n * n];
+        rng.fill_normal(&mut w, 0.02);
+        ops::to_kernel_order(&mut w, n, n);
+        c.set_bytes_per_iter(Some((n * n * 4) as u64));
+        let gemm = Gemm::KernelOrder(&w, n);
+        serial_and_two_cores(c, &format!("f32_w1_{n}x{n}"), gemm, (n, n), 1);
+    }
+    c.set_bytes_per_iter(None);
+}
+
 fn main() {
     let mut c = Runner::from_env().sample_size(30);
     bench_kernels(&mut c);
+    bench_cores(&mut c);
     c.finish();
 }

@@ -12,6 +12,7 @@ use std::sync::Arc;
 use speedllm_telemetry as tel;
 
 use crate::config::ModelConfig;
+use crate::cores::{self, Cores, Gemm};
 use crate::kv_cache::{KvBatch, KvCache};
 use crate::ops;
 use crate::quant::QuantMode;
@@ -119,6 +120,8 @@ pub struct BatchState {
     /// RoPE rotations of the context window. It depends on the config
     /// alone, so a state regrown for more rows takes it over.
     rope: ops::RopeTable,
+    /// The GEMM helper's activations and output ([`cores::with_cores`]).
+    helper: cores::Buffers,
 }
 
 impl BatchState {
@@ -142,6 +145,7 @@ impl BatchState {
             xt: vec![0.0; capacity * c.dim.max(c.hidden_dim)],
             rope: rope
                 .unwrap_or_else(|| ops::RopeTable::new(c.seq_len, c.head_dim(), ops::ROPE_THETA)),
+            helper: cores::Buffers::default(),
         }
     }
 }
@@ -162,17 +166,18 @@ pub(crate) fn scatter_to_seq(dst: &mut [f32], src: &[f32], rows: usize, batch: u
 }
 
 /// One dense projection over all `batch` token rows: the activations
-/// transposed batch-major into `xt`, a GEMM into the row-major staging
-/// buffer, scattered back to token-row-major `dst`. Both scratch buffers
-/// belong to the [`BatchState`], so a walk allocates nothing per GEMM.
-/// Every element is one accumulator in [`ops::dot`]'s order (f32), or its
-/// fused-dequant twin in [`crate::qgemm`].
+/// transposed batch-major into `xt`, a GEMM on `cores` into the row-major
+/// staging buffer, scattered back to token-row-major `dst`. Both scratch
+/// buffers belong to the [`BatchState`], so a walk allocates nothing per
+/// GEMM. Every element is one accumulator in [`ops::dot`]'s order (f32),
+/// or its fused-dequant twin in [`crate::qgemm`].
 #[allow(clippy::too_many_arguments)]
-fn run_matmul(
+fn run_matmul<'w>(
+    cores: &mut Cores<'_, 'w>,
     gemm: &mut [f32],
     xt: &mut [f32],
     dst: &mut [f32],
-    w: &Operand,
+    w: &'w Operand,
     xs: &[f32],
     rows: usize,
     cols: usize,
@@ -181,14 +186,12 @@ fn run_matmul(
     let out = &mut gemm[..rows * batch];
     let xt = &mut xt[..cols * batch];
     ops::transpose_batch_major_into(xt, xs, cols, batch);
-    match w {
-        Operand::F32(w) => ops::tiled_matmul_rows_xt(out, w, xt, 0..rows, cols, batch),
-        Operand::Vocab(v) => v.matmul(out, xt, 0..rows, batch),
-        Operand::Quant(qm) => {
-            debug_assert_eq!((qm.rows(), qm.cols()), (rows, cols));
-            crate::qgemm::qmatmul_rows_xt(out, qm, xt, 0..rows, batch);
-        }
-    }
+    let gemm = match w {
+        Operand::F32(w) => Gemm::KernelOrder(w, cols),
+        Operand::Vocab(v) => v.exact(),
+        Operand::Quant(q) => Gemm::Quant(q),
+    };
+    cores.run(gemm, out, xt, 0..rows, batch);
     scatter_to_seq(&mut dst[..batch * rows], out, rows, batch);
 }
 
@@ -467,166 +470,171 @@ impl Transformer {
             tel::metrics::gauge_set("cpu.gemm_batch_width", rows as f64);
         }
 
-        // One dense projection over `batch` token rows, through the GEMM
-        // scratch.
-        let mut project = |dst: &mut [f32], w, xs: &[f32], out_rows, cols, batch| {
-            run_matmul(&mut bs.gemm, &mut bs.xt, dst, w, xs, out_rows, cols, batch);
-        };
+        // The walk, in one scope with a GEMM helper thread (`crate::cores`).
+        let scored = cores::with_cores(&mut bs.helper, rows * c.param_count(), |cores| {
+            // One dense projection over `batch` token rows, through the GEMM
+            // scratch.
+            let mut project = |dst: &mut [f32], w, xs: &[f32], n, cols, batch| {
+                run_matmul(cores, &mut bs.gemm, &mut bs.xt, dst, w, xs, n, cols, batch);
+            };
 
-        // Gather: token embeddings -> per-row residual streams.
-        for (r, &tok) in tokens.iter().enumerate() {
-            weights
-                .embedding_row(tok as usize)
-                .copy_to(&mut bs.x[r * dim..(r + 1) * dim]);
-        }
+            // Gather: token embeddings -> per-row residual streams.
+            for (r, &tok) in tokens.iter().enumerate() {
+                weights
+                    .embedding_row(tok as usize)
+                    .copy_to(&mut bs.x[r * dim..(r + 1) * dim]);
+            }
 
-        for layer in 0..c.n_layers {
-            let lw = &weights.layers[layer];
+            for layer in 0..c.n_layers {
+                let lw = &weights.layers[layer];
 
-            // ---- Attention block ----
-            {
-                let _att = tel::span("cpu", "attention").arg("layer", layer as i64);
-                for r in 0..rows {
-                    ops::rmsnorm(
-                        &mut bs.xb[r * dim..(r + 1) * dim],
-                        &bs.x[r * dim..(r + 1) * dim],
-                        &lw.rms_att,
-                    );
-                }
+                // ---- Attention block ----
                 {
-                    let _qkv = tel::span("cpu", "qkv").arg("layer", layer as i64);
-                    project(&mut bs.q, &lw.wq, &bs.xb[..rows * dim], dim, dim, rows);
-                    project(&mut bs.k, &lw.wk, &bs.xb[..rows * dim], kv_dim, dim, rows);
-                    project(&mut bs.v, &lw.wv, &bs.xb[..rows * dim], kv_dim, dim, rows);
-                }
+                    let _att = tel::span("cpu", "attention").arg("layer", layer as i64);
+                    for r in 0..rows {
+                        ops::rmsnorm(
+                            &mut bs.xb[r * dim..(r + 1) * dim],
+                            &bs.x[r * dim..(r + 1) * dim],
+                            &lw.rms_att,
+                        );
+                    }
+                    {
+                        let _qkv = tel::span("cpu", "qkv").arg("layer", layer as i64);
+                        project(&mut bs.q, &lw.wq, &bs.xb[..rows * dim], dim, dim, rows);
+                        project(&mut bs.k, &lw.wk, &bs.xb[..rows * dim], kv_dim, dim, rows);
+                        project(&mut bs.v, &lw.wv, &bs.xb[..rows * dim], kv_dim, dim, rows);
+                    }
 
-                // RoPE + KV store for every row **before** any row
-                // attends: a prefill row at position p then finds all
-                // same-run keys `<= p` already cached, exactly as the
-                // one-row calls would have left them.
-                for r in 0..rows {
-                    let pos = row_pos[r];
-                    bs.rope.apply(&mut bs.q[r * dim..(r + 1) * dim], pos);
-                    bs.rope.apply(&mut bs.k[r * kv_dim..(r + 1) * kv_dim], pos);
-                    kv.store(
-                        row_seq[r],
-                        layer,
-                        pos,
-                        &bs.k[r * kv_dim..(r + 1) * kv_dim],
-                        &bs.v[r * kv_dim..(r + 1) * kv_dim],
-                    );
-                }
-
-                {
-                    let _mha = tel::span("cpu", "mha").arg("layer", layer as i64);
+                    // RoPE + KV store for every row **before** any row
+                    // attends: a prefill row at position p then finds all
+                    // same-run keys `<= p` already cached, exactly as the
+                    // one-row calls would have left them.
                     for r in 0..rows {
                         let pos = row_pos[r];
-                        let b = row_seq[r];
-                        for h in 0..c.n_heads {
-                            let kv_head = h / gqa;
-                            let q = &bs.q[r * dim + h * head_dim..r * dim + (h + 1) * head_dim];
-                            // Causal mask inside a mixed tick: row `r`
-                            // scores positions `0..=pos` of its own
-                            // sequence only — later run rows are invisible
-                            // by construction.
-                            let att = &mut bs.att[..pos + 1];
-                            ops::attention_scores(
-                                att,
-                                q,
-                                |t| kv.key_head(b, layer, t, kv_head),
-                                pos,
-                            );
-                            ops::softmax(att);
-                            let out =
-                                &mut bs.xb[r * dim + h * head_dim..r * dim + (h + 1) * head_dim];
-                            ops::attention_mix(
-                                out,
-                                att,
-                                |t| kv.value_head(b, layer, t, kv_head),
-                                pos,
-                            );
+                        bs.rope.apply(&mut bs.q[r * dim..(r + 1) * dim], pos);
+                        bs.rope.apply(&mut bs.k[r * kv_dim..(r + 1) * kv_dim], pos);
+                        kv.store(
+                            row_seq[r],
+                            layer,
+                            pos,
+                            &bs.k[r * kv_dim..(r + 1) * kv_dim],
+                            &bs.v[r * kv_dim..(r + 1) * kv_dim],
+                        );
+                    }
+
+                    {
+                        let _mha = tel::span("cpu", "mha").arg("layer", layer as i64);
+                        for r in 0..rows {
+                            let pos = row_pos[r];
+                            let b = row_seq[r];
+                            for h in 0..c.n_heads {
+                                let kv_head = h / gqa;
+                                let q = &bs.q[r * dim + h * head_dim..r * dim + (h + 1) * head_dim];
+                                // Causal mask inside a mixed tick: row `r`
+                                // scores positions `0..=pos` of its own
+                                // sequence only — later run rows are invisible
+                                // by construction.
+                                let att = &mut bs.att[..pos + 1];
+                                ops::attention_scores(
+                                    att,
+                                    q,
+                                    |t| kv.key_head(b, layer, t, kv_head),
+                                    pos,
+                                );
+                                ops::softmax(att);
+                                let out = &mut bs.xb
+                                    [r * dim + h * head_dim..r * dim + (h + 1) * head_dim];
+                                ops::attention_mix(
+                                    out,
+                                    att,
+                                    |t| kv.value_head(b, layer, t, kv_head),
+                                    pos,
+                                );
+                            }
                         }
+                    }
+
+                    project(&mut bs.xb2, &lw.wo, &bs.xb[..rows * dim], dim, dim, rows);
+                    for r in 0..rows {
+                        ops::add_inplace(
+                            &mut bs.x[r * dim..(r + 1) * dim],
+                            &bs.xb2[r * dim..(r + 1) * dim],
+                        );
                     }
                 }
 
-                project(&mut bs.xb2, &lw.wo, &bs.xb[..rows * dim], dim, dim, rows);
-                for r in 0..rows {
-                    ops::add_inplace(
-                        &mut bs.x[r * dim..(r + 1) * dim],
-                        &bs.xb2[r * dim..(r + 1) * dim],
-                    );
+                // ---- FFN block (SwiGLU) ----
+                {
+                    let _ffn = tel::span("cpu", "ffn").arg("layer", layer as i64);
+                    for r in 0..rows {
+                        ops::rmsnorm(
+                            &mut bs.xb[r * dim..(r + 1) * dim],
+                            &bs.x[r * dim..(r + 1) * dim],
+                            &lw.rms_ffn,
+                        );
+                    }
+                    project(&mut bs.hb, &lw.w1, &bs.xb[..rows * dim], hid, dim, rows);
+                    project(&mut bs.hb2, &lw.w3, &bs.xb[..rows * dim], hid, dim, rows);
+                    for r in 0..rows {
+                        ops::swiglu(
+                            &mut bs.hb[r * hid..(r + 1) * hid],
+                            &bs.hb2[r * hid..(r + 1) * hid],
+                        );
+                    }
+                    project(&mut bs.xb2, &lw.w2, &bs.hb[..rows * hid], dim, hid, rows);
+                    for r in 0..rows {
+                        ops::add_inplace(
+                            &mut bs.x[r * dim..(r + 1) * dim],
+                            &bs.xb2[r * dim..(r + 1) * dim],
+                        );
+                    }
                 }
             }
 
-            // ---- FFN block (SwiGLU) ----
-            {
-                let _ffn = tel::span("cpu", "ffn").arg("layer", layer as i64);
-                for r in 0..rows {
-                    ops::rmsnorm(
-                        &mut bs.xb[r * dim..(r + 1) * dim],
-                        &bs.x[r * dim..(r + 1) * dim],
-                        &lw.rms_ffn,
-                    );
-                }
-                project(&mut bs.hb, &lw.w1, &bs.xb[..rows * dim], hid, dim, rows);
-                project(&mut bs.hb2, &lw.w3, &bs.xb[..rows * dim], hid, dim, rows);
-                for r in 0..rows {
-                    ops::swiglu(
-                        &mut bs.hb[r * hid..(r + 1) * hid],
-                        &bs.hb2[r * hid..(r + 1) * hid],
-                    );
-                }
-                project(&mut bs.xb2, &lw.w2, &bs.hb[..rows * hid], dim, hid, rows);
-                for r in 0..rows {
-                    ops::add_inplace(
-                        &mut bs.x[r * dim..(r + 1) * dim],
-                        &bs.xb2[r * dim..(r + 1) * dim],
-                    );
-                }
+            // Final norm + classifier over the scored rows: every row for
+            // speculative verification, none for a step nobody samples,
+            // otherwise each sequence's last (intermediate prefill logits are
+            // never observed). The scored rows are compacted into `xb` so the
+            // classifier is one GEMM streaming the weight matrix once; each
+            // row's values match a one-row call bit for bit because rmsnorm
+            // and that row's GEMM column see exactly its operands.
+            let mut scored = Vec::with_capacity(rows);
+            let mut end = 0usize;
+            for &cnt in counts {
+                end += cnt;
+                scored.extend(end - logit_rows.of_run(cnt)..end);
             }
-        }
-
-        // Final norm + classifier over the scored rows: every row for
-        // speculative verification, none for a step nobody samples,
-        // otherwise each sequence's last (intermediate prefill logits are
-        // never observed). The scored rows are compacted into `xb` so the
-        // classifier is one GEMM streaming the weight matrix once; each
-        // row's values match a one-row call bit for bit because rmsnorm
-        // and that row's GEMM column see exactly its operands.
-        let mut scored = Vec::with_capacity(rows);
-        let mut end = 0usize;
-        for &cnt in counts {
-            end += cnt;
-            scored.extend(end - logit_rows.of_run(cnt)..end);
-        }
-        let n = scored.len();
-        if n == 0 {
-            return &bs.logits[..0];
-        }
-        let greedy = match (logit_rows, weights.classifier()) {
-            (LogitRows::Greedy, Operand::Vocab(table)) => Some(table),
-            _ => None,
-        };
-        let _cls = tel::span("cpu", "classifier")
-            .arg("batch", n as i64)
-            .arg("greedy", i64::from(greedy.is_some()));
-        for (i, &r) in scored.iter().enumerate() {
-            ops::rmsnorm_inplace(&mut bs.x[r * dim..(r + 1) * dim], &weights.rms_final);
-            bs.xb[i * dim..(i + 1) * dim].copy_from_slice(&bs.x[r * dim..(r + 1) * dim]);
-        }
-        let logits = &mut bs.logits[..n * c.vocab_size];
-        if let Some(table) = greedy {
-            let counts = table.greedy(logits, &bs.xb[..n * dim], &mut bs.xt, &mut bs.gemm);
-            if tel::enabled() {
-                tel::metrics::counter_add("cpu.greedy_rows", counts.rows as u64);
-                tel::metrics::counter_add("cpu.greedy_candidates", counts.candidates as u64);
-                tel::metrics::counter_add("cpu.greedy_fallbacks", counts.fallbacks as u64);
+            let n = scored.len();
+            if n == 0 {
+                return 0;
             }
-        } else {
-            let xs = &bs.xb[..n * dim];
-            project(logits, weights.classifier(), xs, c.vocab_size, dim, n);
-        }
-        logits
+            let greedy = match (logit_rows, weights.classifier()) {
+                (LogitRows::Greedy, Operand::Vocab(table)) => Some(table),
+                _ => None,
+            };
+            let _cls = tel::span("cpu", "classifier")
+                .arg("batch", n as i64)
+                .arg("greedy", i64::from(greedy.is_some()));
+            for (i, &r) in scored.iter().enumerate() {
+                ops::rmsnorm_inplace(&mut bs.x[r * dim..(r + 1) * dim], &weights.rms_final);
+                bs.xb[i * dim..(i + 1) * dim].copy_from_slice(&bs.x[r * dim..(r + 1) * dim]);
+            }
+            let logits = &mut bs.logits[..n * c.vocab_size];
+            if let Some(table) = greedy {
+                let xs = &bs.xb[..n * dim];
+                let counts = table.greedy(logits, xs, &mut bs.xt, &mut bs.gemm, cores);
+                if tel::enabled() {
+                    tel::metrics::counter_add("cpu.greedy_rows", counts.rows as u64);
+                    tel::metrics::counter_add("cpu.greedy_candidates", counts.candidates as u64);
+                    tel::metrics::counter_add("cpu.greedy_fallbacks", counts.fallbacks as u64);
+                }
+            } else {
+                let xs = &bs.xb[..n * dim];
+                project(logits, weights.classifier(), xs, c.vocab_size, dim, n);
+            }
+            n * c.vocab_size
+        });
+        &bs.logits[..scored]
     }
 }
 

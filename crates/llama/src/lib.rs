@@ -12,9 +12,10 @@
 //! The crate serves two roles:
 //!
 //! 1. **Correctness oracle and CPU baseline** — [`forward::Transformer`]
-//!    is the serial reference implementation that the simulated
-//!    accelerator's outputs are checked against, and the comparison point
-//!    in the examples.
+//!    is the reference implementation that the simulated accelerator's
+//!    outputs are checked against, and the comparison point in the
+//!    examples. Its large GEMMs run on both host cores ([`cores`]),
+//!    bit-identical to the serial walk, the oracle they are tested on.
 //! 2. **Shared layer walk** — the accelerator engine gets its values from
 //!    the same [`forward::Transformer::forward_runs_into`] walk over the
 //!    same [`ops`] kernels, so the co-design is functionally transparent
@@ -42,6 +43,7 @@
 #![deny(unsafe_code)]
 
 pub mod config;
+pub mod cores;
 pub mod eval;
 pub mod forward;
 pub mod generate;

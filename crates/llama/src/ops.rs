@@ -363,7 +363,7 @@ fn split_block(g: usize, split: usize, cols: usize) -> (usize, usize) {
 /// The tail rows follow in kernel order ([`to_kernel_order`]). The words
 /// are kept as `f32` bit patterns, so the buffer keeps its type and
 /// length; the only scratch is one group and a half.
-pub(crate) fn to_split_order(w: &mut [f32], rows: usize, cols: usize) {
+pub fn to_split_order(w: &mut [f32], rows: usize, cols: usize) {
     assert_eq!(w.len(), rows * cols, "matrix shape mismatch");
     let split = split_rows(rows);
     let group_len = SPLIT_GROUP * cols;
@@ -838,7 +838,7 @@ struct SplitOrder<'a, const EXACT: bool> {
 
 impl<const EXACT: bool> TiledGemm for SplitOrder<'_, EXACT> {
     /// A group column is one 512-bit word vector; both bodies measured
-    /// faster with AVX-512 at width 1 too (see [`split_matmul_rows_xt`]).
+    /// faster with AVX-512 at width 1 too (see [`split_gemm`]).
     const AVX512_FROM: usize = 1;
 
     /// A group step is the same at every `T`.
@@ -973,41 +973,14 @@ pub fn tiled_matmul_rows_xt(
 }
 
 /// [`tiled_matmul_rows_xt`] over a **split-order** matrix
-/// ([`to_split_order`]): each weight is rebuilt from its two halves, so
-/// every element is `dot(w[r, :], x_b)` bit for bit. A group column is
-/// one 512-bit load of high words and one of low words, and the AVX-512
-/// copy runs from width 1: it measured faster there than AVX2 and than
-/// the kernel-order kernel over the same f32 matrix.
-pub(crate) fn split_matmul_rows_xt(
-    out: &mut [f32],
-    w: &[f32],
-    xt: &[f32],
-    rows: Range<usize>,
-    cols: usize,
-    batch: usize,
-) {
-    split_gemm::<true>(out, w, xt, rows, cols, batch);
-}
-
-/// The screen of a **split-order** matrix: [`split_matmul_rows_xt`] with
-/// every weight of the [`split_rows`] replaced by its high half (the
-/// weight truncated toward zero to bf16), so it streams half the bytes.
-/// Each such element is `dot(high(w[r, :]), x_b)` bit for bit; the tail
-/// rows are stored whole and come out exact.
-pub(crate) fn split_screen_rows_xt(
-    out: &mut [f32],
-    w: &[f32],
-    xt: &[f32],
-    rows: Range<usize>,
-    cols: usize,
-    batch: usize,
-) {
-    split_gemm::<false>(out, w, xt, rows, cols, batch);
-}
-
-/// A split-order GEMM: the split rows inside `rows` through
-/// [`SplitOrder`], the tail rows through [`KernelOrder`].
-fn split_gemm<const EXACT: bool>(
+/// ([`to_split_order`]): split rows through [`SplitOrder`], tail rows
+/// through [`KernelOrder`]. `EXACT` rebuilds each weight from its halves,
+/// so every element is `dot(w[r, :], x_b)` bit for bit; the screen keeps
+/// the high halves (each weight truncated toward zero to bf16) of the
+/// [`split_rows`], half the bytes, `dot(high(w[r, :]), x_b)`. The AVX-512
+/// copy runs from width 1, where it measured faster than AVX2 and than
+/// the kernel-order kernel over the same matrix.
+pub(crate) fn split_gemm<const EXACT: bool>(
     out: &mut [f32],
     w: &[f32],
     xt: &[f32],
@@ -1623,9 +1596,9 @@ mod tests {
                     let xt = transpose_batch_major(&xs, cols, batch);
                     for range in ranges.clone() {
                         let mut exact = vec![f32::NAN; range.len() * batch];
-                        split_matmul_rows_xt(&mut exact, &s, &xt, range.clone(), cols, batch);
+                        split_gemm::<true>(&mut exact, &s, &xt, range.clone(), cols, batch);
                         let mut screen = vec![f32::NAN; range.len() * batch];
-                        split_screen_rows_xt(&mut screen, &s, &xt, range.clone(), cols, batch);
+                        split_gemm::<false>(&mut screen, &s, &xt, range.clone(), cols, batch);
                         for r in range.clone() {
                             for b in 0..batch {
                                 let x = &xs[b * cols..(b + 1) * cols];

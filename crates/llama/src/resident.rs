@@ -28,7 +28,7 @@ pub(crate) enum Operand {
     /// [`ops::tiled_matmul_rows_xt`].
     F32(Vec<f32>),
     /// An f32 vocab table in split order, streamed whole by
-    /// [`ops::split_matmul_rows_xt`] or screened by a greedy step.
+    /// `ops::split_gemm` or screened by a greedy step.
     Vocab(VocabTable),
     /// Group-quantized, streamed by the fused dequant-GEMM kernels in
     /// [`crate::qgemm`].

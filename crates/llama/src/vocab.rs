@@ -14,6 +14,7 @@
 
 use std::sync::OnceLock;
 
+use crate::cores::{Cores, Gemm};
 use crate::ops::{self, KernelRow};
 
 /// Relative slack that every rounded-up quantity here is enlarged by. It
@@ -145,34 +146,30 @@ impl VocabTable {
         ops::split_order_row(&self.words, self.cols, r)
     }
 
-    /// The exact GEMM over `rows` ([`ops::split_matmul_rows_xt`]).
-    pub(crate) fn matmul(
-        &self,
-        out: &mut [f32],
-        xt: &[f32],
-        rows: std::ops::Range<usize>,
-        batch: usize,
-    ) {
-        ops::split_matmul_rows_xt(out, &self.words, xt, rows, self.cols, batch);
+    /// The exact GEMM over the table.
+    pub(crate) fn exact(&self) -> Gemm<'_> {
+        Gemm::SplitExact(&self.words, self.cols)
     }
 
     /// Greedy rows for the activation rows `xs` (`n × cols`, each already
     /// final-normed): `out` (`n × rows`, sequence-major) gets, per row,
     /// the exact logit at every candidate and −∞ elsewhere. One screen
     /// GEMM streams the high halves for all `n` rows into the row-major
-    /// scratch `screen`, through the batch-major scratch `xt`.
-    pub(crate) fn greedy(
-        &self,
+    /// scratch `screen`, through the batch-major scratch `xt`, on `cores`.
+    pub(crate) fn greedy<'w>(
+        &'w self,
         out: &mut [f32],
         xs: &[f32],
         xt: &mut [f32],
         screen: &mut [f32],
+        cores: &mut Cores<'_, 'w>,
     ) -> GreedyCounts {
         let (rows, cols) = (self.rows(), self.cols);
         let n = xs.len() / cols;
         let (xt, screen) = (&mut xt[..cols * n], &mut screen[..rows * n]);
         ops::transpose_batch_major_into(xt, xs, cols, n);
-        ops::split_screen_rows_xt(screen, &self.words, xt, 0..rows, cols, n);
+        let gemm = Gemm::SplitScreen(&self.words, cols);
+        cores.run(gemm, screen, xt, 0..rows, n);
         crate::forward::scatter_to_seq(&mut out[..n * rows], screen, rows, n);
         let mut counts = GreedyCounts {
             rows: n,
@@ -183,7 +180,7 @@ impl VocabTable {
                 Some(candidates) => counts.candidates += candidates,
                 None => {
                     counts.fallbacks += 1;
-                    self.matmul(out, x, 0..rows, 1);
+                    self.exact().run(out, x, 0..rows, 1);
                 }
             }
         }
@@ -256,12 +253,12 @@ impl VocabTable {
                 if let Some(run) = run.as_mut().filter(|run| run.end == r) {
                     run.end += 1;
                 } else if let Some(done) = run.replace(r..r + 1) {
-                    self.matmul(&mut out[done.clone()], x, done, 1);
+                    self.exact().run(&mut out[done.clone()], x, done, 1);
                 }
             }
         }
         if let Some(done) = run {
-            self.matmul(&mut out[done.clone()], x, done, 1);
+            self.exact().run(&mut out[done.clone()], x, done, 1);
         }
         Some(candidates + self.rows() - split)
     }
@@ -348,7 +345,9 @@ mod tests {
         let n = xs.len() / cols;
         let mut out = vec![f32::NAN; n * rows];
         let (mut xt, mut screen) = (vec![0.0; n * cols], vec![0.0; n * rows]);
-        let counts = table.greedy(&mut out, xs, &mut xt, &mut screen);
+        let counts = crate::cores::with_cores(&mut Default::default(), usize::MAX, |cores| {
+            table.greedy(&mut out, xs, &mut xt, &mut screen, cores)
+        });
         assert_eq!(counts.rows, n, "{case}");
         let mut kept = 0;
         for (b, (got, x)) in out

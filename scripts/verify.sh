@@ -44,14 +44,31 @@ for f in crates/{serve,accel,router,cli}/src/*.rs crates/{serve,accel,router,cli
 done
 
 echo "== tier 1: one GEMM path, one speculation loop =="
-# The host path is the serial oracle: no thread strategy, no env knob, no
-# spawned thread in llama or accel, and speculation lives only in the
-# serve tick (serve/src/engine/tick.rs). None of these names may come back.
-if grep -rnE 'MatVecStrategy|set_strategy|SPEEDLLM_THREADS|SpecSession|VerifyTarget|std::thread' \
+# The serial walk is still the oracle. The one GEMM path splits a large
+# GEMM's rows between the caller and one helper thread per walk
+# (crates/llama/src/cores.rs), each element computed by one thread with
+# the unchanged body, and the split is tested against the serial walk bit
+# for bit. So threads live in that one module only: no thread strategy or
+# knob, no env-var read outside tests, no thread in accel, and speculation
+# lives only in the serve tick (serve/src/engine/tick.rs). None of these
+# names may come back.
+if grep -rnE 'MatVecStrategy|set_strategy|SPEEDLLM_THREADS|SpecSession|VerifyTarget' \
     crates/llama/src crates/accel/src; then
     echo "a second GEMM path or speculation loop in crates/{llama,accel}/src (see the lines above)" >&2
     exit 1
 fi
+if grep -rnE 'std::thread|available_parallelism' crates/llama/src crates/accel/src |
+    grep -v '^crates/llama/src/cores\.rs:'; then
+    echo "a thread outside crates/llama/src/cores.rs (see the lines above)" >&2
+    exit 1
+fi
+for f in crates/{llama,accel}/src/*.rs crates/{llama,accel}/src/*/*.rs; do
+    [[ -e "$f" ]] || continue
+    if sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE 'env::var'; then
+        echo "$f: an environment knob above #[cfg(test)] (see the lines above)" >&2
+        exit 1
+    fi
+done
 
 echo "== tier 1: one f32 kernel on the hot path =="
 # Every f32 matrix is resident in kernel order and streamed by
@@ -225,6 +242,12 @@ cargo test --release -q -p speedllm --test greedy_telemetry
 # The walk's RoPE table, key-tiled attention scores and the sampler's
 # two-pass argmax, against the per-call reference each replaces.
 cargo test --release -q -p speedllm-llama -- rope_table tiled_attention argmax
+# The two-core row split (llama::cores) against the serial GEMM and the
+# serial walk, bit for bit, in the profile that ships: every body, width
+# and cut, the take-back, spawn-refusal and panic paths, and the walk
+# through the CPU backend and the accelerator engine.
+cargo test --release -q -p speedllm-llama cores::
+cargo test --release -q -p speedllm-serve --test gemm_helper
 
 echo "== unified-batch smoke (mixed prefill+decode ticks) =="
 uni_a="$(./target/release/speedllm serve-bench --smoke --mode bursty --burst-size 4 --burst-gap 16 --token-budget 8 --prefill-ratio 50)"
