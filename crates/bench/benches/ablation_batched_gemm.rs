@@ -13,8 +13,7 @@ use speedllm_llama::config::ModelConfig;
 use speedllm_llama::forward::Transformer;
 use speedllm_llama::kv_cache::KvCache;
 use speedllm_llama::weights::TransformerWeights;
-use speedllm_pagedkv::SeqKv;
-use speedllm_serve::{Backend, CpuBackend};
+use speedllm_serve::{Backend, CpuBackend, ServeSlot};
 use speedllm_telemetry as tel;
 use std::hint::black_box;
 use std::time::Instant;
@@ -25,7 +24,7 @@ fn backend_with_slots(
     weights: &TransformerWeights,
     width: usize,
     prompt: &[u32],
-) -> (CpuBackend, Vec<SeqKv>) {
+) -> (CpuBackend, Vec<ServeSlot>) {
     let mut backend = CpuBackend::new(Transformer::new(weights.clone()));
     let slots = (0..width)
         .map(|i| {
@@ -40,12 +39,12 @@ fn backend_with_slots(
 }
 
 /// Runs `steps` batched decode steps and returns (tokens, seconds).
-fn decode_run(backend: &mut CpuBackend, slots: &mut [SeqKv], steps: usize) -> (usize, f64) {
+fn decode_run(backend: &mut CpuBackend, slots: &mut [ServeSlot], steps: usize) -> (usize, f64) {
     let width = slots.len();
     let start = Instant::now();
     for step in 0..steps {
         let tokens: Vec<u32> = (0..width).map(|b| (5 + b + step) as u32).collect();
-        let mut refs: Vec<&mut SeqKv> = slots.iter_mut().collect();
+        let mut refs: Vec<&mut ServeSlot> = slots.iter_mut().collect();
         black_box(backend.decode(&mut refs, &tokens));
     }
     (width * steps, start.elapsed().as_secs_f64())

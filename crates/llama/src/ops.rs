@@ -323,7 +323,7 @@ pub fn kernel_order_row(w: &[f32], cols: usize, r: usize) -> KernelRow<'_> {
 pub(crate) const SPLIT_GROUP: usize = 32;
 
 /// Words per column of a split-order group.
-const GROUP_WORDS: usize = SPLIT_GROUP / 2;
+pub(crate) const GROUP_WORDS: usize = SPLIT_GROUP / 2;
 
 /// Rows per block of a split-order matrix: a block's high halves are one
 /// contiguous run (`SPLIT_BLOCK * cols * 2` bytes, 288 KB at 288
@@ -413,6 +413,17 @@ pub fn to_split_order(w: &mut [f32], rows: usize, cols: usize) {
     to_kernel_order(&mut w[split * cols..], rows - split, cols);
 }
 
+/// The words of group `g` of a split-order matrix with `cols` columns
+/// (see [`to_split_order`]): its high halves and its low halves, each
+/// `cols` columns of [`GROUP_WORDS`] words.
+#[must_use]
+pub(crate) fn split_group(w: &[f32], cols: usize, g: usize) -> (&[f32], &[f32]) {
+    let (start, half) = split_block(g, split_rows(w.len() / cols), cols);
+    let at = start + (g % (SPLIT_BLOCK / SPLIT_GROUP)) * GROUP_WORDS * cols;
+    let len = GROUP_WORDS * cols;
+    (&w[at..at + len], &w[at + half..at + half + len])
+}
+
 /// Row `r` of a split-order matrix with `cols` columns (see
 /// [`to_split_order`]), read in place.
 #[must_use]
@@ -422,12 +433,11 @@ pub(crate) fn split_order_row(w: &[f32], cols: usize, r: usize) -> KernelRow<'_>
         return kernel_order_row(&w[split * cols..], cols, r - split);
     }
     let (g, i) = (r / SPLIT_GROUP, r % SPLIT_GROUP);
-    let (start, half) = split_block(g, split, cols);
-    let at = start + (g % (SPLIT_BLOCK / SPLIT_GROUP)) * GROUP_WORDS * cols + i % GROUP_WORDS;
-    let last = at + (cols - 1) * GROUP_WORDS;
+    let (high, low) = split_group(w, cols, g);
+    let (at, last) = (i % GROUP_WORDS, i % GROUP_WORDS + (cols - 1) * GROUP_WORDS);
     KernelRow(RowData::Split {
-        high: &w[at..=last],
-        low: &w[at + half..=last + half],
+        high: &high[at..=last],
+        low: &low[at..=last],
         top: i < GROUP_WORDS,
     })
 }

@@ -49,8 +49,8 @@ pub(crate) struct VocabTable {
     words: Vec<f32>,
     cols: usize,
     /// Computed from the table by the first greedy call, so a table no
-    /// greedy step reads — an int8 model's embedding, a serve model's
-    /// classifier — never pays for them.
+    /// greedy step reads — an int8 model's embedding, the classifier of
+    /// a model that serves only drawing samplers — never pays for them.
     bounds: OnceLock<Bounds>,
 }
 
@@ -61,30 +61,59 @@ struct Bounds {
     /// `e_r + 2γ·n_r`, where `e_r = ‖w_r − hi_r‖₂`, `n_r = ‖w_r‖₂` and
     /// `γ = n·u / (1 − n·u)` for `n = cols`, `u = 2⁻²⁴`.
     error: Vec<f32>,
+    /// The largest of `error`.
+    error_max: f32,
     /// An upper bound on every row's `n_r`; +∞ when a weight is not
     /// finite, which sends every greedy step to the full classifier.
     norm_max: f64,
 }
 
+/// Adds weight `v`'s terms to its row's sums in f64: `(v − hi)²` to `e2`,
+/// where `hi` is its high half, and `v²` to `n2`.
+fn add_squares(v: f32, e2: &mut f64, n2: &mut f64) {
+    let high = f32::from_bits(v.to_bits() & 0xFFFF_0000);
+    let low = f64::from(v) - f64::from(high);
+    *e2 += low * low;
+    *n2 += f64::from(v) * f64::from(v);
+}
+
 impl Bounds {
-    /// Row by row, each read back from split order, in f64.
+    /// Row by row in f64, each row's terms summed in column order: the
+    /// split rows group by group, in the order the words are stored, and
+    /// the tail rows read back one by one.
     fn new(table: &VocabTable) -> Self {
-        let cols = table.cols;
+        let (rows, cols) = (table.rows(), table.cols);
         let nu = cols as f64 / (1u64 << 24) as f64;
         let gamma = nu / (1.0 - nu) * (1.0 + SLACK);
-        let split = ops::split_rows(table.rows());
+        let split = ops::split_rows(rows);
+        let mut sums = vec![(0.0f64, 0.0f64); rows];
+        for (g, group) in sums[..split].chunks_exact_mut(ops::SPLIT_GROUP).enumerate() {
+            // Word `i` of a column holds rows `i` and `i + 16` of the group.
+            let (top, bottom) = group.split_at_mut(ops::GROUP_WORDS);
+            let (high, low) = ops::split_group(table.words(), cols, g);
+            for (high, low) in high
+                .chunks_exact(ops::GROUP_WORDS)
+                .zip(low.chunks_exact(ops::GROUP_WORDS))
+            {
+                for (i, (&h, &l)) in high.iter().zip(low).enumerate() {
+                    let (h, l) = (h.to_bits(), l.to_bits());
+                    let (e2, n2) = &mut top[i];
+                    add_squares(f32::from_bits(h & 0xFFFF_0000 | l >> 16), e2, n2);
+                    let (e2, n2) = &mut bottom[i];
+                    add_squares(f32::from_bits(h << 16 | l & 0xFFFF), e2, n2);
+                }
+            }
+        }
+        let mut row = vec![0.0f32; cols];
+        for (r, (e2, n2)) in sums.iter_mut().enumerate().skip(split) {
+            table.row(r).copy_to(&mut row);
+            for &v in &row {
+                add_squares(v, e2, n2);
+            }
+        }
         let mut error = Vec::with_capacity(split);
         let mut norm_max = 0.0f64;
-        let mut row = vec![0.0f32; cols];
-        for r in 0..table.rows() {
-            table.row(r).copy_to(&mut row);
-            let (mut e2, mut n2) = (0.0f64, 0.0f64);
-            for &v in &row {
-                let high = f32::from_bits(v.to_bits() & 0xFFFF_0000);
-                let low = f64::from(v) - f64::from(high);
-                e2 += low * low;
-                n2 += f64::from(v) * f64::from(v);
-            }
+        for (r, &(e2, n2)) in sums.iter().enumerate() {
             let n = root_up(n2);
             norm_max = if n.is_finite() {
                 norm_max.max(n)
@@ -95,7 +124,12 @@ impl Bounds {
                 error.push(f32_up((root_up(e2) + 2.0 * gamma * n) * (1.0 + SLACK)));
             }
         }
-        Self { error, norm_max }
+        let error_max = error.iter().fold(0.0f32, |m, &e| m.max(e));
+        Self {
+            error,
+            error_max,
+            norm_max,
+        }
     }
 }
 
@@ -209,6 +243,7 @@ impl VocabTable {
     /// tail rows were screened exactly and all stay.
     fn certify(&self, out: &mut [f32], x: &[f32]) -> Option<usize> {
         const LANES: usize = 16;
+        const GROUP: usize = 4 * LANES;
         let bounds = self.bounds.get_or_init(|| Bounds::new(self));
         let norm = root_up(x.iter().map(|&v| f64::from(v) * f64::from(v)).sum());
         // False for a NaN norm too.
@@ -221,30 +256,59 @@ impl VocabTable {
             (norm * f64::from(e) + underflow) * (1.0 + SLACK) + f64::from(s).abs() * SLACK
         };
         let split = bounds.error.len();
-        let floor = out[..split]
-            .iter()
-            .zip(&bounds.error)
-            .map(|(&s, &e)| f64::from(s) - bound(s, e))
-            .fold(f64::NEG_INFINITY, |m, v| if v > m { v } else { m });
-        let is_candidate = |s: f32, e: f32| f64::from(s) + bound(s, e) >= floor;
-
-        // Blocks of rows with no candidate, nearly all of them, are found
-        // by a pass the compiler can vectorize; adjacent candidates are
-        // rescored as one row range.
-        let mut candidates = 0;
-        let mut run: Option<std::ops::Range<usize>> = None;
-        for r0 in (0..split).step_by(LANES) {
-            let end = (r0 + LANES).min(split);
-            let (block, error) = (&mut out[r0..end], &bounds.error[r0..end]);
-            let hit = block
-                .iter()
-                .zip(error)
-                .fold(false, |hit, (&s, &e)| hit | is_candidate(s, e));
-            if !hit {
-                block.fill(f32::NEG_INFINITY);
+        // Per group of rows, the largest screened logit and the largest
+        // magnitude, in f32 lanes the compiler can vectorize; NaN rows,
+        // never candidates, are passed over.
+        let max = |m: f32, v: f32| if v > m { v } else { m };
+        let tops: Vec<(f32, f32)> = out[..split]
+            .chunks(GROUP)
+            .map(|group| {
+                let (mut top, mut mag) = ([f32::NEG_INFINITY; LANES], [0.0f32; LANES]);
+                for block in group.chunks(LANES) {
+                    for ((t, m), &s) in top.iter_mut().zip(&mut mag).zip(block) {
+                        *t = max(*t, s);
+                        *m = max(*m, s.abs());
+                    }
+                }
+                let top = top.into_iter().fold(f32::NEG_INFINITY, max);
+                (top, mag.into_iter().fold(0.0, max))
+            })
+            .collect();
+        let groups = || {
+            (0..split)
+                .step_by(GROUP)
+                .map(|r0| r0..(r0 + GROUP).min(split))
+        };
+        // Every computed `s − B` is at most `s` (`B ≥ 0`, and rounding is
+        // monotone), so a group whose top is not above the running floor
+        // leaves it where the fold over every row would.
+        let mut floor = f64::NEG_INFINITY;
+        for (rows, &(top, _)) in groups().zip(&tops) {
+            if f64::from(top) <= floor {
                 continue;
             }
-            for r in r0..end {
+            for (&s, &e) in out[rows.clone()].iter().zip(&bounds.error[rows]) {
+                let v = f64::from(s) - bound(s, e);
+                if v > floor {
+                    floor = v;
+                }
+            }
+        }
+        let is_candidate = |s: f32, e: f32| f64::from(s) + bound(s, e) >= floor;
+
+        // A group whose top plus the bound at its largest magnitude and
+        // the largest error falls short of the floor holds no candidate:
+        // every operation of `s + B` is monotone in `s`, `|s|` and `e`.
+        // The other groups, few, are tested row by row; adjacent
+        // candidates are rescored as one row range.
+        let mut candidates = 0;
+        let mut run: Option<std::ops::Range<usize>> = None;
+        for (rows, &(top, mag)) in groups().zip(&tops) {
+            if f64::from(top) + bound(mag, bounds.error_max) < floor {
+                out[rows].fill(f32::NEG_INFINITY);
+                continue;
+            }
+            for r in rows {
                 if !is_candidate(out[r], bounds.error[r]) {
                     out[r] = f32::NEG_INFINITY;
                     continue;
@@ -440,6 +504,118 @@ mod tests {
             w[3 * cols + 2] = bad;
             let counts = check(&w, rows, cols, &x, &format!("w = {bad}"));
             assert_eq!(counts.fallbacks, 1, "{bad}");
+        }
+    }
+
+    /// The bounds summed row by row, each row read back from split order.
+    #[test]
+    fn bounds_sum_each_row_as_it_reads_back() {
+        for (rows, cols) in [(1usize, 16usize), (45, 17), (1000, 288), (1056, 16)] {
+            let mut w = vec![0.0f32; rows * cols];
+            let mut rng = Xoshiro256::seed_from_u64((rows + cols) as u64);
+            rng.fill_normal(&mut w, 1.0);
+            for v in w.iter_mut().step_by(37) {
+                *v = f32::from_bits(rng.next_u32() & 0x8007_FFFF);
+            }
+            let table = VocabTable::new(w, rows, cols);
+            let nu = cols as f64 / (1u64 << 24) as f64;
+            let gamma = nu / (1.0 - nu) * (1.0 + SLACK);
+            let (mut error, mut norm_max) = (Vec::new(), 0.0f64);
+            let mut row = vec![0.0f32; cols];
+            for r in 0..rows {
+                table.row(r).copy_to(&mut row);
+                let (mut e2, mut n2) = (0.0f64, 0.0f64);
+                for &v in &row {
+                    add_squares(v, &mut e2, &mut n2);
+                }
+                let n = root_up(n2);
+                norm_max = norm_max.max(n);
+                if r < ops::split_rows(rows) {
+                    error.push(f32_up((root_up(e2) + 2.0 * gamma * n) * (1.0 + SLACK)));
+                }
+            }
+            let got = Bounds::new(&table);
+            assert_eq!(bits(&got.error), bits(&error), "{rows}x{cols}");
+            assert_eq!(got.norm_max.to_bits(), norm_max.to_bits(), "{rows}x{cols}");
+            let top = error.iter().fold(0.0f32, |m, &e| m.max(e));
+            assert_eq!(got.error_max.to_bits(), top.to_bits(), "{rows}x{cols}");
+        }
+    }
+
+    /// [`VocabTable::certify`] without its group screen: the floor folded
+    /// over every row, then every row tested on its own and each
+    /// candidate rescored alone.
+    fn certify_row_by_row(table: &VocabTable, out: &mut [f32], x: &[f32]) -> Option<usize> {
+        let bounds = table.bounds.get_or_init(|| Bounds::new(table));
+        let norm = root_up(x.iter().map(|&v| f64::from(v) * f64::from(v)).sum());
+        // False for a NaN norm too.
+        let fits = norm * bounds.norm_max <= f64::from(f32::MAX) / 2.0;
+        if !fits {
+            return None;
+        }
+        let underflow = 2.0 * table.cols as f64 * f64::from(f32::from_bits(1));
+        let bound = |s: f32, e: f32| {
+            (norm * f64::from(e) + underflow) * (1.0 + SLACK) + f64::from(s).abs() * SLACK
+        };
+        let split = bounds.error.len();
+        let floor = out[..split]
+            .iter()
+            .zip(&bounds.error)
+            .map(|(&s, &e)| f64::from(s) - bound(s, e))
+            .fold(f64::NEG_INFINITY, |m, v| if v > m { v } else { m });
+        let mut candidates = 0;
+        for r in 0..split {
+            if f64::from(out[r]) + bound(out[r], bounds.error[r]) >= floor {
+                candidates += 1;
+                table.exact().run(&mut out[r..=r], x, r..r + 1, 1);
+            } else {
+                out[r] = f32::NEG_INFINITY;
+            }
+        }
+        Some(candidates + table.rows() - split)
+    }
+
+    /// Skipping the groups that cannot hold a candidate changes nothing:
+    /// over screened rows with near-ties spread across groups, NaN, ±∞,
+    /// signed zeros and all-equal rows, the certified row and its
+    /// candidate count equal the row-by-row fold's, bit for bit.
+    #[test]
+    fn the_group_screen_certifies_what_the_row_by_row_fold_does() {
+        for (rows, cols) in [(64usize, 17usize), (1000, 288), (4099, 16)] {
+            let mut rng = Xoshiro256::seed_from_u64((rows * 31 + cols) as u64);
+            let mut x = vec![0.0f32; cols];
+            rng.fill_normal(&mut x, 1.0);
+            let w = matrix(rows, cols, &x, &mut rng);
+            let table = VocabTable::new(w, rows, cols);
+            let mut exact = vec![0.0f32; rows];
+            table.exact().run(&mut exact, &x, 0..rows, 1);
+            let top = exact.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
+            // About the widest bound a row gets: rows this far below the
+            // top straddle the floor.
+            let bounds = table.bounds.get_or_init(|| Bounds::new(&table));
+            let norm = x.iter().map(|&v| v * v).sum::<f32>().sqrt();
+            let reach = norm * bounds.error_max;
+            for variant in 0..8 {
+                let mut screened = exact.clone();
+                for (r, s) in screened.iter_mut().enumerate() {
+                    let pick = rng.below(16);
+                    *s = match variant {
+                        1 if pick == 0 => f32::NAN,
+                        2 if pick == 0 => f32::NEG_INFINITY,
+                        3 if pick < 4 => top - reach * rng.range_f32(0.0, 4.0),
+                        4 => top,
+                        5 => [0.0, -0.0][r % 2],
+                        6 if pick == 0 => -3e38,
+                        7 if pick == 0 => f32::INFINITY,
+                        _ => *s,
+                    };
+                }
+                let (mut got, mut want) = (screened.clone(), screened);
+                let case = format!("{rows}x{cols} variant {variant}");
+                let n = table.certify(&mut got, &x);
+                assert_eq!(n, certify_row_by_row(&table, &mut want, &x), "{case}");
+                assert_eq!(bits(&got), bits(&want), "{case}");
+            }
         }
     }
 

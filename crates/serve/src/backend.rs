@@ -5,13 +5,26 @@
 //! in the backend's slot type, which the scheduler checks in and out of a
 //! [`speedllm_llama::kv_cache::KvCachePool`].
 //!
-//! Both backends' slot is [`SeqKv`] and their storage one [`KvSpace`]
-//! (DESIGN.md §12): a flat space gives every slot a private contiguous
-//! cache; a paged one (`new_paged`) gives it a [`BlockTable`] into one
-//! shared arena, whose blocks the scheduler grants — which is what enables
-//! prefix sharing and preemptive eviction. Paged backends report their
-//! [`BlockConfig`] via [`Backend::block_config`], and the scheduler drives
-//! block-table plumbing through [`Backend::slot_table_mut`].
+//! Both backends' slot is a [`ServeSlot`] — the sequence's [`SeqKv`] and
+//! whether its request samples by plain argmax — and their storage one
+//! [`KvSpace`] (DESIGN.md §12): a flat space gives every slot a private
+//! contiguous cache; a paged one (`new_paged`) gives it a [`BlockTable`]
+//! into one shared arena, whose blocks the scheduler grants — which is
+//! what enables prefix sharing and preemptive eviction. Paged backends
+//! report their [`BlockConfig`] via [`Backend::block_config`], and the
+//! scheduler drives block-table plumbing through
+//! [`Backend::slot_table_mut`].
+//!
+//! **Scored rows.** The scheduler marks each slot at admission through
+//! [`ArgmaxSlot`]. A `prefill`, `decode` or `forward_mixed` pass whose
+//! slots are all marked scores the certified greedy rows
+//! ([`LogitRows::Greedy`]: the classifier screens the vocab table's high
+//! halves and rescores only the candidates), which keep every argmax bit
+//! for bit; a pass with one unmarked slot scores full last rows for all
+//! of them, because one full stream costs less than a screen plus a full
+//! stream. `verify` always scores every row in full. The choice travels
+//! on the slots, not on a backend method, so a wrapper that forwards the
+//! verbs (`type Slot = B::Slot`) reaches it unchanged.
 //!
 //! Costs are reported in **virtual ticks** so serve-bench reports are
 //! bit-reproducible across machines:
@@ -22,13 +35,80 @@
 //!   telemetry), so reports from older seeds stay byte-identical.
 //! * [`AccelBackend`] charges the simulated device cycles of the pass, so
 //!   weight-stream amortization across its rows (the whole point of
-//!   continuous batching on the accelerator) shows up in the report.
+//!   continuous batching on the accelerator) shows up in the report. The
+//!   scored rows change neither backend's cost.
 
 use speedllm_accel::engine::Engine;
 use speedllm_llama::config::ModelConfig;
 use speedllm_llama::forward::{LogitRows, Transformer};
 use speedllm_llama::kv_cache::PoolSlot;
 use speedllm_pagedkv::{BlockConfig, BlockId, BlockTable, KvSpace, SeqKv};
+
+/// One serving sequence: its KV storage and whether every logits row the
+/// scheduler asks for it feeds a plain argmax ([`ArgmaxSlot`]).
+#[derive(Debug)]
+pub struct ServeSlot {
+    /// The sequence's KV rows.
+    pub kv: SeqKv,
+    argmax_only: bool,
+}
+
+impl ServeSlot {
+    /// An unmarked slot over `kv`.
+    fn new(kv: SeqKv) -> Self {
+        Self {
+            kv,
+            argmax_only: false,
+        }
+    }
+}
+
+impl PoolSlot for ServeSlot {
+    /// Clears the sequence and the mark: the next tenant is marked anew.
+    fn reset_slot(&mut self) {
+        self.kv.reset_slot();
+        self.argmax_only = false;
+    }
+
+    fn slot_len(&self) -> usize {
+        self.kv.slot_len()
+    }
+
+    fn poison_slot(&mut self) {
+        self.kv.poison_slot();
+    }
+}
+
+/// The mark the scheduler sets on a slot when it admits a request: `true`
+/// when every draw of the request's sampler is the argmax of the logits
+/// as given (`Sampler::is_greedy`), so the backend may score the slot's
+/// rows with [`LogitRows::Greedy`].
+pub trait ArgmaxSlot {
+    /// Sets the mark; [`PoolSlot::reset_slot`] clears it.
+    fn set_argmax_only(&mut self, argmax_only: bool);
+}
+
+impl ArgmaxSlot for ServeSlot {
+    fn set_argmax_only(&mut self, argmax_only: bool) {
+        self.argmax_only = argmax_only;
+    }
+}
+
+/// The rows a `prefill`, `decode` or `forward_mixed` pass scores: the
+/// certified greedy rows when every slot is marked argmax-only, full
+/// last rows otherwise.
+fn last_rows(slots: &[&mut ServeSlot]) -> LogitRows {
+    if slots.iter().all(|s| s.argmax_only) {
+        LogitRows::Greedy
+    } else {
+        LogitRows::Last
+    }
+}
+
+/// The KV stores of a pass's slots, in order.
+fn kvs<'a>(slots: &'a mut [&mut ServeSlot]) -> Vec<&'a mut SeqKv> {
+    slots.iter_mut().map(|s| &mut s.kv).collect()
+}
 
 /// Inference substrate for the serving scheduler: per-sequence state is
 /// externalized into `Slot` so one backend serves many interleaved
@@ -43,8 +123,9 @@ use speedllm_pagedkv::{BlockConfig, BlockId, BlockTable, KvSpace, SeqKv};
 /// what the equivalence suites assert. Each returns the virtual-tick cost
 /// of its pass.
 pub trait Backend {
-    /// Per-sequence context (KV cache and friends), poolable.
-    type Slot: PoolSlot;
+    /// Per-sequence context (KV cache and friends), poolable and marked
+    /// at admission with whether its request samples by plain argmax.
+    type Slot: PoolSlot + ArgmaxSlot;
 
     /// The model architecture.
     fn config(&self) -> ModelConfig;
@@ -53,7 +134,8 @@ pub trait Backend {
     fn new_slot(&self) -> Self::Slot;
 
     /// One prefill chunk (1..=64 tokens) extending `slot`, whose context
-    /// length must be `start_pos`. Returns the logits after its last token.
+    /// length must be `start_pos`. Returns the logits after its last token
+    /// (the certified greedy row when the slot is marked argmax-only).
     fn prefill(
         &mut self,
         slot: &mut Self::Slot,
@@ -62,12 +144,14 @@ pub trait Backend {
     ) -> (Vec<f32>, u64);
 
     /// One decode tick: `tokens[i]` extends `slots[i]`. Returns one logit
-    /// vector per slot, in order.
+    /// vector per slot, in order (certified greedy rows when every slot
+    /// is marked argmax-only).
     fn decode(&mut self, slots: &mut [&mut Self::Slot], tokens: &[u32]) -> (Vec<Vec<f32>>, u64);
 
     /// One **mixed** tick (Sarathi-style unified batching, DESIGN.md §14):
     /// `runs[i]` — a decode step or a prefill chunk — extends `slots[i]`.
-    /// Returns the logits after the last token of each run, in order.
+    /// Returns the logits after the last token of each run, in order
+    /// (certified greedy rows when every slot is marked argmax-only).
     fn forward_mixed(
         &mut self,
         slots: &mut [&mut Self::Slot],
@@ -77,7 +161,7 @@ pub trait Backend {
     /// One speculative **verify** tick: a mixed tick that returns the
     /// logits of **every** token row — entry `i` is row-major
     /// `[runs[i].len() * vocab]`, a sequence's pending token plus its K
-    /// draft proposals scored at once.
+    /// draft proposals scored at once, every row in full.
     fn verify(&mut self, slots: &mut [&mut Self::Slot], runs: &[&[u32]]) -> (Vec<Vec<f32>>, u64);
 
     /// Rolls `slot` back to `len` context positions, discarding rejected
@@ -140,15 +224,16 @@ impl CpuBackend {
     /// for, row-major — and one tick per token row.
     fn run(
         &mut self,
-        slots: &mut [&mut SeqKv],
+        slots: &mut [&mut ServeSlot],
         runs: &[&[u32]],
         logit_rows: LogitRows,
     ) -> (Vec<Vec<f32>>, u64) {
-        let starts: Vec<usize> = slots.iter().map(|s| s.len()).collect();
+        let starts: Vec<usize> = slots.iter().map(|s| s.kv.len()).collect();
         let counts: Vec<usize> = runs.iter().map(|r| r.len()).collect();
         let tokens = runs.concat();
         let vocab = self.model.config().vocab_size;
-        let mut kv = self.kv.batch(slots);
+        let mut kvs = kvs(slots);
+        let mut kv = self.kv.batch(&mut kvs);
         let logits = self
             .model
             .forward_runs(&mut kv, &tokens, &counts, &starts, logit_rows);
@@ -160,14 +245,14 @@ impl CpuBackend {
 }
 
 impl Backend for CpuBackend {
-    type Slot = SeqKv;
+    type Slot = ServeSlot;
 
     fn config(&self) -> ModelConfig {
         *self.model.config()
     }
 
     fn new_slot(&self) -> Self::Slot {
-        self.kv.new_seq()
+        ServeSlot::new(self.kv.new_seq())
     }
 
     fn prefill(
@@ -177,17 +262,19 @@ impl Backend for CpuBackend {
         start_pos: usize,
     ) -> (Vec<f32>, u64) {
         assert_eq!(
-            slot.len(),
+            slot.kv.len(),
             start_pos,
             "chunk must extend the sequence contiguously"
         );
-        let (mut logits, cost) = self.run(&mut [slot], &[tokens], LogitRows::Last);
+        let slots = &mut [slot];
+        let rows = last_rows(slots);
+        let (mut logits, cost) = self.run(slots, &[tokens], rows);
         (logits.pop().expect("one run in, one logits row out"), cost)
     }
 
     fn decode(&mut self, slots: &mut [&mut Self::Slot], tokens: &[u32]) -> (Vec<Vec<f32>>, u64) {
         let runs: Vec<&[u32]> = tokens.iter().map(std::slice::from_ref).collect();
-        self.run(slots, &runs, LogitRows::Last)
+        self.run(slots, &runs, last_rows(slots))
     }
 
     fn forward_mixed(
@@ -195,7 +282,7 @@ impl Backend for CpuBackend {
         slots: &mut [&mut Self::Slot],
         runs: &[&[u32]],
     ) -> (Vec<Vec<f32>>, u64) {
-        self.run(slots, runs, LogitRows::Last)
+        self.run(slots, runs, last_rows(slots))
     }
 
     fn verify(&mut self, slots: &mut [&mut Self::Slot], runs: &[&[u32]]) -> (Vec<Vec<f32>>, u64) {
@@ -203,7 +290,7 @@ impl Backend for CpuBackend {
     }
 
     fn truncate_slot(slot: &mut Self::Slot, len: usize) -> Vec<BlockId> {
-        slot.truncate(len)
+        slot.kv.truncate(len)
     }
 
     fn block_config(&self) -> Option<BlockConfig> {
@@ -211,7 +298,7 @@ impl Backend for CpuBackend {
     }
 
     fn slot_table_mut(slot: &mut Self::Slot) -> Option<&mut BlockTable> {
-        slot.table_mut()
+        slot.kv.table_mut()
     }
 
     fn on_blocks_freed(&mut self, blocks: &[BlockId]) {
@@ -248,15 +335,28 @@ impl AccelBackend {
     }
 }
 
+impl AccelBackend {
+    /// One [`Engine::forward_runs`] pass over the slots' KV stores.
+    fn run(
+        &mut self,
+        slots: &mut [&mut ServeSlot],
+        runs: &[&[u32]],
+        logit_rows: LogitRows,
+    ) -> (Vec<Vec<f32>>, u64) {
+        let (logits, step) = self.engine.forward_runs(&mut kvs(slots), runs, logit_rows);
+        (logits, step.cycles.0)
+    }
+}
+
 impl Backend for AccelBackend {
-    type Slot = SeqKv;
+    type Slot = ServeSlot;
 
     fn config(&self) -> ModelConfig {
         self.engine.graph().config
     }
 
     fn new_slot(&self) -> Self::Slot {
-        self.engine.kv_space().new_seq()
+        ServeSlot::new(self.engine.kv_space().new_seq())
     }
 
     fn prefill(
@@ -266,20 +366,19 @@ impl Backend for AccelBackend {
         start_pos: usize,
     ) -> (Vec<f32>, u64) {
         assert_eq!(
-            slot.len(),
+            slot.kv.len(),
             start_pos,
             "chunk must extend the sequence contiguously"
         );
-        let (_, step) = self
-            .engine
-            .forward_runs(&mut [slot], &[tokens], LogitRows::Last);
-        (step.logits, step.cycles.0)
+        let slots = &mut [slot];
+        let rows = last_rows(slots);
+        let (mut logits, cost) = self.run(slots, &[tokens], rows);
+        (logits.pop().expect("one run in, one logits row out"), cost)
     }
 
     fn decode(&mut self, slots: &mut [&mut Self::Slot], tokens: &[u32]) -> (Vec<Vec<f32>>, u64) {
         let runs: Vec<&[u32]> = tokens.iter().map(std::slice::from_ref).collect();
-        let (logits, step) = self.engine.forward_runs(slots, &runs, LogitRows::Last);
-        (logits, step.cycles.0)
+        self.run(slots, &runs, last_rows(slots))
     }
 
     fn forward_mixed(
@@ -287,17 +386,15 @@ impl Backend for AccelBackend {
         slots: &mut [&mut Self::Slot],
         runs: &[&[u32]],
     ) -> (Vec<Vec<f32>>, u64) {
-        let (logits, step) = self.engine.forward_runs(slots, runs, LogitRows::Last);
-        (logits, step.cycles.0)
+        self.run(slots, runs, last_rows(slots))
     }
 
     fn verify(&mut self, slots: &mut [&mut Self::Slot], runs: &[&[u32]]) -> (Vec<Vec<f32>>, u64) {
-        let (logits, step) = self.engine.forward_runs(slots, runs, LogitRows::All);
-        (logits, step.cycles.0)
+        self.run(slots, runs, LogitRows::All)
     }
 
     fn truncate_slot(slot: &mut Self::Slot, len: usize) -> Vec<BlockId> {
-        slot.truncate(len)
+        slot.kv.truncate(len)
     }
 
     fn block_config(&self) -> Option<BlockConfig> {
@@ -305,7 +402,7 @@ impl Backend for AccelBackend {
     }
 
     fn slot_table_mut(slot: &mut Self::Slot) -> Option<&mut BlockTable> {
-        slot.table_mut()
+        slot.kv.table_mut()
     }
 
     fn on_blocks_freed(&mut self, blocks: &[BlockId]) {
@@ -321,6 +418,7 @@ impl Backend for AccelBackend {
 mod tests {
     use super::*;
     use speedllm_accel::opt::OptConfig;
+    use speedllm_llama::kv_cache::KvCachePool;
     use speedllm_llama::weights::TransformerWeights;
     use speedllm_pagedkv::BlockAllocator;
     use std::sync::Arc;
@@ -458,10 +556,25 @@ mod tests {
         let mut one = acc.new_slot();
         let mut refs = [&mut one];
         let (_, c1) = acc.decode(&mut refs, &[5]);
-        let mut slots: Vec<SeqKv> = (0..4).map(|_| acc.new_slot()).collect();
-        let mut refs: Vec<&mut SeqKv> = slots.iter_mut().collect();
+        let mut slots: Vec<ServeSlot> = (0..4).map(|_| acc.new_slot()).collect();
+        let mut refs: Vec<&mut ServeSlot> = slots.iter_mut().collect();
         let (_, c4) = acc.decode(&mut refs, &[5, 6, 7, 8]);
         assert!(c4 < 4 * c1, "batching must amortize: 1->{c1}, 4->{c4}");
+    }
+
+    /// A pooled slot comes back unmarked, so the next tenant's sampler
+    /// alone decides its rows.
+    #[test]
+    fn a_released_slot_loses_its_argmax_mark() {
+        let backend = CpuBackend::new(Transformer::new(weights()));
+        let mut pool = KvCachePool::new(1, || backend.new_slot());
+        let mut slot = pool.acquire().expect("a free slot");
+        assert!(!slot.state().argmax_only);
+        slot.state_mut().set_argmax_only(true);
+        assert!(slot.state().argmax_only);
+        pool.release(slot);
+        let slot = pool.acquire().expect("the released slot");
+        assert!(!slot.state().argmax_only, "reset_slot kept the mark");
     }
 
     /// A pass mixing a flat and a paged slot panics with

@@ -7,7 +7,7 @@ use speedllm_pagedkv::BlockId;
 use speedllm_telemetry as tel;
 
 use super::{record, Active, Request, ServeEngine, Waiting};
-use crate::backend::Backend;
+use crate::backend::{ArgmaxSlot, Backend};
 use crate::events::EventKind;
 
 impl Waiting {
@@ -64,6 +64,9 @@ impl<B: Backend> ServeEngine<B> {
             };
             let reuses_before = self.pool.reuse_count();
             let mut slot = self.pool.acquire().expect("availability checked");
+            // A plain argmax sampler lets the backend score the
+            // certified greedy rows of this slot's passes.
+            slot.state_mut().set_argmax_only(w.sampler.is_greedy());
             if tel::enabled() {
                 tel::metrics::counter_add(
                     "serve.slot_reuse",

@@ -5,6 +5,7 @@
 //! consecutive tokens per sequence. The scheduling modes differ only in
 //! the passes [`ServeEngine::plan`] emits (DESIGN.md §11, "One tick").
 
+use speedllm_llama::forward::{LogitRows, Transformer};
 use speedllm_llama::kv_cache::KvCache;
 use speedllm_llama::sampler::argmax;
 use speedllm_llama::tokenizer::{TOKEN_BOS, TOKEN_EOS};
@@ -59,6 +60,34 @@ pub(super) struct Run {
 pub(super) struct Pass {
     pub(super) verb: Verb,
     pub(super) runs: Vec<Run>,
+}
+
+/// Appends `tokens` to the draft cache `dkv` in runs of at most
+/// [`STAGING_ROWS`] that score no row: nothing samples the history's
+/// logits, and by the walk's run-shape identity the cached rows are
+/// those of one-token steps, bit for bit.
+fn replay_draft(draft: &mut Transformer, dkv: &mut KvCache, tokens: &[u32]) {
+    for chunk in tokens.chunks(STAGING_ROWS) {
+        let start = dkv.len();
+        let kv: &mut [&mut KvCache] = &mut [&mut *dkv];
+        draft.forward_runs(kv, chunk, &[chunk.len()], &[start], LogitRows::None);
+    }
+}
+
+/// `x` followed by `rows` greedy draft proposals, each forwarded into
+/// `dkv` at the next position. A proposal is the argmax of a certified
+/// greedy row, which is the full row's argmax bit for bit
+/// ([`LogitRows::Greedy`]), so only the screen and its candidates stream.
+fn draft_run(draft: &mut Transformer, dkv: &mut KvCache, x: u32, rows: usize) -> Vec<u32> {
+    let mut tokens = Vec::with_capacity(rows + 1);
+    tokens.push(x);
+    for _ in 0..rows {
+        let (cur, pos) = (tokens[tokens.len() - 1], dkv.len());
+        let kv: &mut [&mut KvCache] = &mut [&mut *dkv];
+        let row = draft.forward_runs(kv, &[cur], &[1], &[pos], LogitRows::Greedy);
+        tokens.push(argmax(row));
+    }
+    tokens
 }
 
 impl<B: Backend> ServeEngine<B> {
@@ -172,17 +201,10 @@ impl<B: Backend> ServeEngine<B> {
             if dkv.len() > n {
                 dkv.truncate(n);
             } else {
-                for p in dkv.len()..n {
-                    spec.draft.forward_with_kv(&mut dkv, a.token_at(p), p);
-                }
+                let missing: Vec<u32> = (dkv.len()..n).map(|p| a.token_at(p)).collect();
+                replay_draft(&mut spec.draft, &mut dkv, &missing);
             }
-            let mut tokens = Vec::with_capacity(j_max + 1);
-            tokens.push(x);
-            let mut cur = x;
-            for j in 0..j_max {
-                cur = argmax(spec.draft.forward_with_kv(&mut dkv, cur, n + j));
-                tokens.push(cur);
-            }
+            let tokens = draft_run(&mut spec.draft, &mut dkv, x, j_max);
             a.draft_kv = Some(dkv);
             self.stats.spec_drafted += j_max as u64;
             record(
@@ -472,10 +494,89 @@ impl<B: Backend> ServeEngine<B> {
 
 #[cfg(test)]
 mod tests {
+    use super::{draft_run, replay_draft};
     use crate::engine::tests::{
         cpu_engine, cpu_paged_engine, cpu_unified_engine, draft_model, drain, req,
     };
-    use speedllm_llama::sampler::SamplerKind;
+    use speedllm_llama::config::ModelConfig;
+    use speedllm_llama::forward::Transformer;
+    use speedllm_llama::kv_cache::KvCache;
+    use speedllm_llama::sampler::{argmax, SamplerKind};
+    use speedllm_llama::weights::TransformerWeights;
+
+    /// A stories260K-shaped draft over a 512-token vocabulary (wide
+    /// enough for the greedy screen to prune) and a 128-token window.
+    fn wide_draft(seed: u64) -> Transformer {
+        let target = ModelConfig {
+            vocab_size: 512,
+            seq_len: 128,
+            ..ModelConfig::test_tiny()
+        };
+        let cfg = ModelConfig::draft_for(&target);
+        Transformer::new(TransformerWeights::synthetic(cfg, seed))
+    }
+
+    fn history(len: usize, salt: u32) -> Vec<u32> {
+        (0..len as u32).map(|p| (p * 37 + salt) % 512).collect()
+    }
+
+    #[test]
+    fn chunked_draft_replay_stores_the_one_token_rows() {
+        // 70 tokens: a 3-token head, then a 67-token tail that needs two
+        // unscored runs (64 + 3), against 70 one-token full-row steps.
+        let mut draft = wide_draft(9);
+        let cfg = *draft.config();
+        let tokens = history(70, 11);
+        let mut replayed = KvCache::new(&cfg);
+        replay_draft(&mut draft, &mut replayed, &tokens[..3]);
+        replay_draft(&mut draft, &mut replayed, &tokens[3..]);
+        let mut stepped = KvCache::new(&cfg);
+        for (p, &t) in tokens.iter().enumerate() {
+            draft.forward_with_kv(&mut stepped, t, p);
+        }
+        assert_eq!(replayed.len(), tokens.len());
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for layer in 0..cfg.n_layers {
+            for pos in 0..tokens.len() {
+                assert_eq!(
+                    bits(replayed.key_row(layer, pos)),
+                    bits(stepped.key_row(layer, pos)),
+                    "key row (layer {layer}, pos {pos})"
+                );
+                assert_eq!(
+                    bits(replayed.value_row(layer, pos)),
+                    bits(stepped.value_row(layer, pos)),
+                    "value row (layer {layer}, pos {pos})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn greedy_draft_proposals_equal_full_row_proposals() {
+        for seed in [3, 9, 27] {
+            let mut draft = wide_draft(seed);
+            let cfg = *draft.config();
+            for (len, x) in [(1, 7u32), (5, 300), (40, 511), (90, 2)] {
+                let tokens = history(len, seed as u32);
+                let mut dkv = KvCache::new(&cfg);
+                replay_draft(&mut draft, &mut dkv, &tokens);
+                let got = draft_run(&mut draft, &mut dkv, x, 16);
+
+                let mut kv = KvCache::new(&cfg);
+                for (p, &t) in tokens.iter().enumerate() {
+                    draft.forward_with_kv(&mut kv, t, p);
+                }
+                let mut want = vec![x];
+                for j in 0..16 {
+                    let cur = want[j];
+                    want.push(argmax(draft.forward_with_kv(&mut kv, cur, len + j)));
+                }
+                assert_eq!(got, want, "seed {seed}, history {len}, x {x}");
+                assert_eq!(dkv.len(), kv.len());
+            }
+        }
+    }
 
     #[test]
     fn unified_streams_match_legacy_engine() {

@@ -69,7 +69,7 @@ pub mod loadgen;
 pub mod report;
 
 pub use analyze::{render_analysis, AnalyzeOptions};
-pub use backend::{AccelBackend, Backend, CpuBackend};
+pub use backend::{AccelBackend, ArgmaxSlot, Backend, CpuBackend, ServeSlot};
 pub use engine::{
     Completion, Request, ServeConfig, ServeEngine, ServeStats, TrafficSource, UnifiedConfig,
 };

@@ -14,7 +14,7 @@ use speedllm_llama::forward::{LogitRows, Transformer};
 use speedllm_llama::resident::IntoResident;
 use speedllm_llama::{QuantMode, ResidentWeights, TransformerWeights};
 use speedllm_pagedkv::{BlockAllocator, BlockConfig, KvSpace, SeqKv};
-use speedllm_serve::{Backend, CpuBackend};
+use speedllm_serve::{ArgmaxSlot, Backend, CpuBackend, ServeSlot};
 use speedllm_telemetry as tel;
 
 const BLOCKS: BlockConfig = BlockConfig {
@@ -46,8 +46,9 @@ fn config() -> ModelConfig {
 /// Where a pass runs.
 #[derive(Clone, Copy, Debug)]
 enum Via {
-    /// The CPU backend: its verbs for `Last` and `All`, and for the rows
-    /// no verb asks for, the walk call its verbs make over a `KvSpace`.
+    /// The CPU backend: its verbs for `Last`, `All` and `Greedy` (slots
+    /// marked argmax-only), and for `None`, which no verb asks for, the
+    /// walk call its verbs make over a `KvSpace`.
     Cpu,
     /// `accel::Engine::forward_runs`.
     Engine,
@@ -67,14 +68,21 @@ fn passes(weights: &Arc<ResidentWeights>, via: Via, paged: bool, rows: LogitRows
     let model = || Transformer::with_weights(Arc::clone(weights));
     let mut logits = Vec::new();
     match (via, rows) {
-        (Via::Cpu, LogitRows::Last | LogitRows::All) => {
+        (Via::Cpu, LogitRows::Last | LogitRows::All | LogitRows::Greedy) => {
             let mut backend = match blocks {
                 Some(b) => CpuBackend::new_paged(model(), b),
                 None => CpuBackend::new(model()),
             };
-            let mut seqs: Vec<SeqKv> = (0..3).map(|_| grant(backend.new_slot())).collect();
+            let mut seqs: Vec<ServeSlot> = (0..3)
+                .map(|_| {
+                    let mut slot = backend.new_slot();
+                    slot.kv = grant(slot.kv);
+                    slot.set_argmax_only(rows == LogitRows::Greedy);
+                    slot
+                })
+                .collect();
             for runs in PASSES {
-                let mut slots: Vec<&mut SeqKv> = seqs.iter_mut().collect();
+                let mut slots: Vec<&mut ServeSlot> = seqs.iter_mut().collect();
                 let (out, _) = if rows == LogitRows::All {
                     backend.verify(&mut slots, &runs)
                 } else {

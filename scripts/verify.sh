@@ -89,12 +89,12 @@ for f in crates/{llama,accel,serve}/src/*.rs crates/{llama,accel,serve}/src/*/*.
         exit 1
     fi
 done
-# The sequential oracle (llama::generate) and the serve verbs score full
-# rows: only the accelerator session's argmax sampler takes the certified
-# greedy rows, so every benchmark replay cross-checks that path against
-# full-row argmax.
-if grep -rn 'LogitRows::Greedy' crates/llama/src/generate.rs crates/serve/src; then
-    echo "LogitRows::Greedy in the sequential oracle or serve (see the lines above)" >&2
+# The sequential oracle (llama::generate) scores full rows: the
+# accelerator session and the serve passes of argmax-only requests take
+# the certified greedy rows, so every benchmark replay cross-checks that
+# path against full-row argmax.
+if grep -n 'LogitRows::Greedy' crates/llama/src/generate.rs; then
+    echo "LogitRows::Greedy in the sequential oracle (see the lines above)" >&2
     exit 1
 fi
 # The one GEMM kernel body, compiled per instruction set (baseline, AVX2
@@ -235,10 +235,13 @@ cargo test --release -q -p speedllm-llama shape_check
 # The split vocab table: its re-lay round-trips every bit, its exact and
 # screen GEMMs replay `dot`, its three copies agree, and the certified
 # greedy rows keep the full row's argmax and exact values; an argmax
-# session (greedy rows) reports what the full-row chunk loop does.
+# session (greedy rows) reports what the full-row chunk loop does; serve
+# passes of argmax-only requests take the screen (also through a
+# verb-forwarding wrapper) and stream what the sequential oracle does.
 cargo test --release -q -p speedllm-llama -- split_order vocab::
 cargo test --release -q -p speedllm-accel argmax_session
 cargo test --release -q -p speedllm --test greedy_telemetry
+cargo test --release -q -p speedllm-serve --test greedy_serve
 # The walk's RoPE table, key-tiled attention scores and the sampler's
 # two-pass argmax, against the per-call reference each replaces.
 cargo test --release -q -p speedllm-llama -- rope_table tiled_attention argmax

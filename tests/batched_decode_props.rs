@@ -18,7 +18,7 @@ use speedllm::llama::kv_cache::KvCache;
 use speedllm::llama::rng::Xoshiro256;
 use speedllm::llama::weights::TransformerWeights;
 use speedllm::pagedkv::{BlockAllocator, BlockConfig, SeqKv};
-use speedllm::serve::{AccelBackend, Backend, CpuBackend};
+use speedllm::serve::{AccelBackend, Backend, CpuBackend, ServeSlot};
 use std::sync::Arc;
 
 const BLOCKS: BlockConfig = BlockConfig {
@@ -41,8 +41,8 @@ fn prompts(rng: &mut Xoshiro256, n: usize, vocab: u64) -> Vec<Vec<u32>> {
 }
 
 /// Grants enough blocks for `tokens` positions when the slot is paged.
-fn grant_blocks(slot: &mut SeqKv, alloc: &mut BlockAllocator, tokens: usize) {
-    if let SeqKv::Paged(table) = slot {
+fn grant_blocks(slot: &mut ServeSlot, alloc: &mut BlockAllocator, tokens: usize) {
+    if let SeqKv::Paged(table) = &mut slot.kv {
         while table.capacity_tokens() < tokens {
             table.push_block(alloc.alloc().expect("arena large enough for the test"));
         }
@@ -108,10 +108,10 @@ props! {
             let tokens: Vec<u32> =
                 (0..n).map(|_| rng.below(cfg.vocab_size as u64) as u32).collect();
 
-            let mut refs: Vec<&mut SeqKv> = Vec::with_capacity(n);
+            let mut refs: Vec<&mut ServeSlot> = Vec::with_capacity(n);
             let mut members = slots.iter_mut().collect::<Vec<_>>();
             // Reorder the mutable borrows to match the permutation.
-            let mut by_index: Vec<Option<&mut SeqKv>> =
+            let mut by_index: Vec<Option<&mut ServeSlot>> =
                 members.drain(..).map(Some).collect();
             for &i in &order {
                 refs.push(by_index[i].take().expect("each member used once"));
