@@ -1,11 +1,12 @@
-//! The accelerator engine: one model on the simulated device.
+//! The accelerator engine: one model on the simulated device. It owns no
+//! sequence: every pass extends [`SeqKv`]s its caller made with
+//! [`KvSpace::new_seq`] and holds.
 //!
-//! A device pass ([`Engine::forward_runs`]; [`Engine::decode_step`] and
-//! [`Engine::prefill_chunk`] are its default-sequence shorthands) is two
-//! halves that share nothing but the pass's row positions:
+//! A device pass ([`Engine::forward_runs`]) is two halves that share
+//! nothing but the pass's row positions:
 //!
 //! * **Values** (`Engine::execute`) — one call of the CPU reference's
-//!   layer walk ([`Transformer::forward_runs_into`]) over every row of the
+//!   layer walk ([`Transformer::forward_runs`]) over every row of the
 //!   pass, on the engine's KV storage. There is no second interpreter:
 //!   fusion, placement and pipelining change *timing*, never values, so
 //!   logits are bit-identical to the CPU path at the same weight
@@ -22,7 +23,7 @@
 //!
 //! So values may batch more coarsely than cost: `Session` prefill walks up
 //! to 64 prompt rows at once and still charges one pass per
-//! `prefill_chunk`.
+//! [`AccelConfig::prefill_chunk`] positions.
 
 use std::sync::Arc;
 
@@ -40,7 +41,7 @@ use speedllm_fpga_sim::resources::{
 use speedllm_fpga_sim::sfu::{Sfu, SfuKind};
 use speedllm_fpga_sim::stats::SimStats;
 use speedllm_fpga_sim::trace::TraceBuffer;
-use speedllm_llama::forward::{BatchState, LogitRows, Transformer};
+use speedllm_llama::forward::{LogitRows, Transformer};
 use speedllm_llama::kv_cache::KvBatch;
 use speedllm_llama::quant::{QuantMode, QuantTensor};
 use speedllm_llama::resident::{IntoResident, ResidentWeights};
@@ -216,10 +217,10 @@ fn packed_bytes(precision: Precision, rows: usize, cols: usize) -> u64 {
     (rows * (payload + cols.div_ceil(32) * 4)) as u64
 }
 
-/// Result of one decode step.
+/// Result of one device pass.
 #[derive(Debug, Clone)]
 pub struct StepResult {
-    /// Logits over the vocabulary.
+    /// Logits over the vocabulary after the pass's last row.
     pub logits: Vec<f32>,
     /// Makespan of the step.
     pub cycles: Cycles,
@@ -283,11 +284,10 @@ impl KernelPlan {
 
 /// The simulated SpeedLLM accelerator bound to one model.
 pub struct Engine {
-    /// The weights the walk reads, at `opt.precision`; shared with every
-    /// other engine, model and backend of the same checkpoint.
-    weights: Arc<ResidentWeights>,
-    /// Row scratch of the layer walk, grown to the widest pass seen.
-    scratch: Option<BatchState>,
+    /// The model the walk runs: weights at `opt.precision`, shared with
+    /// every other engine, model and backend of the same checkpoint, and
+    /// the walk's row scratch.
+    model: Transformer,
     opt: OptConfig,
     cfg: AccelConfig,
     graph: Graph,
@@ -302,10 +302,7 @@ pub struct Engine {
     dma_wr: DmaEngine,
     launches: u64,
     stalls: u64,
-    /// KV of the default (single-session) sequence, always flat; `None`
-    /// only while [`Engine::prefill_chunk`] has it lent to a pass.
-    seq: Option<SeqKv>,
-    /// Storage of the serving sequences: flat until a backend makes it
+    /// Storage of the sequences: flat until a backend makes it
     /// paged ([`Engine::kv_space_mut`]). The layout is functional-only:
     /// the timing model charges page-granular KV traffic either way.
     kv: KvSpace,
@@ -351,13 +348,9 @@ impl Engine {
             tel::metrics::gauge_set("accel.memplan_hbm_values", plan.hbm_values() as f64);
         }
         let kernels = Arc::new(KernelPlan::new(&graph, schedule));
-        // The space is flat until a backend pages it, so the default
-        // sequence made here stays flat.
         let kv = KvSpace::new(weights.config(), None);
-        let seq = Some(kv.new_seq());
         let engine = Self {
-            weights,
-            scratch: None,
+            model: Transformer::with_weights(weights),
             opt,
             cfg,
             graph,
@@ -370,7 +363,6 @@ impl Engine {
             dma_wr: DmaEngine::new(cfg.write_dma, Direction::Write),
             launches: 0,
             stalls: 0,
-            seq,
             kv,
             trace: None,
         };
@@ -392,13 +384,13 @@ impl Engine {
     fn hbm_footprint(&self) -> u64 {
         let c = &self.graph.config;
         let kv = (2 * c.n_layers * c.seq_len) as u64 * self.kv_row_bytes();
-        self.weights.resident_bytes() as u64 + kv + 64 * self.plan.hbm_activation_bytes
+        self.weights().resident_bytes() as u64 + kv + 64 * self.plan.hbm_activation_bytes
     }
 
     /// Shared handle to the weights.
     #[must_use]
     pub fn weights(&self) -> &Arc<ResidentWeights> {
-        &self.weights
+        self.model.weights()
     }
 
     /// The active optimization selection.
@@ -448,25 +440,14 @@ impl Engine {
         self.trace.take()
     }
 
-    /// Clears the default sequence's KV cache.
-    pub fn reset(&mut self) {
-        self.seq.as_mut().expect("default sequence present").reset();
-    }
-
-    /// Context length of the default sequence.
-    #[must_use]
-    pub fn context_len(&self) -> usize {
-        self.seq.as_ref().expect("default sequence present").len()
-    }
-
-    /// Storage of the serving sequences: [`KvSpace::new_seq`] makes one
-    /// for [`Engine::forward_runs`]. The default sequence lives apart.
+    /// Storage of the sequences: [`KvSpace::new_seq`] makes one for
+    /// [`Engine::forward_runs`].
     #[must_use]
     pub fn kv_space(&self) -> &KvSpace {
         &self.kv
     }
 
-    /// Mutable storage of the serving sequences: a paged backend replaces
+    /// Mutable storage of the sequences: a paged backend replaces
     /// it with a paged [`KvSpace`] (the scheduler owns the block allocator
     /// and installs chains into each table; the engine only resolves the
     /// indirection) and reports freed blocks to it.
@@ -657,46 +638,6 @@ impl Engine {
         }
     }
 
-    /// Runs one decode step for `token` at `pos` on the default sequence.
-    pub fn decode_step(&mut self, token: u32, pos: usize) -> StepResult {
-        self.prefill_chunk(&[token], pos)
-    }
-
-    /// Processes a chunk of consecutive prompt tokens starting at
-    /// `start_pos` on the default sequence in one device pass (chunked
-    /// prefill — an extension beyond the paper; see DESIGN.md): the
-    /// single-run [`LogitRows::Last`] shape of [`Engine::forward_runs`].
-    /// Returns the logits after the **last** token of the chunk.
-    ///
-    /// # Panics
-    /// Panics if `start_pos` is not the default sequence's context length
-    /// (the chunk must extend it contiguously), and wherever
-    /// [`Engine::forward_runs`] does.
-    pub fn prefill_chunk(&mut self, tokens: &[u32], start_pos: usize) -> StepResult {
-        assert_eq!(
-            self.context_len(),
-            start_pos,
-            "chunk must extend the sequence contiguously"
-        );
-        let logits = self.execute_default(tokens, LogitRows::Last);
-        let positions: Vec<usize> = (start_pos..start_pos + tokens.len()).collect();
-        let (cycles, stats) = self.time(&positions);
-        StepResult {
-            logits,
-            cycles,
-            stats,
-        }
-    }
-
-    /// [`Engine::execute`] on the default sequence: appends `tokens` at its
-    /// context length and returns the logits `logit_rows` scores.
-    pub(crate) fn execute_default(&mut self, tokens: &[u32], logit_rows: LogitRows) -> Vec<f32> {
-        let mut seq = self.seq.take().expect("default sequence present");
-        let mut logits = self.execute(&mut [&mut seq], &[tokens], logit_rows);
-        self.seq = Some(seq);
-        logits.pop().expect("one run in, one logits row out")
-    }
-
     /// Schedules every kernel for a pass over `positions` (a contiguous
     /// prefill chunk or one position per batched sequence) and returns the
     /// makespan plus on-chip read/write byte counts.
@@ -883,9 +824,7 @@ impl Engine {
         let counts: Vec<usize> = runs.iter().map(|r| r.len()).collect();
         let tokens = runs.concat();
         let q8 = self.cfg.kv_precision == Precision::Int8;
-        let logits = Transformer::forward_runs_into(
-            &self.weights,
-            &mut self.scratch,
+        let logits = self.model.forward_runs(
             &mut DeviceKv {
                 inner: &mut self.kv.batch(seqs),
                 q8,
@@ -919,7 +858,7 @@ impl Engine {
             // Same accounting as the CPU path (`cpu.gemm_*`): one device
             // pass streams the dense weights once for all its rows, so
             // bytes-per-token falls with the rows a pass carries.
-            let streamed = self.weights.gemm_weight_bytes();
+            let streamed = self.model.gemm_weight_bytes();
             tel::metrics::counter_add("accel.gemm_weight_bytes", streamed as u64);
             tel::metrics::counter_add("accel.gemm_tokens", rows as u64);
             tel::metrics::gauge_set("accel.gemm_batch_width", rows as f64);
@@ -986,12 +925,23 @@ impl Engine {
 mod tests {
     use super::*;
     use speedllm_llama::config::ModelConfig;
-    use speedllm_llama::forward::Transformer;
+    use speedllm_llama::kv_cache::KvCache;
     use speedllm_llama::weights::TransformerWeights;
 
     fn engine(opt: OptConfig) -> Engine {
         let w = Arc::new(TransformerWeights::synthetic(ModelConfig::test_tiny(), 42));
         Engine::new(w, opt).expect("engine must build")
+    }
+
+    /// One `Last` pass of `tokens` extending `seq`.
+    fn pass(e: &mut Engine, seq: &mut SeqKv, tokens: &[u32]) -> StepResult {
+        e.forward_runs(&mut [seq], &[tokens], LogitRows::Last).1
+    }
+
+    /// One `Last` pass of `tokens` on a fresh sequence.
+    fn fresh(e: &mut Engine, tokens: &[u32]) -> StepResult {
+        let mut seq = e.kv_space().new_seq();
+        pass(e, &mut seq, tokens)
     }
 
     fn max_diff(a: &[f32], b: &[f32]) -> f32 {
@@ -1046,15 +996,20 @@ mod tests {
     fn logits_match_reference_for_every_variant() {
         let weights = TransformerWeights::synthetic(ModelConfig::test_tiny(), 42);
         let mut reference = Transformer::new(weights.clone());
-        let mut engines: Vec<Engine> = OptConfig::paper_variants()
+        let mut kv = KvCache::new(reference.config());
+        let mut engines: Vec<(Engine, SeqKv)> = OptConfig::paper_variants()
             .into_iter()
-            .map(|(_, opt)| Engine::new(Arc::new(weights.clone()), opt).unwrap())
+            .map(|(_, opt)| {
+                let e = Engine::new(Arc::new(weights.clone()), opt).unwrap();
+                let seq = e.kv_space().new_seq();
+                (e, seq)
+            })
             .collect();
         for pos in 0..5 {
             let token = (pos * 7 + 3) as u32;
-            let expected = reference.forward(token, pos).to_vec();
-            for e in &mut engines {
-                let got = e.decode_step(token, pos);
+            let expected = reference.forward_with_kv(&mut kv, token, pos).to_vec();
+            for (e, seq) in &mut engines {
+                let got = pass(e, seq, &[token]);
                 assert_eq!(
                     expected,
                     got.logits,
@@ -1070,8 +1025,10 @@ mod tests {
         let weights = TransformerWeights::synthetic(ModelConfig::test_tiny(), 42);
         let mut reference = Transformer::new(weights.clone());
         let mut e = Engine::new(Arc::new(weights), OptConfig::full_int8()).unwrap();
-        let expected = reference.forward(3, 0).to_vec();
-        let got = e.decode_step(3, 0);
+        let expected = reference
+            .forward_with_kv(&mut KvCache::new(reference.config()), 3, 0)
+            .to_vec();
+        let got = fresh(&mut e, &[3]);
         // Quantized arithmetic: looser tolerance, but same ballpark.
         assert!(max_diff(&expected, &got.logits) < 0.15);
     }
@@ -1081,15 +1038,18 @@ mod tests {
         let weights = TransformerWeights::synthetic(ModelConfig::test_tiny(), 42);
         let mut reference = Transformer::new(weights.clone());
         let mut e = Engine::new(Arc::new(weights.clone()), OptConfig::full_int4()).unwrap();
-        let expected = reference.forward(3, 0).to_vec();
-        let got = e.decode_step(3, 0);
+        let expected = reference
+            .forward_with_kv(&mut KvCache::new(reference.config()), 3, 0)
+            .to_vec();
+        let got = fresh(&mut e, &[3]);
         // 4-bit weights: looser still, but same ballpark.
         assert!(max_diff(&expected, &got.logits) < 0.6);
         // And bit-identical to the CPU fused dequant path — both stream the
         // same Q4_0 payload through the same accumulation order.
         let mut cpu = Transformer::new(weights);
         cpu.set_quant_mode(speedllm_llama::quant::QuantMode::Int4);
-        assert_eq!(cpu.forward(3, 0).to_vec(), got.logits);
+        let mut kv = KvCache::new(cpu.config());
+        assert_eq!(cpu.forward_with_kv(&mut kv, 3, 0).to_vec(), got.logits);
     }
 
     #[test]
@@ -1097,9 +1057,9 @@ mod tests {
         let mut f32e = engine(OptConfig::full());
         let mut i8e = engine(OptConfig::full_int8());
         let mut i4e = engine(OptConfig::full_int4());
-        let rf = f32e.decode_step(0, 0).stats.hbm.read_bytes;
-        let r8 = i8e.decode_step(0, 0).stats.hbm.read_bytes;
-        let r4 = i4e.decode_step(0, 0).stats.hbm.read_bytes;
+        let rf = fresh(&mut f32e, &[0]).stats.hbm.read_bytes;
+        let r8 = fresh(&mut i8e, &[0]).stats.hbm.read_bytes;
+        let r4 = fresh(&mut i4e, &[0]).stats.hbm.read_bytes;
         // Weight reads dominate a decode step; int8 should cut the stream
         // to well under ⅓ of f32, and int4 below int8.
         assert!(r8 * 3 < rf, "int8 {r8} vs f32 {rf}");
@@ -1110,8 +1070,8 @@ mod tests {
     fn full_is_substantially_faster_than_unoptimized() {
         let mut full = engine(OptConfig::full());
         let mut unopt = engine(OptConfig::unoptimized());
-        let cf = full.decode_step(1, 0).cycles;
-        let cu = unopt.decode_step(1, 0).cycles;
+        let cf = fresh(&mut full, &[1]).cycles;
+        let cu = fresh(&mut unopt, &[1]).cycles;
         assert!(
             cu.0 > 2 * cf.0,
             "expected a large speedup, got full={cf} unopt={cu}"
@@ -1122,7 +1082,7 @@ mod tests {
     fn weight_traffic_matches_model_size() {
         let cfg = ModelConfig::test_tiny();
         let mut e = engine(OptConfig::full());
-        let r = e.decode_step(0, 0);
+        let r = fresh(&mut e, &[0]);
         // Every matmul weight is streamed once per token; embeddings and
         // norms are small. HBM reads should be within 30% of param bytes
         // (the vocab-sized classifier dominates tiny configs).
@@ -1138,32 +1098,34 @@ mod tests {
     fn alloc_stalls_only_without_reuse() {
         let mut with = engine(OptConfig::full());
         let mut without = engine(OptConfig::no_reuse());
-        assert_eq!(with.decode_step(0, 0).stats.alloc_stalls, 0);
-        assert!(without.decode_step(0, 0).stats.alloc_stalls > 0);
+        assert_eq!(fresh(&mut with, &[0]).stats.alloc_stalls, 0);
+        assert!(fresh(&mut without, &[0]).stats.alloc_stalls > 0);
     }
 
     #[test]
     fn launches_shrink_with_fusion() {
         let mut fused = engine(OptConfig::full());
         let mut unfused = engine(OptConfig::no_fuse());
-        let lf = fused.decode_step(0, 0).stats.kernel_launches;
-        let lu = unfused.decode_step(0, 0).stats.kernel_launches;
+        let lf = fresh(&mut fused, &[0]).stats.kernel_launches;
+        let lu = fresh(&mut unfused, &[0]).stats.kernel_launches;
         assert!(lf * 2 < lu, "fused {lf} vs unfused {lu}");
     }
 
     #[test]
     fn attention_cost_grows_with_position() {
         let mut e = engine(OptConfig::full());
-        let c0 = e.decode_step(1, 0).cycles;
-        for pos in 1..8 {
-            e.decode_step(1, pos);
+        let mut seq = e.kv_space().new_seq();
+        let c0 = pass(&mut e, &mut seq, &[1]).cycles;
+        for _ in 1..8 {
+            pass(&mut e, &mut seq, &[1]);
         }
-        let c8 = e.decode_step(1, 8).cycles;
+        let c8 = pass(&mut e, &mut seq, &[1]).cycles;
         assert!(c8 >= c0, "KV paging must not shrink: {c0} -> {c8}");
         // And HBM read traffic grows with context.
         let mut e2 = engine(OptConfig::full());
-        let r0 = e2.decode_step(1, 0).stats.hbm.read_bytes;
-        let r1 = e2.decode_step(1, 1).stats.hbm.read_bytes;
+        let mut seq = e2.kv_space().new_seq();
+        let r0 = pass(&mut e2, &mut seq, &[1]).stats.hbm.read_bytes;
+        let r1 = pass(&mut e2, &mut seq, &[1]).stats.hbm.read_bytes;
         assert!(r1 > r0);
     }
 
@@ -1171,8 +1133,8 @@ mod tests {
     fn hbm_activation_traffic_only_without_reuse() {
         let mut with = engine(OptConfig::full());
         let mut without = engine(OptConfig::no_reuse());
-        let sw = with.decode_step(0, 0).stats;
-        let so = without.decode_step(0, 0).stats;
+        let sw = fresh(&mut with, &[0]).stats;
+        let so = fresh(&mut without, &[0]).stats;
         // Without reuse, extra HBM writes appear (activations round-trip).
         assert!(so.hbm.write_bytes > sw.hbm.write_bytes);
         // With reuse, on-chip traffic appears instead.
@@ -1183,8 +1145,8 @@ mod tests {
     fn energy_is_positive_and_unopt_less_efficient() {
         let mut full = engine(OptConfig::full());
         let mut unopt = engine(OptConfig::unoptimized());
-        let rf = full.decode_step(1, 0);
-        let ru = unopt.decode_step(1, 0);
+        let rf = fresh(&mut full, &[1]);
+        let ru = fresh(&mut unopt, &[1]);
         let ef = full.power_model().energy(&rf.stats).total_j();
         let eu = unopt.power_model().energy(&ru.stats).total_j();
         assert!(ef > 0.0 && eu > ef, "full {ef} J vs unopt {eu} J");
@@ -1194,7 +1156,7 @@ mod tests {
     fn trace_capture_roundtrip() {
         let mut e = engine(OptConfig::full());
         e.capture_trace(256);
-        e.decode_step(0, 0);
+        fresh(&mut e, &[0]);
         let trace = e.take_trace().expect("trace captured");
         assert!(!trace.events().is_empty());
         assert!(e.take_trace().is_none());
@@ -1203,9 +1165,10 @@ mod tests {
     #[test]
     fn reset_allows_replay() {
         let mut e = engine(OptConfig::full());
-        let a = e.decode_step(5, 0);
-        e.reset();
-        let b = e.decode_step(5, 0);
+        let mut seq = e.kv_space().new_seq();
+        let a = pass(&mut e, &mut seq, &[5]);
+        seq.reset();
+        let b = pass(&mut e, &mut seq, &[5]);
         assert_eq!(a.logits, b.logits);
         assert_eq!(a.cycles, b.cycles);
     }
@@ -1215,8 +1178,9 @@ mod tests {
     fn pos_overflow_panics() {
         let mut e = engine(OptConfig::full());
         let window = e.graph().config.seq_len;
-        e.prefill_chunk(&vec![1; window], 0);
-        e.decode_step(0, window);
+        let mut seq = e.kv_space().new_seq();
+        pass(&mut e, &mut seq, &vec![1; window]);
+        pass(&mut e, &mut seq, &[0]);
     }
 
     #[test]
@@ -1224,15 +1188,17 @@ mod tests {
         let weights = Arc::new(TransformerWeights::synthetic(ModelConfig::test_tiny(), 42));
         let tokens: Vec<u32> = vec![3, 9, 14, 27, 5, 61, 2, 40];
         let mut one = Engine::new(Arc::clone(&weights), OptConfig::full()).unwrap();
+        let mut seq = one.kv_space().new_seq();
         let mut last = Vec::new();
-        for (pos, &t) in tokens.iter().enumerate() {
-            last = one.decode_step(t, pos).logits;
+        for &t in &tokens {
+            last = pass(&mut one, &mut seq, &[t]).logits;
         }
         let mut chunked = Engine::new(weights, OptConfig::full()).unwrap();
-        let r = chunked.prefill_chunk(&tokens, 0);
+        let mut cseq = chunked.kv_space().new_seq();
+        let r = pass(&mut chunked, &mut cseq, &tokens);
         assert_eq!(last, r.logits, "chunked prefill diverged");
         // And the KV cache is equally advanced.
-        assert_eq!(chunked.context_len(), tokens.len());
+        assert_eq!(cseq.len(), tokens.len());
     }
 
     #[test]
@@ -1240,15 +1206,16 @@ mod tests {
         let weights = Arc::new(TransformerWeights::synthetic(ModelConfig::stories260k(), 7));
         let tokens: Vec<u32> = (0..16).map(|i| 10 + i).collect();
         let mut one = Engine::new(Arc::clone(&weights), OptConfig::full()).unwrap();
+        let mut seq = one.kv_space().new_seq();
         let mut cycles_one = 0u64;
         let mut read_one = 0u64;
-        for (pos, &t) in tokens.iter().enumerate() {
-            let r = one.decode_step(t, pos);
+        for &t in &tokens {
+            let r = pass(&mut one, &mut seq, &[t]);
             cycles_one += r.cycles.0;
             read_one += r.stats.hbm.read_bytes;
         }
         let mut chunked = Engine::new(weights, OptConfig::full()).unwrap();
-        let r = chunked.prefill_chunk(&tokens, 0);
+        let r = fresh(&mut chunked, &tokens);
         // stories260K is compute-bound, so the wall-clock win is modest —
         // the weight-stream amortization is the strong claim (reads drop
         // nearly 16x for a 16-token chunk; only KV paging still scales).
@@ -1270,7 +1237,7 @@ mod tests {
     #[should_panic(expected = "empty run")]
     fn empty_chunk_panics() {
         let mut e = engine(OptConfig::full());
-        e.prefill_chunk(&[], 0);
+        fresh(&mut e, &[]);
     }
 
     /// One decode tick on external sequences.
@@ -1293,9 +1260,10 @@ mod tests {
         let histories: [&[u32]; 3] = [&[1, 5], &[9], &[3, 7, 11]];
         let mut expected = Vec::new();
         for (e, h) in refs.iter_mut().zip(histories) {
+            let mut seq = e.kv_space().new_seq();
             let mut last = Vec::new();
-            for (pos, &t) in h.iter().enumerate() {
-                last = e.decode_step(t, pos).logits;
+            for &t in h {
+                last = pass(e, &mut seq, &[t]).logits;
             }
             expected.push(last);
         }
@@ -1366,11 +1334,12 @@ mod tests {
         let mut cfg = AccelConfig::for_opt(&OptConfig::full());
         cfg.kv_precision = Precision::Int8;
         let mut i8kv = Engine::with_config(weights, OptConfig::full(), cfg).unwrap();
+        let (mut sa, mut sb) = (f32kv.kv_space().new_seq(), i8kv.kv_space().new_seq());
         let mut read_f32 = 0u64;
         let mut read_i8 = 0u64;
         for pos in 0..8 {
-            let a = f32kv.decode_step(5, pos);
-            let b = i8kv.decode_step(5, pos);
+            let a = pass(&mut f32kv, &mut sa, &[5]);
+            let b = pass(&mut i8kv, &mut sb, &[5]);
             read_f32 += a.stats.hbm.read_bytes;
             read_i8 += b.stats.hbm.read_bytes;
             let d = a
@@ -1399,17 +1368,11 @@ mod tests {
         cfg.kv_precision = Precision::Int8;
         let mut i8kv = Engine::with_config(Arc::clone(&weights), OptConfig::full(), cfg).unwrap();
         let mut f32kv = Engine::new(weights, OptConfig::full()).unwrap();
-        let wa = f32kv.decode_step(1, 0).stats.hbm.write_bytes;
-        let wb = i8kv.decode_step(1, 0).stats.hbm.write_bytes;
+        let wa = fresh(&mut f32kv, &[1]).stats.hbm.write_bytes;
+        let wb = fresh(&mut i8kv, &[1]).stats.hbm.write_bytes;
         // KV rows dominate writes under full reuse; Q8_0 is ~0.28x the f32
         // bytes before burst padding, so expect a clear reduction.
         assert!(wb < wa, "int8 KV writes {wb} !< f32 {wa}");
-    }
-
-    #[test]
-    #[should_panic(expected = "contiguously")]
-    fn prefill_chunk_rejects_position_gap() {
-        engine(OptConfig::full()).prefill_chunk(&[1, 2], 3);
     }
 
     #[test]
@@ -1422,7 +1385,6 @@ mod tests {
         let chunk: &[u32] = &[3, 9];
         e.forward_runs(&mut [slot.state_mut()], &[chunk], LogitRows::Last);
         assert_eq!(slot.state().slot_len(), 2);
-        assert_eq!(e.context_len(), 0, "default sequence must stay untouched");
         pool.release(slot);
         // Reused slot must behave exactly like a fresh sequence.
         let mut again = pool.acquire().expect("slot free");
@@ -1582,6 +1544,6 @@ mod tests {
         let weights = Arc::new(TransformerWeights::synthetic(ModelConfig::stories260k(), 7));
         let mut e = Engine::new(weights, OptConfig::full()).unwrap();
         let tokens = vec![1u32; 65];
-        e.prefill_chunk(&tokens, 0);
+        fresh(&mut e, &tokens);
     }
 }

@@ -98,6 +98,7 @@ mod tests {
     use crate::opt::OptConfig;
     use crate::runtime::AcceleratedLlm;
     use speedllm_llama::config::ModelConfig;
+    use speedllm_llama::forward::LogitRows;
     use speedllm_llama::sampler::SamplerKind;
 
     fn clock() -> ClockDomain {
@@ -132,7 +133,7 @@ mod tests {
 
         // Single-token decode: far left of the ridge.
         let mut s = sys.session(SamplerKind::Argmax, 0);
-        let one = s.step(1, 0);
+        let one = s.step(1);
         let p1 = roof.place(&one.stats, &clock());
         assert!(p1.memory_bound, "decode must be memory-bound: {p1:?}");
 
@@ -140,7 +141,9 @@ mod tests {
         // MACs).
         let mut s2 = sys.session(SamplerKind::Argmax, 0);
         let tokens: Vec<u32> = (0..16).collect();
-        let chunk = s2.engine_mut().prefill_chunk(&tokens, 0);
+        let e = s2.engine_mut();
+        let mut seq = e.kv_space().new_seq();
+        let (_, chunk) = e.forward_runs(&mut [&mut seq], &[&tokens], LogitRows::Last);
         let p16 = roof.place(&chunk.stats, &clock());
         assert!(
             p16.intensity > 8.0 * p1.intensity,
@@ -156,7 +159,7 @@ mod tests {
         let sys = AcceleratedLlm::synthetic(cfg, 42, OptConfig::full()).unwrap();
         let roof = Roofline::of(sys.accel_config(), &clock());
         let mut s = sys.session(SamplerKind::Argmax, 0);
-        let step = s.step(1, 0);
+        let step = s.step(1);
         let p = roof.place(&step.stats, &clock());
         assert!(p.efficiency() > 0.05, "efficiency {}", p.efficiency());
         assert!(p.efficiency() < 1.5, "efficiency {}", p.efficiency());

@@ -2,10 +2,10 @@
 //!
 //! [`AcceleratedLlm`] owns the immutable assets (weights, tokenizer, the
 //! chosen optimization configuration); [`Session`] wraps one engine
-//! instance with a sampler and runs the paper's host loop — tokenize,
-//! prefill, decode — while collecting the metrics Fig. 2 reports: total
-//! inference latency (host timing function), decode throughput (generated
-//! tokens over decode-stage time), and energy.
+//! instance, the sequence it drives and a sampler, and runs the paper's
+//! host loop — tokenize, prefill, decode — while collecting the metrics
+//! Fig. 2 reports: total inference latency (host timing function), decode
+//! throughput (generated tokens over decode-stage time), and energy.
 
 use std::sync::Arc;
 
@@ -20,8 +20,9 @@ use speedllm_llama::resident::{IntoResident, ResidentWeights};
 use speedllm_llama::sampler::{Sampler, SamplerKind};
 use speedllm_llama::tokenizer::{Tokenizer, TOKEN_BOS, TOKEN_EOS};
 use speedllm_llama::weights::TransformerWeights;
+use speedllm_pagedkv::SeqKv;
 
-use crate::engine::{AccelConfig, Engine, EngineError};
+use crate::engine::{AccelConfig, Engine, EngineError, StepResult};
 use crate::opt::OptConfig;
 
 /// Errors surfaced by the runtime.
@@ -147,6 +148,7 @@ impl AcceleratedLlm {
         let engine = Engine::with_config(Arc::clone(&self.weights), self.opt, self.accel)
             .expect("validated at construction");
         Session {
+            seq: engine.kv_space().new_seq(),
             engine,
             tokenizer: Arc::clone(&self.tokenizer),
             sampler: Sampler::new(sampler, seed),
@@ -220,9 +222,11 @@ impl InferenceReport {
     }
 }
 
-/// One inference session: engine + sampler state.
+/// One inference session: engine, its sequence's KV, sampler state.
 pub struct Session {
     engine: Engine,
+    /// The conversation's KV, the way a serve slot holds a request's.
+    seq: SeqKv,
     tokenizer: Arc<Tokenizer>,
     sampler: Sampler,
 }
@@ -239,6 +243,12 @@ impl Session {
         &self.engine
     }
 
+    /// Positions of the session's sequence (prompts and generations so far).
+    #[must_use]
+    pub fn context_len(&self) -> usize {
+        self.seq.len()
+    }
+
     /// Runs a full inference: tokenize, prefill, decode up to
     /// `max_new_tokens` (stopping at EOS/BOS). Resets the session's
     /// context first; use [`Session::append_generate`] for multi-turn
@@ -248,8 +258,8 @@ impl Session {
         prompt: &str,
         max_new_tokens: usize,
     ) -> Result<InferenceReport, RuntimeError> {
-        self.engine.reset();
-        self.run_turn(prompt, max_new_tokens)
+        self.seq.reset();
+        self.append_generate(prompt, max_new_tokens)
     }
 
     /// Continues the conversation **without resetting the KV cache**: the
@@ -262,16 +272,8 @@ impl Session {
         prompt: &str,
         max_new_tokens: usize,
     ) -> Result<InferenceReport, RuntimeError> {
-        self.run_turn(prompt, max_new_tokens)
-    }
-
-    fn run_turn(
-        &mut self,
-        prompt: &str,
-        max_new_tokens: usize,
-    ) -> Result<InferenceReport, RuntimeError> {
         let seq_len = self.engine.graph().config.seq_len;
-        let start = self.engine.context_len();
+        let start = self.seq.len();
         let prompt_tokens = self.tokenizer.encode(prompt, start == 0, false);
         if start + prompt_tokens.len() > seq_len {
             return Err(RuntimeError::PromptTooLong {
@@ -279,7 +281,6 @@ impl Session {
                 seq_len,
             });
         }
-
         if prompt_tokens.is_empty() {
             return Err(RuntimeError::EmptyPrompt);
         }
@@ -304,7 +305,7 @@ impl Session {
         let group = 64 / chunk * chunk;
         let mut pos0 = start;
         for tokens in prompt_tokens.chunks(group) {
-            logits = self.engine.execute_default(tokens, scored);
+            logits = self.extend(tokens, scored);
             let group_end = pos0 + tokens.len();
             while pos0 < group_end {
                 let end = (pos0 + chunk).min(group_end);
@@ -338,7 +339,7 @@ impl Session {
             // same pass either way.
             let last = generated.len() == max_new_tokens || pos + 1 == seq_len;
             let rows = if last { LogitRows::None } else { scored };
-            logits = self.engine.execute_default(&[next], rows);
+            logits = self.extend(&[next], rows);
             let (cycles, pass) = self.engine.time(&[pos]);
             tel::metrics::observe("accel.decode_token_cycles", cycles.0);
             decode_cycles += cycles;
@@ -377,10 +378,18 @@ impl Session {
         })
     }
 
-    /// Runs only the forward pass for `token` at `pos` (low-level access
-    /// used by the equivalence tests).
-    pub fn step(&mut self, token: u32, pos: usize) -> crate::engine::StepResult {
-        self.engine.decode_step(token, pos)
+    /// Values of a pass extending the sequence by `tokens`; the caller charges [`Engine::time`].
+    fn extend(&mut self, tokens: &[u32], rows: LogitRows) -> Vec<f32> {
+        let mut logits = self.engine.execute(&mut [&mut self.seq], &[tokens], rows);
+        logits.pop().unwrap_or_default()
+    }
+
+    /// One decode pass that extends the session's sequence by `token`,
+    /// values and cost (low-level access: perplexity scoring, traces).
+    pub fn step(&mut self, token: u32) -> StepResult {
+        let seqs = &mut [&mut self.seq];
+        let (_, step) = self.engine.forward_runs(seqs, &[&[token]], LogitRows::Last);
+        step
     }
 }
 
@@ -506,14 +515,14 @@ mod tests {
         let sys = system(OptConfig::full());
         let mut s = sys.session(SamplerKind::Argmax, 0);
         let first = s.generate("hello", 4).unwrap();
-        let ctx_after_first = s.engine().context_len();
+        let ctx_after_first = s.context_len();
         assert_eq!(
             ctx_after_first,
             first.output.prompt_tokens.len() + first.output.generated_tokens.len()
         );
         let second = s.append_generate("more", 4).unwrap();
         // Context grew past the first turn instead of resetting.
-        assert!(s.engine().context_len() > ctx_after_first);
+        assert!(s.context_len() > ctx_after_first);
         // Second turn's prompt has no BOS (context not empty).
         assert_ne!(second.output.prompt_tokens.first(), Some(&1u32));
         // Multi-turn runs are deterministic: replaying the same two turns
@@ -557,14 +566,14 @@ mod tests {
         let sys = system(OptConfig::full());
         let mut s = sys.session(SamplerKind::Argmax, 0);
         s.generate("hello", 2).unwrap();
-        let ctx = s.engine().context_len();
+        let ctx = s.context_len();
         // No BOS on a non-empty context, so "" is zero tokens: nothing to
         // prefill and no logits to sample.
         assert!(matches!(
             s.append_generate("", 4),
             Err(RuntimeError::EmptyPrompt)
         ));
-        assert_eq!(s.engine().context_len(), ctx, "engine must stay untouched");
+        assert_eq!(s.context_len(), ctx, "the sequence must stay untouched");
         // On an empty context the same prompt is just BOS, and runs.
         assert!(s.generate("", 2).is_ok());
     }
@@ -582,20 +591,26 @@ mod tests {
         unreachable!()
     }
 
-    /// One turn on a bare engine the way the device runs it: one
-    /// `prefill_chunk` pass per `chunk` prompt tokens, then `decode_step`s.
+    /// One turn on a bare engine the way the device runs it, extending
+    /// `seq`: one pass per `chunk` prompt tokens, then one per token.
     fn explicit_turn(
         engine: &mut Engine,
+        seq: &mut SeqKv,
         sampler: &mut Sampler,
         prompt: &[u32],
         chunk: usize,
         max_new: usize,
     ) -> (Cycles, Cycles, Vec<Cycles>, SimStats, Vec<u32>) {
+        let mut pass = |tokens: &[u32]| {
+            engine
+                .forward_runs(&mut [&mut *seq], &[tokens], LogitRows::Last)
+                .1
+        };
         let mut stats = SimStats::default();
         let mut prefill = Cycles::ZERO;
         let mut logits = Vec::new();
         for tokens in prompt.chunks(chunk) {
-            let step = engine.prefill_chunk(tokens, engine.context_len());
+            let step = pass(tokens);
             prefill += step.cycles;
             stats.accumulate(&step.stats);
             logits = step.logits;
@@ -607,7 +622,7 @@ mod tests {
                 break;
             }
             generated.push(next);
-            let step = engine.decode_step(next, engine.context_len());
+            let step = pass(&[next]);
             decode += step.cycles;
             per_token.push(step.cycles);
             stats.accumulate(&step.stats);
@@ -640,6 +655,7 @@ mod tests {
                     let mut engine =
                         Engine::with_config(Arc::clone(sys.weights()), opt, *sys.accel_config())
                             .unwrap();
+                    let mut seq = engine.kv_space().new_seq();
                     let mut sampler = Sampler::new(kind, 7);
                     let turns = [
                         (prompt_of(sys.tokenizer(), n, true), true),
@@ -654,7 +670,7 @@ mod tests {
                         .unwrap();
                         let tokens = sys.tokenizer().encode(&prompt, first, false);
                         let (prefill, decode, per_token, stats, generated) =
-                            explicit_turn(&mut engine, &mut sampler, &tokens, chunk, 3);
+                            explicit_turn(&mut engine, &mut seq, &mut sampler, &tokens, chunk, 3);
                         let at = format!(
                             "{} chunk {chunk} prompt {n} first {first}",
                             opt.short_name()
@@ -674,13 +690,13 @@ mod tests {
 
     /// One `generate` and one `append_generate` of a plain argmax session,
     /// which scores greedy rows, against the explicit chunk loop, which
-    /// samples the full rows of `prefill_chunk`/`decode_step`: the reports
-    /// agree field for field.
+    /// samples full `Last` rows: the reports agree field for field.
     fn assert_argmax_turns_match(sys: &AcceleratedLlm, chunk: usize, n: usize, max_new: usize) {
         let (kind, opt) = (SamplerKind::Argmax, *sys.opt());
         let mut session = sys.session(kind, 7);
         let mut engine =
             Engine::with_config(Arc::clone(sys.weights()), opt, *sys.accel_config()).unwrap();
+        let mut seq = engine.kv_space().new_seq();
         let mut sampler = Sampler::new(kind, 7);
         let turns = [
             (prompt_of(sys.tokenizer(), n, true), true),
@@ -695,7 +711,7 @@ mod tests {
             .unwrap();
             let tokens = sys.tokenizer().encode(&prompt, first, false);
             let (prefill, decode, per_token, stats, generated) =
-                explicit_turn(&mut engine, &mut sampler, &tokens, chunk, max_new);
+                explicit_turn(&mut engine, &mut seq, &mut sampler, &tokens, chunk, max_new);
             let at = format!(
                 "{} chunk {chunk} prompt {n} first {first}",
                 opt.short_name()
@@ -736,6 +752,30 @@ mod tests {
             AcceleratedLlm::synthetic(ModelConfig::stories15m(), 42, OptConfig::full()).unwrap();
         sys.set_prefill_chunk(4);
         assert_argmax_turns_match(&sys, 4, 14, 8);
+    }
+
+    /// A pass that panics — here on an out-of-vocab token — leaves the
+    /// session whole: its next `generate` reports what a fresh session's
+    /// does.
+    #[test]
+    fn a_panicking_step_leaves_the_session_usable() {
+        let sys = system(OptConfig::full());
+        let kind = SamplerKind::Temperature(0.8);
+        let mut s = sys.session(kind, 7);
+        s.step(5);
+        let vocab = sys.config().vocab_size as u32;
+        let hit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| s.step(vocab)));
+        assert!(hit.is_err(), "an out-of-vocab token must panic");
+        assert_eq!(s.context_len(), 1, "the failed pass stored nothing");
+        let got = s.generate("once upon", 6).unwrap();
+        let want = sys.session(kind, 7).generate("once upon", 6).unwrap();
+        assert_eq!(got.output.prompt_tokens, want.output.prompt_tokens);
+        assert_eq!(got.output.generated_tokens, want.output.generated_tokens);
+        assert_eq!(got.prefill_cycles, want.prefill_cycles);
+        assert_eq!(got.decode_cycles, want.decode_cycles);
+        assert_eq!(got.per_token_cycles, want.per_token_cycles);
+        assert_eq!(got.stats, want.stats);
+        assert_eq!(got.energy, want.energy);
     }
 
     #[test]

@@ -151,7 +151,7 @@ fn print_ablation() {
         mode: ArrivalMode::Open {
             mean_interarrival: 4,
         },
-        ..lcfg.clone()
+        ..lcfg
     };
     let mut digests = Vec::new();
     for policy in [Policy::Prefix, Policy::LeastLoaded, Policy::RoundRobin] {

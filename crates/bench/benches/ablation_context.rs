@@ -5,34 +5,46 @@
 //! traffic saving is exact — both are printed. The harness then measures a
 //! long-context decode step.
 
-use speedllm_accel::engine::{AccelConfig, Engine};
+use speedllm_accel::engine::{AccelConfig, Engine, StepResult};
 use speedllm_accel::opt::OptConfig;
 use speedllm_bench::harness::Runner;
 use speedllm_fpga_sim::mpe::Precision;
 use speedllm_llama::config::ModelConfig;
+use speedllm_llama::forward::LogitRows;
 use speedllm_llama::resident::{IntoResident, ResidentWeights};
 use speedllm_llama::weights::TransformerWeights;
 use speedllm_llama::QuantMode;
+use speedllm_pagedkv::SeqKv;
 use std::hint::black_box;
 use std::sync::Arc;
 
-fn build(kv: Precision, weights: &Arc<ResidentWeights>) -> Engine {
+/// An engine at KV precision `kv`, with one empty sequence.
+fn build(kv: Precision, weights: &Arc<ResidentWeights>) -> (Engine, SeqKv) {
     let mut cfg = AccelConfig::for_opt(&OptConfig::full());
     cfg.kv_precision = kv;
-    Engine::with_config(Arc::clone(weights), OptConfig::full(), cfg).unwrap()
+    let engine = Engine::with_config(Arc::clone(weights), OptConfig::full(), cfg).unwrap();
+    let seq = engine.kv_space().new_seq();
+    (engine, seq)
+}
+
+/// One decode pass of `token` extending `seq`.
+fn step(engine: &mut Engine, seq: &mut SeqKv, token: u32) -> StepResult {
+    engine
+        .forward_runs(&mut [seq], &[&[token]], LogitRows::Last)
+        .1
 }
 
 fn print_sweep() {
     println!("--- decode cost vs context length (stories15M, seq 256) ---");
     let weights =
         TransformerWeights::synthetic(ModelConfig::stories15m(), 42).into_resident(QuantMode::F32);
-    let mut f32kv = build(Precision::Fp32, &weights);
-    let mut i8kv = build(Precision::Int8, &weights);
+    let (mut f32kv, mut f32seq) = build(Precision::Fp32, &weights);
+    let (mut i8kv, mut i8seq) = build(Precision::Int8, &weights);
     let checkpoints = [0usize, 64, 128, 255];
     let mut next = 0usize;
     for pos in 0..=255 {
-        let a = f32kv.decode_step(1 + (pos % 100) as u32, pos);
-        let b = i8kv.decode_step(1 + (pos % 100) as u32, pos);
+        let a = step(&mut f32kv, &mut f32seq, 1 + (pos % 100) as u32);
+        let b = step(&mut i8kv, &mut i8seq, 1 + (pos % 100) as u32);
         if next < checkpoints.len() && pos == checkpoints[next] {
             println!(
                 "ctx {pos:>3}: f32-KV {:>6} cyc, {:>9} B read | int8-KV {:>6} cyc, {:>9} B read ({:.2}x time, {:.2}x bytes)",
@@ -54,22 +66,19 @@ fn bench_long_context(c: &mut Runner) {
     let weights =
         TransformerWeights::synthetic(ModelConfig::stories260k(), 42).into_resident(QuantMode::F32);
     for (name, kv) in [("f32", Precision::Fp32), ("int8", Precision::Int8)] {
-        let mut engine = build(kv, &weights);
-        for pos in 0..256 {
-            engine.decode_step(1, pos);
+        let (mut engine, mut seq) = build(kv, &weights);
+        for _ in 0..256 {
+            step(&mut engine, &mut seq, 1);
         }
-        let mut pos = 256usize;
         c.bench_function(&format!("ablation/decode_ctx256_kv_{name}"), |b| {
             b.iter(|| {
-                let r = engine.decode_step(black_box(3), pos);
-                pos += 1;
-                if pos >= 500 {
+                let r = step(&mut engine, &mut seq, black_box(3));
+                if seq.len() >= 500 {
                     // Reset and refill to the measurement window.
-                    engine.reset();
-                    for p in 0..256 {
-                        engine.decode_step(1, p);
+                    seq.reset();
+                    for _ in 0..256 {
+                        step(&mut engine, &mut seq, 1);
                     }
-                    pos = 256;
                 }
                 black_box(r.cycles)
             })

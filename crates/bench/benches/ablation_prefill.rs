@@ -6,6 +6,7 @@ use speedllm_accel::engine::{AccelConfig, Engine};
 use speedllm_accel::opt::OptConfig;
 use speedllm_bench::harness::Runner;
 use speedllm_llama::config::ModelConfig;
+use speedllm_llama::forward::LogitRows;
 use speedllm_llama::resident::IntoResident;
 use speedllm_llama::weights::TransformerWeights;
 use speedllm_llama::QuantMode;
@@ -25,15 +26,13 @@ fn print_ablation() {
             AccelConfig::for_opt(&OptConfig::full()),
         )
         .unwrap();
+        let mut seq = engine.kv_space().new_seq();
         let mut cycles = 0u64;
         let mut reads = 0u64;
-        let mut pos = 0usize;
-        while pos < tokens.len() {
-            let end = (pos + chunk).min(tokens.len());
-            let r = engine.prefill_chunk(&tokens[pos..end], pos);
+        for run in tokens.chunks(chunk) {
+            let (_, r) = engine.forward_runs(&mut [&mut seq], &[run], LogitRows::Last);
             cycles += r.cycles.0;
             reads += r.stats.hbm.read_bytes;
-            pos = end;
         }
         if chunk == 1 {
             base_cycles = cycles;
@@ -53,18 +52,15 @@ fn bench_prefill(c: &mut Runner) {
     let tokens: Vec<u32> = (0..16).map(|i| 5 + i as u32).collect();
     for chunk in [1usize, 16] {
         let mut engine = Engine::new(Arc::clone(&weights), OptConfig::full()).unwrap();
+        let mut seq = engine.kv_space().new_seq();
         c.bench_function(&format!("ablation/prefill_chunk_{chunk}"), |b| {
             b.iter(|| {
-                engine.reset();
-                let mut pos = 0usize;
+                seq.reset();
                 let mut total = 0u64;
-                while pos < tokens.len() {
-                    let end = (pos + chunk).min(tokens.len());
-                    total += engine
-                        .prefill_chunk(black_box(&tokens[pos..end]), pos)
-                        .cycles
-                        .0;
-                    pos = end;
+                for run in tokens.chunks(chunk) {
+                    let (_, r) =
+                        engine.forward_runs(&mut [&mut seq], &[black_box(run)], LogitRows::Last);
+                    total += r.cycles.0;
                 }
                 black_box(total)
             })

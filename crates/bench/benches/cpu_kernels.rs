@@ -8,14 +8,17 @@
 //!
 //! The `cpu/cores_*` rows time the walk's GEMMs serial (`serial`) and with
 //! their rows split over both host cores (`two`, `llama::cores`): f32 in
-//! kernel order, the split-order vocab screen and int8, on the FFN and
-//! classifier shapes at widths 1, 4 and 16, and square f32 GEMMs at width
-//! 1 around the smallest size worth splitting.
+//! kernel order, f32 in split order (`exact`, the vocab table's exact
+//! GEMM, on the same shapes as the kernel-order rows), the split-order
+//! vocab screen and int8, on the FFN and classifier shapes at widths 1, 4
+//! and 16, and square f32 GEMMs at width 1 around the smallest size worth
+//! splitting.
 
 use speedllm_bench::harness::Runner;
 use speedllm_llama::config::ModelConfig;
 use speedllm_llama::cores::{with_cores, Buffers, Gemm};
 use speedllm_llama::forward::Transformer;
+use speedllm_llama::kv_cache::KvCache;
 use speedllm_llama::ops;
 use speedllm_llama::qgemm::{qmatmul, qmatvec};
 use speedllm_llama::quant::{QuantKind, QuantMatrix};
@@ -148,11 +151,14 @@ fn bench_kernels(c: &mut Runner) {
     // bench loops in CI).
     let weights = TransformerWeights::synthetic(ModelConfig::stories260k(), 42);
     let mut model = Transformer::new(weights);
-    let mut pos = 0usize;
+    let mut kv = KvCache::new(model.config());
     c.bench_function("cpu/forward_260k_serial", |b| {
         b.iter(|| {
-            let l = model.forward(black_box(3), pos % 500);
-            pos += 1;
+            if kv.len() == 500 {
+                kv.reset();
+            }
+            let pos = kv.len();
+            let l = model.forward_with_kv(&mut kv, black_box(3), pos);
             black_box(l[0])
         })
     });
@@ -200,6 +206,7 @@ fn bench_cores(c: &mut Runner) {
         ops::to_split_order(&mut split, rows, cols);
         let gemms = [
             ("f32", Gemm::KernelOrder(&kernel, cols), rows * cols * 4),
+            ("exact", Gemm::SplitExact(&split, cols), rows * cols * 4),
             ("screen", Gemm::SplitScreen(&split, cols), rows * cols * 2),
             ("int8", Gemm::Quant(&int8), int8.bytes()),
         ];

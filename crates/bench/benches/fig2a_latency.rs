@@ -3,10 +3,13 @@
 //! startup — that is the figure's data; the timed samples measure the
 //! simulator's own host-side throughput for regression tracking.
 
+use speedllm_accel::engine::Engine;
 use speedllm_accel::opt::OptConfig;
 use speedllm_bench::harness::Runner;
-use speedllm_bench::{fig2a_workloads, headline_preset, run_paper_variants, SAMPLER, SEED};
+use speedllm_bench::{fig2a_workloads, headline_preset, run_paper_variants, SEED};
 use speedllm_llama::config::ModelConfig;
+use speedllm_llama::forward::LogitRows;
+use speedllm_llama::weights::TransformerWeights;
 use std::hint::black_box;
 
 fn print_figure_series() {
@@ -33,26 +36,24 @@ fn bench_decode_step(c: &mut Runner) {
     for (name, opt) in OptConfig::paper_variants() {
         c.set_meta("variant", name);
         let mut group = c.benchmark_group("fig2a/decode_step");
-        let system = speedllm_accel::runtime::AcceleratedLlm::synthetic(
-            ModelConfig::stories260k(),
-            SEED,
-            opt,
-        )
-        .unwrap();
-        let mut session = system.session(SAMPLER, SEED);
+        let weights = TransformerWeights::synthetic(ModelConfig::stories260k(), SEED);
+        let mut engine = Engine::new(weights, opt).unwrap();
+        let mut seq = engine.kv_space().new_seq();
+        // One decode pass; the context starts over at 500 positions.
+        let mut step = |token: u32| {
+            let (_, r) = engine.forward_runs(&mut [&mut seq], &[&[token]], LogitRows::Last);
+            if seq.len() >= 500 {
+                seq.reset();
+            }
+            r
+        };
         // Warm the context so attention has work to do.
-        for pos in 0..4 {
-            session.step(1 + pos as u32, pos);
+        for tok in 1..5 {
+            step(tok);
         }
-        let mut pos = 4usize;
         group.bench_function(name, |b| {
             b.iter(|| {
-                let r = session.step(black_box(7), pos);
-                pos += 1;
-                if pos >= 500 {
-                    session.engine_mut().reset();
-                    pos = 0;
-                }
+                let r = step(black_box(7));
                 black_box(r.cycles)
             })
         });

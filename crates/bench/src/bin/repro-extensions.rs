@@ -32,15 +32,13 @@ fn main() {
     let mut base = 0u64;
     for chunk in [1usize, 4, 8, 16, 32] {
         let mut engine = Engine::new(Arc::clone(&weights), OptConfig::full()).unwrap();
+        let mut seq = engine.kv_space().new_seq();
         let mut cycles = 0u64;
         let mut read = 0u64;
-        let mut pos = 0usize;
-        while pos < tokens.len() {
-            let end = (pos + chunk).min(tokens.len());
-            let r = engine.prefill_chunk(&tokens[pos..end], pos);
+        for run in tokens.chunks(chunk) {
+            let (_, r) = engine.forward_runs(&mut [&mut seq], &[run], LogitRows::Last);
             cycles += r.cycles.0;
             read += r.stats.hbm.read_bytes;
-            pos = end;
         }
         if chunk == 1 {
             base = cycles;
@@ -87,9 +85,15 @@ fn main() {
         acfg.kv_precision = kv;
         let mut engine =
             Engine::with_config(Arc::clone(&weights), OptConfig::full(), acfg).unwrap();
+        let mut seq = engine.kv_space().new_seq();
         let mut last = None;
-        for pos in 0..=255 {
-            last = Some(engine.decode_step(1 + (pos % 99) as u32, pos));
+        for pos in 0..=255u32 {
+            let run: &[u32] = &[1 + pos % 99];
+            last = Some(
+                engine
+                    .forward_runs(&mut [&mut seq], &[run], LogitRows::Last)
+                    .1,
+            );
         }
         let r = last.unwrap();
         table.row(vec![
@@ -112,7 +116,8 @@ fn main() {
         ("int8", OptConfig::full_int8(), &int8_weights),
     ] {
         let mut engine = Engine::new(Arc::clone(weights), opt).unwrap();
-        let r = engine.decode_step(1, 0);
+        let mut seq = engine.kv_space().new_seq();
+        let (_, r) = engine.forward_runs(&mut [&mut seq], &[&[1]], LogitRows::Last);
         table.row(vec![
             name.into(),
             r.cycles.0.to_string(),

@@ -150,8 +150,8 @@ fn normalize_bool_flags(mut argv: Vec<String>, bools: &[&str]) -> Vec<String> {
     while i < argv.len() {
         let is_bool = argv[i]
             .strip_prefix("--")
-            .map_or(false, |k| bools.contains(&k));
-        if is_bool && argv.get(i + 1).map_or(true, |v| v.starts_with("--")) {
+            .is_some_and(|k| bools.contains(&k));
+        if is_bool && argv.get(i + 1).is_none_or(|v| v.starts_with("--")) {
             argv.insert(i + 1, "1".into());
         }
         i += 1;
@@ -446,10 +446,10 @@ fn cmd_trace(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let width = args.get_usize("width", 100)?;
     let system = AcceleratedLlm::synthetic(preset, args.get_u64("seed", 42)?, opt)?;
     let mut session = system.session(speedllm_llama::sampler::SamplerKind::Argmax, 0);
-    session.step(1, 0);
-    session.step(2, 1);
+    session.step(1);
+    session.step(2);
     session.engine_mut().capture_trace(8192);
-    let r = session.step(3, 2);
+    let r = session.step(3);
     let trace = session.engine_mut().take_trace().expect("trace");
     println!(
         "one decode step, variant {}: {} cycles",
@@ -534,7 +534,7 @@ fn cmd_eval(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             let sys =
                 AcceleratedLlm::new(weights, Tokenizer::synthetic(preset.vocab_size, seed), opt)?;
             let mut session = sys.session(speedllm_llama::sampler::SamplerKind::Argmax, 0);
-            let r = evaluate_with(preset.vocab_size, &tokens, |t, p| session.step(t, p).logits);
+            let r = evaluate_with(preset.vocab_size, &tokens, |t, _| session.step(t).logits);
             accel.push((mode, accel_name.to_string(), r));
         }
     }

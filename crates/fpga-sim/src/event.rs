@@ -1,18 +1,11 @@
 //! Discrete-event scheduling primitives.
 //!
-//! The accelerator's pipeline model is built on two small pieces:
-//!
-//! * [`Timeline`] — per-resource busy-until tracking. Scheduling a segment
-//!   on a resource starts it at `max(ready, resource_free)` and returns the
-//!   occupied [`Span`]. Composing spans expresses both the *sequential*
-//!   read–compute–write iteration (all stages on one resource) and the
-//!   *streamed* iteration (stages on dedicated resources, overlapping).
-//! * [`EventQueue`] — a classic time-ordered event heap, used where pure
-//!   span composition is not enough (e.g. modelling asynchronous host
-//!   completions) and by tests as an ordering oracle.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! The accelerator's pipeline model is built on [`Timeline`]: per-resource
+//! busy-until tracking. Scheduling a segment on a resource starts it at
+//! `max(ready, resource_free)` and returns the occupied [`Span`].
+//! Composing spans expresses both the *sequential* read–compute–write
+//! iteration (all stages on one resource) and the *streamed* iteration
+//! (stages on dedicated resources, overlapping).
 
 use crate::cycles::Cycles;
 
@@ -109,66 +102,6 @@ impl Timeline {
     }
 }
 
-/// A time-ordered event queue. Events with equal timestamps dequeue in
-/// insertion order (stable), which keeps simulations deterministic.
-#[derive(Debug, Clone)]
-pub struct EventQueue<T> {
-    heap: BinaryHeap<Reverse<(Cycles, u64, usize)>>,
-    payloads: Vec<Option<T>>,
-    seq: u64,
-}
-
-impl<T> Default for EventQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> EventQueue<T> {
-    /// Creates an empty queue.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            heap: BinaryHeap::new(),
-            payloads: Vec::new(),
-            seq: 0,
-        }
-    }
-
-    /// Schedules `payload` at time `t`.
-    pub fn push(&mut self, t: Cycles, payload: T) {
-        let idx = self.payloads.len();
-        self.payloads.push(Some(payload));
-        self.heap.push(Reverse((t, self.seq, idx)));
-        self.seq += 1;
-    }
-
-    /// Removes and returns the earliest event.
-    pub fn pop(&mut self) -> Option<(Cycles, T)> {
-        let Reverse((t, _, idx)) = self.heap.pop()?;
-        let payload = self.payloads[idx].take().expect("payload taken twice");
-        Some((t, payload))
-    }
-
-    /// Timestamp of the next event without removing it.
-    #[must_use]
-    pub fn peek_time(&self) -> Option<Cycles> {
-        self.heap.peek().map(|Reverse((t, _, _))| *t)
-    }
-
-    /// Number of pending events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no events are pending.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,37 +168,5 @@ mod tests {
         let c2 = tl.schedule(comp, r2.end.max(c1.end), Cycles(10));
         assert_eq!(r2.start, Cycles(10), "tile-2 read overlaps tile-1 compute");
         assert_eq!(c2.end, Cycles(30), "steady state: one stage per 10 cycles");
-    }
-
-    #[test]
-    fn event_queue_orders_by_time() {
-        let mut q = EventQueue::new();
-        q.push(Cycles(30), "c");
-        q.push(Cycles(10), "a");
-        q.push(Cycles(20), "b");
-        assert_eq!(q.peek_time(), Some(Cycles(10)));
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
-        assert_eq!(order, vec!["a", "b", "c"]);
-    }
-
-    #[test]
-    fn event_queue_ties_are_fifo() {
-        let mut q = EventQueue::new();
-        for i in 0..10 {
-            q.push(Cycles(5), i);
-        }
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
-        assert_eq!(order, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn event_queue_len_tracks() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        assert!(q.is_empty());
-        q.push(Cycles(1), ());
-        q.push(Cycles(2), ());
-        assert_eq!(q.len(), 2);
-        q.pop();
-        assert_eq!(q.len(), 1);
     }
 }

@@ -8,6 +8,7 @@
 //! relative perplexity degradation is meaningful even on synthetic models.
 
 use crate::forward::Transformer;
+use crate::kv_cache::KvCache;
 use crate::ops::softmax;
 
 /// Accumulated evaluation result.
@@ -43,8 +44,8 @@ impl EvalResult {
 }
 
 /// Scores `tokens` with the reference transformer: for each position `i`,
-/// the model predicts token `i+1`. The transformer is reset first; the
-/// stream must fit the context window.
+/// the model predicts token `i+1`, over a sequence of its own; the stream
+/// must fit the context window.
 ///
 /// # Panics
 /// Panics if fewer than two tokens are supplied or the stream exceeds the
@@ -57,7 +58,7 @@ pub fn evaluate_reference(model: &mut Transformer, tokens: &[u32]) -> EvalResult
         tokens.len(),
         model.config().seq_len
     );
-    model.reset();
+    let mut kv = KvCache::new(model.config());
     let mut result = EvalResult {
         tokens: 0,
         nll: 0.0,
@@ -65,7 +66,7 @@ pub fn evaluate_reference(model: &mut Transformer, tokens: &[u32]) -> EvalResult
     let mut probs: Vec<f32> = Vec::new();
     for (pos, window) in tokens.windows(2).enumerate() {
         let (current, next) = (window[0], window[1]);
-        let logits = model.forward(current, pos);
+        let logits = model.forward_with_kv(&mut kv, current, pos);
         probs.clear();
         probs.extend_from_slice(logits);
         softmax(&mut probs);
@@ -149,7 +150,10 @@ mod tests {
         let mut m1 = model();
         let want = evaluate_reference(&mut m1, &tokens);
         let mut m2 = model();
-        let got = evaluate_with(64, &tokens, |t, p| m2.forward(t, p).to_vec());
+        let mut kv = KvCache::new(m2.config());
+        let got = evaluate_with(64, &tokens, |t, p| {
+            m2.forward_with_kv(&mut kv, t, p).to_vec()
+        });
         assert_eq!(want.tokens, got.tokens);
         assert!((want.nll - got.nll).abs() < 1e-9);
     }

@@ -84,11 +84,10 @@ impl LogitRows {
 /// [`ops::matmul`] output sense (`[out_rows][batch]`); its contents are
 /// scattered back to token-row-major immediately after each matmul.
 ///
-/// Opaque outside this module: a caller of
-/// [`Transformer::forward_runs_into`] owns one as `Option<BatchState>`
-/// (start with `None`) and the walk allocates and grows it.
+/// A model allocates one on its first pass and grows it to the widest
+/// pass since.
 #[derive(Debug, Clone)]
-pub struct BatchState {
+struct BatchState {
     /// Allocated row capacity; buffers are sized for this many token rows.
     capacity: usize,
     /// Residual streams, `[capacity * dim]`.
@@ -195,15 +194,14 @@ fn run_matmul<'w>(
     scatter_to_seq(&mut dst[..batch * rows], out, rows, batch);
 }
 
-/// A transformer with its weights, KV cache, and scratch state: everything
-/// needed to decode token-by-token.
+/// A transformer: its weights and the layer walk's scratch. It owns no
+/// sequence — every pass reads and extends KV stores its caller owns.
 pub struct Transformer {
     /// Shared with whatever else runs this model at this precision.
     weights: Arc<ResidentWeights>,
     /// Layer-walk scratch, allocated on the first forward call and grown
     /// to the largest row count seen since.
     batch: Option<BatchState>,
-    kv: KvCache,
 }
 
 impl Transformer {
@@ -218,7 +216,6 @@ impl Transformer {
     #[must_use]
     pub fn with_weights(weights: Arc<ResidentWeights>) -> Self {
         Self {
-            kv: KvCache::new(weights.config()),
             weights,
             batch: None,
         }
@@ -264,40 +261,9 @@ impl Transformer {
         &self.weights
     }
 
-    /// Current context length (positions already decoded).
-    #[must_use]
-    pub fn context_len(&self) -> usize {
-        self.kv.len()
-    }
-
-    /// Clears the KV cache to start a fresh sequence.
-    pub fn reset(&mut self) {
-        self.kv.reset();
-    }
-
-    /// Runs one decode step: processes `token` at position `pos` through the
-    /// transformer's own KV cache and returns the logits over the
-    /// vocabulary — the one-row run of [`Transformer::forward_runs`].
-    ///
-    /// # Panics
-    /// Panics if `pos` is outside the model's context window or `token` is
-    /// out of vocabulary.
-    pub fn forward(&mut self, token: u32, pos: usize) -> &[f32] {
-        Self::forward_runs_into(
-            &self.weights,
-            &mut self.batch,
-            [&mut self.kv].as_mut_slice(),
-            &[token],
-            &[1],
-            &[pos],
-            LogitRows::Last,
-        )
-    }
-
-    /// Runs one decode step against an **external** [`KvCache`] instead of
-    /// the transformer's own — a pooled cache, or a draft model's. The
-    /// internal cache is untouched. Same one-row run as
-    /// [`Transformer::forward`], so both produce bit-identical logits.
+    /// Runs one decode step: processes `token` at position `pos` of the
+    /// sequence `kv` holds and returns the logits over the vocabulary —
+    /// the one-row run of [`Transformer::forward_runs`].
     ///
     /// # Panics
     /// Panics if `pos` is outside the context window or past `kv`'s
@@ -365,36 +331,7 @@ impl Transformer {
         starts: &[usize],
         logit_rows: LogitRows,
     ) -> &[f32] {
-        Self::forward_runs_into(
-            &self.weights,
-            &mut self.batch,
-            kv,
-            tokens,
-            counts,
-            starts,
-            logit_rows,
-        )
-    }
-
-    /// [`Transformer::forward_runs`] over explicit parts, so
-    /// [`Transformer::forward`] can lend out its own KV cache beside the
-    /// shared scratch — and so a caller that shares the weights by `Arc`
-    /// (the accelerator engine) runs this same walk without owning a
-    /// `Transformer`: each dense projection is one GEMM over every token
-    /// row of every run, and everything per-token runs on that row's
-    /// slice of the row-major scratch.
-    ///
-    /// # Panics
-    /// Panics exactly where [`Transformer::forward_runs`] does.
-    pub fn forward_runs_into<'s, B: KvBatch + ?Sized>(
-        weights: &ResidentWeights,
-        scratch: &'s mut Option<BatchState>,
-        kv: &mut B,
-        tokens: &[u32],
-        counts: &[usize],
-        starts: &[usize],
-        logit_rows: LogitRows,
-    ) -> &'s [f32] {
+        let (weights, scratch) = (&*self.weights, &mut self.batch);
         let c = *weights.config();
         let rows = tokens.len();
         let n_seqs = counts.len();
@@ -651,10 +588,15 @@ mod tests {
         Transformer::new(TransformerWeights::synthetic(ModelConfig::test_tiny(), 42))
     }
 
+    /// An empty cache for `t`'s sequences.
+    fn cache(t: &Transformer) -> KvCache {
+        KvCache::new(t.config())
+    }
+
     #[test]
     fn forward_produces_finite_logits() {
         let mut t = model();
-        let logits = t.forward(5, 0);
+        let logits = t.forward_with_kv(&mut cache(&t), 5, 0);
         assert_eq!(logits.len(), 64);
         assert!(logits.iter().all(|x| x.is_finite()));
         assert!(logits.iter().any(|&x| x != 0.0));
@@ -662,11 +604,11 @@ mod tests {
 
     #[test]
     fn forward_is_deterministic() {
-        let mut a = model();
-        let mut b = model();
+        let (mut a, mut b) = (model(), model());
+        let (mut ka, mut kb) = (cache(&a), cache(&b));
         for pos in 0..4 {
-            let la = a.forward(pos as u32 + 1, pos).to_vec();
-            let lb = b.forward(pos as u32 + 1, pos).to_vec();
+            let la = a.forward_with_kv(&mut ka, pos as u32 + 1, pos).to_vec();
+            let lb = b.forward_with_kv(&mut kb, pos as u32 + 1, pos).to_vec();
             assert_eq!(la, lb);
         }
     }
@@ -674,28 +616,28 @@ mod tests {
     #[test]
     fn logits_depend_on_history() {
         // Same token at pos 1 after different pos-0 tokens must differ.
-        let mut a = model();
-        let mut b = model();
-        a.forward(1, 0);
-        b.forward(2, 0);
-        let la = a.forward(3, 1).to_vec();
-        let lb = b.forward(3, 1).to_vec();
+        let mut t = model();
+        let (mut ka, mut kb) = (cache(&t), cache(&t));
+        t.forward_with_kv(&mut ka, 1, 0);
+        t.forward_with_kv(&mut kb, 2, 0);
+        let la = t.forward_with_kv(&mut ka, 3, 1).to_vec();
+        let lb = t.forward_with_kv(&mut kb, 3, 1).to_vec();
         assert_ne!(la, lb);
     }
 
     #[test]
     fn reset_restores_initial_behavior() {
         let mut t = model();
-        let first = t.forward(7, 0).to_vec();
-        t.forward(9, 1);
-        t.reset();
-        let again = t.forward(7, 0).to_vec();
+        let mut kv = cache(&t);
+        let first = t.forward_with_kv(&mut kv, 7, 0).to_vec();
+        t.forward_with_kv(&mut kv, 9, 1);
+        kv.reset();
+        let again = t.forward_with_kv(&mut kv, 7, 0).to_vec();
         assert_eq!(first, again);
     }
 
     #[test]
     fn batched_forward_is_bit_identical_to_sequential() {
-        use crate::kv_cache::KvCache;
         let cfg = ModelConfig::test_tiny();
         for n in [1usize, 2, 5] {
             let weights = TransformerWeights::synthetic(cfg, 7);
@@ -737,7 +679,6 @@ mod tests {
 
     #[test]
     fn quantized_batched_forward_is_bit_identical_to_sequential() {
-        use crate::kv_cache::KvCache;
         let cfg = ModelConfig::test_tiny();
         for mode in [QuantMode::Int8, QuantMode::Int4] {
             for n in [1usize, 3, 5] {
@@ -777,9 +718,14 @@ mod tests {
         let mut exact = Transformer::new(weights.clone());
         let mut quant = Transformer::new(weights);
         quant.set_quant_mode(QuantMode::Int8);
+        let (mut ke, mut kq) = (cache(&exact), cache(&quant));
         for pos in 0..4 {
-            let want = exact.forward((pos as u32 * 3) % 64, pos).to_vec();
-            let got = quant.forward((pos as u32 * 3) % 64, pos).to_vec();
+            let want = exact
+                .forward_with_kv(&mut ke, (pos as u32 * 3) % 64, pos)
+                .to_vec();
+            let got = quant
+                .forward_with_kv(&mut kq, (pos as u32 * 3) % 64, pos)
+                .to_vec();
             let max_err = want
                 .iter()
                 .zip(&got)
@@ -823,12 +769,12 @@ mod tests {
         a.set_quant_mode(QuantMode::Int8);
         let mut b = Transformer::with_weights(Arc::clone(a.weights()));
         assert!(Arc::ptr_eq(a.weights(), b.weights()));
-        assert_eq!(a.forward(5, 0).to_vec(), b.forward(5, 0).to_vec());
+        let want = a.forward_with_kv(&mut cache(&a), 5, 0).to_vec();
+        assert_eq!(b.forward_with_kv(&mut cache(&b), 5, 0), &want[..]);
     }
 
     #[test]
     fn mixed_runs_are_bit_identical_to_sequential() {
-        use crate::kv_cache::KvCache;
         let cfg = ModelConfig::test_tiny();
         // Each case: per-sequence (context already cached, run length).
         // Mixes decode rows (count 1) with prefill chunks (count > 1),
@@ -905,7 +851,6 @@ mod tests {
 
     #[test]
     fn all_logits_rows_match_sequential_decode() {
-        use crate::kv_cache::KvCache;
         let cfg = ModelConfig::test_tiny();
         for case in [
             vec![(0usize, 4usize)],
@@ -976,7 +921,6 @@ mod tests {
     /// are the full `Last` rows.
     #[test]
     fn greedy_rows_keep_the_argmax_of_the_last_rows() {
-        use crate::kv_cache::KvCache;
         use crate::sampler::argmax;
         let cfg = ModelConfig {
             vocab_size: 512,
@@ -1014,7 +958,6 @@ mod tests {
 
     #[test]
     fn an_unscored_pass_extends_the_kv_like_a_scored_one() {
-        use crate::kv_cache::KvCache;
         let cfg = ModelConfig::test_tiny();
         let mut t = model();
         let (tokens, counts, starts) = ([5u32, 6, 7, 9], [3usize, 1], [0usize, 0]);
@@ -1058,7 +1001,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "run 0 starts at 2, past its 0 stored positions")]
     fn a_run_past_the_stored_length_panics() {
-        use crate::kv_cache::KvCache;
         let mut t = model();
         let mut kv = KvCache::new(t.config());
         for pos in 0..4 {
@@ -1071,7 +1013,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "token rows must match run counts")]
     fn mismatched_run_counts_panic() {
-        use crate::kv_cache::KvCache;
         let cfg = ModelConfig::test_tiny();
         let mut t = model();
         let mut kv = KvCache::new(&cfg);
@@ -1081,7 +1022,6 @@ mod tests {
 
     #[test]
     fn batch_scratch_grows_and_shrinks_transparently() {
-        use crate::kv_cache::KvCache;
         let cfg = ModelConfig::test_tiny();
         let mut t = model();
         let mut oracle = model();
@@ -1105,7 +1045,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty batch")]
     fn empty_batch_panics() {
-        use crate::kv_cache::KvCache;
         let mut t = model();
         let mut refs: Vec<&mut KvCache> = Vec::new();
         t.forward_batch_with_kv(refs.as_mut_slice(), &[], &[]);
@@ -1115,23 +1054,24 @@ mod tests {
     #[should_panic(expected = "outside context window")]
     fn pos_overflow_panics() {
         let mut t = model();
-        t.forward(0, 32);
+        t.forward_with_kv(&mut cache(&t), 0, 32);
     }
 
     #[test]
     #[should_panic(expected = "out of vocab")]
     fn bad_token_panics() {
         let mut t = model();
-        t.forward(64, 0);
+        t.forward_with_kv(&mut cache(&t), 64, 0);
     }
 
     #[test]
     fn context_len_advances() {
         let mut t = model();
-        assert_eq!(t.context_len(), 0);
-        t.forward(1, 0);
-        assert_eq!(t.context_len(), 1);
-        t.forward(2, 1);
-        assert_eq!(t.context_len(), 2);
+        let mut kv = cache(&t);
+        assert_eq!(kv.len(), 0);
+        t.forward_with_kv(&mut kv, 1, 0);
+        assert_eq!(kv.len(), 1);
+        t.forward_with_kv(&mut kv, 2, 1);
+        assert_eq!(kv.len(), 2);
     }
 }

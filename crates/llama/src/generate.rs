@@ -7,6 +7,7 @@ use std::time::{Duration, Instant};
 use speedllm_telemetry as tel;
 
 use crate::forward::Transformer;
+use crate::kv_cache::KvCache;
 use crate::sampler::Sampler;
 use crate::tokenizer::{Tokenizer, TOKEN_BOS, TOKEN_EOS};
 
@@ -88,6 +89,7 @@ pub fn safe_rate(count: f64, secs: f64) -> f64 {
 /// stepped to exhaustion reproduces `generate()` bit-for-bit.
 pub struct DecodeSession<'m> {
     model: &'m mut Transformer,
+    kv: KvCache,
     prompt_len: usize,
     /// Next position to decode into.
     pos: usize,
@@ -99,8 +101,8 @@ pub struct DecodeSession<'m> {
 }
 
 impl<'m> DecodeSession<'m> {
-    /// Resets the model, prefills `prompt_tokens`, and leaves the session
-    /// ready to decode.
+    /// Prefills `prompt_tokens` into a fresh sequence of its own and
+    /// leaves the session ready to decode.
     ///
     /// # Panics
     /// Panics if the prompt is empty or exceeds the context window.
@@ -109,7 +111,6 @@ impl<'m> DecodeSession<'m> {
         prompt_tokens: &[u32],
         options: GenerateOptions,
     ) -> Self {
-        model.reset();
         let seq_len = model.config().seq_len;
         assert!(!prompt_tokens.is_empty(), "prompt must not be empty");
         assert!(
@@ -120,11 +121,12 @@ impl<'m> DecodeSession<'m> {
         );
 
         // Prefill: feed every prompt token; only the last logits matter.
+        let mut kv = KvCache::new(model.config());
         let mut logits: Vec<f32> = Vec::new();
         for (pos, &tok) in prompt_tokens.iter().enumerate() {
             let _g = tel::span("host", "prefill_token").arg("pos", pos as i64);
             let t0 = tel::enabled().then(Instant::now);
-            logits = model.forward(tok, pos).to_vec();
+            logits = model.forward_with_kv(&mut kv, tok, pos).to_vec();
             if let Some(t0) = t0 {
                 tel::metrics::observe("llama.prefill_token_ns", t0.elapsed().as_nanos() as u64);
             }
@@ -133,6 +135,7 @@ impl<'m> DecodeSession<'m> {
         let prompt_len = prompt_tokens.len();
         Self {
             model,
+            kv,
             prompt_len,
             pos: prompt_len,
             end_pos: (prompt_len + options.max_new_tokens).min(seq_len),
@@ -157,7 +160,7 @@ impl<'m> DecodeSession<'m> {
         }
         let _g = tel::span("host", "decode_token").arg("pos", self.pos as i64);
         let t0 = tel::enabled().then(Instant::now);
-        self.logits = self.model.forward(next, self.pos).to_vec();
+        self.logits = Vec::from(self.model.forward_with_kv(&mut self.kv, next, self.pos));
         if let Some(t0) = t0 {
             tel::metrics::observe("llama.decode_token_ns", t0.elapsed().as_nanos() as u64);
         }
@@ -197,7 +200,7 @@ impl<'m> DecodeSession<'m> {
 /// Tokenizes `prompt`, prefills, then decodes up to
 /// `options.max_new_tokens` tokens with `sampler`.
 ///
-/// The transformer is reset first, so each call is an independent sequence.
+/// Each call decodes an independent sequence of its own.
 ///
 /// # Panics
 /// Panics if the prompt alone exceeds the model's context window.

@@ -17,9 +17,13 @@
 //!    examples. Its large GEMMs run on both host cores ([`cores`]),
 //!    bit-identical to the serial walk, the oracle they are tested on.
 //! 2. **Shared layer walk** — the accelerator engine gets its values from
-//!    the same [`forward::Transformer::forward_runs_into`] walk over the
-//!    same [`ops`] kernels, so the co-design is functionally transparent
-//!    by construction.
+//!    the same [`forward::Transformer::forward_runs`] walk over the same
+//!    [`ops`] kernels, so the co-design is functionally transparent by
+//!    construction.
+//!
+//! A [`forward::Transformer`] is weights plus walk scratch and owns no
+//! sequence: every pass reads and extends KV stores its caller holds (a
+//! [`kv_cache::KvCache`], or any [`kv_cache::KvBatch`]).
 //!
 //! ## Quick example
 //!

@@ -206,7 +206,7 @@ impl RadixIndex {
                     continue;
                 }
                 let key = (n.last_use, n.block);
-                if best.map_or(true, |(u, b, _)| key < (u, b)) {
+                if best.is_none_or(|(u, b, _)| key < (u, b)) {
                     best = Some((n.last_use, n.block, id));
                 }
             }

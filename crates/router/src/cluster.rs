@@ -375,10 +375,7 @@ impl<B: Backend> Cluster<B> {
     /// overtaking, so admission order is deterministic and starvation-
     /// free).
     fn dispatch(&mut self) {
-        loop {
-            let Some(head) = self.queue.front() else {
-                break;
-            };
+        while let Some(head) = self.queue.front() {
             let cost = head.req.prompt.len() + head.req.max_new_tokens;
             let cands: Vec<Candidate> = self
                 .replicas

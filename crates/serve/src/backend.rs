@@ -418,7 +418,7 @@ impl Backend for AccelBackend {
 mod tests {
     use super::*;
     use speedllm_accel::opt::OptConfig;
-    use speedllm_llama::kv_cache::KvCachePool;
+    use speedllm_llama::kv_cache::{KvCache, KvCachePool};
     use speedllm_llama::weights::TransformerWeights;
     use speedllm_pagedkv::BlockAllocator;
     use std::sync::Arc;
@@ -431,19 +431,20 @@ mod tests {
     fn cpu_backend_matches_single_tenant_forward() {
         let mut backend = CpuBackend::new(Transformer::new(weights()));
         let mut oracle = Transformer::new(weights());
+        let mut kv = KvCache::new(oracle.config());
         let mut slot = backend.new_slot();
         let (chunk_logits, cost) = backend.prefill(&mut slot, &[1, 5, 9], 0);
         assert_eq!(cost, 3);
         let mut want = Vec::new();
         for (pos, &t) in [1u32, 5, 9].iter().enumerate() {
-            want = oracle.forward(t, pos).to_vec();
+            want = oracle.forward_with_kv(&mut kv, t, pos).to_vec();
         }
         assert_eq!(chunk_logits, want, "prefill diverged from single-tenant");
 
         let mut refs = [&mut slot];
         let (dec, cost) = backend.decode(&mut refs, &[7]);
         assert_eq!(cost, 1);
-        assert_eq!(dec[0], oracle.forward(7, 3).to_vec());
+        assert_eq!(dec[0], oracle.forward_with_kv(&mut kv, 7, 3).to_vec());
     }
 
     #[test]

@@ -155,7 +155,7 @@ impl LoadGen {
                 } => {
                     // One seeded gap per burst; every member of the burst
                     // lands on the same tick.
-                    if id as usize % burst_size == 0 {
+                    if (id as usize).is_multiple_of(burst_size) {
                         clock += 1 + rng.below(2 * burst_gap);
                     }
                 }
@@ -196,7 +196,7 @@ impl TrafficSource for LoadGen {
         while due.len() < budget {
             match self.mode {
                 ArrivalMode::Open { .. } | ArrivalMode::Bursty { .. } => {
-                    if self.pending.front().map_or(true, |r| r.arrival > now) {
+                    if self.pending.front().is_none_or(|r| r.arrival > now) {
                         break;
                     }
                 }

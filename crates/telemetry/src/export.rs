@@ -7,8 +7,8 @@
 //!   become `ph:"X"` complete events; tracks become named threads via
 //!   `ph:"M"` metadata events. Multiple processes (host wall-time vs.
 //!   simulator cycle-time) coexist in one file on distinct `pid`s.
-//! * **JSONL** — one JSON object per line, for spans and for metrics
-//!   snapshots embedded in bench output.
+//! * **Metrics JSON** — one object per snapshot ([`snapshot_to_json`]),
+//!   embedded in bench output.
 
 use crate::metrics::MetricsSnapshot;
 use crate::span::SpanRecord;
@@ -238,34 +238,6 @@ pub fn chrome_trace_json(spans: &[SpanRecord], base: Option<ChromeTrace>) -> Str
     trace.finish()
 }
 
-/// Renders spans as JSONL: one object per line with track, name, start,
-/// duration, and args.
-#[must_use]
-pub fn spans_to_jsonl(spans: &[SpanRecord]) -> String {
-    let mut out = String::new();
-    for s in spans {
-        out.push_str(&format!(
-            "{{\"track\":\"{}\",\"name\":\"{}\",\"start_us\":{:.3},\"dur_us\":{:.3}",
-            json_escape(s.track),
-            json_escape(s.name),
-            s.start_us,
-            s.dur_us
-        ));
-        if !s.args.is_empty() {
-            out.push_str(",\"args\":{");
-            for (i, (k, v)) in s.args.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("\"{}\":{v}", json_escape(k)));
-            }
-            out.push('}');
-        }
-        out.push_str("}\n");
-    }
-    out
-}
-
 /// Renders a metrics snapshot as one JSON object (no trailing newline):
 /// `{"counters":{...},"gauges":{...},"histograms":{name:{count,...}}}`.
 #[must_use]
@@ -351,11 +323,7 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_and_snapshot_render() {
-        let line = spans_to_jsonl(&[rec("host", "x\"y", 1.0, 2.0)]);
-        assert!(line.contains("\"name\":\"x\\\"y\""));
-        assert_eq!(line.lines().count(), 1);
-
+    fn snapshot_renders() {
         let snap = MetricsSnapshot {
             counters: vec![("c", 3)],
             gauges: vec![("g", 1.5)],

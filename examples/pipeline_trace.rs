@@ -9,10 +9,10 @@ fn trace_step(opt: OptConfig, label: &str) {
     let system = AcceleratedLlm::synthetic(cfg, 42, opt).expect("build");
     let mut session = system.session(SamplerKind::Argmax, 0);
     // Warm two positions so attention has context, then trace step 3.
-    session.step(5, 0);
-    session.step(6, 1);
+    session.step(5);
+    session.step(6);
     session.engine_mut().capture_trace(4096);
-    let r = session.step(7, 2);
+    let r = session.step(7);
     let trace = session.engine_mut().take_trace().expect("trace");
     println!(
         "=== {label} ({}) — one decode step, {} cycles ===",

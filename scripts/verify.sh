@@ -13,6 +13,9 @@ cd "$(dirname "$0")/.."
 echo "== tier 1: formatting =="
 cargo fmt --check
 
+echo "== tier 1: clippy (every target, warnings denied) =="
+cargo clippy --workspace --all-targets -- -D warnings
+
 echo "== tier 1: no second Llama in crates/accel =="
 # The accelerator's values come from llama's one layer walk; its own code
 # is the cost model. None of the walk's per-op kernels may be called from
@@ -117,10 +120,13 @@ echo "== tier 1: one sequence-KV type =="
 # Every sequence's KV is one pagedkv::SeqKv (a private cache or a block
 # table), the slot of both serve backends, and pagedkv::KvSpace::batch is
 # the only code that picks flat or paged for a pass; llama::KvBatch is the
-# walk's only KV trait. The per-backend twins and single-sequence adapters
-# it replaced may not come back, and above their tests the backends name
-# neither the arena nor a layout arm.
-if grep -rnE --include='*.rs' 'KvStore|PagedSeqView|begin_with_kv|CpuSlot|SequenceState' \
+# walk's only KV trait. Every sequence belongs to whatever drives it: a
+# Transformer or an accel::Engine holds none, so neither has a hidden
+# default sequence or a verb that lends one out. The per-backend twins and
+# single-sequence adapters it replaced may not come back, and above their
+# tests the backends name neither the arena nor a layout arm.
+if grep -rnE --include='*.rs' \
+    'KvStore|PagedSeqView|begin_with_kv|CpuSlot|SequenceState|forward_runs_into|execute_default' \
     crates src tests examples benchmark/src; then
     echo "a second sequence-KV type or adapter (see the lines above)" >&2
     exit 1

@@ -46,8 +46,8 @@ fn different_model_seeds_differ() {
     let b = AcceleratedLlm::synthetic(cfg, 2, OptConfig::full()).unwrap();
     // Different weights must produce different logits on the same input
     // (token sequences could coincide by chance on tiny vocabularies).
-    let la = a.session(SamplerKind::Argmax, 0).step(3, 0).logits;
-    let lb = b.session(SamplerKind::Argmax, 0).step(3, 0).logits;
+    let la = a.session(SamplerKind::Argmax, 0).step(3).logits;
+    let lb = b.session(SamplerKind::Argmax, 0).step(3).logits;
     assert_ne!(la, lb, "different weights must yield different logits");
 }
 

@@ -8,6 +8,7 @@ use speedllm::accel::engine::{Engine, StepResult};
 use speedllm::accel::opt::OptConfig;
 use speedllm::llama::config::ModelConfig;
 use speedllm::llama::forward::{LogitRows, Transformer};
+use speedllm::llama::kv_cache::KvCache;
 use speedllm::llama::weights::TransformerWeights;
 use speedllm::pagedkv::{BlockAllocator, BlockConfig, KvSpace, SeqKv};
 
@@ -22,24 +23,34 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
+/// One `Last` pass of `tokens` extending `seq`.
+fn pass(e: &mut Engine, seq: &mut SeqKv, tokens: &[u32]) -> StepResult {
+    e.forward_runs(&mut [seq], &[tokens], LogitRows::Last).1
+}
+
 /// Every f32 corner of the co-design is **bit-identical** to the CPU
 /// reference: the engine's values come from the same layer walk, and the
 /// optimizations only change what the pass costs.
 fn check_equivalence(cfg: ModelConfig, seed: u64, steps: usize) {
     let weights = TransformerWeights::synthetic(cfg, seed);
     let mut reference = Transformer::new(weights.clone());
+    let mut kv = KvCache::new(&cfg);
     let weights = Arc::new(weights);
-    let mut engines: Vec<Engine> = OptConfig::all_corners()
+    let mut engines: Vec<(Engine, SeqKv)> = OptConfig::all_corners()
         .into_iter()
-        .map(|(_, opt)| Engine::new(Arc::clone(&weights), opt).unwrap())
+        .map(|(_, opt)| {
+            let engine = Engine::new(Arc::clone(&weights), opt).unwrap();
+            let seq = engine.kv_space().new_seq();
+            (engine, seq)
+        })
         .collect();
     // A pseudo-random but deterministic token walk.
     let mut tok = 1u32;
     for pos in 0..steps {
         tok = (tok.wrapping_mul(31).wrapping_add(7)) % cfg.vocab_size as u32;
-        let expected = bits(reference.forward(tok, pos));
-        for engine in &mut engines {
-            let got = engine.decode_step(tok, pos);
+        let expected = bits(reference.forward_with_kv(&mut kv, tok, pos));
+        for (engine, seq) in &mut engines {
+            let got = pass(engine, seq, &[tok]);
             assert!(
                 expected == bits(&got.logits),
                 "variant {} diverged at pos {pos}",
@@ -90,10 +101,12 @@ fn int8_engine_tracks_reference_within_quant_error() {
     let cfg = ModelConfig::stories260k();
     let weights = TransformerWeights::synthetic(cfg, 3);
     let mut reference = Transformer::new(weights.clone());
+    let mut kv = KvCache::new(&cfg);
     let mut engine = Engine::new(Arc::new(weights), OptConfig::full_int8()).unwrap();
+    let mut seq = engine.kv_space().new_seq();
     for pos in 0..3 {
-        let expected = reference.forward(9, pos).to_vec();
-        let got = engine.decode_step(9, pos);
+        let expected = reference.forward_with_kv(&mut kv, 9, pos).to_vec();
+        let got = pass(&mut engine, &mut seq, &[9]);
         let d = max_diff(&expected, &got.logits);
         assert!(d < 0.35, "int8 diverged by {d} at pos {pos}");
         // And the argmax — what decoding actually uses — should usually
@@ -117,10 +130,11 @@ fn engine_logits_depend_on_history() {
     let weights = Arc::new(TransformerWeights::synthetic(cfg, 21));
     let mut a = Engine::new(Arc::clone(&weights), OptConfig::full()).unwrap();
     let mut b = Engine::new(weights, OptConfig::full()).unwrap();
-    a.decode_step(1, 0);
-    b.decode_step(2, 0);
-    let la = a.decode_step(5, 1).logits;
-    let lb = b.decode_step(5, 1).logits;
+    let (mut sa, mut sb) = (a.kv_space().new_seq(), b.kv_space().new_seq());
+    pass(&mut a, &mut sa, &[1]);
+    pass(&mut b, &mut sb, &[2]);
+    let la = pass(&mut a, &mut sa, &[5]).logits;
+    let lb = pass(&mut b, &mut sb, &[5]).logits;
     assert!(max_diff(&la, &lb) > 1e-6, "KV cache must affect logits");
 }
 
@@ -147,13 +161,14 @@ impl ScriptDigest {
     }
 }
 
-/// The script: a 5-token prefill chunk and three decode steps on the
-/// default sequence, then on three external sequences (paged when
-/// `paged`) a 3-wide decode tick, a mixed tick of a decode row beside a
-/// 3-row chunk, and a 4-row verify.
+/// The script: a 5-token prefill chunk and three decode steps on one
+/// flat sequence, then on three more sequences (paged when `paged`) a
+/// 3-wide decode tick, a mixed tick of a decode row beside a 3-row chunk,
+/// and a 4-row verify.
 fn script_digest(opt: OptConfig, paged: bool) -> u64 {
     let weights = Arc::new(TransformerWeights::synthetic(ModelConfig::test_tiny(), 42));
     let mut e = Engine::new(weights, opt).unwrap();
+    let mut first = e.kv_space().new_seq();
     let bc = BlockConfig {
         block_size: 4,
         n_blocks: 6,
@@ -172,10 +187,10 @@ fn script_digest(opt: OptConfig, paged: bool) -> u64 {
     };
 
     let mut d = ScriptDigest(0xcbf2_9ce4_8422_2325);
-    let r = e.prefill_chunk(&[3, 9, 14, 27, 5], 0);
+    let r = pass(&mut e, &mut first, &[3, 9, 14, 27, 5]);
     d.step(std::slice::from_ref(&r.logits), &r);
-    for (i, tok) in [8u32, 12, 19].into_iter().enumerate() {
-        let r = e.decode_step(tok, 5 + i);
+    for tok in [8u32, 12, 19] {
+        let r = pass(&mut e, &mut first, &[tok]);
         d.step(std::slice::from_ref(&r.logits), &r);
     }
     let (logits, r) = e.forward_runs(

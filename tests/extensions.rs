@@ -57,7 +57,7 @@ fn accelerator_perplexity_matches_reference() {
     )
     .unwrap();
     let mut session = sys.session(SamplerKind::Argmax, 0);
-    let got = evaluate_with(cfg.vocab_size, &tokens, |t, p| session.step(t, p).logits);
+    let got = evaluate_with(cfg.vocab_size, &tokens, |t, _| session.step(t).logits);
     assert!(
         (want.perplexity() - got.perplexity()).abs() < 0.01 * want.perplexity(),
         "{} vs {}",
@@ -85,7 +85,7 @@ fn int8_perplexity_degrades_only_mildly() {
     )
     .unwrap();
     let mut session = sys.session(SamplerKind::Argmax, 0);
-    let q = evaluate_with(cfg.vocab_size, &tokens, |t, p| session.step(t, p).logits);
+    let q = evaluate_with(cfg.vocab_size, &tokens, |t, _| session.step(t).logits);
     let rel = (q.perplexity() - base.perplexity()).abs() / base.perplexity();
     assert!(rel < 0.05, "int8 perplexity off by {:.1}%", rel * 100.0);
 }
@@ -108,7 +108,7 @@ fn chrome_trace_exports_from_engine() {
     let sys = AcceleratedLlm::synthetic(cfg, 42, OptConfig::full()).unwrap();
     let mut s = sys.session(SamplerKind::Argmax, 0);
     s.engine_mut().capture_trace(1024);
-    s.step(1, 0);
+    s.step(1);
     let trace = s.engine_mut().take_trace().unwrap();
     let json = trace.to_chrome_json(&ClockDomain::U280_KERNEL);
     assert!(json.starts_with('[') && json.ends_with(']'));

@@ -259,15 +259,16 @@ const GOLDEN_INT8: u64 = 0x9aad_e2b8_3af6_e5f5;
 const GOLDEN_INT4: u64 = 0x4bc9_433e_c1db_6b98;
 
 /// Digest of all 32 logit vectors of a greedy walk from token 1 to the
-/// context limit (positions `0..=31`, GQA 4/2), one token per call
-/// through `Transformer::forward` and the model's own KV cache.
+/// context limit (positions `0..=31`, GQA 4/2), one token per
+/// `Transformer::forward_with_kv` call on one cache.
 fn digest_full_context(cfg: ModelConfig, mode: QuantMode) -> u64 {
     let mut model = Transformer::new(TransformerWeights::synthetic(cfg, 42));
     model.set_quant_mode(mode);
+    let mut kv = KvCache::new(&cfg);
     let mut hash = FNV_OFFSET;
     let mut next = 1u32;
     for pos in 0..cfg.seq_len {
-        let logits = model.forward(next, pos);
+        let logits = model.forward_with_kv(&mut kv, next, pos);
         hash = fnv1a_logits(hash, logits);
         next = argmax(logits);
     }

@@ -239,22 +239,22 @@ props! {
     ) {
         use speedllm::accel::engine::Engine;
         use speedllm::accel::opt::OptConfig;
+        use speedllm::llama::forward::LogitRows;
         use std::sync::Arc;
         let cfg = ModelConfig::test_tiny();
         let weights = Arc::new(speedllm::llama::weights::TransformerWeights::synthetic(cfg, 42));
         let tokens: Vec<u32> = (0..12u32).map(|i| (i.wrapping_mul(7).wrapping_add(seed as u32)) % 64).collect();
         let mut reference = Engine::new(Arc::clone(&weights), OptConfig::full()).unwrap();
+        let mut seq = reference.kv_space().new_seq();
         let mut last = Vec::new();
-        for (pos, &t) in tokens.iter().enumerate() {
-            last = reference.decode_step(t, pos).logits;
+        for &t in &tokens {
+            last = reference.forward_runs(&mut [&mut seq], &[&[t]], LogitRows::Last).1.logits;
         }
         let mut chunked = Engine::new(weights, OptConfig::full()).unwrap();
-        let mut pos = 0usize;
+        let mut seq = chunked.kv_space().new_seq();
         let mut got = Vec::new();
-        while pos < tokens.len() {
-            let end = (pos + split).min(tokens.len());
-            got = chunked.prefill_chunk(&tokens[pos..end], pos).logits;
-            pos = end;
+        for run in tokens.chunks(split) {
+            got = chunked.forward_runs(&mut [&mut seq], &[run], LogitRows::Last).1.logits;
         }
         for (a, b) in last.iter().zip(&got) {
             prop_assert!((a - b).abs() < 1e-5, "{} vs {}", a, b);

@@ -36,7 +36,7 @@ impl TrafficSource for ListSource {
     fn poll(&mut self, now: u64, _outstanding: usize, room: usize) -> Vec<Request> {
         let mut due = Vec::new();
         while due.len() < room {
-            if self.pending.front().map_or(true, |r| r.arrival > now) {
+            if self.pending.front().is_none_or(|r| r.arrival > now) {
                 break;
             }
             due.push(self.pending.pop_front().expect("checked above"));

@@ -5,13 +5,26 @@
 
 use std::sync::Arc;
 
-use speedllm::accel::engine::{AccelConfig, Engine};
+use speedllm::accel::engine::{AccelConfig, Engine, StepResult};
 use speedllm::accel::opt::OptConfig;
 use speedllm::llama::config::ModelConfig;
+use speedllm::llama::forward::LogitRows;
 use speedllm::llama::weights::TransformerWeights;
+use speedllm::pagedkv::SeqKv;
 
 fn weights(cfg: ModelConfig) -> Arc<TransformerWeights> {
     Arc::new(TransformerWeights::synthetic(cfg, 42))
+}
+
+/// One decode pass of token 1 extending `seq`.
+fn pass(e: &mut Engine, seq: &mut SeqKv) -> StepResult {
+    e.forward_runs(&mut [seq], &[&[1]], LogitRows::Last).1
+}
+
+/// One decode pass of token 1 on a fresh sequence.
+fn fresh(e: &mut Engine) -> StepResult {
+    let mut seq = e.kv_space().new_seq();
+    pass(e, &mut seq)
 }
 
 #[test]
@@ -20,7 +33,7 @@ fn launch_count_equals_kernel_count() {
         let mut opt = OptConfig::full();
         opt.operator_fusion = fused;
         let mut e = Engine::new(weights(ModelConfig::stories15m()), opt).unwrap();
-        let r = e.decode_step(1, 0);
+        let r = fresh(&mut e);
         assert_eq!(
             r.stats.kernel_launches as usize, expected_per_token,
             "fused={fused}"
@@ -32,7 +45,7 @@ fn launch_count_equals_kernel_count() {
 #[test]
 fn alloc_stalls_equal_materialized_hbm_values() {
     let mut e = Engine::new(weights(ModelConfig::test_tiny()), OptConfig::no_reuse()).unwrap();
-    let r = e.decode_step(1, 0);
+    let r = fresh(&mut e);
     assert_eq!(r.stats.alloc_stalls as usize, e.memory_plan().hbm_values());
 }
 
@@ -43,7 +56,7 @@ fn each_optimization_helps_individually() {
     let w = weights(ModelConfig::stories15m());
     let base = {
         let mut e = Engine::new(Arc::clone(&w), OptConfig::unoptimized()).unwrap();
-        e.decode_step(1, 0).cycles
+        fresh(&mut e).cycles
     };
     for (name, opt) in [
         (
@@ -69,7 +82,7 @@ fn each_optimization_helps_individually() {
         ),
     ] {
         let mut e = Engine::new(Arc::clone(&w), opt).unwrap();
-        let c = e.decode_step(1, 0).cycles;
+        let c = fresh(&mut e).cycles;
         assert!(c < base, "{name} alone did not help: {c} vs {base}");
     }
 }
@@ -80,7 +93,7 @@ fn optimizations_compose_monotonically() {
     let w = weights(ModelConfig::stories15m());
     let cycles = |opt: OptConfig| {
         let mut e = Engine::new(Arc::clone(&w), opt).unwrap();
-        e.decode_step(1, 0).cycles.0
+        fresh(&mut e).cycles.0
     };
     let full = cycles(OptConfig::full());
     for (_, opt) in OptConfig::paper_variants() {
@@ -98,7 +111,7 @@ fn optimizations_compose_monotonically() {
 fn weight_stream_is_the_dominant_read_traffic() {
     let cfg = ModelConfig::stories15m();
     let mut e = Engine::new(weights(cfg), OptConfig::full()).unwrap();
-    let r = e.decode_step(1, 0);
+    let r = fresh(&mut e);
     let weight_bytes = cfg.weight_bytes(4) as f64;
     let read = r.stats.hbm.read_bytes as f64;
     assert!(
@@ -112,8 +125,8 @@ fn int8_reads_roughly_quarter_of_fp32() {
     let cfg = ModelConfig::stories15m();
     let mut f = Engine::new(weights(cfg), OptConfig::full()).unwrap();
     let mut q = Engine::new(weights(cfg), OptConfig::full_int8()).unwrap();
-    let rf = f.decode_step(1, 0).stats.hbm.read_bytes as f64;
-    let rq = q.decode_step(1, 0).stats.hbm.read_bytes as f64;
+    let rf = fresh(&mut f).stats.hbm.read_bytes as f64;
+    let rq = fresh(&mut q).stats.hbm.read_bytes as f64;
     let ratio = rf / rq;
     assert!((3.0..4.5).contains(&ratio), "int8 read ratio {ratio}");
 }
@@ -124,8 +137,8 @@ fn mpe_busy_is_invariant_across_pipeline_variants() {
     let w = weights(ModelConfig::stories15m());
     let mut a = Engine::new(Arc::clone(&w), OptConfig::full()).unwrap();
     let mut b = Engine::new(w, OptConfig::no_parallel()).unwrap();
-    let sa = a.decode_step(1, 0).stats;
-    let sb = b.decode_step(1, 0).stats;
+    let sa = fresh(&mut a).stats;
+    let sb = fresh(&mut b).stats;
     assert_eq!(sa.mpe.macs, sb.mpe.macs);
     assert_eq!(sa.mpe.busy_cycles, sb.mpe.busy_cycles);
 }
@@ -138,7 +151,7 @@ fn deeper_double_buffering_never_hurts() {
         let mut cfg = AccelConfig::for_opt(&OptConfig::full());
         cfg.double_buffer_depth = depth;
         let mut e = Engine::with_config(Arc::clone(&w), OptConfig::full(), cfg).unwrap();
-        let c = e.decode_step(1, 0).cycles.0;
+        let c = fresh(&mut e).cycles.0;
         assert!(c <= prev, "depth {depth} regressed: {c} vs {prev}");
         prev = c;
     }
@@ -150,7 +163,7 @@ fn streamed_total_beats_sum_of_stage_busy() {
     // all resource busy times (that sum is what the sequential design
     // approaches).
     let mut e = Engine::new(weights(ModelConfig::stories15m()), OptConfig::full()).unwrap();
-    let r = e.decode_step(1, 0);
+    let r = fresh(&mut e);
     let busy_sum = r.stats.mpe.busy_cycles + r.stats.sfu.busy_cycles + r.stats.dma_busy_cycles / 24; // channel-cycles back to engine-cycles
     assert!(
         r.cycles.0 * 3 < busy_sum * 2,
@@ -163,9 +176,10 @@ fn streamed_total_beats_sum_of_stage_busy() {
 fn per_token_cost_is_stable_in_steady_state() {
     // Consecutive decode steps differ only by one KV page at most.
     let mut e = Engine::new(weights(ModelConfig::stories15m()), OptConfig::full()).unwrap();
-    let mut prev = e.decode_step(1, 0).cycles.0;
+    let mut seq = e.kv_space().new_seq();
+    let mut prev = pass(&mut e, &mut seq).cycles.0;
     for pos in 1..6 {
-        let c = e.decode_step(1, pos).cycles.0;
+        let c = pass(&mut e, &mut seq).cycles.0;
         let rel = (c as f64 - prev as f64).abs() / prev as f64;
         assert!(
             rel < 0.05,
