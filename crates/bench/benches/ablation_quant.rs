@@ -6,13 +6,18 @@
 //! dequant-GEMM kernels trade a little per-group rescale arithmetic for
 //! a 4x (int8) / 7x (int4) smaller weight stream — the `gemm_weight_bytes`
 //! column is the compressed stream the paper's mixed-precision MPE
-//! feeds on. The timed targets stamp `quant` and `batch_width` onto
-//! their JSONL rows.
+//! feeds on. It first prints the simulated accelerator's fp32/int8/int4
+//! comparison on stories260K (the paper's mixed-precision motivation).
+//! The timed targets stamp `quant` and `batch_width` onto their JSONL
+//! rows.
 
+use speedllm_accel::opt::OptConfig;
+use speedllm_accel::runtime::AcceleratedLlm;
 use speedllm_bench::harness::{is_smoke, Runner};
 use speedllm_llama::config::ModelConfig;
 use speedllm_llama::forward::Transformer;
 use speedllm_llama::kv_cache::KvCache;
+use speedllm_llama::sampler::SamplerKind;
 use speedllm_llama::weights::TransformerWeights;
 use speedllm_llama::QuantMode;
 use speedllm_serve::{AccelBackend, Backend, CpuBackend};
@@ -81,13 +86,35 @@ fn cpu_backend(weights: &TransformerWeights, mode: QuantMode) -> CpuBackend {
 
 fn accel_backend(weights: &std::sync::Arc<TransformerWeights>, mode: QuantMode) -> AccelBackend {
     let opt = match mode {
-        QuantMode::F32 => speedllm_accel::opt::OptConfig::full(),
-        QuantMode::Int8 => speedllm_accel::opt::OptConfig::full_int8(),
-        QuantMode::Int4 => speedllm_accel::opt::OptConfig::full_int4(),
+        QuantMode::F32 => OptConfig::full(),
+        QuantMode::Int8 => OptConfig::full_int8(),
+        QuantMode::Int4 => OptConfig::full_int4(),
     };
     let engine =
         speedllm_accel::engine::Engine::new(weights.clone(), opt).expect("accel design fits");
     AccelBackend::new(engine)
+}
+
+fn print_precision_comparison() {
+    println!("--- int8/int4 vs fp32 accelerator (stories260K, simulated) ---");
+    for (name, opt) in [
+        ("fp32", OptConfig::full()),
+        ("int8", OptConfig::full_int8()),
+        ("int4", OptConfig::full_int4()),
+    ] {
+        let sys = AcceleratedLlm::synthetic(ModelConfig::stories260k(), 42, opt).unwrap();
+        let mut session = sys.session(SamplerKind::Argmax, 0);
+        let r = session.generate("once upon a time", 32).unwrap();
+        println!(
+            "{name}: {:>8.0} tok/s, {:>7.0} tok/J, {} HBM read bytes/token",
+            r.decode_tokens_per_s(),
+            r.tokens_per_joule(),
+            r.stats.hbm.read_bytes
+                / (r.output.generated_tokens.len() as u64 + r.output.prompt_tokens.len() as u64)
+                    .max(1)
+        );
+    }
+    println!("----------------------------------------------------------");
 }
 
 fn print_backend_ablation<B: Backend>(
@@ -153,6 +180,7 @@ fn print_ablation() {
 }
 
 fn bench_quant_ablation(c: &mut Runner) {
+    print_precision_comparison();
     print_ablation();
     // Timed targets on the tiny config: one batched decode step per
     // iteration at a pinned position, so the KV cache never overflows no

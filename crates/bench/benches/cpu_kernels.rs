@@ -1,18 +1,17 @@
-//! Substrate microbenchmarks: the CPU reference kernels at stories15M
-//! dimensions — the row-major f32 matvec, the batched row-major f32
-//! matmul at the widths whose lane blocks are the 4/2/1 tails, the GEMMs
-//! the hot path runs (f32 in kernel order, int8, int4) at widths 1, 3, 4
-//! and 6 on the FFN and classifier shapes, RMSNorm, softmax, RoPE — plus
-//! a full reference forward step. Every weight-streaming row carries
-//! `gb_s`: weight bytes over median time.
+//! Substrate microbenchmarks at stories15M dimensions: the GEMMs the walk
+//! runs, RMSNorm, softmax, RoPE, quantizing a matrix and a tensor round
+//! trip — plus a full reference forward step. Every weight-streaming row
+//! carries `gb_s`: weight bytes over median time.
 //!
-//! The `cpu/cores_*` rows time the walk's GEMMs serial (`serial`) and with
-//! their rows split over both host cores (`two`, `llama::cores`): f32 in
-//! kernel order, f32 in split order (`exact`, the vocab table's exact
-//! GEMM, on the same shapes as the kernel-order rows), the split-order
-//! vocab screen and int8, on the FFN and classifier shapes at widths 1, 4
-//! and 16, and square f32 GEMMs at width 1 around the smallest size worth
-//! splitting.
+//! The `cpu/cores_*` rows time every GEMM body through `llama::cores`,
+//! serial (`serial`) and with its rows split over both host cores
+//! (`two`): f32 in kernel order, f32 in split order (`exact`, the vocab
+//! table's exact GEMM, on the same shapes as the kernel-order rows), the
+//! split-order vocab screen, int8 and int4, on the FFN and classifier
+//! shapes at widths 1 (plain decode), 3 and 6 (what the
+//! `serve15m_int8_open` benchmark workload runs), 4 (to hold 3 against: a
+//! width must not cost more than the next power of two) and 16; and
+//! square f32 GEMMs at width 1 around the smallest size worth splitting.
 
 use speedllm_bench::harness::Runner;
 use speedllm_llama::config::ModelConfig;
@@ -20,11 +19,13 @@ use speedllm_llama::cores::{with_cores, Buffers, Gemm};
 use speedllm_llama::forward::Transformer;
 use speedllm_llama::kv_cache::KvCache;
 use speedllm_llama::ops;
-use speedllm_llama::qgemm::{qmatmul, qmatvec};
-use speedllm_llama::quant::{QuantKind, QuantMatrix};
+use speedllm_llama::quant::{QuantKind, QuantMatrix, QuantTensor};
 use speedllm_llama::rng::Xoshiro256;
 use speedllm_llama::weights::TransformerWeights;
 use std::hint::black_box;
+
+/// Widths of the `cpu/cores_*` rows on the FFN and classifier shapes.
+const WIDTHS: [usize; 5] = [1, 3, 4, 6, 16];
 
 fn bench_kernels(c: &mut Runner) {
     let cfg = ModelConfig::stories15m();
@@ -34,90 +35,21 @@ fn bench_kernels(c: &mut Runner) {
     let mut x = vec![0.0f32; cols];
     rng.fill_normal(&mut w, 0.02);
     rng.fill_normal(&mut x, 1.0);
-    let mut out = vec![0.0f32; rows];
 
-    c.set_bytes_per_iter(Some((rows * cols * 4) as u64));
-    c.bench_function("cpu/matvec_serial_768x288", |b| {
+    // Quantizing a checkpoint matrix (once per model load), and a tensor
+    // round trip.
+    c.bench_function("quant/quantize_768x288", |b| {
+        b.iter(|| black_box(QuantMatrix::quantize(black_box(&w), rows, cols).bytes()))
+    });
+    let data: Vec<f32> = (0..4096)
+        .map(|i| ((i * 31 % 997) as f32 - 498.0) / 100.0)
+        .collect();
+    c.bench_function("quant/tensor_roundtrip_4096", |b| {
         b.iter(|| {
-            ops::matvec(black_box(&mut out), &w, &x, rows, cols);
-            black_box(out[0])
+            let qt = QuantTensor::quantize(black_box(&data));
+            black_box(qt.dequantize()[0])
         })
     });
-
-    // Widths 2/3/5/6 decompose into lane blocks of 2, 2+1, 4+1 and 4+2:
-    // the tail tiles a verify or mixed tick lands on.
-    for width in [2usize, 3, 5, 6] {
-        let mut xs = vec![0.0f32; width * cols];
-        rng.fill_normal(&mut xs, 1.0);
-        let mut mout = vec![0.0f32; rows * width];
-        c.bench_function(&format!("cpu/matmul_w{width}_768x288"), |b| {
-            b.iter(|| {
-                ops::matmul(black_box(&mut mout), &w, &xs, rows, cols, width);
-                black_box(mout[0])
-            })
-        });
-    }
-
-    // Classifier-sized matvec is the big one: vocab x dim.
-    let vrows = cfg.vocab_size;
-    let mut wv = vec![0.0f32; vrows * cols];
-    rng.fill_normal(&mut wv, 0.02);
-    let mut vout = vec![0.0f32; vrows];
-    c.set_bytes_per_iter(Some((vrows * cols * 4) as u64));
-    c.bench_function("cpu/matvec_serial_32000x288", |b| {
-        b.iter(|| {
-            ops::matvec(black_box(&mut vout), &wv, &x, vrows, cols);
-            black_box(vout[0])
-        })
-    });
-
-    // The hot path's GEMMs on the FFN and classifier shapes: f32 in
-    // kernel order, int8 and int4. Widths 3 and 6 are what the
-    // `serve15m_int8_open` benchmark workload runs, 1 is plain decode, and
-    // 4 is there to hold 3 against: a width must not cost more than the
-    // next power of two. The f32 rows time the kernel alone, on
-    // activations transposed once outside the loop.
-    for (w, rows) in [(&w, rows), (&wv, vrows)] {
-        let mut k = w.clone();
-        ops::to_kernel_order(&mut k, rows, cols);
-        c.set_bytes_per_iter(Some((rows * cols * 4) as u64));
-        for width in [1usize, 3, 4, 6] {
-            let mut xs = vec![0.0f32; width * cols];
-            rng.fill_normal(&mut xs, 1.0);
-            let xt = ops::transpose_batch_major(&xs, cols, width);
-            let mut mout = vec![0.0f32; rows * width];
-            let name = format!("cpu/tiled_matmul_f32_w{width}_{rows}x288");
-            c.bench_function(&name, |b| {
-                b.iter(|| {
-                    ops::tiled_matmul_rows_xt(black_box(&mut mout), &k, &xt, 0..rows, cols, width);
-                    black_box(mout[0])
-                })
-            });
-        }
-        for kind in [QuantKind::Int8, QuantKind::Int4] {
-            let qm = QuantMatrix::quantize_with(w, rows, cols, kind);
-            c.set_bytes_per_iter(Some(qm.bytes() as u64));
-            c.bench_function(&format!("cpu/qmatvec_{}_{rows}x288", kind.name()), |b| {
-                b.iter(|| {
-                    qmatvec(black_box(&mut vout[..rows]), &qm, &x);
-                    black_box(vout[0])
-                })
-            });
-            for width in [3usize, 4, 6] {
-                let mut xs = vec![0.0f32; width * cols];
-                rng.fill_normal(&mut xs, 1.0);
-                let mut mout = vec![0.0f32; rows * width];
-                let name = format!("cpu/qmatmul_{}_w{width}_{rows}x288", kind.name());
-                c.bench_function(&name, |b| {
-                    b.iter(|| {
-                        qmatmul(black_box(&mut mout), &qm, &xs, width);
-                        black_box(mout[0])
-                    })
-                });
-            }
-        }
-    }
-    c.set_bytes_per_iter(None);
 
     let gain = vec![1.0f32; cols];
     let mut nbuf = x.clone();
@@ -201,6 +133,7 @@ fn bench_cores(c: &mut Runner) {
         let mut w = vec![0.0f32; rows * cols];
         rng.fill_normal(&mut w, 0.02);
         let int8 = QuantMatrix::quantize_with(&w, rows, cols, QuantKind::Int8);
+        let int4 = QuantMatrix::quantize_with(&w, rows, cols, QuantKind::Int4);
         let (mut kernel, mut split) = (w.clone(), w);
         ops::to_kernel_order(&mut kernel, rows, cols);
         ops::to_split_order(&mut split, rows, cols);
@@ -209,10 +142,11 @@ fn bench_cores(c: &mut Runner) {
             ("exact", Gemm::SplitExact(&split, cols), rows * cols * 4),
             ("screen", Gemm::SplitScreen(&split, cols), rows * cols * 2),
             ("int8", Gemm::Quant(&int8), int8.bytes()),
+            ("int4", Gemm::Quant(&int4), int4.bytes()),
         ];
         for (form, gemm, bytes) in gemms {
             c.set_bytes_per_iter(Some(bytes as u64));
-            for width in [1usize, 4, 16] {
+            for width in WIDTHS {
                 let name = format!("{form}_w{width}_{rows}x{cols}");
                 serial_and_two_cores(c, &name, gemm, (rows, cols), width);
             }

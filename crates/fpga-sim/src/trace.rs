@@ -123,42 +123,18 @@ impl TraceBuffer {
 }
 
 impl TraceBuffer {
-    /// Exports the captured window in the Chrome trace-event format
-    /// (`chrome://tracing` / Perfetto): one complete ("X") event per
+    /// Exports the captured window alone in the Chrome trace-event format
+    /// (`chrome://tracing` / Perfetto): [`Self::to_chrome_track`] into a
+    /// fresh [`ChromeTrace`] under pid 1, one complete ("X") event per
     /// segment, resources as thread names. Timestamps are microseconds at
     /// the given clock.
+    ///
+    /// [`ChromeTrace`]: speedllm_telemetry::export::ChromeTrace
     #[must_use]
     pub fn to_chrome_json(&self, clock: &crate::cycles::ClockDomain) -> String {
-        let mut resources: Vec<&'static str> = Vec::new();
-        for e in &self.events {
-            if !resources.contains(&e.resource) {
-                resources.push(e.resource);
-            }
-        }
-        let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
-        let mut out = String::from("[");
-        let mut first = true;
-        for (tid, res) in resources.iter().enumerate() {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"args\":{{\"name\":\"{}\"}}}}",
-                esc(res)
-            ));
-        }
-        for e in &self.events {
-            let tid = resources.iter().position(|r| *r == e.resource).unwrap();
-            let ts = clock.to_micros(e.span.start);
-            let dur = clock.to_micros(e.span.duration());
-            out.push_str(&format!(
-                ",{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{ts:.3},\"dur\":{dur:.3}}}",
-                esc(&e.label)
-            ));
-        }
-        out.push(']');
-        out
+        let mut trace = speedllm_telemetry::export::ChromeTrace::new();
+        self.to_chrome_track(clock, 1, &mut trace);
+        trace.finish()
     }
 
     /// Appends the captured window to a shared [`ChromeTrace`] under
@@ -268,8 +244,8 @@ mod tests {
         let json = t.to_chrome_json(&clock);
         assert!(json.starts_with('['));
         assert!(json.ends_with(']'));
-        // 2 metadata + 2 events.
-        assert_eq!(json.matches("\"ph\"").count(), 4);
+        // 1 process name + 2 thread names + 2 events.
+        assert_eq!(json.matches("\"ph\"").count(), 5);
         assert!(json.contains("\"name\":\"MPE\""));
         // Quotes in labels must be escaped: no bare `"quoted"` sequence
         // breaking the JSON (balanced quote count).
@@ -305,7 +281,21 @@ mod tests {
     fn chrome_json_empty_trace() {
         let t = TraceBuffer::new(4);
         let json = t.to_chrome_json(&crate::cycles::ClockDomain::U280_KERNEL);
-        assert_eq!(json, "[]");
+        assert_eq!(json, "[\n]");
+    }
+
+    /// A label holding a newline and a control character exports as valid
+    /// JSON: both escaped, neither left raw.
+    #[test]
+    fn chrome_json_escapes_control_characters() {
+        let mut t = TraceBuffer::new(4);
+        t.record("MPE", span(0, 300), "k0:compute\nnext\u{1}");
+        let json = t.to_chrome_json(&crate::cycles::ClockDomain::U280_KERNEL);
+        assert!(
+            json.contains(r#""name":"k0:compute\nnext\u0001""#),
+            "{json}"
+        );
+        assert!(!json.contains("compute\nnext") && !json.contains('\u{1}'));
     }
 
     #[test]

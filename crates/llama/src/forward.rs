@@ -81,7 +81,7 @@ impl LogitRows {
 /// step contributes one row, a prefill chunk contributes one row per
 /// chunk token, and rows of the same sequence are contiguous and
 /// position-ordered. Only the GEMM staging buffer is row-major in the
-/// [`ops::matmul`] output sense (`[out_rows][batch]`); its contents are
+/// [`cores::Gemm::run`] output sense (`[out_rows][batch]`); its contents are
 /// scattered back to token-row-major immediately after each matmul.
 ///
 /// A model allocates one on its first pass and grows it to the widest
@@ -150,7 +150,7 @@ impl BatchState {
 }
 
 /// Scatters a row-major GEMM result (`src[r * batch + b]`, the
-/// [`ops::matmul`] output layout) into sequence-major scratch
+/// [`cores::Gemm::run`] output layout) into sequence-major scratch
 /// (`dst[b * rows + r]`). Pure data movement — `O(rows × batch)` against
 /// the `O(rows × cols)` weight stream it unlocks — and therefore neutral
 /// to bit-identity.

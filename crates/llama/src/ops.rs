@@ -9,12 +9,11 @@
 //!
 //! Every weight-streaming kernel sums each output element in [`dot`]'s
 //! order, so one-row, batched and row-tiled results are bit-identical.
-//! The row-major [`matmul`]/[`matvec`] (see [`tile_accumulate`]) are a
-//! reference for probes and tests. What the layer walk streams — f32 in
-//! kernel order ([`to_kernel_order`]) or split order, and the quantized
-//! matrices of [`crate::qgemm`] — goes through one kernel body, each form
-//! a loader of its tile columns ([`TileColumns`]), and one dispatch
-//! ([`run_tiled`]).
+//! What the layer walk streams — f32 in kernel order ([`to_kernel_order`])
+//! or split order, and the quantized matrices of [`crate::qgemm`] — goes
+//! through one kernel body, each form a loader of its tile columns
+//! ([`TileColumns`]), and one dispatch ([`run_tiled`]). The row-major
+//! [`matvec`] is a [`dot`] per row: a reference, not a kernel.
 
 use std::ops::Range;
 
@@ -82,13 +81,17 @@ pub fn softmax(x: &mut [f32]) {
     }
 }
 
-/// Dense matrix–vector product: `out[r] = w[r, :] · x` for a row-major
-/// `rows × cols` matrix `w`. The `batch == 1` case of [`matmul_rows_xt`]
-/// (a single activation vector is its own batch-major transpose), so each
-/// `out[r]` is bit-identical to `dot(w[r, :], x)`.
+/// Dense matrix–vector product over a row-major `rows × cols` matrix `w`:
+/// `out[r] = dot(w[r, :], x)`, one [`dot`] per row. No walk calls it (its
+/// matrices are resident in kernel or split order); it is the
+/// one-accumulator reference the benchmark's probes time.
 pub fn matvec(out: &mut [f32], w: &[f32], x: &[f32], rows: usize, cols: usize) {
     assert_eq!(w.len(), rows * cols, "matrix shape mismatch");
-    matmul_rows_xt(out, w, x, 0..rows, cols, 1);
+    assert_eq!(out.len(), rows, "output shape mismatch");
+    assert_eq!(x.len(), cols, "activation shape mismatch");
+    for (o, row) in out.iter_mut().zip(w.chunks_exact(cols)) {
+        *o = dot(row, x);
+    }
 }
 
 /// Transposes sequence-major activations (`xs[b * cols + c]`) into
@@ -118,167 +121,13 @@ pub fn transpose_batch_major_into(xt: &mut [f32], xs: &[f32], cols: usize, batch
 
 /// Weight rows per register tile, and per storage tile of the
 /// kernel-order matrices ([`to_kernel_order`], [`crate::quant::QuantMatrix`]).
-/// Measured, not tunable, on the row-major reference ([`matmul_rows_xt`]):
-/// on the 32000×288 classifier at width 1, 4 rows still leave the add
-/// chain exposed, 8 reach the host's stream bandwidth, and 16 spill the
-/// accumulators and give the whole gain back; 8 is also the best or
-/// tied-best height for the 2-, 4- and 8-lane blocks. The kernel-order
-/// kernels keep 8-row storage and read two adjacent tiles per step where
-/// a 16-wide register holds them ([`tiled_matmul_rows_xt`]).
+/// Measured, not tunable: on the 32000×288 classifier at width 1, 4 rows
+/// still left the add chain exposed, 8 reached the host's stream
+/// bandwidth, and 16 spilled the accumulators and gave the whole gain
+/// back; 8 was also the best or tied-best height for the 2-, 4- and
+/// 8-lane blocks. The kernels read two adjacent tiles per step where a
+/// 16-wide register holds them ([`tiled_matmul_rows_xt`]).
 pub const ROW_TILE: usize = 8;
-
-/// Columns per interleaved block of the one-lane path of [`tile_accumulate`].
-const COL_BLOCK: usize = 8;
-
-/// The weight-streaming microkernel, an `R`-row × `L`-lane register tile:
-/// `acc[i][l] += Σ_c rows[i][c] · xt[c * batch + b0 + l]`. `xt` is
-/// batch-major and starts at the column `rows[i][0]` multiplies.
-///
-/// Order contract: each `acc[i][l]` is one f32 accumulator that takes its
-/// terms in increasing `c`, mul then add — exactly what [`dot`] does. The
-/// `R × L` accumulators are *independent output elements*; keeping them
-/// live together is what hides the add latency and lets the compiler
-/// vectorize, and no element's sum is ever split or reassociated. The
-/// kernel-order kernels ([`tiled_matmul_rows_xt`] and [`crate::qgemm`])
-/// keep the same contract over tile-interleaved storage and do not come
-/// through here.
-///
-/// With several lanes the compiler vectorizes across them. With one lane
-/// there is nothing to vectorize across but the rows, whose elements sit
-/// `cols` apart in memory, so that path first copies each
-/// `R × COL_BLOCK` block row-interleaved.
-#[inline(always)]
-pub(crate) fn tile_accumulate<const R: usize, const L: usize>(
-    acc: &mut [[f32; L]; R],
-    rows: [&[f32]; R],
-    xt: &[f32],
-    batch: usize,
-    b0: usize,
-) {
-    let cols = rows[0].len();
-    let mut c = 0;
-    if L == 1 {
-        while c + COL_BLOCK <= cols {
-            let mut block = [[0.0f32; R]; COL_BLOCK];
-            for (i, row) in rows.iter().enumerate() {
-                let seg: &[f32; COL_BLOCK] = row[c..c + COL_BLOCK]
-                    .try_into()
-                    .expect("column block in bounds");
-                for (j, &wv) in seg.iter().enumerate() {
-                    block[j][i] = wv;
-                }
-            }
-            for (j, wcol) in block.iter().enumerate() {
-                let x = xt[(c + j) * batch + b0];
-                for i in 0..R {
-                    acc[i][0] += wcol[i] * x;
-                }
-            }
-            c += COL_BLOCK;
-        }
-    }
-    for c in c..cols {
-        let x: &[f32; L] = xt[c * batch + b0..][..L]
-            .try_into()
-            .expect("lane block in bounds");
-        for i in 0..R {
-            for l in 0..L {
-                acc[i][l] += rows[i][c] * x[l];
-            }
-        }
-    }
-}
-
-/// One `R`-row tile of [`matmul_rows_xt`]: `w` holds the tile's `R` rows,
-/// `out` its `R × batch` results. Lanes go in blocks of 8/4/2/1, so a tile
-/// is read from memory once and from L1 for every further block.
-fn matmul_tile<const R: usize>(out: &mut [f32], w: &[f32], xt: &[f32], cols: usize, batch: usize) {
-    fn lanes<const R: usize, const L: usize>(
-        out: &mut [f32],
-        rows: [&[f32]; R],
-        xt: &[f32],
-        batch: usize,
-        b0: usize,
-    ) {
-        let mut acc = [[0.0f32; L]; R];
-        tile_accumulate(&mut acc, rows, xt, batch, b0);
-        for (out_row, a) in out.chunks_exact_mut(batch).zip(&acc) {
-            out_row[b0..b0 + L].copy_from_slice(a);
-        }
-    }
-    let rows: [&[f32]; R] = std::array::from_fn(|i| &w[i * cols..(i + 1) * cols]);
-    let mut b0 = 0;
-    while b0 + 8 <= batch {
-        lanes::<R, 8>(out, rows, xt, batch, b0);
-        b0 += 8;
-    }
-    if b0 + 4 <= batch {
-        lanes::<R, 4>(out, rows, xt, batch, b0);
-        b0 += 4;
-    }
-    if b0 + 2 <= batch {
-        lanes::<R, 2>(out, rows, xt, batch, b0);
-        b0 += 2;
-    }
-    if b0 < batch {
-        lanes::<R, 1>(out, rows, xt, batch, b0);
-    }
-}
-
-/// Batched matmul inner kernel over pre-transposed (batch-major)
-/// activations: `out[(r - rows.start) * batch + b] = w[r, :] · x_b` for
-/// `r` in `rows`. Rows go in tiles of [`ROW_TILE`] (the last
-/// `rows.len() % ROW_TILE` one at a time), each tile a [`tile_accumulate`]
-/// per lane block, so every weight is streamed once and reused across
-/// every batch lane, and every element equals `dot(w[r, :], x_b)` bit for
-/// bit. [`matvec`] is the `batch == 1` case, and a sub-range of rows
-/// computes the same elements as the full range.
-pub fn matmul_rows_xt(
-    out: &mut [f32],
-    w: &[f32],
-    xt: &[f32],
-    rows: Range<usize>,
-    cols: usize,
-    batch: usize,
-) {
-    check_gemm(out, xt, &rows, f32_shape(w, cols), batch);
-    let tiled = rows.len() / ROW_TILE * ROW_TILE;
-    let (out_tiles, out_tail) = out.split_at_mut(tiled * batch);
-    for (o, r0) in out_tiles
-        .chunks_exact_mut(ROW_TILE * batch)
-        .zip(rows.clone().step_by(ROW_TILE))
-    {
-        matmul_tile::<ROW_TILE>(o, &w[r0 * cols..(r0 + ROW_TILE) * cols], xt, cols, batch);
-    }
-    for (o, r) in out_tail
-        .chunks_exact_mut(batch)
-        .zip(rows.start + tiled..rows.end)
-    {
-        matmul_tile::<1>(o, &w[r * cols..(r + 1) * cols], xt, cols, batch);
-    }
-}
-
-/// Batched dense matmul with weight reuse: `out[r * batch + b] =
-/// w[r, :] · xs[b]` for a row-major `rows × cols` matrix `w` and `batch`
-/// activation columns stored sequence-major (`xs[b * cols..(b + 1) * cols]`
-/// is sequence `b`'s vector, the same layout the forward pass keeps its
-/// per-sequence scratch in).
-///
-/// The output is **row-major** (`[rows][batch]`): all batch results for one
-/// weight row are adjacent, which is what lets the kernel stream each
-/// weight row exactly once and reuse it across the whole batch — a batch of
-/// B decode steps reads `rows × cols` weights once instead of B times. The
-/// activations are transposed to batch-major once (O(cols·batch), nothing
-/// next to the O(rows·cols·batch) GEMM) so [`matmul_rows_xt`] can read all
-/// lanes of a column with one contiguous load; each element replays
-/// [`dot`]'s exact accumulation order, so a batched result is
-/// **bit-identical** to `batch` independent [`matvec`] calls.
-pub fn matmul(out: &mut [f32], w: &[f32], xs: &[f32], rows: usize, cols: usize, batch: usize) {
-    assert_eq!(w.len(), rows * cols, "matrix shape mismatch");
-    assert_eq!(xs.len(), batch * cols, "activation shape mismatch");
-    let xt = transpose_batch_major(xs, cols, batch);
-    matmul_rows_xt(out, w, &xt, 0..rows, cols, batch);
-}
 
 /// Reorders a row-major `rows × cols` matrix **in place** into kernel
 /// order, the layout [`tiled_matmul_rows_xt`] streams: each full tile of
@@ -966,8 +815,7 @@ fn f32_shape(w: &[f32], cols: usize) -> (usize, usize) {
 /// and pre-transposed (batch-major) activations: `out[(r - rows.start) *
 /// batch + b] = w[r, :] · x_b` for `r` in `rows`, any row range. Each tile
 /// column is one load reused across every lane of a lane block, and every
-/// element equals `dot(w[r, :], x_b)` bit for bit — the same values as
-/// [`matmul_rows_xt`] over the row-major matrix. A tile column fills one
+/// element equals `dot(w[r, :], x_b)` bit for bit. A tile column fills one
 /// AVX2 register, a tile pair's one AVX-512 register; the pair pays from
 /// width 2, where the kernel is bound by arithmetic, not the stream.
 pub fn tiled_matmul_rows_xt(
@@ -1264,56 +1112,14 @@ mod tests {
         assert_eq!(out, [-2.0, -2.0]);
     }
 
-    #[test]
-    fn matmul_is_bit_identical_to_per_column_matvec() {
-        let (rows, cols) = (5usize, 9usize);
-        let w: Vec<f32> = (0..rows * cols)
-            .map(|i| ((i * 31 % 17) as f32) * 0.37 - 4.0)
-            .collect();
-        for batch in [1usize, 2, 3, 8] {
-            let xs: Vec<f32> = (0..batch * cols)
-                .map(|i| (i as f32 * 0.21).cos() * 1.7)
-                .collect();
-            let mut batched = vec![0.0f32; rows * batch];
-            matmul(&mut batched, &w, &xs, rows, cols, batch);
-            for b in 0..batch {
-                let mut single = vec![0.0f32; rows];
-                matvec(&mut single, &w, &xs[b * cols..(b + 1) * cols], rows, cols);
-                for r in 0..rows {
-                    // Exact: the batched kernel must not reassociate.
-                    assert_eq!(batched[r * batch + b], single[r], "r={r} b={b}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn matmul_batch_one_equals_matvec() {
-        let (rows, cols) = (4usize, 6usize);
-        let w: Vec<f32> = (0..rows * cols).map(|i| i as f32 - 11.0).collect();
-        let x: Vec<f32> = (0..cols).map(|i| (i as f32).sin()).collect();
-        let mut mv = vec![0.0f32; rows];
-        matvec(&mut mv, &w, &x, rows, cols);
-        let mut mm = vec![0.0f32; rows];
-        matmul(&mut mm, &w, &x, rows, cols, 1);
-        assert_eq!(mv, mm);
-    }
-
-    /// A batch-3 call given two lanes of activations panics in every
-    /// build, rather than reading the third lane as zeros.
+    /// A matvec given too short an activation panics in every build,
+    /// rather than pairing a row with fewer columns.
     #[test]
     #[should_panic(expected = "activation shape mismatch")]
-    fn matmul_shape_check_rejects_a_missing_lane() {
+    fn matvec_shape_check_rejects_a_short_activation() {
         let (rows, cols) = (8, 5);
-        let mut out = vec![0.0f32; rows * 3];
-        matmul(
-            &mut out,
-            &vec![1.0; rows * cols],
-            &vec![1.0; 2 * cols],
-            rows,
-            cols,
-            3,
-        );
+        let mut out = vec![0.0f32; rows];
+        matvec(&mut out, &vec![1.0; rows * cols], &[1.0; 4], rows, cols);
     }
 
     /// A batch-3 transpose given two lanes panics in every build, rather
@@ -1326,13 +1132,15 @@ mod tests {
         transpose_batch_major_into(&mut xt, &vec![1.0; (batch - 1) * cols], cols, batch);
     }
 
+    /// A batch-3 GEMM given two lanes of activations panics in every
+    /// build, rather than reading the third lane as zeros.
     #[test]
     #[should_panic(expected = "activation shape mismatch")]
-    fn matmul_rows_xt_shape_check_rejects_a_missing_lane() {
+    fn kernel_order_shape_check_rejects_a_missing_lane() {
         let (rows, cols) = (8, 5);
         let mut out = vec![0.0f32; rows * 3];
         let w = vec![1.0; rows * cols];
-        matmul_rows_xt(&mut out, &w, &vec![1.0; 2 * cols], 0..rows, cols, 3);
+        tiled_matmul_rows_xt(&mut out, &w, &vec![1.0; 2 * cols], 0..rows, cols, 3);
     }
 
     /// A random row-major `rows × cols` matrix and its kernel-order copy.

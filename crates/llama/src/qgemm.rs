@@ -17,7 +17,7 @@
 //! therefore **bit-identical** to `batch` independent [`qmatvec`] calls,
 //! which keeps quantized serve reports byte-reproducible.
 
-use crate::ops::{check_gemm, run_tiled, transpose_batch_major, Isa, ROW_TILE};
+use crate::ops::{check_gemm, run_tiled, Isa, ROW_TILE};
 use crate::ops::{RowTiles, TileColumns, TiledGemm};
 use crate::quant::{dequant_column_pair, QuantKind, QuantMatrix, GROUP};
 use std::ops::Range;
@@ -117,20 +117,10 @@ pub fn qmatmul_rows_xt(
     }
 }
 
-/// Batched fused dequant-GEMM with weight reuse: `out[r * batch + b] =
-/// dequant(w[r, :]) · xs[b]` for sequence-major activations, row-major
-/// output — the quantized twin of [`crate::ops::matmul`]. A batch of B
-/// decode steps streams the compressed matrix once instead of B times,
-/// and every element is bit-identical to a [`qmatvec`] call.
-pub fn qmatmul(out: &mut [f32], w: &QuantMatrix, xs: &[f32], batch: usize) {
-    assert_eq!(xs.len(), batch * w.cols(), "activation shape mismatch");
-    let xt = transpose_batch_major(xs, w.cols(), batch);
-    qmatmul_rows_xt(out, w, &xt, 0..w.rows(), batch);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::{dot, transpose_batch_major};
     use crate::rng::Xoshiro256;
 
     fn random_case(rows: usize, cols: usize, batch: usize, seed: u64) -> (Vec<f32>, Vec<f32>) {
@@ -142,8 +132,12 @@ mod tests {
         (w, xs)
     }
 
-    /// Satellite: pins `QuantMatrix::matvec` (now the serve-path kernel)
-    /// against the quantize→dequantize→`ops::matvec` reference — exact,
+    /// `dot` of every row of the row-major `rows × cols` matrix `w` with `x`.
+    fn dot_rows(w: &[f32], x: &[f32], cols: usize) -> Vec<f32> {
+        w.chunks_exact(cols).map(|row| dot(row, x)).collect()
+    }
+
+    /// Pins [`qmatvec`] against `dot` over the dequantized rows — exact,
     /// because both accumulate identical dequantized values in the same
     /// order — and within `error_bound()` of the f32 original.
     #[test]
@@ -153,18 +147,15 @@ mod tests {
             let (w, x) = random_case(rows, cols, 1, 11);
             let qm = QuantMatrix::quantize_with(&w, rows, cols, kind);
             let mut got = vec![0.0f32; rows];
-            qm.matvec(&mut got, &x);
+            qmatvec(&mut got, &qm, &x);
 
-            let deq = qm.dequantize();
-            let mut reference = vec![0.0f32; rows];
-            crate::ops::matvec(&mut reference, &deq, &x, rows, cols);
+            let reference = dot_rows(&qm.dequantize(), &x, cols);
             assert_eq!(
                 got, reference,
                 "{kind:?}: must replay dequantized matvec exactly"
             );
 
-            let mut exact = vec![0.0f32; rows];
-            crate::ops::matvec(&mut exact, &w, &x, rows, cols);
+            let exact = dot_rows(&w, &x, cols);
             let l1: f32 = x.iter().map(|v| v.abs()).sum();
             let bound = qm.error_bound() * l1 + 1e-6;
             for (e, a) in exact.iter().zip(&got) {
@@ -183,8 +174,9 @@ mod tests {
                 let (rows, cols) = (17, 70);
                 let (w, xs) = random_case(rows, cols, batch, 21 + batch as u64);
                 let qm = QuantMatrix::quantize_with(&w, rows, cols, kind);
+                let xt = transpose_batch_major(&xs, cols, batch);
                 let mut batched = vec![0.0f32; rows * batch];
-                qmatmul(&mut batched, &qm, &xs, batch);
+                qmatmul_rows_xt(&mut batched, &qm, &xt, 0..rows, batch);
                 let mut single = vec![0.0f32; rows];
                 for b in 0..batch {
                     qmatvec(&mut single, &qm, &xs[b * cols..(b + 1) * cols]);
@@ -293,7 +285,7 @@ mod tests {
                             let out = run(Instance::TwoTiles, &qm, &xt, range.clone(), batch);
                             for r in range.clone() {
                                 for b in 0..batch {
-                                    let want = crate::ops::dot(
+                                    let want = dot(
                                         &deq[r * cols..(r + 1) * cols],
                                         &xs[b * cols..(b + 1) * cols],
                                     );
@@ -342,7 +334,7 @@ mod tests {
     fn qmatmul_shape_check_rejects_a_missing_lane() {
         let (w, xs) = random_case(8, 40, 2, 3);
         let qm = QuantMatrix::quantize(&w, 8, 40);
-        qmatmul(&mut [0.0f32; 8 * 3], &qm, &xs, 3);
+        qmatmul_rows_xt(&mut [0.0f32; 8 * 3], &qm, &xs, 0..8, 3);
     }
 
     #[test]

@@ -458,14 +458,6 @@ impl QuantMatrix {
         }
         out
     }
-
-    /// Fused dequant matvec: weights are dequantized in registers and
-    /// accumulated in f32 (weight-only quantization — the activations stay
-    /// full precision). Delegates to the kernel module so the serve path
-    /// and this entry point share one accumulation order.
-    pub fn matvec(&self, out: &mut [f32], x: &[f32]) {
-        crate::qgemm::qmatvec(out, self, x);
-    }
 }
 
 /// One transformer layer's GEMM operands, quantized.
@@ -625,12 +617,11 @@ mod tests {
         let mut x = vec![0.0f32; cols];
         rng.fill_normal(&mut w, 0.1);
         rng.fill_normal(&mut x, 1.0);
-        let mut exact = vec![0.0f32; rows];
-        crate::ops::matvec(&mut exact, &w, &x, rows, cols);
+        let exact = w.chunks_exact(cols).map(|row| crate::ops::dot(row, &x));
         let qm = QuantMatrix::quantize(&w, rows, cols);
         let mut approx = vec![0.0f32; rows];
-        qm.matvec(&mut approx, &x);
-        for (e, a) in exact.iter().zip(&approx) {
+        crate::qgemm::qmatvec(&mut approx, &qm, &x);
+        for (e, a) in exact.zip(&approx) {
             // Weight-only int8: well under the old W8A8 tolerance.
             assert!((e - a).abs() < 0.08, "{e} vs {a}");
         }
@@ -669,7 +660,7 @@ mod tests {
         let qm = QuantMatrix::quantize(&w, n, n);
         let x: Vec<f32> = (0..n).map(|i| (i as f32 * 0.2).cos()).collect();
         let mut out = vec![0.0f32; n];
-        qm.matvec(&mut out, &x);
+        crate::qgemm::qmatvec(&mut out, &qm, &x);
         for (o, xi) in out.iter().zip(&x) {
             assert!((o - 2.0 * xi).abs() < 0.05, "{o} vs {}", 2.0 * xi);
         }

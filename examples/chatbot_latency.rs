@@ -4,6 +4,7 @@
 
 use speedllm::accel::report::Table;
 use speedllm::prelude::*;
+use speedllm::serve::report::percentile_f64;
 
 const TURNS: &[&str] = &[
     "Hello! How are you today?",
@@ -11,14 +12,6 @@ const TURNS: &[&str] = &[
     "What happened to the cat at the end?",
     "Thank you, that was a nice story!",
 ];
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx]
-}
 
 fn main() {
     let cfg = ModelConfig::stories15m();
@@ -55,8 +48,8 @@ fn main() {
         token_lats_us.sort_by(|a, b| a.partial_cmp(b).unwrap());
         table.row(vec![
             name.into(),
-            format!("{:.0} us", percentile(&token_lats_us, 0.50)),
-            format!("{:.0} us", percentile(&token_lats_us, 0.99)),
+            format!("{:.0} us", percentile_f64(&token_lats_us, 50.0)),
+            format!("{:.0} us", percentile_f64(&token_lats_us, 99.0)),
             format!("{:.1} ms", turn_latency_s * 1e3 / TURNS.len() as f64),
             format!("{:.0}", total_tokens as f64 / total_decode_s),
         ]);

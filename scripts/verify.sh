@@ -74,14 +74,24 @@ for f in crates/{llama,accel}/src/*.rs crates/{llama,accel}/src/*/*.rs; do
 done
 
 echo "== tier 1: one f32 kernel on the hot path =="
-# Every f32 matrix is resident in kernel order and streamed by
-# ops::tiled_matmul_rows_xt. The row-major ops::matmul / ops::matvec stay
-# as the reference that probes and tests call; no code above
-# #[cfg(test)] in the crates that run models may call them.
+# Every weight GEMM, in the walk, the benches and the tests alike, runs
+# the one tiled body (cores::Gemm over kernel-order or split-order f32 or
+# a QuantMatrix; qgemm::qmatvec is its width-1 case). The row-major tiled
+# GEMM and its option-free wrappers left the library, and none of their
+# names may come back anywhere.
+if grep -rnE --include='*.rs' \
+    '\bmatmul_rows_xt\b|tile_accumulate|matmul_tile|ops::matmul\b|fn matmul\b|qmatmul\(|\.matvec\(' \
+    crates src tests examples; then
+    echo "a deleted row-major GEMM or GEMM wrapper (see the lines above)" >&2
+    exit 1
+fi
+# ops::matvec, a dot per row, stays as the reference the benchmark's
+# probes call; no code above #[cfg(test)] in the crates that run models
+# may call it.
 for f in crates/{llama,accel,serve}/src/*.rs crates/{llama,accel,serve}/src/*/*.rs; do
     [[ -e "$f" ]] || continue
-    if sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE 'ops::(matmul|matvec)\('; then
-        echo "$f: a row-major f32 GEMM call above #[cfg(test)] (see the lines above)" >&2
+    if sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE 'ops::matvec\('; then
+        echo "$f: a row-major f32 GEMV call above #[cfg(test)] (see the lines above)" >&2
         exit 1
     fi
     # RoPE in the walk reads the per-model table (ops::RopeTable);

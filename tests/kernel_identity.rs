@@ -5,10 +5,12 @@
 //! reassociates *every* path the same way would pass them all. These tests
 //! compare against things the kernels cannot drag along:
 //!
-//! * a property: every output element of the f32/int8/int4 GEMV/GEMM
-//!   kernels over row counts that straddle two row tiles (so the
-//!   tile-interleaved quantized layout ends on a ragged, padded tile),
-//!   column counts on and off the 8-column and `GROUP`
+//! * a property: every output element of every body the walk streams
+//!   through `cores::Gemm` (f32 in kernel order, f32 in split order
+//!   rebuilt exactly, int8 and int4), and of the one-row `ops::matvec` and
+//!   `qgemm::qmatvec`, over row counts that straddle two row tiles (so the
+//!   tile-interleaved layouts end on a ragged, padded tile) and one or two
+//!   split-order groups, column counts on and off the 8-column and `GROUP`
 //!   boundaries, every lane-block width, and row sub-ranges that start and
 //!   end inside a tile, bitwise equals a plain single-accumulator loop
 //!   written here;
@@ -21,10 +23,11 @@
 use speedllm_testkit::prelude::*;
 
 use speedllm::llama::config::ModelConfig;
+use speedllm::llama::cores::Gemm;
 use speedllm::llama::forward::Transformer;
 use speedllm::llama::kv_cache::KvCache;
 use speedllm::llama::ops::{self, ROW_TILE};
-use speedllm::llama::qgemm::{qmatmul, qmatmul_rows_xt, qmatvec};
+use speedllm::llama::qgemm::qmatvec;
 use speedllm::llama::quant::{QuantKind, QuantMatrix, QuantMode, GROUP};
 use speedllm::llama::rng::Xoshiro256;
 use speedllm::llama::sampler::argmax;
@@ -77,62 +80,55 @@ fn first_mismatch(rows: usize, cols: usize, batch: usize, seed: u64) -> Option<S
     let w = random_vec(rows * cols, seed, 0.3);
     let xs = random_vec(batch * cols, seed ^ 0x51ed, 1.0);
     let xt = ops::transpose_batch_major(&xs, cols, batch);
-    let n = rows * batch;
-    // The row-range kernel over a strict sub-range.
-    let sub = rows / 3..rows - rows / 4;
-    let sub_out = sub.start * batch..sub.end * batch;
-    // More views for the quantized kernel, whose tiles are a storage unit
-    // and not only a loop shape: all but the first row, all but the last,
-    // and one row from the middle of a tile.
-    let quant_subs = [
-        sub.clone(),
+    // Each body runs over the whole matrix and over views that cut its
+    // storage units (tiles, split groups): a strict middle range, all but
+    // the first row, all but the last, and one row from the middle.
+    let ranges = [
+        0..rows,
+        rows / 3..rows - rows / 4,
         rows.min(1)..rows,
         0..rows.saturating_sub(1),
         rows / 2..(rows / 2 + 1).min(rows),
     ];
+    let (mut kernel, mut split) = (w.clone(), w.clone());
+    ops::to_kernel_order(&mut kernel, rows, cols);
+    ops::to_split_order(&mut split, rows, cols);
+    let q8 = QuantMatrix::quantize_with(&w, rows, cols, QuantKind::Int8);
+    let q4 = QuantMatrix::quantize_with(&w, rows, cols, QuantKind::Int4);
+    let want = reference(&w, &xs, rows, cols, batch);
+    let want8 = reference(&q8.dequantize(), &xs, rows, cols, batch);
+    let want4 = reference(&q4.dequantize(), &xs, rows, cols, batch);
 
     // (entry point, its output, the reference for that output)
     let mut cases: Vec<(String, Vec<f32>, Vec<f32>)> = Vec::new();
-
-    let want = reference(&w, &xs, rows, cols, batch);
-    let mut f32_case = |name: &str, got: Vec<f32>| {
-        cases.push((name.to_string(), got, want.clone()));
-    };
-    f32_case(
-        "ops::matmul",
-        run(n, |o| ops::matmul(o, &w, &xs, rows, cols, batch)),
-    );
     if batch == 1 {
-        f32_case(
-            "ops::matvec",
-            run(n, |o| ops::matvec(o, &w, &xs, rows, cols)),
-        );
-    }
-    cases.push((
-        "ops::matmul_rows_xt".to_string(),
-        run(sub_out.len(), |o| {
-            ops::matmul_rows_xt(o, &w, &xt, sub.clone(), cols, batch)
-        }),
-        want[sub_out.clone()].to_vec(),
-    ));
-
-    for kind in [QuantKind::Int8, QuantKind::Int4] {
-        let qm = QuantMatrix::quantize_with(&w, rows, cols, kind);
-        let want = reference(&qm.dequantize(), &xs, rows, cols, batch);
-        let mut q_case = |name: &str, got: Vec<f32>| {
-            cases.push((format!("{kind:?} {name}"), got, want.clone()));
-        };
-        q_case("qmatmul", run(n, |o| qmatmul(o, &qm, &xs, batch)));
-        if batch == 1 {
-            q_case("qmatvec", run(n, |o| qmatvec(o, &qm, &xs)));
-        }
-        for sub in &quant_subs {
+        cases.push((
+            "ops::matvec".to_string(),
+            run(rows, |o| ops::matvec(o, &w, &xs, rows, cols)),
+            want.clone(),
+        ));
+        for (qm, want) in [(&q8, &want8), (&q4, &want4)] {
             cases.push((
-                format!("{kind:?} qmatmul_rows_xt {sub:?}"),
-                run(sub.len() * batch, |o| {
-                    qmatmul_rows_xt(o, &qm, &xt, sub.clone(), batch)
+                format!("{:?} qmatvec", qm.kind()),
+                run(rows, |o| qmatvec(o, qm, &xs)),
+                want.clone(),
+            ));
+        }
+    }
+    let gemms = [
+        ("KernelOrder", Gemm::KernelOrder(&kernel, cols), &want),
+        ("SplitExact", Gemm::SplitExact(&split, cols), &want),
+        ("Quant Int8", Gemm::Quant(&q8), &want8),
+        ("Quant Int4", Gemm::Quant(&q4), &want4),
+    ];
+    for (name, gemm, want) in gemms {
+        for range in &ranges {
+            cases.push((
+                format!("Gemm::{name} {range:?}"),
+                run(range.len() * batch, |o| {
+                    gemm.run(o, &xt, range.clone(), batch)
                 }),
-                want[sub.start * batch..sub.end * batch].to_vec(),
+                want[range.start * batch..range.end * batch].to_vec(),
             ));
         }
     }
@@ -157,7 +153,9 @@ props! {
             1 => n * 8,
             _ => n * 8 + 1 + (seed % 7) as usize,
         };
-        for rows in 0..=2 * ROW_TILE + 1 {
+        // Up to two row tiles and one more row; then one split-order
+        // group (32 rows) and two, each with a tail row.
+        for rows in (0..=2 * ROW_TILE + 1).chain([33, 65]) {
             for batch in 1..=11 {
                 let bad = first_mismatch(rows, cols, batch, seed);
                 prop_assert!(

@@ -10,7 +10,8 @@
 use speedllm_testkit::prelude::*;
 
 use speedllm::llama::config::ModelConfig;
-use speedllm::llama::qgemm::{qmatmul, qmatvec};
+use speedllm::llama::ops::transpose_batch_major;
+use speedllm::llama::qgemm::{qmatmul_rows_xt, qmatvec};
 use speedllm::llama::quant::{
     pack_nibbles, unpack_nibbles, QuantKind, QuantMatrix, QuantWeights, GROUP,
 };
@@ -112,13 +113,14 @@ props! {
         let full_rows = 24;
         let w = random_matrix(full_rows, cols, seed, 0.3);
         let xs = random_vec(cols * batch, seed ^ 0x7a11);
+        let xt = transpose_batch_major(&xs, cols, batch);
         for kind in [QuantKind::Int8, QuantKind::Int4] {
             let full = QuantMatrix::quantize_with(&w, full_rows, cols, kind);
             let cut = QuantMatrix::quantize_with(&w[..rows * cols], rows, cols, kind);
             let mut want = vec![0.0f32; full_rows * batch];
-            qmatmul(&mut want, &full, &xs, batch);
+            qmatmul_rows_xt(&mut want, &full, &xt, 0..full_rows, batch);
             let mut got = vec![f32::NAN; rows * batch];
-            qmatmul(&mut got, &cut, &xs, batch);
+            qmatmul_rows_xt(&mut got, &cut, &xt, 0..rows, batch);
             for (a, b) in got.iter().zip(&want) {
                 prop_assert_eq!(a.to_bits(), b.to_bits());
             }
@@ -171,8 +173,9 @@ props! {
             let qm = QuantMatrix::quantize_with(&w, rows, cols, kind);
             // Column-major activations: xs[b * cols ..][.. cols].
             let xs = random_vec(cols * batch, seed ^ 0x9e37);
+            let xt = transpose_batch_major(&xs, cols, batch);
             let mut got = vec![0.0f32; rows * batch];
-            qmatmul(&mut got, &qm, &xs, batch);
+            qmatmul_rows_xt(&mut got, &qm, &xt, 0..rows, batch);
             for b in 0..batch {
                 let mut want = vec![0.0f32; rows];
                 qmatvec(&mut want, &qm, &xs[b * cols..(b + 1) * cols]);
