@@ -1,17 +1,19 @@
 //! The accelerator engine: one model on the simulated device. It owns no
-//! sequence: every pass extends [`SeqKv`]s its caller made with
-//! [`KvSpace::new_seq`] and holds.
+//! sequence and no KV storage: every pass extends the [`KvBatch`] its
+//! caller passes — a session's [`KvCache`](speedllm_llama::kv_cache::KvCache),
+//! a serve backend's flat or paged sequences — each run starting at that
+//! sequence's stored length.
 //!
 //! A device pass ([`Engine::forward_runs`]) is two halves that share
 //! nothing but the pass's row positions:
 //!
 //! * **Values** (`Engine::execute`) — one call of the CPU reference's
 //!   layer walk ([`Transformer::forward_runs`]) over every row of the
-//!   pass, on the engine's KV storage. There is no second interpreter:
+//!   pass, on the caller's KV. There is no second interpreter:
 //!   fusion, placement and pipelining change *timing*, never values, so
 //!   logits are bit-identical to the CPU path at the same weight
 //!   precision. The one device-specific value effect, Q8_0 KV storage, is
-//!   a [`KvBatch`] adapter around the store (`DeviceKv`).
+//!   a [`KvBatch`] adapter around the caller's batch (`DeviceKv`).
 //! * **Cost** (`Engine::time`) — what the op graph, fused schedule and
 //!   memory plan are for. Every kernel is decomposed into read/compute/
 //!   write tiles (weight streaming per MPE row-wave, KV paging for
@@ -45,7 +47,6 @@ use speedllm_llama::forward::{LogitRows, Transformer};
 use speedllm_llama::kv_cache::KvBatch;
 use speedllm_llama::quant::{QuantMode, QuantTensor};
 use speedllm_llama::resident::{IntoResident, ResidentWeights};
-use speedllm_pagedkv::{KvSpace, SeqKv};
 
 use crate::fusion::{fuse_with_limit, Schedule};
 use crate::ir::{build_decode_graph, Graph, OpKind, ValueId};
@@ -302,10 +303,6 @@ pub struct Engine {
     dma_wr: DmaEngine,
     launches: u64,
     stalls: u64,
-    /// Storage of the sequences: flat until a backend makes it
-    /// paged ([`Engine::kv_space_mut`]). The layout is functional-only:
-    /// the timing model charges page-granular KV traffic either way.
-    kv: KvSpace,
     // Optional capture of the next step's timeline.
     trace: Option<TraceBuffer>,
 }
@@ -348,7 +345,6 @@ impl Engine {
             tel::metrics::gauge_set("accel.memplan_hbm_values", plan.hbm_values() as f64);
         }
         let kernels = Arc::new(KernelPlan::new(&graph, schedule));
-        let kv = KvSpace::new(weights.config(), None);
         let engine = Self {
             model: Transformer::with_weights(weights),
             opt,
@@ -363,7 +359,6 @@ impl Engine {
             dma_wr: DmaEngine::new(cfg.write_dma, Direction::Write),
             launches: 0,
             stalls: 0,
-            kv,
             trace: None,
         };
         let used = engine.hbm_footprint();
@@ -440,21 +435,6 @@ impl Engine {
         self.trace.take()
     }
 
-    /// Storage of the sequences: [`KvSpace::new_seq`] makes one for
-    /// [`Engine::forward_runs`].
-    #[must_use]
-    pub fn kv_space(&self) -> &KvSpace {
-        &self.kv
-    }
-
-    /// Mutable storage of the sequences: a paged backend replaces
-    /// it with a paged [`KvSpace`] (the scheduler owns the block allocator
-    /// and installs chains into each table; the engine only resolves the
-    /// indirection) and reports freed blocks to it.
-    pub fn kv_space_mut(&mut self) -> &mut KvSpace {
-        &mut self.kv
-    }
-
     /// Weight bytes a `rows × cols` tile streams in the active precision.
     fn matrix_bytes(&self, rows: usize, cols: usize) -> u64 {
         packed_bytes(self.opt.precision, rows, cols)
@@ -477,15 +457,7 @@ impl Engine {
     fn op_tiles(&mut self, op_idx: usize, positions: &[usize], tiles: &mut Vec<TileCost>) {
         let op = &self.graph.ops[op_idx];
         let batch = positions.len().max(1);
-        // Sums SFU cost over the chunk (counters accumulate per call).
-        let sfu_batched = |sfu: &mut Sfu, kind: SfuKind, n: usize| -> Cycles {
-            let mut total = Cycles::ZERO;
-            for _ in 0..batch {
-                total += sfu.run(kind, n);
-            }
-            total
-        };
-        match op.kind {
+        let kind = match op.kind {
             OpKind::Embed => {
                 let bytes = (batch * self.graph.config.dim * 4) as u64;
                 let read = self.dma_rd.transfer(&mut self.hbm, bytes);
@@ -495,18 +467,7 @@ impl Engine {
                     write: Cycles::ZERO,
                     unit: Unit::Sfu,
                 });
-            }
-            OpKind::RmsNorm => {
-                // Gain vector is tiny; stream it once with the op.
-                let n = self.graph.elems(op.inputs[0]);
-                let read = self.dma_rd.transfer(&mut self.hbm, (n * 4) as u64);
-                let compute = sfu_batched(&mut self.sfu, SfuKind::RmsNorm, n);
-                tiles.push(TileCost {
-                    read,
-                    compute,
-                    write: Cycles::ZERO,
-                    unit: Unit::Sfu,
-                });
+                return;
             }
             OpKind::MatMul { rows, cols } => {
                 // Stream weights one row-wave at a time; each wave is
@@ -529,16 +490,7 @@ impl Engine {
                     });
                     r += take;
                 }
-            }
-            OpKind::Rope { .. } => {
-                let n = self.graph.elems(op.inputs[0]);
-                let compute = sfu_batched(&mut self.sfu, SfuKind::Rope, n);
-                tiles.push(TileCost {
-                    read: Cycles::ZERO,
-                    compute,
-                    write: Cycles::ZERO,
-                    unit: Unit::Sfu,
-                });
+                return;
             }
             OpKind::KvAppend { .. } => {
                 let bytes = batch as u64 * 2 * self.kv_row_bytes();
@@ -549,6 +501,7 @@ impl Engine {
                     write,
                     unit: Unit::Sfu,
                 });
+                return;
             }
             OpKind::Attention {
                 n_heads, head_dim, ..
@@ -588,38 +541,32 @@ impl Engine {
                     write: Cycles::ZERO,
                     unit: Unit::Sfu,
                 });
+                return;
             }
-            OpKind::Silu => {
-                let n = self.graph.elems(op.inputs[0]);
-                let compute = sfu_batched(&mut self.sfu, SfuKind::Silu, n);
-                tiles.push(TileCost {
-                    read: Cycles::ZERO,
-                    compute,
-                    write: Cycles::ZERO,
-                    unit: Unit::Sfu,
-                });
-            }
-            OpKind::ElemMul => {
-                let n = self.graph.elems(op.inputs[0]);
-                let compute = sfu_batched(&mut self.sfu, SfuKind::Mul, n);
-                tiles.push(TileCost {
-                    read: Cycles::ZERO,
-                    compute,
-                    write: Cycles::ZERO,
-                    unit: Unit::Sfu,
-                });
-            }
-            OpKind::Add => {
-                let n = self.graph.elems(op.inputs[0]);
-                let compute = sfu_batched(&mut self.sfu, SfuKind::Add, n);
-                tiles.push(TileCost {
-                    read: Cycles::ZERO,
-                    compute,
-                    write: Cycles::ZERO,
-                    unit: Unit::Sfu,
-                });
-            }
+            OpKind::RmsNorm => SfuKind::RmsNorm,
+            OpKind::Rope { .. } => SfuKind::Rope,
+            OpKind::Silu => SfuKind::Silu,
+            OpKind::ElemMul => SfuKind::Mul,
+            OpKind::Add => SfuKind::Add,
+        };
+        // An element-wise op: one SFU pass per position over its input.
+        // RMSNorm's gain vector is tiny; stream it once with the op.
+        let n = self.graph.elems(op.inputs[0]);
+        let read = if kind == SfuKind::RmsNorm {
+            self.dma_rd.transfer(&mut self.hbm, (n * 4) as u64)
+        } else {
+            Cycles::ZERO
+        };
+        let mut compute = Cycles::ZERO;
+        for _ in 0..batch {
+            compute += self.sfu.run(kind, n);
         }
+        tiles.push(TileCost {
+            read,
+            compute,
+            write: Cycles::ZERO,
+            unit: Unit::Sfu,
+        });
     }
 
     /// Snapshot of the device counters, for per-step deltas.
@@ -804,31 +751,28 @@ impl Engine {
     }
 
     /// The **values** of a pass: one call of the reference layer walk over
-    /// every row of every run, each sequence extended at its context length
-    /// through the [`KvSpace::batch`] of the engine's storage. Returns per
-    /// sequence the logits after its run's last token, or with
-    /// [`LogitRows::All`] after every run token, row-major. Charges
-    /// nothing: the caller owes the device an [`Engine::time`].
+    /// every row of every run, run `i` extending sequence `i` of `kv` at
+    /// its stored length. Returns per sequence the logits after its run's
+    /// last token, or with [`LogitRows::All`] after every run token,
+    /// row-major. Charges nothing: the caller owes the device an
+    /// [`Engine::time`].
     ///
     /// # Panics
-    /// Panics wherever the walk or [`KvSpace::batch`] does — an empty batch
-    /// or run, a position outside the context window, a token out of
-    /// vocabulary, a pass mixing flat and paged sequences.
-    pub(crate) fn execute(
+    /// Panics wherever the walk or `kv` does — an empty batch or run, a
+    /// position outside the context window, a token out of vocabulary, a
+    /// pass mixing flat and paged sequences.
+    pub(crate) fn execute<B: KvBatch + ?Sized>(
         &mut self,
-        seqs: &mut [&mut SeqKv],
+        kv: &mut B,
         runs: &[&[u32]],
         logit_rows: LogitRows,
     ) -> Vec<Vec<f32>> {
-        let starts: Vec<usize> = seqs.iter().map(|s| s.len()).collect();
+        let starts: Vec<usize> = (0..kv.batch_len()).map(|i| kv.kv_len(i)).collect();
         let counts: Vec<usize> = runs.iter().map(|r| r.len()).collect();
         let tokens = runs.concat();
         let q8 = self.cfg.kv_precision == Precision::Int8;
         let logits = self.model.forward_runs(
-            &mut DeviceKv {
-                inner: &mut self.kv.batch(seqs),
-                q8,
-            },
+            &mut DeviceKv { inner: kv, q8 },
             &tokens,
             &counts,
             &starts,
@@ -866,12 +810,12 @@ impl Engine {
         (cycles, stats)
     }
 
-    /// **The** device pass: each of several independent sequences
-    /// contributes a *run* of one or more consecutive tokens extending it
-    /// at its current context length. A decode step is a run of length 1,
-    /// a prefill chunk a run of its chunk length, a speculative verify a
-    /// run scored with [`LogitRows::All`]; one tick may mix them
-    /// (extensions beyond the paper, DESIGN.md §13/§14/§16).
+    /// **The** device pass: each sequence of `kv` contributes a *run* of
+    /// one or more consecutive tokens extending it at its stored length.
+    /// A decode step is a run of length 1, a prefill chunk a run of its
+    /// chunk length, a speculative verify a run scored with
+    /// [`LogitRows::All`]; one tick may mix them (extensions beyond the
+    /// paper, DESIGN.md §13/§14/§16).
     ///
     /// It is `execute` (values) then `time` (cost) over the same rows:
     /// logits are bit-identical however the same tokens are cut into runs
@@ -889,23 +833,23 @@ impl Engine {
     /// Panics on an empty batch, an empty run, mismatched lengths, total
     /// rows above the on-chip staging limit (64), positions outside the
     /// context window, or tokens out of vocabulary.
-    pub fn forward_runs(
+    pub fn forward_runs<B: KvBatch + ?Sized>(
         &mut self,
-        seqs: &mut [&mut SeqKv],
+        kv: &mut B,
         runs: &[&[u32]],
         logit_rows: LogitRows,
     ) -> (Vec<Vec<f32>>, StepResult) {
-        assert!(!seqs.is_empty(), "empty batch");
-        assert_eq!(seqs.len(), runs.len(), "one token run per sequence");
-        let positions: Vec<usize> = seqs
+        assert!(kv.batch_len() > 0, "empty batch");
+        assert_eq!(kv.batch_len(), runs.len(), "one token run per sequence");
+        let positions: Vec<usize> = runs
             .iter()
-            .zip(runs)
-            .flat_map(|(seq, run)| {
-                let start = seq.len();
+            .enumerate()
+            .flat_map(|(i, run)| {
+                let start = kv.kv_len(i);
                 start..start + run.len()
             })
             .collect();
-        let all_logits = self.execute(seqs, runs, logit_rows);
+        let all_logits = self.execute(kv, runs, logit_rows);
         let (cycles, stats) = self.time(&positions);
         let last = all_logits.last().expect("one logits entry per sequence");
         // Empty when the pass scores no row.
@@ -933,14 +877,20 @@ mod tests {
         Engine::new(w, opt).expect("engine must build")
     }
 
+    /// An empty sequence for `e`'s model.
+    fn new_seq(e: &Engine) -> KvCache {
+        KvCache::new(&e.graph().config)
+    }
+
     /// One `Last` pass of `tokens` extending `seq`.
-    fn pass(e: &mut Engine, seq: &mut SeqKv, tokens: &[u32]) -> StepResult {
-        e.forward_runs(&mut [seq], &[tokens], LogitRows::Last).1
+    fn pass(e: &mut Engine, seq: &mut KvCache, tokens: &[u32]) -> StepResult {
+        e.forward_runs([seq].as_mut_slice(), &[tokens], LogitRows::Last)
+            .1
     }
 
     /// One `Last` pass of `tokens` on a fresh sequence.
     fn fresh(e: &mut Engine, tokens: &[u32]) -> StepResult {
-        let mut seq = e.kv_space().new_seq();
+        let mut seq = new_seq(e);
         pass(e, &mut seq, tokens)
     }
 
@@ -997,11 +947,11 @@ mod tests {
         let weights = TransformerWeights::synthetic(ModelConfig::test_tiny(), 42);
         let mut reference = Transformer::new(weights.clone());
         let mut kv = KvCache::new(reference.config());
-        let mut engines: Vec<(Engine, SeqKv)> = OptConfig::paper_variants()
+        let mut engines: Vec<(Engine, KvCache)> = OptConfig::paper_variants()
             .into_iter()
             .map(|(_, opt)| {
                 let e = Engine::new(Arc::new(weights.clone()), opt).unwrap();
-                let seq = e.kv_space().new_seq();
+                let seq = new_seq(&e);
                 (e, seq)
             })
             .collect();
@@ -1114,7 +1064,7 @@ mod tests {
     #[test]
     fn attention_cost_grows_with_position() {
         let mut e = engine(OptConfig::full());
-        let mut seq = e.kv_space().new_seq();
+        let mut seq = new_seq(&e);
         let c0 = pass(&mut e, &mut seq, &[1]).cycles;
         for _ in 1..8 {
             pass(&mut e, &mut seq, &[1]);
@@ -1123,7 +1073,7 @@ mod tests {
         assert!(c8 >= c0, "KV paging must not shrink: {c0} -> {c8}");
         // And HBM read traffic grows with context.
         let mut e2 = engine(OptConfig::full());
-        let mut seq = e2.kv_space().new_seq();
+        let mut seq = new_seq(&e2);
         let r0 = pass(&mut e2, &mut seq, &[1]).stats.hbm.read_bytes;
         let r1 = pass(&mut e2, &mut seq, &[1]).stats.hbm.read_bytes;
         assert!(r1 > r0);
@@ -1165,7 +1115,7 @@ mod tests {
     #[test]
     fn reset_allows_replay() {
         let mut e = engine(OptConfig::full());
-        let mut seq = e.kv_space().new_seq();
+        let mut seq = new_seq(&e);
         let a = pass(&mut e, &mut seq, &[5]);
         seq.reset();
         let b = pass(&mut e, &mut seq, &[5]);
@@ -1178,7 +1128,7 @@ mod tests {
     fn pos_overflow_panics() {
         let mut e = engine(OptConfig::full());
         let window = e.graph().config.seq_len;
-        let mut seq = e.kv_space().new_seq();
+        let mut seq = new_seq(&e);
         pass(&mut e, &mut seq, &vec![1; window]);
         pass(&mut e, &mut seq, &[0]);
     }
@@ -1188,13 +1138,13 @@ mod tests {
         let weights = Arc::new(TransformerWeights::synthetic(ModelConfig::test_tiny(), 42));
         let tokens: Vec<u32> = vec![3, 9, 14, 27, 5, 61, 2, 40];
         let mut one = Engine::new(Arc::clone(&weights), OptConfig::full()).unwrap();
-        let mut seq = one.kv_space().new_seq();
+        let mut seq = new_seq(&one);
         let mut last = Vec::new();
         for &t in &tokens {
             last = pass(&mut one, &mut seq, &[t]).logits;
         }
         let mut chunked = Engine::new(weights, OptConfig::full()).unwrap();
-        let mut cseq = chunked.kv_space().new_seq();
+        let mut cseq = new_seq(&chunked);
         let r = pass(&mut chunked, &mut cseq, &tokens);
         assert_eq!(last, r.logits, "chunked prefill diverged");
         // And the KV cache is equally advanced.
@@ -1206,7 +1156,7 @@ mod tests {
         let weights = Arc::new(TransformerWeights::synthetic(ModelConfig::stories260k(), 7));
         let tokens: Vec<u32> = (0..16).map(|i| 10 + i).collect();
         let mut one = Engine::new(Arc::clone(&weights), OptConfig::full()).unwrap();
-        let mut seq = one.kv_space().new_seq();
+        let mut seq = new_seq(&one);
         let mut cycles_one = 0u64;
         let mut read_one = 0u64;
         for &t in &tokens {
@@ -1243,7 +1193,7 @@ mod tests {
     /// One decode tick on external sequences.
     fn decode_tick(
         e: &mut Engine,
-        seqs: &mut [&mut SeqKv],
+        seqs: &mut [&mut KvCache],
         tokens: &[u32],
     ) -> (Vec<Vec<f32>>, StepResult) {
         let runs: Vec<&[u32]> = tokens.iter().map(std::slice::from_ref).collect();
@@ -1260,7 +1210,7 @@ mod tests {
         let histories: [&[u32]; 3] = [&[1, 5], &[9], &[3, 7, 11]];
         let mut expected = Vec::new();
         for (e, h) in refs.iter_mut().zip(histories) {
-            let mut seq = e.kv_space().new_seq();
+            let mut seq = new_seq(e);
             let mut last = Vec::new();
             for &t in h {
                 last = pass(e, &mut seq, &[t]).logits;
@@ -1271,12 +1221,12 @@ mod tests {
         // Batched: one engine, three sequences, advanced in lock-step where
         // possible (ragged histories decoded up-front).
         let mut batch_engine = Engine::new(weights, OptConfig::full()).unwrap();
-        let mut s0 = batch_engine.kv_space().new_seq();
-        let mut s1 = batch_engine.kv_space().new_seq();
-        let mut s2 = batch_engine.kv_space().new_seq();
+        let mut s0 = new_seq(&batch_engine);
+        let mut s1 = new_seq(&batch_engine);
+        let mut s2 = new_seq(&batch_engine);
         // Bring each sequence to one-before-the-end of its history.
         {
-            let mut seqs: Vec<(&mut SeqKv, &[u32])> = vec![
+            let mut seqs: Vec<(&mut KvCache, &[u32])> = vec![
                 (&mut s0, histories[0]),
                 (&mut s1, histories[1]),
                 (&mut s2, histories[2]),
@@ -1301,8 +1251,8 @@ mod tests {
         let weights = Arc::new(TransformerWeights::synthetic(ModelConfig::stories260k(), 7));
         let mut e = Engine::new(weights, OptConfig::full()).unwrap();
         // Eight fresh sequences, one decode each — batched.
-        let mut seqs: Vec<SeqKv> = (0..8).map(|_| e.kv_space().new_seq()).collect();
-        let mut refs: Vec<&mut SeqKv> = seqs.iter_mut().collect();
+        let mut seqs: Vec<KvCache> = (0..8).map(|_| new_seq(&e)).collect();
+        let mut refs: Vec<&mut KvCache> = seqs.iter_mut().collect();
         let tokens = [1u32, 2, 3, 4, 5, 6, 7, 8];
         let (_, batched) = decode_tick(&mut e, &mut refs, &tokens);
 
@@ -1310,7 +1260,7 @@ mod tests {
         let mut single_cycles = 0u64;
         let mut single_reads = 0u64;
         for &t in &tokens {
-            let mut seq = e.kv_space().new_seq();
+            let mut seq = new_seq(&e);
             let (_, r) = decode_tick(&mut e, &mut [&mut seq], &[t]);
             single_cycles += r.cycles.0;
             single_reads += r.stats.hbm.read_bytes;
@@ -1334,7 +1284,7 @@ mod tests {
         let mut cfg = AccelConfig::for_opt(&OptConfig::full());
         cfg.kv_precision = Precision::Int8;
         let mut i8kv = Engine::with_config(weights, OptConfig::full(), cfg).unwrap();
-        let (mut sa, mut sb) = (f32kv.kv_space().new_seq(), i8kv.kv_space().new_seq());
+        let (mut sa, mut sb) = (new_seq(&f32kv), new_seq(&i8kv));
         let mut read_f32 = 0u64;
         let mut read_i8 = 0u64;
         for pos in 0..8 {
@@ -1380,22 +1330,21 @@ mod tests {
         use speedllm_llama::kv_cache::{KvCachePool, PoolSlot};
         let weights = Arc::new(TransformerWeights::synthetic(ModelConfig::test_tiny(), 42));
         let mut e = Engine::new(Arc::clone(&weights), OptConfig::full()).unwrap();
-        let mut pool = KvCachePool::new(2, || e.kv_space().new_seq());
+        let mut pool = KvCachePool::new(2, || new_seq(&e));
         let mut slot = pool.acquire().expect("slot free");
         let chunk: &[u32] = &[3, 9];
-        e.forward_runs(&mut [slot.state_mut()], &[chunk], LogitRows::Last);
+        pass(&mut e, slot.state_mut(), chunk);
         assert_eq!(slot.state().slot_len(), 2);
         pool.release(slot);
         // Reused slot must behave exactly like a fresh sequence.
         let mut again = pool.acquire().expect("slot free");
         assert_eq!(again.state().slot_len(), 0);
-        let (_, r) = e.forward_runs(&mut [again.state_mut()], &[chunk], LogitRows::Last);
-        let (_, fresh) = e.forward_runs(
-            &mut [&mut e.kv_space().new_seq()],
-            &[chunk],
-            LogitRows::Last,
+        let r = pass(&mut e, again.state_mut(), chunk);
+        assert_eq!(
+            r.logits,
+            fresh(&mut e, chunk).logits,
+            "recycled slot leaked state"
         );
-        assert_eq!(r.logits, fresh.logits, "recycled slot leaked state");
         pool.release(again);
         assert!(pool.all_free());
         assert_eq!(pool.reuse_count(), 1);
@@ -1403,18 +1352,17 @@ mod tests {
 
     #[test]
     fn paged_sequences_match_flat_bit_for_bit() {
-        use speedllm_pagedkv::{BlockAllocator, BlockConfig};
+        use speedllm_pagedkv::{BlockAllocator, BlockConfig, KvSpace};
         let weights = Arc::new(TransformerWeights::synthetic(ModelConfig::test_tiny(), 42));
         let prompt: Vec<u32> = vec![3, 9, 14, 27, 5, 61];
         let decode: Vec<u32> = vec![8, 12, 19];
 
         // Flat reference.
         let mut flat = Engine::new(Arc::clone(&weights), OptConfig::full()).unwrap();
-        let mut fseq = flat.kv_space().new_seq();
+        let mut fseq = new_seq(&flat);
         let mut flat_logits = Vec::new();
         for run in std::iter::once(&prompt[..]).chain(decode.chunks(1)) {
-            let (_, r) = flat.forward_runs(&mut [&mut fseq], &[run], LogitRows::Last);
-            flat_logits.push(r.logits);
+            flat_logits.push(pass(&mut flat, &mut fseq, run).logits);
         }
 
         // Paged twin: same weights, block-table indirection.
@@ -1423,10 +1371,9 @@ mod tests {
             n_blocks: 8,
         };
         let mut paged = Engine::new(weights, OptConfig::full()).unwrap();
-        *paged.kv_space_mut() = KvSpace::new(&ModelConfig::test_tiny(), Some(bc));
-        assert_eq!(paged.kv_space().block_config(), Some(bc));
+        let mut space = KvSpace::new(&ModelConfig::test_tiny(), Some(bc));
         let mut alloc = BlockAllocator::new(bc);
-        let mut pseq = paged.kv_space().new_seq();
+        let mut pseq = space.new_seq();
         {
             let table = pseq.table_mut().expect("paged sequence");
             let need = (prompt.len() + decode.len()).div_ceil(bc.block_size);
@@ -1436,7 +1383,8 @@ mod tests {
         }
         let mut paged_logits = Vec::new();
         for run in std::iter::once(&prompt[..]).chain(decode.chunks(1)) {
-            let (_, r) = paged.forward_runs(&mut [&mut pseq], &[run], LogitRows::Last);
+            let (_, r) =
+                paged.forward_runs(&mut space.batch(&mut [&mut pseq]), &[run], LogitRows::Last);
             paged_logits.push(r.logits);
         }
         assert_eq!(paged_logits, flat_logits, "block indirection changed math");
@@ -1448,10 +1396,9 @@ mod tests {
         let tail: Vec<u32> = vec![40, 22];
         let mut full2: Vec<u32> = prompt[..shared_tokens].to_vec();
         full2.extend(&tail);
-        let mut f2 = flat.kv_space().new_seq();
-        let (_, flat2) = flat.forward_runs(&mut [&mut f2], &[&full2], LogitRows::Last);
+        let flat2 = fresh(&mut flat, &full2);
 
-        let mut p2 = paged.kv_space().new_seq();
+        let mut p2 = space.new_seq();
         {
             let shared_block = pseq.table().unwrap().blocks()[0];
             alloc.retain(shared_block);
@@ -1461,8 +1408,11 @@ mod tests {
             table.set_len(shared_tokens); // prefix-hit credit
         }
         assert_eq!(p2.len(), shared_tokens);
-        let (_, paged2) =
-            paged.forward_runs(&mut [&mut p2], &[&full2[shared_tokens..]], LogitRows::Last);
+        let (_, paged2) = paged.forward_runs(
+            &mut space.batch(&mut [&mut p2]),
+            &[&full2[shared_tokens..]],
+            LogitRows::Last,
+        );
         assert_eq!(paged2.logits, flat2.logits, "prefix sharing changed math");
     }
 
@@ -1472,7 +1422,7 @@ mod tests {
     /// both row selections.
     #[test]
     fn mixed_runs_match_one_row_passes_bit_for_bit() {
-        use speedllm_pagedkv::{BlockAllocator, BlockConfig};
+        use speedllm_pagedkv::{BlockAllocator, BlockConfig, KvSpace, SeqKv};
         let weights = Arc::new(TransformerWeights::synthetic(ModelConfig::test_tiny(), 42));
         let bc = BlockConfig {
             block_size: 4,
@@ -1489,30 +1439,27 @@ mod tests {
             let build = || {
                 let mut cfg = AccelConfig::for_opt(&OptConfig::full());
                 cfg.kv_precision = kv_precision;
-                let mut e =
-                    Engine::with_config(Arc::clone(&weights), OptConfig::full(), cfg).unwrap();
+                let e = Engine::with_config(Arc::clone(&weights), OptConfig::full(), cfg).unwrap();
                 let mut alloc = BlockAllocator::new(bc);
-                if paged {
-                    *e.kv_space_mut() = KvSpace::new(&ModelConfig::test_tiny(), Some(bc));
-                }
-                let mut seqs: Vec<SeqKv> = (0..3).map(|_| e.kv_space().new_seq()).collect();
+                let space = KvSpace::new(&ModelConfig::test_tiny(), paged.then_some(bc));
+                let mut seqs: Vec<SeqKv> = (0..3).map(|_| space.new_seq()).collect();
                 for table in seqs.iter_mut().filter_map(SeqKv::table_mut) {
                     for _ in 0..2 {
                         table.push_block(alloc.alloc().unwrap());
                     }
                 }
-                (e, seqs)
+                (e, space, seqs)
             };
-            let (mut batched, mut bseqs) = build();
-            let (mut single, mut sseqs) = build();
+            let (mut batched, mut bspace, mut bseqs) = build();
+            let (mut single, mut sspace, mut sseqs) = build();
             for tick in ticks {
                 let mut refs: Vec<&mut SeqKv> = bseqs.iter_mut().collect();
-                let (got, _) = batched.forward_runs(&mut refs, &tick, rows);
+                let (got, _) = batched.forward_runs(&mut bspace.batch(&mut refs), &tick, rows);
                 for (i, run) in tick.iter().enumerate() {
                     let mut want = Vec::new();
                     for (r, tok) in run.iter().enumerate() {
                         let (_, step) = single.forward_runs(
-                            &mut [&mut sseqs[i]],
+                            &mut sspace.batch(&mut [&mut sseqs[i]]),
                             &[std::slice::from_ref(tok)],
                             LogitRows::Last,
                         );
@@ -1534,8 +1481,8 @@ mod tests {
     #[should_panic(expected = "one token run per sequence")]
     fn run_count_mismatch_panics() {
         let mut e = engine(OptConfig::full());
-        let mut s0 = e.kv_space().new_seq();
-        e.forward_runs(&mut [&mut s0], &[&[1], &[2]], LogitRows::Last);
+        let mut s0 = new_seq(&e);
+        e.forward_runs([&mut s0].as_mut_slice(), &[&[1], &[2]], LogitRows::Last);
     }
 
     #[test]

@@ -99,6 +99,7 @@ mod tests {
     use crate::runtime::AcceleratedLlm;
     use speedllm_llama::config::ModelConfig;
     use speedllm_llama::forward::LogitRows;
+    use speedllm_llama::kv_cache::KvCache;
     use speedllm_llama::sampler::SamplerKind;
 
     fn clock() -> ClockDomain {
@@ -142,8 +143,8 @@ mod tests {
         let mut s2 = sys.session(SamplerKind::Argmax, 0);
         let tokens: Vec<u32> = (0..16).collect();
         let e = s2.engine_mut();
-        let mut seq = e.kv_space().new_seq();
-        let (_, chunk) = e.forward_runs(&mut [&mut seq], &[&tokens], LogitRows::Last);
+        let mut seq = KvCache::new(&cfg);
+        let (_, chunk) = e.forward_runs([&mut seq].as_mut_slice(), &[&tokens], LogitRows::Last);
         let p16 = roof.place(&chunk.stats, &clock());
         assert!(
             p16.intensity > 8.0 * p1.intensity,

@@ -2,7 +2,8 @@
 //!
 //! [`AcceleratedLlm`] owns the immutable assets (weights, tokenizer, the
 //! chosen optimization configuration); [`Session`] wraps one engine
-//! instance, the sequence it drives and a sampler, and runs the paper's
+//! instance, the [`KvCache`] of the conversation it drives (the engine
+//! owns no KV storage) and a sampler, and runs the paper's
 //! host loop — tokenize, prefill, decode — while collecting the metrics
 //! Fig. 2 reports: total inference latency (host timing function), decode
 //! throughput (generated tokens over decode-stage time), and energy.
@@ -16,11 +17,11 @@ use speedllm_fpga_sim::power::EnergyBreakdown;
 use speedllm_fpga_sim::stats::SimStats;
 use speedllm_llama::config::ModelConfig;
 use speedllm_llama::forward::LogitRows;
+use speedllm_llama::kv_cache::KvCache;
 use speedllm_llama::resident::{IntoResident, ResidentWeights};
 use speedllm_llama::sampler::{Sampler, SamplerKind};
 use speedllm_llama::tokenizer::{Tokenizer, TOKEN_BOS, TOKEN_EOS};
 use speedllm_llama::weights::TransformerWeights;
-use speedllm_pagedkv::SeqKv;
 
 use crate::engine::{AccelConfig, Engine, EngineError, StepResult};
 use crate::opt::OptConfig;
@@ -148,7 +149,7 @@ impl AcceleratedLlm {
         let engine = Engine::with_config(Arc::clone(&self.weights), self.opt, self.accel)
             .expect("validated at construction");
         Session {
-            seq: engine.kv_space().new_seq(),
+            kv: KvCache::new(self.config()),
             engine,
             tokenizer: Arc::clone(&self.tokenizer),
             sampler: Sampler::new(sampler, seed),
@@ -226,7 +227,7 @@ impl InferenceReport {
 pub struct Session {
     engine: Engine,
     /// The conversation's KV, the way a serve slot holds a request's.
-    seq: SeqKv,
+    kv: KvCache,
     tokenizer: Arc<Tokenizer>,
     sampler: Sampler,
 }
@@ -246,7 +247,7 @@ impl Session {
     /// Positions of the session's sequence (prompts and generations so far).
     #[must_use]
     pub fn context_len(&self) -> usize {
-        self.seq.len()
+        self.kv.len()
     }
 
     /// Runs a full inference: tokenize, prefill, decode up to
@@ -258,7 +259,7 @@ impl Session {
         prompt: &str,
         max_new_tokens: usize,
     ) -> Result<InferenceReport, RuntimeError> {
-        self.seq.reset();
+        self.kv.reset();
         self.append_generate(prompt, max_new_tokens)
     }
 
@@ -273,7 +274,7 @@ impl Session {
         max_new_tokens: usize,
     ) -> Result<InferenceReport, RuntimeError> {
         let seq_len = self.engine.graph().config.seq_len;
-        let start = self.seq.len();
+        let start = self.kv.len();
         let prompt_tokens = self.tokenizer.encode(prompt, start == 0, false);
         if start + prompt_tokens.len() > seq_len {
             return Err(RuntimeError::PromptTooLong {
@@ -380,16 +381,18 @@ impl Session {
 
     /// Values of a pass extending the sequence by `tokens`; the caller charges [`Engine::time`].
     fn extend(&mut self, tokens: &[u32], rows: LogitRows) -> Vec<f32> {
-        let mut logits = self.engine.execute(&mut [&mut self.seq], &[tokens], rows);
+        let mut logits = self
+            .engine
+            .execute([&mut self.kv].as_mut_slice(), &[tokens], rows);
         logits.pop().unwrap_or_default()
     }
 
     /// One decode pass that extends the session's sequence by `token`,
     /// values and cost (low-level access: perplexity scoring, traces).
     pub fn step(&mut self, token: u32) -> StepResult {
-        let seqs = &mut [&mut self.seq];
-        let (_, step) = self.engine.forward_runs(seqs, &[&[token]], LogitRows::Last);
-        step
+        self.engine
+            .forward_runs([&mut self.kv].as_mut_slice(), &[&[token]], LogitRows::Last)
+            .1
     }
 }
 
@@ -595,7 +598,7 @@ mod tests {
     /// `seq`: one pass per `chunk` prompt tokens, then one per token.
     fn explicit_turn(
         engine: &mut Engine,
-        seq: &mut SeqKv,
+        seq: &mut KvCache,
         sampler: &mut Sampler,
         prompt: &[u32],
         chunk: usize,
@@ -603,7 +606,7 @@ mod tests {
     ) -> (Cycles, Cycles, Vec<Cycles>, SimStats, Vec<u32>) {
         let mut pass = |tokens: &[u32]| {
             engine
-                .forward_runs(&mut [&mut *seq], &[tokens], LogitRows::Last)
+                .forward_runs([&mut *seq].as_mut_slice(), &[tokens], LogitRows::Last)
                 .1
         };
         let mut stats = SimStats::default();
@@ -655,7 +658,7 @@ mod tests {
                     let mut engine =
                         Engine::with_config(Arc::clone(sys.weights()), opt, *sys.accel_config())
                             .unwrap();
-                    let mut seq = engine.kv_space().new_seq();
+                    let mut seq = KvCache::new(sys.config());
                     let mut sampler = Sampler::new(kind, 7);
                     let turns = [
                         (prompt_of(sys.tokenizer(), n, true), true),
@@ -696,7 +699,7 @@ mod tests {
         let mut session = sys.session(kind, 7);
         let mut engine =
             Engine::with_config(Arc::clone(sys.weights()), opt, *sys.accel_config()).unwrap();
-        let mut seq = engine.kv_space().new_seq();
+        let mut seq = KvCache::new(sys.config());
         let mut sampler = Sampler::new(kind, 7);
         let turns = [
             (prompt_of(sys.tokenizer(), n, true), true),

@@ -11,26 +11,26 @@ use speedllm_bench::harness::Runner;
 use speedllm_fpga_sim::mpe::Precision;
 use speedllm_llama::config::ModelConfig;
 use speedllm_llama::forward::LogitRows;
+use speedllm_llama::kv_cache::KvCache;
 use speedllm_llama::resident::{IntoResident, ResidentWeights};
 use speedllm_llama::weights::TransformerWeights;
 use speedllm_llama::QuantMode;
-use speedllm_pagedkv::SeqKv;
 use std::hint::black_box;
 use std::sync::Arc;
 
 /// An engine at KV precision `kv`, with one empty sequence.
-fn build(kv: Precision, weights: &Arc<ResidentWeights>) -> (Engine, SeqKv) {
+fn build(kv: Precision, weights: &Arc<ResidentWeights>) -> (Engine, KvCache) {
     let mut cfg = AccelConfig::for_opt(&OptConfig::full());
     cfg.kv_precision = kv;
     let engine = Engine::with_config(Arc::clone(weights), OptConfig::full(), cfg).unwrap();
-    let seq = engine.kv_space().new_seq();
+    let seq = KvCache::new(&engine.graph().config);
     (engine, seq)
 }
 
 /// One decode pass of `token` extending `seq`.
-fn step(engine: &mut Engine, seq: &mut SeqKv, token: u32) -> StepResult {
+fn step(engine: &mut Engine, seq: &mut KvCache, token: u32) -> StepResult {
     engine
-        .forward_runs(&mut [seq], &[&[token]], LogitRows::Last)
+        .forward_runs([seq].as_mut_slice(), &[&[token]], LogitRows::Last)
         .1
 }
 

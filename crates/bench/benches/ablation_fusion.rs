@@ -10,6 +10,7 @@ use speedllm_accel::opt::OptConfig;
 use speedllm_bench::harness::Runner;
 use speedllm_llama::config::ModelConfig;
 use speedllm_llama::forward::LogitRows;
+use speedllm_llama::kv_cache::KvCache;
 use speedllm_llama::resident::IntoResident;
 use speedllm_llama::weights::TransformerWeights;
 use speedllm_llama::QuantMode;
@@ -26,8 +27,8 @@ fn print_ablation() {
         let mut cfg = AccelConfig::for_opt(&OptConfig::full());
         cfg.fusion_max_ops = limit;
         let mut engine = Engine::with_config(Arc::clone(&weights), OptConfig::full(), cfg).unwrap();
-        let mut seq = engine.kv_space().new_seq();
-        let (_, step) = engine.forward_runs(&mut [&mut seq], &[&[1]], LogitRows::Last);
+        let mut seq = KvCache::new(&engine.graph().config);
+        let (_, step) = engine.forward_runs([&mut seq].as_mut_slice(), &[&[1]], LogitRows::Last);
         println!(
             "limit {limit}: {:>3} kernels, {:>3} internal values (15M); 260K step = {} cycles",
             report.kernels, report.internal_values, step.cycles.0

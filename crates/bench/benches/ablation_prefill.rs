@@ -7,6 +7,7 @@ use speedllm_accel::opt::OptConfig;
 use speedllm_bench::harness::Runner;
 use speedllm_llama::config::ModelConfig;
 use speedllm_llama::forward::LogitRows;
+use speedllm_llama::kv_cache::KvCache;
 use speedllm_llama::resident::IntoResident;
 use speedllm_llama::weights::TransformerWeights;
 use speedllm_llama::QuantMode;
@@ -26,11 +27,11 @@ fn print_ablation() {
             AccelConfig::for_opt(&OptConfig::full()),
         )
         .unwrap();
-        let mut seq = engine.kv_space().new_seq();
+        let mut seq = KvCache::new(&engine.graph().config);
         let mut cycles = 0u64;
         let mut reads = 0u64;
         for run in tokens.chunks(chunk) {
-            let (_, r) = engine.forward_runs(&mut [&mut seq], &[run], LogitRows::Last);
+            let (_, r) = engine.forward_runs([&mut seq].as_mut_slice(), &[run], LogitRows::Last);
             cycles += r.cycles.0;
             reads += r.stats.hbm.read_bytes;
         }
@@ -52,14 +53,17 @@ fn bench_prefill(c: &mut Runner) {
     let tokens: Vec<u32> = (0..16).map(|i| 5 + i as u32).collect();
     for chunk in [1usize, 16] {
         let mut engine = Engine::new(Arc::clone(&weights), OptConfig::full()).unwrap();
-        let mut seq = engine.kv_space().new_seq();
+        let mut seq = KvCache::new(&engine.graph().config);
         c.bench_function(&format!("ablation/prefill_chunk_{chunk}"), |b| {
             b.iter(|| {
                 seq.reset();
                 let mut total = 0u64;
                 for run in tokens.chunks(chunk) {
-                    let (_, r) =
-                        engine.forward_runs(&mut [&mut seq], &[black_box(run)], LogitRows::Last);
+                    let (_, r) = engine.forward_runs(
+                        [&mut seq].as_mut_slice(),
+                        &[black_box(run)],
+                        LogitRows::Last,
+                    );
                     total += r.cycles.0;
                 }
                 black_box(total)

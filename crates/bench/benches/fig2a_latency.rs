@@ -9,6 +9,7 @@ use speedllm_bench::harness::Runner;
 use speedllm_bench::{fig2a_workloads, headline_preset, run_paper_variants, SEED};
 use speedllm_llama::config::ModelConfig;
 use speedllm_llama::forward::LogitRows;
+use speedllm_llama::kv_cache::KvCache;
 use speedllm_llama::weights::TransformerWeights;
 use std::hint::black_box;
 
@@ -38,10 +39,11 @@ fn bench_decode_step(c: &mut Runner) {
         let mut group = c.benchmark_group("fig2a/decode_step");
         let weights = TransformerWeights::synthetic(ModelConfig::stories260k(), SEED);
         let mut engine = Engine::new(weights, opt).unwrap();
-        let mut seq = engine.kv_space().new_seq();
+        let mut seq = KvCache::new(&engine.graph().config);
         // One decode pass; the context starts over at 500 positions.
         let mut step = |token: u32| {
-            let (_, r) = engine.forward_runs(&mut [&mut seq], &[&[token]], LogitRows::Last);
+            let (_, r) =
+                engine.forward_runs([&mut seq].as_mut_slice(), &[&[token]], LogitRows::Last);
             if seq.len() >= 500 {
                 seq.reset();
             }

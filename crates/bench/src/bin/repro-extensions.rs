@@ -13,6 +13,7 @@ use speedllm_bench::Table;
 use speedllm_fpga_sim::cycles::{ClockDomain, Cycles};
 use speedllm_fpga_sim::mpe::Precision;
 use speedllm_llama::forward::LogitRows;
+use speedllm_llama::kv_cache::KvCache;
 use speedllm_llama::resident::IntoResident;
 use speedllm_llama::weights::TransformerWeights;
 use speedllm_llama::QuantMode;
@@ -32,11 +33,11 @@ fn main() {
     let mut base = 0u64;
     for chunk in [1usize, 4, 8, 16, 32] {
         let mut engine = Engine::new(Arc::clone(&weights), OptConfig::full()).unwrap();
-        let mut seq = engine.kv_space().new_seq();
+        let mut seq = KvCache::new(&engine.graph().config);
         let mut cycles = 0u64;
         let mut read = 0u64;
         for run in tokens.chunks(chunk) {
-            let (_, r) = engine.forward_runs(&mut [&mut seq], &[run], LogitRows::Last);
+            let (_, r) = engine.forward_runs([&mut seq].as_mut_slice(), &[run], LogitRows::Last);
             cycles += r.cycles.0;
             read += r.stats.hbm.read_bytes;
         }
@@ -61,11 +62,13 @@ fn main() {
     ] {
         let mut engine = Engine::new(Arc::clone(weights), opt).unwrap();
         for batch in [1usize, 4, 16] {
-            let mut seqs: Vec<_> = (0..batch).map(|_| engine.kv_space().new_seq()).collect();
+            let mut seqs: Vec<_> = (0..batch)
+                .map(|_| KvCache::new(&engine.graph().config))
+                .collect();
             let toks: Vec<u32> = (0..batch as u32).map(|i| i + 1).collect();
             let mut refs: Vec<&mut _> = seqs.iter_mut().collect();
             let runs: Vec<&[u32]> = toks.iter().map(std::slice::from_ref).collect();
-            let (_, r) = engine.forward_runs(&mut refs, &runs, LogitRows::Last);
+            let (_, r) = engine.forward_runs(refs.as_mut_slice(), &runs, LogitRows::Last);
             let secs = clock.to_seconds(r.cycles);
             table.row(vec![
                 name.into(),
@@ -85,13 +88,13 @@ fn main() {
         acfg.kv_precision = kv;
         let mut engine =
             Engine::with_config(Arc::clone(&weights), OptConfig::full(), acfg).unwrap();
-        let mut seq = engine.kv_space().new_seq();
+        let mut seq = KvCache::new(&engine.graph().config);
         let mut last = None;
         for pos in 0..=255u32 {
             let run: &[u32] = &[1 + pos % 99];
             last = Some(
                 engine
-                    .forward_runs(&mut [&mut seq], &[run], LogitRows::Last)
+                    .forward_runs([&mut seq].as_mut_slice(), &[run], LogitRows::Last)
                     .1,
             );
         }
@@ -116,8 +119,8 @@ fn main() {
         ("int8", OptConfig::full_int8(), &int8_weights),
     ] {
         let mut engine = Engine::new(Arc::clone(weights), opt).unwrap();
-        let mut seq = engine.kv_space().new_seq();
-        let (_, r) = engine.forward_runs(&mut [&mut seq], &[&[1]], LogitRows::Last);
+        let mut seq = KvCache::new(&engine.graph().config);
+        let (_, r) = engine.forward_runs([&mut seq].as_mut_slice(), &[&[1]], LogitRows::Last);
         table.row(vec![
             name.into(),
             r.cycles.0.to_string(),

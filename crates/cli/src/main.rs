@@ -294,7 +294,7 @@ fn cmd_generate(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         return Err("--chunk must be in 1..=64".into());
     }
     let mut system = build_system(args, opt)?;
-    set_prefill_chunk(&mut system, chunk, opt)?;
+    system.set_prefill_chunk(chunk);
     let prompt = args.get_or("prompt", "Once upon a time");
     let mut session = system.session(sampler, args.get_u64("seed", 42)?);
     if tel::enabled() {
@@ -329,21 +329,6 @@ fn cmd_generate(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         fmt_bytes(report.stats.hbm.write_bytes),
         fmt_bytes(report.stats.ocm_read_bytes + report.stats.ocm_write_bytes),
     );
-    Ok(())
-}
-
-/// `AcceleratedLlm` validates its design at construction, so rebuilding
-/// with a modified chunk requires going through a fresh config.
-fn set_prefill_chunk(
-    system: &mut AcceleratedLlm,
-    chunk: usize,
-    _opt: OptConfig,
-) -> Result<(), Box<dyn std::error::Error>> {
-    if chunk != 1 && system.accel_config().prefill_chunk != chunk {
-        // Sessions read prefill_chunk from the engine config; expose the
-        // knob by rebuilding the system's AccelConfig via its public API.
-        system.set_prefill_chunk(chunk);
-    }
     Ok(())
 }
 
@@ -733,6 +718,9 @@ fn cmd_serve_bench(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     // selects the matching int8/int4 MPE design point.
     let quant = parse_quant(args.get_or("quant", "f32"))?;
     let slots = args.get_usize("slots", if smoke { 2 } else { 4 })?;
+    if slots == 0 {
+        return Err("--slots must be >= 1".into());
+    }
     let block_size = args.get_usize("block-size", 8)?;
     if block_size == 0 {
         return Err("--block-size must be >= 1".into());
@@ -770,9 +758,13 @@ fn cmd_serve_bench(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         unified,
     };
     let mode = match args.get_or("mode", "closed") {
-        "closed" => ArrivalMode::Closed {
-            concurrency: args.get_usize("concurrency", scfg.slots * 2)?,
-        },
+        "closed" => {
+            let concurrency = args.get_usize("concurrency", scfg.slots * 2)?;
+            if concurrency == 0 {
+                return Err("--concurrency must be >= 1".into());
+            }
+            ArrivalMode::Closed { concurrency }
+        }
         "open" => ArrivalMode::Open {
             mean_interarrival: args.get_u64("mean", 32)?,
         },
@@ -1022,6 +1014,9 @@ fn cmd_cluster_bench(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let seed = args.get_u64("seed", 42)?;
     let sampler = parse_sampler(args.get_or("sampler", "temp:0.8"))?;
     let slots = args.get_usize("slots", if smoke { 2 } else { 4 })?;
+    if slots == 0 {
+        return Err("--slots must be >= 1".into());
+    }
     // The smoke workload's 4-token shared prefix must fill at least one
     // block for prefix routing to have anything to see.
     let block_size = args.get_usize("block-size", if smoke { 4 } else { 8 })?;
@@ -1047,9 +1042,13 @@ fn cmd_cluster_bench(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         "open" => ArrivalMode::Open {
             mean_interarrival: args.get_u64("mean", if smoke { 8 } else { 32 })?,
         },
-        "closed" => ArrivalMode::Closed {
-            concurrency: args.get_usize("concurrency", n_replicas * slots)?,
-        },
+        "closed" => {
+            let concurrency = args.get_usize("concurrency", n_replicas * slots)?;
+            if concurrency == 0 {
+                return Err("--concurrency must be >= 1".into());
+            }
+            ArrivalMode::Closed { concurrency }
+        }
         other => return Err(format!("unknown --mode `{other}` (open|closed)").into()),
     };
     let shared_prefix_len = args.get_usize("shared-prefix", if smoke { 4 } else { 0 })?;

@@ -203,6 +203,37 @@ fn bad_quant_mode_is_a_clean_error() {
     assert!(err.contains("unknown quant mode"), "got: {err}");
 }
 
+/// A zero slot count or closed-loop concurrency is refused before any
+/// pool, arena or load generator is built from it.
+#[test]
+fn zero_slots_and_zero_concurrency_are_clean_errors() {
+    for args in [
+        &["serve-bench", "--smoke", "--slots", "0"][..],
+        &["serve-bench", "--smoke", "--kv", "paged", "--slots", "0"],
+        &["cluster-bench", "--smoke", "--slots", "0"],
+    ] {
+        let err = run_err(args);
+        assert!(err.contains("--slots must be >= 1"), "{args:?}: {err}");
+    }
+    for args in [
+        &["serve-bench", "--smoke", "--concurrency", "0"][..],
+        &[
+            "cluster-bench",
+            "--smoke",
+            "--mode",
+            "closed",
+            "--concurrency",
+            "0",
+        ],
+    ] {
+        let err = run_err(args);
+        assert!(
+            err.contains("--concurrency must be >= 1"),
+            "{args:?}: {err}"
+        );
+    }
+}
+
 #[test]
 fn spec_k_zero_is_a_clean_error() {
     let err = run_err(&["serve-bench", "--smoke", "--spec-k", "0"]);

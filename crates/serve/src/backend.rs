@@ -1,18 +1,20 @@
 //! The [`Backend`] trait: what the continuous-batching scheduler needs
-//! from an inference substrate, and its two implementations.
+//! from an inference substrate, and its one implementation,
+//! [`ServeBackend`].
 //!
-//! A backend owns the model and scratch state; per-sequence context lives
+//! A backend owns the model and the KV storage; per-sequence context lives
 //! in the backend's slot type, which the scheduler checks in and out of a
 //! [`speedllm_llama::kv_cache::KvCachePool`].
 //!
-//! Both backends' slot is a [`ServeSlot`] — the sequence's [`SeqKv`] and
-//! whether its request samples by plain argmax — and their storage one
-//! [`KvSpace`] (DESIGN.md §12): a flat space gives every slot a private
-//! contiguous cache; a paged one (`new_paged`) gives it a [`BlockTable`]
-//! into one shared arena, whose blocks the scheduler grants — which is
-//! what enables prefix sharing and preemptive eviction. Paged backends
-//! report their [`BlockConfig`] via [`Backend::block_config`], and the
-//! scheduler drives block-table plumbing through
+//! A [`ServeBackend`] is a [`Substrate`] — the only code that differs per
+//! substrate: its name, its model config and its pass — beside one
+//! [`KvSpace`] (DESIGN.md §12). Its slot is a [`ServeSlot`]: the
+//! sequence's [`SeqKv`] and whether its request samples by plain argmax.
+//! A flat space gives every slot a private contiguous cache; a paged one
+//! (`new_paged`) gives it a [`BlockTable`] into one shared arena, whose
+//! blocks the scheduler grants — which is what enables prefix sharing and
+//! preemptive eviction. The scheduler reads the geometry through
+//! [`Backend::block_config`] and drives block-table plumbing through
 //! [`Backend::slot_table_mut`].
 //!
 //! **Scored rows.** The scheduler marks each slot at admission through
@@ -36,13 +38,14 @@
 //! * [`AccelBackend`] charges the simulated device cycles of the pass, so
 //!   weight-stream amortization across its rows (the whole point of
 //!   continuous batching on the accelerator) shows up in the report. The
-//!   scored rows change neither backend's cost.
+//!   scored rows change neither backend's cost, nor does the KV layout:
+//!   the device charges page-granular KV traffic either way.
 
 use speedllm_accel::engine::Engine;
 use speedllm_llama::config::ModelConfig;
 use speedllm_llama::forward::{LogitRows, Transformer};
-use speedllm_llama::kv_cache::PoolSlot;
-use speedllm_pagedkv::{BlockConfig, BlockId, BlockTable, KvSpace, SeqKv};
+use speedllm_llama::kv_cache::{KvBatch, PoolSlot};
+use speedllm_pagedkv::{BlockConfig, BlockId, BlockTable, KvSpace, SeqBatch, SeqKv};
 
 /// One serving sequence: its KV storage and whether every logits row the
 /// scheduler asks for it feeds a plain argmax ([`ArgmaxSlot`]).
@@ -103,11 +106,6 @@ fn last_rows(slots: &[&mut ServeSlot]) -> LogitRows {
     } else {
         LogitRows::Last
     }
-}
-
-/// The KV stores of a pass's slots, in order.
-fn kvs<'a>(slots: &'a mut [&mut ServeSlot]) -> Vec<&'a mut SeqKv> {
-    slots.iter_mut().map(|s| &mut s.kv).collect()
 }
 
 /// Inference substrate for the serving scheduler: per-sequence state is
@@ -174,81 +172,136 @@ pub trait Backend {
     /// Block geometry when this backend serves paged KV, `None` for flat
     /// slots. The scheduler switches to block-budget admission iff this
     /// returns `Some`.
-    fn block_config(&self) -> Option<BlockConfig> {
-        None
-    }
+    fn block_config(&self) -> Option<BlockConfig>;
 
     /// The slot's block table, for paged backends. The scheduler grants
     /// and reclaims blocks through this; flat slots return `None`.
-    fn slot_table_mut(slot: &mut Self::Slot) -> Option<&mut BlockTable> {
-        let _ = slot;
-        None
-    }
+    fn slot_table_mut(slot: &mut Self::Slot) -> Option<&mut BlockTable>;
 
     /// Hook invoked when the scheduler returns blocks to the free list —
     /// paged backends poison the freed rows in debug builds so stale
     /// reads through a dangling table are loud.
-    fn on_blocks_freed(&mut self, blocks: &[BlockId]) {
-        let _ = blocks;
-    }
+    fn on_blocks_freed(&mut self, blocks: &[BlockId]);
 
     /// Short name for reports.
     fn name(&self) -> &'static str;
 }
 
-/// CPU reference backend: one [`Transformer`] (scratch, and an `Arc` of the
+/// What a [`ServeBackend`] runs its passes on: the model and its cost
+/// clock, never the KV storage.
+pub trait Substrate {
+    /// Short name for reports.
+    const NAME: &'static str;
+
+    /// The model architecture.
+    fn config(&self) -> ModelConfig;
+
+    /// One pass: run `i` extends sequence `i` of `kv` at its stored
+    /// length. Returns one entry per sequence — the `rows` it asks for,
+    /// row-major — and the pass's cost in virtual ticks.
+    fn pass(
+        &mut self,
+        kv: &mut SeqBatch<'_>,
+        runs: &[&[u32]],
+        rows: LogitRows,
+    ) -> (Vec<Vec<f32>>, u64);
+}
+
+/// The CPU reference: one [`Transformer`] (scratch, and an `Arc` of the
 /// resident weights — replicas built with [`Transformer::with_weights`]
-/// share one copy) serving all sequences via [`Transformer::forward_runs`].
-pub struct CpuBackend {
-    model: Transformer,
+/// share one copy) walking every pass with [`Transformer::forward_runs`],
+/// one tick per token row.
+impl Substrate for Transformer {
+    const NAME: &'static str = "cpu";
+
+    fn config(&self) -> ModelConfig {
+        *Transformer::config(self)
+    }
+
+    fn pass(
+        &mut self,
+        kv: &mut SeqBatch<'_>,
+        runs: &[&[u32]],
+        rows: LogitRows,
+    ) -> (Vec<Vec<f32>>, u64) {
+        let starts: Vec<usize> = (0..kv.batch_len()).map(|i| kv.kv_len(i)).collect();
+        let counts: Vec<usize> = runs.iter().map(|r| r.len()).collect();
+        let tokens = runs.concat();
+        let vocab = Transformer::config(self).vocab_size;
+        let logits = self.forward_runs(kv, &tokens, &counts, &starts, rows);
+        (rows.split(logits, &counts, vocab), tokens.len() as u64)
+    }
+}
+
+/// The simulated device: one [`Engine`] pass ([`Engine::forward_runs`]),
+/// charged its device cycles, so batching amortizes weight streams
+/// exactly as the device would — a verify tick's ~K× weight-traffic cut
+/// per accepted run shows up directly in the report's tick totals.
+impl Substrate for Engine {
+    const NAME: &'static str = "accel";
+
+    fn config(&self) -> ModelConfig {
+        self.graph().config
+    }
+
+    fn pass(
+        &mut self,
+        kv: &mut SeqBatch<'_>,
+        runs: &[&[u32]],
+        rows: LogitRows,
+    ) -> (Vec<Vec<f32>>, u64) {
+        let (logits, step) = self.forward_runs(kv, runs, rows);
+        (logits, step.cycles.0)
+    }
+}
+
+/// The serve backend: a [`Substrate`] and the [`KvSpace`] its slots'
+/// sequences live in.
+pub struct ServeBackend<S> {
+    substrate: S,
     kv: KvSpace,
 }
 
-impl CpuBackend {
-    /// Wraps a transformer with flat (slot-pool) KV context.
+/// The CPU reference backend.
+pub type CpuBackend = ServeBackend<Transformer>;
+
+/// The accelerator-simulation backend.
+pub type AccelBackend = ServeBackend<Engine>;
+
+impl<S: Substrate> ServeBackend<S> {
+    /// Wraps a substrate with flat (slot-pool) KV context.
     #[must_use]
-    pub fn new(model: Transformer) -> Self {
-        let kv = KvSpace::new(model.config(), None);
-        Self { model, kv }
+    pub fn new(substrate: S) -> Self {
+        let kv = KvSpace::new(&substrate.config(), None);
+        Self { substrate, kv }
     }
 
-    /// Wraps a transformer with a shared paged-KV arena of `blocks`.
+    /// Wraps a substrate with a shared paged-KV arena of `blocks`.
     #[must_use]
-    pub fn new_paged(model: Transformer, blocks: BlockConfig) -> Self {
-        let kv = KvSpace::new(model.config(), Some(blocks));
-        Self { model, kv }
+    pub fn new_paged(substrate: S, blocks: BlockConfig) -> Self {
+        let kv = KvSpace::new(&substrate.config(), Some(blocks));
+        Self { substrate, kv }
     }
 
-    /// Every verb's body: one [`Transformer::forward_runs`] call over all
-    /// the runs. Returns one entry per slot — the [`LogitRows`] it asked
-    /// for, row-major — and one tick per token row.
+    /// Every verb's body: one substrate pass over the slots' sequences,
+    /// batched by the backend's [`KvSpace`].
     fn run(
         &mut self,
         slots: &mut [&mut ServeSlot],
         runs: &[&[u32]],
-        logit_rows: LogitRows,
+        rows: LogitRows,
     ) -> (Vec<Vec<f32>>, u64) {
-        let starts: Vec<usize> = slots.iter().map(|s| s.kv.len()).collect();
-        let counts: Vec<usize> = runs.iter().map(|r| r.len()).collect();
-        let tokens = runs.concat();
-        let vocab = self.model.config().vocab_size;
-        let mut kvs = kvs(slots);
-        let mut kv = self.kv.batch(&mut kvs);
-        let logits = self
-            .model
-            .forward_runs(&mut kv, &tokens, &counts, &starts, logit_rows);
-        (
-            logit_rows.split(logits, &counts, vocab),
-            tokens.len() as u64,
-        )
+        let mut seqs: Vec<&mut SeqKv> = slots.iter_mut().map(|s| &mut s.kv).collect();
+        self.substrate
+            .pass(&mut self.kv.batch(&mut seqs), runs, rows)
     }
 }
 
-impl Backend for CpuBackend {
+impl<S: Substrate> Backend for ServeBackend<S> {
     type Slot = ServeSlot;
 
     fn config(&self) -> ModelConfig {
-        *self.model.config()
+        self.substrate.config()
     }
 
     fn new_slot(&self) -> Self::Slot {
@@ -306,111 +359,7 @@ impl Backend for CpuBackend {
     }
 
     fn name(&self) -> &'static str {
-        "cpu"
-    }
-}
-
-/// Accelerator-simulation backend: one [`Engine`] shared across sequences
-/// via [`Engine::forward_runs`]. Costs are the simulated device cycles of
-/// the pass, so batching amortizes weight streams exactly as the device
-/// would — a verify tick's ~K× weight-traffic cut per accepted run shows
-/// up directly in the report's tick totals.
-pub struct AccelBackend {
-    engine: Engine,
-}
-
-impl AccelBackend {
-    /// Wraps an engine with flat (slot-pool) KV context.
-    #[must_use]
-    pub fn new(engine: Engine) -> Self {
-        Self { engine }
-    }
-
-    /// Wraps an engine and switches its serving sequences to a shared
-    /// paged-KV arena of `blocks`.
-    #[must_use]
-    pub fn new_paged(mut engine: Engine, blocks: BlockConfig) -> Self {
-        *engine.kv_space_mut() = KvSpace::new(&engine.graph().config, Some(blocks));
-        Self { engine }
-    }
-}
-
-impl AccelBackend {
-    /// One [`Engine::forward_runs`] pass over the slots' KV stores.
-    fn run(
-        &mut self,
-        slots: &mut [&mut ServeSlot],
-        runs: &[&[u32]],
-        logit_rows: LogitRows,
-    ) -> (Vec<Vec<f32>>, u64) {
-        let (logits, step) = self.engine.forward_runs(&mut kvs(slots), runs, logit_rows);
-        (logits, step.cycles.0)
-    }
-}
-
-impl Backend for AccelBackend {
-    type Slot = ServeSlot;
-
-    fn config(&self) -> ModelConfig {
-        self.engine.graph().config
-    }
-
-    fn new_slot(&self) -> Self::Slot {
-        ServeSlot::new(self.engine.kv_space().new_seq())
-    }
-
-    fn prefill(
-        &mut self,
-        slot: &mut Self::Slot,
-        tokens: &[u32],
-        start_pos: usize,
-    ) -> (Vec<f32>, u64) {
-        assert_eq!(
-            slot.kv.len(),
-            start_pos,
-            "chunk must extend the sequence contiguously"
-        );
-        let slots = &mut [slot];
-        let rows = last_rows(slots);
-        let (mut logits, cost) = self.run(slots, &[tokens], rows);
-        (logits.pop().expect("one run in, one logits row out"), cost)
-    }
-
-    fn decode(&mut self, slots: &mut [&mut Self::Slot], tokens: &[u32]) -> (Vec<Vec<f32>>, u64) {
-        let runs: Vec<&[u32]> = tokens.iter().map(std::slice::from_ref).collect();
-        self.run(slots, &runs, last_rows(slots))
-    }
-
-    fn forward_mixed(
-        &mut self,
-        slots: &mut [&mut Self::Slot],
-        runs: &[&[u32]],
-    ) -> (Vec<Vec<f32>>, u64) {
-        self.run(slots, runs, last_rows(slots))
-    }
-
-    fn verify(&mut self, slots: &mut [&mut Self::Slot], runs: &[&[u32]]) -> (Vec<Vec<f32>>, u64) {
-        self.run(slots, runs, LogitRows::All)
-    }
-
-    fn truncate_slot(slot: &mut Self::Slot, len: usize) -> Vec<BlockId> {
-        slot.kv.truncate(len)
-    }
-
-    fn block_config(&self) -> Option<BlockConfig> {
-        self.engine.kv_space().block_config()
-    }
-
-    fn slot_table_mut(slot: &mut Self::Slot) -> Option<&mut BlockTable> {
-        slot.kv.table_mut()
-    }
-
-    fn on_blocks_freed(&mut self, blocks: &[BlockId]) {
-        self.engine.kv_space_mut().on_blocks_freed(blocks);
-    }
-
-    fn name(&self) -> &'static str {
-        "accel"
+        S::NAME
     }
 }
 
@@ -447,33 +396,81 @@ mod tests {
         assert_eq!(dec[0], oracle.forward_with_kv(&mut kv, 7, 3).to_vec());
     }
 
-    #[test]
-    fn paged_cpu_backend_matches_flat_cpu_backend() {
-        let mut flat = CpuBackend::new(Transformer::new(weights()));
+    /// Pushes blocks from `alloc` (a paged backend's) onto `slot`'s table
+    /// until it holds `len` positions, the way the scheduler grants them.
+    fn grant<S: Substrate>(alloc: &mut Option<BlockAllocator>, slot: &mut ServeSlot, len: usize) {
+        let Some(alloc) = alloc else { return };
+        let table = ServeBackend::<S>::slot_table_mut(slot).expect("a paged slot");
+        while table.capacity_tokens() < len {
+            table.push_block(alloc.alloc().expect("a free block"));
+        }
+    }
+
+    /// Every verb once on one backend: a prefill chunk, a decode, a mixed
+    /// tick (a decode row beside a chunk), a 3-row verify, a rollback and
+    /// a decode after it. Returns each pass's logits and cost.
+    fn every_verb<S: Substrate>(mut b: ServeBackend<S>) -> Vec<(Vec<Vec<f32>>, u64)> {
+        let mut alloc = b.block_config().map(BlockAllocator::new);
+        let (mut x, mut y) = (b.new_slot(), b.new_slot());
+        let mut passes = Vec::new();
+        grant::<S>(&mut alloc, &mut x, 5);
+        let (row, cost) = b.prefill(&mut x, &[3, 9, 14, 27, 5], 0);
+        passes.push((vec![row], cost));
+        grant::<S>(&mut alloc, &mut x, 6);
+        passes.push(b.decode(&mut [&mut x], &[8]));
+        grant::<S>(&mut alloc, &mut x, 7);
+        grant::<S>(&mut alloc, &mut y, 3);
+        passes.push(b.forward_mixed(&mut [&mut x, &mut y], &[&[12], &[4, 11, 2]]));
+        grant::<S>(&mut alloc, &mut x, 10);
+        passes.push(b.verify(&mut [&mut x], &[&[19, 7, 30]]));
+        let freed = ServeBackend::<S>::truncate_slot(&mut x, 8);
+        assert_eq!(
+            freed.len(),
+            usize::from(alloc.is_some()),
+            "one block past 8 of 10"
+        );
+        for &block in &freed {
+            alloc.as_mut().expect("paged").release(block);
+        }
+        b.on_blocks_freed(&freed);
+        assert_eq!(x.slot_len(), 8);
+        grant::<S>(&mut alloc, &mut x, 9);
+        passes.push(b.decode(&mut [&mut x, &mut y], &[6, 1]));
+        passes
+    }
+
+    /// A flat and a paged backend over the same substrate give every verb
+    /// the same logits, bit for bit, and charge every pass the same cost.
+    fn flat_matches_paged<S: Substrate>(make: impl Fn() -> S) {
         let bc = BlockConfig {
             block_size: 4,
             n_blocks: 8,
         };
-        let mut paged = CpuBackend::new_paged(Transformer::new(weights()), bc);
-        assert_eq!(paged.block_config(), Some(bc));
-        assert!(flat.block_config().is_none());
-
-        let mut alloc = BlockAllocator::new(bc);
-        let mut fs = flat.new_slot();
-        let mut ps = paged.new_slot();
-        let table = CpuBackend::slot_table_mut(&mut ps).expect("paged slot");
-        for _ in 0..2 {
-            table.push_block(alloc.alloc().unwrap());
+        let (flat, paged) = (
+            ServeBackend::new(make()),
+            ServeBackend::new_paged(make(), bc),
+        );
+        assert_eq!(
+            (flat.block_config(), paged.block_config()),
+            (None, Some(bc))
+        );
+        let bits = |rows: &[Vec<f32>]| -> Vec<Vec<u32>> {
+            rows.iter()
+                .map(|r| r.iter().map(|x| x.to_bits()).collect())
+                .collect()
+        };
+        let (flat, paged) = (every_verb(flat), every_verb(paged));
+        assert_eq!(flat.len(), paged.len());
+        for (i, ((fl, fc), (pl, pc))) in flat.iter().zip(&paged).enumerate() {
+            assert_eq!(bits(fl), bits(pl), "{} pass {i}: logits", S::NAME);
+            assert_eq!(fc, pc, "{} pass {i}: cost", S::NAME);
         }
-        let (lf, _) = flat.prefill(&mut fs, &[3, 9, 14, 27, 5], 0);
-        let (lp, _) = paged.prefill(&mut ps, &[3, 9, 14, 27, 5], 0);
-        assert_eq!(lp, lf, "block indirection changed CPU math");
+    }
 
-        let mut fr = [&mut fs];
-        let mut pr = [&mut ps];
-        let (df, _) = flat.decode(&mut fr, &[8]);
-        let (dp, _) = paged.decode(&mut pr, &[8]);
-        assert_eq!(dp, df);
+    #[test]
+    fn flat_and_paged_backends_agree_on_every_verb_and_its_cost() {
+        flat_matches_paged(|| Transformer::new(weights()));
+        flat_matches_paged(|| Engine::new(Arc::new(weights()), OptConfig::full()).unwrap());
     }
 
     #[test]

@@ -111,11 +111,11 @@ fn passes(weights: &Arc<ResidentWeights>, via: Via, paged: bool, rows: LogitRows
                 QuantMode::Int4 => OptConfig::full_int4(),
             };
             let mut engine = Engine::new(Arc::clone(weights), opt).expect("engine builds");
-            *engine.kv_space_mut() = KvSpace::new(&cfg, blocks);
-            let mut seqs: Vec<SeqKv> = (0..3).map(|_| grant(engine.kv_space().new_seq())).collect();
+            let mut space = KvSpace::new(&cfg, blocks);
+            let mut seqs: Vec<SeqKv> = (0..3).map(|_| grant(space.new_seq())).collect();
             for runs in PASSES {
                 let mut slots: Vec<&mut SeqKv> = seqs.iter_mut().collect();
-                let (out, _) = engine.forward_runs(&mut slots, &runs, rows);
+                let (out, _) = engine.forward_runs(&mut space.batch(&mut slots), &runs, rows);
                 logits.extend(out.concat());
             }
         }

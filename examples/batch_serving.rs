@@ -7,6 +7,7 @@
 use speedllm::accel::engine::Engine;
 use speedllm::accel::report::Table;
 use speedllm::llama::forward::LogitRows;
+use speedllm::llama::kv_cache::KvCache;
 use speedllm::prelude::*;
 
 fn main() {
@@ -33,11 +34,13 @@ fn main() {
         ]);
         let mut base_tps = 0.0f64;
         for batch in [1usize, 2, 4, 8, 16, 32] {
-            let mut seqs: Vec<_> = (0..batch).map(|_| engine.kv_space().new_seq()).collect();
+            let mut seqs: Vec<_> = (0..batch)
+                .map(|_| KvCache::new(&engine.graph().config))
+                .collect();
             // Warm each sequence with a couple of context tokens.
             for (i, seq) in seqs.iter_mut().enumerate() {
                 let warm: &[u32] = &[i as u32 % 100 + 1, (i as u32 + 1) % 100 + 1];
-                engine.forward_runs(&mut [seq], &[warm], LogitRows::Last);
+                engine.forward_runs([seq].as_mut_slice(), &[warm], LogitRows::Last);
             }
             let mut cycles = 0u64;
             let mut read = 0u64;
@@ -45,7 +48,7 @@ fn main() {
                 let tokens: Vec<u32> = (0..batch).map(|i| ((i + step) % 200) as u32 + 1).collect();
                 let mut refs: Vec<&mut _> = seqs.iter_mut().collect();
                 let runs: Vec<&[u32]> = tokens.iter().map(std::slice::from_ref).collect();
-                let (_, r) = engine.forward_runs(&mut refs, &runs, LogitRows::Last);
+                let (_, r) = engine.forward_runs(refs.as_mut_slice(), &runs, LogitRows::Last);
                 cycles += r.cycles.0;
                 read += r.stats.hbm.read_bytes;
             }

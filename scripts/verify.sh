@@ -127,27 +127,47 @@ if [[ "$allows" != 1 || "$blocks" != 2 ]]; then
 fi
 
 echo "== tier 1: one sequence-KV type =="
-# Every sequence's KV is one pagedkv::SeqKv (a private cache or a block
-# table), the slot of both serve backends, and pagedkv::KvSpace::batch is
-# the only code that picks flat or paged for a pass; llama::KvBatch is the
-# walk's only KV trait. Every sequence belongs to whatever drives it: a
-# Transformer or an accel::Engine holds none, so neither has a hidden
-# default sequence or a verb that lends one out. The per-backend twins and
-# single-sequence adapters it replaced may not come back, and above their
-# tests the backends name neither the arena nor a layout arm.
+# Every sequence's KV belongs to whatever drives it, and its storage to
+# the serve backend, never to a model or an engine: a Transformer or an
+# accel::Engine holds no sequence and no KV storage, and each pass extends
+# the llama::KvBatch its caller passes (llama::KvBatch is the walk's only
+# KV trait). accel::runtime::Session holds a plain llama::KvCache; serving
+# sequences are pagedkv::SeqKv (a private cache or a block table) in the
+# one serve::ServeBackend's pagedkv::KvSpace, and KvSpace::batch is the
+# only code that picks flat or paged for a pass. So accel does not depend
+# on pagedkv, serve has one Backend impl (the per-substrate part is a
+# serve::Substrate), and the per-backend twins, single-sequence adapters
+# and engine-owned storage this replaced may not come back.
 if grep -rnE --include='*.rs' \
-    'KvStore|PagedSeqView|begin_with_kv|CpuSlot|SequenceState|forward_runs_into|execute_default' \
+    'KvStore|PagedSeqView|begin_with_kv|CpuSlot|SequenceState|forward_runs_into|execute_default|kv_space' \
     crates src tests examples benchmark/src; then
-    echo "a second sequence-KV type or adapter (see the lines above)" >&2
+    echo "a second sequence-KV type, adapter or engine-owned KV storage (see the lines above)" >&2
     exit 1
 fi
+if sed -n '/^\[dependencies\]/,/^\[/p' crates/accel/Cargo.toml | grep -n 'speedllm-pagedkv'; then
+    echo "crates/accel/Cargo.toml: accel depends on pagedkv (a dev-dependency at most)" >&2
+    exit 1
+fi
+backend_impls=0
 for f in crates/{serve,accel}/src/*.rs crates/{serve,accel}/src/*/*.rs; do
     [[ -e "$f" ]] || continue
-    if sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE 'PagedKvArena|SeqKv::(Flat|Paged)'; then
+    above_tests=$(sed '/#\[cfg(test)\]/,$d' "$f")
+    if grep -nE 'PagedKvArena|SeqKv::(Flat|Paged)' <<<"$above_tests"; then
         echo "$f: a flat/paged decision outside KvSpace above #[cfg(test)] (see the lines above)" >&2
         exit 1
     fi
+    if [[ "$f" == crates/accel/* ]] && grep -nE 'KvSpace|SeqKv' <<<"$above_tests"; then
+        echo "$f: the accelerator names serving KV storage above #[cfg(test)] (see the lines above)" >&2
+        exit 1
+    fi
+    if [[ "$f" == crates/serve/* ]]; then
+        backend_impls=$((backend_impls + $(grep -cE '^impl\b.*\bBackend for ' <<<"$above_tests" || true)))
+    fi
 done
+if ((backend_impls != 1)); then
+    echo "crates/serve/src: $backend_impls impls of Backend above #[cfg(test)], want the one ServeBackend" >&2
+    exit 1
+fi
 
 echo "== tier 1: release build =="
 # --workspace so the release `speedllm` binary used by the telemetry smoke

@@ -24,8 +24,9 @@ fn bits(v: &[f32]) -> Vec<u32> {
 }
 
 /// One `Last` pass of `tokens` extending `seq`.
-fn pass(e: &mut Engine, seq: &mut SeqKv, tokens: &[u32]) -> StepResult {
-    e.forward_runs(&mut [seq], &[tokens], LogitRows::Last).1
+fn pass(e: &mut Engine, seq: &mut KvCache, tokens: &[u32]) -> StepResult {
+    e.forward_runs([seq].as_mut_slice(), &[tokens], LogitRows::Last)
+        .1
 }
 
 /// Every f32 corner of the co-design is **bit-identical** to the CPU
@@ -36,11 +37,11 @@ fn check_equivalence(cfg: ModelConfig, seed: u64, steps: usize) {
     let mut reference = Transformer::new(weights.clone());
     let mut kv = KvCache::new(&cfg);
     let weights = Arc::new(weights);
-    let mut engines: Vec<(Engine, SeqKv)> = OptConfig::all_corners()
+    let mut engines: Vec<(Engine, KvCache)> = OptConfig::all_corners()
         .into_iter()
         .map(|(_, opt)| {
             let engine = Engine::new(Arc::clone(&weights), opt).unwrap();
-            let seq = engine.kv_space().new_seq();
+            let seq = KvCache::new(&engine.graph().config);
             (engine, seq)
         })
         .collect();
@@ -103,7 +104,7 @@ fn int8_engine_tracks_reference_within_quant_error() {
     let mut reference = Transformer::new(weights.clone());
     let mut kv = KvCache::new(&cfg);
     let mut engine = Engine::new(Arc::new(weights), OptConfig::full_int8()).unwrap();
-    let mut seq = engine.kv_space().new_seq();
+    let mut seq = KvCache::new(&engine.graph().config);
     for pos in 0..3 {
         let expected = reference.forward_with_kv(&mut kv, 9, pos).to_vec();
         let got = pass(&mut engine, &mut seq, &[9]);
@@ -130,7 +131,10 @@ fn engine_logits_depend_on_history() {
     let weights = Arc::new(TransformerWeights::synthetic(cfg, 21));
     let mut a = Engine::new(Arc::clone(&weights), OptConfig::full()).unwrap();
     let mut b = Engine::new(weights, OptConfig::full()).unwrap();
-    let (mut sa, mut sb) = (a.kv_space().new_seq(), b.kv_space().new_seq());
+    let (mut sa, mut sb) = (
+        KvCache::new(&a.graph().config),
+        KvCache::new(&b.graph().config),
+    );
     pass(&mut a, &mut sa, &[1]);
     pass(&mut b, &mut sb, &[2]);
     let la = pass(&mut a, &mut sa, &[5]).logits;
@@ -168,16 +172,14 @@ impl ScriptDigest {
 fn script_digest(opt: OptConfig, paged: bool) -> u64 {
     let weights = Arc::new(TransformerWeights::synthetic(ModelConfig::test_tiny(), 42));
     let mut e = Engine::new(weights, opt).unwrap();
-    let mut first = e.kv_space().new_seq();
+    let mut first = KvCache::new(&e.graph().config);
     let bc = BlockConfig {
         block_size: 4,
         n_blocks: 6,
     };
     let mut alloc = BlockAllocator::new(bc);
-    if paged {
-        *e.kv_space_mut() = KvSpace::new(&ModelConfig::test_tiny(), Some(bc));
-    }
-    let mut seqs: Vec<SeqKv> = (0..3).map(|_| e.kv_space().new_seq()).collect();
+    let mut space = KvSpace::new(&ModelConfig::test_tiny(), paged.then_some(bc));
+    let mut seqs: Vec<SeqKv> = (0..3).map(|_| space.new_seq()).collect();
     for table in seqs.iter_mut().filter_map(SeqKv::table_mut) {
         table.push_block(alloc.alloc().unwrap());
         table.push_block(alloc.alloc().unwrap());
@@ -194,18 +196,22 @@ fn script_digest(opt: OptConfig, paged: bool) -> u64 {
         d.step(std::slice::from_ref(&r.logits), &r);
     }
     let (logits, r) = e.forward_runs(
-        &mut [&mut *s0, &mut *s1, &mut *s2],
+        &mut space.batch(&mut [&mut *s0, &mut *s1, &mut *s2]),
         &[&[1], &[2], &[3]],
         LogitRows::Last,
     );
     d.step(&logits, &r);
     let (logits, r) = e.forward_runs(
-        &mut [&mut *s0, &mut *s1],
+        &mut space.batch(&mut [&mut *s0, &mut *s1]),
         &[&[7], &[3, 9, 14]],
         LogitRows::Last,
     );
     d.step(&logits, &r);
-    let (logits, r) = e.forward_runs(&mut [&mut *s2], &[&[5, 6, 7, 8]], LogitRows::All);
+    let (logits, r) = e.forward_runs(
+        &mut space.batch(&mut [&mut *s2]),
+        &[&[5, 6, 7, 8]],
+        LogitRows::All,
+    );
     d.step(&logits, &r);
     d.0
 }

@@ -240,21 +240,22 @@ props! {
         use speedllm::accel::engine::Engine;
         use speedllm::accel::opt::OptConfig;
         use speedllm::llama::forward::LogitRows;
+        use speedllm::llama::kv_cache::KvCache;
         use std::sync::Arc;
         let cfg = ModelConfig::test_tiny();
         let weights = Arc::new(speedllm::llama::weights::TransformerWeights::synthetic(cfg, 42));
         let tokens: Vec<u32> = (0..12u32).map(|i| (i.wrapping_mul(7).wrapping_add(seed as u32)) % 64).collect();
         let mut reference = Engine::new(Arc::clone(&weights), OptConfig::full()).unwrap();
-        let mut seq = reference.kv_space().new_seq();
+        let mut seq = KvCache::new(&reference.graph().config);
         let mut last = Vec::new();
         for &t in &tokens {
-            last = reference.forward_runs(&mut [&mut seq], &[&[t]], LogitRows::Last).1.logits;
+            last = reference.forward_runs([&mut seq].as_mut_slice(), &[&[t]], LogitRows::Last).1.logits;
         }
         let mut chunked = Engine::new(weights, OptConfig::full()).unwrap();
-        let mut seq = chunked.kv_space().new_seq();
+        let mut seq = KvCache::new(&chunked.graph().config);
         let mut got = Vec::new();
         for run in tokens.chunks(split) {
-            got = chunked.forward_runs(&mut [&mut seq], &[run], LogitRows::Last).1.logits;
+            got = chunked.forward_runs([&mut seq].as_mut_slice(), &[run], LogitRows::Last).1.logits;
         }
         for (a, b) in last.iter().zip(&got) {
             prop_assert!((a - b).abs() < 1e-5, "{} vs {}", a, b);

@@ -12,6 +12,7 @@ use speedllm::accel::runtime::AcceleratedLlm;
 use speedllm::fpga::cycles::ClockDomain;
 use speedllm::llama::config::ModelConfig;
 use speedllm::llama::forward::{LogitRows, Transformer};
+use speedllm::llama::kv_cache::KvCache;
 use speedllm::llama::sampler::SamplerKind;
 use speedllm::llama::weights::TransformerWeights;
 use speedllm::telemetry as tel;
@@ -118,9 +119,9 @@ fn combined_chrome_trace_has_host_and_sim_processes() {
         let weights = Arc::new(TransformerWeights::synthetic(cfg, 11));
         let mut engine = Engine::new(weights, OptConfig::full()).unwrap();
         engine.capture_trace(1 << 12);
-        let mut seq = engine.kv_space().new_seq();
+        let mut seq = KvCache::new(&engine.graph().config);
         for tok in 1..4 {
-            engine.forward_runs(&mut [&mut seq], &[&[tok]], LogitRows::Last);
+            engine.forward_runs([&mut seq].as_mut_slice(), &[&[tok]], LogitRows::Last);
         }
         let sim = engine.take_trace().expect("capture was requested");
 

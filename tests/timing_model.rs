@@ -9,21 +9,22 @@ use speedllm::accel::engine::{AccelConfig, Engine, StepResult};
 use speedllm::accel::opt::OptConfig;
 use speedllm::llama::config::ModelConfig;
 use speedllm::llama::forward::LogitRows;
+use speedllm::llama::kv_cache::KvCache;
 use speedllm::llama::weights::TransformerWeights;
-use speedllm::pagedkv::SeqKv;
 
 fn weights(cfg: ModelConfig) -> Arc<TransformerWeights> {
     Arc::new(TransformerWeights::synthetic(cfg, 42))
 }
 
 /// One decode pass of token 1 extending `seq`.
-fn pass(e: &mut Engine, seq: &mut SeqKv) -> StepResult {
-    e.forward_runs(&mut [seq], &[&[1]], LogitRows::Last).1
+fn pass(e: &mut Engine, seq: &mut KvCache) -> StepResult {
+    e.forward_runs([seq].as_mut_slice(), &[&[1]], LogitRows::Last)
+        .1
 }
 
 /// One decode pass of token 1 on a fresh sequence.
 fn fresh(e: &mut Engine) -> StepResult {
-    let mut seq = e.kv_space().new_seq();
+    let mut seq = KvCache::new(&e.graph().config);
     pass(e, &mut seq)
 }
 
@@ -176,7 +177,7 @@ fn streamed_total_beats_sum_of_stage_busy() {
 fn per_token_cost_is_stable_in_steady_state() {
     // Consecutive decode steps differ only by one KV page at most.
     let mut e = Engine::new(weights(ModelConfig::stories15m()), OptConfig::full()).unwrap();
-    let mut seq = e.kv_space().new_seq();
+    let mut seq = KvCache::new(&e.graph().config);
     let mut prev = pass(&mut e, &mut seq).cycles.0;
     for pos in 1..6 {
         let c = pass(&mut e, &mut seq).cycles.0;
