@@ -12,6 +12,12 @@
 //! `serve15m_int8_open` benchmark workload runs), 4 (to hold 3 against: a
 //! width must not cost more than the next power of two) and 16; and
 //! square f32 GEMMs at width 1 around the smallest size worth splitting.
+//!
+//! The `setup/*` rows time what builds every synthetic checkpoint: 2²⁰
+//! seeded normals drawn one at a time (`fill_normal_1m_loop`, the
+//! reference `next_normal_f32` loop) and by the certified vector fill
+//! (`fill_normal_1m`), each stamped with `ns_per_element`, and the whole
+//! stories15M checkpoint (`synthetic_stories15m`, 15.2 M normals).
 
 use speedllm_bench::harness::Runner;
 use speedllm_llama::config::ModelConfig;
@@ -164,8 +170,34 @@ fn bench_cores(c: &mut Runner) {
     c.set_bytes_per_iter(None);
 }
 
+fn bench_setup(c: &mut Runner) {
+    const N: usize = 1 << 20;
+    let mut out = vec![0.0f32; N];
+    c.set_elements_per_iter(Some(N as u64));
+    let mut rng = Xoshiro256::seed_from_u64(3);
+    c.bench_function("setup/fill_normal_1m_loop", |b| {
+        b.iter(|| {
+            for v in out.iter_mut() {
+                *v = rng.next_normal_f32() * 0.02;
+            }
+            black_box(out[0])
+        })
+    });
+    c.bench_function("setup/fill_normal_1m", |b| {
+        b.iter(|| {
+            rng.fill_normal(black_box(&mut out), 0.02);
+            black_box(out[0])
+        })
+    });
+    c.set_elements_per_iter(None);
+    c.bench_function("setup/synthetic_stories15m", |b| {
+        b.iter(|| TransformerWeights::synthetic(ModelConfig::stories15m(), 42).param_count())
+    });
+}
+
 fn main() {
     let mut c = Runner::from_env().sample_size(30);
+    bench_setup(&mut c);
     bench_kernels(&mut c);
     bench_cores(&mut c);
     c.finish();

@@ -84,6 +84,7 @@ pub struct Runner {
     results: Vec<BenchResult>,
     meta: Vec<(String, String)>,
     bytes_per_iter: Option<u64>,
+    elements_per_iter: Option<u64>,
 }
 
 impl Default for Runner {
@@ -95,6 +96,7 @@ impl Default for Runner {
             results: Vec::new(),
             meta: Vec::new(),
             bytes_per_iter: None,
+            elements_per_iter: None,
         }
     }
 }
@@ -152,6 +154,14 @@ impl Runner {
         self
     }
 
+    /// Declares how many elements one iteration of every subsequent
+    /// benchmark produces; their rows are then stamped with
+    /// `ns_per_element` at the median. `None` stops stamping.
+    pub fn set_elements_per_iter(&mut self, elements: Option<u64>) -> &mut Self {
+        self.elements_per_iter = elements;
+        self
+    }
+
     /// Runs one benchmark unless it is filtered out.
     pub fn bench_function(&mut self, name: &str, mut f: impl FnMut(&mut Bencher)) -> &mut Self {
         if let Some(filter) = &self.filter {
@@ -195,6 +205,12 @@ impl Runner {
             meta.push((
                 "gb_s".to_string(),
                 format!("{:.2}", bytes as f64 / median_ns),
+            ));
+        }
+        if let Some(elements) = self.elements_per_iter {
+            meta.push((
+                "ns_per_element".to_string(),
+                format!("{:.3}", median_ns / elements as f64),
             ));
         }
         let result = BenchResult {

@@ -654,8 +654,48 @@ fn resolve_draft_model(
     Ok(speedllm_llama::forward::Transformer::new(weights))
 }
 
+/// The most rows a serve pass batches, prefills in one chunk or spends
+/// of a unified token budget (`ServeEngine::new` clamps to it).
+const MAX_BATCH_ROWS: usize = 64;
+
+/// `--name` (default `default`), rejected outside `1..=max` with an error
+/// that names the bound: the serve engine clamps such a value, so the
+/// run would follow another schedule than the one printed.
+fn bounded_arg(
+    args: &Args,
+    name: &str,
+    default: usize,
+    max: usize,
+) -> Result<usize, Box<dyn std::error::Error>> {
+    let value = args.get_usize(name, default)?;
+    if (1..=max).contains(&value) {
+        Ok(value)
+    } else if max == usize::MAX {
+        Err(format!("--{name} must be >= 1").into())
+    } else {
+        Err(format!("--{name} must be in 1..={max}").into())
+    }
+}
+
+/// The serve schedule shared by `serve-bench` and `cluster-bench`, each
+/// bound checked by [`bounded_arg`].
+fn serve_config(
+    args: &Args,
+    smoke: bool,
+    slots: usize,
+    unified: Option<speedllm_serve::UnifiedConfig>,
+) -> Result<speedllm_serve::ServeConfig, Box<dyn std::error::Error>> {
+    Ok(speedllm_serve::ServeConfig {
+        slots,
+        max_batch: bounded_arg(args, "batch", 8, MAX_BATCH_ROWS)?,
+        prefill_chunk: bounded_arg(args, "chunk", if smoke { 4 } else { 16 }, MAX_BATCH_ROWS)?,
+        queue_cap: bounded_arg(args, "queue-cap", 64, usize::MAX)?,
+        unified,
+    })
+}
+
 fn cmd_serve_bench(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
-    use speedllm_serve::{AccelBackend, ArrivalMode, CpuBackend, LoadGenConfig, ServeConfig};
+    use speedllm_serve::{AccelBackend, ArrivalMode, CpuBackend, LoadGenConfig};
 
     args.expect_only(&[
         "preset",
@@ -739,10 +779,7 @@ fn cmd_serve_bench(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         if ratio > 100 {
             return Err("--prefill-ratio is a percentage (0..=100)".into());
         }
-        let token_budget = args.get_usize("token-budget", 16)?;
-        if token_budget == 0 {
-            return Err("--token-budget must be >= 1".into());
-        }
+        let token_budget = bounded_arg(args, "token-budget", 16, MAX_BATCH_ROWS)?;
         Some(speedllm_serve::UnifiedConfig {
             token_budget,
             prefill_pct: ratio as u32,
@@ -750,13 +787,12 @@ fn cmd_serve_bench(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     } else {
         None
     };
-    let scfg = ServeConfig {
-        slots: if kv == "paged" { n_blocks } else { slots },
-        max_batch: args.get_usize("batch", 8)?,
-        prefill_chunk: args.get_usize("chunk", if smoke { 4 } else { 16 })?,
-        queue_cap: args.get_usize("queue-cap", 64)?,
+    let scfg = serve_config(
+        args,
+        smoke,
+        if kv == "paged" { n_blocks } else { slots },
         unified,
-    };
+    )?;
     let mode = match args.get_or("mode", "closed") {
         "closed" => {
             let concurrency = args.get_usize("concurrency", scfg.slots * 2)?;
@@ -766,7 +802,7 @@ fn cmd_serve_bench(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             ArrivalMode::Closed { concurrency }
         }
         "open" => ArrivalMode::Open {
-            mean_interarrival: args.get_u64("mean", 32)?,
+            mean_interarrival: bounded_arg(args, "mean", 32, usize::MAX)? as u64,
         },
         "bursty" => {
             let burst_size = args.get_usize("burst-size", 4)?;
@@ -949,7 +985,7 @@ fn cluster_bench_run<B: speedllm_serve::Backend>(
 /// deterministic fault injection.
 fn cmd_cluster_bench(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     use speedllm_router::{ClusterConfig, FaultPlan, Policy};
-    use speedllm_serve::{ArrivalMode, CpuBackend, LoadGenConfig, ServeConfig, ServeEngine};
+    use speedllm_serve::{ArrivalMode, CpuBackend, LoadGenConfig, ServeEngine};
 
     args.expect_only(&[
         "preset",
@@ -1031,16 +1067,11 @@ fn cmd_cluster_bench(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         block_size,
         n_blocks,
     };
-    let scfg = ServeConfig {
-        slots: n_blocks,
-        max_batch: args.get_usize("batch", 8)?,
-        prefill_chunk: args.get_usize("chunk", if smoke { 4 } else { 16 })?,
-        queue_cap: args.get_usize("queue-cap", 64)?,
-        unified: None,
-    };
+    let scfg = serve_config(args, smoke, n_blocks, None)?;
     let mode = match args.get_or("mode", "open") {
         "open" => ArrivalMode::Open {
-            mean_interarrival: args.get_u64("mean", if smoke { 8 } else { 32 })?,
+            mean_interarrival: bounded_arg(args, "mean", if smoke { 8 } else { 32 }, usize::MAX)?
+                as u64,
         },
         "closed" => {
             let concurrency = args.get_usize("concurrency", n_replicas * slots)?;

@@ -234,6 +234,46 @@ fn zero_slots_and_zero_concurrency_are_clean_errors() {
     }
 }
 
+/// A schedule value that `ServeEngine::new` would clamp, or an open-loop
+/// mean the load generator would panic on, is refused with the bound it
+/// broke, so a run never prints one schedule and follows another.
+#[test]
+fn out_of_range_schedules_are_clean_errors() {
+    let both: [(&[&str], &str); 7] = [
+        (&["--mode", "open", "--mean", "0"], "--mean must be >= 1"),
+        (&["--batch", "0"], "--batch must be in 1..=64"),
+        (&["--batch", "100"], "--batch must be in 1..=64"),
+        (&["--chunk", "0"], "--chunk must be in 1..=64"),
+        (&["--chunk", "99"], "--chunk must be in 1..=64"),
+        (&["--queue-cap", "0"], "--queue-cap must be >= 1"),
+        (
+            &["--chunk", "64", "--batch", "65"],
+            "--batch must be in 1..=64",
+        ),
+    ];
+    let serve_only: [(&[&str], &str); 3] = [
+        (&["--token-budget", "0"], "--token-budget must be in 1..=64"),
+        (
+            &["--token-budget", "100"],
+            "--token-budget must be in 1..=64",
+        ),
+        (
+            &["--prefill-ratio", "50", "--token-budget", "65"],
+            "--token-budget must be in 1..=64",
+        ),
+    ];
+    let cases = both
+        .iter()
+        .flat_map(|case| [("serve-bench", case), ("cluster-bench", case)])
+        .chain(serve_only.iter().map(|case| ("serve-bench", case)));
+    for (command, (flags, want)) in cases {
+        let mut args = vec![command, "--smoke"];
+        args.extend_from_slice(flags);
+        let err = run_err(&args);
+        assert!(err.contains(want), "{args:?}: {err}");
+    }
+}
+
 #[test]
 fn spec_k_zero_is_a_clean_error() {
     let err = run_err(&["serve-bench", "--smoke", "--spec-k", "0"]);

@@ -4,10 +4,10 @@
 //! the paper's host software stack provides (llama2.c model loading,
 //! tokenization, the reference forward pass, sampling, quantization), built
 //! from scratch in safe Rust. There are two `unsafe` blocks, both in
-//! `ops::run_tiled`, the one dispatch of the one GEMM kernel body over
+//! `ops::run_isa`, the one dispatch of the one GEMM kernel body over
 //! kernel-order, split-order and quantized matrices (see [`ops`] and
-//! [`qgemm`]): each calls the AVX2 or AVX-512 copy of the body on a CPU
-//! just observed to have it.
+//! [`qgemm`]) and of the seeded normal fill ([`rng`]): each calls the
+//! AVX2 or AVX-512 copy of a body on a CPU just observed to have it.
 //!
 //! The crate serves two roles:
 //!

@@ -12,8 +12,10 @@
 //! What the layer walk streams — f32 in kernel order ([`to_kernel_order`])
 //! or split order, and the quantized matrices of [`crate::qgemm`] — goes
 //! through one kernel body, each form a loader of its tile columns
-//! ([`TileColumns`]), and one dispatch ([`run_tiled`]). The row-major
-//! [`matvec`] is a [`dot`] per row: a reference, not a kernel.
+//! ([`TileColumns`]), and one dispatch ([`run_isa`], through
+//! [`run_tiled`]), which also compiles the seeded normal fill of
+//! [`crate::rng`] per instruction set. The row-major [`matvec`] is a
+//! [`dot`] per row: a reference, not a kernel.
 
 use std::ops::Range;
 
@@ -640,8 +642,8 @@ pub(crate) trait RowTiles<const S: usize>: Copy {
 }
 
 /// One matrix and the kernel body that streams it, as the per-ISA copies
-/// of [`run_tiled`] take it. `body::<T>` runs with `T` = 1 at the
-/// baseline and with AVX2, and `T` = 2 with AVX-512.
+/// of [`run_isa`] take it through [`run_tiled`]. `body::<T>` runs with
+/// `T` = 1 at the baseline and with AVX2, and `T` = 2 with AVX-512.
 pub(crate) trait TiledGemm: Copy {
     /// The narrowest batch that runs the AVX-512 copy, measured per body.
     const AVX512_FROM: usize;
@@ -719,35 +721,62 @@ impl<const EXACT: bool> TiledGemm for SplitOrder<'_, EXACT> {
     }
 }
 
-/// A [`TiledGemm`] body one tile per step, compiled with AVX2 enabled.
+/// A body compiled once per instruction set, as [`run_isa`] runs it:
+/// `run::<T>` with `T` = 1 at the baseline and with AVX2, and `T` = 2
+/// with AVX-512. The GEMM bodies ([`TiledGemm`], through [`run_tiled`])
+/// step `T` row tiles at a time; the normal fill of
+/// [`crate::rng::Xoshiro256::fill_normal`] ignores `T`.
+pub(crate) trait IsaBody {
+    /// What the body returns.
+    type Output;
+
+    /// Whether this call runs the AVX-512 copy on a CPU that has it.
+    fn wants_avx512(&self) -> bool;
+
+    /// The body, `T` row tiles per step where it steps tiles.
+    fn run<const T: usize>(self) -> Self::Output;
+}
+
+/// One [`TiledGemm`] call: `out[(r - rows.start) * batch + b] = w[r, :] ·
+/// x_b` for `r` in `rows`.
+struct GemmCall<'a, G> {
+    g: G,
+    out: &'a mut [f32],
+    xt: &'a [f32],
+    rows: Range<usize>,
+    batch: usize,
+}
+
+impl<G: TiledGemm> IsaBody for GemmCall<'_, G> {
+    type Output = ();
+
+    fn wants_avx512(&self) -> bool {
+        self.batch >= G::AVX512_FROM
+    }
+
+    #[inline(always)]
+    fn run<const T: usize>(self) {
+        self.g.body::<T>(self.out, self.xt, self.rows, self.batch);
+    }
+}
+
+/// An [`IsaBody`] compiled with AVX2 enabled, one tile per step.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn tiled_kernel_avx2<G: TiledGemm>(
-    g: G,
-    out: &mut [f32],
-    xt: &[f32],
-    rows: Range<usize>,
-    batch: usize,
-) {
-    g.body::<1>(out, xt, rows, batch);
+fn isa_avx2<B: IsaBody>(b: B) -> B::Output {
+    b.run::<1>()
 }
 
-/// A [`TiledGemm`] body two tiles per step, compiled with AVX-512
-/// enabled: a column of a tile pair, or of a split-order group's words,
-/// fills one 16-wide register.
+/// An [`IsaBody`] compiled with AVX-512 enabled, two tiles per step: a
+/// column of a tile pair, or of a split-order group's words, fills one
+/// 16-wide register.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-fn tiled_kernel_avx512<G: TiledGemm>(
-    g: G,
-    out: &mut [f32],
-    xt: &[f32],
-    rows: Range<usize>,
-    batch: usize,
-) {
-    g.body::<2>(out, xt, rows, batch);
+fn isa_avx512<B: IsaBody>(b: B) -> B::Output {
+    b.run::<2>()
 }
 
-/// The widest instruction set a GEMM may pick a copy for: the public
+/// The widest instruction set a body may pick a copy for: the public
 /// kernels allow AVX-512, and the tests cap it to compare the copies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum Isa {
@@ -755,12 +784,34 @@ pub(crate) enum Isa {
     Avx512,
 }
 
-/// Runs `g`'s body in the widest copy up to `widest` that this CPU
-/// executes: AVX-512 from [`TiledGemm::AVX512_FROM`] lanes, else AVX2,
-/// else the baseline. All run the same IEEE operations in the same order
-/// (mul then add, never a fused multiply-add), so they agree bit for bit.
+/// Runs `b` in the widest copy up to `widest` that this CPU executes:
+/// AVX-512 where [`IsaBody::wants_avx512`], else AVX2, else the baseline.
+/// The copies run the same IEEE operations in the same order (mul then
+/// add, never a fused multiply-add), so they agree bit for bit.
 #[allow(unsafe_code)]
 #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+pub(crate) fn run_isa<B: IsaBody>(b: B, widest: Isa) -> B::Output {
+    #[cfg(target_arch = "x86_64")]
+    if widest >= Isa::Avx512 && b.wants_avx512() && std::arch::is_x86_feature_detected!("avx512f") {
+        // SAFETY: `isa_avx512` is safe code whose one extra requirement,
+        // a CPU that executes AVX-512F, the line above has just observed.
+        // It is `b`'s body under another instruction selection, over the
+        // same bounds-checked slices.
+        return unsafe { isa_avx512(b) };
+    }
+    #[cfg(target_arch = "x86_64")]
+    if widest >= Isa::Avx2 && std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `isa_avx2` is safe code whose one extra requirement, a
+        // CPU that executes AVX2, the line above has just observed. It is
+        // `b`'s body under another instruction selection, over the same
+        // bounds-checked slices.
+        return unsafe { isa_avx2(b) };
+    }
+    b.run::<1>()
+}
+
+/// Runs `g`'s body through [`run_isa`]: AVX-512 from
+/// [`TiledGemm::AVX512_FROM`] lanes.
 pub(crate) fn run_tiled<G: TiledGemm>(
     g: G,
     out: &mut [f32],
@@ -769,26 +820,14 @@ pub(crate) fn run_tiled<G: TiledGemm>(
     batch: usize,
     widest: Isa,
 ) {
-    #[cfg(target_arch = "x86_64")]
-    if widest >= Isa::Avx512
-        && batch >= G::AVX512_FROM
-        && std::arch::is_x86_feature_detected!("avx512f")
-    {
-        // SAFETY: `tiled_kernel_avx512` is safe code whose one extra
-        // requirement, a CPU that executes AVX-512F, the line above has
-        // just observed. It is `g`'s body under another instruction
-        // selection, over the same bounds-checked slices.
-        return unsafe { tiled_kernel_avx512(g, out, xt, rows, batch) };
-    }
-    #[cfg(target_arch = "x86_64")]
-    if widest >= Isa::Avx2 && std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: `tiled_kernel_avx2` is safe code whose one extra
-        // requirement, a CPU that executes AVX2, the line above has just
-        // observed. It is `g`'s body under another instruction selection,
-        // over the same bounds-checked slices.
-        return unsafe { tiled_kernel_avx2(g, out, xt, rows, batch) };
-    }
-    g.body::<1>(out, xt, rows, batch);
+    let call = GemmCall {
+        g,
+        out,
+        xt,
+        rows,
+        batch,
+    };
+    run_isa(call, widest);
 }
 
 /// The shape checks every GEMM over a `w_rows × cols` matrix makes, in

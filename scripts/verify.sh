@@ -110,10 +110,11 @@ if grep -n 'LogitRows::Greedy' crates/llama/src/generate.rs; then
     echo "LogitRows::Greedy in the sequential oracle (see the lines above)" >&2
     exit 1
 fi
-# The one GEMM kernel body, compiled per instruction set (baseline, AVX2
-# and AVX-512), is the only code built for a target feature, and its one
-# dispatch (ops::run_tiled) holds the workspace's only unsafe code: one
-# #[allow(unsafe_code)] over two unsafe blocks.
+# The one GEMM kernel body and the seeded normal fill, compiled per
+# instruction set (baseline, AVX2 and AVX-512), are the only code built
+# for a target feature, and their one dispatch (ops::run_isa) holds the
+# workspace's only unsafe code: one #[allow(unsafe_code)] over two unsafe
+# blocks.
 if grep -rn --include='*.rs' '#\[target_feature' crates src tests examples benchmark/src |
     grep -vE '^crates/llama/src/ops\.rs:'; then
     echo "#[target_feature] outside crates/llama/src/ops.rs (see the lines above)" >&2
@@ -287,6 +288,14 @@ cargo test --release -q -p speedllm-llama -- rope_table tiled_attention argmax
 # through the CPU backend and the accelerator engine.
 cargo test --release -q -p speedllm-llama cores::
 cargo test --release -q -p speedllm-serve --test gemm_helper
+# The seeded normal fill that builds every synthetic checkpoint is one
+# more body of the same dispatch: each copy (AVX-512, AVX2, baseline)
+# must equal the one-draw-at-a-time loop bit for bit, its certificate
+# must refuse every margin that rounds two ways, and every tensor of the
+# synthetic checkpoints must keep its pinned digest, in the profile that
+# ships.
+cargo test --release -q -p speedllm-llama rng::
+cargo test --release -q -p speedllm --test synthetic_weights
 
 echo "== unified-batch smoke (mixed prefill+decode ticks) =="
 uni_a="$(./target/release/speedllm serve-bench --smoke --mode bursty --burst-size 4 --burst-gap 16 --token-budget 8 --prefill-ratio 50)"
