@@ -24,7 +24,7 @@
 //!   for the power model.
 //!
 //! So values may batch more coarsely than cost: `Session` prefill walks up
-//! to 64 prompt rows at once and still charges one pass per
+//! to [`STAGING_ROWS`] prompt rows at once and still charges one pass per
 //! [`AccelConfig::prefill_chunk`] positions.
 
 use std::sync::Arc;
@@ -53,6 +53,10 @@ use crate::ir::{build_decode_graph, Graph, OpKind, ValueId};
 use crate::memplan::{plan, MemoryPlan, Placement};
 use crate::opt::OptConfig;
 use crate::pipeline::{schedule_kernel, PipelineConfig, TileCost, Unit, N_RESOURCES};
+
+/// Token rows one device pass may stage on chip: the most a pass, a
+/// prefill chunk or a serve tick may carry.
+pub const STAGING_ROWS: usize = 64;
 
 /// Device/design parameters of an accelerator instance. Derived from an
 /// [`OptConfig`] by [`AccelConfig::for_opt`]; individually overridable for
@@ -89,7 +93,8 @@ pub struct AccelConfig {
     /// Prompt tokens processed per device pass during prefill (chunked
     /// prefill, an extension beyond the paper). 1 = paper-faithful
     /// token-at-a-time prefill; larger values amortize weight streaming
-    /// across the chunk. Capped at 64 by the on-chip staging limit.
+    /// across the chunk. [`Engine::with_config`] refuses a value outside
+    /// 1..=[`STAGING_ROWS`].
     pub prefill_chunk: usize,
     /// Energy model.
     pub power: PowerModel,
@@ -234,17 +239,35 @@ pub struct StepResult {
 pub enum EngineError {
     /// The design point does not fit the device.
     OverBudget(OverBudget),
+    /// [`AccelConfig::prefill_chunk`] is 0 or above [`STAGING_ROWS`].
+    PrefillChunk(usize),
 }
 
 impl std::fmt::Display for EngineError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             EngineError::OverBudget(e) => write!(f, "{e}"),
+            EngineError::PrefillChunk(chunk) => write!(
+                f,
+                "prefill chunk {chunk} outside 1..={STAGING_ROWS} (the on-chip staging limit)"
+            ),
         }
     }
 }
 
 impl std::error::Error for EngineError {}
+
+/// Refuses a prefill chunk that one device pass could not stage.
+///
+/// # Errors
+/// [`EngineError::PrefillChunk`] outside 1..=[`STAGING_ROWS`].
+pub(crate) fn check_prefill_chunk(chunk: usize) -> Result<(), EngineError> {
+    if (1..=STAGING_ROWS).contains(&chunk) {
+        Ok(())
+    } else {
+        Err(EngineError::PrefillChunk(chunk))
+    }
+}
 
 /// The fused schedule and what every timing pass reads of it, fixed when
 /// the engine is built: per kernel, the values it loads from outside
@@ -318,12 +341,18 @@ impl Engine {
     /// `weights` are resident weights to share — already at
     /// `opt.precision`, or f32 and not yet shared — or a checkpoint to
     /// consume at that precision.
+    ///
+    /// # Errors
+    /// [`EngineError::OverBudget`] when the design does not fit the
+    /// device, [`EngineError::PrefillChunk`] for a chunk outside
+    /// 1..=[`STAGING_ROWS`].
     pub fn with_config(
         weights: impl IntoResident,
         opt: OptConfig,
         cfg: AccelConfig,
     ) -> Result<Self, EngineError> {
         cfg.validate().map_err(EngineError::OverBudget)?;
+        check_prefill_chunk(cfg.prefill_chunk)?;
         let weights = weights.into_resident(match opt.precision {
             Precision::Fp32 => QuantMode::F32,
             Precision::Int8 => QuantMode::Int8,
@@ -375,11 +404,12 @@ impl Engine {
     /// Bytes the design point keeps in HBM: the weights as the host holds
     /// them at `opt.precision` (norm gains and the embedding table f32),
     /// one context window of KV rows at the KV precision, and the
-    /// HBM-placed activations of a full 64-row staging pass.
+    /// HBM-placed activations of a full [`STAGING_ROWS`]-row pass.
     fn hbm_footprint(&self) -> u64 {
         let c = &self.graph.config;
         let kv = (2 * c.n_layers * c.seq_len) as u64 * self.kv_row_bytes();
-        self.weights().resident_bytes() as u64 + kv + 64 * self.plan.hbm_activation_bytes
+        let staging = STAGING_ROWS as u64 * self.plan.hbm_activation_bytes;
+        self.weights().resident_bytes() as u64 + kv + staging
     }
 
     /// Shared handle to the weights.
@@ -788,12 +818,13 @@ impl Engine {
     /// only the positions, never a value.
     ///
     /// # Panics
-    /// Panics on more rows than the on-chip staging limit (64).
+    /// Panics on more rows than the on-chip staging limit
+    /// ([`STAGING_ROWS`]).
     pub(crate) fn time(&mut self, positions: &[usize]) -> (Cycles, SimStats) {
         let rows = positions.len();
         assert!(
-            rows <= 64,
-            "{rows} rows exceed the on-chip staging limit (64)"
+            rows <= STAGING_ROWS,
+            "{rows} rows exceed the on-chip staging limit ({STAGING_ROWS})"
         );
         let before = self.counters_snapshot();
         let (cycles, ocm_read, ocm_write) = self.timing_pass(positions);
@@ -831,8 +862,8 @@ impl Engine {
     ///
     /// # Panics
     /// Panics on an empty batch, an empty run, mismatched lengths, total
-    /// rows above the on-chip staging limit (64), positions outside the
-    /// context window, or tokens out of vocabulary.
+    /// rows above the on-chip staging limit ([`STAGING_ROWS`]), positions
+    /// outside the context window, or tokens out of vocabulary.
     pub fn forward_runs<B: KvBatch + ?Sized>(
         &mut self,
         kv: &mut B,
@@ -916,6 +947,7 @@ mod tests {
                 Err(EngineError::OverBudget(e)) => {
                     assert_eq!((e.axis, e.used, e.available), ("HBM", need, need - 1));
                 }
+                Err(e) => panic!("{}: {e}", opt.short_name()),
                 Ok(_) => panic!("{} built on too small an HBM", opt.short_name()),
             }
             cfg.hbm.capacity_bytes = need;
@@ -931,6 +963,26 @@ mod tests {
             engine(OptConfig::full_int4()).hbm_footprint()
                 < engine(OptConfig::full_int8()).hbm_footprint()
         );
+    }
+
+    /// A prefill chunk is one device pass, so it must fit the staging
+    /// rows: 0 and 65 are refused at construction, 1 and 64 build.
+    #[test]
+    fn a_prefill_chunk_outside_the_staging_rows_is_refused() {
+        let w = Arc::new(TransformerWeights::synthetic(ModelConfig::test_tiny(), 42));
+        let mut cfg = AccelConfig::for_opt(&OptConfig::full());
+        for chunk in [0, STAGING_ROWS + 1] {
+            cfg.prefill_chunk = chunk;
+            match Engine::with_config(Arc::clone(&w), OptConfig::full(), cfg) {
+                Err(EngineError::PrefillChunk(c)) => assert_eq!(c, chunk),
+                Err(e) => panic!("chunk {chunk}: {e}"),
+                Ok(_) => panic!("chunk {chunk} built"),
+            }
+        }
+        for chunk in [1, STAGING_ROWS] {
+            cfg.prefill_chunk = chunk;
+            assert!(Engine::with_config(Arc::clone(&w), OptConfig::full(), cfg).is_ok());
+        }
     }
 
     #[test]
@@ -1059,6 +1111,29 @@ mod tests {
         let lf = fresh(&mut fused, &[0]).stats.kernel_launches;
         let lu = fresh(&mut unfused, &[0]).stats.kernel_launches;
         assert!(lf * 2 < lu, "fused {lf} vs unfused {lu}");
+        // A deeper composite-kernel limit never adds a launch to a decode
+        // pass, and moves no HBM byte: with memory reuse every value
+        // between kernels already stays on chip.
+        for cfg in [ModelConfig::stories260k(), ModelConfig::stories15m()] {
+            let weights = TransformerWeights::synthetic(cfg, 42).into_resident(QuantMode::F32);
+            let mut last: Option<(u64, u64, u64)> = None;
+            for limit in [1, 2, 3, 4, 6, 8] {
+                let mut accel = AccelConfig::for_opt(&OptConfig::full());
+                accel.fusion_max_ops = limit;
+                let mut e = Engine::with_config(Arc::clone(&weights), OptConfig::full(), accel)
+                    .expect("engine must build");
+                let s = fresh(&mut e, &[1]).stats;
+                let now = (s.kernel_launches, s.hbm.read_bytes, s.hbm.write_bytes);
+                if let Some(prev) = last {
+                    assert!(
+                        now.0 <= prev.0,
+                        "{cfg:?} limit {limit}: {now:?} after {prev:?}"
+                    );
+                    assert_eq!((now.1, now.2), (prev.1, prev.2), "{cfg:?} limit {limit}");
+                }
+                last = Some(now);
+            }
+        }
     }
 
     #[test]
@@ -1181,6 +1256,27 @@ mod tests {
             r.stats.hbm.read_bytes,
             read_one
         );
+        // And every doubling of the chunk over a 32-token prompt cuts
+        // both the prefill's cycles and its HBM reads.
+        let weights = TransformerWeights::synthetic(ModelConfig::stories260k(), 42)
+            .into_resident(QuantMode::F32);
+        let tokens: Vec<u32> = (0..32).map(|i| 5 + i).collect();
+        let mut last: Option<(u64, u64)> = None;
+        for chunk in [1, 2, 4, 8, 16, 32] {
+            let mut e = Engine::new(Arc::clone(&weights), OptConfig::full()).unwrap();
+            let mut seq = new_seq(&e);
+            let (mut cycles, mut reads) = (0, 0);
+            for run in tokens.chunks(chunk) {
+                let r = pass(&mut e, &mut seq, run);
+                cycles += r.cycles.0;
+                reads += r.stats.hbm.read_bytes;
+            }
+            if let Some((c, b)) = last {
+                assert!(cycles < c, "chunk {chunk}: {cycles} cycles after {c}");
+                assert!(reads < b, "chunk {chunk}: {reads} B read after {b}");
+            }
+            last = Some((cycles, reads));
+        }
     }
 
     #[test]

@@ -320,6 +320,23 @@ mod tests {
         assert!(p.overflowed > 0);
         assert!(p.hbm_activation_bytes > 0);
         verify_plan(&g, &s, &p).unwrap();
+        // A larger pool never spills more: over stories15M's fused graph,
+        // neither the overflowed values nor their HBM bytes grow.
+        let g = build_decode_graph(&ModelConfig::stories15m());
+        let s = fuse(&g, true);
+        let mut last: Option<(usize, u64)> = None;
+        for pool in [16 << 10, 64 << 10, 256 << 10, 1 << 20, 2 << 20] {
+            let p = plan(&g, &s, true, pool);
+            verify_plan(&g, &s, &p).unwrap();
+            let now = (p.overflowed, p.hbm_activation_bytes);
+            if let Some(prev) = last {
+                assert!(
+                    now.0 <= prev.0 && now.1 <= prev.1,
+                    "pool {pool}: {now:?} after {prev:?}"
+                );
+            }
+            last = Some(now);
+        }
     }
 
     #[test]

@@ -23,7 +23,9 @@ use speedllm_llama::sampler::{Sampler, SamplerKind};
 use speedllm_llama::tokenizer::{Tokenizer, TOKEN_BOS, TOKEN_EOS};
 use speedllm_llama::weights::TransformerWeights;
 
-use crate::engine::{AccelConfig, Engine, EngineError, StepResult};
+use crate::engine::{
+    check_prefill_chunk, AccelConfig, Engine, EngineError, StepResult, STAGING_ROWS,
+};
 use crate::opt::OptConfig;
 
 /// Errors surfaced by the runtime.
@@ -126,9 +128,15 @@ impl AcceleratedLlm {
     }
 
     /// Sets the chunked-prefill length for sessions opened afterwards
-    /// (1 = paper-faithful token-at-a-time; clamped to 1..=64).
-    pub fn set_prefill_chunk(&mut self, chunk: usize) {
-        self.accel.prefill_chunk = chunk.clamp(1, 64);
+    /// (1 = paper-faithful token-at-a-time).
+    ///
+    /// # Errors
+    /// [`EngineError::PrefillChunk`] outside 1..=[`STAGING_ROWS`]; the
+    /// chunk in use is then unchanged.
+    pub fn set_prefill_chunk(&mut self, chunk: usize) -> Result<(), EngineError> {
+        check_prefill_chunk(chunk)?;
+        self.accel.prefill_chunk = chunk;
+        Ok(())
     }
 
     /// The tokenizer.
@@ -288,10 +296,10 @@ impl Session {
 
         // Values and cost are independent halves of a pass (see
         // `crate::engine`), so prefill batches them differently. Values:
-        // one layer walk per group of whole chunks, up to 64 rows. Cost:
-        // one device pass per `prefill_chunk` positions, exactly what the
-        // device would run — so every simulated number is the same as
-        // walking chunk by chunk.
+        // one layer walk per group of whole chunks, up to `STAGING_ROWS`
+        // rows. Cost: one device pass per `prefill_chunk` positions,
+        // exactly what the device would run — so every simulated number
+        // is the same as walking chunk by chunk.
         let mut stats = SimStats::default();
         let mut prefill_cycles = Cycles::ZERO;
         let mut logits: Vec<f32> = Vec::new();
@@ -302,8 +310,8 @@ impl Session {
         } else {
             LogitRows::Last
         };
-        let chunk = self.engine.config().prefill_chunk.clamp(1, 64);
-        let group = 64 / chunk * chunk;
+        let chunk = self.engine.config().prefill_chunk;
+        let group = STAGING_ROWS / chunk * chunk;
         let mut pos0 = start;
         for tokens in prompt_tokens.chunks(group) {
             logits = self.extend(tokens, scored);
@@ -402,6 +410,21 @@ mod tests {
 
     fn system(opt: OptConfig) -> AcceleratedLlm {
         AcceleratedLlm::synthetic(ModelConfig::test_tiny(), 42, opt).unwrap()
+    }
+
+    /// A chunk no device pass could stage is refused, not clamped, and
+    /// the chunk already set stays.
+    #[test]
+    fn set_prefill_chunk_refuses_chunks_outside_the_staging_rows() {
+        let mut sys = system(OptConfig::full());
+        sys.set_prefill_chunk(8).unwrap();
+        for chunk in [0, STAGING_ROWS + 1] {
+            match sys.set_prefill_chunk(chunk) {
+                Err(EngineError::PrefillChunk(c)) => assert_eq!(c, chunk),
+                other => panic!("chunk {chunk}: {other:?}"),
+            }
+            assert_eq!(sys.accel_config().prefill_chunk, 8);
+        }
     }
 
     /// The weights become resident once, in `new`, at the variant's
@@ -652,7 +675,7 @@ mod tests {
         for opt in [OptConfig::full(), OptConfig::unoptimized()] {
             let mut sys = AcceleratedLlm::synthetic(cfg, 42, opt).unwrap();
             for chunk in [1, 4, 7, 64] {
-                sys.set_prefill_chunk(chunk);
+                sys.set_prefill_chunk(chunk).unwrap();
                 for n in [1, 5, 64, 65, 130] {
                     let mut session = sys.session(kind, 7);
                     let mut engine =
@@ -740,7 +763,7 @@ mod tests {
         for opt in [OptConfig::full(), OptConfig::unoptimized()] {
             let mut sys = AcceleratedLlm::synthetic(cfg, 42, opt).unwrap();
             for chunk in [1, 4, 7, 64] {
-                sys.set_prefill_chunk(chunk);
+                sys.set_prefill_chunk(chunk).unwrap();
                 for n in [1, 5, 64, 65, 130] {
                     assert_argmax_turns_match(&sys, chunk, n, 3);
                 }
@@ -753,7 +776,7 @@ mod tests {
     fn argmax_session_reports_equal_the_explicit_chunk_loop_on_stories15m() {
         let mut sys =
             AcceleratedLlm::synthetic(ModelConfig::stories15m(), 42, OptConfig::full()).unwrap();
-        sys.set_prefill_chunk(4);
+        sys.set_prefill_chunk(4).unwrap();
         assert_argmax_turns_match(&sys, 4, 14, 8);
     }
 

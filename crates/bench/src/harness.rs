@@ -11,9 +11,8 @@
 //! Command-line flags (everything unrecognized is ignored, so `cargo
 //! bench -- <filter>` keeps working):
 //!
-//! * `--smoke` — one warmup iteration, three short samples, and
-//!   `SPEEDLLM_TINY=1` exported so the figure-series printouts in the
-//!   bench mains run on tiny model configs. This is the CI/verify mode.
+//! * `--smoke` — no warmup and three short samples, each row marked
+//!   `"tiny":true`. This is the CI/verify mode.
 //! * any bare argument — substring filter on benchmark names.
 
 use std::time::{Duration, Instant};
@@ -22,12 +21,6 @@ use std::time::{Duration, Instant};
 // nearest-rank rule (this file used to carry a private round-to-index
 // variant that disagreed with it on small samples).
 use speedllm_serve::report::percentile_f64;
-
-/// True when the current process runs benches in smoke (tiny) mode.
-#[must_use]
-pub fn is_smoke() -> bool {
-    std::env::var_os("SPEEDLLM_TINY").is_some()
-}
 
 /// One benchmark's summary statistics.
 #[derive(Debug, Clone)]
@@ -42,10 +35,9 @@ pub struct BenchResult {
     pub samples: usize,
     /// Iterations per sample.
     pub iters_per_sample: u64,
-    /// Run metadata stamped onto the JSONL row (config name, variant, …)
-    /// so trajectory tooling can join results across runs.
+    /// Figures stamped onto the JSONL row (`gb_s`, `ns_per_element`).
     pub meta: Vec<(String, String)>,
-    /// Whether the row was produced under `SPEEDLLM_TINY` (smoke mode).
+    /// Whether the row was produced in smoke mode.
     pub tiny: bool,
     /// Telemetry metrics snapshot (rendered JSON object), when an
     /// instrumented run has recorded any.
@@ -82,7 +74,6 @@ pub struct Runner {
     smoke: bool,
     sample_size: usize,
     results: Vec<BenchResult>,
-    meta: Vec<(String, String)>,
     bytes_per_iter: Option<u64>,
     elements_per_iter: Option<u64>,
 }
@@ -94,7 +85,6 @@ impl Default for Runner {
             smoke: false,
             sample_size: 20,
             results: Vec::new(),
-            meta: Vec::new(),
             bytes_per_iter: None,
             elements_per_iter: None,
         }
@@ -114,11 +104,6 @@ impl Runner {
                 a => r.filter = Some(a.to_string()),
             }
         }
-        if r.smoke {
-            // Exported so the figure-series printouts in bench mains (and
-            // any child processes) switch to tiny model configs.
-            std::env::set_var("SPEEDLLM_TINY", "1");
-        }
         // Instrumented bench runs (SPEEDLLM_TRACE=1) embed a metrics
         // snapshot into each JSONL row.
         speedllm_telemetry::init_from_env();
@@ -130,18 +115,6 @@ impl Runner {
     #[must_use]
     pub fn sample_size(mut self, n: usize) -> Self {
         self.sample_size = n.max(2);
-        self
-    }
-
-    /// Sets (or replaces) a metadata key stamped onto every subsequent
-    /// result row — e.g. `set_meta("config", "stories260k")` or
-    /// `set_meta("variant", "no-fuse")`.
-    pub fn set_meta(&mut self, key: &str, value: &str) -> &mut Self {
-        if let Some(slot) = self.meta.iter_mut().find(|(k, _)| k == key) {
-            slot.1 = value.to_string();
-        } else {
-            self.meta.push((key.to_string(), value.to_string()));
-        }
         self
     }
 
@@ -199,7 +172,7 @@ impl Runner {
             None
         };
         let median_ns = percentile_f64(&ns, 50.0);
-        let mut meta = self.meta.clone();
+        let mut meta = Vec::new();
         if let Some(bytes) = self.bytes_per_iter {
             // Bytes per nanosecond is GB/s.
             meta.push((
@@ -220,7 +193,7 @@ impl Runner {
             samples: ns.len(),
             iters_per_sample: b.iters,
             meta,
-            tiny: is_smoke(),
+            tiny: self.smoke,
             metrics_json,
         };
         println!(
@@ -235,14 +208,6 @@ impl Runner {
         self
     }
 
-    /// Starts a named group; benchmark names are prefixed `group/name`.
-    pub fn benchmark_group(&mut self, prefix: &str) -> Group<'_> {
-        Group {
-            runner: self,
-            prefix: prefix.to_string(),
-        }
-    }
-
     /// Prints the run summary. Call last in `main`.
     pub fn finish(&mut self) {
         println!(
@@ -251,24 +216,6 @@ impl Runner {
             self.smoke
         );
     }
-}
-
-/// A named group of benchmarks (see [`Runner::benchmark_group`]).
-pub struct Group<'a> {
-    runner: &'a mut Runner,
-    prefix: String,
-}
-
-impl Group<'_> {
-    /// Runs `{prefix}/{name}`.
-    pub fn bench_function(&mut self, name: &str, f: impl FnMut(&mut Bencher)) -> &mut Self {
-        let full = format!("{}/{name}", self.prefix);
-        self.runner.bench_function(&full, f);
-        self
-    }
-
-    /// Ends the group (kept for call-site symmetry; dropping works too).
-    pub fn finish(self) {}
 }
 
 /// Passed to the closure given to [`Runner::bench_function`]; call
@@ -375,18 +322,6 @@ mod tests {
     }
 
     #[test]
-    fn groups_prefix_names() {
-        let mut r = Runner {
-            smoke: true,
-            ..Runner::default()
-        };
-        let mut g = r.benchmark_group("grp");
-        g.bench_function("inner", |b| b.iter(|| ()));
-        g.finish();
-        assert_eq!(r.results[0].name, "grp/inner");
-    }
-
-    #[test]
     fn json_lines_are_well_formed() {
         let res = BenchResult {
             name: "a/b".into(),
@@ -444,20 +379,5 @@ mod tests {
         assert!(gb_s.parse::<f64>().unwrap() > 0.0);
         assert!(r.results[0].json().contains("\"gb_s\":\""));
         assert!(r.results[1].meta.is_empty());
-    }
-
-    #[test]
-    fn set_meta_replaces_existing_key() {
-        let mut r = Runner {
-            smoke: true,
-            ..Runner::default()
-        };
-        r.set_meta("variant", "full");
-        r.set_meta("variant", "no-fuse");
-        r.bench_function("x", |b| b.iter(|| ()));
-        assert_eq!(
-            r.results[0].meta,
-            vec![("variant".to_string(), "no-fuse".to_string())]
-        );
     }
 }

@@ -1,14 +1,14 @@
 //! # speedllm-bench
 //!
-//! Workload definitions and the measurement harness behind every table and
-//! figure reproduction (see DESIGN.md §4 for the experiment index). The
-//! `repro-*` binaries print the paper's rows; the benches under `benches/`
-//! wrap the same runners in the in-repo [`harness`] for regression timing
-//! of the simulator itself.
+//! Workload definitions behind every table and figure reproduction (see
+//! DESIGN.md §4 for the experiment index): the `repro-*` binaries print
+//! the paper's rows from them. The in-repo [`harness`] runs the one bench,
+//! `benches/cpu_kernels.rs`; the simulator's own speed and the serve
+//! paths are timed by the `benchmark/` package.
 //!
-//! Setting `SPEEDLLM_TINY=1` (or running benches with `--smoke`) swaps the
-//! preset and workload grids for tiny, seconds-scale versions — the mode
-//! the repro-binary smoke tests and `scripts/verify.sh` use.
+//! Setting `SPEEDLLM_TINY=1` swaps the preset and workload grids for
+//! tiny, seconds-scale versions — the mode the repro-binary smoke tests
+//! use.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -20,6 +20,7 @@ use std::sync::Arc;
 use speedllm_telemetry as tel;
 
 use args::{parse_preset, parse_quant, parse_sampler, parse_variant, Args};
+use speedllm_accel::engine::STAGING_ROWS;
 use speedllm_accel::opt::OptConfig;
 use speedllm_accel::report::{fmt_bytes, fmt_joules, fmt_seconds, Table};
 use speedllm_accel::runtime::AcceleratedLlm;
@@ -289,12 +290,9 @@ fn cmd_generate(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let opt = parse_variant(args.get_or("variant", "full"))?;
     let sampler = parse_sampler(args.get_or("sampler", "argmax"))?;
     let steps = args.get_usize("steps", 48)?;
-    let chunk = args.get_usize("chunk", 1)?;
-    if !(1..=64).contains(&chunk) {
-        return Err("--chunk must be in 1..=64".into());
-    }
+    let chunk = bounded_arg(args, "chunk", 1, STAGING_ROWS)?;
     let mut system = build_system(args, opt)?;
-    system.set_prefill_chunk(chunk);
+    system.set_prefill_chunk(chunk)?;
     let prompt = args.get_or("prompt", "Once upon a time");
     let mut session = system.session(sampler, args.get_u64("seed", 42)?);
     if tel::enabled() {
@@ -654,13 +652,10 @@ fn resolve_draft_model(
     Ok(speedllm_llama::forward::Transformer::new(weights))
 }
 
-/// The most rows a serve pass batches, prefills in one chunk or spends
-/// of a unified token budget (`ServeEngine::new` clamps to it).
-const MAX_BATCH_ROWS: usize = 64;
-
 /// `--name` (default `default`), rejected outside `1..=max` with an error
 /// that names the bound: the serve engine clamps such a value, so the
-/// run would follow another schedule than the one printed.
+/// run would follow another schedule than the one printed, and the
+/// accelerator refuses a prefill chunk above [`STAGING_ROWS`].
 fn bounded_arg(
     args: &Args,
     name: &str,
@@ -687,8 +682,8 @@ fn serve_config(
 ) -> Result<speedllm_serve::ServeConfig, Box<dyn std::error::Error>> {
     Ok(speedllm_serve::ServeConfig {
         slots,
-        max_batch: bounded_arg(args, "batch", 8, MAX_BATCH_ROWS)?,
-        prefill_chunk: bounded_arg(args, "chunk", if smoke { 4 } else { 16 }, MAX_BATCH_ROWS)?,
+        max_batch: bounded_arg(args, "batch", 8, STAGING_ROWS)?,
+        prefill_chunk: bounded_arg(args, "chunk", if smoke { 4 } else { 16 }, STAGING_ROWS)?,
         queue_cap: bounded_arg(args, "queue-cap", 64, usize::MAX)?,
         unified,
     })
@@ -779,7 +774,7 @@ fn cmd_serve_bench(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         if ratio > 100 {
             return Err("--prefill-ratio is a percentage (0..=100)".into());
         }
-        let token_budget = bounded_arg(args, "token-budget", 16, MAX_BATCH_ROWS)?;
+        let token_budget = bounded_arg(args, "token-budget", 16, STAGING_ROWS)?;
         Some(speedllm_serve::UnifiedConfig {
             token_budget,
             prefill_pct: ratio as u32,

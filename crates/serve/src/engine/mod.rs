@@ -66,6 +66,7 @@ use std::sync::mpsc::{Receiver, RecvError, Sender, TryRecvError};
 
 use speedllm_telemetry as tel;
 
+use speedllm_accel::engine::STAGING_ROWS;
 use speedllm_llama::forward::Transformer;
 use speedllm_llama::kv_cache::{KvCache, KvCachePool, PooledSlot};
 use speedllm_llama::sampler::{Sampler, SamplerKind};
@@ -413,11 +414,11 @@ impl<B: Backend> ServeEngine<B> {
     pub fn new(backend: B, cfg: ServeConfig) -> Self {
         let cfg = ServeConfig {
             slots: cfg.slots.max(1),
-            max_batch: cfg.max_batch.clamp(1, 64),
-            prefill_chunk: cfg.prefill_chunk.clamp(1, 64),
+            max_batch: cfg.max_batch.clamp(1, STAGING_ROWS),
+            prefill_chunk: cfg.prefill_chunk.clamp(1, STAGING_ROWS),
             queue_cap: cfg.queue_cap.max(1),
             unified: cfg.unified.map(|u| UnifiedConfig {
-                token_budget: u.token_budget.clamp(1, 64),
+                token_budget: u.token_budget.clamp(1, STAGING_ROWS),
                 prefill_pct: u.prefill_pct.min(100),
             }),
         };
@@ -502,9 +503,10 @@ impl<B: Backend> ServeEngine<B> {
         if k == 0 {
             return Err("speculative depth k must be >= 1".to_string());
         }
-        if k > 63 {
+        if k >= STAGING_ROWS {
             return Err(format!(
-                "speculative depth {k} exceeds the verify staging limit of 63 draft rows"
+                "speculative depth {k} exceeds the verify staging limit of {} draft rows",
+                STAGING_ROWS - 1
             ));
         }
         let target = self.backend.config();

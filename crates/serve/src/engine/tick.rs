@@ -5,6 +5,7 @@
 //! consecutive tokens per sequence. The scheduling modes differ only in
 //! the passes [`ServeEngine::plan`] emits (DESIGN.md §11, "One tick").
 
+use speedllm_accel::engine::STAGING_ROWS;
 use speedllm_llama::forward::{LogitRows, Transformer};
 use speedllm_llama::kv_cache::KvCache;
 use speedllm_llama::sampler::argmax;
@@ -14,9 +15,6 @@ use speedllm_telemetry as tel;
 use super::{record, ServeEngine};
 use crate::backend::Backend;
 use crate::events::EventKind;
-
-/// Token rows one pass may stage on chip.
-const STAGING_ROWS: usize = 64;
 
 /// Which [`Backend`] call carries a pass. A mode keeps its verb whatever
 /// the pass holds — a unified tick of only decode rows is still

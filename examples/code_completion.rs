@@ -60,7 +60,9 @@ fn main() {
     // amortized over 16-token chunks, collapsing the prefill stage.
     let mut chunked_system =
         AcceleratedLlm::synthetic(cfg, 42, OptConfig::full()).expect("build chunked");
-    chunked_system.set_prefill_chunk(16);
+    chunked_system
+        .set_prefill_chunk(16)
+        .expect("16 rows fit the staging limit");
     let mut chunked = chunked_system.session(SamplerKind::Argmax, 0);
     let rc = chunked.generate(&prompt, gen_tokens).expect("chunked run");
     assert_eq!(rc.output.generated_tokens, r.output.generated_tokens);

@@ -186,10 +186,15 @@ if [[ "${1:-}" == "--tier1-only" ]]; then
     exit 0
 fi
 
-# All bench targets live in speedllm-bench (harness = false), so scope the
-# run there — default libtest harnesses elsewhere would reject --smoke.
-echo "== bench smoke (tiny configs, 3 samples per bench) =="
-cargo bench -p speedllm-bench -- --smoke
+# The one bench target, speedllm-bench's `cpu_kernels` (harness = false):
+# name it, since default libtest harnesses elsewhere would reject --smoke.
+# Its rows must include the width-16 GEMM cells with their `gb_s` stamp.
+echo "== bench smoke (cpu_kernels, 3 short samples per row) =="
+kernels_out="$(cargo bench -q -p speedllm-bench --bench cpu_kernels -- --smoke)"
+grep -Eq '"name":"cpu/cores_serial_[a-z0-9]+_w16_[0-9]+x[0-9]+"' <<<"$kernels_out"
+grep -q '"gb_s":"' <<<"$kernels_out"
+grep -q '"bench_run_complete":true' <<<"$kernels_out"
+echo "bench smoke OK: cpu_kernels rows, width-16 GEMM cells stamped with gb_s"
 
 echo "== benchmark package (its own workspace: compile against crates/*, self-test, smoke) =="
 # Nothing above compiles `benchmark/` (it has its own [workspace]), so a
@@ -314,13 +319,6 @@ echo "== unified-batch identity gate (release) =="
 # report-byte regression.
 cargo test --release -q -p speedllm --test unified_batch_props
 cargo test --release -q -p speedllm --test unified_batch_telemetry
-
-echo "== batched GEMM ablation smoke (tok/s + weight bytes/token vs width) =="
-gemm_out="$(cargo bench -q -p speedllm-bench --bench ablation_batched_gemm -- --smoke)"
-grep -q "batch 8:" <<<"$gemm_out"
-# JSONL rows must carry the batch_width meta the repro tooling keys on.
-grep -q '"batch_width":"8"' <<<"$gemm_out"
-echo "batched GEMM smoke OK: ablation table + batch_width-stamped JSONL rows"
 
 echo "== speculative smoke (draft K ahead, one-pass verify) =="
 # Greedy sampling with the `auto` draft (a stories260K-shaped trunk at an
@@ -484,10 +482,6 @@ EOF
 # exactness, and the serve-bench double-run corners.
 cargo test --release -q -p speedllm --test quant_props
 cargo test --release -q -p speedllm-cli --test serve_bench quant
-echo "== quant ablation smoke (tok/s + weight MB/token, quant-stamped JSONL) =="
-quant_bench="$(cargo bench -q -p speedllm-bench --bench ablation_quant -- --smoke)"
-grep -q "int4 batch 8:" <<<"$quant_bench"
-grep -q '"quant":"int8"' <<<"$quant_bench"
 echo "quantized serve smoke OK: int8/int4 deterministic on both backends, stream compressed, ppl gated"
 
 echo "verify OK"

@@ -19,7 +19,7 @@ fn chunked_prefill_end_to_end_equivalence() {
     let cfg = ModelConfig::stories260k();
     let plain = AcceleratedLlm::synthetic(cfg, 42, OptConfig::full()).unwrap();
     let mut chunked_sys = AcceleratedLlm::synthetic(cfg, 42, OptConfig::full()).unwrap();
-    chunked_sys.set_prefill_chunk(8);
+    chunked_sys.set_prefill_chunk(8).unwrap();
     let prompt = "Once upon a time there was a little dog named Tim and he liked to play";
     let a = plain
         .session(SamplerKind::Argmax, 0)

@@ -4,7 +4,7 @@
 //! physical blocks constantly; a recycled block has to be
 //! indistinguishable from a fresh one, so every wave reproduces the
 //! first wave's streams token for token. The second test is the
-//! equal-memory ablation behind `ablation_prefix_cache`: on a
+//! prefix cache's equal-memory ablation: on a
 //! shared-prefix closed-loop workload, the paged engine with radix
 //! sharing must beat the flat slot pool on both time-to-first-token and
 //! admitted concurrency.
