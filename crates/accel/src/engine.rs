@@ -791,7 +791,7 @@ impl Engine {
     /// Panics wherever the walk or `kv` does — an empty batch or run, a
     /// position outside the context window, a token out of vocabulary, a
     /// pass mixing flat and paged sequences.
-    pub(crate) fn execute<B: KvBatch + ?Sized>(
+    pub(crate) fn execute<B: KvBatch + Send + Sync + ?Sized>(
         &mut self,
         kv: &mut B,
         runs: &[&[u32]],
@@ -864,7 +864,7 @@ impl Engine {
     /// Panics on an empty batch, an empty run, mismatched lengths, total
     /// rows above the on-chip staging limit ([`STAGING_ROWS`]), positions
     /// outside the context window, or tokens out of vocabulary.
-    pub fn forward_runs<B: KvBatch + ?Sized>(
+    pub fn forward_runs<B: KvBatch + Send + Sync + ?Sized>(
         &mut self,
         kv: &mut B,
         runs: &[&[u32]],

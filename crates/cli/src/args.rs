@@ -136,8 +136,17 @@ pub fn parse_quant(name: &str) -> Result<speedllm_llama::QuantMode, ParseError> 
 }
 
 /// Parses a `--sampler` spec: `argmax`, `temp:0.9`, `topp:0.9,0.95`,
-/// `topk:0.9,40`.
+/// `topk:0.9,40`. A policy no sampler can draw with
+/// ([`SamplerKind::validate`]) is an error too.
 pub fn parse_sampler(spec: &str) -> Result<SamplerKind, ParseError> {
+    let kind = parse_sampler_kind(spec)?;
+    kind.validate()
+        .map_err(|broken| ParseError(format!("bad sampler spec `{spec}`: {broken}")))?;
+    Ok(kind)
+}
+
+/// The policy a `--sampler` spec spells, unchecked.
+fn parse_sampler_kind(spec: &str) -> Result<SamplerKind, ParseError> {
     if spec == "argmax" {
         return Ok(SamplerKind::Argmax);
     }

@@ -47,6 +47,26 @@ fn generate_runs_on_tiny_preset() {
 }
 
 #[test]
+fn sampler_specs_no_sampler_can_draw_with_are_errors() {
+    // Each spec parses as numbers but breaks a bound the sampler asserts;
+    // one spawned run at a time, on both commands that take `--sampler`.
+    let commands: [&[&str]; 2] = [
+        &["generate", "--preset", "tiny", "--steps", "2"],
+        &["serve-bench", "--smoke"],
+    ];
+    for spec in ["temp:0", "temp:nan", "temp:-1", "topk:0.9,0", "topp:0.9,0"] {
+        for command in commands {
+            let o = run(&[command, &["--sampler", spec]].concat());
+            let case = format!("{} --sampler {spec}", command[0]);
+            assert_eq!(o.status.code(), Some(1), "{case}: stderr {}", stderr(&o));
+            let err = stderr(&o);
+            assert!(err.starts_with("error: bad sampler spec"), "{case}: {err}");
+            assert!(!err.contains("panicked"), "{case}: {err}");
+        }
+    }
+}
+
+#[test]
 fn generate_with_all_samplers_and_chunk() {
     for sampler in ["argmax", "temp:0.9", "topp:0.9,0.9", "topk:1.0,8"] {
         let o = run(&[

@@ -1,8 +1,10 @@
-//! The walk's large GEMMs on both host cores (DESIGN.md §13): a row split
-//! between the calling thread and one helper thread per [`with_cores`]
-//! scope. Each output element is still computed by one thread with the
-//! unchanged body, so the split is bit-identical to the serial GEMM; the
-//! caller runs every row a late or descheduled helper has not taken.
+//! The walk's serial phases on both host cores (DESIGN.md §13): a large
+//! GEMM's rows, or a layer's attention items, split between the calling
+//! thread and one helper thread per [`with_cores`] scope; [`each`] splits
+//! a list of independent tasks, a serve tick's draws, the same way. Each
+//! output is still computed by one thread with the unchanged body, so the
+//! split is bit-identical to the serial run; the caller runs every part a
+//! late or descheduled helper has not taken.
 
 use std::cell::Cell;
 use std::ops::Range;
@@ -22,6 +24,14 @@ use crate::quant::QuantMatrix;
 /// 192² 3.7–5.8 → 4.8–6.1, 256² 6.5–8.5 → 6.7–7.8. In cache the split
 /// pays from 256²; streamed, as in the walk, more. 288² is 83 K.
 const MIN_SPLIT: usize = 1 << 16;
+
+/// Work of an items job (attention: multiply-adds) below which it stays
+/// serial. A stories15M int8 walk's `mha` span with the bound at 0
+/// (2-vCPU Xeon, median µs over 380 alternating walks, serial → split):
+/// 57 K 179–228 → 196–217, 75 K (two rows) 396 → 299, 85 K 468 → 326,
+/// 113 K 444 → 376, 169 K 1141 → 717. One row's six heads gain least:
+/// 74 K 483 → 454, 145 K 712 → 640.
+const MIN_ITEMS: usize = 1 << 16;
 
 /// Multiply-adds of a whole walk below which it starts no helper: a spawn
 /// and join cost 35 µs, more on a loaded host, where stories260K decode at
@@ -65,6 +75,43 @@ impl Gemm<'_> {
     }
 }
 
+/// Independent items of one job ([`Cores::items`]): item `i` reads the
+/// shared input and writes only its own [`Items::width`] floats of the
+/// output, so which thread runs it cannot change a value.
+pub trait Items: Sync {
+    /// Output floats per item.
+    fn width(&self) -> usize;
+
+    /// Runs `items` over `input`, item `i` into `out[(i - items.start) *
+    /// width..]`; `scratch` is the running thread's own.
+    fn run(&self, items: Range<usize>, input: &[f32], out: &mut [f32], scratch: &mut Vec<f32>);
+}
+
+/// What a split hands out: a GEMM's rows at a batch width, or items.
+#[derive(Clone, Copy)]
+enum Job<'w> {
+    Gemm(Gemm<'w>, usize),
+    Items(&'w dyn Items),
+}
+
+impl Job<'_> {
+    /// Output floats per row or item.
+    fn width(self) -> usize {
+        match self {
+            Self::Gemm(_, batch) => batch,
+            Self::Items(job) => job.width(),
+        }
+    }
+
+    /// Rows or items `r` into `out`.
+    fn run(self, out: &mut [f32], input: &[f32], r: Range<usize>, scratch: &mut Vec<f32>) {
+        match self {
+            Self::Gemm(g, batch) => g.run(out, input, r, batch),
+            Self::Items(job) => job.run(r, input, out, scratch),
+        }
+    }
+}
+
 thread_local! {
     static REFUSE_SPAWN: Cell<bool> = const { Cell::new(false) };
 }
@@ -78,16 +125,16 @@ pub fn with_spawn_refused<R>(f: impl FnOnce() -> R) -> R {
     r
 }
 
-/// The helper's activations and output, kept so split GEMMs allocate none.
+/// The helper's input, output and scratch, kept so splits allocate none.
 #[derive(Clone, Debug, Default)]
-pub struct Buffers(Vec<f32>, Vec<f32>);
+pub struct Buffers(Vec<f32>, Vec<f32>, Vec<f32>);
 
-/// The posted GEMM (body, first row, width), the rows no thread has taken,
-/// the chunk (a multiple of the body's step) they go in, and how many
-/// threads are blocked on a change.
+/// The posted job and its first row or item, the rows no thread has
+/// taken, the chunk (a multiple of the body's step) they go in, and how
+/// many threads are blocked on a change.
 #[derive(Default)]
 struct State<'w> {
-    job: Option<(Gemm<'w>, usize, usize)>,
+    job: Option<(Job<'w>, usize)>,
     left: Range<usize>,
     chunk: usize,
     closed: bool,
@@ -139,11 +186,11 @@ impl<'w> Mailbox<'w> {
         }
     }
 
-    /// A chunk of the rows left, with its GEMM: from the front for the
+    /// A chunk of the rows left, with its job: from the front for the
     /// caller, from the back for the helper; `None` once the two have met.
-    fn take(&self, back: bool) -> Option<(Gemm<'w>, usize, usize, Range<usize>)> {
+    fn take(&self, back: bool) -> Option<(Job<'w>, usize, Range<usize>)> {
         let mut st = self.wait_for(|_| true);
-        let (left, chunk, (g, first, b)) = (st.left.clone(), st.chunk, st.job?);
+        let (left, chunk, (job, first)) = (st.left.clone(), st.chunk, st.job?);
         if left.is_empty() {
             return None;
         }
@@ -154,23 +201,24 @@ impl<'w> Mailbox<'w> {
             st.left.start = ((left.start / chunk + 1) * chunk).min(left.end);
             left.start..st.left.start
         };
-        Some((g, first, b, r))
+        Some((job, first, r))
     }
 
     /// The helper thread: runs chunks from the back until the scope ends.
     fn serve(&self) {
         while !self.wait_for(|s| !s.left.is_empty() || s.closed).closed {
             let mut buf = unpoison(self.buffers.lock());
-            let Buffers(xt, out) = &mut *buf;
-            while let Some((g, first, b, r)) = self.take(true) {
-                let theirs = &mut out[(r.start - first) * b..(r.end - first) * b];
-                g.run(theirs, xt, r, b);
+            let Buffers(input, out, scratch) = &mut *buf;
+            while let Some((job, first, r)) = self.take(true) {
+                let w = job.width();
+                let theirs = &mut out[(r.start - first) * w..(r.end - first) * w];
+                job.run(theirs, input, r, scratch);
             }
         }
     }
 }
 
-/// The calling thread and, once a GEMM is worth splitting, one helper
+/// The calling thread and, once a job is worth splitting, one helper
 /// thread of the enclosing [`with_cores`] scope.
 pub struct Cores<'scope, 'w> {
     scope: &'scope Scope<'scope, 'w>,
@@ -179,6 +227,8 @@ pub struct Cores<'scope, 'w> {
     helper: Option<Option<ScopedJoinHandle<'scope, ()>>>,
     /// Weight rows the helper has computed.
     helper_rows: usize,
+    /// Items the helper has run.
+    helper_items: usize,
 }
 
 impl<'w> Cores<'_, 'w> {
@@ -187,6 +237,39 @@ impl<'w> Cores<'_, 'w> {
     /// front, the helper's from the back, so a late helper holds up one.
     pub fn run(&mut self, g: Gemm<'w>, out: &mut [f32], xt: &[f32], rows: Range<usize>, b: usize) {
         let (cols, step) = g.shape();
+        let small = rows.len() * cols * b < MIN_SPLIT || rows.len() < 2 * step;
+        self.split(Job::Gemm(g, b), out, xt, rows, step, small, &mut Vec::new());
+    }
+
+    /// [`Items::run`] over `items`, bit for bit, split with the helper as
+    /// [`Cores::run`] splits rows once the job's `work` reaches
+    /// [`MIN_ITEMS`]. `scratch` is the caller's.
+    pub fn items(
+        &mut self,
+        job: &'w dyn Items,
+        out: &mut [f32],
+        input: &[f32],
+        items: Range<usize>,
+        work: usize,
+        scratch: &mut Vec<f32>,
+    ) {
+        let small = work < MIN_ITEMS || items.len() < 2;
+        self.split(Job::Items(job), out, input, items, 1, small, scratch);
+    }
+
+    /// Runs `job` over `range` into `out`, serially when `small`, else
+    /// split in chunks of a multiple of `step`.
+    #[allow(clippy::too_many_arguments)]
+    fn split(
+        &mut self,
+        job: Job<'w>,
+        out: &mut [f32],
+        input: &[f32],
+        range: Range<usize>,
+        step: usize,
+        small: bool,
+        scratch: &mut Vec<f32>,
+    ) {
         let (scope, mailbox) = (self.scope, &self.mailbox);
         let spawn = || {
             static CPUS: OnceLock<usize> = OnceLock::new();
@@ -196,31 +279,34 @@ impl<'w> Cores<'_, 'w> {
             let spawn = || builder.spawn_scoped(scope, move || mailbox.serve()).ok();
             (*cpus > 1 && !REFUSE_SPAWN.get()).then(spawn).flatten()
         };
-        let small = rows.len() * cols * b < MIN_SPLIT || rows.len() < 2 * step;
         if small || self.helper.get_or_insert_with(spawn).is_none() {
-            return g.run(out, xt, rows, b);
+            return job.run(out, input, range, scratch);
         }
-        assert_eq!(out.len(), rows.len() * b, "output shape mismatch");
+        let w = job.width();
+        assert_eq!(out.len(), range.len() * w, "output shape mismatch");
         {
             let mut buf = unpoison(mailbox.buffers.lock());
             buf.0.clear();
-            buf.0.extend_from_slice(xt);
+            buf.0.extend_from_slice(input);
             // The helper writes every row it takes, so stale values may stay.
             buf.1.resize(out.len(), 0.0);
         }
         let mut st = mailbox.wait_for(|_| true);
-        (st.job, st.left) = (Some((g, rows.start, b)), rows.clone());
-        st.chunk = (rows.len() / 8).max(1).next_multiple_of(step);
+        (st.job, st.left) = (Some((job, range.start)), range.clone());
+        st.chunk = (range.len() / 8).max(1).next_multiple_of(step);
         mailbox.publish(st);
         while let Some((.., r)) = mailbox.take(false) {
-            let own = &mut out[(r.start - rows.start) * b..(r.end - rows.start) * b];
-            g.run(own, xt, r, b);
+            let own = &mut out[(r.start - range.start) * w..(r.end - range.start) * w];
+            job.run(own, input, r, scratch);
         }
-        let met = (mailbox.wait_for(|_| true).left.start - rows.start) * b;
+        let met = mailbox.wait_for(|_| true).left.start - range.start;
         // The helper holds the buffers while it runs its last chunk.
         if let Ok(buf) = mailbox.buffers.lock() {
-            out[met..].copy_from_slice(&buf.1[met..]);
-            self.helper_rows += (out.len() - met) / b;
+            out[met * w..].copy_from_slice(&buf.1[met * w..]);
+            match job {
+                Job::Gemm(..) => self.helper_rows += range.len() - met,
+                Job::Items(_) => self.helper_items += range.len() - met,
+            }
             return;
         }
         // The helper panicked in a chunk: resume its panic here.
@@ -241,9 +327,10 @@ impl Drop for Cores<'_, '_> {
     }
 }
 
-/// Runs `f`, `work` multiply-adds, with a helper thread for the GEMMs it runs
-/// through [`Cores::run`], spawned on the first worth it and joined here. `buf`
-/// keeps its buffers between calls; its rows add to `cpu.gemm_helper_rows`.
+/// Runs `f`, `work` multiply-adds, with a helper thread for the jobs it
+/// runs through [`Cores::run`] and [`Cores::items`], spawned on the first
+/// worth it and joined here. `buf` keeps its buffers between calls; its
+/// rows and items add to `cpu.gemm_helper_rows` and `cpu.helper_items`.
 pub fn with_cores<'w, R>(
     buf: &mut Buffers,
     work: usize,
@@ -251,21 +338,54 @@ pub fn with_cores<'w, R>(
 ) -> R {
     let mailbox = Arc::<Mailbox>::default();
     *unpoison(mailbox.buffers.lock()) = std::mem::take(buf);
-    let (r, rows) = thread::scope(|scope| {
+    let (r, rows, items) = thread::scope(|scope| {
         let mailbox = Arc::clone(&mailbox);
         let mut cores = Cores {
             scope,
             mailbox,
             helper: (work < MIN_WALK).then_some(None),
             helper_rows: 0,
+            helper_items: 0,
         };
-        (f(&mut cores), cores.helper_rows)
+        (f(&mut cores), cores.helper_rows, cores.helper_items)
     });
     *buf = std::mem::take(&mut *unpoison(mailbox.buffers.lock()));
     if tel::enabled() && rows > 0 {
         tel::metrics::counter_add("cpu.gemm_helper_rows", rows as u64);
     }
+    if tel::enabled() && items > 0 {
+        tel::metrics::counter_add("cpu.helper_items", items as u64);
+    }
     r
+}
+
+/// Runs `f` on every element of `items`, as a loop over them would: the
+/// caller takes elements from the front and, for two or more, one helper
+/// thread from the back. Meant for tasks each worth well over a thread's
+/// start and join (35 µs), such as a serve tick's temperature draws.
+pub fn each<T: Send>(items: &mut [T], f: impl Fn(&mut T) + Sync) {
+    /// Each element behind its own lock, taken by the one thread that
+    /// runs it.
+    struct Each<'a, T, F>(Vec<Mutex<&'a mut T>>, F);
+
+    impl<T: Send, F: Fn(&mut T) + Sync> Items for Each<'_, T, F> {
+        fn width(&self) -> usize {
+            0
+        }
+
+        fn run(&self, items: Range<usize>, _: &[f32], _: &mut [f32], _: &mut Vec<f32>) {
+            for item in &self.0[items] {
+                let mut item = unpoison(item.lock());
+                (self.1)(&mut item);
+            }
+        }
+    }
+
+    let job = Each(items.iter_mut().map(Mutex::new).collect(), f);
+    let n = job.0.len();
+    with_cores(&mut Buffers::default(), usize::MAX, |cores| {
+        cores.items(&job, &mut [], &[], 0..n, usize::MAX, &mut Vec::new());
+    });
 }
 
 #[cfg(test)]
@@ -413,8 +533,9 @@ mod tests {
 
     #[test]
     fn a_busy_helper_leaves_every_chunk_to_the_caller() {
-        // A helper that never takes a chunk: the caller runs them all.
-        let large = Large::new();
+        // A helper that never takes a chunk: the caller runs them all,
+        // rows and items alike.
+        let (large, dots) = (Large::new(), Dots::new());
         thread::scope(|scope| {
             let mailbox = Arc::<Mailbox>::default();
             let idle = Arc::clone(&mailbox);
@@ -424,20 +545,24 @@ mod tests {
                 mailbox,
                 helper: Some(Some(helper)),
                 helper_rows: 0,
+                helper_items: 0,
             };
             large.run(&mut cores, 3);
             assert_eq!(cores.helper_rows, 0);
+            dots.run(&mut cores, 3);
+            assert_eq!(cores.helper_items, 0);
         });
     }
 
     #[test]
     fn a_refused_spawn_falls_back_to_the_serial_gemm() {
-        let large = Large::new();
+        let (large, dots) = (Large::new(), Dots::new());
         with_spawn_refused(|| {
             with_cores(&mut Buffers::default(), usize::MAX, |cores| {
                 large.run(cores, 2);
+                dots.run(cores, 2);
                 assert!(matches!(cores.helper, Some(None)));
-                assert_eq!(cores.helper_rows, 0);
+                assert_eq!((cores.helper_rows, cores.helper_items), (0, 0));
             });
         });
     }
@@ -478,5 +603,203 @@ mod tests {
             })
         });
         assert!(from_helper, "the helper never ran the panicking part");
+    }
+
+    /// An items job: item `i` writes the `WIDTH` dots of matrix rows
+    /// `i * WIDTH..` with the input, staged through the thread's scratch.
+    struct Dots {
+        w: Vec<f32>,
+        input: Vec<f32>,
+        serial: Vec<f32>,
+    }
+
+    impl Dots {
+        const ITEMS: usize = 512;
+        const WIDTH: usize = 3;
+
+        fn new() -> Self {
+            let mut w = vec![0.0f32; Self::ITEMS * Self::WIDTH * COLS];
+            Xoshiro256::seed_from_u64(11).fill_normal(&mut w, 0.5);
+            let mut dots = Self {
+                w,
+                input: activations(1, 12),
+                serial: vec![0.0; Self::ITEMS * Self::WIDTH],
+            };
+            let mut serial = std::mem::take(&mut dots.serial);
+            let all = 0..Self::ITEMS;
+            Items::run(&dots, all, &dots.input, &mut serial, &mut Vec::new());
+            dots.serial = serial;
+            dots
+        }
+
+        /// Runs every item on `cores`, checking the result, `times` times
+        /// or until the helper has run an item.
+        fn run<'w>(&'w self, cores: &mut Cores<'_, 'w>, times: usize) {
+            for _ in 0..times {
+                let mut out = vec![f32::NAN; self.serial.len()];
+                let mut scratch = Vec::new();
+                let all = 0..Self::ITEMS;
+                cores.items(self, &mut out, &self.input, all, usize::MAX, &mut scratch);
+                assert_eq!(bits(&out), bits(&self.serial));
+                if cores.helper_items > 0 {
+                    return;
+                }
+            }
+        }
+    }
+
+    impl Items for Dots {
+        fn width(&self) -> usize {
+            Self::WIDTH
+        }
+
+        fn run(&self, items: Range<usize>, input: &[f32], out: &mut [f32], scratch: &mut Vec<f32>) {
+            for (i, out) in items.zip(out.chunks_exact_mut(Self::WIDTH)) {
+                assert!(i < Self::ITEMS, "an item past the job");
+                scratch.clear();
+                let rows = self.w[i * Self::WIDTH * COLS..].chunks_exact(COLS);
+                scratch.extend(rows.take(Self::WIDTH).map(|row| ops::dot(row, input)));
+                out.copy_from_slice(scratch);
+            }
+        }
+    }
+
+    #[test]
+    fn split_items_replay_the_serial_items_bit_for_bit() {
+        // Every item range, cut anywhere, on the helper or not.
+        let dots = Dots::new();
+        let w = Dots::WIDTH;
+        with_cores(&mut Buffers::default(), usize::MAX, |cores| {
+            for range in [0..Dots::ITEMS, 0..2, 5..6, 7..300, 300..Dots::ITEMS] {
+                let want = &dots.serial[range.start * w..range.end * w];
+                let mut out = vec![f32::NAN; range.len() * w];
+                let mut scratch = Vec::new();
+                cores.items(
+                    &dots,
+                    &mut out,
+                    &dots.input,
+                    range.clone(),
+                    usize::MAX,
+                    &mut scratch,
+                );
+                assert_eq!(bits(&out), bits(want), "items {range:?}");
+            }
+        });
+    }
+
+    #[test]
+    fn a_free_helper_runs_items() {
+        if thread::available_parallelism().map_or(1, usize::from) < 2 {
+            return;
+        }
+        let dots = Dots::new();
+        with_cores(&mut Buffers::default(), usize::MAX, |cores| {
+            dots.run(cores, 1000);
+            assert!(cores.helper_items > 0, "the helper never ran an item");
+        });
+    }
+
+    #[test]
+    fn small_item_jobs_start_no_helper() {
+        let dots = Dots::new();
+        with_cores(&mut Buffers::default(), usize::MAX, |cores| {
+            let mut out = vec![0.0f32; Dots::ITEMS * Dots::WIDTH];
+            let all = 0..Dots::ITEMS;
+            cores.items(
+                &dots,
+                &mut out,
+                &dots.input,
+                all,
+                MIN_ITEMS - 1,
+                &mut Vec::new(),
+            );
+            let mut one = vec![0.0f32; Dots::WIDTH];
+            cores.items(
+                &dots,
+                &mut one,
+                &dots.input,
+                3..4,
+                usize::MAX,
+                &mut Vec::new(),
+            );
+            assert!(cores.helper.is_none());
+        });
+    }
+
+    #[test]
+    fn a_panic_in_an_item_resumes_on_the_caller() {
+        if thread::available_parallelism().map_or(1, usize::from) < 2 {
+            return;
+        }
+        // Items past the job panic; once the helper runs items it claims
+        // the last ones long before the caller reaches them, and the
+        // caller resumes its panic, as for a GEMM.
+        let dots = Dots::new();
+        let items = 0..Dots::ITEMS + 8;
+        let from_helper = with_cores(&mut Buffers::default(), usize::MAX, |cores| {
+            (0..100).any(|_| {
+                dots.run(cores, 1000);
+                let mut out = vec![0.0f32; items.len() * Dots::WIDTH];
+                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let mut scratch = Vec::new();
+                    cores.items(
+                        &dots,
+                        &mut out,
+                        &dots.input,
+                        items.clone(),
+                        usize::MAX,
+                        &mut scratch,
+                    );
+                }));
+                let panic = caught.expect_err("an item past the job panics");
+                let message = panic.downcast_ref::<&str>().copied().unwrap_or_default();
+                assert_eq!(message, "an item past the job");
+                cores.helper.is_none()
+            })
+        });
+        assert!(from_helper, "the helper never ran the panicking item");
+    }
+
+    #[test]
+    fn each_runs_every_element_once_on_either_core() {
+        let two_cores = thread::available_parallelism().map_or(1, usize::from) >= 2;
+        // Slow enough elements that a started helper takes some.
+        let work = |(n, by): &mut (u64, Option<thread::ThreadId>)| {
+            let mut x = *n;
+            for _ in 0..200_000 {
+                x = std::hint::black_box(x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1));
+            }
+            *n = x;
+            assert!(
+                by.replace(thread::current().id()).is_none(),
+                "an element ran twice"
+            );
+        };
+        let want: Vec<u64> = (0..8u64)
+            .map(|n| {
+                let mut e = (n, None);
+                work(&mut e);
+                e.0
+            })
+            .collect();
+        let mut helped = false;
+        for _ in 0..20 {
+            let mut elems: Vec<_> = (0..8u64).map(|n| (n, None)).collect();
+            each(&mut elems, work);
+            assert_eq!(elems.iter().map(|e| e.0).collect::<Vec<_>>(), want);
+            let caller = thread::current().id();
+            helped |= elems.iter().any(|e| e.1 != Some(caller));
+            if helped || !two_cores {
+                break;
+            }
+        }
+        assert_eq!(
+            helped, two_cores,
+            "elements ran on the helper iff there are two cores"
+        );
+        // A refused spawn runs them all on the caller.
+        let mut elems: Vec<_> = (0..8u64).map(|n| (n, None)).collect();
+        with_spawn_refused(|| each(&mut elems, work));
+        assert!(elems.iter().all(|e| e.1 == Some(thread::current().id())));
     }
 }

@@ -7,12 +7,13 @@
 //! verify are run shapes of it (DESIGN.md §13), bit-identical to feeding
 //! the same tokens one one-row call at a time.
 
-use std::sync::Arc;
+use std::ops::Range;
+use std::sync::{Arc, PoisonError, RwLock};
 
 use speedllm_telemetry as tel;
 
 use crate::config::ModelConfig;
-use crate::cores::{self, Cores, Gemm};
+use crate::cores::{self, Cores, Gemm, Items};
 use crate::kv_cache::{KvBatch, KvCache};
 use crate::ops;
 use crate::quant::QuantMode;
@@ -106,7 +107,8 @@ struct BatchState {
     k: Vec<f32>,
     /// Value scratch, `[capacity * kv_dim]`.
     v: Vec<f32>,
-    /// Attention scores for one head of one row, `[seq_len]`.
+    /// The caller's attention scores for one head of one row ([`Heads`]),
+    /// `[seq_len]`.
     att: Vec<f32>,
     /// Output logits, `[capacity * vocab_size]`, one vector per scored
     /// row (see [`LogitRows`]).
@@ -164,34 +166,88 @@ pub(crate) fn scatter_to_seq(dst: &mut [f32], src: &[f32], rows: usize, batch: u
     }
 }
 
-/// One dense projection over all `batch` token rows: the activations
-/// transposed batch-major into `xt`, a GEMM on `cores` into the row-major
-/// staging buffer, scattered back to token-row-major `dst`. Both scratch
-/// buffers belong to the [`BatchState`], so a walk allocates nothing per
-/// GEMM. Every element is one accumulator in [`ops::dot`]'s order (f32),
-/// or its fused-dequant twin in [`crate::qgemm`].
-#[allow(clippy::too_many_arguments)]
-fn run_matmul<'w>(
-    cores: &mut Cores<'_, 'w>,
-    gemm: &mut [f32],
-    xt: &mut [f32],
-    dst: &mut [f32],
-    w: &'w Operand,
-    xs: &[f32],
-    rows: usize,
-    cols: usize,
-    batch: usize,
-) {
-    let out = &mut gemm[..rows * batch];
-    let xt = &mut xt[..cols * batch];
-    ops::transpose_batch_major_into(xt, xs, cols, batch);
-    let gemm = match w {
-        Operand::F32(w) => Gemm::KernelOrder(w, cols),
-        Operand::Vocab(v) => v.exact(),
-        Operand::Quant(q) => Gemm::Quant(q),
-    };
-    cores.run(gemm, out, xt, 0..rows, batch);
-    scatter_to_seq(&mut dst[..batch * rows], out, rows, batch);
+/// The walk's helper scope and the two scratch buffers every dense
+/// projection goes through, so a walk allocates nothing per GEMM.
+struct Gemms<'c, 's, 'w> {
+    cores: &'c mut Cores<'s, 'w>,
+    /// Row-major staging ([`BatchState::gemm`]).
+    gemm: &'c mut [f32],
+    /// Batch-major activations ([`BatchState::xt`]).
+    xt: &'c mut [f32],
+}
+
+impl<'w> Gemms<'_, '_, 'w> {
+    /// One dense projection over all `batch` token rows: the activations
+    /// transposed batch-major into `xt`, a GEMM on `cores` into the
+    /// row-major staging buffer, scattered back to token-row-major `dst`.
+    /// Every element is one accumulator in [`ops::dot`]'s order (f32), or
+    /// its fused-dequant twin in [`crate::qgemm`].
+    fn project(
+        &mut self,
+        dst: &mut [f32],
+        w: &'w Operand,
+        xs: &[f32],
+        rows: usize,
+        cols: usize,
+        batch: usize,
+    ) {
+        let out = &mut self.gemm[..rows * batch];
+        let xt = &mut self.xt[..cols * batch];
+        ops::transpose_batch_major_into(xt, xs, cols, batch);
+        let gemm = match w {
+            Operand::F32(w) => Gemm::KernelOrder(w, cols),
+            Operand::Vocab(v) => v.exact(),
+            Operand::Quant(q) => Gemm::Quant(q),
+        };
+        self.cores.run(gemm, out, xt, 0..rows, batch);
+        scatter_to_seq(&mut dst[..batch * rows], out, rows, batch);
+    }
+}
+
+/// One layer's multi-head attention as [`cores::Items`]: item `i` is head
+/// `i % n_heads` of row `i / n_heads % rows` in layer `i / per_layer`,
+/// reading that row's query head from the input and writing that head's
+/// `head_dim` floats of `xb`. Each item runs the unchanged scores →
+/// softmax → mix over keys `0..=pos` of its own sequence, which every row
+/// has stored before any item runs, so a head's values do not depend on
+/// the thread that computes them.
+struct Heads<'a, B: ?Sized> {
+    kv: &'a RwLock<&'a mut B>,
+    row_seq: &'a [usize],
+    row_pos: &'a [usize],
+    /// Items of one layer: rows × heads.
+    per_layer: usize,
+    n_heads: usize,
+    head_dim: usize,
+    gqa: usize,
+}
+
+impl<B: KvBatch + Send + Sync + ?Sized> Items for Heads<'_, B> {
+    fn width(&self) -> usize {
+        self.head_dim
+    }
+
+    fn run(&self, items: Range<usize>, q: &[f32], out: &mut [f32], att: &mut Vec<f32>) {
+        let kv = self.kv.read().unwrap_or_else(PoisonError::into_inner);
+        let hd = self.head_dim;
+        for (i, out) in items.zip(out.chunks_exact_mut(hd)) {
+            // `rh`: the item within its layer, row-major over heads.
+            let (layer, rh) = (i / self.per_layer, i % self.per_layer);
+            let (r, kv_head) = (rh / self.n_heads, rh % self.n_heads / self.gqa);
+            let (b, pos) = (self.row_seq[r], self.row_pos[r]);
+            // Causal mask inside a mixed tick: row `r` scores positions
+            // `0..=pos` of its own sequence only — later run rows are
+            // invisible by construction.
+            if att.len() <= pos {
+                att.resize(pos + 1, 0.0);
+            }
+            let att = &mut att[..=pos];
+            let q = &q[rh * hd..(rh + 1) * hd];
+            ops::attention_scores(att, q, |t| kv.key_head(b, layer, t, kv_head), pos);
+            ops::softmax(att);
+            ops::attention_mix(out, att, |t| kv.value_head(b, layer, t, kv_head), pos);
+        }
+    }
 }
 
 /// A transformer: its weights and the layer walk's scratch. It owns no
@@ -281,7 +337,7 @@ impl Transformer {
     /// # Panics
     /// Panics on an empty batch or mismatched `tokens`/`positions` lengths,
     /// and wherever [`Transformer::forward_runs`] does.
-    pub fn forward_batch_with_kv<B: KvBatch + ?Sized>(
+    pub fn forward_batch_with_kv<B: KvBatch + Send + Sync + ?Sized>(
         &mut self,
         kv: &mut B,
         tokens: &[u32],
@@ -323,7 +379,7 @@ impl Transformer {
     /// `tokens`/`counts`/`starts`/batch lengths, a position outside the
     /// context window, an out-of-vocab token, a run starting past its
     /// store's length, or a store sized for a different context window.
-    pub fn forward_runs<B: KvBatch + ?Sized>(
+    pub fn forward_runs<B: KvBatch + Send + Sync + ?Sized>(
         &mut self,
         kv: &mut B,
         tokens: &[u32],
@@ -407,12 +463,29 @@ impl Transformer {
             tel::metrics::gauge_set("cpu.gemm_batch_width", rows as f64);
         }
 
-        // The walk, in one scope with a GEMM helper thread (`crate::cores`).
+        // The KV batch behind a lock: the caller stores through it, and
+        // attention items read it on either core (`Heads`). Only a store
+        // that panics can poison it, and that panic ends the walk.
+        let kv = RwLock::new(kv);
+        let heads = Heads {
+            kv: &kv,
+            row_seq: &row_seq,
+            row_pos: &row_pos,
+            per_layer: rows * c.n_heads,
+            n_heads: c.n_heads,
+            head_dim,
+            gqa,
+        };
+        // A layer's attention multiply-adds: scores and mix, `pos + 1`
+        // keys of every head of every row.
+        let mha_work = row_pos.iter().map(|&p| 2 * (p + 1) * dim).sum();
+
+        // The walk, in one scope with a helper thread (`crate::cores`).
         let scored = cores::with_cores(&mut bs.helper, rows * c.param_count(), |cores| {
-            // One dense projection over `batch` token rows, through the GEMM
-            // scratch.
-            let mut project = |dst: &mut [f32], w, xs: &[f32], n, cols, batch| {
-                run_matmul(cores, &mut bs.gemm, &mut bs.xt, dst, w, xs, n, cols, batch);
+            let mut gemms = Gemms {
+                cores,
+                gemm: &mut bs.gemm,
+                xt: &mut bs.xt,
             };
 
             // Gather: token embeddings -> per-row residual streams.
@@ -437,20 +510,22 @@ impl Transformer {
                     }
                     {
                         let _qkv = tel::span("cpu", "qkv").arg("layer", layer as i64);
-                        project(&mut bs.q, &lw.wq, &bs.xb[..rows * dim], dim, dim, rows);
-                        project(&mut bs.k, &lw.wk, &bs.xb[..rows * dim], kv_dim, dim, rows);
-                        project(&mut bs.v, &lw.wv, &bs.xb[..rows * dim], kv_dim, dim, rows);
+                        gemms.project(&mut bs.q, &lw.wq, &bs.xb[..rows * dim], dim, dim, rows);
+                        gemms.project(&mut bs.k, &lw.wk, &bs.xb[..rows * dim], kv_dim, dim, rows);
+                        gemms.project(&mut bs.v, &lw.wv, &bs.xb[..rows * dim], kv_dim, dim, rows);
                     }
 
                     // RoPE + KV store for every row **before** any row
                     // attends: a prefill row at position p then finds all
                     // same-run keys `<= p` already cached, exactly as the
-                    // one-row calls would have left them.
+                    // one-row calls would have left them. The write lock
+                    // is released before any attention item reads.
+                    let mut store = kv.write().unwrap_or_else(PoisonError::into_inner);
                     for r in 0..rows {
                         let pos = row_pos[r];
                         bs.rope.apply(&mut bs.q[r * dim..(r + 1) * dim], pos);
                         bs.rope.apply(&mut bs.k[r * kv_dim..(r + 1) * kv_dim], pos);
-                        kv.store(
+                        store.store(
                             row_seq[r],
                             layer,
                             pos,
@@ -458,40 +533,18 @@ impl Transformer {
                             &bs.v[r * kv_dim..(r + 1) * kv_dim],
                         );
                     }
+                    drop(store);
 
                     {
                         let _mha = tel::span("cpu", "mha").arg("layer", layer as i64);
-                        for r in 0..rows {
-                            let pos = row_pos[r];
-                            let b = row_seq[r];
-                            for h in 0..c.n_heads {
-                                let kv_head = h / gqa;
-                                let q = &bs.q[r * dim + h * head_dim..r * dim + (h + 1) * head_dim];
-                                // Causal mask inside a mixed tick: row `r`
-                                // scores positions `0..=pos` of its own
-                                // sequence only — later run rows are invisible
-                                // by construction.
-                                let att = &mut bs.att[..pos + 1];
-                                ops::attention_scores(
-                                    att,
-                                    q,
-                                    |t| kv.key_head(b, layer, t, kv_head),
-                                    pos,
-                                );
-                                ops::softmax(att);
-                                let out = &mut bs.xb
-                                    [r * dim + h * head_dim..r * dim + (h + 1) * head_dim];
-                                ops::attention_mix(
-                                    out,
-                                    att,
-                                    |t| kv.value_head(b, layer, t, kv_head),
-                                    pos,
-                                );
-                            }
-                        }
+                        let (q, out) = (&bs.q[..rows * dim], &mut bs.xb[..rows * dim]);
+                        let items = layer * heads.per_layer..(layer + 1) * heads.per_layer;
+                        gemms
+                            .cores
+                            .items(&heads, out, q, items, mha_work, &mut bs.att);
                     }
 
-                    project(&mut bs.xb2, &lw.wo, &bs.xb[..rows * dim], dim, dim, rows);
+                    gemms.project(&mut bs.xb2, &lw.wo, &bs.xb[..rows * dim], dim, dim, rows);
                     for r in 0..rows {
                         ops::add_inplace(
                             &mut bs.x[r * dim..(r + 1) * dim],
@@ -510,15 +563,15 @@ impl Transformer {
                             &lw.rms_ffn,
                         );
                     }
-                    project(&mut bs.hb, &lw.w1, &bs.xb[..rows * dim], hid, dim, rows);
-                    project(&mut bs.hb2, &lw.w3, &bs.xb[..rows * dim], hid, dim, rows);
+                    gemms.project(&mut bs.hb, &lw.w1, &bs.xb[..rows * dim], hid, dim, rows);
+                    gemms.project(&mut bs.hb2, &lw.w3, &bs.xb[..rows * dim], hid, dim, rows);
                     for r in 0..rows {
                         ops::swiglu(
                             &mut bs.hb[r * hid..(r + 1) * hid],
                             &bs.hb2[r * hid..(r + 1) * hid],
                         );
                     }
-                    project(&mut bs.xb2, &lw.w2, &bs.hb[..rows * hid], dim, hid, rows);
+                    gemms.project(&mut bs.xb2, &lw.w2, &bs.hb[..rows * hid], dim, hid, rows);
                     for r in 0..rows {
                         ops::add_inplace(
                             &mut bs.x[r * dim..(r + 1) * dim],
@@ -559,7 +612,7 @@ impl Transformer {
             let logits = &mut bs.logits[..n * c.vocab_size];
             if let Some(table) = greedy {
                 let xs = &bs.xb[..n * dim];
-                let counts = table.greedy(logits, xs, &mut bs.xt, &mut bs.gemm, cores);
+                let counts = table.greedy(logits, xs, gemms.xt, gemms.gemm, gemms.cores);
                 if tel::enabled() {
                     tel::metrics::counter_add("cpu.greedy_rows", counts.rows as u64);
                     tel::metrics::counter_add("cpu.greedy_candidates", counts.candidates as u64);
@@ -567,7 +620,7 @@ impl Transformer {
                 }
             } else {
                 let xs = &bs.xb[..n * dim];
-                project(logits, weights.classifier(), xs, c.vocab_size, dim, n);
+                gemms.project(logits, weights.classifier(), xs, c.vocab_size, dim, n);
             }
             n * c.vocab_size
         });

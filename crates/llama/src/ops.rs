@@ -66,12 +66,39 @@ pub fn rmsnorm_inplace(x: &mut [f32], weight: &[f32]) {
     }
 }
 
+/// Lanes of [`lane_max`].
+const LANE_MAX_LANES: usize = 16;
+
+/// The largest non-NaN element of `x`, −∞ when there is none (or no
+/// element). A max kept per lane by `v > m` (false for a NaN, which so
+/// never enters), which the compiler can vectorize. Over the non-NaN
+/// values the max does not depend on the order they are read in, except
+/// for the sign of a zero max.
+#[must_use]
+pub fn lane_max(x: &[f32]) -> f32 {
+    let keep_larger = |m: f32, v: f32| if v > m { v } else { m };
+    let (blocks, tail) = x.as_chunks::<LANE_MAX_LANES>();
+    let mut lanes = [f32::NEG_INFINITY; LANE_MAX_LANES];
+    for block in blocks {
+        for (m, &v) in lanes.iter_mut().zip(block) {
+            *m = keep_larger(*m, v);
+        }
+    }
+    lanes
+        .into_iter()
+        .chain(tail.iter().copied())
+        .fold(f32::NEG_INFINITY, keep_larger)
+}
+
 /// Numerically-stable in-place softmax over `x`.
 pub fn softmax(x: &mut [f32]) {
-    if x.is_empty() {
-        return;
-    }
-    let max = x.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
+    softmax_from(x, lane_max(x));
+}
+
+/// [`softmax`] given `max`, the [`lane_max`] of `x`. Any reading order's
+/// max gives the same bits: `v − max` differs between a +0 and a −0 max
+/// only for `v = −0`, where `exp(∓0)` is 1 either way.
+pub(crate) fn softmax_from(x: &mut [f32], max: f32) {
     let mut sum = 0.0f32;
     for v in x.iter_mut() {
         *v = (*v - max).exp();

@@ -2,7 +2,7 @@
 //! sampling — the same trio llama2.c's host program offers. All sampling is
 //! driven by an explicit seeded RNG so generation is reproducible.
 
-use crate::ops::softmax;
+use crate::ops;
 use crate::rng::Xoshiro256;
 
 /// Sampling policy applied to the logits of each decode step.
@@ -30,6 +30,33 @@ pub enum SamplerKind {
     },
 }
 
+impl SamplerKind {
+    /// Whether a [`Sampler`] can draw with this policy: a temperature
+    /// above 0 (not NaN), a top-p mass in `(0, 1]` and a top-k of at
+    /// least one candidate. The error says which bound is broken.
+    ///
+    /// # Errors
+    /// Returns the broken bound, as [`Sampler::new`] would panic with it.
+    pub fn validate(self) -> Result<(), String> {
+        let (t, p, k) = match self {
+            Self::Argmax => return Ok(()),
+            Self::Temperature(t) => (t, 1.0, 1),
+            Self::TopP { temperature, p } => (temperature, p, 1),
+            Self::TopK { temperature, k } => (temperature, 1.0, k),
+        };
+        if t.is_nan() || t <= 0.0 {
+            return Err(format!("temperature must be positive, got {t}"));
+        }
+        if p.is_nan() || p <= 0.0 || p > 1.0 {
+            return Err(format!("top-p mass must be in (0,1], got {p}"));
+        }
+        if k == 0 {
+            return Err("top-k needs at least one candidate".to_owned());
+        }
+        Ok(())
+    }
+}
+
 /// A stateful sampler: policy + RNG + scratch.
 #[derive(Debug, Clone)]
 pub struct Sampler {
@@ -52,19 +79,13 @@ pub struct Sampler {
 
 impl Sampler {
     /// Creates a sampler with the given policy and seed.
+    ///
+    /// # Panics
+    /// Panics on a policy [`SamplerKind::validate`] refuses.
     #[must_use]
     pub fn new(kind: SamplerKind, seed: u64) -> Self {
-        if let SamplerKind::Temperature(t)
-        | SamplerKind::TopP { temperature: t, .. }
-        | SamplerKind::TopK { temperature: t, .. } = kind
-        {
-            assert!(t > 0.0, "temperature must be positive, got {t}");
-        }
-        if let SamplerKind::TopP { p, .. } = kind {
-            assert!(p > 0.0 && p <= 1.0, "top-p mass must be in (0,1], got {p}");
-        }
-        if let SamplerKind::TopK { k, .. } = kind {
-            assert!(k >= 1, "top-k needs at least one candidate");
+        if let Err(broken) = kind.validate() {
+            panic!("{broken}");
         }
         Self {
             kind,
@@ -160,54 +181,48 @@ impl Sampler {
     /// above −∞ puts it all on [`argmax`]'s pick. `softmax` alone would
     /// turn either non-finite case into all-NaN probabilities, and every
     /// draw into the last token.
+    ///
+    /// One pass scales (the quotient is taken for a NaN too, then
+    /// replaced, so the pass has no branch), and one [`ops::lane_max`]
+    /// decides both infinite cases and feeds the softmax.
     fn prepare_probs(&mut self, logits: &[f32], temperature: f32) {
         self.probs.clear();
-        let scaled = |l: f32| {
+        self.probs.extend(logits.iter().map(|&l| {
+            let scaled = l / temperature;
             if l.is_nan() {
                 f32::NEG_INFINITY
             } else {
-                l / temperature
+                scaled
             }
-        };
-        self.probs.extend(logits.iter().map(|&l| scaled(l)));
-        let infinite = self.probs.iter().filter(|&&p| p == f32::INFINITY).count();
-        if infinite > 0 {
+        }));
+        let max = ops::lane_max(&self.probs);
+        if max == f32::INFINITY {
+            let infinite = self.probs.iter().filter(|&&p| p == f32::INFINITY).count();
             let share = 1.0 / infinite as f32;
             for p in &mut self.probs {
                 *p = if *p == f32::INFINITY { share } else { 0.0 };
             }
-        } else if self.probs.iter().all(|&p| p == f32::NEG_INFINITY) {
+        } else if max == f32::NEG_INFINITY {
             self.probs.fill(0.0);
             self.probs[argmax(logits) as usize] = 1.0;
         } else {
-            softmax(&mut self.probs);
+            ops::softmax_from(&mut self.probs, max);
         }
     }
 }
 
-/// Lanes of [`argmax`]'s two passes.
+/// Lanes of [`argmax`]'s second pass.
 const ARGMAX_LANES: usize = 16;
 
 /// Index of the largest non-NaN element, the first on ties (`-0.0 ==
 /// +0.0`); 0 when every element is NaN, or there is none.
 ///
-/// Two passes the compiler can vectorize: the largest value, kept per
-/// lane by `v > m` (false for a NaN, which so never enters), and then the
-/// first index holding it.
+/// Two passes the compiler can vectorize: the largest value
+/// ([`ops::lane_max`]), and then the first index holding it.
 #[must_use]
 pub fn argmax(x: &[f32]) -> u32 {
-    let keep_larger = |m: f32, v: f32| if v > m { v } else { m };
+    let max = ops::lane_max(x);
     let (blocks, tail) = x.as_chunks::<ARGMAX_LANES>();
-    let mut lanes = [f32::NEG_INFINITY; ARGMAX_LANES];
-    for block in blocks {
-        for (m, &v) in lanes.iter_mut().zip(block) {
-            *m = keep_larger(*m, v);
-        }
-    }
-    let max = lanes
-        .into_iter()
-        .chain(tail.iter().copied())
-        .fold(f32::NEG_INFINITY, keep_larger);
     let first_in = |s: &[f32]| s.iter().position(|&v| v == max);
     let hit = blocks
         .iter()
@@ -293,6 +308,7 @@ fn sample_top_k(probs: &[f32], order: &mut Vec<u32>, k: usize, coin: f32) -> u32
 #[cfg(test)]
 mod tests {
     use super::*;
+    use speedllm_testkit::prelude::*;
 
     #[test]
     fn argmax_picks_max_and_first_tie() {
@@ -649,6 +665,174 @@ mod tests {
             .is_greedy());
         for s in drawing_samplers() {
             assert!(!s.is_greedy(), "{:?}", s.kind);
+        }
+    }
+
+    /// The draw's distribution as three scans computed it before
+    /// `prepare_probs` became one scale pass and one [`ops::lane_max`]: a
+    /// scaling scan, a count of +∞, a test for all −∞, and a softmax over
+    /// a sequential `f32::max` fold ([`reference_softmax`]).
+    fn reference_probs(logits: &[f32], temperature: f32) -> Vec<f32> {
+        let scaled = |l: f32| {
+            if l.is_nan() {
+                f32::NEG_INFINITY
+            } else {
+                l / temperature
+            }
+        };
+        let mut probs: Vec<f32> = logits.iter().map(|&l| scaled(l)).collect();
+        let infinite = probs.iter().filter(|&&p| p == f32::INFINITY).count();
+        if infinite > 0 {
+            let share = 1.0 / infinite as f32;
+            for p in &mut probs {
+                *p = if *p == f32::INFINITY { share } else { 0.0 };
+            }
+        } else if probs.iter().all(|&p| p == f32::NEG_INFINITY) {
+            probs.fill(0.0);
+            probs[argmax(logits) as usize] = 1.0;
+        } else {
+            reference_softmax(&mut probs);
+        }
+        probs
+    }
+
+    /// `ops::softmax` with its max as a sequential `f32::max` fold.
+    fn reference_softmax(x: &mut [f32]) {
+        if x.is_empty() {
+            return;
+        }
+        let max = x.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
+        let mut sum = 0.0f32;
+        for v in x.iter_mut() {
+            *v = (*v - max).exp();
+            sum += *v;
+        }
+        let inv = 1.0 / sum;
+        for v in x.iter_mut() {
+            *v *= inv;
+        }
+    }
+
+    /// A row from generated `(pick, value)` pairs: mostly finite values,
+    /// with NaN, ±0, ±∞, subnormals and values near `f32::MAX` mixed in;
+    /// `shape` 1–3 overwrite it with all −∞, all NaN, or −∞ and NaN, and
+    /// 4 negates its positive values, so a zero is often the max.
+    fn special_row(picks: &[(usize, f32)], shape: usize) -> Vec<f32> {
+        let value = |(pick, v): (usize, f32)| match pick {
+            0..=3 => v,
+            4 => f32::NAN,
+            5 => 0.0,
+            6 => -0.0,
+            7 => f32::INFINITY,
+            8 => f32::NEG_INFINITY,
+            9 => f32::from_bits(1 + v.abs() as u32).copysign(v),
+            _ => v * 8.0e36,
+        };
+        picks
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| match shape {
+                1 => f32::NEG_INFINITY,
+                2 => f32::NAN,
+                3 if i % 2 == 0 => f32::NAN,
+                3 => f32::NEG_INFINITY,
+                4 => match value(p) {
+                    v if v > 0.0 => -v,
+                    v => v,
+                },
+                _ => value(p),
+            })
+            .collect()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    const TEMPERATURES: [f32; 6] = [0.8, 1.0, 1.0e-3, 7.5, 1.0e-40, 3.0e38];
+
+    props! {
+        #![config(cases = 256)]
+
+        /// Every drawing kind's distribution and token equal the three-scan
+        /// reference's bit for bit, special values included.
+        fn one_pass_probs_replay_the_three_scans(
+            picks in vec_of((0usize..11, -40.0f32..40.0), 1..80),
+            shape in 0usize..6,
+            t_pick in 0usize..6,
+            seed in any_u64(),
+        ) {
+            let logits = special_row(&picks, shape);
+            let t = TEMPERATURES[t_pick];
+            let want = reference_probs(&logits, t);
+            let kinds = [
+                SamplerKind::Temperature(t),
+                SamplerKind::TopP { temperature: t, p: 0.9 },
+                SamplerKind::TopK { temperature: t, k: 3 },
+            ];
+            for kind in kinds {
+                let mut s = Sampler::new(kind, seed);
+                let got = s.sample(&logits);
+                prop_assert!(bits(&s.probs) == bits(&want), "{kind:?} {logits:?}");
+                let coin = Xoshiro256::seed_from_u64(seed).next_f32();
+                let mut order = Vec::new();
+                let drawn = match kind {
+                    SamplerKind::TopP { p, .. } => sample_top_p(&want, &mut order, p, coin),
+                    SamplerKind::TopK { k, .. } => sample_top_k(&want, &mut order, k, coin),
+                    _ => sample_multinomial(&want, coin),
+                };
+                prop_assert_eq!(got, drawn);
+            }
+        }
+
+        /// `ops::softmax` over its lane max equals the fold's bit for bit.
+        fn lane_max_softmax_replays_the_fold(
+            picks in vec_of((0usize..11, -40.0f32..40.0), 0..80),
+            shape in 0usize..6,
+        ) {
+            let mut got = special_row(&picks, shape);
+            let mut want = got.clone();
+            ops::softmax(&mut got);
+            reference_softmax(&mut want);
+            prop_assert!(bits(&got) == bits(&want), "{picks:?} {shape}");
+        }
+    }
+
+    #[test]
+    fn validate_names_the_broken_bound() {
+        let temp = SamplerKind::Temperature;
+        for kind in [temp(0.0), temp(-1.0), temp(f32::NAN)] {
+            let err = kind.validate().expect_err("a temperature not above 0");
+            assert!(err.contains("temperature must be positive"), "{err}");
+        }
+        let topp = |p| SamplerKind::TopP {
+            temperature: 0.9,
+            p,
+        };
+        for kind in [topp(0.0), topp(1.5), topp(f32::NAN)] {
+            assert!(kind
+                .validate()
+                .expect_err("a mass outside (0,1]")
+                .contains("top-p mass"));
+        }
+        let topk = SamplerKind::TopK {
+            temperature: 0.9,
+            k: 0,
+        };
+        assert!(topk
+            .validate()
+            .expect_err("k = 0")
+            .contains("at least one candidate"));
+        for kind in [
+            SamplerKind::Argmax,
+            temp(0.8),
+            topp(1.0),
+            SamplerKind::TopK {
+                temperature: 2.0,
+                k: 1,
+            },
+        ] {
+            assert_eq!(kind.validate(), Ok(()));
         }
     }
 }

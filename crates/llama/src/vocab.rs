@@ -189,7 +189,8 @@ impl VocabTable {
     /// final-normed): `out` (`n × rows`, sequence-major) gets, per row,
     /// the exact logit at every candidate and −∞ elsewhere. One screen
     /// GEMM streams the high halves for all `n` rows into the row-major
-    /// scratch `screen`, through the batch-major scratch `xt`, on `cores`.
+    /// scratch `screen` (for one row, straight into `out`), through the
+    /// batch-major scratch `xt`, on `cores`.
     pub(crate) fn greedy<'w>(
         &'w self,
         out: &mut [f32],
@@ -203,8 +204,13 @@ impl VocabTable {
         let (xt, screen) = (&mut xt[..cols * n], &mut screen[..rows * n]);
         ops::transpose_batch_major_into(xt, xs, cols, n);
         let gemm = Gemm::SplitScreen(&self.words, cols);
-        cores.run(gemm, screen, xt, 0..rows, n);
-        crate::forward::scatter_to_seq(&mut out[..n * rows], screen, rows, n);
+        if n == 1 {
+            // One row: the row-major result is already sequence-major.
+            cores.run(gemm, &mut out[..rows], xt, 0..rows, 1);
+        } else {
+            cores.run(gemm, screen, xt, 0..rows, n);
+            crate::forward::scatter_to_seq(&mut out[..n * rows], screen, rows, n);
+        }
         let mut counts = GreedyCounts {
             rows: n,
             ..GreedyCounts::default()

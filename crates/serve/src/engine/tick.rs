@@ -6,9 +6,10 @@
 //! the passes [`ServeEngine::plan`] emits (DESIGN.md §11, "One tick").
 
 use speedllm_accel::engine::STAGING_ROWS;
+use speedllm_llama::cores;
 use speedllm_llama::forward::{LogitRows, Transformer};
 use speedllm_llama::kv_cache::KvCache;
-use speedllm_llama::sampler::argmax;
+use speedllm_llama::sampler::{argmax, Sampler};
 use speedllm_llama::tokenizer::{TOKEN_BOS, TOKEN_EOS};
 use speedllm_telemetry as tel;
 
@@ -117,14 +118,40 @@ impl<B: Backend> ServeEngine<B> {
         runs
     }
 
+    /// Every fresh sample of the tick, by active index: one for each warm
+    /// sequence with no parked token and budget left, drawn by its own
+    /// sampler from its own logits. The draws touch nothing else, so two
+    /// or more that are not plain argmax (a temperature draw over
+    /// stories15M takes ~0.15 ms) split over both host cores
+    /// (`cores::each`); their tokens are those of the loop, in any order.
+    fn draw_fresh(&mut self) -> Vec<Option<u32>> {
+        let mut drawn = vec![None; self.active.len()];
+        let mut draws: Vec<(&mut Option<u32>, &mut Sampler, &[f32])> = drawn
+            .iter_mut()
+            .zip(&mut self.active)
+            .filter(|(_, a)| !a.is_cold() && a.pending.is_none() && a.hist_len() < a.end_pos)
+            .map(|(tok, a)| (tok, &mut a.sampler, &a.logits[..]))
+            .collect();
+        let draw = |(tok, sampler, logits): &mut (&mut Option<u32>, &mut Sampler, &[f32])| {
+            **tok = Some(sampler.sample(logits));
+        };
+        if draws.iter().filter(|(_, s, _)| !s.is_greedy()).count() >= 2 {
+            cores::each(&mut draws, draw);
+        } else {
+            draws.iter_mut().for_each(draw);
+        }
+        drawn
+    }
+
     /// One token per warm sequence — the one a previous tick parked, or a
     /// fresh sample (mirroring the single-tenant loop: sample → EOS check
     /// → emit). Returns the `(sequence, token)` decode candidates in
     /// active order and pushes the sequences that finish without a
     /// forward onto `finished`.
     pub(super) fn sample_warm(&mut self, finished: &mut Vec<usize>) -> Vec<(usize, u32)> {
+        let drawn = self.draw_fresh();
         let mut candidates = Vec::new();
-        for (i, a) in self.active.iter_mut().enumerate() {
+        for ((i, a), fresh) in self.active.iter_mut().enumerate().zip(drawn) {
             if a.is_cold() {
                 continue;
             }
@@ -134,11 +161,11 @@ impl<B: Backend> ServeEngine<B> {
                 continue;
             }
             let pos_next = a.hist_len();
-            if pos_next >= a.end_pos {
+            // Nothing was drawn exactly when the budget is spent.
+            let Some(next) = fresh else {
                 finished.push(i); // zero budget (e.g. max_new_tokens = 0)
                 continue;
-            }
-            let next = a.sampler.sample(&a.logits);
+            };
             if a.req.stop_at_eos && (next == TOKEN_EOS || next == TOKEN_BOS) {
                 finished.push(i);
                 continue;

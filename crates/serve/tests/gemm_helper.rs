@@ -1,9 +1,12 @@
-//! The walk's GEMM helper thread (`speedllm_llama::cores`) against the
-//! serial walk it splits. On a stories15M-shaped model cut to two layers,
-//! where every GEMM splits, each pass runs twice: with the helper, and
-//! with its spawn refused, which is the serial walk. Every logit must
-//! agree bit for bit — every `LogitRows`, flat and paged KV, f32, int8 and
-//! int4, through the CPU backend and the accelerator engine.
+//! The walk's helper thread (`speedllm_llama::cores`) against the serial
+//! walk it splits. On a stories15M-shaped model cut to two layers, where
+//! every GEMM splits, each pass runs twice: with the helper, and with its
+//! spawn refused, which is the serial walk. Every logit must agree bit for
+//! bit — every `LogitRows`, flat and paged KV, f32, int8 and int4, through
+//! the CPU backend and the accelerator engine. A second set of passes, with
+//! contexts long enough that attention splits too, checks the walk with
+//! its attention heads on both cores in decode, prefill-chunk and mixed
+//! run shapes.
 
 use std::sync::Arc;
 
@@ -11,6 +14,7 @@ use speedllm_accel::{Engine, OptConfig};
 use speedllm_llama::config::ModelConfig;
 use speedllm_llama::cores::with_spawn_refused;
 use speedllm_llama::forward::{LogitRows, Transformer};
+use speedllm_llama::kv_cache::KvBatch;
 use speedllm_llama::resident::IntoResident;
 use speedllm_llama::{QuantMode, ResidentWeights, TransformerWeights};
 use speedllm_pagedkv::{BlockAllocator, BlockConfig, KvSpace, SeqKv};
@@ -123,13 +127,15 @@ fn passes(weights: &Arc<ResidentWeights>, via: Via, paged: bool, rows: LogitRows
     logits
 }
 
-fn helper_rows() -> u64 {
+/// The value of telemetry counter `name`, 0 before its first add.
+fn counter(name: &str) -> u64 {
     let snap = tel::metrics::snapshot();
-    let rows = snap
-        .counters
-        .iter()
-        .find(|(k, _)| *k == "cpu.gemm_helper_rows");
-    rows.map_or(0, |&(_, v)| v)
+    let found = snap.counters.iter().find(|(k, _)| *k == name);
+    found.map_or(0, |&(_, v)| v)
+}
+
+fn helper_rows() -> u64 {
+    counter("cpu.gemm_helper_rows")
 }
 
 fn bits(v: &[f32]) -> Vec<u32> {
@@ -180,4 +186,96 @@ fn int8_helper_walks_match_serial_walks() {
 #[test]
 fn int4_helper_walks_match_serial_walks() {
     helper_walks_match_serial_walks(QuantMode::Int4);
+}
+
+/// Passes over four sequences whose attention work passes the split
+/// bound: a 48-token prefill in three 16-token chunks each (prefill-chunk
+/// shape), a decode row each, then decode rows beside a chunk (mixed).
+fn attention_passes() -> Vec<Vec<Vec<u32>>> {
+    let tokens =
+        |seq: u32, from: u32, n: u32| (from..from + n).map(move |t| (seq * 977 + t * 31) % 32_000);
+    let mut passes: Vec<Vec<Vec<u32>>> = (0..3)
+        .map(|c| {
+            (0..4)
+                .map(|seq| tokens(seq, 16 * c, 16).collect())
+                .collect()
+        })
+        .collect();
+    passes.push((0..4).map(|seq| tokens(seq, 48, 1).collect()).collect());
+    passes.push(vec![
+        vec![7],
+        tokens(1, 49, 12).collect(),
+        vec![9],
+        vec![11],
+    ]);
+    passes
+}
+
+/// Every logit of [`attention_passes`] over fresh sequences, scored
+/// `Last`, through the CPU walk or the engine, flat or paged.
+fn attention_walk(weights: &Arc<ResidentWeights>, via: Via, paged: bool) -> Vec<f32> {
+    let cfg = config();
+    let blocks = BlockConfig {
+        block_size: 16,
+        n_blocks: 24,
+    };
+    let mut space = KvSpace::new(&cfg, paged.then_some(blocks));
+    let mut alloc = BlockAllocator::new(blocks);
+    let mut seqs: Vec<SeqKv> = (0..4)
+        .map(|_| {
+            let mut seq = space.new_seq();
+            if let Some(table) = seq.table_mut() {
+                for _ in 0..5 {
+                    table.push_block(alloc.alloc().expect("a free block"));
+                }
+            }
+            seq
+        })
+        .collect();
+    let mut model = Transformer::with_weights(Arc::clone(weights));
+    let mut engine = matches!(via, Via::Engine)
+        .then(|| Engine::new(Arc::clone(weights), OptConfig::full_int8()).expect("engine builds"));
+    let mut logits = Vec::new();
+    for pass in attention_passes() {
+        let runs: Vec<&[u32]> = pass.iter().map(Vec::as_slice).collect();
+        let mut slots: Vec<&mut SeqKv> = seqs.iter_mut().collect();
+        let mut kv = space.batch(&mut slots);
+        if let Some(engine) = engine.as_mut() {
+            let (out, _) = engine.forward_runs(&mut kv, &runs, LogitRows::Last);
+            logits.extend(out.concat());
+        } else {
+            let starts: Vec<usize> = (0..runs.len()).map(|i| kv.kv_len(i)).collect();
+            let counts: Vec<usize> = runs.iter().map(|r| r.len()).collect();
+            let out =
+                model.forward_runs(&mut kv, &runs.concat(), &counts, &starts, LogitRows::Last);
+            logits.extend_from_slice(out);
+        }
+    }
+    logits
+}
+
+#[test]
+fn attention_on_the_helper_matches_serial_walks() {
+    tel::set_enabled(true);
+    let weights = TransformerWeights::synthetic(config(), 43).into_resident(QuantMode::Int8);
+    let before = counter("cpu.helper_items");
+    for via in [Via::Cpu, Via::Engine] {
+        for paged in [false, true] {
+            let case = format!("{via:?} paged {paged}");
+            let serial = with_spawn_refused(|| attention_walk(&weights, via, paged));
+            let split = attention_walk(&weights, via, paged);
+            assert_eq!(split.len(), serial.len(), "{case}");
+            assert!(
+                bits(&split) == bits(&serial),
+                "{case}: attention on the helper moved a logit"
+            );
+        }
+    }
+    let two_cores = std::thread::available_parallelism().is_ok_and(|n| n.get() >= 2);
+    if two_cores {
+        assert!(
+            counter("cpu.helper_items") > before,
+            "the helper never ran an attention item"
+        );
+    }
 }

@@ -47,24 +47,28 @@ for f in crates/{serve,accel,router,cli}/src/*.rs crates/{serve,accel,router,cli
 done
 
 echo "== tier 1: one GEMM path, one speculation loop =="
-# The serial walk is still the oracle. The one GEMM path splits a large
-# GEMM's rows between the caller and one helper thread per walk
-# (crates/llama/src/cores.rs), each element computed by one thread with
-# the unchanged body, and the split is tested against the serial walk bit
-# for bit. So threads live in that one module only: no thread strategy or
-# knob, no env-var read outside tests, no thread in accel, and speculation
-# lives only in the serve tick (serve/src/engine/tick.rs). None of these
-# names may come back.
+# The serial walk is still the oracle. crates/llama/src/cores.rs splits a
+# large GEMM's rows, a layer's attention heads and a serve tick's draws
+# between the caller and one helper thread, each value computed by one
+# thread with the unchanged body, and each split is tested against the
+# serial run bit for bit. So threads live in that one module only: no
+# thread strategy or knob, no env-var read outside tests, no thread in
+# any other crate's library code, and speculation lives only in the serve
+# tick (serve/src/engine/tick.rs). None of these names may come back.
 if grep -rnE 'MatVecStrategy|set_strategy|SPEEDLLM_THREADS|SpecSession|VerifyTarget' \
     crates/llama/src crates/accel/src; then
     echo "a second GEMM path or speculation loop in crates/{llama,accel}/src (see the lines above)" >&2
     exit 1
 fi
-if grep -rnE 'std::thread|available_parallelism' crates/llama/src crates/accel/src |
-    grep -v '^crates/llama/src/cores\.rs:'; then
-    echo "a thread outside crates/llama/src/cores.rs (see the lines above)" >&2
-    exit 1
-fi
+# Every crate's source above its #[cfg(test)]: a test may start threads
+# of its own (serve's engine tests do), the library may not.
+while IFS= read -r f; do
+    [[ "$f" == crates/llama/src/cores.rs ]] && continue
+    if sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE 'std::thread|available_parallelism'; then
+        echo "$f: a thread outside crates/llama/src/cores.rs above #[cfg(test)] (see the lines above)" >&2
+        exit 1
+    fi
+done < <(find crates/*/src -name '*.rs' | sort)
 for f in crates/{llama,accel}/src/*.rs crates/{llama,accel}/src/*/*.rs; do
     [[ -e "$f" ]] || continue
     if sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE 'env::var'; then
@@ -287,12 +291,18 @@ cargo test --release -q -p speedllm-serve --test greedy_serve
 # The walk's RoPE table, key-tiled attention scores and the sampler's
 # two-pass argmax, against the per-call reference each replaces.
 cargo test --release -q -p speedllm-llama -- rope_table tiled_attention argmax
-# The two-core row split (llama::cores) against the serial GEMM and the
-# serial walk, bit for bit, in the profile that ships: every body, width
-# and cut, the take-back, spawn-refusal and panic paths, and the walk
-# through the CPU backend and the accelerator engine.
+# The two-core split (llama::cores) against the serial GEMM, items and
+# walk, bit for bit, in the profile that ships: every body, width and cut,
+# the take-back, spawn-refusal and panic paths for GEMM rows and for
+# items, and the walk — GEMMs, and attention heads in decode,
+# prefill-chunk and mixed passes — through the CPU backend and the
+# accelerator engine, flat and paged.
 cargo test --release -q -p speedllm-llama cores::
 cargo test --release -q -p speedllm-serve --test gemm_helper
+# The one-pass draw (a branch-free scale and one lane max) and the lane
+# max softmax against the three scans and the sequential fold they
+# replace, bit for bit, over rows of NaN, ±0, ±∞ and subnormals.
+cargo test --release -q -p speedllm-llama -- one_pass_probs lane_max_softmax
 # The seeded normal fill that builds every synthetic checkpoint is one
 # more body of the same dispatch: each copy (AVX-512, AVX2, baseline)
 # must equal the one-draw-at-a-time loop bit for bit, its certificate
