@@ -1,7 +1,6 @@
-//! Plain-text table and CSV rendering shared by the reproduction binaries
-//! and examples.
+//! Plain-text table rendering shared by the CLI and examples.
 
-/// A simple fixed-width table builder with a CSV escape hatch.
+/// A simple fixed-width table builder.
 #[derive(Debug, Clone)]
 pub struct Table {
     headers: Vec<String>,
@@ -86,33 +85,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders RFC-4180-ish CSV (quotes cells containing separators).
-    #[must_use]
-    pub fn render_csv(&self) -> String {
-        let esc = |s: &str| {
-            if s.contains(',') || s.contains('"') || s.contains('\n') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        };
-        let mut out = String::new();
-        out.push_str(
-            &self
-                .headers
-                .iter()
-                .map(|h| esc(h))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Formats seconds adaptively (s / ms / µs).
@@ -177,15 +149,6 @@ mod tests {
     fn mismatched_row_rejected() {
         let mut t = Table::new(&["a", "b"]);
         t.row(vec!["only-one".into()]);
-    }
-
-    #[test]
-    fn csv_escapes_commas_and_quotes() {
-        let mut t = Table::new(&["a", "b"]);
-        t.row(vec!["x,y".into(), "he said \"hi\"".into()]);
-        let csv = t.render_csv();
-        assert!(csv.contains("\"x,y\""));
-        assert!(csv.contains("\"he said \"\"hi\"\"\""));
     }
 
     #[test]

@@ -316,11 +316,32 @@ fn cmd_generate(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     println!();
     println!("latency:    {}", fmt_seconds(report.total_latency_s()));
     println!("throughput: {:.0} tok/s", report.decode_tokens_per_s());
+    let e = &report.energy;
     println!(
         "energy:     {} ({:.0} tok/J)",
-        fmt_joules(report.energy.total_j()),
+        fmt_joules(e.total_j()),
         report.tokens_per_joule()
     );
+    // Fig 2(b)'s nine-component energy breakdown of this run.
+    let mut breakdown = Table::new(&["component", "energy", "share"]);
+    for (name, j) in [
+        ("HBM dynamic", e.hbm_j),
+        ("OCM dynamic", e.ocm_j),
+        ("MPE dynamic", e.mpe_dyn_j),
+        ("SFU dynamic", e.sfu_dyn_j),
+        ("kernel launches", e.launch_j),
+        ("MPE static (gated)", e.mpe_static_j),
+        ("DMA static (gated)", e.dma_static_j),
+        ("SFU static (gated)", e.sfu_static_j),
+        ("baseline", e.baseline_j),
+    ] {
+        breakdown.row(vec![
+            name.into(),
+            fmt_joules(j),
+            format!("{:.1}%", 100.0 * j / e.total_j()),
+        ]);
+    }
+    print!("{}", breakdown.render());
     println!(
         "traffic:    {} HBM read, {} HBM write, {} on-chip",
         fmt_bytes(report.stats.hbm.read_bytes),

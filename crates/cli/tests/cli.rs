@@ -44,6 +44,31 @@ fn generate_runs_on_tiny_preset() {
     assert!(out.contains("latency:"));
     assert!(out.contains("throughput:"));
     assert!(out.contains("tok/J"));
+    // Fig 2(b)'s energy breakdown: every component prints one share, and
+    // the shares add up to 100% within the rounding of nine 0.1% digits.
+    let mut total = 0.0;
+    for name in [
+        "HBM dynamic",
+        "OCM dynamic",
+        "MPE dynamic",
+        "SFU dynamic",
+        "kernel launches",
+        "MPE static (gated)",
+        "DMA static (gated)",
+        "SFU static (gated)",
+        "baseline",
+    ] {
+        let line = out
+            .lines()
+            .find(|l| l.starts_with(name))
+            .unwrap_or_else(|| panic!("no {name:?} row in:\n{out}"));
+        let share = line.split_whitespace().last().unwrap();
+        total += share.trim_end_matches('%').parse::<f64>().unwrap();
+    }
+    assert!(
+        (total - 100.0).abs() <= 9.0 * 0.05,
+        "shares sum to {total}%"
+    );
 }
 
 #[test]

@@ -138,26 +138,6 @@ impl GpuSpec {
     }
 }
 
-/// A generic device row for the cost table (GPU or FPGA), so the repro
-/// binary can mix roofline GPUs with the measured accelerator.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CostRow {
-    /// Device name.
-    pub device: String,
-    /// Decode throughput, tokens/s.
-    pub tokens_per_s: f64,
-    /// List price, USD.
-    pub price_usd: f64,
-}
-
-impl CostRow {
-    /// Tokens/s/$ for this row.
-    #[must_use]
-    pub fn tokens_per_s_per_dollar(&self) -> f64 {
-        self.tokens_per_s / self.price_usd
-    }
-}
-
 /// The U280's list price used by the paper.
 pub const U280_PRICE_USD: f64 = 8_000.0;
 
@@ -218,16 +198,6 @@ mod tests {
         let t = g.decode_tokens_per_s(&m, 64, 2.0);
         assert!((g.tokens_per_s_per_dollar(&m, 64, 2.0) - t / 12_000.0).abs() < 1e-9);
         assert!((g.tokens_per_s_per_watt(&m, 64, 2.0) - t / 250.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn cost_row_math() {
-        let r = CostRow {
-            device: "U280".into(),
-            tokens_per_s: 4000.0,
-            price_usd: U280_PRICE_USD,
-        };
-        assert!((r.tokens_per_s_per_dollar() - 0.5).abs() < 1e-12);
     }
 
     #[test]

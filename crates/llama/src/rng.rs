@@ -189,13 +189,6 @@ impl Xoshiro256 {
             Isa::Avx512,
         );
     }
-
-    /// Fills `out` with uniform draws in `[lo, hi)`.
-    pub fn fill_uniform(&mut self, out: &mut [f32], lo: f32, hi: f32) {
-        for v in out {
-            *v = self.range_f32(lo, hi);
-        }
-    }
 }
 
 /// Elements per chunk of [`Xoshiro256::fill_normal`]: its draws, two

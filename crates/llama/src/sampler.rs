@@ -66,15 +66,6 @@ pub struct Sampler {
     probs: Vec<f32>,
     /// Scratch index buffer for nucleus sorting.
     order: Vec<u32>,
-    /// Multiplicative penalty applied to the logits of recently generated
-    /// tokens (1.0 = disabled), à la CTRL/llama.cpp.
-    repetition_penalty: f32,
-    /// How many recent tokens the penalty window covers.
-    penalty_window: usize,
-    /// Recently generated tokens (bounded by `penalty_window`).
-    recent: std::collections::VecDeque<u32>,
-    /// Scratch for penalized logits.
-    adjusted: Vec<f32>,
 }
 
 impl Sampler {
@@ -92,22 +83,7 @@ impl Sampler {
             rng: Xoshiro256::seed_from_u64(seed),
             probs: Vec::new(),
             order: Vec::new(),
-            repetition_penalty: 1.0,
-            penalty_window: 0,
-            recent: std::collections::VecDeque::new(),
-            adjusted: Vec::new(),
         }
-    }
-
-    /// Enables a repetition penalty: logits of the last `window` sampled
-    /// tokens are divided by `penalty` (when positive) or multiplied (when
-    /// negative), discouraging loops. `penalty` must be ≥ 1.
-    #[must_use]
-    pub fn with_repetition_penalty(mut self, penalty: f32, window: usize) -> Self {
-        assert!(penalty >= 1.0, "penalty must be >= 1, got {penalty}");
-        self.repetition_penalty = penalty;
-        self.penalty_window = window;
-        self
     }
 
     /// Convenience for greedy decoding.
@@ -117,38 +93,17 @@ impl Sampler {
     }
 
     /// Whether every draw is [`argmax`] of the logits as given:
-    /// [`SamplerKind::Argmax`] with no repetition penalty. Such a sampler
-    /// may be fed `forward::LogitRows::Greedy` rows.
+    /// [`SamplerKind::Argmax`]. Such a sampler may be fed
+    /// `forward::LogitRows::Greedy` rows.
     #[must_use]
     pub fn is_greedy(&self) -> bool {
-        self.kind == SamplerKind::Argmax && self.repetition_penalty <= 1.0
+        self.kind == SamplerKind::Argmax
     }
 
     /// Samples the next token id from `logits`.
     pub fn sample(&mut self, logits: &[f32]) -> u32 {
         assert!(!logits.is_empty(), "empty logits");
-        // Move the scratch buffer out so `self` stays free for the draw
-        // below (no per-call allocation).
-        let mut adjusted = std::mem::take(&mut self.adjusted);
-        let logits = if self.repetition_penalty > 1.0 && !self.recent.is_empty() {
-            adjusted.clear();
-            adjusted.extend_from_slice(logits);
-            for &tok in &self.recent {
-                if let Some(l) = adjusted.get_mut(tok as usize) {
-                    // CTRL-style: shrink positive logits, push negative
-                    // ones further down.
-                    *l = if *l > 0.0 {
-                        *l / self.repetition_penalty
-                    } else {
-                        *l * self.repetition_penalty
-                    };
-                }
-            }
-            &adjusted[..]
-        } else {
-            logits
-        };
-        let picked = match self.kind {
+        match self.kind {
             SamplerKind::Argmax => argmax(logits),
             SamplerKind::Temperature(t) => {
                 self.prepare_probs(logits, t);
@@ -165,15 +120,7 @@ impl Sampler {
                 let coin = self.rng.next_f32();
                 sample_top_k(&self.probs, &mut self.order, k, coin)
             }
-        };
-        self.adjusted = adjusted;
-        if self.penalty_window > 0 {
-            self.recent.push_back(picked);
-            while self.recent.len() > self.penalty_window {
-                self.recent.pop_front();
-            }
         }
-        picked
     }
 
     /// The distribution over `logits / temperature`. NaN counts as −∞, as
@@ -548,34 +495,6 @@ mod tests {
     }
 
     #[test]
-    fn repetition_penalty_breaks_loops() {
-        // Argmax would repeat token 1 forever; the penalty must eventually
-        // pick something else.
-        let logits = [2.9f32, 3.0, 2.8];
-        let mut s = Sampler::argmax().with_repetition_penalty(1.5, 4);
-        let first = s.sample(&logits);
-        assert_eq!(first, 1);
-        let second = s.sample(&logits);
-        assert_ne!(second, 1, "penalty must demote the repeated token");
-    }
-
-    #[test]
-    fn repetition_penalty_window_expires() {
-        let logits = [2.9f32, 3.0, 2.8, 2.7];
-        let mut s = Sampler::argmax().with_repetition_penalty(2.0, 1);
-        let a = s.sample(&logits); // 1
-        let b = s.sample(&logits); // 0 (1 penalized)
-        let c = s.sample(&logits); // 1 again (only b=0 in window)
-        assert_eq!((a, b, c), (1, 0, 1));
-    }
-
-    #[test]
-    #[should_panic(expected = "penalty must be >= 1")]
-    fn sub_one_penalty_rejected() {
-        let _ = Sampler::argmax().with_repetition_penalty(0.5, 4);
-    }
-
-    #[test]
     fn multinomial_degenerate_coin() {
         // coin == 0.99999 with all mass on token 0 must still return a
         // valid index via the fallback.
@@ -653,16 +572,10 @@ mod tests {
         }
     }
 
-    /// Only plain argmax with no penalty may take greedy rows.
+    /// Only plain argmax may take greedy rows.
     #[test]
-    fn only_unpenalized_argmax_is_greedy() {
+    fn only_argmax_is_greedy() {
         assert!(Sampler::argmax().is_greedy());
-        assert!(Sampler::argmax()
-            .with_repetition_penalty(1.0, 8)
-            .is_greedy());
-        assert!(!Sampler::argmax()
-            .with_repetition_penalty(1.3, 8)
-            .is_greedy());
         for s in drawing_samplers() {
             assert!(!s.is_greedy(), "{:?}", s.kind);
         }

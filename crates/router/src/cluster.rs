@@ -184,18 +184,6 @@ impl<B: Backend> Cluster<B> {
         self.tick
     }
 
-    /// Number of replicas.
-    #[must_use]
-    pub fn replica_count(&self) -> usize {
-        self.replicas.len()
-    }
-
-    /// Whether replica `i` is currently routable.
-    #[must_use]
-    pub fn replica_up(&self, i: usize) -> bool {
-        self.replicas[i].up
-    }
-
     /// Requests at the router plus requests inside replicas.
     #[must_use]
     pub fn outstanding(&self) -> usize {

@@ -45,15 +45,10 @@
 //! latency in a [`Completion`] — and therefore the whole serve-bench
 //! report — is bit-reproducible across machines and wall-clock noise.
 //!
-//! Two drivers are provided:
-//!
-//! * [`ServeEngine::run_with_source`] — single-threaded, pulls from a
-//!   [`TrafficSource`]; the deterministic path serve-bench uses.
-//! * [`ServeEngine::run_queue`] — pulls requests from a
-//!   [`std::sync::mpsc`] channel and pushes completions to another;
-//!   the threaded serving front door (a `sync_channel` for requests gives
-//!   admission backpressure). Token streams are still deterministic per
-//!   request; arrival interleaving is whatever the threads produce.
+//! One driver is provided: [`ServeEngine::run_with_source`],
+//! single-threaded, pulls from a [`TrafficSource`]; the deterministic path
+//! serve-bench uses. A caller that owns its own loop calls
+//! [`ServeEngine::submit`] and [`ServeEngine::step`] directly.
 
 mod admission;
 mod capacity;
@@ -62,7 +57,6 @@ mod tick;
 use tick::{Pass, Verb};
 
 use std::collections::VecDeque;
-use std::sync::mpsc::{Receiver, RecvError, Sender, TryRecvError};
 
 use speedllm_telemetry as tel;
 
@@ -833,50 +827,6 @@ impl<B: Backend> ServeEngine<B> {
         }
         completions
     }
-
-    /// Serves from a request channel until it disconnects and drains,
-    /// pushing completions as they finish. A bounded `rx` channel is the
-    /// admission backpressure. Returns the number of requests served.
-    /// Stops early (with queued work dropped) only if the completion
-    /// receiver disappears.
-    pub fn run_queue(&mut self, rx: &Receiver<Request>, tx: &Sender<Completion>) -> u64 {
-        let mut served = 0u64;
-        let mut disconnected = false;
-        loop {
-            // Opportunistically drain arrivals without blocking.
-            while self.queue.len() < self.cfg.queue_cap {
-                match rx.try_recv() {
-                    Ok(req) => {
-                        self.submit(req).expect("queue depth checked");
-                    }
-                    Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => {
-                        disconnected = true;
-                        break;
-                    }
-                }
-            }
-            if self.is_idle() {
-                if disconnected {
-                    return served;
-                }
-                // Nothing to do: block until the next request (or EOF).
-                match rx.recv() {
-                    Ok(req) => {
-                        self.submit(req).expect("queue was empty");
-                    }
-                    Err(RecvError) => return served,
-                }
-                continue;
-            }
-            for c in self.step() {
-                served += 1;
-                if tx.send(c).is_err() {
-                    return served; // nobody is listening
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1117,39 +1067,5 @@ mod tests {
             .enable_speculative(draft_model(9), 4)
             .unwrap_err();
         assert!(err.contains("unified"), "{err}");
-    }
-
-    #[test]
-    fn run_queue_serves_over_channels() {
-        let (req_tx, req_rx) = std::sync::mpsc::sync_channel::<Request>(4);
-        let (done_tx, done_rx) = std::sync::mpsc::channel::<Completion>();
-        let tok = Tokenizer::synthetic(64, 42);
-        let prompt = tok.encode("hi", true, false);
-        let n = 5u64;
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                let mut engine = cpu_engine(2);
-                let served = engine.run_queue(&req_rx, &done_tx);
-                assert_eq!(served, n);
-            });
-            for i in 0..n {
-                req_tx.send(req(i, prompt.clone(), 4, i)).unwrap();
-            }
-            drop(req_tx);
-        });
-        let mut got: Vec<Completion> = done_rx.iter().collect();
-        got.sort_by_key(|c| c.id);
-        assert_eq!(got.len(), n as usize);
-        // Token streams are batch-composition-independent, so the threaded
-        // path must agree with a fresh synchronous run.
-        let mut sync_engine = cpu_engine(2);
-        for i in 0..n {
-            sync_engine.submit(req(i, prompt.clone(), 4, i)).unwrap();
-        }
-        let mut want = drain(&mut sync_engine);
-        want.sort_by_key(|c| c.id);
-        for (a, b) in got.iter().zip(&want) {
-            assert_eq!(a.tokens, b.tokens);
-        }
     }
 }
