@@ -317,9 +317,10 @@ fn cmd_generate(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     println!("latency:    {}", fmt_seconds(report.total_latency_s()));
     println!("throughput: {:.0} tok/s", report.decode_tokens_per_s());
     let e = &report.energy;
+    let total_j = e.total_j();
     println!(
         "energy:     {} ({:.0} tok/J)",
-        fmt_joules(e.total_j()),
+        fmt_joules(total_j),
         report.tokens_per_joule()
     );
     // Fig 2(b)'s nine-component energy breakdown of this run.
@@ -338,7 +339,7 @@ fn cmd_generate(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         breakdown.row(vec![
             name.into(),
             fmt_joules(j),
-            format!("{:.1}%", 100.0 * j / e.total_j()),
+            format!("{:.1}%", 100.0 * j / total_j),
         ]);
     }
     print!("{}", breakdown.render());
