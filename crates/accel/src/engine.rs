@@ -12,8 +12,7 @@
 //!   pass, on the caller's KV. There is no second interpreter:
 //!   fusion, placement and pipelining change *timing*, never values, so
 //!   logits are bit-identical to the CPU path at the same weight
-//!   precision. The one device-specific value effect, Q8_0 KV storage, is
-//!   a [`KvBatch`] adapter around the caller's batch (`DeviceKv`).
+//!   precision.
 //! * **Cost** (`Engine::time`) — what the op graph, fused schedule and
 //!   memory plan are for. Every kernel is decomposed into read/compute/
 //!   write tiles (weight streaming per MPE row-wave, KV paging for
@@ -45,7 +44,7 @@ use speedllm_fpga_sim::stats::SimStats;
 use speedllm_fpga_sim::trace::TraceBuffer;
 use speedllm_llama::forward::{LogitRows, Transformer};
 use speedllm_llama::kv_cache::KvBatch;
-use speedllm_llama::quant::{QuantMode, QuantTensor};
+use speedllm_llama::quant::QuantMode;
 use speedllm_llama::resident::{IntoResident, ResidentWeights};
 
 use crate::fusion::{fuse_with_limit, Schedule};
@@ -83,11 +82,6 @@ pub struct AccelConfig {
     pub activation_pool_bytes: u64,
     /// KV pages of this many positions per attention read tile.
     pub kv_page_positions: usize,
-    /// Storage precision of the HBM-resident KV cache (extension beyond
-    /// the paper). Int8 stores Q8_0 rows — 4x less attention traffic at a
-    /// small, perplexity-tested accuracy cost; values are dequantized on
-    /// read, exactly as the hardware would.
-    pub kv_precision: Precision,
     /// Composite-kernel depth limit handed to the fusion pass.
     pub fusion_max_ops: usize,
     /// Prompt tokens processed per device pass during prefill (chunked
@@ -143,7 +137,6 @@ impl AccelConfig {
             double_buffer_depth: 2,
             activation_pool_bytes: 2 << 20,
             kv_page_positions: 32,
-            kv_precision: Precision::Fp32,
             fusion_max_ops: crate::fusion::MAX_OPS_PER_KERNEL,
             prefill_chunk: 1,
             power: PowerModel::u280(),
@@ -167,47 +160,6 @@ impl AccelConfig {
     /// Checks the design fits the U280.
     pub fn validate(&self) -> Result<(), OverBudget> {
         check_fit(&self.resource_usage(), &Resources::u280_budget())
-    }
-}
-
-/// The device's KV write path over any [`KvBatch`]: with `q8` (the
-/// [`AccelConfig::kv_precision`] `Int8` mode) K and V rows are stored as
-/// Q8_0 and dequantized on read, which the functional side mirrors by
-/// round-tripping each row through the quantizer as it is stored, so the
-/// accuracy effect is faithful. Everything else is the inner store's.
-struct DeviceKv<'a, B: KvBatch + ?Sized> {
-    inner: &'a mut B,
-    q8: bool,
-}
-
-impl<B: KvBatch + ?Sized> KvBatch for DeviceKv<'_, B> {
-    fn batch_len(&self) -> usize {
-        self.inner.batch_len()
-    }
-
-    fn kv_len(&self, i: usize) -> usize {
-        self.inner.kv_len(i)
-    }
-
-    fn kv_capacity(&self, i: usize) -> usize {
-        self.inner.kv_capacity(i)
-    }
-
-    fn store(&mut self, i: usize, layer: usize, pos: usize, k: &[f32], v: &[f32]) {
-        if !self.q8 {
-            return self.inner.store(i, layer, pos, k, v);
-        }
-        let k = QuantTensor::quantize(k).dequantize();
-        let v = QuantTensor::quantize(v).dequantize();
-        self.inner.store(i, layer, pos, &k, &v);
-    }
-
-    fn key_head(&self, i: usize, layer: usize, pos: usize, kv_head: usize) -> &[f32] {
-        self.inner.key_head(i, layer, pos, kv_head)
-    }
-
-    fn value_head(&self, i: usize, layer: usize, pos: usize, kv_head: usize) -> &[f32] {
-        self.inner.value_head(i, layer, pos, kv_head)
     }
 }
 
@@ -403,7 +355,7 @@ impl Engine {
 
     /// Bytes the design point keeps in HBM: the weights as the host holds
     /// them at `opt.precision` (norm gains and the embedding table f32),
-    /// one context window of KV rows at the KV precision, and the
+    /// one context window of f32 KV rows, and the
     /// HBM-placed activations of a full [`STAGING_ROWS`]-row pass.
     fn hbm_footprint(&self) -> u64 {
         let c = &self.graph.config;
@@ -470,10 +422,9 @@ impl Engine {
         packed_bytes(self.opt.precision, rows, cols)
     }
 
-    /// Bytes one K or V row of `kv_dim` elements occupies in HBM under the
-    /// configured KV precision.
+    /// Bytes one f32 K or V row of `kv_dim` elements occupies in HBM.
     fn kv_row_bytes(&self) -> u64 {
-        packed_bytes(self.cfg.kv_precision, 1, self.graph.config.kv_dim())
+        (self.graph.config.kv_dim() * 4) as u64
     }
 
     /// Builds the timing tiles of one op for a chunk of `positions`
@@ -800,14 +751,9 @@ impl Engine {
         let starts: Vec<usize> = (0..kv.batch_len()).map(|i| kv.kv_len(i)).collect();
         let counts: Vec<usize> = runs.iter().map(|r| r.len()).collect();
         let tokens = runs.concat();
-        let q8 = self.cfg.kv_precision == Precision::Int8;
-        let logits = self.model.forward_runs(
-            &mut DeviceKv { inner: kv, q8 },
-            &tokens,
-            &counts,
-            &starts,
-            logit_rows,
-        );
+        let logits = self
+            .model
+            .forward_runs(kv, &tokens, &counts, &starts, logit_rows);
         logit_rows.split(logits, &counts, self.graph.config.vocab_size)
     }
 
@@ -953,12 +899,7 @@ mod tests {
             cfg.hbm.capacity_bytes = need;
             assert!(Engine::with_config(w, opt, cfg).is_ok());
         }
-        // Quantized weights and a quantized KV window need less.
-        let mut cfg = AccelConfig::for_opt(&OptConfig::full());
-        cfg.kv_precision = Precision::Int8;
-        let w = TransformerWeights::synthetic(ModelConfig::test_tiny(), 42);
-        let q8kv = Engine::with_config(w, OptConfig::full(), cfg).unwrap();
-        assert!(q8kv.hbm_footprint() < engine(OptConfig::full()).hbm_footprint());
+        // Narrower weights need less.
         assert!(
             engine(OptConfig::full_int4()).hbm_footprint()
                 < engine(OptConfig::full_int8()).hbm_footprint()
@@ -1374,54 +1315,6 @@ mod tests {
     }
 
     #[test]
-    fn int8_kv_cache_reduces_traffic_and_tracks_reference() {
-        let weights = Arc::new(TransformerWeights::synthetic(ModelConfig::test_tiny(), 42));
-        let mut f32kv = Engine::new(Arc::clone(&weights), OptConfig::full()).unwrap();
-        let mut cfg = AccelConfig::for_opt(&OptConfig::full());
-        cfg.kv_precision = Precision::Int8;
-        let mut i8kv = Engine::with_config(weights, OptConfig::full(), cfg).unwrap();
-        let (mut sa, mut sb) = (new_seq(&f32kv), new_seq(&i8kv));
-        let mut read_f32 = 0u64;
-        let mut read_i8 = 0u64;
-        for pos in 0..8 {
-            let a = pass(&mut f32kv, &mut sa, &[5]);
-            let b = pass(&mut i8kv, &mut sb, &[5]);
-            read_f32 += a.stats.hbm.read_bytes;
-            read_i8 += b.stats.hbm.read_bytes;
-            let d = a
-                .logits
-                .iter()
-                .zip(&b.logits)
-                .fold(0.0f32, |m, (x, y)| m.max((x - y).abs()));
-            assert!(d < 0.05, "int8 KV diverged by {d} at pos {pos}");
-        }
-        assert!(
-            read_i8 < read_f32,
-            "int8 KV must read less: {read_i8} vs {read_f32}"
-        );
-    }
-
-    #[test]
-    fn int8_kv_write_traffic_is_quarter() {
-        // test_tiny's 8-wide KV rows vanish inside one 64 B burst; use the
-        // 32-wide stories260K rows so the precision difference survives
-        // padding.
-        let weights = Arc::new(TransformerWeights::synthetic(
-            ModelConfig::stories260k(),
-            42,
-        ));
-        let mut cfg = AccelConfig::for_opt(&OptConfig::full());
-        cfg.kv_precision = Precision::Int8;
-        let mut i8kv = Engine::with_config(Arc::clone(&weights), OptConfig::full(), cfg).unwrap();
-        let mut f32kv = Engine::new(weights, OptConfig::full()).unwrap();
-        let wa = fresh(&mut f32kv, &[1]).stats.hbm.write_bytes;
-        let wb = fresh(&mut i8kv, &[1]).stats.hbm.write_bytes;
-        // KV rows dominate writes under full reuse; Q8_0 is ~0.28x the f32
-        // bytes before burst padding, so expect a clear reduction.
-        assert!(wb < wa, "int8 KV writes {wb} !< f32 {wa}");
-    }
-
-    #[test]
     fn serving_sequence_works_as_pool_slot() {
         use speedllm_llama::kv_cache::{KvCachePool, PoolSlot};
         let weights = Arc::new(TransformerWeights::synthetic(ModelConfig::test_tiny(), 42));
@@ -1514,8 +1407,7 @@ mod tests {
 
     /// The run-shape identity at the engine: a pass of mixed runs gives
     /// every row the bits it gets when the same tokens are fed one row per
-    /// pass — on flat and paged KV, with f32 and Q8_0 KV storage, for
-    /// both row selections.
+    /// pass — on flat and paged KV, for both row selections.
     #[test]
     fn mixed_runs_match_one_row_passes_bit_for_bit() {
         use speedllm_pagedkv::{BlockAllocator, BlockConfig, KvSpace, SeqKv};
@@ -1526,16 +1418,14 @@ mod tests {
         };
         // Two ticks over three sequences: every tick mixes run lengths.
         let ticks: [[&[u32]; 3]; 2] = [[&[3, 9], &[14], &[27, 5, 61]], [&[2], &[40, 8, 33], &[12]]];
-        for (paged, kv_precision, rows) in [
-            (false, Precision::Fp32, LogitRows::Last),
-            (false, Precision::Int8, LogitRows::All),
-            (true, Precision::Fp32, LogitRows::All),
-            (true, Precision::Int8, LogitRows::Last),
+        for (paged, rows) in [
+            (false, LogitRows::Last),
+            (false, LogitRows::All),
+            (true, LogitRows::All),
+            (true, LogitRows::Last),
         ] {
             let build = || {
-                let mut cfg = AccelConfig::for_opt(&OptConfig::full());
-                cfg.kv_precision = kv_precision;
-                let e = Engine::with_config(Arc::clone(&weights), OptConfig::full(), cfg).unwrap();
+                let e = Engine::new(Arc::clone(&weights), OptConfig::full()).unwrap();
                 let mut alloc = BlockAllocator::new(bc);
                 let space = KvSpace::new(&ModelConfig::test_tiny(), paged.then_some(bc));
                 let mut seqs: Vec<SeqKv> = (0..3).map(|_| space.new_seq()).collect();
@@ -1564,10 +1454,7 @@ mod tests {
                         }
                     }
                     let got: Vec<u32> = got[i].iter().map(|x| x.to_bits()).collect();
-                    assert_eq!(
-                        got, want,
-                        "seq {i} paged={paged} kv={kv_precision:?} {rows:?}"
-                    );
+                    assert_eq!(got, want, "seq {i} paged={paged} {rows:?}");
                 }
             }
         }

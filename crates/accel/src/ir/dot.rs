@@ -13,24 +13,14 @@ use crate::memplan::{MemoryPlan, Placement};
 
 use super::{Graph, ValueId};
 
-/// Renders the graph alone (no fusion clusters, no placement colors).
-#[must_use]
-pub fn graph_to_dot(graph: &Graph) -> String {
-    render(graph, None, None)
+fn esc(s: &str) -> String {
+    s.replace('"', "\\\"")
 }
 
 /// Renders the graph with fused-kernel clusters and (optionally) memory
 /// placements on the edges.
 #[must_use]
 pub fn schedule_to_dot(graph: &Graph, schedule: &Schedule, plan: Option<&MemoryPlan>) -> String {
-    render(graph, Some(schedule), plan)
-}
-
-fn esc(s: &str) -> String {
-    s.replace('"', "\\\"")
-}
-
-fn render(graph: &Graph, schedule: Option<&Schedule>, plan: Option<&MemoryPlan>) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "digraph speedllm {{");
     let _ = writeln!(out, "  rankdir=TB;");
@@ -49,23 +39,14 @@ fn render(graph: &Graph, schedule: Option<&Schedule>, plan: Option<&MemoryPlan>)
         );
     };
 
-    match schedule {
-        Some(s) => {
-            for (ki, kernel) in s.kernels.iter().enumerate() {
-                let _ = writeln!(out, "  subgraph cluster_k{ki} {{");
-                let _ = writeln!(out, "    label=\"K{ki}: {}\";", esc(&kernel.label));
-                let _ = writeln!(out, "    style=rounded; color=gray;");
-                for &oi in &kernel.ops {
-                    emit_node(&mut out, oi);
-                }
-                let _ = writeln!(out, "  }}");
-            }
+    for (ki, kernel) in schedule.kernels.iter().enumerate() {
+        let _ = writeln!(out, "  subgraph cluster_k{ki} {{");
+        let _ = writeln!(out, "    label=\"K{ki}: {}\";", esc(&kernel.label));
+        let _ = writeln!(out, "    style=rounded; color=gray;");
+        for &oi in &kernel.ops {
+            emit_node(&mut out, oi);
         }
-        None => {
-            for oi in 0..graph.ops.len() {
-                emit_node(&mut out, oi);
-            }
-        }
+        let _ = writeln!(out, "  }}");
     }
 
     // Edges: producer -> each consumer, labelled by the value.
@@ -108,10 +89,14 @@ mod tests {
         build_decode_graph(&ModelConfig::test_tiny())
     }
 
+    fn dot(g: &Graph) -> String {
+        schedule_to_dot(g, &fuse(g, true), None)
+    }
+
     #[test]
-    fn plain_dot_contains_every_op() {
+    fn dot_contains_every_op() {
         let g = graph();
-        let dot = graph_to_dot(&g);
+        let dot = dot(&g);
         assert!(dot.starts_with("digraph speedllm {"));
         assert!(dot.trim_end().ends_with('}'));
         for op in &g.ops {
@@ -147,7 +132,7 @@ mod tests {
     #[test]
     fn edge_count_matches_consumer_relations() {
         let g = graph();
-        let dot = graph_to_dot(&g);
+        let dot = dot(&g);
         let expected: usize = g
             .ops
             .iter()
@@ -161,7 +146,7 @@ mod tests {
     fn labels_are_escaped() {
         // No raw double quotes may leak out of label strings.
         let g = graph();
-        let dot = graph_to_dot(&g);
+        let dot = dot(&g);
         for line in dot.lines() {
             let quotes = line.matches('"').count();
             assert!(quotes % 2 == 0, "unbalanced quotes in {line}");

@@ -19,22 +19,10 @@
 //! pool is exhausted (which never happens for the shipped workloads — the
 //! tests assert it).
 
-use speedllm_fpga_sim::cycles::Cycles;
-use speedllm_fpga_sim::ocm::{OcmConfig, OcmKind, OcmPool, Segment};
+use speedllm_fpga_sim::ocm::{OcmPool, Segment};
 
 use crate::fusion::Schedule;
 use crate::ir::{Graph, ValueId};
-
-/// How the on-chip pool picks a free segment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AllocStrategy {
-    /// First free block that fits (the shipped policy — cheap and, for
-    /// Llama's highly cyclic lifetimes, as tight as best-fit).
-    #[default]
-    FirstFit,
-    /// Smallest free block that fits (fragmentation-averse).
-    BestFit,
-}
 
 /// Where a value lives during execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,31 +93,12 @@ fn last_use_kernel(graph: &Graph, schedule: &Schedule, v: ValueId) -> usize {
         .expect("materialized value must have consumers")
 }
 
-/// Plans placements for `graph` under `schedule` with the default
-/// first-fit pool policy.
+/// Plans placements for `graph` under `schedule`, first-fit in the pool.
 ///
 /// `pool_bytes` is the URAM budget dedicated to activation recycling
 /// (weights and KV stay in HBM regardless).
 #[must_use]
 pub fn plan(graph: &Graph, schedule: &Schedule, memory_reuse: bool, pool_bytes: u64) -> MemoryPlan {
-    plan_with_strategy(
-        graph,
-        schedule,
-        memory_reuse,
-        pool_bytes,
-        AllocStrategy::FirstFit,
-    )
-}
-
-/// [`plan`] with an explicit segment-selection policy (for ablations).
-#[must_use]
-pub fn plan_with_strategy(
-    graph: &Graph,
-    schedule: &Schedule,
-    memory_reuse: bool,
-    pool_bytes: u64,
-    strategy: AllocStrategy,
-) -> MemoryPlan {
     let classes = schedule.classify(graph);
     let mut placements = vec![Placement::Internal; graph.values.len()];
     let mut hbm_activation_bytes = 0u64;
@@ -151,14 +120,7 @@ pub fn plan_with_strategy(
     }
 
     // Liveness-driven pool simulation over kernel steps.
-    let mut pool = OcmPool::new(
-        OcmKind::Uram,
-        OcmConfig {
-            capacity_bytes: pool_bytes,
-            bytes_per_cycle: 128.0,
-            access_latency: Cycles(3),
-        },
-    );
+    let mut pool = OcmPool::new(pool_bytes);
     let n_kernels = schedule.kernels.len();
     // Values to free after each kernel step.
     let mut death_row: Vec<Vec<ValueId>> = vec![Vec::new(); n_kernels];
@@ -174,11 +136,7 @@ pub fn plan_with_strategy(
     for k in 0..n_kernels {
         for &v in &births[k] {
             let bytes = graph.values[v.0].bytes();
-            let alloc = match strategy {
-                AllocStrategy::FirstFit => pool.alloc(bytes),
-                AllocStrategy::BestFit => pool.alloc_best_fit(bytes),
-            };
-            match alloc {
+            match pool.alloc(bytes) {
                 Ok(seg) => placements[v.0] = Placement::Ocm(seg),
                 Err(_) => {
                     placements[v.0] = Placement::Hbm;
@@ -366,26 +324,6 @@ mod tests {
         let pf = plan(&g, &s_fused, true, POOL);
         let pu = plan(&g, &s_unfused, true, POOL);
         assert!(pf.ocm_values() < pu.ocm_values());
-    }
-
-    #[test]
-    fn best_fit_plans_are_sound_and_comparable() {
-        let (g, s) = setup(true);
-        let ff = plan_with_strategy(&g, &s, true, POOL, AllocStrategy::FirstFit);
-        let bf = plan_with_strategy(&g, &s, true, POOL, AllocStrategy::BestFit);
-        verify_plan(&g, &s, &bf).unwrap();
-        assert_eq!(bf.overflowed, 0);
-        // For Llama's cyclic lifetimes both policies recycle equally well;
-        // best-fit must never need *more* peak space.
-        assert!(bf.ocm_high_water <= ff.ocm_high_water + 64);
-    }
-
-    #[test]
-    fn best_fit_survives_tiny_pools() {
-        let (g, s) = setup(true);
-        let p = plan_with_strategy(&g, &s, true, 300, AllocStrategy::BestFit);
-        verify_plan(&g, &s, &p).unwrap();
-        assert!(p.overflowed > 0);
     }
 
     #[test]

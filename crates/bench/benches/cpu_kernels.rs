@@ -1,6 +1,6 @@
 //! Substrate microbenchmarks at stories15M dimensions: the GEMMs the walk
-//! runs, RMSNorm, softmax, RoPE, quantizing a matrix and a tensor round
-//! trip — plus a full reference forward step. Every weight-streaming row
+//! runs, RMSNorm, softmax, RoPE and quantizing a matrix — plus a full
+//! reference forward step. Every weight-streaming row
 //! carries `gb_s`: weight bytes over median time.
 //!
 //! The `cpu/cores_*` rows time every GEMM body through `llama::cores`,
@@ -25,7 +25,7 @@ use speedllm_llama::cores::{with_cores, Buffers, Gemm};
 use speedllm_llama::forward::Transformer;
 use speedllm_llama::kv_cache::KvCache;
 use speedllm_llama::ops;
-use speedllm_llama::quant::{QuantKind, QuantMatrix, QuantTensor};
+use speedllm_llama::quant::{QuantKind, QuantMatrix};
 use speedllm_llama::rng::Xoshiro256;
 use speedllm_llama::weights::TransformerWeights;
 use std::hint::black_box;
@@ -42,19 +42,9 @@ fn bench_kernels(c: &mut Runner) {
     rng.fill_normal(&mut w, 0.02);
     rng.fill_normal(&mut x, 1.0);
 
-    // Quantizing a checkpoint matrix (once per model load), and a tensor
-    // round trip.
+    // Quantizing a checkpoint matrix (once per model load).
     c.bench_function("quant/quantize_768x288", |b| {
         b.iter(|| black_box(QuantMatrix::quantize(black_box(&w), rows, cols).bytes()))
-    });
-    let data: Vec<f32> = (0..4096)
-        .map(|i| ((i * 31 % 997) as f32 - 498.0) / 100.0)
-        .collect();
-    c.bench_function("quant/tensor_roundtrip_4096", |b| {
-        b.iter(|| {
-            let qt = QuantTensor::quantize(black_box(&data));
-            black_box(qt.dequantize()[0])
-        })
     });
 
     let gain = vec![1.0f32; cols];

@@ -362,8 +362,11 @@ fn cmd_compare(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let mut table = Table::new(&["variant", "latency", "tok/s", "tok/J", "speedup"]);
     let mut base_latency = None;
     let mut rows = Vec::new();
+    // The four paper variants are f32: one resident checkpoint serves all.
+    let model = AcceleratedLlm::synthetic(preset, seed, OptConfig::full())?;
     for (name, opt) in OptConfig::paper_variants() {
-        let system = AcceleratedLlm::synthetic(preset, seed, opt)?;
+        let system =
+            AcceleratedLlm::new(Arc::clone(model.weights()), model.tokenizer().clone(), opt)?;
         let mut session = system.session(speedllm_llama::sampler::SamplerKind::Argmax, seed);
         let r = session.generate(prompt, steps)?;
         if name == "unoptimized" {
@@ -484,7 +487,10 @@ fn cmd_eval(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         "trace-out",
     ])?;
     let preset = parse_preset(args.get_or("preset", "tiny"))?;
-    let n_tokens = args.get_usize("tokens", 24)?.max(2).min(preset.seq_len);
+    let n_tokens = args.get_usize("tokens", 24.min(preset.seq_len))?;
+    if !(2..=preset.seq_len).contains(&n_tokens) {
+        return Err(format!("--tokens must be in 2..={}", preset.seq_len).into());
+    }
     let seed = args.get_u64("seed", 42)?;
     let engines = args.get_or("engines", "all");
     if !matches!(engines, "cpu" | "accel" | "all") {
@@ -852,8 +858,7 @@ fn cmd_serve_bench(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         shared_prefix_len,
         max_new_tokens: (
             1,
-            args.get_usize("max-new", if smoke { 6 } else { 16 })?
-                .max(1),
+            bounded_arg(args, "max-new", if smoke { 6 } else { 16 }, usize::MAX)?,
         ),
         sampler,
         stop_at_eos: true,
@@ -1107,9 +1112,7 @@ fn cmd_cluster_bench(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             format!("--shared-prefix {shared_prefix_len} does not fit the context window").into(),
         );
     }
-    let max_new = args
-        .get_usize("max-new", if smoke { 6 } else { 16 })?
-        .max(1);
+    let max_new = bounded_arg(args, "max-new", if smoke { 6 } else { 16 }, usize::MAX)?;
     let max_outstanding = args.get_usize("max-outstanding", usize::MAX)?;
     if max_outstanding < prompt_hi + max_new {
         return Err(format!(

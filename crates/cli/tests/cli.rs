@@ -218,6 +218,13 @@ fn eval_compares_precisions() {
     assert!(out.contains("CPU reference"));
     assert!(out.contains("accelerator int8"));
     assert!(out.contains("perplexity"));
+    // The tiny preset's context window is 32 positions.
+    for tokens in ["1", "33"] {
+        let o = run(&["eval", "--preset", "tiny", "--tokens", tokens]);
+        assert!(!o.status.success(), "--tokens {tokens} ran");
+        let err = stderr(&o);
+        assert!(err.contains("error: --tokens must be in 2..=32"), "{err}");
+    }
 }
 
 #[test]

@@ -239,8 +239,9 @@ fn zero_slots_and_zero_concurrency_are_clean_errors() {
 /// broke, so a run never prints one schedule and follows another.
 #[test]
 fn out_of_range_schedules_are_clean_errors() {
-    let both: [(&[&str], &str); 7] = [
+    let both: [(&[&str], &str); 8] = [
         (&["--mode", "open", "--mean", "0"], "--mean must be >= 1"),
+        (&["--max-new", "0"], "--max-new must be >= 1"),
         (&["--batch", "0"], "--batch must be in 1..=64"),
         (&["--batch", "100"], "--batch must be in 1..=64"),
         (&["--chunk", "0"], "--chunk must be in 1..=64"),

@@ -47,12 +47,6 @@ impl HbmConfig {
             capacity_bytes: 8 * 1024 * 1024 * 1024,
         }
     }
-
-    /// Aggregate bandwidth in bytes per cycle when all channels stream.
-    #[must_use]
-    pub fn peak_bytes_per_cycle(&self) -> f64 {
-        self.channels as f64 * self.channel_bytes_per_cycle
-    }
 }
 
 /// Traffic counters for one simulation run.
@@ -154,13 +148,6 @@ impl Hbm {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn u280_peak_bandwidth() {
-        let cfg = HbmConfig::u280();
-        // 32 × 48 B/cycle × 300 MHz = 460.8 GB/s.
-        assert!((cfg.peak_bytes_per_cycle() - 1536.0).abs() < 1e-9);
-    }
 
     #[test]
     fn padding_rounds_to_bursts() {

@@ -9,8 +9,8 @@
 //!
 //! * [`hbm`] — the 32-pseudo-channel HBM2 stack (bandwidth, latency,
 //!   bursts, traffic counters).
-//! * [`ocm`] — BRAM/URAM on-chip memories with a first-fit, cyclically
-//!   reusing byte allocator.
+//! * [`ocm`] — the on-chip (URAM) pool: a first-fit, cyclically reusing
+//!   byte allocator.
 //! * [`mpe`] — the DSP-based Matrix Processing Engine timing model
 //!   (fp32 and int8 design points).
 //! * [`sfu`] — the Special Function Unit (softmax, rmsnorm, RoPE, SiLU,
@@ -43,7 +43,7 @@ pub use cycles::{ClockDomain, Cycles};
 pub use event::{ResourceId, Span, Timeline};
 pub use hbm::{Hbm, HbmConfig};
 pub use mpe::{Mpe, MpeConfig, Precision};
-pub use ocm::{OcmConfig, OcmKind, OcmPool};
+pub use ocm::OcmPool;
 pub use power::{EnergyBreakdown, PowerModel};
 pub use resources::Resources;
 pub use sfu::{Sfu, SfuKind};

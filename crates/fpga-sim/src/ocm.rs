@@ -1,58 +1,12 @@
-//! On-chip memory (BRAM + URAM) model.
+//! On-chip memory (URAM) allocation.
 //!
-//! The U280 fabric provides two SRAM resources: 4032 BRAM18 blocks
-//! (18 Kbit each, ≈ 9 MiB total) and 960 URAM blocks (288 Kbit each,
-//! ≈ 33.75 MiB total). The memory-reuse strategy keeps activations and
-//! other short-lived tensors resident here instead of round-tripping
-//! through HBM; [`OcmPool`] is the byte-granular allocator the memory
-//! planner drives, with first-fit placement and cyclic (loop-back) reuse of
-//! freed segments, plus high-water-mark accounting so resource utilization
-//! can be reported per design point.
-
-use crate::cycles::Cycles;
-
-/// Which on-chip SRAM family a buffer lives in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum OcmKind {
-    /// 18 Kbit block RAMs — many small, narrow banks.
-    Bram,
-    /// 288 Kbit ultra RAMs — fewer, larger banks.
-    Uram,
-}
-
-/// Static parameters of one on-chip memory family.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OcmConfig {
-    /// Total capacity in bytes.
-    pub capacity_bytes: u64,
-    /// Bytes per cycle a single access port sustains.
-    pub bytes_per_cycle: f64,
-    /// Access latency in cycles (BRAM/URAM are 1–2 cycles; URAM cascades
-    /// add a little).
-    pub access_latency: Cycles,
-}
-
-impl OcmConfig {
-    /// U280 BRAM: 4032 × 18 Kbit ≈ 9.07 MiB, wide banked access.
-    #[must_use]
-    pub fn u280_bram() -> Self {
-        Self {
-            capacity_bytes: 4032 * 18 * 1024 / 8,
-            bytes_per_cycle: 128.0,
-            access_latency: Cycles(2),
-        }
-    }
-
-    /// U280 URAM: 960 × 288 Kbit ≈ 33.75 MiB.
-    #[must_use]
-    pub fn u280_uram() -> Self {
-        Self {
-            capacity_bytes: 960 * 288 * 1024 / 8,
-            bytes_per_cycle: 128.0,
-            access_latency: Cycles(3),
-        }
-    }
-}
+//! The memory-reuse strategy keeps activations and other short-lived
+//! tensors resident on chip instead of round-tripping through HBM;
+//! [`OcmPool`] is the byte-granular allocator the memory planner drives,
+//! with first-fit placement and cyclic (loop-back) reuse of freed
+//! segments, plus high-water-mark accounting so resource utilization can
+//! be reported per design point. Access cost is not modelled here: the
+//! engine's timing pass counts on-chip bytes itself.
 
 /// A handle to an allocated on-chip segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -84,62 +38,35 @@ impl std::fmt::Display for OcmFull {
 
 impl std::error::Error for OcmFull {}
 
-/// A byte-granular first-fit allocator over one on-chip memory family.
+/// A byte-granular first-fit allocator over one on-chip pool.
 ///
 /// Free segments are kept sorted by offset and coalesced on free, so the
 /// cyclic reuse pattern (alloc → use → free → realloc) recycles the same
 /// region — exactly the "loop-back" buffer management the paper describes.
 #[derive(Debug, Clone)]
 pub struct OcmPool {
-    kind: OcmKind,
-    config: OcmConfig,
+    capacity_bytes: u64,
     /// Sorted, non-overlapping, non-adjacent free segments.
     free: Vec<Segment>,
     in_use: u64,
     high_water: u64,
-    /// Lifetime counters.
     allocs: u64,
-    frees: u64,
-    read_bytes: u64,
-    write_bytes: u64,
 }
 
 impl OcmPool {
-    /// Creates a pool covering the whole configured capacity.
+    /// Creates a pool of `capacity_bytes`, all free.
     #[must_use]
-    pub fn new(kind: OcmKind, config: OcmConfig) -> Self {
+    pub fn new(capacity_bytes: u64) -> Self {
         Self {
-            kind,
-            config,
+            capacity_bytes,
             free: vec![Segment {
                 offset: 0,
-                len: config.capacity_bytes,
+                len: capacity_bytes,
             }],
             in_use: 0,
             high_water: 0,
             allocs: 0,
-            frees: 0,
-            read_bytes: 0,
-            write_bytes: 0,
         }
-    }
-
-    /// The memory family this pool models.
-    #[must_use]
-    pub fn kind(&self) -> OcmKind {
-        self.kind
-    }
-
-    /// The configuration.
-    #[must_use]
-    pub fn config(&self) -> &OcmConfig {
-        &self.config
-    }
-
-    /// Bytes currently allocated.
-    #[must_use]
-    pub fn in_use(&self) -> u64 {
-        self.in_use
     }
 
     /// Peak bytes ever simultaneously allocated.
@@ -154,71 +81,36 @@ impl OcmPool {
         self.allocs
     }
 
-    /// Bytes read from this pool so far.
-    #[must_use]
-    pub fn read_bytes(&self) -> u64 {
-        self.read_bytes
-    }
-
-    /// Bytes written to this pool so far.
-    #[must_use]
-    pub fn write_bytes(&self) -> u64 {
-        self.write_bytes
-    }
-
     /// Largest contiguous free block.
-    #[must_use]
-    pub fn largest_free(&self) -> u64 {
+    fn largest_free(&self) -> u64 {
         self.free.iter().map(|s| s.len).max().unwrap_or(0)
     }
 
     /// First-fit allocation of `len` bytes.
     pub fn alloc(&mut self, len: u64) -> Result<Segment, OcmFull> {
         assert!(len > 0, "zero-length allocation");
-        let pos = self.free.iter().position(|s| s.len >= len);
-        self.take_from(pos, len)
-    }
-
-    /// Best-fit allocation: picks the smallest free block that holds
-    /// `len`, minimizing leftover fragmentation.
-    pub fn alloc_best_fit(&mut self, len: u64) -> Result<Segment, OcmFull> {
-        assert!(len > 0, "zero-length allocation");
-        let pos = self
-            .free
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.len >= len)
-            .min_by_key(|(_, s)| s.len)
-            .map(|(i, _)| i);
-        self.take_from(pos, len)
-    }
-
-    fn take_from(&mut self, pos: Option<usize>, len: u64) -> Result<Segment, OcmFull> {
-        match pos {
-            Some(i) => {
-                let seg = self.free[i];
-                let out = Segment {
-                    offset: seg.offset,
-                    len,
-                };
-                if seg.len == len {
-                    self.free.remove(i);
-                } else {
-                    self.free[i] = Segment {
-                        offset: seg.offset + len,
-                        len: seg.len - len,
-                    };
-                }
-                self.in_use += len;
-                self.high_water = self.high_water.max(self.in_use);
-                self.allocs += 1;
-                Ok(out)
-            }
-            None => Err(OcmFull {
+        let Some(i) = self.free.iter().position(|s| s.len >= len) else {
+            return Err(OcmFull {
                 requested: len,
                 largest_free: self.largest_free(),
-            }),
+            });
+        };
+        let seg = self.free[i];
+        if seg.len == len {
+            self.free.remove(i);
+        } else {
+            self.free[i] = Segment {
+                offset: seg.offset + len,
+                len: seg.len - len,
+            };
         }
+        self.in_use += len;
+        self.high_water = self.high_water.max(self.in_use);
+        self.allocs += 1;
+        Ok(Segment {
+            offset: seg.offset,
+            len,
+        })
     }
 
     /// Returns a segment to the pool, coalescing with neighbours.
@@ -228,7 +120,7 @@ impl OcmPool {
     pub fn free(&mut self, seg: Segment) {
         assert!(seg.len > 0, "freeing empty segment");
         assert!(
-            seg.offset + seg.len <= self.config.capacity_bytes,
+            seg.offset + seg.len <= self.capacity_bytes,
             "segment outside pool"
         );
         // Insertion point by offset.
@@ -248,7 +140,6 @@ impl OcmPool {
         }
         self.free.insert(idx, seg);
         self.in_use -= seg.len;
-        self.frees += 1;
         // Coalesce with next, then with previous.
         if idx + 1 < self.free.len()
             && self.free[idx].offset + self.free[idx].len == self.free[idx + 1].offset
@@ -261,27 +152,6 @@ impl OcmPool {
             self.free.remove(idx);
         }
     }
-
-    /// Cycle cost of moving `bytes` through one port of this memory.
-    #[must_use]
-    pub fn access_cost(&self, bytes: u64) -> Cycles {
-        if bytes == 0 {
-            return Cycles::ZERO;
-        }
-        self.config.access_latency + Cycles::for_bytes(bytes, self.config.bytes_per_cycle)
-    }
-
-    /// Records a read of `bytes` and returns the cycle cost.
-    pub fn read(&mut self, bytes: u64) -> Cycles {
-        self.read_bytes += bytes;
-        self.access_cost(bytes)
-    }
-
-    /// Records a write of `bytes` and returns the cycle cost.
-    pub fn write(&mut self, bytes: u64) -> Cycles {
-        self.write_bytes += bytes;
-        self.access_cost(bytes)
-    }
 }
 
 #[cfg(test)]
@@ -289,20 +159,7 @@ mod tests {
     use super::*;
 
     fn pool() -> OcmPool {
-        OcmPool::new(
-            OcmKind::Uram,
-            OcmConfig {
-                capacity_bytes: 1000,
-                bytes_per_cycle: 64.0,
-                access_latency: Cycles(3),
-            },
-        )
-    }
-
-    #[test]
-    fn capacities_match_datasheet() {
-        assert_eq!(OcmConfig::u280_bram().capacity_bytes, 9_289_728);
-        assert_eq!(OcmConfig::u280_uram().capacity_bytes, 35_389_440);
+        OcmPool::new(1000)
     }
 
     #[test]
@@ -310,11 +167,10 @@ mod tests {
         let mut p = pool();
         let a = p.alloc(400).unwrap();
         let b = p.alloc(600).unwrap();
-        assert_eq!(p.in_use(), 1000);
+        assert_eq!(p.largest_free(), 0);
         assert!(p.alloc(1).is_err());
         p.free(a);
         p.free(b);
-        assert_eq!(p.in_use(), 0);
         assert_eq!(p.largest_free(), 1000, "freed segments must coalesce");
     }
 
@@ -372,48 +228,6 @@ mod tests {
         assert_eq!(p.largest_free(), 600);
         p.free(b);
         assert_eq!(p.largest_free(), 1000, "all three coalesce with the tail");
-    }
-
-    #[test]
-    fn access_cost_and_counters() {
-        let mut p = pool();
-        let c = p.read(128);
-        assert_eq!(c, Cycles(3) + Cycles(2));
-        p.write(64);
-        assert_eq!(p.read_bytes(), 128);
-        assert_eq!(p.write_bytes(), 64);
-        assert_eq!(p.access_cost(0), Cycles::ZERO);
-    }
-
-    #[test]
-    fn best_fit_prefers_tight_holes() {
-        let mut p = pool();
-        // Create holes of 100 (at 0) and 300 (at 200..500) with a live
-        // block separating them.
-        let a = p.alloc(100).unwrap(); // 0..100
-        let _b = p.alloc(100).unwrap(); // 100..200 (stays live)
-        let c = p.alloc(300).unwrap(); // 200..500
-        p.free(a);
-        p.free(c);
-        // First-fit would land an 80-byte request at offset 0; best-fit
-        // also picks the 100-byte hole (it is the tightest).
-        let d = p.alloc_best_fit(80).unwrap();
-        assert_eq!(d.offset, 0);
-        // A 250-byte request must take the 300-hole under both policies.
-        let e = p.alloc_best_fit(250).unwrap();
-        assert_eq!(e.offset, 200);
-        // Now only 20-at-80 and 50-at-450 and tail 500..1000 are free; a
-        // 30-byte request best-fits the 50-byte hole, not the tail.
-        let f = p.alloc_best_fit(30).unwrap();
-        assert_eq!(f.offset, 450);
-    }
-
-    #[test]
-    fn best_fit_errors_like_first_fit() {
-        let mut p = pool();
-        let _a = p.alloc(990).unwrap();
-        let err = p.alloc_best_fit(100).unwrap_err();
-        assert_eq!(err.largest_free, 10);
     }
 
     #[test]

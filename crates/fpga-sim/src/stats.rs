@@ -57,12 +57,6 @@ impl SimStats {
         self.alloc_stalls += other.alloc_stalls;
     }
 
-    /// Total bytes moved on- and off-chip.
-    #[must_use]
-    pub fn total_traffic_bytes(&self) -> u64 {
-        self.hbm.total_bytes() + self.ocm_read_bytes + self.ocm_write_bytes
-    }
-
     /// Arithmetic intensity: MACs per off-chip byte (the roofline x-axis).
     #[must_use]
     pub fn arithmetic_intensity(&self) -> f64 {
@@ -115,12 +109,6 @@ mod tests {
         assert_eq!(a.sfu.ops, 10);
         assert_eq!(a.kernel_launches, 8);
         assert_eq!(a.alloc_stalls, 4);
-    }
-
-    #[test]
-    fn traffic_total() {
-        let s = sample();
-        assert_eq!(s.total_traffic_bytes(), 1200 + 110);
     }
 
     #[test]

@@ -125,17 +125,6 @@ impl GpuSpec {
     ) -> f64 {
         self.decode_tokens_per_s(model, ctx, bytes_per_weight) / self.price_usd
     }
-
-    /// Power efficiency in tokens/s per watt at TDP.
-    #[must_use]
-    pub fn tokens_per_s_per_watt(
-        &self,
-        model: &ModelConfig,
-        ctx: usize,
-        bytes_per_weight: f64,
-    ) -> f64 {
-        self.decode_tokens_per_s(model, ctx, bytes_per_weight) / self.tdp_w
-    }
 }
 
 /// The U280's list price used by the paper.
@@ -197,7 +186,6 @@ mod tests {
         let g = GpuSpec::v100s();
         let t = g.decode_tokens_per_s(&m, 64, 2.0);
         assert!((g.tokens_per_s_per_dollar(&m, 64, 2.0) - t / 12_000.0).abs() < 1e-9);
-        assert!((g.tokens_per_s_per_watt(&m, 64, 2.0) - t / 250.0).abs() < 1e-9);
     }
 
     #[test]

@@ -288,24 +288,6 @@ impl ModelConfig {
     pub fn kv_cache_bytes(&self) -> usize {
         2 * self.n_layers * self.seq_len * self.kv_dim() * 4
     }
-
-    /// FLOPs (multiply-accumulate counted as 2) for one decode step at
-    /// context position `pos` — the dominant matmul + attention cost.
-    #[must_use]
-    pub fn decode_flops(&self, pos: usize) -> usize {
-        let d = self.dim;
-        let h = self.hidden_dim;
-        let kv = self.kv_dim();
-        // Each matmul element is one MAC = 2 flops.
-        let matmul_flops = 2
-            * self.n_layers
-            * (d * d /*wq*/ + d * kv /*wk*/ + d * kv /*wv*/ + d * d /*wo*/
-                + d * h /*w1*/ + d * h /*w3*/ + h * d/*w2*/);
-        // Scores (q·k over pos+1 keys) and mix (probs·v), per head.
-        let attn_flops = 2 * self.n_layers * (pos + 1) * (self.n_heads * self.head_dim()) * 2;
-        let logits_flops = 2 * d * self.vocab_size;
-        matmul_flops + attn_flops + logits_flops
-    }
 }
 
 impl fmt::Display for ModelConfig {
@@ -391,12 +373,6 @@ mod tests {
             cfg.validate(),
             Err(ConfigError::HeadsNotDivisibleByKvHeads { .. })
         ));
-    }
-
-    #[test]
-    fn decode_flops_grow_with_position() {
-        let cfg = ModelConfig::stories15m();
-        assert!(cfg.decode_flops(100) > cfg.decode_flops(0));
     }
 
     #[test]

@@ -151,70 +151,6 @@ pub fn unpack_nibbles(bytes: &[u8], len: usize) -> Vec<i8> {
     out
 }
 
-/// A Q8_0-quantized tensor: `q.len() == groups * GROUP`,
-/// `scales.len() == groups`. Trailing partial groups are zero-padded.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuantTensor {
-    /// Signed 8-bit quantized values.
-    pub q: Vec<i8>,
-    /// One scale per [`GROUP`]-wide group.
-    pub scales: Vec<f32>,
-    /// Logical (unpadded) element count.
-    pub len: usize,
-}
-
-impl QuantTensor {
-    /// Quantizes `data` with symmetric per-group absmax scaling.
-    #[must_use]
-    pub fn quantize(data: &[f32]) -> Self {
-        let groups = data.len().div_ceil(GROUP);
-        let mut q = vec![0i8; groups * GROUP];
-        let mut scales = vec![0.0f32; groups];
-        for (g, scale_slot) in scales.iter_mut().enumerate() {
-            let start = g * GROUP;
-            let end = (start + GROUP).min(data.len());
-            let chunk = &data[start..end];
-            let absmax = chunk.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
-            let scale = if absmax == 0.0 { 0.0 } else { absmax / 127.0 };
-            *scale_slot = scale;
-            if scale > 0.0 {
-                for (i, &x) in chunk.iter().enumerate() {
-                    q[start + i] = (x / scale).round().clamp(-127.0, 127.0) as i8;
-                }
-            }
-        }
-        Self {
-            q,
-            scales,
-            len: data.len(),
-        }
-    }
-
-    /// Reconstructs the `f32` values (padding excluded).
-    #[must_use]
-    pub fn dequantize(&self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.len);
-        for (i, &qv) in self.q.iter().take(self.len).enumerate() {
-            out.push(qv as f32 * self.scales[i / GROUP]);
-        }
-        out
-    }
-
-    /// Worst-case absolute reconstruction error bound: half a quantization
-    /// step per group (`scale / 2`), maximized over groups.
-    #[must_use]
-    pub fn error_bound(&self) -> f32 {
-        self.scales.iter().fold(0.0f32, |m, &s| m.max(s)) * 0.5
-    }
-
-    /// Payload bytes (int8 values + f32 scales) — what the accelerator
-    /// streams from HBM in int8 mode.
-    #[must_use]
-    pub fn bytes(&self) -> usize {
-        self.q.len() + self.scales.len() * 4
-    }
-}
-
 /// A group-quantized matrix, tile-interleaved in kernel order.
 ///
 /// Rows are quantized independently, `groups_per_row =
@@ -533,49 +469,19 @@ mod tests {
     use crate::rng::Xoshiro256;
 
     #[test]
-    fn quantize_dequantize_small_error() {
-        let mut rng = Xoshiro256::seed_from_u64(1);
-        let mut data = vec![0.0f32; 1000];
-        rng.fill_normal(&mut data, 0.5);
-        let qt = QuantTensor::quantize(&data);
-        let back = qt.dequantize();
-        assert_eq!(back.len(), data.len());
-        let bound = qt.error_bound() + 1e-7;
-        for (a, b) in data.iter().zip(&back) {
-            assert!((a - b).abs() <= bound, "{a} vs {b}, bound {bound}");
-        }
-    }
-
-    #[test]
-    fn zero_tensor_quantizes_to_zero() {
-        let qt = QuantTensor::quantize(&[0.0; 40]);
-        assert!(qt.q.iter().all(|&q| q == 0));
-        assert!(qt.dequantize().iter().all(|&x| x == 0.0));
-    }
-
-    #[test]
-    fn partial_group_is_handled() {
-        let data: Vec<f32> = (0..37).map(|i| i as f32 / 10.0).collect();
-        let qt = QuantTensor::quantize(&data);
-        assert_eq!(qt.scales.len(), 2);
-        assert_eq!(qt.q.len(), 64);
-        assert_eq!(qt.dequantize().len(), 37);
+    fn zero_row_quantizes_to_zero() {
+        let qm = QuantMatrix::quantize(&[0.0; 40], 1, 40);
+        assert_eq!(qm.scale(0, 0), 0.0);
+        assert!(qm.dequantize().iter().all(|&x| x == 0.0));
     }
 
     #[test]
     fn absmax_element_is_exact() {
-        // The absmax element maps to ±127 exactly, so reconstruction error
-        // there is at most scale * 0.5 (rounding of 127.0 is exact).
+        // The absmax element maps to ±127 exactly, so it round-trips up to
+        // the rounding of the scale.
         let data = [0.1f32, -2.54, 0.3];
-        let qt = QuantTensor::quantize(&data);
-        let back = qt.dequantize();
+        let back = QuantMatrix::quantize(&data, 1, 3).dequantize();
         assert!((back[1] - data[1]).abs() < 1e-6, "absmax should round-trip");
-    }
-
-    #[test]
-    fn payload_bytes_formula() {
-        let qt = QuantTensor::quantize(&[1.0; 64]);
-        assert_eq!(qt.bytes(), 64 + 2 * 4);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use speedllm_llama::config::ModelConfig;
 use speedllm_llama::kv_cache::KvBatch;
 
-use crate::block::{BlockAllocator, BlockConfig, BlockId, BlockTable};
+use crate::block::{BlockConfig, BlockId, BlockTable};
 
 /// One flat K and V buffer per layer, laid out `[n_blocks, block_size,
 /// kv_dim]` row-major — the paged analogue of `KvCache`'s
@@ -102,48 +102,6 @@ impl PagedKvArena {
         self.v[layer][off..off + self.kv_dim].copy_from_slice(v);
     }
 
-    /// Copies every layer's rows of `src` into `dst` (copy-on-write body).
-    pub fn copy_block(&mut self, src: BlockId, dst: BlockId) {
-        assert_ne!(src, dst, "copy onto itself");
-        let rows = self.block_size * self.kv_dim;
-        let s = src.index() * rows;
-        let d = dst.index() * rows;
-        for side in [&mut self.k, &mut self.v] {
-            for layer in side.iter_mut() {
-                let (from, to) = if s < d {
-                    let (a, b) = layer.split_at_mut(d);
-                    (&a[s..s + rows], &mut b[..rows])
-                } else {
-                    let (a, b) = layer.split_at_mut(s);
-                    (&b[..rows], &mut a[d..d + rows])
-                };
-                to.copy_from_slice(from);
-            }
-        }
-    }
-
-    /// Ensures the block holding logical `pos` in `table` is exclusively
-    /// owned, copying it to a fresh block if it is shared (copy-on-write).
-    /// Returns `false` when the pool has no free block for the copy.
-    pub fn make_writable(
-        &mut self,
-        alloc: &mut BlockAllocator,
-        table: &mut BlockTable,
-        pos: usize,
-    ) -> bool {
-        let (src, _) = table.locate(pos);
-        if alloc.refcount(src) == 1 {
-            return true;
-        }
-        let Some(dst) = alloc.alloc() else {
-            return false;
-        };
-        self.copy_block(src, dst);
-        table.replace_block(pos / self.block_size, dst);
-        alloc.release(src);
-        true
-    }
-
     /// NaN-poisons the storage of freed blocks (debug-build hygiene, the
     /// paged analogue of `KvCache::poison`): a stale read of a recycled
     /// block surfaces as NaN logits instead of silently borrowing a
@@ -235,6 +193,7 @@ impl KvBatch for PagedKvBatch<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::BlockAllocator;
 
     fn tiny_arena(n_blocks: usize) -> (PagedKvArena, BlockAllocator) {
         let cfg = ModelConfig::test_tiny();
@@ -284,53 +243,6 @@ mod tests {
         assert_eq!(view.kv_len(0), 0, "only first layer written");
         view.store(0, 1, 0, &z, &z);
         assert_eq!(view.kv_len(0), 1);
-    }
-
-    #[test]
-    fn copy_on_write_preserves_the_reader() {
-        let (mut arena, mut alloc) = tiny_arena(4);
-        let mut t = filled_table(&mut alloc, 1);
-        let k: Vec<f32> = (0..8).map(|i| 10.0 + i as f32).collect();
-        for layer in 0..2 {
-            arena.batch_view(vec![&mut t]).store(0, layer, 2, &k, &k);
-        }
-        let mut forked = alloc.fork(&t);
-        assert_eq!(alloc.refcount(t.blocks()[0]), 2);
-
-        // The fork appends at pos 3: shared block, so CoW must trigger.
-        assert!(arena.make_writable(&mut alloc, &mut forked, 3));
-        assert_ne!(forked.blocks()[0], t.blocks()[0], "fork got a copy");
-        assert_eq!(alloc.refcount(t.blocks()[0]), 1);
-        let w: Vec<f32> = (0..8).map(|i| 99.0 - i as f32).collect();
-        for layer in 0..2 {
-            arena
-                .batch_view(vec![&mut forked])
-                .store(0, layer, 3, &w, &w);
-        }
-        // The copy carried the shared prefix, and the original is untouched.
-        let key = |arena: &mut PagedKvArena, t: &mut BlockTable, pos| {
-            arena.batch_view(vec![t]).key_head(0, 0, pos, 0).to_vec()
-        };
-        assert_eq!(key(&mut arena, &mut forked, 2), &k[..4]);
-        assert_eq!(key(&mut arena, &mut t, 2), &k[..4]);
-        assert_ne!(
-            key(&mut arena, &mut t, 3),
-            &w[..4],
-            "writer must not leak into the original block"
-        );
-        // Exclusive blocks skip the copy.
-        let before = forked.blocks()[0];
-        assert!(arena.make_writable(&mut alloc, &mut forked, 3));
-        assert_eq!(forked.blocks()[0], before);
-    }
-
-    #[test]
-    fn make_writable_fails_cleanly_when_out_of_blocks() {
-        let (mut arena, mut alloc) = tiny_arena(1);
-        let t = filled_table(&mut alloc, 1);
-        let mut forked = alloc.fork(&t);
-        assert!(!arena.make_writable(&mut alloc, &mut forked, 0));
-        assert_eq!(forked.blocks(), t.blocks(), "failed CoW must not mutate");
     }
 
     #[test]

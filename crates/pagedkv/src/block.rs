@@ -133,21 +133,6 @@ impl BlockAllocator {
         }
     }
 
-    /// Clone a block table by reference: every block gains one holder.
-    /// The fork shares all physical blocks with the original; appends
-    /// into a shared tail must go through
-    /// [`crate::PagedKvArena::make_writable`] first (copy-on-write).
-    pub fn fork(&mut self, table: &BlockTable) -> BlockTable {
-        for &b in table.blocks() {
-            self.retain(b);
-        }
-        BlockTable {
-            blocks: table.blocks.clone(),
-            len: table.len,
-            block_size: table.block_size,
-        }
-    }
-
     /// Structural invariants, used by the property suite: the free list
     /// holds exactly the refcount-0 blocks, once each.
     pub fn check_invariants(&self) -> Result<(), String> {
@@ -254,16 +239,11 @@ impl BlockTable {
         self.len = self.len.max(pos + 1);
     }
 
-    /// Replace the block at chain index `chain_idx` (copy-on-write).
-    pub(crate) fn replace_block(&mut self, chain_idx: usize, b: BlockId) {
-        self.blocks[chain_idx] = b;
-    }
-
     /// Roll the table back to `len` stored tokens, popping every block
     /// that lies wholly past the new length (including capacity granted
     /// ahead of the store cursor). Returns the popped blocks in chain
     /// order; the caller must hand each one back to the allocator —
-    /// `release` drops one reference, so a CoW-shared block survives for
+    /// `release` drops one reference, so a shared block survives for
     /// its other holders and only the last reference actually frees it.
     /// The block straddling `len` stays mapped: rolled-back positions
     /// inside it are simply overwritten by the next store.
@@ -340,28 +320,6 @@ mod tests {
     }
 
     #[test]
-    fn fork_shares_blocks() {
-        let mut a = BlockAllocator::new(cfg(2, 4));
-        let mut t = BlockTable::new(2);
-        t.push_block(a.alloc().unwrap());
-        t.push_block(a.alloc().unwrap());
-        t.set_len(3);
-        let f = a.fork(&t);
-        assert_eq!(f.blocks(), t.blocks());
-        assert_eq!(f.len(), 3);
-        for &b in t.blocks() {
-            assert_eq!(a.refcount(b), 2);
-        }
-        for b in f.clone().take_blocks() {
-            a.release(b);
-        }
-        for &b in t.blocks() {
-            assert_eq!(a.refcount(b), 1, "original still holds its chain");
-        }
-        a.check_invariants().unwrap();
-    }
-
-    #[test]
     fn table_maps_positions_block_major() {
         let mut t = BlockTable::new(4);
         t.push_block(BlockId(7));
@@ -415,7 +373,7 @@ mod tests {
         for b in popped {
             assert!(a.release(b));
         }
-        // A CoW-shared popped block survives until its last holder.
+        // A shared popped block survives until its last holder.
         let shared = a.alloc().unwrap();
         a.retain(shared);
         t.push_block(shared);

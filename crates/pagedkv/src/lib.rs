@@ -7,8 +7,8 @@
 //! multi-request serving tier:
 //!
 //! - [`BlockAllocator`] — a free-list allocator over fixed
-//!   `block_size`-token KV pages with O(1) alloc/free, per-block
-//!   refcounts, and fork/copy-on-write support.
+//!   `block_size`-token KV pages with O(1) alloc/free and per-block
+//!   refcounts.
 //! - [`BlockTable`] — a per-sequence logical→physical mapping (position
 //!   `p` lives in `blocks[p / block_size]` at slot `p % block_size`),
 //!   so attention reads no longer assume contiguity.
@@ -28,9 +28,11 @@
 //!
 //! Sharing is full-block-only: a block becomes shareable only once all
 //! `block_size` positions are written and the owning sequence has
-//! frozen it (inserted it into the index). Writers must hold a block
-//! exclusively (`refcount == 1`); [`PagedKvArena::make_writable`]
-//! performs the copy-on-write when a forked table needs to append.
+//! frozen it (inserted it into the index). A sequence that takes a
+//! prefix hit holds the shared blocks through
+//! [`BlockAllocator::retain`] and resumes at the block boundary, so it
+//! writes only into blocks it allocated itself: a shared block is never
+//! written.
 
 #![forbid(unsafe_code)]
 

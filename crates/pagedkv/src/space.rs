@@ -55,8 +55,8 @@ impl SeqKv {
     /// discarding rejected speculative rows. A flat cache truncates in
     /// place and returns nothing; a paged table pops the whole blocks past
     /// the keep point and returns them for the owner to release — the
-    /// allocator decides whether a popped block actually frees (it may
-    /// still be CoW-shared with another sequence).
+    /// allocator decides whether a popped block actually frees (another
+    /// sequence may still share it).
     pub fn truncate(&mut self, len: usize) -> Vec<BlockId> {
         match self {
             SeqKv::Flat(kv) => {

@@ -165,8 +165,9 @@ pub trait Backend {
     /// Rolls `slot` back to `len` context positions, discarding rejected
     /// speculative rows. Paged slots pop the whole blocks past the keep
     /// point and return them — the scheduler releases each through its
-    /// allocator (CoW-aware) and reports actual frees via
-    /// [`Backend::on_blocks_freed`]. Flat slots return an empty vec.
+    /// allocator (a block another holder shares survives) and reports
+    /// actual frees via [`Backend::on_blocks_freed`]. Flat slots return
+    /// an empty vec.
     fn truncate_slot(slot: &mut Self::Slot, len: usize) -> Vec<BlockId>;
 
     /// Block geometry when this backend serves paged KV, `None` for flat

@@ -3,9 +3,7 @@
 //! Values are bucketed by magnitude: each power of two splits into
 //! [`SUB_BUCKETS`] linear sub-buckets, so the relative quantile error is
 //! bounded by `1/SUB_BUCKETS` (6.25%) across the full `u64` range while
-//! the whole histogram stays under 8 KiB. Histograms merge by bucketwise
-//! addition, which makes them safe to accumulate across threads, runs,
-//! and bench samples.
+//! the whole histogram stays under 8 KiB.
 
 /// log2 of the linear sub-buckets per power of two.
 pub const SUB_BITS: u32 = 4;
@@ -44,7 +42,7 @@ fn bucket_upper(i: usize) -> u64 {
     up.min(u128::from(u64::MAX)) as u64
 }
 
-/// A mergeable log-bucketed histogram of `u64` samples.
+/// A log-bucketed histogram of `u64` samples.
 #[derive(Clone)]
 pub struct LogHistogram {
     counts: Box<[u64; BUCKETS]>,
@@ -80,17 +78,6 @@ impl LogHistogram {
         self.sum += u128::from(v);
         self.min = self.min.min(v);
         self.max = self.max.max(v);
-    }
-
-    /// Adds every sample of `other` into `self` (bucketwise).
-    pub fn merge(&mut self, other: &LogHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += *b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Number of recorded samples.
@@ -253,44 +240,6 @@ mod tests {
         let s = h.summary();
         assert!(s.p50 <= s.p95 && s.p95 <= s.p99 && s.p99 <= s.max);
         assert!(s.min <= s.p50);
-    }
-
-    #[test]
-    fn merge_is_associative_and_matches_bulk() {
-        let feed = |h: &mut LogHistogram, lo: u64, hi: u64| {
-            for v in lo..hi {
-                h.record(v * v % 100_003);
-            }
-        };
-        let mut a = LogHistogram::new();
-        let mut b = LogHistogram::new();
-        let mut c = LogHistogram::new();
-        feed(&mut a, 0, 300);
-        feed(&mut b, 300, 700);
-        feed(&mut c, 700, 1000);
-
-        // (a + b) + c
-        let mut left = a.clone();
-        left.merge(&b);
-        left.merge(&c);
-        // a + (b + c)
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut right = a.clone();
-        right.merge(&bc);
-        // direct bulk feed
-        let mut bulk = LogHistogram::new();
-        feed(&mut bulk, 0, 1000);
-
-        for trio in [(&left, &right), (&left, &bulk)] {
-            assert_eq!(trio.0.count(), trio.1.count());
-            assert_eq!(trio.0.sum(), trio.1.sum());
-            assert_eq!(trio.0.min(), trio.1.min());
-            assert_eq!(trio.0.max(), trio.1.max());
-            for q in [0.1, 0.5, 0.9, 0.99] {
-                assert_eq!(trio.0.quantile(q), trio.1.quantile(q));
-            }
-        }
     }
 
     #[test]

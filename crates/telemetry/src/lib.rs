@@ -13,7 +13,7 @@
 //!   matvec pool) record into the same collector.
 //! * **Metrics** ([`metrics`]) — a global registry of counters, gauges,
 //!   and log-bucketed latency histograms ([`histogram::LogHistogram`],
-//!   HDR-style: mergeable, p50/p95/p99/max in bounded memory).
+//!   HDR-style: p50/p95/p99/max in bounded memory).
 //! * **Exporters** ([`export`]) — metrics JSON, and the Chrome trace-event JSON
 //!   format loadable in Perfetto / `chrome://tracing`. The simulator's
 //!   cycle timeline (`fpga_sim::TraceBuffer`) renders into the same

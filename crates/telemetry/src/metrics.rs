@@ -49,15 +49,6 @@ pub fn observe(name: &'static str, value: u64) {
     with_registry(|r| r.histograms.entry(name).or_default().record(value));
 }
 
-/// Merges a locally-built histogram into the named global one. Lets hot
-/// loops batch samples without taking the registry lock per sample.
-pub fn merge_histogram(name: &'static str, local: &LogHistogram) {
-    if !crate::enabled() || local.count() == 0 {
-        return;
-    }
-    with_registry(|r| r.histograms.entry(name).or_default().merge(local));
-}
-
 /// Point-in-time copy of the whole registry, sorted by name.
 #[derive(Default, Clone)]
 pub struct MetricsSnapshot {
@@ -115,12 +106,9 @@ mod tests {
         counter_add("fusion.hits", 3);
         gauge_set("memplan.ocm_values", 7.0);
         gauge_set("memplan.ocm_values", 9.0);
-        for v in [10, 20, 30, 40] {
+        for v in [10, 20, 30, 40, 50] {
             observe("lat", v);
         }
-        let mut local = LogHistogram::new();
-        local.record(50);
-        merge_histogram("lat", &local);
 
         let snap = snapshot();
         assert_eq!(snap.counters, vec![("fusion.hits", 5)]);

@@ -181,8 +181,11 @@ echo "== tier 1: one front end for the paper's tables =="
 # tests/paper_claims.rs asserts them. The repro binaries, their workload
 # grid and tiny-mode env knob, their CSV and cost-row helpers, and the
 # sampler penalty and channel driver nothing called may not come back, and
-# crates/bench (the harness and the cpu_kernels bench) runs no model.
-if grep -rnE --include='*.rs' 'SPEEDLLM_TINY|with_repetition_penalty|run_queue|render_csv|CostRow' \
+# crates/bench (the harness and the cpu_kernels bench) runs no model. Nor
+# may the ablation paths only tests took: device int8 KV, best-fit
+# planning, the OCM pool's cost model, copy-on-write blocks and the
+# graph-only DOT export.
+if grep -rnE --include='*.rs' 'SPEEDLLM_TINY|with_repetition_penalty|run_queue|render_csv|CostRow|kv_precision|DeviceKv|QuantTensor|AllocStrategy|plan_with_strategy|alloc_best_fit|OcmKind|make_writable|copy_block|graph_to_dot' \
     crates src tests examples benchmark/src; then
     echo "a retired second front end or unused API came back (see the lines above)" >&2
     exit 1

@@ -1,8 +1,8 @@
 //! Property tests (speedllm-testkit) over the paged KV-cache subsystem:
 //! free-list conservation under random alloc/free interleavings, refcount
-//! correctness under fork/release interleavings, radix-tree invariants
-//! (lookup of an inserted prefix returns exactly its blocks; shared
-//! blocks stay pinned while referenced), and copy-on-write isolation.
+//! correctness when chains are shared and released in any order, and
+//! radix-tree invariants (lookup of an inserted prefix returns exactly
+//! its blocks; shared blocks stay pinned while referenced).
 
 use speedllm_testkit::prelude::*;
 
@@ -15,6 +15,18 @@ fn cfg(block_size: usize, n_blocks: usize) -> BlockConfig {
         block_size,
         n_blocks,
     }
+}
+
+/// A table over `src`'s whole chain, shared the way admission takes a
+/// radix hit: each block gains one holder through `retain`.
+fn share(alloc: &mut BlockAllocator, src: &BlockTable) -> BlockTable {
+    let mut t = BlockTable::new(src.block_size());
+    for &b in src.blocks() {
+        alloc.retain(b);
+        t.push_block(b);
+    }
+    t.set_len(src.len());
+    t
 }
 
 /// Tokens 3.. in a deterministic stream, `len` of them.
@@ -73,8 +85,8 @@ props! {
         let n_blocks = 64;
         let mut alloc = BlockAllocator::new(cfg(block_size, n_blocks));
         let mut rng = Xoshiro256::seed_from_u64(seed);
-        // Base tables with 1..=3 blocks each, then random forks of random
-        // tables — every fork bumps each chain block's refcount by one.
+        // Base tables with 1..=3 blocks each, then random shares of random
+        // tables — every share bumps each chain block's refcount by one.
         let mut tables: Vec<BlockTable> = Vec::new();
         for _ in 0..chains {
             let mut t = BlockTable::new(block_size);
@@ -85,12 +97,12 @@ props! {
         }
         for _ in 0..forks {
             let src = rng.below(tables.len() as u64) as usize;
-            let forked = alloc.fork(&tables[src]);
-            prop_assert_eq!(forked.blocks(), tables[src].blocks());
-            for &b in forked.blocks() {
-                prop_assert!(alloc.refcount(b) >= 2, "forked block not shared");
+            let shared = share(&mut alloc, &tables[src]);
+            prop_assert_eq!(shared.blocks(), tables[src].blocks());
+            for &b in shared.blocks() {
+                prop_assert!(alloc.refcount(b) >= 2, "shared block has one holder");
             }
-            tables.push(forked);
+            tables.push(shared);
             prop_assert!(alloc.check_invariants().is_ok());
         }
         // Release tables in random order; a block frees exactly when its
@@ -199,9 +211,9 @@ props! {
         prop_assert_eq!(alloc.free_blocks(), n_blocks, "shared blocks leaked");
     }
 
-    /// Speculative-decoding rollback over forked (CoW-shared) chains: a
-    /// child forks the parent, writes on past a block boundary, then
-    /// rolls back to a random keep point. Popped blocks must free exactly
+    /// Speculative-decoding rollback over a shared chain: a child shares
+    /// the parent's whole blocks, as a radix hit does, writes on into
+    /// blocks of its own, then rolls back to a random keep point. Popped blocks must free exactly
     /// when the child was their last owner (free-list conservation), and
     /// the parent's bytes — plus the child's surviving rows — must equal
     /// those of an arena that never saw the speculative writes.
@@ -247,16 +259,16 @@ props! {
             })
             .collect();
 
-        // Child forks, then speculates `grow` positions further — crossing
-        // at least one block boundary when grow > block_size — writing
-        // through CoW so the shared tail block gets a private copy first.
-        let mut child = alloc.fork(&parent);
+        // Child shares the parent's chain, then speculates `grow`
+        // positions further — crossing at least one block boundary when
+        // grow > block_size. The parent is whole blocks, so every write
+        // lands in a block the child allocated itself.
+        let mut child = share(&mut alloc, &parent);
         let spec_end = parent_len + grow;
         for pos in parent_len..spec_end {
             if child.capacity_tokens() <= pos {
                 child.push_block(alloc.alloc().expect("32 blocks is plenty"));
             }
-            arena.make_writable(&mut alloc, &mut child, pos);
             let (k, v) = (row(&mut rng), row(&mut rng));
             for layer in 0..layers {
                 let (b, s) = child.locate(pos);
@@ -267,7 +279,7 @@ props! {
         let in_use_before = alloc.in_use();
         prop_assert!(alloc.check_invariants().is_ok());
 
-        // Roll the child back to a random keep point at or past the fork.
+        // Roll the child back to a random keep point at or past the share.
         let keep = parent_len + rng.below(grow as u64 + 1) as usize;
         let popped = child.rollback(keep);
         prop_assert_eq!(child.len(), keep, "rollback must set the logical length");
@@ -287,8 +299,8 @@ props! {
         prop_assert!(alloc.check_invariants().is_ok());
 
         // Byte oracle: the parent's rows are untouched by the child's
-        // speculative writes and rollback (CoW isolation + rollback only
-        // ever pops the child's own chain).
+        // speculative writes and rollback (shared blocks are never written,
+        // and rollback only ever pops the child's own chain).
         for (pos, want) in baseline.iter().enumerate() {
             let (b, _) = parent.locate(pos);
             prop_assert_eq!(
@@ -313,57 +325,5 @@ props! {
             alloc.release(b);
         }
         prop_assert_eq!(alloc.free_blocks(), n_blocks, "unwind must drain everything");
-    }
-
-    fn copy_on_write_isolates_forked_sequences(
-        seed in any_u64(),
-    ) {
-        let model = ModelConfig::test_tiny();
-        let bc = cfg(4, 16);
-        let mut alloc = BlockAllocator::new(bc);
-        let mut arena = PagedKvArena::new(&model, bc);
-        let mut rng = Xoshiro256::seed_from_u64(seed);
-
-        // Parent writes one full block of distinctive rows.
-        let mut parent = BlockTable::new(bc.block_size);
-        parent.push_block(alloc.alloc().unwrap());
-        let kv_dim = 8; // test_tiny: 2 kv heads x head_dim 4
-        for pos in 0..bc.block_size {
-            let k: Vec<f32> = (0..kv_dim).map(|_| rng.next_f32()).collect();
-            let v: Vec<f32> = (0..kv_dim).map(|_| rng.next_f32()).collect();
-            for layer in 0..2 {
-                let (b, s) = parent.locate(pos);
-                arena.store_at(layer, b, s, &k, &v);
-            }
-            parent.note_stored(pos);
-        }
-        let parent_row: Vec<f32> = {
-            let (b, _) = parent.locate(0);
-            arena.key_head_at(0, b, 0, 0).to_vec()
-        };
-
-        // Fork, then write position 0 through the child: CoW must give the
-        // child a private block and leave the parent's bytes untouched.
-        let mut child = alloc.fork(&parent);
-        prop_assert!(arena.make_writable(&mut alloc, &mut child, 0));
-        prop_assert!(parent.blocks()[0] != child.blocks()[0], "no private copy");
-        let zeros = vec![0.0f32; kv_dim];
-        let (cb, cs) = child.locate(0);
-        arena.store_at(0, cb, cs, &zeros, &zeros);
-        let (pb, _) = parent.locate(0);
-        prop_assert_eq!(
-            arena.key_head_at(0, pb, 0, 0),
-            &parent_row[..],
-            "child write leaked into the parent block"
-        );
-        prop_assert!(alloc.check_invariants().is_ok());
-
-        for b in parent.take_blocks() {
-            alloc.release(b);
-        }
-        for b in child.take_blocks() {
-            alloc.release(b);
-        }
-        prop_assert_eq!(alloc.free_blocks(), bc.n_blocks);
     }
 }

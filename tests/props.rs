@@ -16,7 +16,7 @@ use speedllm::fpga::cycles::Cycles;
 use speedllm::fpga::event::Timeline;
 use speedllm::llama::config::ModelConfig;
 use speedllm::llama::ops;
-use speedllm::llama::quant::{QuantTensor, GROUP};
+use speedllm::llama::quant::{QuantMatrix, GROUP};
 use speedllm::llama::tokenizer::Tokenizer;
 
 /// Builds a [`SimStats`] from 16 scalars — one per public leaf field. The
@@ -122,15 +122,15 @@ props! {
     }
 
     fn quantization_error_is_bounded(values in vec_of(-100.0f32..100.0, 1..300)) {
-        let qt = QuantTensor::quantize(&values);
-        let back = qt.dequantize();
-        let bound = qt.error_bound() + 1e-5;
+        let qm = QuantMatrix::quantize(&values, 1, values.len());
+        let back = qm.dequantize();
+        let bound = qm.error_bound() + 1e-5;
         for (a, b) in values.iter().zip(&back) {
             prop_assert!((a - b).abs() <= bound, "{} vs {} (bound {})", a, b, bound);
         }
         // Group scale bound: error <= absmax/254 per group is implied by
         // symmetric 127-step quantization.
-        prop_assert!(qt.scales.len() == values.len().div_ceil(GROUP));
+        prop_assert!(qm.groups_per_row() == values.len().div_ceil(GROUP));
     }
 
     fn softmax_is_a_distribution(values in vec_of(-50.0f32..50.0, 1..200)) {
